@@ -191,9 +191,9 @@ def classify(g: UnitDiskGraph, threshold: int,
 def central_classify(g: UnitDiskGraph, threshold: int) -> np.ndarray:
     """Centralized twin of classify()."""
     deg = g.degrees()
-    classes = np.zeros(g.n + 1, dtype=np.int8)
-    bnd = deg <= threshold
-    bnd[0] = False
+    classes = np.zeros(g.max_id + 1, dtype=np.int8)
+    bnd = np.zeros(g.max_id + 1, dtype=bool)
+    bnd[g.ids] = deg[g.ids] <= threshold  # unused IDs are no nodes, not BOUNDARY
     classes[bnd] = int(NodeClass.BOUNDARY)
     bidx = np.flatnonzero(bnd)
     near = np.zeros(g.max_id + 1, dtype=bool)

@@ -37,6 +37,20 @@ class MismatchedRun(RuntimeError):
     """Oracle invoked with a config that differs from the run's provenance."""
 
 
+class GraphDisconnected(RuntimeError):
+    """The deployment's unit disk graph falls apart into several components,
+    so no protocol can reach every node."""
+
+    def __init__(self, n: int, components: int):
+        super().__init__(n, components)  # args rebuild it when pickled
+        self.n = n
+        self.components = components
+
+    def __str__(self) -> str:
+        return (f"the unit disk graph of {self.n} nodes has {self.components} "
+                f"connected components; the protocols need one")
+
+
 @dataclass
 class RunConfig:
     region: str = "standard"          # path or builtin name
@@ -171,13 +185,13 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     ids = Generator(Philox([config.seed, 1])).permutation(config.n) + 1
     g = netgraph.build_udg((ids, pts), R=1.0)
 
-    mean_deg = float(g.degrees()[1:].mean())
+    mean_deg = float(g.degrees()[g.ids].mean())
     if config.n < 100 or mean_deg < 100:
         warnings.append(
             f"density warning: mean degree {mean_deg:.1f} (paper assumes "
             f"every node reaches at least 100 others)")
     if not netgraph.is_connected(g):
-        raise RoundLimitExceeded(0, {0: "graph disconnected before protocols"})
+        raise GraphDisconnected(g.n, netgraph.component_count(g))
 
     tree = convergetree.build_tree(g, trace=tr)
     cost("tree", tree.result)
@@ -276,7 +290,7 @@ def write_sweep_csv(r: PipelineResult, path: str) -> None:
         if r.sweep is None:
             return
         for a, c in zip(r.sweep.grid, r.sweep.component_counts):
-            nb = int((deg[1:] <= boundary.threshold_units(a, r.density.mu_est)).sum())
+            nb = int((deg[r.g.ids] <= boundary.threshold_units(a, r.density.mu_est)).sum())
             fh.write(f"{a!r},{c},{nb}\n")
 
 
@@ -629,6 +643,9 @@ def main(argv: list[str] | None = None) -> int:
     except MismatchedRun as exc:
         print(f"mismatched run: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except GraphDisconnected as exc:
+        print(f"graph disconnected: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
     except RoundLimitExceeded as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL

@@ -6,6 +6,11 @@ in-protocol (the paper's point of using a tree): a node sends its subtree
 report up once every neighbor has announced the same root and all of its
 children have reported; the root then floods DONE down, so every node
 learns both n and the completion round.
+
+The tree protocol runs as an array round kernel (`_TreeRounds`): each
+round is a few numpy gathers and segment reductions over the CSR rows of
+the nodes that broadcast, with the executor's delivery, cost and trace
+contract.  Aggregation and value floods run on `simkernel.run_protocol`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .netgraph import UnitDiskGraph
-from .simkernel import NodeProto, RunResult, run_protocol
+from .simkernel import CostLedger, NodeProto, RoundLimitExceeded, RunResult, run_protocol
 
 K_STATE = 1   # (root, parent)      flood announcement, doubles as join notice
 K_REPORT = 2  # (root, size)        convergecast: subtree size under `root`
@@ -43,90 +48,6 @@ class TreeState:
     completion_round: int
 
 
-class _TreeNode(NodeProto):
-    __slots__ = ("root", "parent", "nbr_state", "child_reports", "reported_root",
-                 "children", "subtree_size", "done", "n_total", "completion_round")
-
-    def __init__(self, vid, nbrs):
-        super().__init__(vid, nbrs)
-        self.root = vid
-        self.parent = 0
-        self.nbr_state: dict[int, tuple[int, int]] = {}
-        self.child_reports: dict[int, tuple[int, int]] = {}
-        self.reported_root = 0
-        self.children: tuple[int, ...] = ()
-        self.subtree_size = 1
-        self.done = False
-        self.n_total = 0
-        self.completion_round = -1
-
-    def on_round(self, rnd, inbox):
-        out = []
-        best = self.root
-        best_sender = 0
-        for s, m in inbox:
-            k = m[0]
-            if k == K_STATE:
-                self.nbr_state[s] = (m[1], m[2])
-                if m[1] > best:
-                    best = m[1]
-                    best_sender = s  # inbox sorted: first carrier = smallest sender
-            elif k == K_REPORT:
-                self.child_reports[s] = (m[1], m[2])
-            elif k == K_DONE and not self.done and m[1] == self.root:
-                self.done = True
-                self.completion_round = rnd
-                self.n_total = m[2]
-                if self.children:
-                    out.append((K_DONE, m[1], m[2]))
-
-        if best > self.root:
-            self.root = best
-            self.parent = best_sender
-            if self.nbrs.size:
-                out.append((K_STATE, self.root, self.parent))
-        elif rnd == 0 and self.nbrs.size:
-            out.append((K_STATE, self.root, self.parent))
-
-        if not self.done and self.reported_root != self.root:
-            out.extend(self._try_report(rnd))
-        return out
-
-    def _try_report(self, rnd):
-        # ready once every neighbor settled on my root and my children (the
-        # neighbors claiming me as parent) all reported under that root
-        ns = self.nbr_state
-        if len(ns) != self.nbrs.size:
-            return ()
-        root = self.root
-        size = 1
-        children = []
-        for u, (r, p) in ns.items():
-            if r != root:
-                return ()
-            if p == self.vid:
-                rep = self.child_reports.get(u)
-                if rep is None or rep[0] != root:
-                    return ()
-                children.append(u)
-                size += rep[1]
-        self.children = tuple(sorted(children))
-        self.subtree_size = size
-        self.reported_root = root
-        if root == self.vid:
-            self.done = True
-            self.completion_round = rnd
-            self.n_total = size
-            self.parent = 0
-            if self.children:
-                return ((K_DONE, root, size),)
-            return ()
-        return ((K_REPORT, root, size),)
-
-    def state_name(self):
-        return f"tree(root={self.root},reported={self.reported_root == self.root})"
-
-
 @dataclass
 class TreeBuild:
     states: list  # TreeState per ID (index 0 None)
@@ -140,33 +61,232 @@ class TreeBuild:
         raise RuntimeError("tree has no root")
 
 
+_TREE_UNITS = 3  # every tree message is (kind, root, x): sender plus two fields
+
+
+def _rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the adjacency rows of `nodes`, concatenated, and
+    the length of each row."""
+    starts = indptr[nodes]
+    lens = indptr[nodes + 1] - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lens), lens), lens
+
+
+class _TreeRounds:
+    """The tree protocol as a synchronous round kernel over the CSR arrays.
+
+    A round takes the messages broadcast in the previous one, per kind as
+    (senders ascending, field, field), runs every node that received one
+    and returns the round's own broadcasts.  Nodes read one another only
+    through what was broadcast: the last STATE and REPORT of each sender.
+
+    The rules, per receiving node v, in inbox order (sender, kind):
+    STATE (root, parent): adopt the largest announced root above v's own,
+    with the smallest sender announcing it as parent, and announce it.
+    DONE (root, n): taken once, from the smallest sender whose root equals
+    v's root before this round; forwarded only by a node with children.
+    REPORT (root, size): once every neighbour announces v's root and every
+    neighbour naming v as parent has reported under it, v reports its
+    subtree size under that root (again on every new root).  A root that
+    reports is complete and starts the DONE flood down its tree.
+    """
+
+    def __init__(self, g: UnitDiskGraph):
+        self.indptr, self.indices = g.indptr, g.indices
+        size = g.max_id + 1
+        self.size = size
+        # each node's own state
+        self.root = np.arange(size, dtype=np.int64)
+        self.parent = np.zeros(size, dtype=np.int64)
+        self.reported = np.zeros(size, dtype=np.int64)  # root of the last report
+        self.subtree = np.ones(size, dtype=np.int64)
+        self.n_children = np.zeros(size, dtype=np.int64)
+        self.child_edge = np.zeros(len(g.indices), dtype=bool)  # row v: children at v's last report
+        self.done = np.zeros(size, dtype=bool)
+        self.n_total = np.zeros(size, dtype=np.int64)
+        self.completion = np.full(size, -1, dtype=np.int64)
+        # the last STATE and REPORT each node broadcast
+        self.said_root = np.zeros(size, dtype=np.int64)
+        self.said_parent = np.zeros(size, dtype=np.int64)
+        self.rep_root = np.zeros(size, dtype=np.int64)
+        self.rep_size = np.zeros(size, dtype=np.int64)
+
+    def first_round(self, ids: np.ndarray) -> dict:
+        """Round 0: every node announces itself.  A node without neighbours
+        has heard them all and completes at once as its own root."""
+        deg = self.indptr[ids + 1] - self.indptr[ids]
+        lone = ids[deg == 0]
+        self.reported[lone] = lone
+        self.done[lone] = True
+        self.completion[lone] = 0
+        self.n_total[lone] = 1
+        talk = ids[deg > 0]
+        return self._publish({K_STATE: (talk, talk, np.zeros(len(talk), dtype=np.int64))})
+
+    def deliveries(self, msgs: dict) -> tuple[np.ndarray, dict]:
+        """Which nodes receive something, and per kind the receiver of each
+        delivery (in sender order) with the number each sender makes."""
+        heard = np.zeros(self.size, dtype=bool)
+        got = {}
+        for k, (s, _, _) in msgs.items():
+            pos, lens = _rows(self.indptr, s)
+            v = self.indices[pos]
+            heard[v] = True
+            got[k] = (v, lens)
+        return heard, got
+
+    def _publish(self, msgs: dict) -> dict:
+        """Record the round's STATE and REPORT broadcasts, which the
+        neighbours read from the next round on."""
+        if K_STATE in msgs:
+            s, r, p = msgs[K_STATE]
+            self.said_root[s] = r
+            self.said_parent[s] = p
+        if K_REPORT in msgs:
+            s, r, n = msgs[K_REPORT]
+            self.rep_root[s] = r
+            self.rep_size[s] = n
+        return msgs
+
+    def step(self, rnd: int, msgs: dict) -> dict:
+        indptr, indices, size = self.indptr, self.indices, self.size
+        root, done = self.root, self.done
+        out = {}
+        done_out = []
+        heard, got = self.deliveries(msgs)
+
+        if K_DONE in msgs:
+            s, r, n = msgs[K_DONE]
+            v, lens = got[K_DONE]
+            k = np.repeat(np.arange(len(s)), lens)
+            take = ~done[v] & (r[k] == root[v])
+            # deliveries run in sender order, so the first is the smallest sender
+            v, first = np.unique(v[take], return_index=True)
+            k = k[take][first]
+            done[v] = True
+            self.completion[v] = rnd
+            self.n_total[v] = n[k]
+            fwd = self.n_children[v] > 0
+            done_out.append((v[fwd], r[k][fwd], n[k][fwd]))
+
+        if K_STATE in msgs:
+            s, r, _ = msgs[K_STATE]
+            v, lens = got[K_STATE]
+            best = np.zeros(size, dtype=np.int64)
+            # largest root first, then the smallest sender
+            np.maximum.at(best, v, np.repeat(r * size + (size - 1 - s), lens))
+            best_root = best // size
+            new = np.flatnonzero(best_root > root)
+            root[new] = best_root[new]
+            self.parent[new] = size - 1 - best[new] % size
+            out[K_STATE] = (new, root[new], self.parent[new])
+
+        cand = np.flatnonzero(heard & ~done & (self.reported != root))
+        # most candidates still have a neighbour on another root: rule them
+        # out on the first and last neighbour before scanning whole rows
+        said = self.said_root
+        cand = cand[(said[indices[indptr[cand]]] == root[cand])
+                    & (said[indices[indptr[cand + 1] - 1]] == root[cand])]
+        if len(cand):
+            pos, lens = _rows(indptr, cand)
+            u = indices[pos]
+            owner = np.repeat(cand, lens)
+            r = root[owner]
+            child = self.said_parent[u] == owner
+            bad = (self.said_root[u] != r) | (child & (self.rep_root[u] != r))
+            starts = np.cumsum(lens) - lens
+            ok = ~np.logical_or.reduceat(bad, starts)
+            edge_ok = np.repeat(ok, lens)
+            self.child_edge[pos[edge_ok]] = child[edge_ok]
+            kids = child & edge_ok
+            rep = cand[ok]
+            sizes = 1 + np.add.reduceat(np.where(kids, self.rep_size[u], 0), starts)[ok]
+            self.n_children[rep] = np.add.reduceat(kids, starts)[ok]
+            self.subtree[rep] = sizes
+            self.reported[rep] = root[rep]
+            is_root = root[rep] == rep
+            top, top_n = rep[is_root], sizes[is_root]
+            done[top] = True
+            self.completion[top] = rnd
+            self.n_total[top] = top_n
+            self.parent[top] = 0
+            flood = self.n_children[top] > 0
+            done_out.append((top[flood], top[flood], top_n[flood]))
+            up = ~is_root
+            out[K_REPORT] = (rep[up], root[rep[up]], sizes[up])
+
+        if done_out:
+            s = np.concatenate([d[0] for d in done_out])
+            order = np.argsort(s, kind="stable")
+            out[K_DONE] = tuple(np.concatenate([d[i] for d in done_out])[order]
+                                for i in range(3))
+        return self._publish(out)
+
+    def state_name(self, v: int) -> str:
+        return f"tree(root={self.root[v]},reported={bool(self.reported[v] == self.root[v])})"
+
+
 def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
                trace=None) -> TreeBuild:
     """Elect the max-ID node and build its spanning tree over the whole graph.
 
-    Disconnected input surfaces as a multi-root failure after quiescence.
+    Runs the round kernel `_TreeRounds` with the executor's contract: a
+    broadcast reaches every neighbour one round later, only nodes that
+    received something run, the run ends at quiescence, and the ledger,
+    round and delivery counts and the trace lines ('round,node,kind,3',
+    by sender then kind) are those of the executor.  Disconnected input
+    surfaces as a multi-root failure after quiescence.
     """
-    res = run_protocol(g, _TreeNode, max_rounds=max_rounds, trace=trace)
+    kernel = _TreeRounds(g)
+    ledger = CostLedger(g.max_id)
+    deg = g.degrees()
+    rounds_used = 0
+    deliveries = 0
+    msgs: dict = {}
+    while True:
+        if rounds_used >= max_rounds:
+            waiting = np.flatnonzero(kernel.deliveries(msgs)[0])[:64].tolist()
+            raise RoundLimitExceeded(rounds_used, {v: kernel.state_name(v) for v in waiting})
+        rnd = rounds_used
+        sent = kernel.first_round(g.ids) if rnd == 0 else kernel.step(rnd, msgs)
+        msgs = {k: m for k, m in sent.items() if len(m[0])}
+        rounds_used += 1
+        if not msgs:
+            break
+        senders = np.concatenate([m[0] for m in msgs.values()])
+        ledger.charge(senders, _TREE_UNITS)
+        deliveries += int(deg[senders].sum())
+        if trace is not None:
+            kinds = np.concatenate([np.full(len(m[0]), k) for k, m in msgs.items()])
+            order = np.lexsort((kinds, senders))
+            trace.write("".join(f"{rnd},{s},{k},{_TREE_UNITS}\n" for s, k in
+                                zip(senders[order].tolist(), kinds[order].tolist())))
+
     states: list = [None] * (g.max_id + 1)
-    roots = 0
+    kids = g.indices[kernel.child_edge].tolist()  # row by row, n_children[v] in row v
+    kid_ptr = np.concatenate(([0], np.cumsum(kernel.n_children))).tolist()
+    root, parent = kernel.root.tolist(), kernel.parent.tolist()
+    done = kernel.done.tolist()
+    subtree, n_total = kernel.subtree.tolist(), kernel.n_total.tolist()
+    completion = kernel.completion.tolist()
     for v in g.id_list:
-        nd = res.nodes[v]
-        if not nd.done:
+        if not done[v]:
             raise RuntimeError(f"tree build ended without completion at node {v}")
-        if nd.parent == 0:
-            roots += 1
-            if nd.n_total != g.n:
-                raise RuntimeError(
-                    f"root {v} spans {nd.n_total} of {g.n} nodes: graph disconnected")
+        if parent[v] == 0 and n_total[v] != g.n:
+            raise RuntimeError(
+                f"root {v} spans {n_total[v]} of {g.n} nodes: graph disconnected")
         states[v] = TreeState(
-            root_id=nd.root,
-            parent=None if nd.parent == 0 else nd.parent,
-            children=nd.children,
-            subtree_size=nd.subtree_size,
-            n_total=nd.n_total,
-            completion_round=nd.completion_round,
+            root_id=root[v],
+            parent=None if parent[v] == 0 else parent[v],
+            children=tuple(kids[kid_ptr[v]:kid_ptr[v + 1]]),
+            subtree_size=subtree[v],
+            n_total=n_total[v],
+            completion_round=completion[v],
         )
-    return TreeBuild(states=states, result=res)
+    return TreeBuild(states=states, result=RunResult(
+        nodes=states, ledger=ledger, rounds_used=rounds_used, deliveries=deliveries))
 
 
 def _combine(op: AggOp, a: tuple, b: tuple) -> tuple:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass
@@ -212,6 +214,15 @@ def is_connected(g: UnitDiskGraph) -> bool:
         return True
     dist = hop_bfs(g, [int(g.ids[0])])
     return bool(np.isfinite(dist[g.ids]).all())
+
+
+def component_count(g: UnitDiskGraph) -> int:
+    """Number of connected components; an isolated node is one."""
+    size = g.max_id + 1
+    adj = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices, g.indptr),
+                     shape=(size, size))
+    k, _ = connected_components(adj, directed=False)
+    return k - (size - g.n)  # every unused ID is an isolated vertex of adj
 
 
 def dump_edges(g: UnitDiskGraph, path: str) -> None:

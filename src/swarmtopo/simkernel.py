@@ -22,11 +22,6 @@ from .netgraph import UnitDiskGraph
 Message = tuple  # (kind, *int_fields)
 
 
-def msg_size_units(msg: Message) -> int:
-    """id-units charged for one broadcast of msg (sender + payload fields)."""
-    return len(msg)
-
-
 class RoundLimitExceeded(RuntimeError):
     """Protocol did not quiesce within max_rounds."""
 
@@ -56,18 +51,16 @@ class CostLedger:
     def total_id_units(self) -> int:
         return int(self.id_units_sent.sum())
 
-    def merge(self, other: "CostLedger") -> None:
-        self.broadcasts_sent += other.broadcasts_sent
-        self.id_units_sent += other.id_units_sent
-
-
-def charge(ledger: CostLedger, v: int, msg: Message) -> None:
-    """Record one broadcast of msg by node v (called once per broadcast)."""
-    units = msg_size_units(msg)
-    if units < 1:
-        raise ValueError("a message always carries at least the sender ID")
-    ledger.broadcasts_sent[v] += 1
-    ledger.id_units_sent[v] += units
+    def charge(self, senders, units) -> None:
+        """Record one broadcast per entry of `senders` (repeats allowed),
+        each costing its entry of `units` (or `units` itself if scalar):
+        one id-unit per message field, the sender ID included, i.e.
+        ``len(msg)``."""
+        units = np.asarray(units, dtype=np.int64)
+        if units.size and units.min() < 1:
+            raise ValueError("a message always carries at least the sender ID")
+        np.add.at(self.broadcasts_sent, senders, 1)
+        np.add.at(self.id_units_sent, senders, units)
 
 
 class NodeProto:
@@ -96,7 +89,7 @@ class NodeProto:
 
 @dataclass
 class RunResult:
-    nodes: list  # NodeProto per ID (index 0 is None)
+    nodes: list  # final per-node state per ID (index 0 is None)
     ledger: CostLedger
     rounds_used: int
     deliveries: int
@@ -119,8 +112,6 @@ def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
 
     nbr_lists = g.neighbor_lists()
     inboxes: list[list] = [[] for _ in range(g.max_id + 1)]
-    bsent = ledger.broadcasts_sent
-    usent = ledger.id_units_sent
 
     active = g.id_list  # round 0: every node runs on an empty inbox
     rounds_used = 0
@@ -160,10 +151,9 @@ def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
         # enters next_active exactly once: on its first delivery, or via
         # its wake-up flag if nothing arrived.
         new_outbox.sort()
+        ledger.charge([s for s, _ in new_outbox], [len(m) for _, m in new_outbox])
         next_active: list[int] = []
         for s, m in new_outbox:
-            bsent[s] += 1
-            usent[s] += len(m)
             if trace is not None:
                 trace.write(f"{rnd},{s},{m[0]},{len(m)}\n")
             entry = (s, m)

@@ -306,6 +306,7 @@ def test_criterion_8_thickness(sweep_records, standard_region):
                   f"annulus T={t_ann:.3f}: {ann_ok}/10 in [T,1.5T]")
 
 
+@pytest.mark.slow
 def test_criterion_9_full_scale(full_run):
     r, wall, peak_gb = full_run
     s = cli.summary_dict(r)
@@ -317,6 +318,7 @@ def test_criterion_9_full_scale(full_run):
                   f"boundary+near={100 * frac:.1f}% (target 20-30%)")
 
 
+@pytest.mark.slow
 def test_degree_extremes_and_voronoi_quality(full_run, sweep_records):
     # supporting spec targets on the full-scale instance: the max/mean degree
     # ratio band (derived from seed variation) and the Voronoi flag quality
@@ -333,6 +335,7 @@ def test_degree_extremes_and_voronoi_quality(full_run, sweep_records):
           f"({score['voronoi_flagged']} flagged)")
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism_and_loops(full_run, tmp_path):
     # the annulus at n=4000 is dense enough to stay connected
     config = cli.RunConfig(region="annulus", n=4000, seed=3, alpha="sweep")

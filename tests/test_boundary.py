@@ -96,6 +96,16 @@ def test_classify_inclusive_threshold():
     assert np.array_equal(classes, central)
 
 
+def test_central_classify_gapped_ids():
+    # IDs {2, 5, 9}: arrays run to max_id, and unused IDs are never BOUNDARY
+    g = netgraph.build_udg({2: (0, 0), 5: (0.5, 0), 9: (1, 0)})
+    for threshold in (1, 2):
+        classes, _ = boundary.classify(g, threshold)
+        assert np.array_equal(boundary.central_classify(g, threshold), classes)
+    assert boundary.central_classify(g, 1).tolist() == [0] * 10
+    assert boundary.central_classify(g, 2).tolist() == [0, 0, 2, 0, 0, 2, 0, 0, 0, 2]
+
+
 def test_classify_alpha_zero_no_boundary():
     rng = np.random.Generator(np.random.Philox(4))
     g = graph_from(rng.random((80, 2)) * 2.0)

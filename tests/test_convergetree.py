@@ -4,23 +4,7 @@ import pytest
 from swarmtopo import convergetree, netgraph
 from swarmtopo.convergetree import AggOp
 from swarmtopo.simkernel import RoundLimitExceeded
-
-
-def graph_from(points, ids=None):
-    pts = np.asarray(points, float)
-    if ids is None:
-        ids = np.arange(1, len(pts) + 1)
-    return netgraph.build_udg((np.asarray(ids), pts))
-
-
-def random_graph(n, seed, spread=None):
-    rng = np.random.Generator(np.random.Philox(seed))
-    spread = spread or max(1.5, (n / 12) ** 0.5)
-    while True:
-        pts = rng.random((n, 2)) * spread
-        g = graph_from(pts, ids=rng.permutation(n) + 1)
-        if netgraph.is_connected(g):
-            return g
+from conftest import graph_from, random_graph, star_graph
 
 
 def test_tree_on_path():
@@ -34,26 +18,6 @@ def test_tree_on_path():
     assert st[1].parent == 2
     assert st[3].subtree_size == 3 and st[3].n_total == 3
     assert st[1].n_total == 3  # every node learns n
-
-
-def star_graph(center, leaves):
-    # adjacency built directly: a 7-leaf unit-disk star has no planar
-    # embedding with non-adjacent leaves, but the protocols only see IDs
-    ids = np.array(sorted([center] + list(leaves)))
-    m = int(ids.max())
-    rows = {v: [] for v in ids}
-    for leaf in leaves:
-        rows[center].append(leaf)
-        rows[leaf].append(center)
-    indptr = [0]
-    indices = []
-    for v in range(m + 1):
-        for u in sorted(rows.get(v, [])):
-            indices.append(u)
-        indptr.append(len(indices))
-    return netgraph.UnitDiskGraph(ids=ids, xy=np.zeros((m + 1, 2)), R=1.0,
-                                  indptr=np.array(indptr),
-                                  indices=np.array(indices, dtype=np.int64))
 
 
 def test_tree_on_star():
@@ -154,6 +118,7 @@ def test_component_count_op_behaves_like_sum():
     assert val == 3
 
 
+@pytest.mark.slow
 def test_tree_rebroadcast_budget_20k():
     # measured bound: flood re-announcements average well under 10/node
     from swarmtopo import cli, geometry

@@ -105,6 +105,18 @@ def test_cli_missing_region_file():
     assert cli.main(["run", "--region", "/nonexistent/region.json"]) == cli.EXIT_USAGE
 
 
+def test_cli_disconnected_graph(tmp_path, capsys):
+    # 50 nodes on the standard region are far too sparse to stay connected
+    rc = cli.main(["run", "--nodes", "50", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    assert "graph disconnected" in err and "connected components" in err
+    with pytest.raises(cli.GraphDisconnected) as e:
+        cli.run_pipeline(RunConfig(n=50, seed=1))
+    assert 1 < e.value.components <= 50
+    assert f"has {e.value.components} connected components" in err
+
+
 def test_cli_invalid_region(tmp_path):
     bad = geometry.Region([geometry.Polygon(
         np.array([[0, 0], [30, 0], [30, 30], [0, 30]], float)),

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from swarmtopo import netgraph, simkernel
-from swarmtopo.simkernel import (CostLedger, NodeProto, RoundLimitExceeded,
-                                 charge, msg_size_units, run_protocol)
+from swarmtopo.simkernel import CostLedger, NodeProto, RoundLimitExceeded, run_protocol
 
 K_PING = 99
 K_FLOOD = 98
@@ -65,12 +64,17 @@ def test_flood_rounds_on_path():
 
 def test_charge_counts_id_fields():
     ledger = CostLedger(4)
-    charge(ledger, 2, (K_PING, 7, 8))  # sender + 2 payload fields
-    assert ledger.id_units_sent[2] == 3
-    assert ledger.broadcasts_sent[2] == 1
-    assert msg_size_units((K_PING,)) == 1  # bare announcement still costs one
-    assert ledger.total_id_units == 3
-    assert ledger.total_broadcasts == 1
+    msgs = [(2, (K_PING, 7, 8)), (2, (K_PING,)), (4, (K_PING, 1))]
+    ledger.charge([s for s, _ in msgs], [len(m) for _, m in msgs])
+    # sender + 2 payload fields, and a bare announcement still costs one
+    assert ledger.id_units_sent.tolist() == [0, 0, 4, 0, 2]
+    assert ledger.broadcasts_sent.tolist() == [0, 0, 2, 0, 1]
+    assert ledger.total_id_units == 6
+    assert ledger.total_broadcasts == 3
+    ledger.charge(np.array([1, 1]), 3)  # one size for every broadcast
+    assert ledger.id_units_sent[1] == 6 and ledger.broadcasts_sent[1] == 2
+    with pytest.raises(ValueError):
+        ledger.charge([3], [0])
 
 
 def test_flood_cost_totals():
