@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import geometry
 from .netgraph import DegreeHistogram, UnitDiskGraph
-from .simkernel import NodeProto, RunResult, run_protocol
+from .simkernel import NodeProto, RoundKernel, RunResult, run_protocol
 
 # message kinds (disjoint from the convergetree range)
 K_BND = 10     # ()                          boundary membership announcement
@@ -53,10 +53,6 @@ class DegenerateHistogram(ValueError):
 
 class NoPlateau(RuntimeError):
     """Alpha sweep found no constant run of length >= 2."""
-
-
-class LoopFailure(RuntimeError):
-    """Token loop backtracking exhausted a component."""
 
 
 class NodeClass(enum.IntEnum):
@@ -155,37 +151,31 @@ def estimate_mu(hist: DegreeHistogram, mu_analytic: float | None = None) -> Dens
 # classification: B(alpha) plus near-boundary announcement
 # --------------------------------------------------------------------------
 
-class _ClassifyNode(NodeProto):
-    __slots__ = ("threshold", "cls")
+class _ClassifyRounds(RoundKernel):
+    """Nodes of degree <= threshold announce themselves in round 0 (an
+    isolated one too, to nobody); non-boundary hearers become NEAR."""
 
-    def __init__(self, vid, nbrs, threshold):
-        super().__init__(vid, nbrs)
-        self.threshold = threshold
-        self.cls = NodeClass.INTERIOR
+    def __init__(self, g: UnitDiskGraph, threshold: int):
+        super().__init__(g)
+        self.cls = np.zeros(self.size, dtype=np.int8)
+        self.bnd = self.ids[self.deg[self.ids] <= threshold]
 
-    def on_round(self, rnd, inbox):
+    def step(self, rnd: int) -> list:
         if rnd == 0:
-            if len(self.nbrs) <= self.threshold:
-                self.cls = NodeClass.BOUNDARY
-                return ((K_BND,),)
-            return ()
-        if self.cls != NodeClass.BOUNDARY:
-            for _s, m in inbox:
-                if m[0] == K_BND:
-                    self.cls = NodeClass.NEAR_BOUNDARY
-                    break
-        return ()
+            self.cls[self.bnd] = NodeClass.BOUNDARY
+            return [(K_BND, self.bnd, 1)]
+        v = self.receivers(self.bnd)[0]
+        self.cls[v[self.cls[v] != NodeClass.BOUNDARY]] = NodeClass.NEAR_BOUNDARY
+        return []
 
 
 def classify(g: UnitDiskGraph, threshold: int,
              trace=None) -> tuple[np.ndarray, RunResult]:
     """Distributed B(alpha) rule: BOUNDARY iff degree <= threshold, one
     announcement per boundary node, hearers become NEAR_BOUNDARY."""
-    res = run_protocol(g, lambda v, nb: _ClassifyNode(v, nb, threshold), trace=trace)
-    classes = np.zeros(g.max_id + 1, dtype=np.int8)
-    for v in g.id_list:
-        classes[v] = int(res.nodes[v].cls)
-    return classes, res
+    kernel = _ClassifyRounds(g, threshold)
+    res = kernel.run(trace=trace)
+    return kernel.cls, res
 
 
 def central_classify(g: UnitDiskGraph, threshold: int) -> np.ndarray:
@@ -388,12 +378,6 @@ class ComponentsResult:
     peers: dict[int, dict[int, int]]  # member -> {2-hop member -> root}
     results: list[RunResult]
 
-    def by_id(self, component_id: int) -> BoundaryComponent:
-        for c in self.components:
-            if c.component_id == component_id:
-                return c
-        raise KeyError(component_id)
-
 
 def form_components(g: UnitDiskGraph, classes: np.ndarray,
                     max_rounds: int = 100_000, trace=None) -> ComponentsResult:
@@ -481,46 +465,93 @@ def _own_frac_units(deg: int, mu_est: int) -> int:
     return int(round(geometry.invert_visibility(r) * FRAC_SCALE))
 
 
-class _DistNode(NodeProto):
-    __slots__ = ("comp", "mu_est", "slots")
+_CHUNK = 1 << 16  # deliveries settled at once by the distance flood
 
-    def __init__(self, vid, nbrs, comp, mu_est):
-        super().__init__(vid, nbrs)
-        self.comp = comp
+
+class _DistRounds(RoundKernel):
+    """Boundary distance waves.  Every node keeps its best two (distance,
+    component, anchor) slots by (distance, component); members start with
+    their own component at 0.  From each round's deliveries a node takes,
+    per component, the smallest distance + 1, the smallest sender on a tie
+    and its own offset at distance 1.  That replaces a slot of the same
+    component only if strictly nearer, and the node re-broadcasts every
+    slot that is new or improved."""
+
+    def __init__(self, g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int):
+        super().__init__(g)
         self.mu_est = mu_est
-        # slots: up to two (dist, comp_id, anchor_q), kept sorted
-        self.slots: list[tuple[int, int, int]] = [(0, comp, 0)] if comp else []
+        # row j holds every node's slot j; component 0 marks an empty slot
+        self.d = np.zeros((2, self.size), dtype=np.int64)
+        self.c = np.zeros((2, self.size), dtype=np.int64)
+        self.q = np.zeros((2, self.size), dtype=np.int64)
+        src = self.ids[np.asarray(comp_of)[self.ids] != 0]
+        self.c[0, src] = np.asarray(comp_of)[src]
+        zero = np.zeros(len(src), dtype=np.int64)
+        self.out = (src, self.c[0, src], zero, zero)  # (sender, comp, dist, anchor)
 
-    def on_round(self, rnd, inbox):
-        if rnd == 0:
-            return ((K_DIST, self.comp, 0, 0),) if self.comp else ()
-        cands: dict[int, tuple[int, int]] = {}
-        for _s, m in inbox:
-            if m[0] != K_DIST:
-                continue
-            c, nd = m[1], m[2] + 1
-            q = m[3]
-            prev = cands.get(c)
-            if prev is None or nd < prev[0]:
-                cands[c] = (nd, q)  # first carrier in sorted inbox wins ties
-        if not cands:
-            return ()
-        merged = {c: (d, q) for d, c, q in self.slots}
-        for c, (nd, q) in cands.items():
-            if nd == 1:  # I am this wave's anchor: attach my own offset
-                q = _own_frac_units(len(self.nbrs), self.mu_est)
-            cur = merged.get(c)
-            if cur is None or nd < cur[0]:
-                merged[c] = (nd, q)
-        best2 = sorted((d, c, q) for c, (d, q) in merged.items())[:2]
-        old = {c: d for d, c, _q in self.slots}
-        out = tuple((K_DIST, c, d, q) for d, c, q in best2
-                    if c not in old or d < old[c])
-        self.slots = best2
-        return out
+    def step(self, rnd: int) -> list:
+        if rnd:
+            self.out = self._settle(*self.out)
+        return [(K_DIST, self.out[0], 4)]
 
-    def state_name(self):
-        return f"dist(slots={self.slots})"
+    def _settle(self, s, c, d, q) -> tuple:
+        # the round's deliveries in pieces of about _CHUNK, each cut down to
+        # the candidates that would change their receiver
+        load = np.cumsum(self.deg[s])
+        cuts = np.searchsorted(load, np.arange(_CHUNK, load[-1] if len(s) else 0, _CHUNK))
+        parts = [self._candidates(s[a:b], c[a:b], d[a:b], q[a:b])
+                 for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(s)])]
+        v, c, nd, q = (np.concatenate(x) for x in zip(*parts))
+        # per (receiver, component) the nearest; candidates run in sender
+        # order, so the stable sort puts the smallest sender first
+        order = np.lexsort((nd, c, v))
+        v, c, nd, q = v[order], c[order], nd[order], q[order]
+        first = np.ones(len(v), dtype=bool)
+        first[1:] = (v[1:] != v[:-1]) | (c[1:] != c[:-1])
+        v, c, nd, q = v[first], c[first], nd[first], q[first]
+        one = nd == 1
+        q[one] = self._own_offsets(v[one])
+        # each changed node's other slots compete with its candidates
+        nodes = np.unique(v)
+        at = np.searchsorted(nodes, v)
+        kept = self.c[:, nodes] != 0
+        for j in (0, 1):
+            kept[j, at[self.c[j, v] == c]] = False
+        ev = np.concatenate([np.broadcast_to(nodes, kept.shape)[kept], v])
+        ed = np.concatenate([self.d[:, nodes][kept], nd])
+        ec = np.concatenate([self.c[:, nodes][kept], c])
+        eq = np.concatenate([self.q[:, nodes][kept], q])
+        new = np.r_[np.zeros(int(kept.sum()), dtype=bool), np.ones(len(v), dtype=bool)]
+        order = np.lexsort((ec, ed, ev))
+        starts = np.flatnonzero(np.r_[True, ev[order][1:] != ev[order][:-1]])
+        rank = np.arange(len(order)) - np.repeat(starts, np.diff(np.r_[starts, len(order)]))
+        top, slot = order[rank < 2], rank[rank < 2]
+        self.c[:, nodes] = 0
+        self.d[slot, ev[top]], self.c[slot, ev[top]], self.q[slot, ev[top]] = (
+            ed[top], ec[top], eq[top])
+        top = top[new[top]]
+        return ev[top], ec[top], ed[top], eq[top]
+
+    def _candidates(self, s, c, d, q) -> tuple:
+        """The deliveries of these messages that beat their receiver's slot
+        of the same component or, lacking one, its second slot."""
+        v, lens = self.receivers(s)
+        k = np.repeat(np.arange(len(s)), lens)
+        c, nd = c[k], d[k] + 1
+        c0, d0, c1, d1 = self.c[0][v], self.d[0][v], self.c[1][v], self.d[1][v]
+        win = np.where(c0 == c, nd < d0, np.where(
+            c1 == c, nd < d1, (c1 == 0) | (nd < d1) | ((nd == d1) & (c < c1))))
+        return v[win], c[win], nd[win], q[k[win]]
+
+    def _own_offsets(self, v: np.ndarray) -> np.ndarray:
+        degs, at = np.unique(self.deg[v], return_inverse=True)
+        return np.array([_own_frac_units(int(x), self.mu_est) for x in degs],
+                        dtype=np.int64)[at]
+
+    def state_name(self, v: int) -> str:
+        slots = [(int(self.d[j, v]), int(self.c[j, v]), int(self.q[j, v]))
+                 for j in (0, 1) if self.c[j, v]]
+        return f"dist(slots={slots})"
 
 
 @dataclass
@@ -537,22 +568,11 @@ def distance_flood(g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int,
                    trace=None) -> tuple[DistanceField, RunResult]:
     """Every boundary node floods its component at distance 0; every node
     keeps the best two distinct components and re-broadcasts improvements."""
-    res = run_protocol(
-        g, lambda v, nb: _DistNode(v, nb, int(comp_of[v]), mu_est),
-        max_rounds=max_rounds, trace=trace)
-    m = g.max_id
-    hop = np.full(m + 1, np.inf)
-    comp = np.zeros(m + 1, dtype=np.int64)
-    hop2 = np.full(m + 1, np.inf)
-    comp2 = np.zeros(m + 1, dtype=np.int64)
-    anchor = np.zeros(m + 1, dtype=np.int64)
-    for v in g.id_list:
-        slots = res.nodes[v].slots
-        if slots:
-            hop[v], comp[v], anchor[v] = slots[0]
-        if len(slots) > 1:
-            hop2[v], comp2[v] = slots[1][0], slots[1][1]
-    return DistanceField(hop, comp, hop2, comp2, anchor), res
+    kernel = _DistRounds(g, comp_of, mu_est)
+    res = kernel.run(max_rounds, trace)
+    d, c, q = kernel.d, kernel.c, kernel.q
+    hop = np.where(c != 0, d, np.inf)
+    return DistanceField(hop[0], c[0], hop[1], c[1], q[0]), res
 
 
 def central_distance_field(g: UnitDiskGraph, components: list[BoundaryComponent],
@@ -838,7 +858,7 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
     """Run the token-pass loop in every component concurrently.
 
     Components whose backtracking exhausts all candidates are omitted from
-    the returned mapping (reported by the caller as LoopFailure).
+    the returned mapping (the pipeline warns about each).
     """
     sizes = {c.component_id: c.size for c in comps.components}
     res = run_protocol(
@@ -863,15 +883,6 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
         loops[root] = TokenLoop(component_id=root, members=members,
                                 walk=tuple(walk), excluded=excluded)
     return loops, res
-
-
-def token_loop(g: UnitDiskGraph, comps: ComponentsResult,
-               component_id: int) -> TokenLoop:
-    """Token loop for one component; raises LoopFailure if it cannot close."""
-    loops, _ = run_token_loops(g, comps)
-    if component_id not in loops:
-        raise LoopFailure(f"component {component_id} exhausted its candidates")
-    return loops[component_id]
 
 
 # --------------------------------------------------------------------------

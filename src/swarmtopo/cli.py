@@ -51,6 +51,20 @@ class GraphDisconnected(RuntimeError):
                 f"connected components; the protocols need one")
 
 
+class NoBoundaryComponent(RuntimeError):
+    """The degree threshold is below every node's degree, so classification
+    marks no boundary node and no component forms."""
+
+    def __init__(self, threshold: int, min_degree: int):
+        super().__init__(threshold, min_degree)  # args rebuild it when pickled
+        self.threshold = threshold
+        self.min_degree = min_degree
+
+    def __str__(self) -> str:
+        return (f"no node has degree <= the threshold {self.threshold} (the smallest "
+                f"degree is {self.min_degree}), so no boundary component forms")
+
+
 @dataclass
 class RunConfig:
     region: str = "standard"          # path or builtin name
@@ -205,11 +219,8 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 
     bins = config.bin_count
     deg = g.degrees()
-    onehots = {}
-    base = (0,) * bins
-    for v in g.id_list:
-        b = netgraph.degree_bin(int(deg[v]), delta_val, bins)
-        onehots[v] = base[:b] + (1,) + base[b + 1:]
+    onehots = np.zeros((g.max_id + 1, bins), dtype=np.int64)
+    onehots[g.ids, netgraph.degree_bin(deg[g.ids], delta_val, bins)] = 1
     hist_counts, res = convergetree.aggregate(g, tree.states,
                                               convergetree.AggOp.HISTOGRAM_MERGE,
                                               onehots, trace=tr)
@@ -236,6 +247,8 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 
     classes, res = boundary.classify(g, thr, trace=tr)
     cost("classify", res)
+    if not (classes == int(NodeClass.BOUNDARY)).any():
+        raise NoBoundaryComponent(thr, int(deg[g.ids].min()))
 
     comps = boundary.form_components(g, classes, trace=tr)
     for r in comps.results:
@@ -645,6 +658,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MISMATCH
     except GraphDisconnected as exc:
         print(f"graph disconnected: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    except NoBoundaryComponent as exc:
+        print(f"no boundary: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     except RoundLimitExceeded as exc:
         print(f"protocol error: {exc}", file=sys.stderr)

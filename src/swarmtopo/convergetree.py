@@ -7,10 +7,10 @@ report up once every neighbor has announced the same root and all of its
 children have reported; the root then floods DONE down, so every node
 learns both n and the completion round.
 
-The tree protocol runs as an array round kernel (`_TreeRounds`): each
-round is a few numpy gathers and segment reductions over the CSR rows of
-the nodes that broadcast, with the executor's delivery, cost and trace
-contract.  Aggregation and value floods run on `simkernel.run_protocol`.
+All three protocols run as array round kernels (`simkernel.RoundKernel`):
+each round is a few numpy gathers and segment reductions over the CSR
+rows of the nodes that broadcast, with the executor's delivery, cost and
+trace contract.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .netgraph import UnitDiskGraph
-from .simkernel import CostLedger, NodeProto, RoundLimitExceeded, RunResult, run_protocol
+from .netgraph import UnitDiskGraph, csr_rows, has_edges
+# no protocol here uses the executor any more; perfbench times it by
+# wrapping this name in every protocol module
+from .simkernel import RoundKernel, RunResult, run_protocol  # noqa: F401
 
 K_STATE = 1   # (root, parent)      flood announcement, doubles as join notice
 K_REPORT = 2  # (root, size)        convergecast: subtree size under `root`
@@ -64,17 +66,7 @@ class TreeBuild:
 _TREE_UNITS = 3  # every tree message is (kind, root, x): sender plus two fields
 
 
-def _rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR positions of the adjacency rows of `nodes`, concatenated, and
-    the length of each row."""
-    starts = indptr[nodes]
-    lens = indptr[nodes + 1] - starts
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - lens), lens), lens
-
-
-class _TreeRounds:
+class _TreeRounds(RoundKernel):
     """The tree protocol as a synchronous round kernel over the CSR arrays.
 
     A round takes the messages broadcast in the previous one, per kind as
@@ -94,9 +86,8 @@ class _TreeRounds:
     """
 
     def __init__(self, g: UnitDiskGraph):
-        self.indptr, self.indices = g.indptr, g.indices
-        size = g.max_id + 1
-        self.size = size
+        super().__init__(g)
+        size = self.size
         # each node's own state
         self.root = np.arange(size, dtype=np.int64)
         self.parent = np.zeros(size, dtype=np.int64)
@@ -112,11 +103,18 @@ class _TreeRounds:
         self.said_parent = np.zeros(size, dtype=np.int64)
         self.rep_root = np.zeros(size, dtype=np.int64)
         self.rep_size = np.zeros(size, dtype=np.int64)
+        self.msgs: dict = {}
 
-    def first_round(self, ids: np.ndarray) -> dict:
+    def step(self, rnd: int) -> list:
+        msgs = self._first_round() if rnd == 0 else self._settle(rnd, self.msgs)
+        self.msgs = {k: m for k, m in msgs.items() if len(m[0])}
+        return [(k, m[0], _TREE_UNITS) for k, m in self.msgs.items()]
+
+    def _first_round(self) -> dict:
         """Round 0: every node announces itself.  A node without neighbours
         has heard them all and completes at once as its own root."""
-        deg = self.indptr[ids + 1] - self.indptr[ids]
+        ids = self.ids
+        deg = self.deg[ids]
         lone = ids[deg == 0]
         self.reported[lone] = lone
         self.done[lone] = True
@@ -124,18 +122,6 @@ class _TreeRounds:
         self.n_total[lone] = 1
         talk = ids[deg > 0]
         return self._publish({K_STATE: (talk, talk, np.zeros(len(talk), dtype=np.int64))})
-
-    def deliveries(self, msgs: dict) -> tuple[np.ndarray, dict]:
-        """Which nodes receive something, and per kind the receiver of each
-        delivery (in sender order) with the number each sender makes."""
-        heard = np.zeros(self.size, dtype=bool)
-        got = {}
-        for k, (s, _, _) in msgs.items():
-            pos, lens = _rows(self.indptr, s)
-            v = self.indices[pos]
-            heard[v] = True
-            got[k] = (v, lens)
-        return heard, got
 
     def _publish(self, msgs: dict) -> dict:
         """Record the round's STATE and REPORT broadcasts, which the
@@ -150,12 +136,16 @@ class _TreeRounds:
             self.rep_size[s] = n
         return msgs
 
-    def step(self, rnd: int, msgs: dict) -> dict:
+    def _settle(self, rnd: int, msgs: dict) -> dict:
         indptr, indices, size = self.indptr, self.indices, self.size
         root, done = self.root, self.done
         out = {}
         done_out = []
-        heard, got = self.deliveries(msgs)
+        heard = np.zeros(size, dtype=bool)
+        got = {}
+        for k, (s, _, _) in msgs.items():
+            got[k] = self.receivers(s)
+            heard[got[k][0]] = True
 
         if K_DONE in msgs:
             s, r, n = msgs[K_DONE]
@@ -190,7 +180,7 @@ class _TreeRounds:
         cand = cand[(said[indices[indptr[cand]]] == root[cand])
                     & (said[indices[indptr[cand + 1] - 1]] == root[cand])]
         if len(cand):
-            pos, lens = _rows(indptr, cand)
+            pos, lens = csr_rows(indptr, cand)
             u = indices[pos]
             owner = np.repeat(cand, lens)
             r = root[owner]
@@ -232,38 +222,12 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
                trace=None) -> TreeBuild:
     """Elect the max-ID node and build its spanning tree over the whole graph.
 
-    Runs the round kernel `_TreeRounds` with the executor's contract: a
-    broadcast reaches every neighbour one round later, only nodes that
-    received something run, the run ends at quiescence, and the ledger,
-    round and delivery counts and the trace lines ('round,node,kind,3',
-    by sender then kind) are those of the executor.  Disconnected input
-    surfaces as a multi-root failure after quiescence.
+    Runs the round kernel `_TreeRounds` under the executor's contract
+    (`simkernel.RoundKernel.run`).  Disconnected input surfaces as a
+    multi-root failure after quiescence.
     """
     kernel = _TreeRounds(g)
-    ledger = CostLedger(g.max_id)
-    deg = g.degrees()
-    rounds_used = 0
-    deliveries = 0
-    msgs: dict = {}
-    while True:
-        if rounds_used >= max_rounds:
-            waiting = np.flatnonzero(kernel.deliveries(msgs)[0])[:64].tolist()
-            raise RoundLimitExceeded(rounds_used, {v: kernel.state_name(v) for v in waiting})
-        rnd = rounds_used
-        sent = kernel.first_round(g.ids) if rnd == 0 else kernel.step(rnd, msgs)
-        msgs = {k: m for k, m in sent.items() if len(m[0])}
-        rounds_used += 1
-        if not msgs:
-            break
-        senders = np.concatenate([m[0] for m in msgs.values()])
-        ledger.charge(senders, _TREE_UNITS)
-        deliveries += int(deg[senders].sum())
-        if trace is not None:
-            kinds = np.concatenate([np.full(len(m[0]), k) for k, m in msgs.items()])
-            order = np.lexsort((kinds, senders))
-            trace.write("".join(f"{rnd},{s},{k},{_TREE_UNITS}\n" for s, k in
-                                zip(senders[order].tolist(), kinds[order].tolist())))
-
+    result = kernel.run(max_rounds, trace)
     states: list = [None] * (g.max_id + 1)
     kids = g.indices[kernel.child_edge].tolist()  # row by row, n_children[v] in row v
     kid_ptr = np.concatenate(([0], np.cumsum(kernel.n_children))).tolist()
@@ -285,104 +249,129 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
             n_total=n_total[v],
             completion_round=completion[v],
         )
-    return TreeBuild(states=states, result=RunResult(
-        nodes=states, ledger=ledger, rounds_used=rounds_used, deliveries=deliveries))
+    result.nodes = states
+    return TreeBuild(states=states, result=result)
 
 
-def _combine(op: AggOp, a: tuple, b: tuple) -> tuple:
-    if op is AggOp.MAX:
-        return (max(a[0], b[0]),)
-    if op in (AggOp.SUM, AggOp.COMPONENT_COUNT):
-        return (a[0] + b[0],)
-    return tuple(x + y for x, y in zip(a, b))  # histogram merge
+def _agg_inputs(g: UnitDiskGraph, op: AggOp, values) -> np.ndarray:
+    """The inputs as an ID-indexed int64 array with one column per field:
+    integer scalars, or for HISTOGRAM_MERGE equal-length integer rows."""
+    raw = values[g.ids] if isinstance(values, np.ndarray) else [values[v] for v in g.id_list]
+    arr = np.asarray(raw)
+    ndim = 2 if op is AggOp.HISTOGRAM_MERGE else 1
+    if (arr.ndim != ndim or arr.dtype.kind not in "biu"
+            or (arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max)):
+        shape = "equal-length rows" if ndim == 2 else "scalars"
+        raise ValueError(f"{op.value} takes integer {shape} that fit in int64")
+    out = np.zeros((g.max_id + 1, arr.shape[1] if ndim == 2 else 1), dtype=np.int64)
+    out[g.ids] = arr.reshape(g.n, -1)
+    return out
 
 
-class _AggNode(NodeProto):
-    __slots__ = ("parent", "pending", "acc", "op", "sent")
+class _AggRounds(RoundKernel):
+    """Convergecast: a node with a parent sends its combined value once
+    every child it lists has sent, a leaf in round 0.  A child is heard
+    only over a graph edge; one that is not a neighbour leaves its parent
+    pending for good."""
 
-    def __init__(self, vid, nbrs, tree, op, values):
-        super().__init__(vid, nbrs)
-        st = tree[vid]
-        self.parent = st.parent
-        self.pending = set(st.children)
-        self.op = op
-        v = values[vid]
-        self.acc = tuple(int(x) for x in (v if isinstance(v, (tuple, list, np.ndarray)) else (v,)))
-        self.sent = False
+    def __init__(self, g: UnitDiskGraph, tree: Sequence, op: AggOp, values):
+        super().__init__(g)
+        self.acc = _agg_inputs(g, op, values)
+        self.combine = np.maximum if op is AggOp.MAX else np.add
+        # float copy of every sum: a wrapped int64 sum is off by 2**64 from it
+        self.exact = None if op is AggOp.MAX else self.acc.astype(float)
+        self.has_parent = np.zeros(self.size, dtype=bool)
+        self.pending = np.zeros(self.size, dtype=np.int64)
+        par: list[int] = []
+        kid: list[int] = []
+        for v in g.id_list:
+            st = tree[v]
+            self.has_parent[v] = st.parent is not None
+            kids = set(st.children)
+            self.pending[v] = len(kids)
+            par += [v] * len(kids)
+            kid += kids
+        par, kid = np.array(par, dtype=np.int64), np.array(kid, dtype=np.int64)
+        heard = has_edges(g, par, kid)
+        par, kid = par[heard], kid[heard]
+        order = np.argsort(kid, kind="stable")
+        self.listeners = par[order]  # by child: the parents that take its value
+        self.listen_ptr = np.searchsorted(kid[order], np.arange(self.size + 1))
+        self.sent = np.empty(0, dtype=np.int64)
 
-    def on_round(self, rnd, inbox):
-        for s, m in inbox:
-            if m[0] == K_AGG and s in self.pending:
-                self.pending.discard(s)
-                self.acc = _combine(self.op, self.acc, m[1:])
-        if not self.sent and not self.pending and self.parent is not None:
-            self.sent = True
-            return ((K_AGG,) + self.acc,)
-        return ()
+    def step(self, rnd: int) -> list:
+        if rnd == 0:
+            ids = self.ids
+            ready = ids[(self.pending[ids] == 0) & self.has_parent[ids]]
+        else:
+            pos, lens = csr_rows(self.listen_ptr, self.sent)
+            par, kid = self.listeners[pos], np.repeat(self.sent, lens)
+            self.combine.at(self.acc, par, self.acc[kid])
+            if self.exact is not None:
+                np.add.at(self.exact, par, self.exact[kid])
+            np.subtract.at(self.pending, par, 1)
+            par = np.unique(par)
+            ready = par[(self.pending[par] == 0) & self.has_parent[par]]
+        self.sent = ready
+        return [(K_AGG, ready, 1 + self.acc.shape[1])]
 
-    def state_name(self):
-        return f"agg(pending={len(self.pending)})"
+    def state_name(self, v: int) -> str:
+        return f"agg(pending={self.pending[v]})"
 
 
 def aggregate(g: UnitDiskGraph, tree: Sequence, op: AggOp,
               values: Mapping[int, object] | Sequence,
               max_rounds: int = 100_000, trace=None) -> tuple[tuple, RunResult]:
-    """Convergecast `values` up the tree; returns the root's combined value.
+    """Convergecast `values` up the tree; returns the root's combined value
+    (the root is the largest ID without a parent).
 
-    MAX/SUM/COMPONENT_COUNT messages cost 2 id-units; histogram merges cost
-    1 + bin_count.
+    MAX/SUM/COMPONENT_COUNT take integer scalars and their messages cost 2
+    id-units; HISTOGRAM_MERGE takes equal-length integer rows and costs
+    1 + row length.  Other inputs, or a value that does not fit in int64,
+    raise ValueError.
     """
-    res = run_protocol(g, lambda v, nb: _AggNode(v, nb, tree, op, values),
-                       max_rounds=max_rounds, trace=trace)
-    root_val = None
-    for v in g.id_list:
-        if res.nodes[v].parent is None:
-            root_val = res.nodes[v].acc
-        if res.nodes[v].pending:
-            raise RuntimeError("aggregation did not complete")
-    if root_val is None:
+    kernel = _AggRounds(g, tree, op, values)
+    res = kernel.run(max_rounds, trace)
+    if kernel.exact is not None and (np.abs(kernel.acc - kernel.exact) > 2.0**62).any():
+        raise ValueError(f"{op.value}: a combined value does not fit in int64")
+    ids = g.ids
+    roots = ids[~kernel.has_parent[ids]]
+    if (kernel.pending[ids] > 0).any() or not len(roots):
         raise RuntimeError("aggregation did not complete")
-    return root_val, res
+    return tuple(kernel.acc[roots[-1]].tolist()), res
 
 
-class _FloodNode(NodeProto):
-    __slots__ = ("value", "got")
+class _FloodRounds(RoundKernel):
+    """Value flood: the root broadcasts in round 0, every other node once,
+    in the round after it first hears the value."""
 
-    def __init__(self, vid, nbrs, value):
-        super().__init__(vid, nbrs)
-        self.value = value  # root starts with it, everyone else None
-        self.got = value is not None
+    def __init__(self, g: UnitDiskGraph, root: int | None, units: int):
+        super().__init__(g)
+        self.units = units
+        self.sent = np.array([] if root is None else [root], dtype=np.int64)
+        self.got = np.zeros(self.size, dtype=bool)
+        self.got[self.sent] = True
 
-    def on_round(self, rnd, inbox):
-        if rnd == 0 and self.got:
-            return ((K_VAL,) + self.value,)
-        if not self.got:
-            for s, m in inbox:
-                if m[0] == K_VAL:
-                    self.got = True
-                    self.value = m[1:]
-                    return ((K_VAL,) + self.value,)
-        return ()
+    def step(self, rnd: int) -> list:
+        if rnd:
+            v = self.receivers(self.sent)[0]
+            self.sent = np.unique(v[~self.got[v]])
+            self.got[self.sent] = True
+        return [(K_VAL, self.sent, self.units)]
 
-    def state_name(self):
-        return f"flood(got={self.got})"
+    def state_name(self, v: int) -> str:
+        return f"flood(got={bool(self.got[v])})"
 
 
 def broadcast_down(g: UnitDiskGraph, tree: Sequence, value: tuple,
                    max_rounds: int = 100_000, trace=None) -> tuple[list, RunResult]:
-    """Flood a value from the tree root; every node broadcasts exactly once."""
+    """Flood a value from the tree root (the largest ID without a parent);
+    every node it reaches broadcasts exactly once."""
     value = tuple(int(x) for x in value)
-    root = None
-    for v in g.id_list:
-        if tree[v].parent is None:
-            root = v
-    res = run_protocol(
-        g, lambda v, nb: _FloodNode(v, nb, value if v == root else None),
-        max_rounds=max_rounds, trace=trace)
-    received = [None] * (g.max_id + 1)
-    for v in g.id_list:
-        received[v] = res.nodes[v].value
-    return received, res
+    roots = [v for v in g.id_list if tree[v].parent is None]
+    kernel = _FloodRounds(g, roots[-1] if roots else None, 1 + len(value))
+    res = kernel.run(max_rounds, trace)
+    return [value if got else None for got in kernel.got.tolist()], res
 
 
 def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:

@@ -151,19 +151,38 @@ def build_udg(positions: Mapping[int, tuple[float, float]] | tuple[np.ndarray, n
     return UnitDiskGraph(ids=np.sort(ids), xy=pos, R=R, indptr=indptr, indices=indices)
 
 
-def degree(g: UnitDiskGraph, v: int) -> int:
-    return g.degree(v)
+def csr_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the adjacency rows of `nodes`, concatenated, and
+    the length of each row."""
+    starts = indptr[nodes]
+    lens = indptr[nodes + 1] - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lens), lens), lens
 
 
-def max_degree(g: UnitDiskGraph) -> int:
-    return int(g.degrees()[g.ids].max())
+def has_edges(g: UnitDiskGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether b[i] is a neighbour of node a[i]: a binary search of each
+    sorted row at once."""
+    if not len(g.indices):
+        return np.zeros(len(a), dtype=bool)
+    lo, end = g.indptr[a], g.indptr[a + 1]
+    hi = end.copy()
+    last = len(g.indices) - 1
+    while (live := lo < hi).any():
+        mid = (lo + hi) // 2
+        right = live & (g.indices[np.minimum(mid, last)] < b)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(live & ~right, mid, hi)
+    return (lo < end) & (g.indices[np.minimum(lo, last)] == b)
 
 
-def degree_bin(d: int, delta: int, bin_count: int) -> int:
-    """Quantization bin of degree d over [0, delta]; last bin closed."""
+def degree_bin(d, delta: int, bin_count: int):
+    """Quantization bin of degree d (an int or an integer array) over
+    [0, delta]; last bin closed."""
     if delta <= 0:
-        return 0
-    return min((d * bin_count) // delta, bin_count - 1)
+        return d * 0
+    return np.minimum(d * bin_count // delta, bin_count - 1)
 
 
 def histogram(g: UnitDiskGraph, bin_count: int = 64) -> DegreeHistogram:
@@ -176,8 +195,8 @@ def histogram(g: UnitDiskGraph, bin_count: int = 64) -> DegreeHistogram:
         counts = np.zeros(bin_count, dtype=np.int64)
         counts[0] = g.n
         return DegreeHistogram(bin_count, 0.0, counts, 0)
-    bins = np.minimum((deg.astype(np.int64) * bin_count) // delta, bin_count - 1)
-    counts = np.bincount(bins, minlength=bin_count)
+    counts = np.bincount(degree_bin(deg.astype(np.int64), delta, bin_count),
+                         minlength=bin_count)
     return DegreeHistogram(bin_count, delta / bin_count, counts, delta)
 
 

@@ -9,6 +9,13 @@ Delivery contract: everything broadcast in round t is received by exactly
 the graph neighbors at the start of round t+1.  Within a round each inbox
 is processed in ascending (sender, kind, payload) order, which the executor
 guarantees by sorting the global outbox once before fan-out.
+
+Two ways run a protocol under this contract.  `run_protocol` drives
+per-node `NodeProto` state machines and handles every delivery in Python.
+A `RoundKernel` runs the whole network's round as numpy array operations
+over the CSR adjacency; `RoundKernel.run` keeps the ledger, the round and
+delivery counts, the trace and the round limit exactly as the executor
+does.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import UnitDiskGraph
+from .netgraph import UnitDiskGraph, csr_rows
 
 Message = tuple  # (kind, *int_fields)
 
@@ -26,13 +33,14 @@ class RoundLimitExceeded(RuntimeError):
     """Protocol did not quiesce within max_rounds."""
 
     def __init__(self, rounds: int, stuck: dict[int, str]):
+        super().__init__(rounds, stuck)  # args rebuild it when pickled
         self.rounds = rounds
         self.stuck = stuck
-        sample = ", ".join(f"{v}:{s}" for v, s in list(stuck.items())[:8])
-        super().__init__(
-            f"no quiescence after {rounds} rounds; {len(stuck)} nodes still "
-            f"active (e.g. {sample})"
-        )
+
+    def __str__(self) -> str:
+        sample = ", ".join(f"{v}:{s}" for v, s in list(self.stuck.items())[:8])
+        return (f"no quiescence after {self.rounds} rounds; {len(self.stuck)} nodes "
+                f"still active (e.g. {sample})")
 
 
 class CostLedger:
@@ -89,7 +97,7 @@ class NodeProto:
 
 @dataclass
 class RunResult:
-    nodes: list  # final per-node state per ID (index 0 is None)
+    nodes: list | None  # executor: final per-node state per ID (index 0 is None)
     ledger: CostLedger
     rounds_used: int
     deliveries: int
@@ -171,3 +179,64 @@ def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
 
     return RunResult(nodes=nodes, ledger=ledger, rounds_used=rounds_used,
                      deliveries=deliveries)
+
+
+class RoundKernel:
+    """A protocol run as synchronous rounds of array operations.
+
+    Subclasses keep per-node state in ID-indexed arrays and implement
+    step(rnd): settle every node that received something in round rnd - 1
+    (in round 0, every node) and return the round's broadcasts as
+    (kind, senders, units) batches, senders ascending and `units` the
+    id-units per message (scalar or per sender).  A node may read only its
+    own state and what its neighbours broadcast; `receivers` gives the
+    deliveries of a round's senders.  Within one (sender, kind) all
+    messages have one size, so trace lines in (sender, kind) order are the
+    executor's.
+    """
+
+    def __init__(self, g: UnitDiskGraph):
+        self.indptr, self.indices = g.indptr, g.indices
+        self.size = g.max_id + 1
+        self.ids = g.ids
+        self.deg = g.degrees()
+
+    def receivers(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The receiver of every delivery of `senders`' broadcasts, sender
+        by sender, and the number each sender makes."""
+        pos, lens = csr_rows(self.indptr, senders)
+        return self.indices[pos], lens
+
+    def step(self, rnd: int) -> list:
+        raise NotImplementedError
+
+    def state_name(self, v: int) -> str:
+        return type(self).__name__
+
+    def run(self, max_rounds: int = 100_000, trace=None) -> RunResult:
+        """Step to quiescence: the first round in which nothing is sent
+        (it still counts).  Raises RoundLimitExceeded naming up to 64
+        nodes, lowest IDs first, that still have deliveries to settle."""
+        ledger = CostLedger(self.size - 1)
+        rounds_used = deliveries = 0
+        senders = np.empty(0, dtype=np.int64)
+        while True:
+            if rounds_used >= max_rounds:
+                waiting = np.unique(self.receivers(senders)[0])[:64].tolist()
+                raise RoundLimitExceeded(rounds_used, {v: self.state_name(v) for v in waiting})
+            rnd = rounds_used
+            sent = [b for b in self.step(rnd) if len(b[1])]
+            rounds_used += 1
+            if not sent:
+                break
+            senders = np.concatenate([s for _, s, _ in sent])
+            units = np.concatenate([np.broadcast_to(u, len(s)) for _, s, u in sent])
+            ledger.charge(senders, units)
+            deliveries += int(self.deg[senders].sum())
+            if trace is not None:
+                kinds = np.concatenate([np.full(len(s), k) for k, s, _ in sent])
+                order = np.lexsort((kinds, senders))
+                trace.write("".join(f"{rnd},{s},{k},{u}\n" for s, k, u in zip(
+                    senders[order].tolist(), kinds[order].tolist(), units[order].tolist())))
+        return RunResult(nodes=None, ledger=ledger, rounds_used=rounds_used,
+                         deliveries=deliveries)

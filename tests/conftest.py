@@ -1,9 +1,15 @@
 """Shared oracle helpers for the test suite."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
-from swarmtopo import geometry, netgraph
+from swarmtopo import cli, geometry, netgraph
+from swarmtopo.simkernel import RoundLimitExceeded
 
 
 def graph_from(points, ids=None):
@@ -49,6 +55,110 @@ def star_graph(center, leaves):
                                   indices=np.array(indices, dtype=np.int64))
 
 
+# -- Hypothesis strategies: small graphs with arbitrary (gapped) IDs ---------
+
+def distinct_ids(n):
+    return st.lists(st.integers(1, 8 * n + 8), min_size=n, max_size=n, unique=True)
+
+
+@st.composite
+def random_udgs(draw):
+    # every node lands within 0.95R of an earlier one, so the graph is connected
+    n = draw(st.integers(1, 40))
+    ids = draw(distinct_ids(n))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    pts = np.zeros((n, 2))
+    for i in range(1, n):
+        r, a = 0.95 * rng.random(), 2 * math.pi * rng.random()
+        pts[i] = pts[rng.integers(i)] + (r * math.cos(a), r * math.sin(a))
+    return graph_from(pts, ids=ids)
+
+
+@st.composite
+def scattered_udgs(draw):
+    # uniform in a square of any size: often disconnected, with isolated nodes
+    n = draw(st.integers(1, 40))
+    ids = draw(distinct_ids(n))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    return graph_from(rng.random((n, 2)) * draw(st.floats(0.5, 8.0)), ids=ids)
+
+
+@st.composite
+def paths(draw):
+    n = draw(st.integers(1, 30))
+    return graph_from([(0.9 * i, 0.0) for i in range(n)], ids=draw(distinct_ids(n)))
+
+
+@st.composite
+def stars(draw):
+    ids = draw(distinct_ids(draw(st.integers(2, 14))))
+    return star_graph(ids[0], ids[1:])
+
+
+single_nodes = st.integers(1, 10**6).map(lambda v: graph_from([(0.0, 0.0)], ids=[v]))
+connected_graphs = st.one_of(random_udgs(), paths(), stars(), single_nodes)
+
+
+# -- graphs and digests of the golden (recorded-protocol) tests -------------
+
+def gapped_path():
+    ids = Generator(Philox(7)).permutation(40) * 3 + 2  # gapped, shuffled along the path
+    return graph_from([(0.9 * i, 0.0) for i in range(40)], ids=ids)
+
+
+def standard_20k():
+    pts = geometry.sample_uniform(cli.standard_region(), 20000, seed=1)
+    ids = Generator(Philox([1, 1])).permutation(20000) + 1
+    return netgraph.build_udg((ids, pts))
+
+
+# graphs on which the round kernels are pinned to recorded runs of the
+# object protocols they replaced
+GOLDEN_GRAPHS = {
+    "dense-60-1": lambda: random_graph(60, 1),
+    "dense-250-2": lambda: random_graph(250, 2),
+    "dense-800-3": lambda: random_graph(800, 3),
+    "gapped-60-4": lambda: random_graph(60, 4, id_span=300),
+    "gapped-250-5": lambda: random_graph(250, 5, id_span=1000),
+    "gapped-800-6": lambda: random_graph(800, 6, id_span=5000),
+    "crowded-400-7": lambda: random_graph(400, 7, spread=2.5),
+    "path-40": gapped_path,
+    "star": lambda: star_graph(7, [1, 2, 3, 4, 5, 6, 9]),
+    "star-gapped": lambda: star_graph(50, [3, 11, 12, 40, 90, 200]),
+    "single": lambda: graph_from([(0.0, 0.0)], ids=[5]),
+    "standard-20k": standard_20k,
+}
+
+GOLDEN_CASES = [pytest.param(k, marks=pytest.mark.slow) if k == "standard-20k" else k
+                for k in GOLDEN_GRAPHS]
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(res, trace: str) -> dict:
+    """Digests of a protocol run's ledger and trace, with its counts."""
+    led = res.ledger
+    return {
+        "ledger": sha(led.broadcasts_sent.astype("<i8").tobytes()
+                      + led.id_units_sent.astype("<i8").tobytes()),
+        "trace": sha(trace),
+        "rounds_used": res.rounds_used,
+        "deliveries": res.deliveries,
+    }
+
+
+def stuck_digest(run, max_rounds: int) -> str:
+    """Digest of the stuck nodes `run(max_rounds=...)` names when it runs out."""
+    with pytest.raises(RoundLimitExceeded) as e:
+        run(max_rounds=max_rounds)
+    assert e.value.rounds == max_rounds
+    return sha(repr(list(e.value.stuck.items())) + "\n" + str(e.value))
+
+
 def straight_boundary_samples(region, step=0.5, margin=1.0):
     """Points along straight boundary stretches, `margin` away from corners;
     circles contribute their whole circumference."""
@@ -74,5 +184,4 @@ def straight_boundary_samples(region, step=0.5, margin=1.0):
 
 @pytest.fixture(scope="session")
 def standard_region():
-    from swarmtopo.cli import standard_region as build
-    return build()
+    return cli.standard_region()

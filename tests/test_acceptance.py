@@ -352,9 +352,10 @@ def test_criterion_10_determinism_and_loops(full_run, tmp_path):
     all_loops = len(r.loops) == len(r.comps.components)
     covered = True
     worst_cov = 0.0
+    members_of = {c.component_id: c.members for c in r.comps.components}
     for cid, lp in r.loops.items():
         d = netgraph.hop_bfs(r.g, set(lp.members))
-        members = r.comps.by_id(cid).members
+        members = members_of[cid]
         far = max(float(d[m]) for m in members)
         worst_cov = max(worst_cov, far)
         if far > 2:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from swarmtopo import boundary, netgraph
-from swarmtopo.boundary import (DegenerateHistogram, LoopFailure, NodeClass,
-                                NoPlateau, default_alpha, estimate_mu,
-                                find_plateau, threshold_units)
+from swarmtopo.boundary import (DegenerateHistogram, NodeClass, NoPlateau,
+                                default_alpha, estimate_mu, find_plateau,
+                                threshold_units)
 from swarmtopo.netgraph import histogram_from_counts
 
 
@@ -230,7 +230,8 @@ def test_token_loop_small_clique():
     classes = classes_for(g, [1, 2, 3, 4])
     comps = boundary.form_components(g, classes)
     assert len(comps.components) == 1
-    loop = boundary.token_loop(g, comps, comps.components[0].component_id)
+    loops, _ = boundary.run_token_loops(g, comps)
+    loop = loops[comps.components[0].component_id]
     assert loop.members[0] == loop.members[-1] == comps.components[0].component_id
     assert len(loop.members) >= 3  # visits at least one other node
     for a, b in zip(loop.walk, loop.walk[1:]):
@@ -242,8 +243,8 @@ def test_token_loop_singleton():
     g = graph_from(pts)
     classes = classes_for(g, [1])
     comps = boundary.form_components(g, classes)
-    loop = boundary.token_loop(g, comps, 1)
-    assert loop.members == (1,)
+    loops, _ = boundary.run_token_loops(g, comps)
+    assert loops[1].members == (1,)
 
 
 def test_token_loop_open_chain_degenerates_but_closes():
@@ -256,7 +257,7 @@ def test_token_loop_open_chain_degenerates_but_closes():
     classes = classes_for(g, [1, 2, 3, 4, 5, 6])
     comps = boundary.form_components(g, classes)
     assert len(comps.components) == 1
-    loop = boundary.token_loop(g, comps, 6)
+    loop = boundary.run_token_loops(g, comps)[0][6]
     assert loop.members[0] == loop.members[-1] == 6
     assert len(loop.members) >= 3
     for a, b in zip(loop.walk, loop.walk[1:]):
@@ -265,7 +266,7 @@ def test_token_loop_open_chain_degenerates_but_closes():
 
 def test_token_loop_failure_reported():
     # malformed component record: claimed members never answer, so the
-    # root's backtracking exhausts and the failure is reported
+    # root's backtracking exhausts and its loop is left out
     pts = [(0, 0), (5, 5), (5.9, 5)]
     g = graph_from(pts)
     comps = boundary.ComponentsResult(
@@ -273,8 +274,8 @@ def test_token_loop_failure_reported():
                                                size=30, near_set_size=30)],
         comp_of=np.array([0, 1, 0, 0], dtype=np.int64),
         peers={1: {}}, results=[])
-    with pytest.raises(LoopFailure):
-        boundary.token_loop(g, comps, 1)
+    loops, _ = boundary.run_token_loops(g, comps)
+    assert loops == {}
 
 
 # -- alpha sweep -------------------------------------------------------------

@@ -1,0 +1,238 @@
+"""The aggregation, value-flood, classification and distance-flood round
+kernels against recorded runs of the object protocols they replaced.
+
+The digests below were taken from the per-node `_AggNode`, `_FloodNode`,
+`_ClassifyNode` and `_DistNode` state machines run through
+`simkernel.run_protocol` (see CHANGES.md), on the graphs of
+`test_tree_golden.py`.  Each call's entry covers its output, both ledger
+arrays, the trace text and the round and delivery counts; the stuck
+cases cover the nodes named when `max_rounds` runs out.
+"""
+
+import functools
+import io
+
+import numpy as np
+import pytest
+
+from swarmtopo import boundary, convergetree, netgraph
+from swarmtopo.convergetree import AggOp
+from conftest import GOLDEN_CASES, GOLDEN_GRAPHS, run_digests, sha, stuck_digest
+
+BINS = 16
+
+
+def calls(g) -> dict:
+    """Every rewritten protocol call on `g`, as name -> call(trace=..., max_rounds=...)."""
+    tree = convergetree.build_tree(g).states
+    deg = g.degrees()
+    delta = int(deg[g.ids].max())
+    onehots = {v: tuple(int(b == netgraph.degree_bin(int(deg[v]), delta, BINS))
+                        for b in range(BINS)) for v in g.id_list}
+    ones = {v: 1 for v in g.id_list}
+    flags = {v: int(v % 3 == 0) for v in g.id_list}
+    thr = int(np.percentile(deg[g.ids], 25))
+    mu_est = max(4, int(np.median(deg[g.ids])))
+    classes = boundary.central_classify(g, thr)
+    comp_of = boundary.form_components(g, classes).comp_of
+    # scattered sources under five labels: competing waves, ties, dropped slots
+    mixed = np.zeros(g.max_id + 1, dtype=np.int64)
+    mixed[g.ids] = np.where(g.ids % 13 == 0, 1 + g.ids % 5, 0)
+    agg = functools.partial(convergetree.aggregate, g, tree)
+    return {
+        "agg_max": functools.partial(agg, AggOp.MAX, deg),
+        "agg_sum": functools.partial(agg, AggOp.SUM, ones),
+        "agg_count": functools.partial(agg, AggOp.COMPONENT_COUNT, flags),
+        "agg_hist": functools.partial(agg, AggOp.HISTOGRAM_MERGE, onehots),
+        "flood": functools.partial(convergetree.broadcast_down, g, tree, (delta, thr)),
+        "classify": lambda trace=None: boundary.classify(g, thr, trace=trace),
+        "distance": functools.partial(boundary.distance_flood, g, comp_of, mu_est),
+        "distance_mixed": functools.partial(boundary.distance_flood, g, mixed, mu_est),
+    }
+
+
+def output_bytes(name: str, out) -> bytes:
+    if name == "classify":
+        return out.tobytes()
+    if name.startswith("distance"):
+        return b"".join(a.tobytes() for a in (out.hop, out.comp, out.hop2, out.comp2,
+                                                out.anchor_q))
+    return repr(out).encode()  # aggregate: the root's tuple; flood: the per-ID list
+
+
+def kernel_digests(g) -> dict:
+    """Per call: (output, ledger, trace) digests cut to 16 hex digits, rounds
+    used and deliveries."""
+    out = {}
+    for name, call in calls(g).items():
+        buf = io.StringIO()
+        value, res = call(trace=buf)
+        d = run_digests(res, buf.getvalue())
+        out[name] = (sha(output_bytes(name, value))[:16], d["ledger"][:16], d["trace"][:16],
+                     d["rounds_used"], d["deliveries"])
+    return out
+
+
+GOLDEN = {
+    "dense-60-1": {
+        "agg_max": ("5e784258e23111e5", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
+        "agg_sum": ("9053d01727f35cfd", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
+        "agg_count": ("821902cf7e596f65", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
+        "agg_hist": ("9d1e3e5e22ef6158", "15b43b62519aa6ca", "81c6287720381f33", 4, 1415),
+        "flood": ("e2efa9f9015b1426", "597d3097bc1c0f73", "22861c3df5b563aa", 5, 1430),
+        "classify": ("8e09d95256b00074", "fe933624cccb6046", "785afb15a185c0ab", 2, 233),
+        "distance": ("624aa8c39676c752", "0837f071f33f317e", "1a54597db9b9338e", 4, 1430),
+        "distance_mixed": ("2a1b0b84ab61863e", "3911494c0ba93b64", "bea810daba950ae8", 5, 2860),
+    },
+    "dense-250-2": {
+        "agg_max": ("946edd5365af3ac1", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
+        "agg_sum": ("38a08d981cafea0c", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
+        "agg_count": ("03720cf28730b647", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
+        "agg_hist": ("81ab2a7947614f1e", "72b4ab204a792167", "1092938c30e87956", 6, 7893),
+        "flood": ("36fa292d50e4f837", "d49e3f15715caeef", "28d5af4232a085dc", 7, 7930),
+        "classify": ("1394ece9621bad72", "e3ad40ccec4ad38e", "85a7e1e6513e26fe", 2, 1310),
+        "distance": ("5a948b7623c8d715", "7c6bdfd617656c45", "35f009f22fda511d", 4, 7930),
+        "distance_mixed": ("70bb20bd55a78c7f", "3024995c12d97a1a", "bc07e47efc051f1f", 5, 15860),
+    },
+    "dense-800-3": {
+        "agg_max": ("5e6cb71c9fb89b8b", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
+        "agg_sum": ("0c18780f2c80aea8", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
+        "agg_count": ("a0bcfd07063d5623", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
+        "agg_hist": ("23a0fd15613d75b2", "52808609d163b7ee", "85ccd234063cd18f", 12, 26856),
+        "flood": ("e280506357d03fac", "6fea68b156ee0e3a", "1918f417a5304143", 13, 26888),
+        "classify": ("21d920718ef86d00", "ed22032ef3527aa3", "9d27a1922376139c", 2, 4581),
+        "distance": ("15518b1bff77e691", "0c4ca9cdb8711896", "aa27a5046703f5bc", 5, 26888),
+        "distance_mixed": ("e6ee270902416850", "c52816fb89f1ad37", "14434b8d5fcb4d67", 5, 53776),
+    },
+    "gapped-60-4": {
+        "agg_max": ("bcd913dfeb5d41b0", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
+        "agg_sum": ("9053d01727f35cfd", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
+        "agg_count": ("821902cf7e596f65", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
+        "agg_hist": ("eb3f3aee6dcca56a", "df8903adf4a2e8da", "575d066500d43178", 4, 1440),
+        "flood": ("8992a5a7b245dfb3", "e5b342d813e17792", "f46b263ec3ed5698", 5, 1476),
+        "classify": ("42346441e8aa6f24", "258592ecc24f5ccb", "c3865eef7630649e", 2, 244),
+        "distance": ("3e6c8d6d7a3a35cb", "3e3c96c89210a2bc", "ff1d5846e2535f99", 4, 1476),
+        "distance_mixed": ("cfa3f522af41d067", "eddbb65c653865d3", "328dc97752fc5c08", 4, 2952),
+    },
+    "gapped-250-5": {
+        "agg_max": ("565485e2f475d4f8", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
+        "agg_sum": ("38a08d981cafea0c", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
+        "agg_count": ("28d4231d86a52ab0", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
+        "agg_hist": ("ae6672d15b77d4d6", "01fcc48069ff73ef", "2039681e9a376b01", 7, 7642),
+        "flood": ("befc1d98c4102fa4", "ed7eb7b1c33e8c3c", "b90f3f48b72e685b", 8, 7690),
+        "classify": ("bd659dcba622561c", "30865085d72ef892", "5380bef40d7309a3", 2, 1207),
+        "distance": ("4c12f69145083a21", "3ccc519a4b852140", "c227d22d4a4cf884", 4, 7690),
+        "distance_mixed": ("05c9d3adb9332efd", "56a79426973573d0", "ff0306113caafeb4", 5, 15380),
+    },
+    "gapped-800-6": {
+        "agg_max": ("6a412d8e85377701", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
+        "agg_sum": ("0c18780f2c80aea8", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
+        "agg_count": ("4bca943e95698c75", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
+        "agg_hist": ("552dc65b9a42e17f", "c2aad57280a554e7", "0827f085b236eb22", 9, 26820),
+        "flood": ("81143852fb888859", "ba911da904cd675a", "598c61307d41d6ef", 10, 26860),
+        "classify": ("25141a9e65103a1e", "b8a258196673f6a9", "c6ca8e2c8e330f84", 2, 5317),
+        "distance": ("a1cd26bd04caa33d", "718f165420dae231", "1a484429d2116174", 9, 53720),
+        "distance_mixed": ("b737dc6d3e9f74a0", "718f165420dae231", "2f4722ac706ec522", 4, 53720),
+    },
+    "crowded-400-7": {
+        "agg_max": ("f1910fba870528eb", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
+        "agg_sum": ("e81d637d19fc5614", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
+        "agg_count": ("93f717ca14a9089b", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
+        "agg_hist": ("b4ec7d72a7b8b4e3", "28a1fa61cd5b97d6", "05fd771404f71f5a", 4, 55990),
+        "flood": ("e2e25047260af22c", "ae239fd46d71db7a", "3a6881f340f1eeff", 5, 56082),
+        "classify": ("3e4371b70973f0d5", "cca0434c9e0752fd", "be1ef80b7552115d", 2, 9455),
+        "distance": ("ffd1cc98538d2eb1", "37a13f90f15b6bc5", "09fc7fe035f745f1", 4, 56082),
+        "distance_mixed": ("4da2b4608364a20c", "4003cb1925053afb", "9f980173d625b290", 4, 112164),
+    },
+    "path-40": {
+        "agg_max": ("0555debc8a653494", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
+        "agg_sum": ("13a299db68f90cdd", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
+        "agg_count": ("91d6039a01f57163", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
+        "agg_hist": ("4e25fc1acd254854", "56a79e74b2cc4b9b", "e8b9f10f8894eccd", 21, 76),
+        "flood": ("e8d407d15662d992", "86e689e7aaa68991", "0ba4caa6d65d01f3", 22, 78),
+        "classify": ("aa30b652e011afde", "5b03895fae228b67", "22d4f3b23b4d38f5", 2, 78),
+        "distance": ("83dd54a71d77b35c", "dc2be5fdc04c1c8c", "fc32664f0ca0b97f", 2, 78),
+        "distance_mixed": ("0b5ac36938708315", "45d7dbd32c2aa8cb", "90d24e7c0a9649e0", 26, 156),
+    },
+    "star": {
+        "agg_max": ("24a6ade6d35f1e5e", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
+        "agg_sum": ("8c98d396d4e29891", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
+        "agg_count": ("4079e4af87d7d813", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
+        "agg_hist": ("06bff0d22e26eb4e", "0be395a1dfcdc530", "9ba3137b0a841bab", 3, 13),
+        "flood": ("875048d42a3ad3ff", "69ee0d078453dfd9", "1dc0a5b02be7c619", 4, 14),
+        "classify": ("2390a7a9fef5efa6", "b03c36712b98a1d3", "761ab270c7b5d93a", 2, 7),
+        "distance": ("3ef56b5e02bd0a9e", "212f0840d848f68e", "61592aa538be911f", 3, 14),
+        "distance_mixed": ("28b153ab518476af", "b393978842a0fa3d", "e3b0c44298fc1c14", 1, 0),
+    },
+    "star-gapped": {
+        "agg_max": ("3af5d6e7f9476d9d", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
+        "agg_sum": ("24a6ade6d35f1e5e", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
+        "agg_count": ("4079e4af87d7d813", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
+        "agg_hist": ("1eec05aa9ff005ba", "dd95eb91123f38ac", "6b12276c9e84da25", 3, 11),
+        "flood": ("6e017443327534fe", "27a5b6db18f2798c", "7983ccc3e2288bea", 4, 12),
+        "classify": ("010b9011082f39ea", "a5cea860f08c7532", "b8e328cfa4fafe0a", 2, 6),
+        "distance": ("9aaee97725b4940f", "4133e1d83d7a6d50", "75313da5e7caf69d", 3, 12),
+        "distance_mixed": ("e1e7b5d593807119", "e1e91f947f89bcac", "e3b0c44298fc1c14", 1, 0),
+    },
+    "single": {
+        "agg_max": ("91d6039a01f57163", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
+        "agg_sum": ("28cb03b06c288e88", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
+        "agg_count": ("91d6039a01f57163", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
+        "agg_hist": ("f8944f48d8c72d14", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
+        "flood": ("67178b43cb232b15", "9cc9a1ed36066271", "cb2ad05662823f05", 2, 0),
+        "classify": ("d9c807b270afc4a7", "2413b3468072abaf", "05421ffbd465861e", 2, 0),
+        "distance": ("d9a6b748f2070aa4", "5f53396c8adcbf1a", "f4108d55dd68fd9a", 2, 0),
+        "distance_mixed": ("7d668f1b3bb8ff07", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
+    },
+    "standard-20k": {
+        "agg_max": ("b2f924132fcedfe9", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
+        "agg_sum": ("8d61a7b80173def4", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
+        "agg_count": ("088fd747148d3fcf", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
+        "agg_hist": ("b812be3bee79c9cd", "0223814f5c966e09", "a4c0c07dbe0c217f", 29, 1521547),
+        "flood": ("57c5198060aaf02a", "b62902075bc137be", "b8d769f0f8eb4317", 30, 1521628),
+        "classify": ("a3dbd096ef66642a", "939f5299ad81a830", "8b3c3b95f4138896", 2, 318462),
+        "distance": ("a41684cd5b5a79ad", "32d537e0821f6367", "efa5614db4917ce6", 39, 3043256),
+        "distance_mixed": ("b01f72eabce51efb", "32d537e0821f6367", "4575d10f93ad269e", 4, 3043256),
+    },
+}
+
+STUCK_CASES = {
+    "agg_hist@dense-250-2@3": ("dense-250-2", "agg_hist", 3),
+    "agg_max@path-40@10": ("path-40", "agg_max", 10),
+    "agg_sum@star@0": ("star", "agg_sum", 0),
+    "flood@gapped-60-4@2": ("gapped-60-4", "flood", 2),
+    "flood@path-40@5": ("path-40", "flood", 5),
+    "distance@dense-250-2@2": ("dense-250-2", "distance", 2),
+    "distance@gapped-800-6@3": ("gapped-800-6", "distance", 3),
+    "distance_mixed@path-40@6": ("path-40", "distance_mixed", 6),
+}
+
+GOLDEN_STUCK = {
+    "agg_hist@dense-250-2@3":
+        "78914bc658ee31186cdebcd8c8a2f54332fe3e99dd62636951eda28fd1d8495b",
+    "agg_max@path-40@10":
+        "3d5b5118bd5722f272397fb505c311832e0dab1b5100d613b1483965e663bbac",
+    "agg_sum@star@0":
+        "b83d337b5cad74d3237dc6aa0585769da95242727ce2e66b4a6962871008a919",
+    "flood@gapped-60-4@2":
+        "0cc2fa895ef7056c63e87fdfad7dcccbb8c149bee22f81313abe1a36ff1f829d",
+    "flood@path-40@5":
+        "04fb68d606af360c29b6657e827819f7a1cf0686d0a056ceb40b1f7af1ea07d2",
+    "distance@dense-250-2@2":
+        "e52bc9ce46a2183a38ff7c03514299c00768eb2e941d1badd7ff87108f2407e7",
+    "distance@gapped-800-6@3":
+        "00c910e9ceae252aff67695031b4cd793d8232cdb26927284a3dd47e6abca334",
+    "distance_mixed@path-40@6":
+        "997fc3f9e291eb98622b4e44a2b20348f8cc4d58eb016c4c80cc3c4676c41316",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_kernels_match_recorded_protocols(name):
+    assert kernel_digests(GOLDEN_GRAPHS[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(STUCK_CASES))
+def test_round_limit_names_recorded_stuck_nodes(name):
+    graph, call, max_rounds = STUCK_CASES[name]
+    assert stuck_digest(calls(GOLDEN_GRAPHS[graph]())[call], max_rounds) == GOLDEN_STUCK[name]

@@ -28,9 +28,9 @@ def test_no_edge_just_beyond_R():
 def test_degrees_and_max():
     pts = [(0, 0)] * 5 + [(10, 10)]
     g = graph_from(pts)
-    assert netgraph.max_degree(g) == 4
+    assert g.degrees()[g.ids].max() == 4
     assert g.degree(6) == 0
-    assert netgraph.degree(g, 1) == 4
+    assert g.degree(1) == 4
 
 
 def test_matches_brute_force():

@@ -117,6 +117,18 @@ def test_cli_disconnected_graph(tmp_path, capsys):
     assert f"has {e.value.components} connected components" in err
 
 
+def test_cli_no_boundary_component(tmp_path, capsys):
+    # alpha 0.01 puts the threshold below every degree: no node is BOUNDARY
+    args = ["--region", "annulus", "--nodes", "2000", "--seed", "1", "--alpha", "0.01"]
+    assert cli.main(["run", *args, "--out", str(tmp_path)]) == cli.EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    with pytest.raises(cli.NoBoundaryComponent) as e:
+        cli.run_pipeline(RunConfig(region="annulus", n=2000, seed=1, alpha=0.01))
+    assert 0 <= e.value.threshold < e.value.min_degree
+    assert f"no boundary: {e.value}" in err
+    assert f"threshold {e.value.threshold} " in err and f"is {e.value.min_degree})" in err
+
+
 def test_cli_invalid_region(tmp_path):
     bad = geometry.Region([geometry.Polygon(
         np.array([[0, 0], [30, 0], [30, 30], [0, 30]], float)),

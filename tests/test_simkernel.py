@@ -1,3 +1,6 @@
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,25 @@ def test_round_limit_exceeded():
         run_protocol(g, Chatter, max_rounds=10)
     assert e.value.rounds == 10
     assert e.value.stuck
+
+
+def _raise_round_limit():
+    raise RoundLimitExceeded(3, {1: "x"})
+
+
+def test_round_limit_exceeded_pickles():
+    e = RoundLimitExceeded(3, {1: "x", 4: "y"})
+    back = pickle.loads(pickle.dumps(e))
+    assert (back.rounds, back.stuck, str(back)) == (3, {1: "x", 4: "y"}, str(e))
+    assert str(e) == "no quiescence after 3 rounds; 2 nodes still active (e.g. 1:x, 4:y)"
+
+
+def test_round_limit_exceeded_crosses_process_pool():
+    # a protocol failure in a worker reaches the parent as itself
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(RoundLimitExceeded) as e:
+            pool.submit(_raise_round_limit).result()
+    assert (e.value.rounds, e.value.stuck) == (3, {1: "x"})
 
 
 def test_wake_runs_without_messages():

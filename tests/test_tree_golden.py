@@ -6,21 +6,13 @@ final per-node states, both ledger arrays, the trace text, the round and
 delivery counts, and the stuck nodes named when `max_rounds` runs out.
 """
 
-import hashlib
+import functools
 import io
 
 import pytest
-from numpy.random import Generator, Philox
 
-from swarmtopo import cli, convergetree, geometry, netgraph
-from swarmtopo.simkernel import RoundLimitExceeded
-from conftest import graph_from, random_graph, star_graph
-
-
-def _sha(data) -> str:
-    if isinstance(data, str):
-        data = data.encode()
-    return hashlib.sha256(data).hexdigest()
+from swarmtopo import convergetree
+from conftest import GOLDEN_CASES, GOLDEN_GRAPHS, run_digests, sha, stuck_digest
 
 
 def tree_digests(g) -> dict:
@@ -31,49 +23,8 @@ def tree_digests(g) -> dict:
         s = build.states[v]
         rows.append(f"{v},{s.root_id},{s.parent},{' '.join(str(int(c)) for c in s.children)},"
                     f"{s.subtree_size},{s.n_total},{s.completion_round}\n")
-    led = build.result.ledger
-    return {
-        "states": _sha("".join(rows)),
-        "ledger": _sha(led.broadcasts_sent.astype("<i8").tobytes()
-                       + led.id_units_sent.astype("<i8").tobytes()),
-        "trace": _sha(buf.getvalue()),
-        "rounds_used": build.result.rounds_used,
-        "deliveries": build.result.deliveries,
-    }
+    return {"states": sha("".join(rows)), **run_digests(build.result, buf.getvalue())}
 
-
-def stuck_digest(g, max_rounds: int) -> str:
-    with pytest.raises(RoundLimitExceeded) as e:
-        convergetree.build_tree(g, max_rounds=max_rounds)
-    assert e.value.rounds == max_rounds
-    return _sha(repr(list(e.value.stuck.items())) + "\n" + str(e.value))
-
-
-def path_graph():
-    ids = Generator(Philox(7)).permutation(40) * 3 + 2  # gapped, shuffled along the path
-    return graph_from([(0.9 * i, 0.0) for i in range(40)], ids=ids)
-
-
-def standard_20k():
-    pts = geometry.sample_uniform(cli.standard_region(), 20000, seed=1)
-    ids = Generator(Philox([1, 1])).permutation(20000) + 1
-    return netgraph.build_udg((ids, pts))
-
-
-GRAPHS = {
-    "dense-60-1": lambda: random_graph(60, 1),
-    "dense-250-2": lambda: random_graph(250, 2),
-    "dense-800-3": lambda: random_graph(800, 3),
-    "gapped-60-4": lambda: random_graph(60, 4, id_span=300),
-    "gapped-250-5": lambda: random_graph(250, 5, id_span=1000),
-    "gapped-800-6": lambda: random_graph(800, 6, id_span=5000),
-    "crowded-400-7": lambda: random_graph(400, 7, spread=2.5),
-    "path-40": path_graph,
-    "star": lambda: star_graph(7, [1, 2, 3, 4, 5, 6, 9]),
-    "star-gapped": lambda: star_graph(50, [3, 11, 12, 40, 90, 200]),
-    "single": lambda: graph_from([(0.0, 0.0)], ids=[5]),
-    "standard-20k": standard_20k,
-}
 
 GOLDEN = {
     "dense-60-1": {
@@ -181,14 +132,13 @@ GOLDEN_STUCK = {
 }
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(k, marks=pytest.mark.slow) if k == "standard-20k" else k
-    for k in GRAPHS])
+@pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_tree_matches_recorded_protocol(name):
-    assert tree_digests(GRAPHS[name]()) == GOLDEN[name]
+    assert tree_digests(GOLDEN_GRAPHS[name]()) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", list(STUCK_CASES))
 def test_round_limit_names_recorded_stuck_nodes(name):
     graph, max_rounds = STUCK_CASES[name]
-    assert stuck_digest(GRAPHS[graph](), max_rounds) == GOLDEN_STUCK[name]
+    run = functools.partial(convergetree.build_tree, GOLDEN_GRAPHS[graph]())
+    assert stuck_digest(run, max_rounds) == GOLDEN_STUCK[name]
