@@ -73,7 +73,7 @@ class BoundaryComponent:
     component_id: int          # the root's node ID
     members: tuple[int, ...]
     size: int
-    near_set_size: int         # |members ∪ neighbors-of-members| by default
+    near_set_size: int         # |members ∪ neighbors-of-members|
 
     def ratio(self) -> float:
         return self.near_set_size / self.size
@@ -469,13 +469,15 @@ _CHUNK = 1 << 16  # deliveries settled at once by the distance flood
 
 
 class _DistRounds(RoundKernel):
-    """Boundary distance waves.  Every node keeps its best two (distance,
-    component, anchor) slots by (distance, component); members start with
-    their own component at 0.  From each round's deliveries a node takes,
-    per component, the smallest distance + 1, the smallest sender on a tie
-    and its own offset at distance 1.  That replaces a slot of the same
-    component only if strictly nearer, and the node re-broadcasts every
-    slot that is new or improved."""
+    """Boundary distance waves: one BFS wave per component, all started in
+    round 0, where every member broadcasts its own component at distance 0.
+    A node re-broadcasts only the slots it has just filled, so every
+    message sent in round r carries distance r and a node first hears a
+    component at its final distance: nothing heard later is nearer.  In
+    round r a node with a free slot takes every component it does not hold
+    yet from its smallest sender, at distance r and with that sender's
+    anchor (its own offset in round 1); its free slots fill smallest
+    component first, and it re-broadcasts exactly the slots it filled."""
 
     def __init__(self, g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int):
         super().__init__(g)
@@ -487,61 +489,45 @@ class _DistRounds(RoundKernel):
         src = self.ids[np.asarray(comp_of)[self.ids] != 0]
         self.c[0, src] = np.asarray(comp_of)[src]
         zero = np.zeros(len(src), dtype=np.int64)
-        self.out = (src, self.c[0, src], zero, zero)  # (sender, comp, dist, anchor)
+        self.out = (src, self.c[0, src], zero)  # (sender, comp, anchor)
 
     def step(self, rnd: int) -> list:
         if rnd:
-            self.out = self._settle(*self.out)
+            self.out = self._settle(rnd, *self.out)
         return [(K_DIST, self.out[0], 4)]
 
-    def _settle(self, s, c, d, q) -> tuple:
+    def _settle(self, rnd, s, c, q) -> tuple:
         # the round's deliveries in pieces of about _CHUNK, each cut down to
-        # the candidates that would change their receiver
+        # the candidates their receiver can take
         load = np.cumsum(self.deg[s])
-        cuts = np.searchsorted(load, np.arange(_CHUNK, load[-1] if len(s) else 0, _CHUNK))
-        parts = [self._candidates(s[a:b], c[a:b], d[a:b], q[a:b])
+        cuts = np.searchsorted(load, np.arange(_CHUNK, load[-1], _CHUNK))
+        parts = [self._candidates(s[a:b], c[a:b], q[a:b])
                  for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(s)])]
-        v, c, nd, q = (np.concatenate(x) for x in zip(*parts))
-        # per (receiver, component) the nearest; candidates run in sender
-        # order, so the stable sort puts the smallest sender first
-        order = np.lexsort((nd, c, v))
-        v, c, nd, q = v[order], c[order], nd[order], q[order]
+        v, c, q = (np.concatenate(x) for x in zip(*parts))
+        # per (receiver, component) the first candidate; candidates run in
+        # sender order, so the stable sort puts the smallest sender first
+        order = np.lexsort((c, v))
+        v, c, q = v[order], c[order], q[order]
         first = np.ones(len(v), dtype=bool)
         first[1:] = (v[1:] != v[:-1]) | (c[1:] != c[:-1])
-        v, c, nd, q = v[first], c[first], nd[first], q[first]
-        one = nd == 1
-        q[one] = self._own_offsets(v[one])
-        # each changed node's other slots compete with its candidates
-        nodes = np.unique(v)
-        at = np.searchsorted(nodes, v)
-        kept = self.c[:, nodes] != 0
-        for j in (0, 1):
-            kept[j, at[self.c[j, v] == c]] = False
-        ev = np.concatenate([np.broadcast_to(nodes, kept.shape)[kept], v])
-        ed = np.concatenate([self.d[:, nodes][kept], nd])
-        ec = np.concatenate([self.c[:, nodes][kept], c])
-        eq = np.concatenate([self.q[:, nodes][kept], q])
-        new = np.r_[np.zeros(int(kept.sum()), dtype=bool), np.ones(len(v), dtype=bool)]
-        order = np.lexsort((ec, ed, ev))
-        starts = np.flatnonzero(np.r_[True, ev[order][1:] != ev[order][:-1]])
-        rank = np.arange(len(order)) - np.repeat(starts, np.diff(np.r_[starts, len(order)]))
-        top, slot = order[rank < 2], rank[rank < 2]
-        self.c[:, nodes] = 0
-        self.d[slot, ev[top]], self.c[slot, ev[top]], self.q[slot, ev[top]] = (
-            ed[top], ec[top], eq[top])
-        top = top[new[top]]
-        return ev[top], ec[top], ed[top], eq[top]
+        v, c, q = v[first], c[first], q[first]
+        # the free slots, smallest component first
+        slot = np.arange(len(v)) - np.searchsorted(v, v) + (self.c[0, v] != 0)
+        fill = slot < 2
+        v, c, q, slot = v[fill], c[fill], q[fill], slot[fill]
+        if rnd == 1:
+            q = self._own_offsets(v)
+        self.d[slot, v], self.c[slot, v], self.q[slot, v] = rnd, c, q
+        return v, c, q
 
-    def _candidates(self, s, c, d, q) -> tuple:
-        """The deliveries of these messages that beat their receiver's slot
-        of the same component or, lacking one, its second slot."""
+    def _candidates(self, s, c, q) -> tuple:
+        """The deliveries of these messages to a receiver with a free slot
+        that does not hold their component yet."""
         v, lens = self.receivers(s)
         k = np.repeat(np.arange(len(s)), lens)
-        c, nd = c[k], d[k] + 1
-        c0, d0, c1, d1 = self.c[0][v], self.d[0][v], self.c[1][v], self.d[1][v]
-        win = np.where(c0 == c, nd < d0, np.where(
-            c1 == c, nd < d1, (c1 == 0) | (nd < d1) | ((nd == d1) & (c < c1))))
-        return v[win], c[win], nd[win], q[k[win]]
+        c = c[k]
+        take = (self.c[1, v] == 0) & (self.c[0, v] != c)
+        return v[take], c[take], q[k[take]]
 
     def _own_offsets(self, v: np.ndarray) -> np.ndarray:
         degs, at = np.unique(self.deg[v], return_inverse=True)
@@ -566,8 +552,10 @@ class DistanceField:
 def distance_flood(g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int,
                    max_rounds: int = 100_000,
                    trace=None) -> tuple[DistanceField, RunResult]:
-    """Every boundary node floods its component at distance 0; every node
-    keeps the best two distinct components and re-broadcasts improvements."""
+    """Every boundary node floods its component at distance 0, one BFS wave
+    per component.  A node keeps the first two components it hears (of
+    those heard in one round, the smallest), each at the distance and with
+    the anchor it first hears it, and relays each once."""
     kernel = _DistRounds(g, comp_of, mu_est)
     res = kernel.run(max_rounds, trace)
     d, c, q = kernel.d, kernel.c, kernel.q

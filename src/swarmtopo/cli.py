@@ -1,7 +1,7 @@
 """Experiment harness: region ingestion, end-to-end pipeline runs, sweep
 orchestration, oracle scoring, and report emission.
 
-Subcommands: validate, run, sweep, oracle, paper-repro.  All outputs are
+Subcommands: validate, run, oracle, paper-repro.  All outputs are
 plain UTF-8 CSV/JSON, deterministic byte-for-byte for a fixed config.
 """
 
@@ -74,8 +74,6 @@ class RunConfig:
     bin_count: int = 64
     tolerance_hops: int = 2
     min_component_size: int = 8
-    out_dir: str | None = None
-    trace: bool = False
     token_loops: bool = True
 
     def to_dict(self) -> dict:
@@ -269,7 +267,7 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     stats = topo.component_stats(comps.components)
     sizeable = [s for s in stats if s.boundary_count >= config.min_component_size]
     outer_id = topo.classify_outer(sizeable or stats)
-    thick = topo.thickness(classes, dist, deg, density.mu_est)
+    thick = topo.thickness(classes, dist, deg, density.mu_est, g.id_list)
 
     return PipelineResult(
         config=config, region=region, feature=feature, g=g, mu_analytic=mu_an,
@@ -483,17 +481,16 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(region=args.region, n=args.nodes, seed=args.seed,
                      alpha=alpha, bin_count=args.bins,
                      tolerance_hops=args.voronoi_tol,
-                     min_component_size=args.min_comp,
-                     out_dir=args.out, trace=args.trace)
+                     min_component_size=args.min_comp)
 
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    out_dir = config.out_dir or "."
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     with contextlib.ExitStack() as stack:
         trace_stream = None
-        if config.trace:
+        if args.trace:
             trace_stream = stack.enter_context(
                 open(os.path.join(out_dir, "trace.csv"), "w",
                      encoding="utf-8", newline="\n"))
@@ -513,14 +510,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    args.alpha = "sweep"
-    return cmd_run(args)
-
-
 def cmd_oracle(args) -> int:
     config = _config_from_args(args)
-    run_dir = config.out_dir or "."
+    run_dir = args.out or "."
     with open(os.path.join(run_dir, "summary.json"), "r", encoding="utf-8") as fh:
         summary = json.load(fh)
     check_provenance(summary, config)
@@ -626,10 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline run")
     _add_common(p)
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep", help="pipeline run with alpha calibration sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="score a finished run against geometry oracles")
     _add_common(p)

@@ -249,7 +249,6 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
             n_total=n_total[v],
             completion_round=completion[v],
         )
-    result.nodes = states
     return TreeBuild(states=states, result=result)
 
 

@@ -33,10 +33,6 @@ class TopologyViolation(GeometryError):
     """Curves self-intersect, overlap, or are not properly nested."""
 
 
-class OutsideRegion(GeometryError):
-    """A query point lies outside the region."""
-
-
 class NonConvergence(GeometryError):
     """Rejection sampling acceptance rate collapsed (degenerate region)."""
 
@@ -182,14 +178,6 @@ class BandAreasEstimate:
     inner_band: float
     outer_se: float
     inner_se: float
-
-
-@dataclass(frozen=True)
-class BoundaryDistances:
-    dist: float
-    curve: int
-    second_dist: float
-    second_curve: int | None
 
 
 # --------------------------------------------------------------------------
@@ -466,20 +454,6 @@ def curve_distance_table(region: Region, pts: np.ndarray) -> np.ndarray:
     """Distances from many points to every curve; shape (k, n_pts)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     return np.stack([curve_distances(c, pts) for c in region.curves])
-
-
-def boundary_distance(region: Region, p: Point | tuple[float, float]) -> BoundaryDistances:
-    """Distance to the nearest curve and to the nearest distinct other curve."""
-    x, y = p
-    if not contains(region, p):
-        raise OutsideRegion(f"point {(x, y)} is outside the region")
-    d = curve_distance_table(region, np.array([[x, y]]))[:, 0]
-    order = np.argsort(d, kind="stable")
-    first = int(order[0])
-    if region.k == 1:
-        return BoundaryDistances(float(d[first]), first, math.inf, None)
-    second = int(order[1])
-    return BoundaryDistances(float(d[first]), first, float(d[second]), second)
 
 
 def inradius_oracle(region: Region, grid_step: float = 0.05) -> tuple[float, Point]:

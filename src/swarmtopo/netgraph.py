@@ -17,12 +17,8 @@ from scipy.sparse.csgraph import connected_components
 @dataclass
 class DegreeHistogram:
     bin_count: int
-    bin_width: float
     counts: np.ndarray  # length bin_count, sums to n
     delta: int  # max degree
-
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.bin_count) + 0.5) * self.bin_width
 
 
 class UnitDiskGraph:
@@ -194,15 +190,15 @@ def histogram(g: UnitDiskGraph, bin_count: int = 64) -> DegreeHistogram:
     if delta == 0:
         counts = np.zeros(bin_count, dtype=np.int64)
         counts[0] = g.n
-        return DegreeHistogram(bin_count, 0.0, counts, 0)
+        return DegreeHistogram(bin_count, counts, 0)
     counts = np.bincount(degree_bin(deg.astype(np.int64), delta, bin_count),
                          minlength=bin_count)
-    return DegreeHistogram(bin_count, delta / bin_count, counts, delta)
+    return DegreeHistogram(bin_count, counts, delta)
 
 
 def histogram_from_counts(counts: Iterable[int], delta: int) -> DegreeHistogram:
     c = np.asarray(list(counts), dtype=np.int64)
-    return DegreeHistogram(len(c), (delta / len(c)) if delta else 0.0, c, delta)
+    return DegreeHistogram(len(c), c, delta)
 
 
 def hop_bfs(g: UnitDiskGraph, sources: Iterable[int]) -> np.ndarray:
@@ -215,14 +211,10 @@ def hop_bfs(g: UnitDiskGraph, sources: Iterable[int]) -> np.ndarray:
     frontier = np.unique(np.array(src, dtype=np.int64))
     dist[frontier] = 0.0
     d = 0
-    indptr, indices = g.indptr, g.indices
     while len(frontier):
         d += 1
-        segs = [indices[indptr[v]:indptr[v + 1]] for v in frontier]
-        if not segs:
-            break
-        cand = np.unique(np.concatenate(segs)) if segs else np.empty(0, np.int64)
-        nxt = cand[np.isinf(dist[cand])]
+        cand = g.indices[csr_rows(g.indptr, frontier)[0]]
+        nxt = np.unique(cand[np.isinf(dist[cand])])
         dist[nxt] = d
         frontier = nxt
     return dist
@@ -243,18 +235,3 @@ def component_count(g: UnitDiskGraph) -> int:
     k, _ = connected_components(adj, directed=False)
     return k - (size - g.n)  # every unused ID is an isolated vertex of adj
 
-
-def dump_edges(g: UnitDiskGraph, path: str) -> None:
-    """Debug dump: one sorted 'u v' line per undirected edge."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in g.id_list:
-            for u in g.neighbors(v):
-                if v < u:
-                    fh.write(f"{v} {u}\n")
-
-
-def dump_positions(g: UnitDiskGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,x,y\n")
-        for v in g.id_list:
-            fh.write(f"{v},{g.positions[v, 0]!r},{g.positions[v, 1]!r}\n")

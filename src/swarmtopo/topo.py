@@ -29,28 +29,12 @@ class ThicknessReport:
     thickness_estimate: float  # R units
 
 
-def component_stats(components: Sequence[BoundaryComponent],
-                    include_members: bool = True) -> list[ComponentStats]:
-    """Strip-area ratio per component.
-
-    near_count is |members ∪ neighbors-of-members| when include_members is
-    set (the default), otherwise only the non-member neighbors.
-    """
-    out = []
-    for c in components:
-        near = c.near_set_size if include_members else c.near_set_size - c.size
-        out.append(ComponentStats(component_id=c.component_id,
-                                  boundary_count=c.size,
-                                  near_count=near,
-                                  ratio=near / c.size))
-    return out
-
-
-def stats_from_counts(pairs: Sequence[tuple[int, int]]) -> list[ComponentStats]:
-    """Build stats straight from (near_count, boundary_count) pairs."""
-    return [ComponentStats(component_id=i + 1, boundary_count=d, near_count=nd,
-                           ratio=nd / d)
-            for i, (nd, d) in enumerate(pairs)]
+def component_stats(components: Sequence[BoundaryComponent]) -> list[ComponentStats]:
+    """Strip-area ratio per component; near_count is
+    |members ∪ neighbors-of-members|."""
+    return [ComponentStats(component_id=c.component_id, boundary_count=c.size,
+                           near_count=c.near_set_size, ratio=c.near_set_size / c.size)
+            for c in components]
 
 
 def classify_outer(stats: Sequence[ComponentStats]) -> int:
@@ -80,11 +64,10 @@ def fractional_distance(node_class: int, hop: float, deg: int, mu_est: int,
 
 
 def fractional_distances(classes: np.ndarray, field: DistanceField,
-                         degrees: np.ndarray, mu_est: int,
-                         ids=None) -> np.ndarray:
-    """fractional_distance for every node, indexed by ID."""
+                         degrees: np.ndarray, mu_est: int, ids) -> np.ndarray:
+    """fractional_distance for every node of `ids`, indexed by ID."""
     out = np.zeros(len(classes))
-    for v in (ids if ids is not None else range(1, len(classes))):
+    for v in ids:
         out[v] = fractional_distance(int(classes[v]), field.hop[v],
                                      int(degrees[v]), mu_est,
                                      int(field.anchor_q[v]))
@@ -92,13 +75,13 @@ def fractional_distances(classes: np.ndarray, field: DistanceField,
 
 
 def thickness(classes: np.ndarray, field: DistanceField, degrees: np.ndarray,
-              mu_est: int, ids=None) -> ThicknessReport:
-    """Pick the node of maximum (hop, fractional) boundary distance; its
-    fractional distance is the thickness estimate."""
+              mu_est: int, ids) -> ThicknessReport:
+    """Pick the node of `ids` of maximum (hop, fractional) boundary
+    distance; its fractional distance is the thickness estimate."""
     frac = fractional_distances(classes, field, degrees, mu_est, ids)
     best = 0
     best_key = (-1.0, -1.0)
-    for v in (ids if ids is not None else range(1, len(classes))):
+    for v in ids:
         key = (field.hop[v] if np.isfinite(field.hop[v]) else -1.0, frac[v])
         if key > best_key:  # ties keep the smaller ID
             best_key = key
@@ -109,6 +92,6 @@ def thickness(classes: np.ndarray, field: DistanceField, degrees: np.ndarray,
 
 
 __all__ = [
-    "ComponentStats", "ThicknessReport", "component_stats", "stats_from_counts",
-    "classify_outer", "fractional_distance", "fractional_distances", "thickness",
+    "ComponentStats", "ThicknessReport", "component_stats", "classify_outer",
+    "fractional_distance", "fractional_distances", "thickness",
 ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from swarmtopo import cli, geometry, netgraph
+from swarmtopo import boundary, cli, geometry, netgraph
 from swarmtopo.simkernel import RoundLimitExceeded
 
 
@@ -53,6 +53,14 @@ def star_graph(center, leaves):
     return netgraph.UnitDiskGraph(ids=ids, xy=np.zeros((m + 1, 2)), R=1.0,
                                   indptr=np.array(indptr),
                                   indices=np.array(indices, dtype=np.int64))
+
+
+def strip_components(pairs):
+    """Boundary components 1, 2, ... with the given (near_set_size, size)
+    pairs, for the strip-area ratio."""
+    return [boundary.BoundaryComponent(component_id=i + 1, members=tuple(range(1, d + 1)),
+                                       size=d, near_set_size=nd)
+            for i, (nd, d) in enumerate(pairs)]
 
 
 # -- Hypothesis strategies: small graphs with arbitrary (gapped) IDs ---------

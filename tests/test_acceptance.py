@@ -16,7 +16,7 @@ from numpy.random import Generator, Philox
 
 from swarmtopo import boundary, cli, convergetree, geometry, netgraph, topo
 from swarmtopo.boundary import NodeClass
-from conftest import straight_boundary_samples
+from conftest import straight_boundary_samples, strip_components
 
 N_FULL = 45_000
 SWEEP_SEEDS = range(1, 11)
@@ -168,6 +168,7 @@ def test_criterion_2_mu_estimation(standard_region, region_area):
     report(2, ok, f"n=20000, 10 seeds, worst |mu_est-mu|/mu = {100 * max(errs):.2f}%")
 
 
+@pytest.mark.slow
 def test_criterion_3_plateau_recovery(sweep_records):
     good = 0
     zero_at_005 = True
@@ -183,6 +184,7 @@ def test_criterion_3_plateau_recovery(sweep_records):
                   f"alpha=0.05 empty on all: {zero_at_005}")
 
 
+@pytest.mark.slow
 def test_criterion_4_theorem_statistics(theorem_records):
     false_rates = [r.false_rate for r in theorem_records]
     det_rates = [r.det_rate for r in theorem_records]
@@ -194,6 +196,7 @@ def test_criterion_4_theorem_statistics(theorem_records):
                   f"detect(<=0.25R)={100 * pooled_det:.2f}%")
 
 
+@pytest.mark.slow
 def test_criterion_5_band_areas():
     from test_bands import valid_polygons
     sq = geometry.Polygon(np.array([[0, 0], [4, 0], [4, 4], [0, 4]], float))
@@ -212,9 +215,10 @@ def test_criterion_5_band_areas():
                   f"over 20 polygons")
 
 
+@pytest.mark.slow
 def test_criterion_6_outer_boundary(sweep_records):
-    stats = topo.stats_from_counts([(6093, 2169), (1304, 289), (1319, 266),
-                                    (2368, 616)])
+    stats = topo.component_stats(strip_components([(6093, 2169), (1304, 289), (1319, 266),
+                                                   (2368, 616)]))
     ratios = [round(s.ratio, 3) for s in stats]
     table_ok = (ratios == [2.809, 4.512, 4.959, 3.844] and
                 topo.classify_outer(stats) == stats[0].component_id)
@@ -277,6 +281,7 @@ def test_criterion_7_protocol_vs_oracle(standard_region):
                     f"(histogram, classes, components, distance flood, anchors)")
 
 
+@pytest.mark.slow
 def test_criterion_8_thickness(sweep_records, standard_region):
     t_std, _ = geometry.inradius_oracle(standard_region, grid_step=0.05)
     std_ok = [r for r in sweep_records

@@ -81,6 +81,7 @@ def test_convex_inner_exceeds_outer():
         assert b.inner_band > b.outer_band
 
 
+@pytest.mark.slow
 def test_closed_form_matches_monte_carlo_20_polygons():
     # 2e6 samples keep the oracle's own 3-sigma noise well under the 1%
     # agreement bar

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from swarmtopo import geometry
 from swarmtopo.geometry import (AngleViolation, Circle, DomainError,
-                                FeatureSizeViolation, NonConvergence,
-                                OutsideRegion, Point, Polygon, Region,
-                                TopologyViolation)
+                                FeatureSizeViolation, NonConvergence, Point,
+                                Polygon, Region, TopologyViolation)
 
 
 def square(side, cx=0.0, cy=0.0):
@@ -125,28 +124,18 @@ def test_sample_nonconvergence():
         geometry.sample_uniform(Region([outer, hole]), 1000, seed=1)
 
 
-def test_boundary_distance_unit_square_center():
+def test_curve_distance_table_unit_square_center():
     r = Region([square(1, 0.5, 0.5)])
-    d = geometry.boundary_distance(r, Point(0.5, 0.5))
-    assert d.dist == pytest.approx(0.5)
-    assert d.curve == 0
-    assert math.isinf(d.second_dist) and d.second_curve is None
+    table = geometry.curve_distance_table(r, [(0.5, 0.5)])
+    assert table.shape == (1, 1)
+    assert table[0, 0] == pytest.approx(0.5)
 
 
-def test_boundary_distance_nearest_hole():
+def test_curve_distance_table_nearest_hole():
     r = Region([square(30, 15, 15), Circle((10, 15), 2), Circle((20, 15), 2)])
-    d = geometry.boundary_distance(r, Point(13, 15))
-    assert d.curve == 1
-    assert d.dist == pytest.approx(1.0)
-    assert d.second_curve == 2
-    assert d.second_dist == pytest.approx(5.0)
-    assert d.dist <= d.second_dist
-
-
-def test_boundary_distance_outside_raises():
-    r = Region([square(10, 5, 5)])
-    with pytest.raises(OutsideRegion):
-        geometry.boundary_distance(r, Point(20, 20))
+    d = geometry.curve_distance_table(r, [(13, 15)])[:, 0]
+    assert np.argsort(d).tolist() == [1, 2, 0]
+    assert d.tolist() == pytest.approx([13.0, 1.0, 5.0])
 
 
 def test_inradius_square():

@@ -54,6 +54,35 @@ def test_distance_flood_equals_twin(g, data):
 
 
 @SETTINGS
+@given(any_graphs, st.data())
+def test_distance_flood_arbitrary_labels_equals_twin(g, data):
+    # scattered sources under 1-6 arbitrary labels, adjacent ones often
+    # labelled apart: waves meet in one round, a third one is dropped, and
+    # slot 1 may fill rounds after slot 0
+    labels = data.draw(st.lists(st.integers(1, 10**9), min_size=1, max_size=6, unique=True))
+    spread = data.draw(st.integers(1, 5))  # about one node in `spread` is a source
+    pick = data.draw(st.lists(st.integers(0, spread * len(labels)), min_size=g.n, max_size=g.n))
+    comp_of = np.zeros(g.max_id + 1, dtype=np.int64)
+    for v, i in zip(g.id_list, pick):
+        comp_of[v] = labels[i - 1] if 1 <= i <= len(labels) else 0
+    # anchors differ between senders only where deg / mu_est lies in (1/2, 1)
+    mu_est = data.draw(st.integers(1, 2 * int(g.degrees().max()) + 1))
+    comps = []
+    for label in sorted(set(comp_of[g.ids].tolist()) - {0}):
+        members = tuple(v for v in g.id_list if comp_of[v] == label)
+        near = set(members).union(*(g.neighbors(v).tolist() for v in members))
+        comps.append(boundary.BoundaryComponent(label, members, len(members), len(near)))
+    field, res = boundary.distance_flood(g, comp_of, mu_est)
+    twin = boundary.central_distance_field(g, comps, mu_est)
+    for name in ("hop", "comp", "hop2", "comp2", "anchor_q"):
+        assert np.array_equal(getattr(field, name), getattr(twin, name)), name
+    if comps:
+        sources = [v for c in comps for v in c.members]
+        assert np.array_equal(field.hop[g.ids], netgraph.hop_bfs(g, sources)[g.ids])
+    assert_deliveries_are_sender_degrees(g, res)
+
+
+@SETTINGS
 @given(connected_graphs, st.sampled_from([16, 23]))
 def test_aggregates_equal_census(g, bins):
     tree = convergetree.build_tree(g).states

@@ -129,16 +129,6 @@ def test_interior_degree_matches_density_formula():
     assert means.std(ddof=1) < 0.05 * mu
 
 
-def test_dumps(tmp_path):
-    g = graph_from([(0, 0), (0.5, 0), (5, 5)])
-    e = tmp_path / "edges.txt"
-    p = tmp_path / "pos.csv"
-    netgraph.dump_edges(g, str(e))
-    netgraph.dump_positions(g, str(p))
-    assert e.read_text() == "1 2\n"
-    assert p.read_text().startswith("id,x,y\n1,")
-
-
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30, deadline=None)
 def test_build_udg_symmetry_property(n, seed):

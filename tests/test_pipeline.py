@@ -7,6 +7,7 @@ import pytest
 
 from swarmtopo import cli, geometry
 from swarmtopo.cli import MismatchedRun, RunConfig
+from swarmtopo.simkernel import RoundLimitExceeded
 
 
 def small_region_file(tmp_path):
@@ -129,6 +130,22 @@ def test_cli_no_boundary_component(tmp_path, capsys):
     assert f"threshold {e.value.threshold} " in err and f"is {e.value.min_degree})" in err
 
 
+@pytest.mark.parametrize("exc, code, prefix", [
+    (RoundLimitExceeded(7, {3: "dist(slots=[])"}), cli.EXIT_PROTOCOL, "protocol error: "),
+    (cli.GraphDisconnected(50, 3), cli.EXIT_PROTOCOL, "graph disconnected: "),
+    (cli.NoBoundaryComponent(12, 40), cli.EXIT_PROTOCOL, "no boundary: "),
+    (geometry.FeatureSizeViolation("holes 0.5R apart"), cli.EXIT_GEOMETRY, "geometry error: "),
+    (FileNotFoundError("no region file"), cli.EXIT_USAGE, "error: "),
+], ids=["round-limit", "disconnected", "no-boundary", "geometry", "missing-file"])
+def test_cli_failure_exit_codes(monkeypatch, tmp_path, capsys, exc, code, prefix):
+    def fail(config, trace_stream=None):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_pipeline", fail)
+    assert cli.main(["run", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+
 def test_cli_invalid_region(tmp_path):
     bad = geometry.Region([geometry.Polygon(
         np.array([[0, 0], [30, 0], [30, 30], [0, 30]], float)),
@@ -177,6 +194,7 @@ def test_trace_flag_writes_costs(tmp_path):
     assert len(trace) - 1 == total  # one line per charged broadcast
 
 
+@pytest.mark.slow
 def test_paper_repro_smoke(tmp_path, capsys):
     # one seed, loops off: exercises the reporting path end to end
     rc = cli.main(["paper-repro", "--seeds", "1", "--no-loops",

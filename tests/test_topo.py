@@ -3,18 +3,20 @@ import pytest
 
 from swarmtopo import boundary, topo
 from swarmtopo.boundary import FRAC_SCALE, BoundaryComponent, DistanceField, NodeClass
+from conftest import strip_components
 
 
 def test_ratio_table_reproduction():
     # near/boundary count pairs for four recognized strips
-    stats = topo.stats_from_counts([(6093, 2169), (1304, 289), (1319, 266), (2368, 616)])
+    stats = topo.component_stats(
+        strip_components([(6093, 2169), (1304, 289), (1319, 266), (2368, 616)]))
     ratios = [round(s.ratio, 3) for s in stats]
     assert ratios == [2.809, 4.512, 4.959, 3.844]
     assert topo.classify_outer(stats) == stats[0].component_id
 
 
 def test_classify_outer_single_component():
-    stats = topo.stats_from_counts([(500, 100)])
+    stats = topo.component_stats(strip_components([(500, 100)]))
     assert topo.classify_outer(stats) == stats[0].component_id
 
 
@@ -29,8 +31,8 @@ def test_classify_outer_tie_prefers_larger():
 def test_classify_outer_scale_invariant():
     base = [(6093, 2169), (1304, 289), (1319, 266), (2368, 616)]
     scaled = [(3 * a, 3 * b) for a, b in base]
-    assert (topo.classify_outer(topo.stats_from_counts(base)) ==
-            topo.classify_outer(topo.stats_from_counts(scaled)))
+    assert (topo.classify_outer(topo.component_stats(strip_components(base))) ==
+            topo.classify_outer(topo.component_stats(strip_components(scaled))))
 
 
 def test_classify_outer_empty():
@@ -38,12 +40,10 @@ def test_classify_outer_empty():
         topo.classify_outer([])
 
 
-def test_component_stats_inclusive_flag():
+def test_component_stats_includes_members():
     comp = BoundaryComponent(component_id=3, members=(1, 2, 3), size=3, near_set_size=10)
     inc = topo.component_stats([comp])[0]
-    exc = topo.component_stats([comp], include_members=False)[0]
     assert inc.near_count == 10 and inc.ratio == pytest.approx(10 / 3)
-    assert exc.near_count == 7 and exc.ratio == pytest.approx(7 / 3)
     assert inc.ratio >= 1.0
 
 
@@ -82,7 +82,7 @@ def test_thickness_all_boundary_at_most_one():
                           np.zeros(n + 1, dtype=np.int64),
                           np.zeros(n + 1, dtype=np.int64))
     degrees = np.array([0, 50, 80, 100, 120, 60, 90])
-    rep = topo.thickness(classes, field, degrees, mu_est=100)
+    rep = topo.thickness(classes, field, degrees, mu_est=100, ids=range(1, n + 1))
     assert rep.thickness_estimate <= 1.0
     assert rep.best_node == 3  # 3 and 4 both saturate at 1R; smaller ID wins
 
@@ -96,7 +96,7 @@ def test_thickness_prefers_hops_then_frac_then_smaller_id():
                           np.full(n + 1, np.inf), np.zeros(n + 1, dtype=np.int64),
                           anchor)
     degrees = np.full(n + 1, 100)
-    rep = topo.thickness(classes, field, degrees, mu_est=100)
+    rep = topo.thickness(classes, field, degrees, mu_est=100, ids=range(1, n + 1))
     assert rep.best_node == 2  # id 2 beats id 3 on the tie
     assert rep.hop_dist == 5
     assert rep.thickness_estimate == pytest.approx(4.25)
