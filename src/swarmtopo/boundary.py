@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from . import geometry
 from .netgraph import DegreeHistogram, UnitDiskGraph
@@ -84,7 +84,6 @@ class TokenLoop:
     component_id: int
     members: tuple[int, ...]   # closed: first == last == component root
     walk: tuple[int, ...]      # members with 2-hop relays spliced in
-    excluded: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -254,9 +253,8 @@ class _CompOrgNode(NodeProto):
     """
 
     __slots__ = ("member", "root", "parent", "via", "children", "child_done",
-                 "peers", "near_roots", "near_reg", "near_count", "size_acc",
-                 "near_acc", "sent_up", "comp_size", "comp_near", "relayed_asg",
-                 "got_yard")
+                 "near_roots", "near_reg", "sent_up", "comp_size", "comp_near",
+                 "relayed_asg", "got_yard")
 
     def __init__(self, vid, nbrs, member, root, parent, via):
         super().__init__(vid, nbrs)
@@ -266,11 +264,8 @@ class _CompOrgNode(NodeProto):
         self.via = via
         self.children: list[int] = []
         self.child_done: dict[int, tuple[int, int]] = {}
-        self.peers: dict[int, int] = {}        # member -> root, within 2 hops
         self.near_roots: dict[int, int] = {}   # root -> smallest member heard
         self.near_reg = 0                      # distinct near reporters at me
-        self.size_acc = 1
-        self.near_acc = 0
         self.sent_up = False
         self.comp_size = 0
         self.comp_near = 0
@@ -290,10 +285,8 @@ class _CompOrgNode(NodeProto):
                 if m[0] == K_JOIN:
                     heard.append((s, m[1], m[2]))
                     if self.member:
-                        if m[1] == self.root:
-                            self.peers[s] = m[1]
-                            if m[2] == self.vid:
-                                self.children.append(s)
+                        if m[1] == self.root and m[2] == self.vid:
+                            self.children.append(s)
                     else:
                         prev = self.near_roots.get(m[1])
                         if prev is None or s < prev:
@@ -311,10 +304,8 @@ class _CompOrgNode(NodeProto):
                 if m[0] == K_JAGG and self.member:
                     for i in range(1, len(m), 3):
                         w, r, p = m[i], m[i + 1], m[i + 2]
-                        if r == self.root and w != me:
-                            self.peers[w] = r
-                            if p == me:
-                                self.children.append(w)
+                        if r == self.root and p == me and w != me:
+                            self.children.append(w)
             if self.member:
                 self.children = sorted(set(self.children))
                 self.wake = True
@@ -354,7 +345,6 @@ class _CompOrgNode(NodeProto):
                 size = 1 + sum(v[0] for v in self.child_done.values())
                 near = self.near_reg + sum(v[1] for v in self.child_done.values())
                 self.sent_up = True
-                self.size_acc, self.near_acc = size, near
                 if self.root == self.vid:
                     self.got_yard = True
                     self.comp_size = size
@@ -375,7 +365,6 @@ class _CompOrgNode(NodeProto):
 class ComponentsResult:
     components: list[BoundaryComponent]
     comp_of: np.ndarray            # ID -> component_id (0 for non-members)
-    peers: dict[int, dict[int, int]]  # member -> {2-hop member -> root}
     results: list[RunResult]
 
 
@@ -400,13 +389,11 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     comp_of = np.zeros(g.max_id + 1, dtype=np.int64)
     members_by_root: dict[int, list[int]] = {}
     totals: dict[int, tuple[int, int]] = {}
-    peers: dict[int, dict[int, int]] = {}
     for v in g.id_list:
         nd = res2.nodes[v]
         if nd.member:
             comp_of[v] = nd.root
             members_by_root.setdefault(nd.root, []).append(v)
-            peers[v] = nd.peers
             if not nd.got_yard:
                 raise RuntimeError(f"component totals never reached member {v}")
             totals[nd.root] = (nd.comp_size, nd.comp_near)
@@ -418,13 +405,12 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
             raise RuntimeError(f"component {root}: convergecast size {size} != {len(mem)}")
         components.append(BoundaryComponent(component_id=root, members=mem,
                                             size=size, near_set_size=near))
-    return ComponentsResult(components=components, comp_of=comp_of, peers=peers,
+    return ComponentsResult(components=components, comp_of=comp_of,
                             results=[res1, res2])
 
 
-def central_components(g: UnitDiskGraph, boundary_mask: np.ndarray,
-                       min_size: int = 0) -> list[BoundaryComponent]:
-    """Centralized twin of form_components (optionally size-filtered).
+def central_components(g: UnitDiskGraph, boundary_mask: np.ndarray) -> list[BoundaryComponent]:
+    """Centralized twin of form_components.
 
     Connectivity trick: keep only edges with at least one boundary endpoint;
     paths in that subgraph alternate boundary nodes with single middles,
@@ -444,8 +430,6 @@ def central_components(g: UnitDiskGraph, boundary_mask: np.ndarray,
         out.setdefault(int(labels[v]), []).append(int(v))
     comps = []
     for mem in out.values():
-        if len(mem) < min_size:
-            continue
         root = max(mem)
         near = set(mem)
         for v in mem:
@@ -866,10 +850,7 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
             if via:
                 walk.append(via)
             walk.append(mem)
-        excluded = frozenset(
-            v for v in c.members if res.nodes[v].excluded_at is not None)
-        loops[root] = TokenLoop(component_id=root, members=members,
-                                walk=tuple(walk), excluded=excluded)
+        loops[root] = TokenLoop(component_id=root, members=members, walk=tuple(walk))
     return loops, res
 
 
@@ -882,8 +863,7 @@ def default_grid() -> tuple[float, ...]:
 
 
 def alpha_sweep(g: UnitDiskGraph, mu_est: int, grid: tuple[float, ...] | None = None,
-                min_component_size: int = 8,
-                distributed: bool = False) -> AlphaSweep:
+                min_component_size: int = 8) -> AlphaSweep:
     """Classify at every alpha on the grid and count boundary components
     of at least min_component_size members.
 
@@ -892,9 +872,11 @@ def alpha_sweep(g: UnitDiskGraph, mu_est: int, grid: tuple[float, ...] | None = 
     the everything-merges regime, not to a plateau between the two count
     peaks); ties go to the smaller alpha.  alpha_star is its midpoint.
 
-    Counting uses the centralized component oracle by default -- it is
-    exactly equal to the distributed formation, which `distributed=True`
-    runs instead (slow; meant for equivalence tests).
+    An edge links under 2-hop linkage exactly when one endpoint is
+    BOUNDARY, that is from the threshold min(deg u, deg v) on.  The grid's
+    boundary sets are nested, so the components at every threshold t are
+    those of the minimum spanning forest's edges of weight <= t (single
+    linkage); the counts equal those of form_components at each alpha.
     """
     if grid is None:
         grid = default_grid()
@@ -902,17 +884,21 @@ def alpha_sweep(g: UnitDiskGraph, mu_est: int, grid: tuple[float, ...] | None = 
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha grid must be strictly increasing")
     deg = g.degrees()
+    size = g.max_id + 1
+    src = np.repeat(np.arange(size), deg)
+    upper = src < g.indices
+    u, v = src[upper], g.indices[upper]
+    weight = np.minimum(deg[u], deg[v])  # >= 1: scipy would drop a zero-weight edge
+    forest = minimum_spanning_tree(sp.csr_matrix((weight, (u, v)), shape=(size, size))).tocoo()
     counts = []
     for a in grid:
         thr = threshold_units(a, mu_est)
-        mask = np.zeros(g.max_id + 1, dtype=bool)
-        mask[g.ids] = deg[g.ids] <= thr
-        if distributed:
-            classes, _ = classify(g, thr)
-            comps = form_components(g, classes).components
-            counts.append(sum(1 for c in comps if c.size >= min_component_size))
-        else:
-            counts.append(len(central_components(g, mask, min_size=min_component_size)))
+        keep = forest.data <= thr
+        linked = sp.csr_matrix((forest.data[keep], (forest.row[keep], forest.col[keep])),
+                               shape=(size, size))
+        labels = connected_components(linked, directed=False)[1]
+        members = np.bincount(labels[g.ids[deg[g.ids] <= thr]])
+        counts.append(int((members >= max(min_component_size, 1)).sum()))
 
     plateau = find_plateau(grid, counts)
     if plateau is None:

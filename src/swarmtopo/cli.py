@@ -158,7 +158,6 @@ class PipelineResult:
     dist: boundary.DistanceField
     voronoi: np.ndarray
     loops: dict[int, boundary.TokenLoop]
-    stats: list[topo.ComponentStats]
     outer_id: int
     thick: topo.ThicknessReport
     costs: list[PhaseCost] = field(default_factory=list)
@@ -264,16 +263,15 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
             if c.component_id not in loops:
                 warnings.append(f"token loop failed for component {c.component_id}")
 
-    stats = topo.component_stats(comps.components)
-    sizeable = [s for s in stats if s.boundary_count >= config.min_component_size]
-    outer_id = topo.classify_outer(sizeable or stats)
+    sizeable = [c for c in comps.components if c.size >= config.min_component_size]
+    outer_id = topo.classify_outer(sizeable or comps.components)
     thick = topo.thickness(classes, dist, deg, density.mu_est, g.id_list)
 
     return PipelineResult(
         config=config, region=region, feature=feature, g=g, mu_analytic=mu_an,
         density=density, alpha_star=alpha_star, sweep=sweep, threshold=thr,
         classes=classes, comps=comps, dist=dist, voronoi=voronoi, loops=loops,
-        stats=stats, outer_id=outer_id, thick=thick, costs=costs,
+        outer_id=outer_id, thick=thick, costs=costs,
         warnings=warnings, wall_seconds=time.perf_counter() - t0,
     )
 
@@ -331,12 +329,12 @@ def summary_dict(r: PipelineResult) -> dict:
         "threshold": r.threshold,
         "plateau": list(r.sweep.plateau) if r.sweep else None,
         "components": [
-            {"id": s.component_id, "size": s.boundary_count,
-             "near_size": s.near_count, "ratio": s.ratio}
-            for s in sorted(r.stats, key=lambda s: s.component_id)
+            {"id": c.component_id, "size": c.size,
+             "near_size": c.near_set_size, "ratio": c.ratio()}
+            for c in sorted(r.comps.components, key=lambda c: c.component_id)
         ],
         "component_count": sum(
-            1 for s in r.stats if s.boundary_count >= r.config.min_component_size),
+            1 for c in r.comps.components if c.size >= r.config.min_component_size),
         "outer_id": r.outer_id,
         "thickness_estimate": r.thick.thickness_estimate,
         "thickness_node": r.thick.best_node,
@@ -376,12 +374,11 @@ def score_run(r: PipelineResult, eps: float = 0.25, far: float = 1.5,
               inradius_step: float = 0.05) -> dict:
     """Join the run with the geometry oracles and score every claim the
     recognizer makes.  Truth for precision/recall is distance <= eps."""
-    g = r.g
-    pts = g.positions[1:]
-    table = geometry.curve_distance_table(r.region, pts)  # (k, n)
+    ids = r.g.ids  # column i of every per-node array below is node ids[i]
+    table = geometry.curve_distance_table(r.region, r.g.positions[ids])  # (k, n)
     dmin = table.min(axis=0)
     nearest_curve = table.argmin(axis=0)
-    is_b = r.classes[1:] == int(NodeClass.BOUNDARY)
+    is_b = r.classes[ids] == int(NodeClass.BOUNDARY)
 
     truth = dmin <= eps
     tp = int((truth & is_b).sum())
@@ -400,25 +397,25 @@ def score_run(r: PipelineResult, eps: float = 0.25, far: float = 1.5,
     # map components to their generating curves by member majority
     comp_curve: dict[int, int] = {}
     for c in r.comps.components:
-        mem = np.array(c.members) - 1
-        comp_curve[c.component_id] = int(np.bincount(nearest_curve[mem]).argmax())
+        cols = np.searchsorted(ids, c.members)
+        comp_curve[c.component_id] = int(np.bincount(nearest_curve[cols]).argmax())
     outer_correct = comp_curve.get(r.outer_id, -1) == 0
 
-    vmask = r.voronoi[1:]
+    vmask = r.voronoi[ids]
     hits = 0
     flagged = int(vmask.sum())
-    for v in np.flatnonzero(vmask):
-        c1, c2 = int(r.dist.comp[v + 1]), int(r.dist.comp2[v + 1])
+    for i in np.flatnonzero(vmask):
+        c1, c2 = int(r.dist.comp[ids[i]]), int(r.dist.comp2[ids[i]])
         if c1 not in comp_curve or c2 not in comp_curve:
             continue
-        da = table[comp_curve[c1], v]
-        db = table[comp_curve[c2], v]
+        da = table[comp_curve[c1], i]
+        db = table[comp_curve[c2], i]
         if abs(da - db) <= 4.0:  # within 2R of the equidistance locus
             hits += 1
     voronoi_hit_rate = hits / flagged if flagged else 1.0
 
     thickness_true, _ = geometry.inradius_oracle(r.region, inradius_step)
-    best_true_dist = float(dmin[r.thick.best_node - 1])
+    best_true_dist = float(dmin[np.searchsorted(ids, r.thick.best_node)])
 
     band_table = []
     for i, curve in enumerate(r.region.curves):
@@ -550,8 +547,8 @@ def _repro_one(seed: int, loops: bool) -> dict:
         "boundary_plus_near_frac": bn / n,
         "interior": s["interior_count"],
         "outer_id": r.outer_id,
-        "ratios": {str(st.component_id): round(st.ratio, 3) for st in r.stats
-                   if st.boundary_count >= config.min_component_size},
+        "ratios": {str(c.component_id): round(c.ratio(), 3) for c in r.comps.components
+                   if c.size >= config.min_component_size},
         "thickness_estimate": r.thick.thickness_estimate,
         "wall_seconds": round(r.wall_seconds, 1),
     }

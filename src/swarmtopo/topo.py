@@ -13,12 +13,8 @@ from . import geometry
 from .boundary import (FRAC_SCALE, BoundaryComponent, DistanceField, NodeClass)
 
 
-@dataclass(frozen=True)
-class ComponentStats:
-    component_id: int
-    boundary_count: int
-    near_count: int
-    ratio: float
+class NoFiniteHop(ValueError):
+    """No node of the given IDs has a finite hop distance to a boundary."""
 
 
 @dataclass(frozen=True)
@@ -29,20 +25,13 @@ class ThicknessReport:
     thickness_estimate: float  # R units
 
 
-def component_stats(components: Sequence[BoundaryComponent]) -> list[ComponentStats]:
-    """Strip-area ratio per component; near_count is
-    |members ∪ neighbors-of-members|."""
-    return [ComponentStats(component_id=c.component_id, boundary_count=c.size,
-                           near_count=c.near_set_size, ratio=c.near_set_size / c.size)
-            for c in components]
-
-
-def classify_outer(stats: Sequence[ComponentStats]) -> int:
+def classify_outer(components: Sequence[BoundaryComponent]) -> int:
     """The component most likely to be the outside boundary: lowest
-    near/boundary ratio; ties prefer the larger, then the smaller ID."""
-    if not stats:
+    strip-area ratio |members ∪ neighbors-of-members| / |members|; ties
+    prefer the larger, then the smaller ID."""
+    if not components:
         raise ValueError("no components")
-    best = min(stats, key=lambda s: (s.ratio, -s.boundary_count, s.component_id))
+    best = min(components, key=lambda c: (c.ratio(), -c.size, c.component_id))
     return best.component_id
 
 
@@ -77,21 +66,20 @@ def fractional_distances(classes: np.ndarray, field: DistanceField,
 def thickness(classes: np.ndarray, field: DistanceField, degrees: np.ndarray,
               mu_est: int, ids) -> ThicknessReport:
     """Pick the node of `ids` of maximum (hop, fractional) boundary
-    distance; its fractional distance is the thickness estimate."""
+    distance; its fractional distance is the thickness estimate.  Raises
+    NoFiniteHop when no node of `ids` has a finite hop."""
     frac = fractional_distances(classes, field, degrees, mu_est, ids)
-    best = 0
-    best_key = (-1.0, -1.0)
-    for v in ids:
-        key = (field.hop[v] if np.isfinite(field.hop[v]) else -1.0, frac[v])
-        if key > best_key:  # ties keep the smaller ID
-            best_key = key
-            best = v
+    reached = [v for v in ids if np.isfinite(field.hop[v])]
+    if not reached:
+        raise NoFiniteHop("no node of ids has a finite hop distance to a boundary")
+    # max keeps the first of equal keys: ties keep the smaller ID
+    best = max(reached, key=lambda v: (field.hop[v], frac[v]))
     return ThicknessReport(best_node=best, hop_dist=int(field.hop[best]),
                            frac_dist=float(frac[best]),
                            thickness_estimate=float(frac[best]))
 
 
 __all__ = [
-    "ComponentStats", "ThicknessReport", "component_stats", "classify_outer",
+    "NoFiniteHop", "ThicknessReport", "classify_outer",
     "fractional_distance", "fractional_distances", "thickness",
 ]

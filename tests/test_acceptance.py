@@ -95,8 +95,7 @@ def analyze_seed(region, area, seed, alpha_fixed=None, full=True):
     comps = boundary.central_components(g, bmask)
     big = [c for c in comps if c.size >= 8]
     record.count_at_star = len(big)
-    stats = topo.component_stats(big or comps)
-    outer_id = topo.classify_outer(stats)
+    outer_id = topo.classify_outer(big or comps)
     votes = {}
     for c in (big or comps):
         rows = np.searchsorted(g.ids, np.array(c.members))
@@ -217,11 +216,10 @@ def test_criterion_5_band_areas():
 
 @pytest.mark.slow
 def test_criterion_6_outer_boundary(sweep_records):
-    stats = topo.component_stats(strip_components([(6093, 2169), (1304, 289), (1319, 266),
-                                                   (2368, 616)]))
-    ratios = [round(s.ratio, 3) for s in stats]
+    comps = strip_components([(6093, 2169), (1304, 289), (1319, 266), (2368, 616)])
+    ratios = [round(c.ratio(), 3) for c in comps]
     table_ok = (ratios == [2.809, 4.512, 4.959, 3.844] and
-                topo.classify_outer(stats) == stats[0].component_id)
+                topo.classify_outer(comps) == comps[0].component_id)
     good = sum(1 for r in sweep_records if r.outer_ok)
     ok = table_ok and good >= 9
     report(6, ok, f"reference ratios {ratios} reproduced={table_ok}; "

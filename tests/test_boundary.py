@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,8 +273,7 @@ def test_token_loop_failure_reported():
     comps = boundary.ComponentsResult(
         components=[boundary.BoundaryComponent(component_id=1, members=(1,),
                                                size=30, near_set_size=30)],
-        comp_of=np.array([0, 1, 0, 0], dtype=np.int64),
-        peers={1: {}}, results=[])
+        comp_of=np.array([0, 1, 0, 0], dtype=np.int64), results=[])
     loops, _ = boundary.run_token_loops(g, comps)
     assert loops == {}
 
@@ -308,20 +308,30 @@ def test_alpha_sweep_no_plateau_raises():
 
 
 def test_alpha_sweep_distributed_matches_central():
+    # the sweep's counts are those of the distributed protocols at each
+    # alpha, on a grid with no plateau (the error names the counts) and on
+    # a finer one with a plateau
     rng = np.random.Generator(np.random.Philox(15))
     g = graph_from(rng.random((220, 2)) * 4.0)
     mu_est = int(np.median(g.degrees()[g.ids]))
-    grid = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3)
-    counts_c = []
-    counts_d = []
-    for distributed in (False, True):
-        try:
-            sweep = boundary.alpha_sweep(g, mu_est, grid=grid, min_component_size=2,
-                                         distributed=distributed)
-            (counts_d if distributed else counts_c).extend(sweep.component_counts)
-        except NoPlateau as e:
-            (counts_d if distributed else counts_c).append(str(e))
-    assert counts_c == counts_d
+    plateaus = []
+    for grid in ((0.3, 0.5, 0.7, 0.9, 1.1, 1.3),
+                 tuple(round(0.05 * i, 2) for i in range(4, 27))):
+        counts = []
+        for a in grid:
+            classes, _ = boundary.classify(g, threshold_units(a, mu_est))
+            comps = boundary.form_components(g, classes).components
+            counts.append(sum(1 for c in comps if c.size >= 2))
+        plateau = find_plateau(grid, counts)
+        plateaus.append(plateau)
+        if plateau is None:
+            with pytest.raises(NoPlateau, match=re.escape(f": {counts}") + "$"):
+                boundary.alpha_sweep(g, mu_est, grid=grid, min_component_size=2)
+        else:
+            sweep = boundary.alpha_sweep(g, mu_est, grid=grid, min_component_size=2)
+            assert sweep.component_counts == tuple(counts)
+            assert sweep.plateau == plateau
+    assert plateaus[0] is None and plateaus[1] is not None
 
 
 def test_alpha_sweep_rejects_bad_grid():

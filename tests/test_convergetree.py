@@ -118,7 +118,6 @@ def test_component_count_op_behaves_like_sum():
     assert val == 3
 
 
-@pytest.mark.slow
 def test_tree_rebroadcast_budget_20k():
     # measured bound: flood re-announcements average well under 10/node
     from swarmtopo import cli, geometry

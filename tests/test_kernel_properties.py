@@ -1,12 +1,17 @@
 """Property tests of the aggregation, value-flood, classification and
-distance-flood kernels against their centralized twins, on small graphs
-with arbitrary (gapped) IDs, isolated nodes and boundary-free thresholds."""
+distance-flood kernels, and of the alpha sweep's counts, against their
+centralized twins, on small graphs with arbitrary (gapped) IDs, isolated
+nodes and boundary-free thresholds."""
+
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmtopo import boundary, convergetree, netgraph
+from swarmtopo.boundary import NoPlateau
 from swarmtopo.convergetree import AggOp
 from conftest import connected_graphs, scattered_udgs
 
@@ -111,3 +116,25 @@ def test_broadcast_down_reaches_every_node_once(g, value):
     assert res.ledger.total_broadcasts == g.n
     assert res.ledger.total_id_units == (1 + len(value)) * g.n
     assert_deliveries_are_sender_degrees(g, res)
+
+
+@SETTINGS
+@given(any_graphs, st.data())
+def test_alpha_sweep_counts_equal_twin(g, data):
+    # grids whose thresholds run from 0 (alpha * mu_est < 1), below every
+    # degree of a graph without isolated nodes, to above every degree
+    mu_est = data.draw(st.integers(1, 2 * int(g.degrees().max()) + 2))
+    grid = tuple(a / 100 for a in sorted(data.draw(
+        st.lists(st.integers(1, 300), min_size=1, max_size=12, unique=True))))
+    min_size = data.draw(st.integers(0, 4))
+    counts = []
+    for a in grid:
+        bnd = boundary.central_classify(g, boundary.threshold_units(a, mu_est))
+        comps = boundary.central_components(g, bnd == int(boundary.NodeClass.BOUNDARY))
+        counts.append(sum(1 for c in comps if c.size >= min_size))
+    if boundary.find_plateau(grid, counts) is None:
+        with pytest.raises(NoPlateau, match=re.escape(f": {counts}") + "$"):
+            boundary.alpha_sweep(g, mu_est, grid, min_size)
+    else:
+        sweep = boundary.alpha_sweep(g, mu_est, grid, min_size)
+        assert sweep.component_counts == tuple(counts)

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
-from swarmtopo import cli, geometry
+from swarmtopo import boundary, cli, geometry, netgraph
 from swarmtopo.cli import MismatchedRun, RunConfig
 from swarmtopo.simkernel import RoundLimitExceeded
 
@@ -87,6 +89,48 @@ def test_score_run_perfect_and_shuffled(tmp_path):
     score2 = cli.score_run(r, inradius_step=0.1)
     base = truth.mean()
     assert score2["recall"] == pytest.approx(base, abs=4 * math.sqrt(base / truth.sum()))
+
+
+def relabel_run(r, new_of):
+    """The run `r` with node v renamed new_of[v] (new_of[0] == 0)."""
+    ids = r.g.ids
+    new_ids = new_of[ids]
+    g = netgraph.build_udg((new_ids, r.g.positions[ids]))
+
+    def move(a):
+        out = np.zeros(g.max_id + 1, dtype=a.dtype)
+        out[new_ids] = a[ids]
+        return out
+
+    d = r.dist
+    dist = boundary.DistanceField(move(d.hop), new_of[move(d.comp)], move(d.hop2),
+                                  new_of[move(d.comp2)], move(d.anchor_q))
+    components = [boundary.BoundaryComponent(int(new_of[c.component_id]),
+                                             tuple(new_of[list(c.members)].tolist()),
+                                             c.size, c.near_set_size)
+                  for c in r.comps.components]
+    comps = dataclasses.replace(r.comps, components=components,
+                                comp_of=new_of[move(r.comps.comp_of)])
+    thick = dataclasses.replace(r.thick, best_node=int(new_of[r.thick.best_node]))
+    return dataclasses.replace(r, g=g, classes=move(r.classes), voronoi=move(r.voronoi),
+                               dist=dist, comps=comps, outer_id=int(new_of[r.outer_id]),
+                               thick=thick)
+
+
+def test_score_run_gapped_ids_match_dense(tmp_path):
+    # the same run under shuffled IDs spread over 1..5n scores the same
+    path = small_region_file(tmp_path)
+    r = cli.run_pipeline(RunConfig(region=path, n=1500, seed=3, alpha="sweep",
+                                   token_loops=False))
+    new_of = np.zeros(r.g.max_id + 1, dtype=np.int64)
+    new_of[r.g.ids] = Generator(Philox(11)).choice(5 * r.g.n, r.g.n, replace=False) + 1
+    gapped = relabel_run(r, new_of)
+    assert gapped.g.n == r.g.n and gapped.g.max_id > 2 * r.g.n
+    dense = cli.score_run(r, inradius_step=0.1)
+    assert dense["voronoi_flagged"] > 0 and len(dense["component_to_curve"]) > 1
+    dense["component_to_curve"] = {str(new_of[int(c)]): curve
+                                   for c, curve in dense["component_to_curve"].items()}
+    assert cli.score_run(gapped, inradius_step=0.1) == dense
 
 
 def test_cli_validate_and_run(tmp_path, capsys):

@@ -1,38 +1,39 @@
 import numpy as np
 import pytest
 
-from swarmtopo import boundary, topo
+from swarmtopo import topo
 from swarmtopo.boundary import FRAC_SCALE, BoundaryComponent, DistanceField, NodeClass
 from conftest import strip_components
 
 
 def test_ratio_table_reproduction():
     # near/boundary count pairs for four recognized strips
-    stats = topo.component_stats(
-        strip_components([(6093, 2169), (1304, 289), (1319, 266), (2368, 616)]))
-    ratios = [round(s.ratio, 3) for s in stats]
+    comps = strip_components([(6093, 2169), (1304, 289), (1319, 266), (2368, 616)])
+    ratios = [round(c.ratio(), 3) for c in comps]
     assert ratios == [2.809, 4.512, 4.959, 3.844]
-    assert topo.classify_outer(stats) == stats[0].component_id
+    assert topo.classify_outer(comps) == comps[0].component_id
 
 
 def test_classify_outer_single_component():
-    stats = topo.component_stats(strip_components([(500, 100)]))
-    assert topo.classify_outer(stats) == stats[0].component_id
+    comps = strip_components([(500, 100)])
+    assert topo.classify_outer(comps) == comps[0].component_id
 
 
 def test_classify_outer_tie_prefers_larger():
-    stats = [
-        topo.ComponentStats(component_id=5, boundary_count=100, near_count=300, ratio=3.0),
-        topo.ComponentStats(component_id=9, boundary_count=400, near_count=1200, ratio=3.0),
+    comps = [
+        BoundaryComponent(component_id=5, members=tuple(range(1, 101)), size=100,
+                          near_set_size=300),
+        BoundaryComponent(component_id=9, members=tuple(range(101, 501)), size=400,
+                          near_set_size=1200),
     ]
-    assert topo.classify_outer(stats) == 9
+    assert topo.classify_outer(comps) == 9
 
 
 def test_classify_outer_scale_invariant():
     base = [(6093, 2169), (1304, 289), (1319, 266), (2368, 616)]
     scaled = [(3 * a, 3 * b) for a, b in base]
-    assert (topo.classify_outer(topo.component_stats(strip_components(base))) ==
-            topo.classify_outer(topo.component_stats(strip_components(scaled))))
+    assert (topo.classify_outer(strip_components(base)) ==
+            topo.classify_outer(strip_components(scaled)))
 
 
 def test_classify_outer_empty():
@@ -40,11 +41,10 @@ def test_classify_outer_empty():
         topo.classify_outer([])
 
 
-def test_component_stats_includes_members():
+def test_component_ratio_includes_members():
     comp = BoundaryComponent(component_id=3, members=(1, 2, 3), size=3, near_set_size=10)
-    inc = topo.component_stats([comp])[0]
-    assert inc.near_count == 10 and inc.ratio == pytest.approx(10 / 3)
-    assert inc.ratio >= 1.0
+    assert comp.ratio() == pytest.approx(10 / 3)
+    assert comp.ratio() >= 1.0
 
 
 def test_fractional_distance_visibility_cases():
@@ -100,3 +100,15 @@ def test_thickness_prefers_hops_then_frac_then_smaller_id():
     assert rep.best_node == 2  # id 2 beats id 3 on the tie
     assert rep.hop_dist == 5
     assert rep.thickness_estimate == pytest.approx(4.25)
+
+
+@pytest.mark.parametrize("ids", [[1, 2, 3], []], ids=["unreached", "empty"])
+def test_thickness_without_finite_hop_raises(ids):
+    # a field with no source reaches no node; an empty ID list has none
+    n = 3
+    classes = np.zeros(n + 1, dtype=np.int8)
+    field = DistanceField(np.full(n + 1, np.inf), np.zeros(n + 1, dtype=np.int64),
+                          np.full(n + 1, np.inf), np.zeros(n + 1, dtype=np.int64),
+                          np.zeros(n + 1, dtype=np.int64))
+    with pytest.raises(topo.NoFiniteHop, match="no node of ids has a finite hop"):
+        topo.thickness(classes, field, np.full(n + 1, 100), mu_est=100, ids=ids)

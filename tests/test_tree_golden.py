@@ -12,7 +12,7 @@ import io
 import pytest
 
 from swarmtopo import convergetree
-from conftest import GOLDEN_CASES, GOLDEN_GRAPHS, run_digests, sha, stuck_digest
+from conftest import GOLDEN_GRAPHS, run_digests, sha, stuck_digest
 
 
 def tree_digests(g) -> dict:
@@ -132,7 +132,7 @@ GOLDEN_STUCK = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN_CASES)
+@pytest.mark.parametrize("name", GOLDEN_GRAPHS)
 def test_tree_matches_recorded_protocol(name):
     assert tree_digests(GOLDEN_GRAPHS[name]()) == GOLDEN[name]
 
