@@ -245,168 +245,174 @@ class _CompFloodNode(NodeProto):
         return f"compflood(member={self.member})"
 
 
-class _CompOrgNode(NodeProto):
-    """Join, size/near-count convergecast, and totals flood for every
-    component at once.  Rounds 0-2 have fixed timing (join, relay
-    aggregate, near registration); the convergecast then runs until the
-    roots flood their totals back down.
+class _CompOrgRounds(RoundKernel):
+    """Join, size/near-count convergecast and totals flood for every
+    component at once, from the flood's per-ID `root`, `parent` and `via`.
+
+    Rounds 0-2 have fixed timing.  Round 0: members announce (root, parent)
+    (JOIN).  Round 1: every node that heard JOINs relays them all (JAGG),
+    so a member hears of every child: the flood's parent is a member of
+    the child's component, and a neighbour of the child or, exactly when it
+    is not, of the child's `via`.  Round 2: a non-member registers once per
+    component around it (NEAR), at its smallest member neighbour there.
+    From round 3 a member reports its subtree's size and near count to its
+    parent (UP) once every child has; the child's `via` relays the report
+    (UPF), so the parent hears it once.  A root that reports starts the
+    totals flood (ASG): members of its component relay it once,
+    non-members relay every component's once.  Members wait on a timer
+    through rounds 0-2 and then until they report.
     """
 
-    __slots__ = ("member", "root", "parent", "via", "children", "child_done",
-                 "near_roots", "near_reg", "sent_up", "comp_size", "comp_near",
-                 "relayed_asg", "got_yard")
+    def __init__(self, g: UnitDiskGraph, member: np.ndarray, root: np.ndarray,
+                 parent: np.ndarray, via: np.ndarray):
+        super().__init__(g)
+        self.member, self.root, self.parent, self.via = member, root, parent, via
+        self.members = self.ids[member[self.ids]]
+        m = self.members
+        self.kids = np.bincount(parent[m], minlength=self.size)  # a root's parent is 0
+        self.pending = np.zeros(self.size, dtype=np.int64)  # from round 3: kids unheard
+        self.near_reg = np.zeros(self.size, dtype=np.int64)
+        self.sub_size = np.ones(self.size, dtype=np.int64)   # own + reported subtrees
+        self.sub_near = np.zeros(self.size, dtype=np.int64)
+        self.sent_up = np.zeros(self.size, dtype=bool)
+        self.got_yard = np.zeros(self.size, dtype=bool)
+        self.comp_size = np.zeros(self.size, dtype=np.int64)
+        self.comp_near = np.zeros(self.size, dtype=np.int64)
+        # totals floods by component rank k: key k * size + v is done once
+        # v took and relayed them, or from the start if v is a member of
+        # another component; `slot` picks one delivery per key in a round
+        comps = np.unique(root[m])
+        self.rank = np.zeros(self.size, dtype=np.int64)
+        self.rank[m] = np.searchsorted(comps, root[m])
+        done = np.zeros((len(comps), self.size), dtype=bool)
+        done[:, m] = True
+        done[self.rank[m], m] = False
+        self.done = done.ravel()
+        self.slot = np.zeros(len(self.done), dtype=np.int32)
+        # the last round's UP senders, UPF (relay, child) and ASG (sender, rank)
+        empty = np.empty(0, dtype=np.int64)
+        self.up, self.upf, self.asg = empty, (empty, empty), (empty, empty)
 
-    def __init__(self, vid, nbrs, member, root, parent, via):
-        super().__init__(vid, nbrs)
-        self.member = member
-        self.root = root
-        self.parent = parent
-        self.via = via
-        self.children: list[int] = []
-        self.child_done: dict[int, tuple[int, int]] = {}
-        self.near_roots: dict[int, int] = {}   # root -> smallest member heard
-        self.near_reg = 0                      # distinct near reporters at me
-        self.sent_up = False
-        self.comp_size = 0
-        self.comp_near = 0
-        self.relayed_asg: set[int] = set()
-        self.got_yard = False
-
-    def on_round(self, rnd, inbox):
-        out = []
+    def step(self, rnd: int) -> list:
+        m = self.members
         if rnd == 0:
-            if self.member:
-                self.wake = True
-                return ((K_JOIN, self.root, self.parent),)
-            return ()
+            self.wake = m
+            return [(K_JOIN, m, 3)]
         if rnd == 1:
-            heard = []
-            for s, m in inbox:
-                if m[0] == K_JOIN:
-                    heard.append((s, m[1], m[2]))
-                    if self.member:
-                        if m[1] == self.root and m[2] == self.vid:
-                            self.children.append(s)
-                    else:
-                        prev = self.near_roots.get(m[1])
-                        if prev is None or s < prev:
-                            self.near_roots[m[1]] = s
-            if heard:
-                flat = []
-                for s, r, p in heard:
-                    flat.extend((s, r, p))
-                out.append((K_JAGG,) + tuple(flat))
-            self.wake = True
-            return out
+            heard = np.bincount(self.receivers(m)[0], minlength=self.size)
+            v = np.flatnonzero(heard)
+            self.wake = np.union1d(m, v)
+            return [(K_JAGG, v, 1 + 3 * heard[v])]
         if rnd == 2:
-            me = self.vid
-            for _s, m in inbox:
-                if m[0] == K_JAGG and self.member:
-                    for i in range(1, len(m), 3):
-                        w, r, p = m[i], m[i + 1], m[i + 2]
-                        if r == self.root and p == me and w != me:
-                            self.children.append(w)
-            if self.member:
-                self.children = sorted(set(self.children))
-                self.wake = True
-            else:
-                for root in sorted(self.near_roots):
-                    out.append((K_NEAR, self.near_roots[root], root))
-            return out
+            v, lens = self.receivers(m)
+            s = np.repeat(m, lens)
+            v, s = v[~self.member[v]], s[~self.member[v]]
+            # deliveries run in sender order: the first per (v, root) is the
+            # smallest member neighbour, which counts the NEAR in round 3
+            key, first = np.unique(v * self.size + self.root[s], return_index=True)
+            np.add.at(self.near_reg, s[first], 1)
+            self.wake = m
+            return [(K_NEAR, key // self.size, 3)]
+        if rnd == 3:
+            self.pending[m] = self.kids[m]
+        self.upf = self._settle_up()
+        relays, ranks = self._settle_asg()
 
-        # rounds >= 3: convergecast and totals flood
-        for s, m in inbox:
-            k = m[0]
-            if k == K_NEAR:
-                if self.member and m[1] == self.vid and m[2] == self.root:
-                    self.near_reg += 1
-            elif k == K_UP:
-                if m[1] == self.vid:  # I am the requested relay
-                    out.append((K_UPF, s, m[2], m[3], m[4]))
-                elif self.member and m[2] == self.root and s in self.child_done:
-                    self.child_done[s] = (m[3], m[4])
-            elif k == K_UPF:
-                if self.member and m[2] == self.root and m[1] in self.child_done:
-                    self.child_done[m[1]] = (m[3], m[4])
-            elif k == K_ASG:
-                root = m[1]
-                if self.member and root == self.root and not self.got_yard:
-                    self.got_yard = True
-                    self.comp_size, self.comp_near = m[2], m[3]
-                    out.append((K_ASG, root, m[2], m[3]))
-                elif not self.member and root not in self.relayed_asg:
-                    self.relayed_asg.add(root)
-                    out.append((K_ASG, root, m[2], m[3]))
+        ready = m[~self.sent_up[m] & (self.pending[m] == 0)]
+        self.sent_up[ready] = True
+        self.sub_near[ready] += self.near_reg[ready]
+        top = ready[self.root[ready] == ready]
+        self.got_yard[top] = True
+        self.done[self.rank[top] * self.size + top] = True
+        self.comp_size[top] = self.sub_size[top]
+        self.comp_near[top] = self.sub_size[top] + self.sub_near[top]  # inclusive near set
+        self.up = ready[self.root[ready] != ready]
+        self.asg = (np.concatenate([relays, top]), np.concatenate([ranks, self.rank[top]]))
+        self.wake = m[~self.sent_up[m]]
+        return [(K_UP, self.up, 5), (K_UPF, self.upf[0], 5), (K_ASG, self.asg[0], 4)]
 
-        if self.member and not self.sent_up and rnd >= 3:
-            if rnd == 3:
-                self.child_done = {c: None for c in self.children}
-            if all(v is not None for v in self.child_done.values()):
-                size = 1 + sum(v[0] for v in self.child_done.values())
-                near = self.near_reg + sum(v[1] for v in self.child_done.values())
-                self.sent_up = True
-                if self.root == self.vid:
-                    self.got_yard = True
-                    self.comp_size = size
-                    self.comp_near = size + near  # inclusive near set
-                    out.append((K_ASG, self.root, size, size + near))
-                else:
-                    out.append((K_UP, self.via, self.root, size, near))
-            else:
-                self.wake = True
-        return out
+    def _settle_up(self) -> tuple:
+        """Parents take reports, heard from the child or from its relay;
+        returns the (relay, child) pairs that forward."""
+        v, lens = self.receivers(self.up)
+        c = np.repeat(self.up, lens)
+        relay = v == self.via[c]
+        w, lens = self.receivers(self.upf[0])
+        c2 = np.repeat(self.upf[1], lens)
+        took = np.concatenate([c[v == self.parent[c]], c2[w == self.parent[c2]]])
+        par = self.parent[took]
+        np.add.at(self.sub_size, par, self.sub_size[took])
+        np.add.at(self.sub_near, par, self.sub_near[took])
+        np.subtract.at(self.pending, par, 1)
+        return v[relay], c[relay]
 
-    def state_name(self):
-        pend = sum(1 for v in self.child_done.values() if v is None) if self.member else 0
-        return f"comporg(member={self.member},pending={pend},up={self.sent_up})"
+    def _settle_asg(self) -> tuple:
+        """Members take their own component's totals once and relay them;
+        non-members relay each component's once.  Returns the (relay,
+        rank) pairs."""
+        s, k = self.asg
+        v, lens = self.receivers(s)
+        key = np.repeat(k * self.size, lens) + v
+        key = key[~self.done[key]]
+        at = np.arange(len(key))
+        self.slot[key] = at
+        key = key[self.slot[key] == at]
+        self.done[key] = True
+        v = key % self.size
+        mem = v[self.member[v]]  # other components' totals are done from the start
+        top = self.root[mem]
+        self.got_yard[mem] = True
+        self.comp_size[mem], self.comp_near[mem] = self.comp_size[top], self.comp_near[top]
+        return v, key // self.size
+
+    def state_name(self, v: int) -> str:
+        return (f"comporg(member={bool(self.member[v])},pending={self.pending[v]},"
+                f"up={bool(self.sent_up[v])})")
 
 
 @dataclass
 class ComponentsResult:
     components: list[BoundaryComponent]
     comp_of: np.ndarray            # ID -> component_id (0 for non-members)
-    results: list[RunResult]
+    results: list[RunResult]       # the flood's run, then the organisation's
 
 
 def form_components(g: UnitDiskGraph, classes: np.ndarray,
                     max_rounds: int = 100_000, trace=None) -> ComponentsResult:
     """Group BOUNDARY nodes into components under hop-distance <= 2 linkage.
 
-    Per-component max-ID roots assign their own ID; sizes and inclusive
-    near-set sizes are convergecast to the root and flooded back down.
+    Per-component max-ID roots assign their own ID (the flood, on the
+    executor); sizes and inclusive near-set sizes are convergecast to the
+    root and flooded back down (the round kernel `_CompOrgRounds`).
     """
     member = classes == int(NodeClass.BOUNDARY)
-    res1 = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v])),
-                        max_rounds=max_rounds, trace=trace)
-    f1 = res1.nodes
+    flood = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v])),
+                         max_rounds=max_rounds, trace=trace)
+    nodes = [flood.nodes[v] for v in g.id_list]
+    fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
+    fields[:, g.ids] = np.array([(nd.root, nd.parent, nd.via) for nd in nodes]).T
+    org = _CompOrgRounds(g, member, *fields)
+    res = org.run(max_rounds, trace)
 
-    res2 = run_protocol(
-        g,
-        lambda v, nb: _CompOrgNode(v, nb, bool(member[v]), f1[v].root,
-                                   f1[v].parent, f1[v].via),
-        max_rounds=max_rounds, trace=trace)
-
+    mem = org.members
+    if not org.got_yard[mem].all():
+        raise RuntimeError(f"component totals never reached member {mem[~org.got_yard[mem]][0]}")
     comp_of = np.zeros(g.max_id + 1, dtype=np.int64)
-    members_by_root: dict[int, list[int]] = {}
-    totals: dict[int, tuple[int, int]] = {}
-    for v in g.id_list:
-        nd = res2.nodes[v]
-        if nd.member:
-            comp_of[v] = nd.root
-            members_by_root.setdefault(nd.root, []).append(v)
-            if not nd.got_yard:
-                raise RuntimeError(f"component totals never reached member {v}")
-            totals[nd.root] = (nd.comp_size, nd.comp_near)
-    components = []
-    for root in sorted(members_by_root):
-        mem = tuple(members_by_root[root])
-        size, near = totals[root]
-        if size != len(mem):
-            raise RuntimeError(f"component {root}: convergecast size {size} != {len(mem)}")
-        components.append(BoundaryComponent(component_id=root, members=mem,
-                                            size=size, near_set_size=near))
-    return ComponentsResult(components=components, comp_of=comp_of,
-                            results=[res1, res2])
+    comp_of[mem] = org.root[mem]
+    roots, count = np.unique(comp_of[mem], return_counts=True)
+    size = org.comp_size[roots]
+    if (size != count).any():
+        bad = np.flatnonzero(size != count)[0]
+        raise RuntimeError(f"component {roots[bad]}: convergecast size {size[bad]} "
+                           f"!= {count[bad]}")
+    # members ascending within each component, components by root
+    flat = mem[np.argsort(comp_of[mem], kind="stable")].tolist()
+    ends = np.cumsum(count).tolist()
+    components = [BoundaryComponent(component_id=r, members=tuple(flat[e - k:e]), size=k,
+                                    near_set_size=near)
+                  for r, e, k, near in zip(roots.tolist(), ends, count.tolist(),
+                                           org.comp_near[roots].tolist())]
+    return ComponentsResult(components=components, comp_of=comp_of, results=[flood, res])
 
 
 def central_components(g: UnitDiskGraph, boundary_mask: np.ndarray) -> list[BoundaryComponent]:

@@ -136,10 +136,14 @@ def resolve_region(name_or_path: str) -> geometry.Region:
 
 @dataclass
 class PhaseCost:
+    """One protocol run of a phase: its cost.csv row, with the deliveries
+    and wall time that go to timing.json."""
     phase: str
     broadcasts: int
     id_units: int
     rounds: int
+    deliveries: int
+    seconds: float
 
 
 @dataclass
@@ -184,8 +188,17 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     costs: list[PhaseCost] = []
 
     def cost(phase: str, res) -> None:
-        costs.append(PhaseCost(phase, res.ledger.total_broadcasts,
-                               res.ledger.total_id_units, res.rounds_used))
+        costs.append(PhaseCost(phase, res.ledger.total_broadcasts, res.ledger.total_id_units,
+                               res.rounds_used, res.deliveries, res.seconds))
+
+    @contextlib.contextmanager
+    def phase(name: str):
+        """Name the phase in a round limit raised inside it."""
+        try:
+            yield
+        except RoundLimitExceeded as exc:
+            exc.phase = name
+            raise
 
     region = resolve_region(config.region)
     feature = geometry.validate_region(region)
@@ -204,23 +217,27 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     if not netgraph.is_connected(g):
         raise GraphDisconnected(g.n, netgraph.component_count(g))
 
-    tree = convergetree.build_tree(g, trace=tr)
+    with phase("tree"):
+        tree = convergetree.build_tree(g, trace=tr)
     cost("tree", tree.result)
     convergetree.check_tree(g, tree)
 
-    (delta_val,), res = convergetree.aggregate(g, tree.states, convergetree.AggOp.MAX,
-                                               g.degrees(), trace=tr)
+    with phase("agg_delta"):
+        (delta_val,), res = convergetree.aggregate(g, tree.states, convergetree.AggOp.MAX,
+                                                   g.degrees(), trace=tr)
     cost("agg_delta", res)
-    _, res = convergetree.broadcast_down(g, tree.states, (delta_val,), trace=tr)
+    with phase("flood_delta"):
+        _, res = convergetree.broadcast_down(g, tree.states, (delta_val,), trace=tr)
     cost("flood_delta", res)
 
     bins = config.bin_count
     deg = g.degrees()
     onehots = np.zeros((g.max_id + 1, bins), dtype=np.int64)
     onehots[g.ids, netgraph.degree_bin(deg[g.ids], delta_val, bins)] = 1
-    hist_counts, res = convergetree.aggregate(g, tree.states,
-                                              convergetree.AggOp.HISTOGRAM_MERGE,
-                                              onehots, trace=tr)
+    with phase("agg_histogram"):
+        hist_counts, res = convergetree.aggregate(g, tree.states,
+                                                  convergetree.AggOp.HISTOGRAM_MERGE,
+                                                  onehots, trace=tr)
     cost("agg_histogram", res)
     hist = netgraph.histogram_from_counts(hist_counts, delta_val)
     density = boundary.estimate_mu(hist, mu_analytic=mu_an)
@@ -238,26 +255,31 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
         alpha_star = float(config.alpha)
 
     thr = boundary.threshold_units(alpha_star, density.mu_est)
-    _, res = convergetree.broadcast_down(g, tree.states, (density.mu_est, thr),
-                                         trace=tr)
+    with phase("flood_threshold"):
+        _, res = convergetree.broadcast_down(g, tree.states, (density.mu_est, thr),
+                                             trace=tr)
     cost("flood_threshold", res)
 
-    classes, res = boundary.classify(g, thr, trace=tr)
+    with phase("classify"):
+        classes, res = boundary.classify(g, thr, trace=tr)
     cost("classify", res)
     if not (classes == int(NodeClass.BOUNDARY)).any():
         raise NoBoundaryComponent(thr, int(deg[g.ids].min()))
 
-    comps = boundary.form_components(g, classes, trace=tr)
+    with phase("components"):
+        comps = boundary.form_components(g, classes, trace=tr)
     for r in comps.results:
         cost("components", r)
 
-    dist, res = boundary.distance_flood(g, comps.comp_of, density.mu_est, trace=tr)
+    with phase("distance_flood"):
+        dist, res = boundary.distance_flood(g, comps.comp_of, density.mu_est, trace=tr)
     cost("distance_flood", res)
     voronoi = boundary.detect_voronoi(dist, config.tolerance_hops)
 
     loops: dict[int, boundary.TokenLoop] = {}
     if config.token_loops:
-        loops, res = boundary.run_token_loops(g, comps, trace=tr)
+        with phase("token_loops"):
+            loops, res = boundary.run_token_loops(g, comps, trace=tr)
         cost("token_loops", res)
         for c in comps.components:
             if c.component_id not in loops:
@@ -310,6 +332,18 @@ def write_cost_csv(r: PipelineResult, path: str) -> None:
             fh.write(f"{c.phase},{c.broadcasts},{c.id_units},{c.rounds}\n")
 
 
+def write_timing_json(r: PipelineResult, path: str) -> None:
+    """Per protocol run (the rows of cost.csv, in order) its deliveries and
+    wall time, and the pipeline's wall time.  Timings vary from run to run,
+    so they stay out of the byte-identical reports."""
+    rows = [{"phase": c.phase, "rounds": c.rounds, "broadcasts": c.broadcasts,
+             "id_units": c.id_units, "deliveries": c.deliveries, "seconds": c.seconds}
+            for c in r.costs]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump({"phases": rows, "wall_seconds": r.wall_seconds}, fh, indent=2)
+        fh.write("\n")
+
+
 def summary_dict(r: PipelineResult) -> dict:
     classes = r.classes[r.g.ids]
     b = int((classes == int(NodeClass.BOUNDARY)).sum())
@@ -354,6 +388,8 @@ def write_summary_json(r: PipelineResult, path: str) -> None:
 
 
 def write_reports(r: PipelineResult, out_dir: str) -> list[str]:
+    """Write the byte-deterministic reports and return their paths, and
+    timing.json next to them."""
     os.makedirs(out_dir, exist_ok=True)
     files = []
     for name, writer in (("classification.csv", write_classification_csv),
@@ -363,6 +399,7 @@ def write_reports(r: PipelineResult, out_dir: str) -> list[str]:
         path = os.path.join(out_dir, name)
         writer(r, path)
         files.append(path)
+    write_timing_json(r, os.path.join(out_dir, "timing.json"))
     return files
 
 

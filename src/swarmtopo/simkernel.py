@@ -20,6 +20,7 @@ does.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +31,19 @@ Message = tuple  # (kind, *int_fields)
 
 
 class RoundLimitExceeded(RuntimeError):
-    """Protocol did not quiesce within max_rounds."""
+    """Protocol did not quiesce within max_rounds.  `phase` names the
+    pipeline phase that ran it, once the pipeline has attached it."""
 
-    def __init__(self, rounds: int, stuck: dict[int, str]):
-        super().__init__(rounds, stuck)  # args rebuild it when pickled
+    def __init__(self, rounds: int, stuck: dict[int, str], phase: str | None = None):
+        super().__init__(rounds, stuck, phase)  # args rebuild it when pickled
         self.rounds = rounds
         self.stuck = stuck
+        self.phase = phase
 
     def __str__(self) -> str:
         sample = ", ".join(f"{v}:{s}" for v, s in list(self.stuck.items())[:8])
-        return (f"no quiescence after {self.rounds} rounds; {len(self.stuck)} nodes "
+        where = f" in phase {self.phase}" if self.phase else ""
+        return (f"no quiescence{where} after {self.rounds} rounds; {len(self.stuck)} nodes "
                 f"still active (e.g. {sample})")
 
 
@@ -101,6 +105,7 @@ class RunResult:
     ledger: CostLedger
     rounds_used: int
     deliveries: int
+    seconds: float  # wall time of the run
 
 
 def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
@@ -112,6 +117,7 @@ def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
     writable text stream receiving one 'round,node,kind,size_units' line
     per broadcast.
     """
+    start = time.perf_counter()
     if ledger is None:
         ledger = CostLedger(g.max_id)
     nodes: list = [None] * (g.max_id + 1)
@@ -178,7 +184,7 @@ def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
         active = next_active
 
     return RunResult(nodes=nodes, ledger=ledger, rounds_used=rounds_used,
-                     deliveries=deliveries)
+                     deliveries=deliveries, seconds=time.perf_counter() - start)
 
 
 class RoundKernel:
@@ -187,12 +193,14 @@ class RoundKernel:
     Subclasses keep per-node state in ID-indexed arrays and implement
     step(rnd): settle every node that received something in round rnd - 1
     (in round 0, every node) and return the round's broadcasts as
-    (kind, senders, units) batches, senders ascending and `units` the
-    id-units per message (scalar or per sender).  A node may read only its
-    own state and what its neighbours broadcast; `receivers` gives the
-    deliveries of a round's senders.  Within one (sender, kind) all
-    messages have one size, so trace lines in (sender, kind) order are the
-    executor's.
+    (kind, senders, units) batches, `units` the id-units per message
+    (scalar or per sender).  A sender repeats once per message it sends.
+    A node may read only its own state and what its neighbours broadcast;
+    `receivers` gives the deliveries of a round's senders.  Within one
+    (sender, kind) all messages have one size, so trace lines in (sender,
+    kind) order are the executor's.  A node waiting on a timer is listed
+    in `wake` after the step, the executor's wake-up flag: it is settled
+    in the next round even if nothing reaches it.
     """
 
     def __init__(self, g: UnitDiskGraph):
@@ -200,6 +208,7 @@ class RoundKernel:
         self.size = g.max_id + 1
         self.ids = g.ids
         self.deg = g.degrees()
+        self.wake = np.empty(0, dtype=np.int64)
 
     def receivers(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The receiver of every delivery of `senders`' broadcasts, sender
@@ -214,21 +223,26 @@ class RoundKernel:
         return type(self).__name__
 
     def run(self, max_rounds: int = 100_000, trace=None) -> RunResult:
-        """Step to quiescence: the first round in which nothing is sent
-        (it still counts).  Raises RoundLimitExceeded naming up to 64
-        nodes, lowest IDs first, that still have deliveries to settle."""
+        """Step to quiescence: the first round in which nothing is sent and
+        no node waits on a timer (it still counts).  Raises
+        RoundLimitExceeded naming up to 64 nodes, lowest IDs first, that
+        still have deliveries to settle or wait on a timer."""
+        start = time.perf_counter()
         ledger = CostLedger(self.size - 1)
         rounds_used = deliveries = 0
         senders = np.empty(0, dtype=np.int64)
         while True:
             if rounds_used >= max_rounds:
-                waiting = np.unique(self.receivers(senders)[0])[:64].tolist()
+                waiting = np.union1d(self.receivers(senders)[0], self.wake)[:64].tolist()
                 raise RoundLimitExceeded(rounds_used, {v: self.state_name(v) for v in waiting})
             rnd = rounds_used
             sent = [b for b in self.step(rnd) if len(b[1])]
             rounds_used += 1
             if not sent:
-                break
+                if not len(self.wake):
+                    break
+                senders = np.empty(0, dtype=np.int64)  # a round of timers alone
+                continue
             senders = np.concatenate([s for _, s, _ in sent])
             units = np.concatenate([np.broadcast_to(u, len(s)) for _, s, u in sent])
             ledger.charge(senders, units)
@@ -239,4 +253,4 @@ class RoundKernel:
                 trace.write("".join(f"{rnd},{s},{k},{u}\n" for s, k, u in zip(
                     senders[order].tolist(), kinds[order].tolist(), units[order].tolist())))
         return RunResult(nodes=None, ledger=ledger, rounds_used=rounds_used,
-                         deliveries=deliveries)
+                         deliveries=deliveries, seconds=time.perf_counter() - start)

@@ -137,8 +137,33 @@ GOLDEN_GRAPHS = {
     "standard-20k": standard_20k,
 }
 
-GOLDEN_CASES = [pytest.param(k, marks=pytest.mark.slow) if k == "standard-20k" else k
-                for k in GOLDEN_GRAPHS]
+def slow_20k(graphs):
+    """The graph names as test parameters, the 20k graph marked slow."""
+    return [pytest.param(k, marks=pytest.mark.slow) if k == "standard-20k" else k
+            for k in graphs]
+
+
+GOLDEN_CASES = slow_20k(GOLDEN_GRAPHS)
+
+
+def ring_48():
+    # 0.9 apart along a circle, so every node has exactly two neighbours
+    ids = Generator(Philox(9)).permutation(48) * 2 + 5
+    ang = np.arange(48) * (2 * math.pi / 48)
+    r = 0.45 / math.sin(math.pi / 48)
+    return graph_from(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1), ids=ids)
+
+
+def scattered_70():
+    # mean degree about 2.7: isolated nodes, pairs and small clusters
+    rng = Generator(Philox(8))
+    return graph_from(rng.random((70, 2)) * 9.0, ids=rng.choice(400, 70, replace=False) + 1)
+
+
+# the golden graphs plus two shapes component formation meets: every node
+# at one degree (all BOUNDARY at any threshold) and isolated boundary nodes
+COMPONENT_GRAPHS = {**GOLDEN_GRAPHS, "ring-48": ring_48, "scattered-70": scattered_70}
+COMPONENT_CASES = slow_20k(COMPONENT_GRAPHS)
 
 
 def sha(data) -> str:

@@ -46,6 +46,8 @@ def test_distance_flood_equals_twin(g, data):
     comps = boundary.form_components(g, classes)
     assert comps.components == boundary.central_components(
         g, classes == int(boundary.NodeClass.BOUNDARY))
+    for run in comps.results:
+        assert_deliveries_are_sender_degrees(g, run)
     field, res = boundary.distance_flood(g, comps.comp_of, mu_est)
     twin = boundary.central_distance_field(g, comps.components, mu_est)
     for name in ("hop", "comp", "hop2", "comp2", "anchor_q"):

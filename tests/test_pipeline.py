@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import io
 import json
 import math
 import os
@@ -176,18 +178,38 @@ def test_cli_no_boundary_component(tmp_path, capsys):
 
 @pytest.mark.parametrize("exc, code, prefix", [
     (RoundLimitExceeded(7, {3: "dist(slots=[])"}), cli.EXIT_PROTOCOL, "protocol error: "),
+    (RoundLimitExceeded(7, {3: "dist(slots=[])"}, "distance_flood"), cli.EXIT_PROTOCOL,
+     "protocol error: "),
     (cli.GraphDisconnected(50, 3), cli.EXIT_PROTOCOL, "graph disconnected: "),
     (cli.NoBoundaryComponent(12, 40), cli.EXIT_PROTOCOL, "no boundary: "),
     (geometry.FeatureSizeViolation("holes 0.5R apart"), cli.EXIT_GEOMETRY, "geometry error: "),
     (FileNotFoundError("no region file"), cli.EXIT_USAGE, "error: "),
-], ids=["round-limit", "disconnected", "no-boundary", "geometry", "missing-file"])
+], ids=["round-limit", "round-limit-phase", "disconnected", "no-boundary", "geometry",
+        "missing-file"])
 def test_cli_failure_exit_codes(monkeypatch, tmp_path, capsys, exc, code, prefix):
     def fail(config, trace_stream=None):
         raise exc
 
     monkeypatch.setattr(cli, "run_pipeline", fail)
     assert cli.main(["run", "--out", str(tmp_path)]) == code
-    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+    err = capsys.readouterr().err
+    assert err == f"{prefix}{exc}\n"
+    if getattr(exc, "phase", None):
+        assert err.startswith(f"{prefix}no quiescence in phase {exc.phase} after 7 rounds")
+
+
+@pytest.mark.parametrize("name, phase", [("build_tree", "tree"),
+                                         ("form_components", "components")])
+def test_round_limit_names_its_phase(monkeypatch, tmp_path, capsys, name, phase):
+    # the phase's own round limit, cut to 3: the pipeline names the phase
+    module = cli.convergetree if name == "build_tree" else cli.boundary
+    monkeypatch.setattr(module, name, functools.partial(getattr(module, name), max_rounds=3))
+    path = small_region_file(tmp_path)
+    argv = ["run", "--region", path, "--nodes", "600", "--seed", "9", "--alpha", "0.6",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    assert err.startswith(f"protocol error: no quiescence in phase {phase} after 3 rounds; ")
 
 
 def test_cli_invalid_region(tmp_path):
@@ -236,6 +258,29 @@ def test_trace_flag_writes_costs(tmp_path):
     assert trace[0] == "round,node,kind,size_units"
     total = sum(int(line.split(",")[1]) for line in cost[1:])
     assert len(trace) - 1 == total  # one line per charged broadcast
+
+
+def test_timing_rows_line_up_with_cost(tmp_path):
+    path = small_region_file(tmp_path)
+    buf = io.StringIO()
+    r = cli.run_pipeline(RunConfig(region=path, n=600, seed=9, alpha=0.6), buf)
+    cli.write_reports(r, str(tmp_path))
+    cost = (tmp_path / "cost.csv").read_text().splitlines()[1:]
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert [f"{t['phase']},{t['broadcasts']},{t['id_units']},{t['rounds']}"
+            for t in timing["phases"]] == cost
+    assert len(cost) == 10  # both component runs, token loops included
+    assert 0 < sum(t["seconds"] for t in timing["phases"]) <= timing["wall_seconds"]
+    # the trace runs phase by phase: each row's broadcasts reach the
+    # sender's degree in nodes
+    deg = r.g.degrees()
+    senders = [int(line.split(",")[1]) for line in buf.getvalue().splitlines()]
+    at = 0
+    for t in timing["phases"]:
+        chunk = senders[at:at + t["broadcasts"]]
+        at += t["broadcasts"]
+        assert t["deliveries"] == int(deg[chunk].sum()), t["phase"]
+    assert at == len(senders)
 
 
 @pytest.mark.slow

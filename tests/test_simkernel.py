@@ -156,14 +156,23 @@ def test_round_limit_exceeded():
 
 
 def _raise_round_limit():
-    raise RoundLimitExceeded(3, {1: "x"})
+    raise RoundLimitExceeded(3, {1: "x"}, "classify")
 
 
 def test_round_limit_exceeded_pickles():
     e = RoundLimitExceeded(3, {1: "x", 4: "y"})
     back = pickle.loads(pickle.dumps(e))
-    assert (back.rounds, back.stuck, str(back)) == (3, {1: "x", 4: "y"}, str(e))
+    assert (back.rounds, back.stuck, back.phase, str(back)) == (3, {1: "x", 4: "y"}, None, str(e))
     assert str(e) == "no quiescence after 3 rounds; 2 nodes still active (e.g. 1:x, 4:y)"
+    # the phase, given or attached afterwards as the pipeline does, travels too
+    named = RoundLimitExceeded(3, {1: "x"}, "tree")
+    e.phase = "components"
+    for exc, phase in ((named, "tree"), (e, "components")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.rounds, back.stuck, back.phase) == (exc.rounds, exc.stuck, phase)
+        assert str(back) == str(exc)
+    assert str(e) == ("no quiescence in phase components after 3 rounds; 2 nodes still "
+                      "active (e.g. 1:x, 4:y)")
 
 
 def test_round_limit_exceeded_crosses_process_pool():
@@ -171,7 +180,7 @@ def test_round_limit_exceeded_crosses_process_pool():
     with ProcessPoolExecutor(max_workers=1) as pool:
         with pytest.raises(RoundLimitExceeded) as e:
             pool.submit(_raise_round_limit).result()
-    assert (e.value.rounds, e.value.stuck) == (3, {1: "x"})
+    assert (e.value.rounds, e.value.stuck, e.value.phase) == (3, {1: "x"}, "classify")
 
 
 def test_wake_runs_without_messages():
@@ -189,6 +198,34 @@ def test_wake_runs_without_messages():
     res = run_protocol(g, Timer)
     assert fired == [3]
     assert res.rounds_used == 4
+
+
+class _TimerRounds(simkernel.RoundKernel):
+    """Node 1 broadcasts in round 0, waits on a timer through rounds 1-3
+    with nothing sent and fires in round 4; everyone else stays silent."""
+
+    def step(self, rnd):
+        one = np.array([1])
+        self.wake = one if rnd < 4 else one[:0]
+        return [(K_PING, one if rnd in (0, 4) else one[:0], 1)]
+
+    def state_name(self, v):
+        return f"timer(node={v})"
+
+
+def test_kernel_wake_runs_without_messages():
+    g = path_graph(2)
+    res = _TimerRounds(g).run()
+    assert res.rounds_used == 6  # rounds 1-3 send nothing but do not end the run
+    assert res.ledger.broadcasts_sent.tolist() == [0, 2, 0, 0]
+    assert res.deliveries == 2 * g.degree(1)
+    # a node waiting on a timer is stuck like one with deliveries to settle
+    with pytest.raises(RoundLimitExceeded) as e:
+        _TimerRounds(g).run(max_rounds=3)
+    assert e.value.stuck == {1: "timer(node=1)"}
+    with pytest.raises(RoundLimitExceeded) as e:
+        _TimerRounds(g).run(max_rounds=1)  # waiting on a timer, and heard by node 2
+    assert e.value.stuck == {1: "timer(node=1)", 2: "timer(node=2)"}
 
 
 def test_trace_lines(tmp_path):
