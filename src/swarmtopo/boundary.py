@@ -386,11 +386,11 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     root and flooded back down (the round kernel `_CompOrgRounds`).
     """
     member = classes == int(NodeClass.BOUNDARY)
-    flood = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v])),
-                         max_rounds=max_rounds, trace=trace)
-    nodes = [flood.nodes[v] for v in g.id_list]
+    nodes, flood = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v])),
+                                max_rounds=max_rounds, trace=trace)
     fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
-    fields[:, g.ids] = np.array([(nd.root, nd.parent, nd.via) for nd in nodes]).T
+    fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
+                                 for v in g.id_list]).T
     org = _CompOrgRounds(g, member, *fields)
     res = org.run(max_rounds, trace)
 
@@ -450,9 +450,19 @@ def central_components(g: UnitDiskGraph, boundary_mask: np.ndarray) -> list[Boun
 # distance flood (best two components per node)
 # --------------------------------------------------------------------------
 
-def _own_frac_units(deg: int, mu_est: int) -> int:
-    r = min(max(deg / mu_est, 0.5), 1.0)
-    return int(round(geometry.invert_visibility(r) * FRAC_SCALE))
+def visibility_offset(deg, mu_est: int) -> np.ndarray:
+    """Distance in R units from a straight boundary at which a node sees
+    `deg` (an integer or integer array) of mu_est neighbours: the visibility
+    model inverted, once per distinct degree, at deg/mu_est in [0.5, 1]."""
+    degs, at = np.unique(deg, return_inverse=True)
+    off = np.array([geometry.invert_visibility(min(max(d / mu_est, 0.5), 1.0))
+                    for d in degs.tolist()])
+    return off[at].reshape(np.shape(deg))
+
+
+def _own_frac_units(deg, mu_est: int) -> np.ndarray:
+    """visibility_offset in FRAC_SCALE fixed point."""
+    return np.rint(visibility_offset(deg, mu_est) * FRAC_SCALE).astype(np.int64)
 
 
 _CHUNK = 1 << 16  # deliveries settled at once by the distance flood
@@ -506,7 +516,7 @@ class _DistRounds(RoundKernel):
         fill = slot < 2
         v, c, q, slot = v[fill], c[fill], q[fill], slot[fill]
         if rnd == 1:
-            q = self._own_offsets(v)
+            q = _own_frac_units(self.deg[v], self.mu_est)
         self.d[slot, v], self.c[slot, v], self.q[slot, v] = rnd, c, q
         return v, c, q
 
@@ -518,11 +528,6 @@ class _DistRounds(RoundKernel):
         c = c[k]
         take = (self.c[1, v] == 0) & (self.c[0, v] != c)
         return v[take], c[take], q[k[take]]
-
-    def _own_offsets(self, v: np.ndarray) -> np.ndarray:
-        degs, at = np.unique(self.deg[v], return_inverse=True)
-        return np.array([_own_frac_units(int(x), self.mu_est) for x in degs],
-                        dtype=np.int64)[at]
 
     def state_name(self, v: int) -> str:
         slots = [(int(self.d[j, v]), int(self.c[j, v]), int(self.q[j, v]))
@@ -582,7 +587,7 @@ def central_distance_field(g: UnitDiskGraph, components: list[BoundaryComponent]
         comp2[1:] = np.where(np.isfinite(hop2[1:]), cids[second[1:]], 0)
 
     # anchor propagation along each component's wave, top-2 holders only
-    deg = g.degrees()
+    own_q = _own_frac_units(g.degrees(), mu_est)
     rank_ok = np.zeros((k, m + 1), dtype=bool)
     rank_ok[first, np.arange(m + 1)] = True
     if k > 1:
@@ -600,7 +605,7 @@ def central_distance_field(g: UnitDiskGraph, components: list[BoundaryComponent]
                 continue
             for v in by_level[level]:
                 if level == 1:
-                    anchors_c[ci, v] = _own_frac_units(int(deg[v]), mu_est)
+                    anchors_c[ci, v] = own_q[v]
                     continue
                 best = 0
                 for u in g.neighbors(v):
@@ -839,7 +844,7 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
     the returned mapping (the pipeline warns about each).
     """
     sizes = {c.component_id: c.size for c in comps.components}
-    res = run_protocol(
+    nodes, res = run_protocol(
         g,
         lambda v, nb: _TokenNode(v, nb, int(comps.comp_of[v]),
                                  sizes.get(int(comps.comp_of[v]), 0)),
@@ -847,7 +852,7 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
     loops: dict[int, TokenLoop] = {}
     for c in comps.components:
         root = c.component_id
-        nd = res.nodes[root]
+        nd = nodes[root]
         if nd.failed or nd.loop is None:
             continue
         members = tuple(m for m, _ in nd.loop)

@@ -174,16 +174,27 @@ def mu_analytic_value(n: int, area: float, R: float = 1.0) -> float:
     return (n - 1) * math.pi * R * R / area
 
 
+class _PhaseTrace:
+    """A trace stream that starts every line with the phase writing it."""
+
+    def __init__(self, out):
+        self.out = out
+        self.phase = ""
+
+    def write(self, text: str) -> None:
+        self.out.write("".join(f"{self.phase},{line}" for line in text.splitlines(True)))
+
+
 def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     """Full run: validate, sample, build, bootstrap tree, estimate density,
     pick alpha, classify, form components, flood distances, flag Voronoi
     nodes, run token loops, and derive the higher-order parameters.
 
-    `trace_stream`, if given, receives one 'round,node,kind,size_units'
-    line per broadcast across every protocol phase.
+    `trace_stream`, if given, receives one 'phase,round,node,kind,size_units'
+    line per broadcast across every protocol phase, `phase` as in cost.csv.
     """
     t0 = time.perf_counter()
-    tr = trace_stream
+    tr = None if trace_stream is None else _PhaseTrace(trace_stream)
     warnings: list[str] = []
     costs: list[PhaseCost] = []
 
@@ -193,7 +204,10 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 
     @contextlib.contextmanager
     def phase(name: str):
-        """Name the phase in a round limit raised inside it."""
+        """Name the phase in its trace lines and in a round limit raised
+        inside it."""
+        if tr is not None:
+            tr.phase = name
         try:
             yield
         except RoundLimitExceeded as exc:
@@ -528,7 +542,7 @@ def cmd_run(args) -> int:
             trace_stream = stack.enter_context(
                 open(os.path.join(out_dir, "trace.csv"), "w",
                      encoding="utf-8", newline="\n"))
-            trace_stream.write("round,node,kind,size_units\n")
+            trace_stream.write("phase,round,node,kind,size_units\n")
         r = run_pipeline(config, trace_stream)
     files = write_reports(r, out_dir)
     for w in r.warnings:

@@ -37,7 +37,6 @@ class AggOp(enum.Enum):
     MAX = "max"
     SUM = "sum"
     HISTOGRAM_MERGE = "histogram_merge"
-    COMPONENT_COUNT = "component_count"
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def aggregate(g: UnitDiskGraph, tree: Sequence, op: AggOp,
     """Convergecast `values` up the tree; returns the root's combined value
     (the root is the largest ID without a parent).
 
-    MAX/SUM/COMPONENT_COUNT take integer scalars and their messages cost 2
+    MAX and SUM take integer scalars and their messages cost 2
     id-units; HISTOGRAM_MERGE takes equal-length integer rows and costs
     1 + row length.  Other inputs, or a value that does not fit in int64,
     raise ValueError.

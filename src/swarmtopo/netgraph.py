@@ -39,7 +39,6 @@ class UnitDiskGraph:
         self.positions = xy  # row v = position of node id v
         self.indptr = indptr
         self.indices = indices
-        self._nbr_lists: list[list[int]] | None = None
         self._id_list: list[int] | None = None
 
     @property
@@ -57,14 +56,6 @@ class UnitDiskGraph:
     def degrees(self) -> np.ndarray:
         """Degree of node v at index v (0 at unused IDs)."""
         return np.diff(self.indptr)
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Adjacency as plain int lists (built once; used by the executor)."""
-        if self._nbr_lists is None:
-            idx = self.indices.tolist()
-            ptr = self.indptr.tolist()
-            self._nbr_lists = [idx[ptr[v]:ptr[v + 1]] for v in range(self.max_id + 1)]
-        return self._nbr_lists
 
     def edge_count(self) -> int:
         return len(self.indices) // 2

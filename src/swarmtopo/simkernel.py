@@ -7,15 +7,14 @@ one per payload field; the kind tag rides along free.
 
 Delivery contract: everything broadcast in round t is received by exactly
 the graph neighbors at the start of round t+1.  Within a round each inbox
-is processed in ascending (sender, kind, payload) order, which the executor
-guarantees by sorting the global outbox once before fan-out.
+is processed in ascending (sender, kind, payload) order.
 
-Two ways run a protocol under this contract.  `run_protocol` drives
-per-node `NodeProto` state machines and handles every delivery in Python.
-A `RoundKernel` runs the whole network's round as numpy array operations
-over the CSR adjacency; `RoundKernel.run` keeps the ledger, the round and
-delivery counts, the trace and the round limit exactly as the executor
-does.
+One driver, `RoundKernel.run`, runs every protocol under this contract: it
+keeps the ledger, the round and delivery counts, the trace, wake-up timers
+and the round limit.  A `RoundKernel` subclass settles the whole network's
+round as numpy array operations over the CSR adjacency; `run_protocol`
+runs per-node `NodeProto` state machines as one more kernel, which sorts
+each round's outbox and hands every delivery to its node in Python.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class CostLedger:
     """Per-node broadcast and id-unit counters; totals are derived sums."""
 
     def __init__(self, max_id: int):
-        self.max_id = max_id
         self.broadcasts_sent = np.zeros(max_id + 1, dtype=np.int64)
         self.id_units_sent = np.zeros(max_id + 1, dtype=np.int64)
 
@@ -101,106 +99,27 @@ class NodeProto:
 
 @dataclass
 class RunResult:
-    nodes: list | None  # executor: final per-node state per ID (index 0 is None)
     ledger: CostLedger
     rounds_used: int
     deliveries: int
     seconds: float  # wall time of the run
 
 
-def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
-                 ledger: CostLedger | None = None, trace=None) -> RunResult:
-    """Run factory(vid, neighbor_ids) state machines to global quiescence.
-
-    Quiescence = no messages in flight and no node requesting a wake-up.
-    Deterministic for a fixed graph and protocol.  `trace`, if given, is a
-    writable text stream receiving one 'round,node,kind,size_units' line
-    per broadcast.
-    """
-    start = time.perf_counter()
-    if ledger is None:
-        ledger = CostLedger(g.max_id)
-    nodes: list = [None] * (g.max_id + 1)
-    for v in g.id_list:
-        nodes[v] = factory(v, g.neighbors(v))
-
-    nbr_lists = g.neighbor_lists()
-    inboxes: list[list] = [[] for _ in range(g.max_id + 1)]
-
-    active = g.id_list  # round 0: every node runs on an empty inbox
-    rounds_used = 0
-    deliveries = 0
-
-    while True:
-        if rounds_used >= max_rounds:
-            stuck = {}
-            for v in g.id_list:
-                if nodes[v].wake or inboxes[v]:
-                    stuck[v] = nodes[v].state_name()
-                    if len(stuck) >= 64:
-                        break
-            raise RoundLimitExceeded(rounds_used, stuck)
-
-        rnd = rounds_used
-        new_outbox: list[tuple[int, Message]] = []
-        woken: list[int] = []
-        for v in active:
-            node = nodes[v]
-            node.wake = False
-            box = inboxes[v]
-            msgs = node.on_round(rnd, box)
-            if box:
-                inboxes[v] = []
-            for m in msgs:
-                new_outbox.append((v, m))
-            if node.wake:
-                woken.append(v)
-        rounds_used += 1
-
-        if not new_outbox and not woken:
-            break
-
-        # canonical delivery order: sort by (sender, kind, payload) once,
-        # then append in order so every inbox comes out sorted.  A node
-        # enters next_active exactly once: on its first delivery, or via
-        # its wake-up flag if nothing arrived.
-        new_outbox.sort()
-        ledger.charge([s for s, _ in new_outbox], [len(m) for _, m in new_outbox])
-        next_active: list[int] = []
-        for s, m in new_outbox:
-            if trace is not None:
-                trace.write(f"{rnd},{s},{m[0]},{len(m)}\n")
-            entry = (s, m)
-            targets = nbr_lists[s]
-            deliveries += len(targets)
-            for u in targets:
-                box = inboxes[u]
-                if not box:
-                    next_active.append(u)
-                box.append(entry)
-        for v in woken:
-            if not inboxes[v]:
-                next_active.append(v)
-        active = next_active
-
-    return RunResult(nodes=nodes, ledger=ledger, rounds_used=rounds_used,
-                     deliveries=deliveries, seconds=time.perf_counter() - start)
-
-
 class RoundKernel:
-    """A protocol run as synchronous rounds of array operations.
+    """A protocol run as synchronous rounds, driven by `run`.
 
-    Subclasses keep per-node state in ID-indexed arrays and implement
+    Subclasses keep per-node state (ID-indexed arrays in the array
+    kernels, `NodeProto` objects in `_NodeRounds`) and implement
     step(rnd): settle every node that received something in round rnd - 1
     (in round 0, every node) and return the round's broadcasts as
     (kind, senders, units) batches, `units` the id-units per message
     (scalar or per sender).  A sender repeats once per message it sends.
     A node may read only its own state and what its neighbours broadcast;
     `receivers` gives the deliveries of a round's senders.  Within one
-    (sender, kind) all messages have one size, so trace lines in (sender,
-    kind) order are the executor's.  A node waiting on a timer is listed
-    in `wake` after the step, the executor's wake-up flag: it is settled
-    in the next round even if nothing reaches it.
+    (sender, kind) messages may differ in size; they keep their batch
+    order, so a kernel that batches them in payload order traces them in
+    canonical order.  A node waiting on a timer is listed in `wake` after
+    the step: it is settled in the next round even if nothing reaches it.
     """
 
     def __init__(self, g: UnitDiskGraph):
@@ -252,5 +171,67 @@ class RoundKernel:
                 order = np.lexsort((kinds, senders))
                 trace.write("".join(f"{rnd},{s},{k},{u}\n" for s, k, u in zip(
                     senders[order].tolist(), kinds[order].tolist(), units[order].tolist())))
-        return RunResult(nodes=None, ledger=ledger, rounds_used=rounds_used,
+        return RunResult(ledger=ledger, rounds_used=rounds_used,
                          deliveries=deliveries, seconds=time.perf_counter() - start)
+
+
+class _NodeRounds(RoundKernel):
+    """`NodeProto` state machines as a round kernel.  Round 0 runs every
+    node; a later round fans the previous round's sorted outbox out over
+    the CSR rows, so every inbox fills in canonical order, and runs the
+    nodes that received something, then those that set `wake`."""
+
+    def __init__(self, g: UnitDiskGraph, factory):
+        super().__init__(g)
+        self.nodes: list = [None] * self.size
+        for v in g.id_list:
+            self.nodes[v] = factory(v, g.neighbors(v))
+        self.ptr = g.indptr.tolist()  # fan-out slices by Python int: faster per message
+        self.inboxes: list[list] = [[] for _ in range(self.size)]
+        self.outbox: list[tuple[int, Message]] = []
+
+    def step(self, rnd: int) -> list:
+        nodes, inboxes, indices, ptr = self.nodes, self.inboxes, self.indices, self.ptr
+        active = self.ids.tolist() if rnd == 0 else []
+        last, targets = 0, []
+        for entry in self.outbox:
+            s = entry[0]
+            if s != last:
+                last, targets = s, indices[ptr[s]:ptr[s + 1]].tolist()
+            for u in targets:
+                box = inboxes[u]
+                if not box:
+                    active.append(u)
+                box.append(entry)
+        active += [v for v in self.wake.tolist() if not inboxes[v]]
+        out: list[tuple[int, Message]] = []
+        woken: list[int] = []
+        for v in active:
+            node = nodes[v]
+            node.wake = False
+            box = inboxes[v]
+            msgs = node.on_round(rnd, box)
+            if box:
+                inboxes[v] = []
+            for m in msgs:
+                out.append((v, m))
+            if node.wake:
+                woken.append(v)
+        out.sort()
+        self.outbox, self.wake = out, np.array(woken, dtype=np.int64)
+        senders = np.array([s for s, _ in out], dtype=np.int64)
+        kinds = np.array([m[0] for _, m in out], dtype=np.int64)
+        units = np.array([len(m) for _, m in out], dtype=np.int64)
+        return [(k, senders[kinds == k], units[kinds == k]) for k in np.unique(kinds).tolist()]
+
+    def state_name(self, v: int) -> str:
+        return self.nodes[v].state_name()
+
+
+def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
+                 trace=None) -> tuple[list, RunResult]:
+    """Run factory(vid, neighbor_ids) state machines to quiescence (no
+    messages in flight, no node waiting on a timer).  Returns the final
+    node states by ID (None at index 0 and unused IDs) and the run."""
+    kernel = _NodeRounds(g, factory)
+    return kernel.nodes, kernel.run(max_rounds, trace)

@@ -9,8 +9,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry
-from .boundary import (FRAC_SCALE, BoundaryComponent, DistanceField, NodeClass)
+from .boundary import (FRAC_SCALE, BoundaryComponent, DistanceField, NodeClass,
+                       visibility_offset)
+
+_NEAR_CLASSES = (int(NodeClass.BOUNDARY), int(NodeClass.NEAR_BOUNDARY))
 
 
 class NoFiniteHop(ValueError):
@@ -44,9 +46,8 @@ def fractional_distance(node_class: int, hop: float, deg: int, mu_est: int,
     hop-by-hop (1R each) back to the near-boundary anchor recorded by the
     distance flood and add its fractional offset.
     """
-    if node_class in (int(NodeClass.BOUNDARY), int(NodeClass.NEAR_BOUNDARY)):
-        r = min(max(deg / mu_est, 0.5), 1.0)
-        return geometry.invert_visibility(r)
+    if node_class in _NEAR_CLASSES:
+        return float(visibility_offset(deg, mu_est))
     if not np.isfinite(hop):
         return float("inf")
     return (hop - 1.0) + anchor_q / FRAC_SCALE
@@ -55,25 +56,28 @@ def fractional_distance(node_class: int, hop: float, deg: int, mu_est: int,
 def fractional_distances(classes: np.ndarray, field: DistanceField,
                          degrees: np.ndarray, mu_est: int, ids) -> np.ndarray:
     """fractional_distance for every node of `ids`, indexed by ID."""
+    ids = np.asarray(ids, dtype=np.int64)
+    hop = field.hop[ids]
     out = np.zeros(len(classes))
-    for v in ids:
-        out[v] = fractional_distance(int(classes[v]), field.hop[v],
-                                     int(degrees[v]), mu_est,
-                                     int(field.anchor_q[v]))
+    out[ids] = np.where(np.isfinite(hop), (hop - 1.0) + field.anchor_q[ids] / FRAC_SCALE,
+                        np.inf)
+    near = ids[np.isin(classes[ids], _NEAR_CLASSES)]
+    out[near] = visibility_offset(degrees[near], mu_est)
     return out
 
 
 def thickness(classes: np.ndarray, field: DistanceField, degrees: np.ndarray,
               mu_est: int, ids) -> ThicknessReport:
     """Pick the node of `ids` of maximum (hop, fractional) boundary
-    distance; its fractional distance is the thickness estimate.  Raises
-    NoFiniteHop when no node of `ids` has a finite hop."""
+    distance, the smaller ID on ties; its fractional distance is the
+    thickness estimate.  Raises NoFiniteHop when no node of `ids` has a
+    finite hop."""
     frac = fractional_distances(classes, field, degrees, mu_est, ids)
-    reached = [v for v in ids if np.isfinite(field.hop[v])]
-    if not reached:
+    ids = np.asarray(ids, dtype=np.int64)
+    reached = ids[np.isfinite(field.hop[ids])]
+    if not len(reached):
         raise NoFiniteHop("no node of ids has a finite hop distance to a boundary")
-    # max keeps the first of equal keys: ties keep the smaller ID
-    best = max(reached, key=lambda v: (field.hop[v], frac[v]))
+    best = int(reached[np.lexsort((-reached, frac[reached], field.hop[reached]))[-1]])
     return ThicknessReport(best_node=best, hop_dist=int(field.hop[best]),
                            frac_dist=float(frac[best]),
                            thickness_estimate=float(frac[best]))

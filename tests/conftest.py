@@ -166,6 +166,75 @@ COMPONENT_GRAPHS = {**GOLDEN_GRAPHS, "ring-48": ring_48, "scattered-70": scatter
 COMPONENT_CASES = slow_20k(COMPONENT_GRAPHS)
 
 
+# -- token-loop cases: a graph and its components ----------------------------
+
+def boundary_at(g, ids):
+    """Classes with exactly `ids` BOUNDARY (the only class components read)."""
+    classes = np.zeros(g.max_id + 1, dtype=np.int8)
+    classes[list(ids)] = int(boundary.NodeClass.BOUNDARY)
+    return classes
+
+
+def lowest_quarter(g):
+    """The classes with the lowest-degree quarter of the nodes, or more, BOUNDARY."""
+    return boundary.central_classify(g, int(np.percentile(g.degrees()[g.ids], 25)))
+
+
+def annulus_graph(n, seed, radii=(9.0, 3.0)):
+    """The graph `swarmtopo run` builds on an annulus of these radii."""
+    pts = geometry.sample_uniform(cli.annulus_region(*radii), n, seed=seed)
+    return netgraph.build_udg((Generator(Philox([seed, 1])).permutation(n) + 1, pts))
+
+
+def run_classes(alpha):
+    """The classes `swarmtopo run` gives a graph at alpha, a number or "sweep"."""
+    def classes_of(g):
+        mu_est = boundary.estimate_mu(netgraph.histogram(g, 64)).mu_est
+        a = boundary.alpha_sweep(g, mu_est).alpha_star if alpha == "sweep" else alpha
+        return boundary.central_classify(g, boundary.threshold_units(a, mu_est))
+    return classes_of
+
+
+def _token_case(graph, classes_of=lowest_quarter):
+    def case():
+        g = graph()
+        return g, boundary.form_components(g, classes_of(g))
+    return case
+
+
+def _malformed_component():
+    # claimed members never answer, so the root's backtracking exhausts
+    g = graph_from([(0, 0), (5, 5), (5.9, 5)])
+    return g, boundary.ComponentsResult(
+        components=[boundary.BoundaryComponent(component_id=1, members=(1,),
+                                               size=30, near_set_size=30)],
+        comp_of=np.array([0, 1, 0, 0], dtype=np.int64), results=[])
+
+
+def _open_chain():
+    # members 1.9 apart with a relay between each pair: no cycle to walk
+    pts = [(1.9 * i, 0) for i in range(6)] + [(1.9 * i + 0.95, 0) for i in range(5)]
+    return graph_from(pts)
+
+
+# the golden graphs, the token-loop graphs of test_boundary.py and two
+# annuli as `swarmtopo run` classifies them, each with the components the
+# token loops walk
+TOKEN_CASES = {
+    **{name: _token_case(graph) for name, graph in GOLDEN_GRAPHS.items()},
+    "clique-4": _token_case(lambda: graph_from([(0, 0), (0.8, 0), (0.8, 0.8), (0, 0.8)]),
+                            lambda g: boundary_at(g, [1, 2, 3, 4])),
+    "singleton": _token_case(lambda: graph_from([(0, 0), (5, 5), (5.9, 5)]),
+                             lambda g: boundary_at(g, [1])),
+    "open-chain": _token_case(_open_chain, lambda g: boundary_at(g, range(1, 7))),
+    "malformed": _malformed_component,
+    "annulus-4000": _token_case(lambda: annulus_graph(4000, 3), run_classes(0.7)),
+    # a loop that closes before it covers its component (see CHANGES.md)
+    "annulus-early-close": _token_case(lambda: annulus_graph(1700, 1, (4.0, 1.5)),
+                                       run_classes("sweep")),
+}
+
+
 def sha(data) -> str:
     if isinstance(data, str):
         data = data.encode()

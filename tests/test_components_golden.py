@@ -54,7 +54,7 @@ def component_digests(g) -> dict:
 def organisation(g, level: str):
     """The organisation run alone, after the flood: run(max_rounds=...)."""
     member = classes_of(g, level) == int(boundary.NodeClass.BOUNDARY)
-    nodes = run_protocol(g, lambda v, nb: boundary._CompFloodNode(v, nb, bool(member[v]))).nodes
+    nodes, _ = run_protocol(g, lambda v, nb: boundary._CompFloodNode(v, nb, bool(member[v])))
     fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
     fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
                                  for v in g.id_list]).T

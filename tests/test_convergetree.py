@@ -109,12 +109,12 @@ def test_broadcast_down_rounds_on_path():
     assert res.rounds_used == 7  # 5 forwarding hops + initial + quiesce
 
 
-def test_component_count_op_behaves_like_sum():
+def test_sum_op_counts_flags():
     g = random_graph(100, 13)
     build = convergetree.build_tree(g)
     flags = np.zeros(g.n + 1, dtype=int)
     flags[[2, 30, 77]] = 1
-    (val,), _ = convergetree.aggregate(g, build.states, AggOp.COMPONENT_COUNT, flags)
+    (val,), _ = convergetree.aggregate(g, build.states, AggOp.SUM, flags)
     assert val == 3
 
 

@@ -42,7 +42,7 @@ def calls(g) -> dict:
     return {
         "agg_max": functools.partial(agg, AggOp.MAX, deg),
         "agg_sum": functools.partial(agg, AggOp.SUM, ones),
-        "agg_count": functools.partial(agg, AggOp.COMPONENT_COUNT, flags),
+        "agg_count": functools.partial(agg, AggOp.SUM, flags),
         "agg_hist": functools.partial(agg, AggOp.HISTOGRAM_MERGE, onehots),
         "flood": functools.partial(convergetree.broadcast_down, g, tree, (delta, thr)),
         "classify": lambda trace=None: boundary.classify(g, thr, trace=trace),

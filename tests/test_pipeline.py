@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -255,7 +256,7 @@ def test_trace_flag_writes_costs(tmp_path):
     phases = [line.split(",")[0] for line in cost[1:]]
     assert "tree" in phases and "distance_flood" in phases
     trace = open(os.path.join(out, "trace.csv")).read().splitlines()
-    assert trace[0] == "round,node,kind,size_units"
+    assert trace[0] == "phase,round,node,kind,size_units"
     total = sum(int(line.split(",")[1]) for line in cost[1:])
     assert len(trace) - 1 == total  # one line per charged broadcast
 
@@ -271,16 +272,17 @@ def test_timing_rows_line_up_with_cost(tmp_path):
             for t in timing["phases"]] == cost
     assert len(cost) == 10  # both component runs, token loops included
     assert 0 < sum(t["seconds"] for t in timing["phases"]) <= timing["wall_seconds"]
-    # the trace runs phase by phase: each row's broadcasts reach the
-    # sender's degree in nodes
+    # the trace runs phase by phase and names each line's phase: a phase's
+    # lines are its broadcasts, and they reach their senders' degrees in nodes
     deg = r.g.degrees()
-    senders = [int(line.split(",")[1]) for line in buf.getvalue().splitlines()]
-    at = 0
-    for t in timing["phases"]:
-        chunk = senders[at:at + t["broadcasts"]]
-        at += t["broadcasts"]
-        assert t["deliveries"] == int(deg[chunk].sum()), t["phase"]
-    assert at == len(senders)
+    lines = [line.split(",") for line in buf.getvalue().splitlines()]
+    phases = list(dict.fromkeys(t["phase"] for t in timing["phases"]))
+    assert [name for name, _ in itertools.groupby(f[0] for f in lines)] == phases
+    for name in phases:
+        rows = [t for t in timing["phases"] if t["phase"] == name]
+        senders = [int(f[2]) for f in lines if f[0] == name]
+        assert len(senders) == sum(t["broadcasts"] for t in rows), name
+        assert sum(t["deliveries"] for t in rows) == int(deg[senders].sum()), name
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import io
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -51,7 +52,7 @@ class FloodNode(NodeProto):
 
 def test_echo_two_rounds_one_broadcast_each():
     g = path_graph(3)
-    res = run_protocol(g, EchoNode)
+    _, res = run_protocol(g, EchoNode)
     assert res.rounds_used == 2
     assert (res.ledger.broadcasts_sent[1:] == 1).all()
     assert (res.ledger.id_units_sent[1:] == 1).all()
@@ -60,9 +61,9 @@ def test_echo_two_rounds_one_broadcast_each():
 def test_flood_rounds_on_path():
     for L in (1, 2, 5, 9):
         g = path_graph(L)
-        res = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
+        nodes, res = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
         assert res.rounds_used == L + 1
-        assert all(res.nodes[v].seen for v in range(1, L + 2))
+        assert all(nodes[v].seen for v in range(1, L + 2))
 
 
 def test_charge_counts_id_fields():
@@ -98,7 +99,7 @@ def test_flood_cost_totals():
             return ()
 
     g = path_graph(6)
-    res = run_protocol(g, TwoUnit)
+    _, res = run_protocol(g, TwoUnit)
     assert res.ledger.total_id_units == 2 * g.n
     assert res.ledger.total_broadcasts == g.n
 
@@ -107,8 +108,8 @@ def test_determinism_identical_ledgers():
     rng = np.random.Generator(np.random.Philox(5))
     pts = rng.random((150, 2)) * 3.0
     g = netgraph.build_udg((np.arange(1, 151), pts))
-    r1 = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
-    r2 = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
+    _, r1 = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
+    _, r2 = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
     assert np.array_equal(r1.ledger.broadcasts_sent, r2.ledger.broadcasts_sent)
     assert np.array_equal(r1.ledger.id_units_sent, r2.ledger.id_units_sent)
     assert r1.rounds_used == r2.rounds_used
@@ -118,7 +119,7 @@ def test_determinism_identical_ledgers():
 def test_delivery_conservation():
     # each broadcast reaches exactly deg(sender) nodes
     g = path_graph(4)
-    res = run_protocol(g, EchoNode)
+    _, res = run_protocol(g, EchoNode)
     deg = g.degrees()
     assert res.deliveries == int(deg[1:].sum())
 
@@ -130,29 +131,41 @@ def test_inbox_sorted_by_sender_then_kind():
         def on_round(self, rnd, inbox):
             if rnd == 0:
                 if self.vid == 2:
-                    return ((5, 1), (3, 9))  # two kinds from one sender
+                    # two kinds from one sender, and one kind in two sizes
+                    return ((5, 1), (3, 9), (3, 1, 2))
                 if self.vid == 3:
                     return ((4, 0),)
             if self.vid == 1 and inbox:
-                order.extend((s, m[0]) for s, m in inbox)
+                order.extend(inbox)
             return ()
 
     pts = [(0, 0), (0.5, 0.1), (0.5, -0.1)]
     g = netgraph.build_udg((np.arange(1, 4), np.array(pts, float)))
-    run_protocol(g, Talk)
-    assert order == [(2, 3), (2, 5), (3, 4)]
+    buf = io.StringIO()
+    run_protocol(g, Talk, trace=buf)
+    assert order == [(2, (3, 1, 2)), (2, (3, 9)), (2, (5, 1)), (3, (4, 0))]
+    # trace lines follow the inbox order: payload order within (sender, kind)
+    assert buf.getvalue().splitlines() == ["0,2,3,3", "0,2,3,2", "0,2,5,2", "0,3,4,2"]
 
 
 def test_round_limit_exceeded():
     class Chatter(NodeProto):
-        def on_round(self, rnd, inbox):
-            return ((K_PING,),)
+        """Nodes from 30 up broadcast every round; node 5 only waits on a timer."""
 
-    g = path_graph(2)
+        def on_round(self, rnd, inbox):
+            self.wake = self.vid == 5
+            return ((K_PING,),) if self.vid >= 30 else ()
+
+        def state_name(self):
+            return f"chatter({self.vid},wake={self.wake})"
+
+    g = path_graph(99)  # IDs 1..100 in path order
     with pytest.raises(RoundLimitExceeded) as e:
         run_protocol(g, Chatter, max_rounds=10)
     assert e.value.rounds == 10
-    assert e.value.stuck
+    # the timer, then the lowest 63 of the nodes with deliveries to settle
+    named = [5] + list(range(29, 92))
+    assert e.value.stuck == {v: f"chatter({v},wake={v == 5})" for v in named}
 
 
 def _raise_round_limit():
@@ -195,7 +208,7 @@ def test_wake_runs_without_messages():
             return ()
 
     g = path_graph(1)
-    res = run_protocol(g, Timer)
+    _, res = run_protocol(g, Timer)
     assert fired == [3]
     assert res.rounds_used == 4
 
@@ -229,7 +242,6 @@ def test_kernel_wake_runs_without_messages():
 
 
 def test_trace_lines(tmp_path):
-    import io
     buf = io.StringIO()
     g = path_graph(2)
     run_protocol(g, EchoNode, trace=buf)

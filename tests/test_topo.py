@@ -72,6 +72,31 @@ def test_fractional_distance_interior_steps_back_to_anchor():
     assert d == pytest.approx(4.4, abs=1e-4)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_array_rule_matches_per_node_rule(seed):
+    # fractional_distances and thickness against fractional_distance node by
+    # node and a max over the IDs in ascending order, on gapped IDs with
+    # unreached nodes, every class, shared degrees and ties in hop and frac
+    rng = np.random.Generator(np.random.Philox(seed))
+    size = 200
+    ids = np.sort(rng.choice(np.arange(1, size), 120, replace=False))
+    classes = rng.integers(0, 3, size).astype(np.int8)
+    hop = rng.integers(0, 6, size).astype(float)
+    hop[rng.random(size) < 0.1] = np.inf
+    anchor = rng.integers(0, 4, size) * (FRAC_SCALE // 4)
+    field = DistanceField(hop, np.ones(size, dtype=np.int64), np.full(size, np.inf),
+                          np.zeros(size, dtype=np.int64), anchor)
+    degrees = rng.integers(20, 140, size)
+    frac = topo.fractional_distances(classes, field, degrees, 100, ids)
+    loop = [topo.fractional_distance(int(classes[v]), hop[v], int(degrees[v]), 100,
+                                     int(anchor[v])) for v in ids]
+    assert frac[ids].tolist() == loop
+    best = max((v for v in ids.tolist() if np.isfinite(hop[v])),
+               key=lambda v: (hop[v], frac[v]))
+    rep = topo.thickness(classes, field, degrees, 100, ids.tolist())
+    assert (rep.best_node, rep.thickness_estimate) == (best, frac[best])
+
+
 def test_thickness_all_boundary_at_most_one():
     n = 6
     classes = np.full(n + 1, int(NodeClass.BOUNDARY), dtype=np.int8)
