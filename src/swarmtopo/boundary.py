@@ -24,12 +24,12 @@ from .simkernel import NodeProto, RoundKernel, RunResult, run_protocol
 K_BND = 10     # ()                          boundary membership announcement
 K_MC = 11      # (root,)                     member candidate flood
 K_MF = 12      # (root, origin)              relay forward of the best candidate
-K_JOIN = 13    # (root, parent)              member join notice
-K_JAGG = 14    # (member, root, parent)*     relay aggregate of joins heard
-K_NEAR = 15    # (dest, root)                near node registering at a member
+K_JOIN = 13    # (root, parent, via)         member join notice, naming its relay
+K_JAGG = 14    # (member, root, parent)*     a relay's aggregate of the joins naming it
+K_NEAR = 15    # (dest,)                     near node registering at a member
 K_UP = 16      # (via, root, size, near)     component convergecast
 K_UPF = 17     # (child, root, size, near)   relayed convergecast entry
-K_ASG = 18     # (root, size, near)          component totals flood
+K_ASG = 18     # (root, size, near)          component totals, echoed down the tree
 K_DIST = 19    # (root, d, anchor_q)         boundary distance wave
 K_TQ = 20      # (comp, seq, *holder_nbrs)   token pass query
 K_TQF = 21     # (comp, seq, holder, *nbrs)  relayed query
@@ -246,21 +246,24 @@ class _CompFloodNode(NodeProto):
 
 
 class _CompOrgRounds(RoundKernel):
-    """Join, size/near-count convergecast and totals flood for every
+    """Join, size/near-count convergecast and totals echo for every
     component at once, from the flood's per-ID `root`, `parent` and `via`.
+    Only members and the relays they name as `via` forward anything.
 
-    Rounds 0-2 have fixed timing.  Round 0: members announce (root, parent)
-    (JOIN).  Round 1: every node that heard JOINs relays them all (JAGG),
-    so a member hears of every child: the flood's parent is a member of
-    the child's component, and a neighbour of the child or, exactly when it
-    is not, of the child's `via`.  Round 2: a non-member registers once per
-    component around it (NEAR), at its smallest member neighbour there.
-    From round 3 a member reports its subtree's size and near count to its
+    Rounds 0-1 have fixed timing.  Round 0: members announce (root, parent,
+    via) (JOIN).  Round 1: every `via` relays the JOINs that name it, once
+    (JAGG), so a member hears of every child: the child's parent is its
+    neighbour or, exactly when it is not, its `via`'s.  In the same round
+    every non-member that heard a JOIN registers (NEAR) at its smallest
+    member neighbour: under 2-hop linkage no closed neighbourhood holds
+    members of two components, so one NEAR per node counts each near set.
+    From round 2 a member reports its subtree's size and near count to its
     parent (UP) once every child has; the child's `via` relays the report
-    (UPF), so the parent hears it once.  A root that reports starts the
-    totals flood (ASG): members of its component relay it once,
-    non-members relay every component's once.  Members wait on a timer
-    through rounds 0-2 and then until they report.
+    (UPF), so the parent hears it once.  A root that reports sends its
+    totals back down the tree (ASG): every member and every `via` relays
+    the first ASG of its own component (the root its JOINs named) that it
+    hears, once.  Members wait on a timer through rounds 0-1 and then until
+    they report.
     """
 
     def __init__(self, g: UnitDiskGraph, member: np.ndarray, root: np.ndarray,
@@ -270,66 +273,54 @@ class _CompOrgRounds(RoundKernel):
         self.members = self.ids[member[self.ids]]
         m = self.members
         self.kids = np.bincount(parent[m], minlength=self.size)  # a root's parent is 0
-        self.pending = np.zeros(self.size, dtype=np.int64)  # from round 3: kids unheard
+        relayed = m[via[m] != 0]  # members whose parent is no neighbour
+        self.named = np.bincount(via[relayed], minlength=self.size)  # JOINs naming a relay
+        # the component of a member or relay, learned from the JOINs; 0 elsewhere
+        self.owner = np.where(member, root, 0)
+        self.owner[via[relayed]] = root[relayed]
+        self.pending = np.zeros(self.size, dtype=np.int64)  # from round 2: kids unheard
         self.near_reg = np.zeros(self.size, dtype=np.int64)
         self.sub_size = np.ones(self.size, dtype=np.int64)   # own + reported subtrees
         self.sub_near = np.zeros(self.size, dtype=np.int64)
         self.sent_up = np.zeros(self.size, dtype=bool)
-        self.got_yard = np.zeros(self.size, dtype=bool)
+        self.sent_asg = np.zeros(self.size, dtype=bool)
         self.comp_size = np.zeros(self.size, dtype=np.int64)
         self.comp_near = np.zeros(self.size, dtype=np.int64)
-        # totals floods by component rank k: key k * size + v is done once
-        # v took and relayed them, or from the start if v is a member of
-        # another component; `slot` picks one delivery per key in a round
-        comps = np.unique(root[m])
-        self.rank = np.zeros(self.size, dtype=np.int64)
-        self.rank[m] = np.searchsorted(comps, root[m])
-        done = np.zeros((len(comps), self.size), dtype=bool)
-        done[:, m] = True
-        done[self.rank[m], m] = False
-        self.done = done.ravel()
-        self.slot = np.zeros(len(self.done), dtype=np.int32)
-        # the last round's UP senders, UPF (relay, child) and ASG (sender, rank)
+        # the last round's UP senders, UPF (relay, child) pairs and ASG senders
         empty = np.empty(0, dtype=np.int64)
-        self.up, self.upf, self.asg = empty, (empty, empty), (empty, empty)
+        self.up, self.upf, self.asg = empty, (empty, empty), empty
 
     def step(self, rnd: int) -> list:
         m = self.members
         if rnd == 0:
             self.wake = m
-            return [(K_JOIN, m, 3)]
+            return [(K_JOIN, m, 4)]
         if rnd == 1:
-            heard = np.bincount(self.receivers(m)[0], minlength=self.size)
-            v = np.flatnonzero(heard)
-            self.wake = np.union1d(m, v)
-            return [(K_JAGG, v, 1 + 3 * heard[v])]
-        if rnd == 2:
+            relays = np.flatnonzero(self.named)
             v, lens = self.receivers(m)
             s = np.repeat(m, lens)
             v, s = v[~self.member[v]], s[~self.member[v]]
-            # deliveries run in sender order: the first per (v, root) is the
-            # smallest member neighbour, which counts the NEAR in round 3
-            key, first = np.unique(v * self.size + self.root[s], return_index=True)
+            # deliveries run in sender order: the first per v is its
+            # smallest member neighbour, which counts the NEAR in round 2
+            v, first = np.unique(v, return_index=True)
             np.add.at(self.near_reg, s[first], 1)
-            self.wake = m
-            return [(K_NEAR, key // self.size, 3)]
-        if rnd == 3:
+            return [(K_JAGG, relays, 1 + 3 * self.named[relays]), (K_NEAR, v, 2)]
+        if rnd == 2:
             self.pending[m] = self.kids[m]
         self.upf = self._settle_up()
-        relays, ranks = self._settle_asg()
+        relays = self._settle_asg()
 
         ready = m[~self.sent_up[m] & (self.pending[m] == 0)]
         self.sent_up[ready] = True
         self.sub_near[ready] += self.near_reg[ready]
         top = ready[self.root[ready] == ready]
-        self.got_yard[top] = True
-        self.done[self.rank[top] * self.size + top] = True
+        self.sent_asg[top] = True
         self.comp_size[top] = self.sub_size[top]
         self.comp_near[top] = self.sub_size[top] + self.sub_near[top]  # inclusive near set
         self.up = ready[self.root[ready] != ready]
-        self.asg = (np.concatenate([relays, top]), np.concatenate([ranks, self.rank[top]]))
+        self.asg = np.concatenate([relays, top])
         self.wake = m[~self.sent_up[m]]
-        return [(K_UP, self.up, 5), (K_UPF, self.upf[0], 5), (K_ASG, self.asg[0], 4)]
+        return [(K_UP, self.up, 5), (K_UPF, self.upf[0], 5), (K_ASG, self.asg, 4)]
 
     def _settle_up(self) -> tuple:
         """Parents take reports, heard from the child or from its relay;
@@ -346,24 +337,17 @@ class _CompOrgRounds(RoundKernel):
         np.subtract.at(self.pending, par, 1)
         return v[relay], c[relay]
 
-    def _settle_asg(self) -> tuple:
-        """Members take their own component's totals once and relay them;
-        non-members relay each component's once.  Returns the (relay,
-        rank) pairs."""
-        s, k = self.asg
-        v, lens = self.receivers(s)
-        key = np.repeat(k * self.size, lens) + v
-        key = key[~self.done[key]]
-        at = np.arange(len(key))
-        self.slot[key] = at
-        key = key[self.slot[key] == at]
-        self.done[key] = True
-        v = key % self.size
-        mem = v[self.member[v]]  # other components' totals are done from the start
+    def _settle_asg(self) -> np.ndarray:
+        """Members and relays take the first totals of their own component
+        they hear and relay them; returns those that relay."""
+        v, lens = self.receivers(self.asg)
+        own = self.owner[v] == np.repeat(self.owner[self.asg], lens)
+        v = np.unique(v[own & ~self.sent_asg[v]])
+        self.sent_asg[v] = True
+        mem = v[self.member[v]]
         top = self.root[mem]
-        self.got_yard[mem] = True
         self.comp_size[mem], self.comp_near[mem] = self.comp_size[top], self.comp_near[top]
-        return v, key // self.size
+        return v
 
     def state_name(self, v: int) -> str:
         return (f"comporg(member={bool(self.member[v])},pending={self.pending[v]},"
@@ -383,7 +367,9 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
 
     Per-component max-ID roots assign their own ID (the flood, on the
     executor); sizes and inclusive near-set sizes are convergecast to the
-    root and flooded back down (the round kernel `_CompOrgRounds`).
+    root and echoed back down the same tree (the round kernel
+    `_CompOrgRounds`), so after the flood only members and the relays they
+    name forward anything.
     """
     member = classes == int(NodeClass.BOUNDARY)
     nodes, flood = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v])),
@@ -395,8 +381,8 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     res = org.run(max_rounds, trace)
 
     mem = org.members
-    if not org.got_yard[mem].all():
-        raise RuntimeError(f"component totals never reached member {mem[~org.got_yard[mem]][0]}")
+    if not org.sent_asg[mem].all():
+        raise RuntimeError(f"component totals never reached member {mem[~org.sent_asg[mem]][0]}")
     comp_of = np.zeros(g.max_id + 1, dtype=np.int64)
     comp_of[mem] = org.root[mem]
     roots, count = np.unique(comp_of[mem], return_counts=True)

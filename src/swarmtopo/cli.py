@@ -503,7 +503,8 @@ def score_run(r: PipelineResult, eps: float = 0.25, far: float = 1.5,
 def check_provenance(summary: dict, config: RunConfig) -> None:
     saved = summary.get("config", {})
     mine = config.to_dict()
-    for key in ("region", "n", "seed", "alpha", "bin_count"):
+    for key in ("region", "n", "seed", "alpha", "bin_count", "tolerance_hops",
+                "min_component_size"):
         if saved.get(key) != mine[key]:
             raise MismatchedRun(
                 f"run was produced with {key}={saved.get(key)!r}, "

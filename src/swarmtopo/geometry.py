@@ -599,19 +599,6 @@ def invert_visibility(r: float) -> float:
 # region file format
 # --------------------------------------------------------------------------
 
-def region_to_dict(region: Region, radius_unit: float = 1.0) -> dict:
-    curves = []
-    for c in region.curves:
-        if isinstance(c, Polygon):
-            curves.append({"type": "polygon",
-                           "vertices": [[float(x), float(y)] for x, y in c.vertices]})
-        else:
-            curves.append({"type": "circle",
-                           "center": [float(c.center[0]), float(c.center[1])],
-                           "radius": float(c.radius)})
-    return {"radius_unit": radius_unit, "curves": curves}
-
-
 def region_from_dict(doc: dict) -> Region:
     scale = float(doc.get("radius_unit", 1.0))
     if scale <= 0:
@@ -632,8 +619,3 @@ def load_region(path: str) -> Region:
     with open(path, "r", encoding="utf-8") as fh:
         return region_from_dict(json.load(fh))
 
-
-def save_region(region: Region, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(region_to_dict(region), fh, indent=2)
-        fh.write("\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from swarmtopo import boundary, cli, geometry, netgraph
-from swarmtopo.simkernel import RoundLimitExceeded
+from swarmtopo.simkernel import RoundLimitExceeded, run_protocol
 
 
 def graph_from(points, ids=None):
@@ -105,6 +105,7 @@ def stars(draw):
 
 single_nodes = st.integers(1, 10**6).map(lambda v: graph_from([(0.0, 0.0)], ids=[v]))
 connected_graphs = st.one_of(random_udgs(), paths(), stars(), single_nodes)
+any_graphs = st.one_of(connected_graphs, scattered_udgs())
 
 
 # -- graphs and digests of the golden (recorded-protocol) tests -------------
@@ -193,6 +194,15 @@ def run_classes(alpha):
         a = boundary.alpha_sweep(g, mu_est).alpha_star if alpha == "sweep" else alpha
         return boundary.central_classify(g, boundary.threshold_units(a, mu_est))
     return classes_of
+
+
+def flood_fields(g, member) -> np.ndarray:
+    """The component flood's per-ID root, parent and via, as rows."""
+    nodes, _ = run_protocol(g, lambda v, nb: boundary._CompFloodNode(v, nb, bool(member[v])))
+    fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
+    fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
+                                 for v in g.id_list]).T
+    return fields
 
 
 def _token_case(graph, classes_of=lowest_quarter):

@@ -198,16 +198,6 @@ def test_visibility_strictly_increasing(t, dt):
     assert geometry.visibility_fraction(hi) > geometry.visibility_fraction(t)
 
 
-def test_region_file_roundtrip(tmp_path):
-    from swarmtopo.cli import standard_region
-    r = standard_region()
-    path = tmp_path / "region.json"
-    geometry.save_region(r, str(path))
-    back = geometry.load_region(str(path))
-    assert geometry.region_area(back) == pytest.approx(geometry.region_area(r))
-    assert back.k == r.k
-
-
 def test_region_file_radius_unit_scaling(tmp_path):
     doc = {"radius_unit": 2.0,
            "curves": [{"type": "polygon",

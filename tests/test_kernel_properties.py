@@ -1,8 +1,10 @@
 """Property tests of the aggregation, value-flood, classification and
 distance-flood kernels, and of the alpha sweep's counts, against their
-centralized twins, on small graphs with arbitrary (gapped) IDs, isolated
-nodes and boundary-free thresholds."""
+centralized twins, and of who talks in component organisation, on small
+graphs with arbitrary (gapped) IDs, isolated nodes and boundary-free
+thresholds."""
 
+import io
 import re
 
 import numpy as np
@@ -13,11 +15,9 @@ from hypothesis import strategies as st
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.boundary import NoPlateau
 from swarmtopo.convergetree import AggOp
-from conftest import connected_graphs, scattered_udgs
+from conftest import any_graphs, connected_graphs, flood_fields
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
-
-any_graphs = st.one_of(connected_graphs, scattered_udgs())
 
 
 def assert_deliveries_are_sender_degrees(g, res):
@@ -58,6 +58,60 @@ def test_distance_flood_equals_twin(g, data):
     else:
         assert np.isinf(field.hop).all() and res.ledger.total_broadcasts == 0
     assert_deliveries_are_sender_degrees(g, res)
+
+
+def draw_classes(g, data) -> np.ndarray:
+    """The classes at a drawn threshold, from no BOUNDARY node to all."""
+    deg = g.degrees()[g.ids]
+    return boundary.central_classify(g, data.draw(st.integers(int(deg.min()) - 1,
+                                                              int(deg.max()))))
+
+
+@SETTINGS
+@given(any_graphs, st.data())
+def test_no_neighbourhood_holds_two_components(g, data):
+    comp_of = boundary.form_components(g, draw_classes(g, data)).comp_of
+    for v in g.id_list:
+        closed = np.append(g.neighbors(v), v)
+        assert len(set(comp_of[closed].tolist()) - {0}) <= 1, v
+
+
+@SETTINGS
+@given(any_graphs, st.data())
+def test_organisation_talks_only_along_its_tree(g, data):
+    # members and the relays they name (`via`) send every JAGG and ASG; each
+    # of them sends ASG once, a round after hearing its own component's
+    member = draw_classes(g, data) == int(boundary.NodeClass.BOUNDARY)
+    root, parent, via = flood_fields(g, member)
+    members = g.ids[member[g.ids]]
+    comps = boundary.central_components(g, member)
+    label = np.zeros(g.max_id + 1, dtype=np.int64)
+    for c in comps:
+        label[list(c.members)] = c.component_id
+    for v in g.id_list:  # a non-member's component: its member neighbours'
+        if not member[v] and label[g.neighbors(v)].any():
+            label[v] = label[g.neighbors(v)].max()
+    org = boundary._CompOrgRounds(g, member, root, parent, via)
+    buf = io.StringIO()
+    res = org.run(trace=buf)
+    assert_deliveries_are_sender_degrees(g, res)
+    talkers = set(members.tolist()) | set(via[members].tolist()) - {0}
+    sent = {boundary.K_JAGG: [], boundary.K_ASG: []}
+    for line in buf.getvalue().splitlines():
+        rnd, v, kind, _ = map(int, line.split(","))
+        if kind in sent:
+            sent[kind].append((rnd, v))
+    assert {v for _, v in sent[boundary.K_JAGG] + sent[boundary.K_ASG]} <= talkers
+    asg = dict((v, rnd) for rnd, v in sent[boundary.K_ASG])
+    assert len(asg) == len(sent[boundary.K_ASG])  # no node sends ASG twice
+    assert set(members.tolist()) <= set(asg)      # every member takes its totals
+    for v, rnd in asg.items():
+        if v != root[v]:
+            assert any(asg.get(u) == rnd - 1 and label[u] == label[v]
+                       for u in g.neighbors(v).tolist()), v
+    for c in comps:
+        assert (org.comp_size[list(c.members)] == c.size).all()
+        assert (org.comp_near[list(c.members)] == c.near_set_size).all()
 
 
 @SETTINGS

@@ -15,14 +15,16 @@ from swarmtopo.cli import MismatchedRun, RunConfig
 from swarmtopo.simkernel import RoundLimitExceeded
 
 
-def small_region_file(tmp_path):
-    region = geometry.Region([
-        geometry.Polygon(np.array([[0, 0], [8, 0], [8, 8], [0, 8]], float)),
-        geometry.Circle((4.0, 4.0), 1.2),
-    ])
-    path = tmp_path / "small.json"
-    geometry.save_region(region, str(path))
+def write_region(path, curves) -> str:
+    """A region document with these curves, in R units."""
+    path.write_text(json.dumps({"radius_unit": 1.0, "curves": curves}), encoding="utf-8")
     return str(path)
+
+
+def small_region_file(tmp_path):
+    return write_region(tmp_path / "small.json", [
+        {"type": "polygon", "vertices": [[0, 0], [8, 0], [8, 8], [0, 8]]},
+        {"type": "circle", "center": [4.0, 4.0], "radius": 1.2}])
 
 
 def test_standard_region_matches_paper_scale():
@@ -62,11 +64,9 @@ def test_pipeline_byte_identical_reruns(tmp_path):
 
 
 def test_density_warning_low_n(tmp_path):
-    region = geometry.Region([geometry.Polygon(
-        np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float))])
-    path = tmp_path / "tiny.json"
-    geometry.save_region(region, str(path))
-    r = cli.run_pipeline(RunConfig(region=str(path), n=50, seed=1, alpha=0.77,
+    path = write_region(tmp_path / "tiny.json",
+                        [{"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]}])
+    r = cli.run_pipeline(RunConfig(region=path, n=50, seed=1, alpha=0.77,
                                    token_loops=False))
     assert any("density warning" in w for w in r.warnings)
 
@@ -214,12 +214,10 @@ def test_round_limit_names_its_phase(monkeypatch, tmp_path, capsys, name, phase)
 
 
 def test_cli_invalid_region(tmp_path):
-    bad = geometry.Region([geometry.Polygon(
-        np.array([[0, 0], [30, 0], [30, 30], [0, 30]], float)),
-        geometry.Polygon(np.array([[1.0, 10], [5, 10], [5, 14], [1.0, 14]]))])
-    path = tmp_path / "bad.json"
-    geometry.save_region(bad, str(path))
-    assert cli.main(["validate", "--region", str(path)]) == cli.EXIT_GEOMETRY
+    path = write_region(tmp_path / "bad.json", [
+        {"type": "polygon", "vertices": [[0, 0], [30, 0], [30, 30], [0, 30]]},
+        {"type": "polygon", "vertices": [[1.0, 10], [5, 10], [5, 14], [1.0, 14]]}])
+    assert cli.main(["validate", "--region", path]) == cli.EXIT_GEOMETRY
 
 
 def test_cli_oracle_roundtrip_and_mismatch(tmp_path):
@@ -236,13 +234,19 @@ def test_cli_oracle_roundtrip_and_mismatch(tmp_path):
     bad = ["--region", path, "--nodes", "800", "--seed", "7", "--alpha", "0.77",
            "--out", out]
     assert cli.main(["oracle"] + bad) == cli.EXIT_MISMATCH
+    # a Voronoi tolerance or component floor the run was not made with
+    assert cli.main(["oracle", "--voronoi-tol", "9"] + args) == cli.EXIT_MISMATCH
+    assert cli.main(["oracle", "--min-comp", "3"] + args) == cli.EXIT_MISMATCH
 
 
 def test_check_provenance():
+    # every field that changes what score_run scores must match the run's
     summary = {"config": RunConfig(n=100, seed=1).to_dict()}
     cli.check_provenance(summary, RunConfig(n=100, seed=1))
-    with pytest.raises(MismatchedRun):
-        cli.check_provenance(summary, RunConfig(n=200, seed=1))
+    for key, value in (("n", 200), ("tolerance_hops", 9), ("min_component_size", 3)):
+        with pytest.raises(MismatchedRun, match=f"^run was produced with {key}="):
+            cli.check_provenance(summary, dataclasses.replace(RunConfig(n=100, seed=1),
+                                                              **{key: value}))
 
 
 def test_trace_flag_writes_costs(tmp_path):
