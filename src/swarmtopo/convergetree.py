@@ -382,23 +382,25 @@ def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
     root = roots[0]
     if root != max(g.id_list):
         raise AssertionError("root is not the global max ID")
-    seen = 0
     stack = [root]
     visited = set()
+    tails: list[int] = []
+    heads: list[int] = []
     while stack:
         v = stack.pop()
         if v in visited:
             raise AssertionError("cycle in tree")
         visited.add(v)
-        seen += 1
         for c in states[v].children:
             if states[c].parent != v:
                 raise AssertionError("parent/child links inconsistent")
-            if c not in g.neighbors(v):
-                raise AssertionError("tree edge is not a graph edge")
+            tails.append(v)
+            heads.append(c)
             stack.append(c)
-    if seen != g.n:
-        raise AssertionError(f"tree spans {seen} of {g.n} nodes")
+    if not has_edges(g, np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)).all():
+        raise AssertionError("tree edge is not a graph edge")
+    if len(visited) != g.n:
+        raise AssertionError(f"tree spans {len(visited)} of {g.n} nodes")
     if states[root].subtree_size != g.n or states[root].n_total != g.n:
         raise AssertionError("root did not learn n")
     last_completion = max(states[v].completion_round for v in g.id_list)

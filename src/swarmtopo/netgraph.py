@@ -7,7 +7,7 @@ IDs); node positions are kept purely for oracle-side verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -61,40 +61,38 @@ class UnitDiskGraph:
         return len(self.indices) // 2
 
 
-def build_udg(positions: Mapping[int, tuple[float, float]] | tuple[np.ndarray, np.ndarray],
-              R: float = 1.0) -> UnitDiskGraph:
+def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitDiskGraph:
     """Build the unit disk graph: u ~ v iff ||p(u) - p(v)|| <= R (inclusive).
 
-    `positions` is either {id: (x, y)} or a pair (ids, xy_array).  Uses
-    uniform grid bucketing with cell size R, expected O(n * mu) time.  The
-    result is independent of input order (rows are canonically sorted).
+    `positions` is a pair (ids, xy_array).  Grid bucketing with cells of
+    side about R finds the candidate pairs; each directed edge is packed as
+    rank(u) * n + rank(v), with ranks in ID order, and one sort of these
+    keys gives the CSR rows: O(E log E) for E edges.  The result is
+    independent of input order (rows are ascending).
     """
-    if isinstance(positions, Mapping):
-        ids = np.fromiter(positions.keys(), dtype=np.int64)
-        xy = np.array([positions[int(v)] for v in ids], dtype=float)
-    else:
-        ids, xy = positions
-        ids = np.asarray(ids, dtype=np.int64)
-        xy = np.asarray(xy, dtype=float)
+    ids, xy = positions
+    ids = np.asarray(ids, dtype=np.int64)
+    by_id = np.argsort(ids)
+    ids, xy = ids[by_id], np.asarray(xy, dtype=float)[by_id]  # row index = rank
     n = len(ids)
-    if n < 1 or len(np.unique(ids)) != n or ids.min() < 1:
+    if n < 1 or ids[0] < 1 or (ids[1:] == ids[:-1]).any():
         raise ValueError("node IDs must be unique positive integers")
-    m = int(ids.max())
+    m = int(ids[-1])
 
-    cell = np.floor(xy / R).astype(np.int64)
-    cx0, cy0 = cell.min(axis=0)
-    ncx = int(cell[:, 0].max() - cx0) + 1
-    key = (cell[:, 0] - cx0) * (int(cell[:, 1].max() - cy0) + 2) + (cell[:, 1] - cy0)
+    # cells a hair wider than R: a pair whose rounded distance is R may be
+    # a little more than R apart, and must still fall in adjacent cells
+    cell = np.floor(xy / (R * (1 + 1e-9))).astype(np.int64)
+    cell -= cell.min(axis=0)
+    stride = int(cell[:, 1].max()) + 2
+    key = cell[:, 0] * stride + cell[:, 1]
     order = np.argsort(key, kind="stable")
     skey = key[order]
     starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
     bounds = np.r_[starts, len(skey)]
     cell_of = {int(skey[s]): (int(s), int(e)) for s, e in zip(starts, bounds[1:])}
-    stride = int(cell[:, 1].max() - cy0) + 2
 
     R2 = R * R
-    src: list[np.ndarray] = []
-    dst: list[np.ndarray] = []
+    packed: list[np.ndarray] = []
 
     def link(rows_a: np.ndarray, rows_b: np.ndarray, same: bool) -> None:
         pa, pb = xy[rows_a], xy[rows_b]
@@ -105,8 +103,9 @@ def build_udg(positions: Mapping[int, tuple[float, float]] | tuple[np.ndarray, n
             hit &= np.tri(len(rows_a), k=-1, dtype=bool)
         ai, bi = np.nonzero(hit)
         if len(ai):
-            src.append(rows_a[ai])
-            dst.append(rows_b[bi])
+            ra, rb = rows_a[ai], rows_b[bi]
+            packed.append(ra * n + rb)
+            packed.append(rb * n + ra)
 
     # half-neighborhood offsets cover each cell pair exactly once
     offsets = ((0, 1), (1, -1), (1, 0), (1, 1))
@@ -118,24 +117,18 @@ def build_udg(positions: Mapping[int, tuple[float, float]] | tuple[np.ndarray, n
             if nb is not None:
                 link(rows, order[nb[0]:nb[1]], same=False)
 
-    if src:
-        u = np.concatenate(src)
-        v = np.concatenate(dst)
-        iu = np.concatenate([ids[u], ids[v]])
-        iv = np.concatenate([ids[v], ids[u]])
-    else:
-        iu = np.empty(0, dtype=np.int64)
-        iv = np.empty(0, dtype=np.int64)
-
-    order2 = np.lexsort((iv, iu))
-    iu, iv = iu[order2], iv[order2]
-    counts = np.bincount(iu, minlength=m + 1)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    indices = iv.astype(np.int64)
+    # keys are below n * n, which fits in int64 up to n = 3e9; the pairs are
+    # distinct, so a plain sort orders the rows and each row's neighbours
+    edges = np.concatenate(packed) if packed else np.empty(0, dtype=np.int64)
+    edges.sort()
+    row, col = np.divmod(edges, n)
+    indptr = np.zeros(m + 2, dtype=np.int64)
+    indptr[ids + 1] = np.bincount(row, minlength=n)
+    np.cumsum(indptr, out=indptr)
 
     pos = np.zeros((m + 1, 2))
     pos[ids] = xy
-    return UnitDiskGraph(ids=np.sort(ids), xy=pos, R=R, indptr=indptr, indices=indices)
+    return UnitDiskGraph(ids=ids, xy=pos, R=R, indptr=indptr, indices=ids[col])
 
 
 def csr_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -100,7 +100,7 @@ def test_classify_inclusive_threshold():
 
 def test_central_classify_gapped_ids():
     # IDs {2, 5, 9}: arrays run to max_id, and unused IDs are never BOUNDARY
-    g = netgraph.build_udg({2: (0, 0), 5: (0.5, 0), 9: (1, 0)})
+    g = netgraph.build_udg(([2, 5, 9], np.array([(0, 0), (0.5, 0), (1, 0)], float)))
     for threshold in (1, 2):
         classes, _ = boundary.classify(g, threshold)
         assert np.array_equal(boundary.central_classify(g, threshold), classes)

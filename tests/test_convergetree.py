@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,38 @@ def test_tree_invariants_random(seed):
     g = random_graph(200, seed)
     build = convergetree.build_tree(g)
     convergetree.check_tree(g, build)  # spanning, acyclic, completion round
+
+
+def _edited_path_tree(edit):
+    """The tree of the path 1-2-3-4 (root 4, chain 4-3-2-1), with
+    edit(states) applied to its per-ID states."""
+    g = graph_from([(0, 0), (0.9, 0), (1.8, 0), (2.7, 0)])
+    build = convergetree.build_tree(g)
+    convergetree.check_tree(g, build)
+    states = list(build.states)
+    edit(states)
+    return g, dataclasses.replace(build, states=states)
+
+
+def _set(states, v, **fields):
+    states[v] = dataclasses.replace(states[v], **fields)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # 1 hangs off 3, 1.8 apart: consistent links, but not a graph edge
+    (lambda st: (_set(st, 3, children=(2, 1)), _set(st, 2, children=()),
+                 _set(st, 1, parent=3)), "tree edge is not a graph edge"),
+    (lambda st: _set(st, 1, parent=3), "parent/child links inconsistent"),
+    (lambda st: _set(st, 4, children=(3, 3)), "cycle in tree"),
+    (lambda st: _set(st, 2, children=()), "tree spans 3 of 4 nodes"),
+    (lambda st: _set(st, 1, completion_round=st[1].completion_round + 5),
+     "protocol completion round"),
+], ids=["non-graph-edge", "inconsistent-links", "repeated-child", "not-spanning",
+        "completion-round"])
+def test_check_tree_rejects_edited_tree(edit, message):
+    g, build = _edited_path_tree(edit)
+    with pytest.raises(AssertionError, match=message):
+        convergetree.check_tree(g, build)
 
 
 def test_aggregate_max_equals_oracle():

@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
-from swarmtopo import geometry, netgraph
+from swarmtopo import cli, geometry, netgraph
 
 
 def graph_from(points, R=1.0):
@@ -18,6 +20,13 @@ def test_edge_at_exactly_R():
     g = graph_from([(0, 0), (1, 0)])
     assert list(g.neighbors(1)) == [2]
     assert list(g.neighbors(2)) == [1]
+
+
+def test_edge_at_R_across_two_cell_borders():
+    # 1.5 - (-2.6e-167) rounds to exactly R: the rounded distance decides,
+    # though a cell of side exactly R would put the two points two cells apart
+    g = netgraph.build_udg(([1, 2], np.array([(0, -2.6213585e-167), (0, 1.5)])), R=1.5)
+    assert list(g.neighbors(1)) == [2]
 
 
 def test_no_edge_just_beyond_R():
@@ -140,3 +149,87 @@ def test_build_udg_symmetry_property(n, seed):
     for v in range(1, n + 1):
         for u in g.neighbors(v):
             assert v in g.neighbors(int(u))
+
+
+def brute_force_rows(ids, pts, R):
+    """{id: ascending neighbour IDs} from all pairs: dx*dx + dy*dy <= R*R."""
+    dx = pts[:, 0, None] - pts[None, :, 0]
+    dy = pts[:, 1, None] - pts[None, :, 1]
+    near = (dx * dx + dy * dy <= R * R) & ~np.eye(len(ids), dtype=bool)
+    return {int(v): sorted(int(u) for u in ids[near[i]]) for i, v in enumerate(ids)}
+
+
+@st.composite
+def deployments(draw):
+    """Up to 60 points with distinct gapped IDs in shuffled order, either
+    anywhere in a box or on a lattice of step R/2, so that points share
+    cell borders and lie exactly R apart."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    ids = draw(st.lists(st.integers(min_value=1, max_value=10**7),
+                        min_size=n, max_size=n, unique=True))
+    R = draw(st.sampled_from([0.3, 0.5, 0.7, 1.0, 1.5, 2.0]))
+    if draw(st.booleans()):
+        steps = st.integers(min_value=-8, max_value=8)
+        pts = np.array(draw(st.lists(st.tuples(steps, steps), min_size=n, max_size=n)),
+                       dtype=float) * (R / 2)
+    else:
+        coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
+                       dtype=float)
+    return np.array(ids, dtype=np.int64), pts, R
+
+
+@given(deployments())
+@settings(max_examples=300, deadline=None)
+def test_build_udg_matches_brute_force_property(dep):
+    ids, pts, R = dep
+    g = netgraph.build_udg((ids, pts), R=R)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert len(g.indptr) == int(ids.max()) + 2
+    assert g.ids.tolist() == sorted(ids.tolist())
+    want = brute_force_rows(ids, pts, R)
+    assert {v: g.neighbors(v).tolist() for v in want} == want  # rows ascending
+    assert g.indptr[-1] == sum(len(row) for row in want.values())  # unused IDs empty
+
+
+# sha256 of indptr.tobytes() and indices.tobytes(), with their lengths,
+# recorded from the two-key lexsort build the rank-packed sort replaced
+GRAPH_DIGESTS = {
+    "annulus-13k": ("52fe372d24a1339eaeaadbd13361543ee12e5c15fff488a67e5d71a42a8cf609", 13002,
+                    "db69e753b12b59d2600c6a6622dcba1208fa23ace3bdfda292ea30e7b5b20a8a", 2183618),
+    "gapped-7k+3": ("f9212156d89933df4b9d88f399cbf2d7d6340cee938b7420d054d925afbf7752", 4198,
+                    "d8afc2414a15fbf639597c557b43ba71fa598eac765463ae697468cb66b57b57", 27228),
+    "single": ("17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1", 6,
+               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "edgeless-pair": ("66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925", 4,
+                      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "negative-R0.75": ("70f1c76e10ca7e07321fa9c6213097ff9c64f97abf5b143e4a6cae1d0c375fd9", 402,
+                       "6bf2da14bf12fad906bda8e6fa09bc7260bd9b9b0163f2cfe34f434d6fbb55c3", 10066),
+}
+
+
+def pinned_deployment(name):
+    """(ids, xy, R) of a pinned graph."""
+    if name == "annulus-13k":  # the CLI's deployment: annulus, n = 13,000, seed 1
+        pts = geometry.sample_uniform(cli.resolve_region("annulus"), 13_000, 1)
+        return Generator(Philox([1, 1])).permutation(13_000) + 1, pts, 1.0
+    if name == "gapped-7k+3":
+        rng = Generator(Philox(10))
+        pts = rng.random((600, 2)) * 6.0
+        return 7 * rng.permutation(600) + 3, pts, 1.0
+    if name == "single":
+        return np.array([4]), np.array([[0.3, -0.2]]), 1.0
+    if name == "edgeless-pair":
+        return np.array([1, 2]), np.array([[0.0, 0.0], [1.5, 0.0]]), 1.0
+    rng = Generator(Philox(11))  # negative coordinates, R = 0.75
+    return np.arange(1, 401), rng.random((400, 2)) * 5.0 - [4.0, 3.0], 0.75
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_DIGESTS))
+def test_graph_digests_pinned(name):
+    ids, pts, R = pinned_deployment(name)
+    g = netgraph.build_udg((ids, pts), R=R)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    got = (hashlib.sha256(g.indptr.tobytes()).hexdigest(), len(g.indptr),
+           hashlib.sha256(g.indices.tobytes()).hexdigest(), len(g.indices))
+    assert got == GRAPH_DIGESTS[name]
