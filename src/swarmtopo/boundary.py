@@ -35,14 +35,14 @@ K_TQ = 20      # (comp, seq, *holder_nbrs)   token pass query
 K_TQF = 21     # (comp, seq, holder, *nbrs)  relayed query
 K_TR = 22      # (comp, seq, score, isroot, excl, via)    candidate reply
 K_TRF = 23     # (cand, comp, seq, score, isroot, excl)   relayed reply
-K_TC = 24      # (comp, seq, succ, via, *path)            pass choice
-K_TCF = 25     # (holder, comp, seq, succ, via, *path)    relayed choice
+K_TC = 24      # (comp, seq, succ, via, steps)            pass choice, steps from the root
+K_TCF = 25     # (holder, comp, seq, succ, via, steps)    relayed choice
 K_TA = 26      # (comp, seq, via, dest)      successor acknowledgment
 K_TAF = 27     # (comp, seq, dest)           relayed acknowledgment
 K_TB = 28      # (comp, seq, dest, via)      backtrack request to previous holder
 K_TBF = 29     # (comp, seq, dest)           relayed backtrack request
-K_TRB = 30     # (comp, seq, failed)         rollback: un-exclude seq's candidates
-K_TRBF = 31    # (comp, seq, failed)         relayed rollback
+K_TRB = 30     # (comp, seq)                 rollback: un-exclude seq's candidates
+K_TRBF = 31    # (comp, seq)                 relayed rollback
 
 FRAC_SCALE = 1 << 16  # fractional distances travel as 16-bit fixed point
 
@@ -619,9 +619,8 @@ def detect_voronoi(field: DistanceField, tolerance_hops: int = 2) -> np.ndarray:
 
 class _TokenNode(NodeProto):
     __slots__ = ("comp", "is_root", "size", "min_steps", "excluded_at",
-                 "replied", "fwd_seen", "holding", "seq", "path", "prev",
-                 "replies", "decide_at", "my_pass_seq", "loop", "failed",
-                 "nbrs_arr")
+                 "replied", "fwd_seen", "holding", "seq", "steps", "prev",
+                 "replies", "decide_at", "my_pass_seq", "closed")
 
     def __init__(self, vid, nbrs, comp, size):
         super().__init__(vid, nbrs)
@@ -634,14 +633,12 @@ class _TokenNode(NodeProto):
         self.fwd_seen: set[tuple] = set()
         self.holding = False
         self.seq = 0
-        self.path: list[tuple[int, int]] = []
-        self.prev: tuple[int, int] | None = None
+        self.steps = 0  # passes from the root to this holder
+        self.prev: tuple[int, int] | None = None  # (holder, via) that passed this node the token
         self.replies: dict[int, tuple[int, int, int, int]] = {}  # cand -> (score, isroot, excl, via)
         self.decide_at = -1
         self.my_pass_seq = -1
-        self.loop: list[tuple[int, int]] | None = None
-        self.failed = False
-        self.nbrs_arr = np.asarray(nbrs)
+        self.closed = False  # root only: the loop is complete
 
     # -- helpers ------------------------------------------------------
 
@@ -651,11 +648,11 @@ class _TokenNode(NodeProto):
         self.replies = {}
         self.decide_at = rnd + 4
         self.wake = True
-        return (K_TQ, self.comp, self.seq) + tuple(self.nbrs_arr.tolist())
+        return (K_TQ, self.comp, self.seq) + tuple(self.nbrs.tolist())
 
     def _score(self, holder_nbrs) -> int:
         other = np.fromiter(holder_nbrs, dtype=np.int64)
-        return int(np.intersect1d(self.nbrs_arr, other, assume_unique=True).size)
+        return int(np.intersect1d(self.nbrs, other, assume_unique=True).size)
 
     def _consider_reply(self, comp, seq, holder, holder_nbrs, via):
         if self.comp != comp or holder == self.vid:
@@ -674,7 +671,6 @@ class _TokenNode(NodeProto):
         # has consumed everything ahead (keeps the walk from dead-ending at
         # strip pinches); the root closes the loop per the priority rule
         self.decide_at = -1
-        steps = len(self.path) - 1
         root_reply = None
         fresh = None
         stale = None
@@ -686,7 +682,7 @@ class _TokenNode(NodeProto):
             elif excl and (stale is None or (score, cand) < (stale[0], stale[1])):
                 stale = (score, cand, via)
         succ = None
-        if root_reply is not None and steps >= self.min_steps:
+        if root_reply is not None and self.steps >= self.min_steps:
             succ, via = root_reply
         elif fresh is not None:
             succ, via = fresh[1], fresh[2]
@@ -697,31 +693,24 @@ class _TokenNode(NodeProto):
         if succ is None:
             return self._backtrack()
         self.holding = False
-        flat = []
-        for mem, v in self.path:
-            flat.extend((mem, v))
-        return ((K_TC, self.comp, self.my_pass_seq, succ, via) + tuple(flat),)
+        return ((K_TC, self.comp, self.my_pass_seq, succ, via, self.steps),)
 
     def _backtrack(self):
         self.holding = False
         if self.prev is None:
-            if self.size <= 1:
-                self.loop = list(self.path)  # trivial single-node loop
-            else:
-                self.failed = True
+            self.closed = self.size <= 1  # a single-node loop, or a failed walk
             return ()
         self.excluded_at = -1  # the failed branch stays excluded
         p, via = self.prev
         return ((K_TB, self.comp, self.seq, p, via),)
 
-    def _become_holder(self, rnd, path, prev):
-        self.path = path
+    def _become_holder(self, rnd, steps, prev):
         self.prev = prev
-        self.holding = True
-        if self.is_root and len(path) > 1:
-            self.loop = list(path)  # closed: query nothing further
-            self.holding = False
+        if self.is_root:
+            self.closed = True  # query nothing further
             return ()
+        self.steps = steps
+        self.holding = True
         self.excluded_at = -1  # the walk never revisits an ex-holder
         return (self._query(rnd),)
 
@@ -731,7 +720,6 @@ class _TokenNode(NodeProto):
         out = []
         if rnd == 0 and self.is_root:
             self.holding = True
-            self.path = [(self.vid, 0)]
             out.append(self._query(rnd))
             return out
 
@@ -759,23 +747,19 @@ class _TokenNode(NodeProto):
                     self.replies.setdefault(cand, (score, isroot, excl, s))
             elif k in (K_TC, K_TCF):
                 if k == K_TC:
-                    holder, comp, seq, succ, via = s, m[1], m[2], m[3], m[4]
-                    flat = m[5:]
+                    holder, (comp, seq, succ, via, steps) = s, m[1:]
                     key = (comp, seq, K_TC)
                     if key not in self.fwd_seen:
                         self.fwd_seen.add(key)
-                        out.append((K_TCF, holder, comp, seq, succ, via) + flat)
+                        out.append((K_TCF, holder) + m[1:])
                 else:
-                    holder, comp, seq, succ, via = m[1], m[2], m[3], m[4], m[5]
-                    flat = m[6:]
+                    holder, comp, seq, succ, via, steps = m[1:]
                 if comp == self.comp and (comp, seq, "tc") not in self.fwd_seen:
                     self.fwd_seen.add((comp, seq, "tc"))
-                    path = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
                     if succ == self.vid:
                         out.append((K_TA, comp, seq, via, holder))
                         self.seq = max(self.seq, seq)  # pass numbering is global
-                        out.extend(self._become_holder(
-                            rnd, path + [(self.vid, via)], (holder, via)))
+                        out.extend(self._become_holder(rnd, steps + 1, (holder, via)))
                     elif (comp, seq) in self.replied and not self.is_root:
                         self.excluded_at = seq
             elif k == K_TA:
@@ -792,13 +776,13 @@ class _TokenNode(NodeProto):
                 if m[3] == self.vid and m[1] == self.comp:
                     out.extend(self._resume(rnd, m[2]))
             elif k in (K_TRB, K_TRBF):
-                comp, seq, failed = m[1], m[2], m[3]
+                comp, seq = m[1], m[2]
                 if k == K_TRB:
                     key = (comp, seq, K_TRB)
                     if key not in self.fwd_seen:
                         self.fwd_seen.add(key)
-                        out.append((K_TRBF, comp, seq, failed))
-                if comp == self.comp and self.excluded_at == seq and self.vid != failed:
+                        out.append((K_TRBF, comp, seq))
+                if comp == self.comp and self.excluded_at == seq:
                     self.excluded_at = None
                     self.replied.discard((comp, seq))
 
@@ -813,7 +797,7 @@ class _TokenNode(NodeProto):
         # (the failed node marked itself permanently excluded) and re-query
         self.holding = True
         self.seq = max(self.seq, new_seq)
-        out = [(K_TRB, self.comp, self.my_pass_seq, 0)]
+        out = [(K_TRB, self.comp, self.my_pass_seq)]
         out.append(self._query(rnd))
         return out
 
@@ -826,8 +810,10 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
                     trace=None) -> tuple[dict[int, TokenLoop], RunResult]:
     """Run the token-pass loop in every component concurrently.
 
-    Components whose backtracking exhausts all candidates are omitted from
-    the returned mapping (the pipeline warns about each).
+    Every holder keeps the (holder, via) that passed it the token and holds
+    it at most once, so a closed loop is read back from the root along
+    these links.  Components whose backtracking exhausts all candidates
+    are omitted from the returned mapping (the pipeline warns about each).
     """
     sizes = {c.component_id: c.size for c in comps.components}
     nodes, res = run_protocol(
@@ -838,16 +824,19 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
     loops: dict[int, TokenLoop] = {}
     for c in comps.components:
         root = c.component_id
-        nd = nodes[root]
-        if nd.failed or nd.loop is None:
+        if not nodes[root].closed:
             continue
-        members = tuple(m for m, _ in nd.loop)
-        walk = [members[0]]
-        for mem, via in nd.loop[1:]:
+        members, walk = [root], [root]  # read backwards, root last
+        link = nodes[root].prev
+        while link is not None:
+            holder, via = link
             if via:
                 walk.append(via)
-            walk.append(mem)
-        loops[root] = TokenLoop(component_id=root, members=members, walk=tuple(walk))
+            walk.append(holder)
+            members.append(holder)
+            link = None if holder == root else nodes[holder].prev
+        loops[root] = TokenLoop(component_id=root, members=tuple(members[::-1]),
+                                walk=tuple(walk[::-1]))
     return loops, res
 
 

@@ -1,13 +1,19 @@
 """Token loops against recorded runs.
 
-The digests below were taken from `run_token_loops` as it ran before the
-per-node executor moved onto `RoundKernel.run` (see CHANGES.md).  They pin
-today's closure rule, including the early close of the `annulus-early-close`
-case, so a change to that rule re-records them on purpose.  Each case
-covers the loops (members and walk), both ledger arrays, the trace text
-and the round and delivery counts; the stuck cases cover the nodes named
-when `max_rounds` runs out.
-"""
+The walks digests (the first field of each case), the round and delivery
+counts and the stuck digests were taken from `run_token_loops` as it ran
+before the per-node executor moved onto `RoundKernel.run` (see
+CHANGES.md).  They pin today's closure rule, including the early close of
+the `annulus-early-close` case, so a change to that rule re-records them on
+purpose.  Each case covers the loops (members and walk), both ledger
+arrays, the trace text and the round and delivery counts; the stuck cases
+cover the nodes named when `max_rounds` runs out.
+
+The ledger and trace digests were re-recorded when the choice (`K_TC`,
+relayed as `K_TCF`) stopped carrying the path walked so far and carried the
+holder's step count instead, and the rollback (`K_TRB`/`K_TRBF`) lost its
+always-zero field: message sizes changed, while every walk, round count,
+delivery count and stuck digest stayed as recorded."""
 
 import functools
 import io
@@ -30,41 +36,41 @@ def token_digests(g, comps) -> tuple:
 
 
 GOLDEN = {
-    "dense-60-1": ("c19ddf76ae5550ef", "97fd67c1cdc3c51d", "c961204fc05ed451",
+    "dense-60-1": ("c19ddf76ae5550ef", "61f02d770392222b", "62bf3035338fb98b",
                    42, 6017),
-    "dense-250-2": ("ebe83eb2318825e0", "ab47a048c2f8d003", "66118d57a5c622f8",
+    "dense-250-2": ("ebe83eb2318825e0", "127159f38289e371", "5368af2d9f051f40",
                     103, 30112),
-    "dense-800-3": ("096ed0bf6b971271", "e766c98d85b292b6", "7a560d11f8707c81",
+    "dense-800-3": ("096ed0bf6b971271", "68fd13199e5e0abc", "0f223cc4e7b84561",
                     840, 239727),
-    "gapped-60-4": ("ad7b285ac554ee08", "03611deb197724f3", "6cd1311c7b21e8e8",
+    "gapped-60-4": ("ad7b285ac554ee08", "6df917135cdf8c94", "0badfb77fba717b9",
                     43, 6549),
-    "gapped-250-5": ("d42aa4c365aa2bda", "a952c1234f1b251b", "b733754f8b75e3d2",
+    "gapped-250-5": ("d42aa4c365aa2bda", "2197f8a062bd8a8c", "81810be78423219c",
                      229, 50808),
-    "gapped-800-6": ("a6c024cda0b9def7", "afe4fd153967b671", "f8eb80b12aeb698e",
+    "gapped-800-6": ("a6c024cda0b9def7", "10f3615e433fe682", "1b6bebf039c95836",
                      146, 70152),
-    "crowded-400-7": ("66b40884bd008feb", "dcc9a17aff5131d3", "7354350ef7ca558b",
+    "crowded-400-7": ("66b40884bd008feb", "012fe61c1697808a", "42f10a38252acd4b",
                       79, 480677),
-    "path-40": ("8998e26aa7001810", "2b864634105aab6f", "fccec36d1e059b9f",
+    "path-40": ("8998e26aa7001810", "219dd5707f069de3", "1c8a0d662421d697",
                 198, 673),
-    "star": ("87ba74d41dc8d2a5", "e639664c0b0a6fcf", "62418287f9d97658",
+    "star": ("87ba74d41dc8d2a5", "b87c8c47fb90735d", "d8405e0bd243de68",
              38, 310),
-    "star-gapped": ("64ff733638292a47", "ae60839c1190051c", "2ad7f0623587abd4",
+    "star-gapped": ("64ff733638292a47", "f2f00e763c5e9d17", "bbb846e33bf496ee",
                     38, 230),
     "single": ("4a51a81382aca0b5", "9cc9a1ed36066271", "a464a03a8f876764",
                5, 0),
-    "standard-20k": ("7701d335f0c66796", "19d0ef9b9d4428ad", "395090745f2e0297",
+    "standard-20k": ("7701d335f0c66796", "509dcc98eda9bba9", "a89f07e37a9f292e",
                      3867, 9985609),
-    "clique-4": ("85d7531b6a3f7765", "1b76d3405142ee9d", "e6caa5453fd12678",
+    "clique-4": ("85d7531b6a3f7765", "115939a61239229c", "e95c4535e5142113",
                  22, 80),
     "singleton": ("56ee3bae2f4751e8", "ece998b1a20230cb", "7961b28f15c0d1bd",
                   5, 0),
-    "open-chain": ("e41f63ba79eb9863", "f5f2e464187c1172", "95b7d481853d4d84",
+    "open-chain": ("e41f63ba79eb9863", "ad1446f378ee2102", "94b00c6e920a9750",
                    62, 161),
     "malformed": ("4f53cda18c2baa0c", "ece998b1a20230cb", "7961b28f15c0d1bd",
                   5, 0),
-    "annulus-4000": ("264d78ff07f9ceaa", "3d5c71f9704b1548", "058d978a384c7b69",
+    "annulus-4000": ("264d78ff07f9ceaa", "6ee4c5c1c3b1612d", "11312ba91096b8f4",
                      223, 305844),
-    "annulus-early-close": ("7aff5a5e88757044", "4dcfab3c125796c4", "708f266231cad1ff",
+    "annulus-early-close": ("7aff5a5e88757044", "5a63a4171a0ee87a", "9980641c6f699719",
                             91, 293288),
 }
 
