@@ -37,8 +37,6 @@ K_TR = 22      # (comp, seq, score, isroot, excl, via)    candidate reply
 K_TRF = 23     # (cand, comp, seq, score, isroot, excl)   relayed reply
 K_TC = 24      # (comp, seq, succ, via, steps)            pass choice, steps from the root
 K_TCF = 25     # (holder, comp, seq, succ, via, steps)    relayed choice
-K_TA = 26      # (comp, seq, via, dest)      successor acknowledgment
-K_TAF = 27     # (comp, seq, dest)           relayed acknowledgment
 K_TB = 28      # (comp, seq, dest, via)      backtrack request to previous holder
 K_TBF = 29     # (comp, seq, dest)           relayed backtrack request
 K_TRB = 30     # (comp, seq)                 rollback: un-exclude seq's candidates
@@ -757,15 +755,10 @@ class _TokenNode(NodeProto):
                 if comp == self.comp and (comp, seq, "tc") not in self.fwd_seen:
                     self.fwd_seen.add((comp, seq, "tc"))
                     if succ == self.vid:
-                        out.append((K_TA, comp, seq, via, holder))
                         self.seq = max(self.seq, seq)  # pass numbering is global
                         out.extend(self._become_holder(rnd, steps + 1, (holder, via)))
                     elif (comp, seq) in self.replied and not self.is_root:
                         self.excluded_at = seq
-            elif k == K_TA:
-                if m[3] != self.vid and m[2] == self.vid:
-                    out.append((K_TAF, m[1], m[2], m[3]))
-                # acknowledgment itself needs no further action
             elif k == K_TB:
                 comp, seq, dest, via = m[1], m[2], m[3], m[4]
                 if dest == self.vid and comp == self.comp:
