@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from swarmtopo import boundary, cli, geometry, netgraph
+from swarmtopo.geometry import FeatureSizeViolation, Polygon
 from swarmtopo.simkernel import RoundLimitExceeded, run_protocol
 
 
@@ -53,6 +54,36 @@ def star_graph(center, leaves):
     return netgraph.UnitDiskGraph(ids=ids, xy=np.zeros((m + 1, 2)), R=1.0,
                                   indptr=np.array(indptr),
                                   indices=np.array(indices, dtype=np.int64))
+
+
+def star_polygon(seed: int) -> Polygon:
+    """Deterministic pseudo-random polygon; retried by callers until it
+    clears the 2R feature-size bar."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = int(rng.integers(5, 12))
+    base = rng.uniform(10.0, 24.0)
+    wobble = rng.uniform(0.0, 0.45)
+    phase = rng.uniform(0, 2 * math.pi)
+    lobes = int(rng.integers(1, 4))
+    ang = np.sort(rng.uniform(0, 2 * math.pi, m))
+    if np.diff(np.r_[ang, ang[0] + 2 * math.pi]).min() < 0.3:
+        ang = np.linspace(0, 2 * math.pi, m, endpoint=False) + rng.uniform(0, 0.3, m)
+    radii = base * (1 + wobble * np.sin(lobes * ang + phase))
+    return Polygon(np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1))
+
+
+def valid_polygons(count: int) -> list[Polygon]:
+    out = []
+    seed = 0
+    while len(out) < count:
+        seed += 1
+        poly = star_polygon(seed)
+        try:
+            geometry.band_areas_closed_form(poly)  # checks feature size
+        except FeatureSizeViolation:
+            continue
+        out.append(poly)
+    return out
 
 
 def strip_components(pairs):
@@ -292,6 +323,16 @@ def straight_boundary_samples(region, step=0.5, margin=1.0):
             for t in np.linspace(margin / length, 1 - margin / length, m):
                 pts.append(tuple(a + t * (b - a)))
     return np.asarray(pts)
+
+
+@pytest.fixture(scope="session")
+def monte_carlo_bands():
+    """(polygon, closed-form bands, Monte Carlo bands) for the first 20
+    valid polygons, polygon i sampled 2e6 times with seed 500 + i: enough
+    to keep the oracle's own 3-sigma noise well under a 1% agreement bar."""
+    return [(poly, geometry.band_areas_closed_form(poly),
+             geometry.band_areas_oracle(poly, samples=2_000_000, seed=500 + i))
+            for i, poly in enumerate(valid_polygons(20))]
 
 
 @pytest.fixture(scope="session")

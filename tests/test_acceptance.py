@@ -196,16 +196,13 @@ def test_criterion_4_theorem_statistics(theorem_records):
 
 
 @pytest.mark.slow
-def test_criterion_5_band_areas():
-    from test_bands import valid_polygons
+def test_criterion_5_band_areas(monte_carlo_bands):
     sq = geometry.Polygon(np.array([[0, 0], [4, 0], [4, 4], [0, 4]], float))
     b = geometry.band_areas_closed_form(sq)
     exact = (abs(b.outer_band - (16 - 4)) < 1e-12 and
              abs(b.inner_band - (16 + math.pi)) < 1e-12)
     worst = 0.0
-    for i, poly in enumerate(valid_polygons(20)):
-        cf = geometry.band_areas_closed_form(poly)
-        mc = geometry.band_areas_oracle(poly, samples=2_000_000, seed=500 + i)
+    for _, cf, mc in monte_carlo_bands:
         worst = max(worst,
                     abs(cf.outer_band - mc.outer_band) / cf.outer_band,
                     abs(cf.inner_band - mc.inner_band) / cf.inner_band)

@@ -8,36 +8,7 @@ import pytest
 
 from swarmtopo import geometry
 from swarmtopo.geometry import FeatureSizeViolation, Polygon
-
-
-def star_polygon(seed: int) -> Polygon:
-    """Deterministic pseudo-random polygon; retried by callers until it
-    clears the 2R feature-size bar."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    m = int(rng.integers(5, 12))
-    base = rng.uniform(10.0, 24.0)
-    wobble = rng.uniform(0.0, 0.45)
-    phase = rng.uniform(0, 2 * math.pi)
-    lobes = int(rng.integers(1, 4))
-    ang = np.sort(rng.uniform(0, 2 * math.pi, m))
-    if np.diff(np.r_[ang, ang[0] + 2 * math.pi]).min() < 0.3:
-        ang = np.linspace(0, 2 * math.pi, m, endpoint=False) + rng.uniform(0, 0.3, m)
-    radii = base * (1 + wobble * np.sin(lobes * ang + phase))
-    return Polygon(np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1))
-
-
-def valid_polygons(count: int) -> list[Polygon]:
-    out = []
-    seed = 0
-    while len(out) < count:
-        seed += 1
-        poly = star_polygon(seed)
-        try:
-            geometry.band_areas_closed_form(poly)  # checks feature size
-        except FeatureSizeViolation:
-            continue
-        out.append(poly)
-    return out
+from conftest import valid_polygons
 
 
 def test_square_outer_band_exact():
@@ -82,15 +53,11 @@ def test_convex_inner_exceeds_outer():
 
 
 @pytest.mark.slow
-def test_closed_form_matches_monte_carlo_20_polygons():
-    # 2e6 samples keep the oracle's own 3-sigma noise well under the 1%
-    # agreement bar
-    polys = valid_polygons(20)
+def test_closed_form_matches_monte_carlo_20_polygons(monte_carlo_bands):
+    polys = [poly for poly, _, _ in monte_carlo_bands]
     assert sum((p.oriented(ccw=True).turn_angles() < 0).any() for p in polys) >= 3, \
         "want reflex corners represented"
-    for i, poly in enumerate(polys):
-        cf = geometry.band_areas_closed_form(poly)
-        mc = geometry.band_areas_oracle(poly, samples=2_000_000, seed=500 + i)
+    for i, (_, cf, mc) in enumerate(monte_carlo_bands):
         assert cf.outer_band == pytest.approx(mc.outer_band, rel=0.01), f"poly {i} outer"
         assert cf.inner_band == pytest.approx(mc.inner_band, rel=0.01), f"poly {i} inner"
 
