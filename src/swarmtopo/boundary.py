@@ -627,7 +627,7 @@ class _TokenNode(NodeProto):
         self.size = size
         self.min_steps = max(5, -(-size // 10)) if comp else 0
         self.excluded_at = None
-        self.replied: set[int] = set()
+        self.replied: set[tuple[int, int]] = set()  # (comp, seq) answered
         self.fwd_seen: set[tuple] = set()
         self.holding = False
         self.seq = 0
