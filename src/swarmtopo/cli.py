@@ -37,6 +37,10 @@ class MismatchedRun(RuntimeError):
     """Oracle invoked with a config that differs from the run's provenance."""
 
 
+class UsageError(ValueError):
+    """A command-line value no run can take."""
+
+
 class GraphDisconnected(RuntimeError):
     """The deployment's unit disk graph falls apart into several components,
     so no protocol can reach every node."""
@@ -526,7 +530,17 @@ def cmd_validate(args) -> int:
 def _config_from_args(args) -> RunConfig:
     alpha = args.alpha
     if alpha != "sweep":
-        alpha = float(alpha)
+        try:
+            alpha = float(alpha)
+        except ValueError:
+            alpha = math.nan
+        if not math.isfinite(alpha):
+            raise UsageError(f"--alpha takes a finite number or 'sweep', not {args.alpha!r}")
+    for flag, value in (("--nodes", args.nodes), ("--bins", args.bins)):
+        if value < 1:
+            raise UsageError(f"{flag} takes a positive integer, not {value}")
+    if args.seed < 0:
+        raise UsageError(f"--seed takes a non-negative integer, not {args.seed}")
     return RunConfig(region=args.region, n=args.nodes, seed=args.seed,
                      alpha=alpha, bin_count=args.bins,
                      tolerance_hops=args.voronoi_tol,
@@ -684,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except geometry.GeometryError as exc:

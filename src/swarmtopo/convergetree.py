@@ -29,7 +29,9 @@ from .simkernel import RoundKernel, RunResult, run_protocol  # noqa: F401
 K_STATE = 1   # (root, parent)      flood announcement, doubles as join notice
 K_REPORT = 2  # (root, size)        convergecast: subtree size under `root`
 K_DONE = 3    # (root, n)           root's completion flood down the tree
-K_AGG = 4     # (*value)            aggregation convergecast
+K_AGG = 4     # (value,)            aggregation convergecast; a histogram row
+              #                     goes as (lo, c_lo, ..., c_hi), the window from
+              #                     its first to its last nonzero bin, () if all zero
 K_VAL = 5     # (*value)            network flood of a value
 
 
@@ -92,8 +94,7 @@ class _TreeRounds(RoundKernel):
         self.parent = np.zeros(size, dtype=np.int64)
         self.reported = np.zeros(size, dtype=np.int64)  # root of the last report
         self.subtree = np.ones(size, dtype=np.int64)
-        self.n_children = np.zeros(size, dtype=np.int64)
-        self.child_edge = np.zeros(len(g.indices), dtype=bool)  # row v: children at v's last report
+        self.n_children = np.zeros(size, dtype=np.int64)  # at v's last report
         self.done = np.zeros(size, dtype=bool)
         self.n_total = np.zeros(size, dtype=np.int64)
         self.completion = np.full(size, -1, dtype=np.int64)
@@ -140,15 +141,15 @@ class _TreeRounds(RoundKernel):
         root, done = self.root, self.done
         out = {}
         done_out = []
+        # the report rule can change only at a node that heard a STATE or
+        # whose child reported; DONE changes no node's rule
         heard = np.zeros(size, dtype=bool)
-        got = {}
-        for k, (s, _, _) in msgs.items():
-            got[k] = self.receivers(s)
-            heard[got[k][0]] = True
+        if K_REPORT in msgs:
+            heard[self.said_parent[msgs[K_REPORT][0]]] = True
 
         if K_DONE in msgs:
             s, r, n = msgs[K_DONE]
-            v, lens = got[K_DONE]
+            v, lens = self.receivers(s)
             k = np.repeat(np.arange(len(s)), lens)
             take = ~done[v] & (r[k] == root[v])
             # deliveries run in sender order, so the first is the smallest sender
@@ -162,7 +163,8 @@ class _TreeRounds(RoundKernel):
 
         if K_STATE in msgs:
             s, r, _ = msgs[K_STATE]
-            v, lens = got[K_STATE]
+            v, lens = self.receivers(s)
+            heard[v] = True
             best = np.zeros(size, dtype=np.int64)
             # largest root first, then the smallest sender
             np.maximum.at(best, v, np.repeat(r * size + (size - 1 - s), lens))
@@ -172,27 +174,24 @@ class _TreeRounds(RoundKernel):
             self.parent[new] = size - 1 - best[new] % size
             out[K_STATE] = (new, root[new], self.parent[new])
 
-        cand = np.flatnonzero(heard & ~done & (self.reported != root))
+        # a node with a child that has not reported under the child's root
+        # fails the rule whatever that root is
+        ids, said, kid_of = self.ids, self.said_root, self.said_parent[self.ids]
+        waiting = np.bincount(kid_of, weights=self.rep_root[ids] != said[ids], minlength=size)
+        cand = np.flatnonzero(heard & ~done & (self.reported != root) & (waiting == 0))
         # most candidates still have a neighbour on another root: rule them
         # out on the first and last neighbour before scanning whole rows
-        said = self.said_root
         cand = cand[(said[indices[indptr[cand]]] == root[cand])
                     & (said[indices[indptr[cand + 1] - 1]] == root[cand])]
         if len(cand):
+            # every child has reported, so only a neighbour on another root
+            # fails the rule; the children are then every node naming v
             pos, lens = csr_rows(indptr, cand)
-            u = indices[pos]
-            owner = np.repeat(cand, lens)
-            r = root[owner]
-            child = self.said_parent[u] == owner
-            bad = (self.said_root[u] != r) | (child & (self.rep_root[u] != r))
-            starts = np.cumsum(lens) - lens
-            ok = ~np.logical_or.reduceat(bad, starts)
-            edge_ok = np.repeat(ok, lens)
-            self.child_edge[pos[edge_ok]] = child[edge_ok]
-            kids = child & edge_ok
-            rep = cand[ok]
-            sizes = 1 + np.add.reduceat(np.where(kids, self.rep_size[u], 0), starts)[ok]
-            self.n_children[rep] = np.add.reduceat(kids, starts)[ok]
+            bad = said[indices[pos]] != np.repeat(root[cand], lens)
+            rep = cand[~np.logical_or.reduceat(bad, np.cumsum(lens) - lens)]
+            self.n_children[rep] = np.bincount(kid_of, minlength=size)[rep]
+            sizes = 1 + np.bincount(kid_of, weights=self.rep_size[ids],
+                                    minlength=size)[rep].astype(np.int64)
             self.subtree[rep] = sizes
             self.reported[rep] = root[rep]
             is_root = root[rep] == rep
@@ -228,7 +227,11 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
     kernel = _TreeRounds(g)
     result = kernel.run(max_rounds, trace)
     states: list = [None] * (g.max_id + 1)
-    kids = g.indices[kernel.child_edge].tolist()  # row by row, n_children[v] in row v
+    # v's children at its last report: the neighbours that named v under
+    # v's final root (a node announces each root once), row by row
+    owner = np.repeat(np.arange(kernel.size), np.diff(g.indptr))
+    kids = g.indices[(kernel.said_parent[g.indices] == owner)
+                     & (kernel.said_root[g.indices] == kernel.root[owner])].tolist()
     kid_ptr = np.concatenate(([0], np.cumsum(kernel.n_children))).tolist()
     root, parent = kernel.root.tolist(), kernel.parent.tolist()
     done = kernel.done.tolist()
@@ -266,16 +269,29 @@ def _agg_inputs(g: UnitDiskGraph, op: AggOp, values) -> np.ndarray:
     return out
 
 
+def _window_units(rows: np.ndarray) -> np.ndarray:
+    """Id-units of each row's histogram message (sender, lo, c_lo, ...,
+    c_hi): 3 + hi - lo for the window from its first nonzero bin lo to its
+    last nonzero bin hi, 1 (the sender alone) for an all-zero row."""
+    if not rows.shape[1]:
+        return np.ones(len(rows), dtype=np.int64)
+    nz = rows != 0
+    lo = nz.argmax(axis=1)
+    hi = rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+    return np.where(nz.any(axis=1), 3 + hi - lo, 1)
+
+
 class _AggRounds(RoundKernel):
     """Convergecast: a node with a parent sends its combined value once
     every child it lists has sent, a leaf in round 0.  A child is heard
     only over a graph edge; one that is not a neighbour leaves its parent
-    pending for good."""
+    pending for good.  A histogram row travels as its nonzero window."""
 
     def __init__(self, g: UnitDiskGraph, tree: Sequence, op: AggOp, values):
         super().__init__(g)
         self.acc = _agg_inputs(g, op, values)
         self.combine = np.maximum if op is AggOp.MAX else np.add
+        self.windowed = op is AggOp.HISTOGRAM_MERGE
         # float copy of every sum: a wrapped int64 sum is off by 2**64 from it
         self.exact = None if op is AggOp.MAX else self.acc.astype(float)
         self.has_parent = np.zeros(self.size, dtype=bool)
@@ -311,7 +327,7 @@ class _AggRounds(RoundKernel):
             par = np.unique(par)
             ready = par[(self.pending[par] == 0) & self.has_parent[par]]
         self.sent = ready
-        return [(K_AGG, ready, 1 + self.acc.shape[1])]
+        return [(K_AGG, ready, _window_units(self.acc[ready]) if self.windowed else 2)]
 
     def state_name(self, v: int) -> str:
         return f"agg(pending={self.pending[v]})"
@@ -324,9 +340,11 @@ def aggregate(g: UnitDiskGraph, tree: Sequence, op: AggOp,
     (the root is the largest ID without a parent).
 
     MAX and SUM take integer scalars and their messages cost 2
-    id-units; HISTOGRAM_MERGE takes equal-length integer rows and costs
-    1 + row length.  Other inputs, or a value that does not fit in int64,
-    raise ValueError.
+    id-units; HISTOGRAM_MERGE takes equal-length integer rows, and a
+    sender sends only the window of its merged row from its first to its
+    last nonzero bin, (lo, c_lo, ..., c_hi): 3 + hi - lo id-units, or 1
+    for an all-zero row.  Other inputs, or a value that does not fit in
+    int64, raise ValueError.
     """
     kernel = _AggRounds(g, tree, op, values)
     res = kernel.run(max_rounds, trace)

@@ -139,6 +139,27 @@ connected_graphs = st.one_of(random_udgs(), paths(), stars(), single_nodes)
 any_graphs = st.one_of(connected_graphs, scattered_udgs())
 
 
+def subtree_windows(g, states, rows) -> np.ndarray:
+    """Each sender's histogram convergecast charge, computed centrally from
+    the tree: the window of its subtree's summed row, 3 + hi - lo from the
+    first nonzero bin lo to the last hi, or 1 if that sum is all zero.
+    ID-indexed; 0 for the root and unused IDs."""
+    order, stack = [], [v for v in g.id_list if states[v].parent is None]
+    while stack:  # every parent before its children
+        v = stack.pop()
+        order.append(v)
+        stack.extend(states[v].children)
+    total = {v: [int(x) for x in rows[v]] for v in g.id_list}
+    units = np.zeros(g.max_id + 1, dtype=np.int64)
+    for v in reversed(order):
+        p = states[v].parent
+        if p is not None:
+            total[p] = [a + b for a, b in zip(total[p], total[v])]
+            nonzero = [i for i, c in enumerate(total[v]) if c]
+            units[v] = 3 + nonzero[-1] - nonzero[0] if nonzero else 1
+    return units
+
+
 # -- graphs and digests of the golden (recorded-protocol) tests -------------
 
 def gapped_path():

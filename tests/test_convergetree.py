@@ -6,7 +6,7 @@ import pytest
 from swarmtopo import convergetree, netgraph
 from swarmtopo.convergetree import AggOp
 from swarmtopo.simkernel import RoundLimitExceeded
-from conftest import graph_from, random_graph, star_graph
+from conftest import graph_from, random_graph, star_graph, subtree_windows
 
 
 def test_tree_on_path():
@@ -113,9 +113,45 @@ def test_aggregate_histogram_equals_centralized():
     }
     merged, res = convergetree.aggregate(g, build.states, AggOp.HISTOGRAM_MERGE, onehots)
     assert list(merged) == hist.counts.tolist()
-    # histogram convergecast messages carry 1 + bin_count units
-    per_node = res.ledger.id_units_sent[1:]
-    assert per_node.max() == 17 and set(per_node.tolist()) <= {0, 17}
+    # each sender sends the window of its subtree's merged row, at most all
+    # 16 bins (18 units), one bin (3 units) for most of them
+    per_node = res.ledger.id_units_sent
+    assert np.array_equal(per_node, subtree_windows(g, build.states, onehots))
+    assert per_node.max() == 14 and np.median(per_node[g.ids]) == 3
+    assert res.ledger.broadcasts_sent.sum() == g.n - 1
+
+
+def path_sums(rows):
+    """Histogram-merge the ID-ordered rows up the path 1-2-...-k (root k);
+    returns the root's row and each sender's charge in id-units."""
+    g = graph_from([(0.9 * i, 0) for i in range(len(rows))])
+    build = convergetree.build_tree(g)
+    values = {v: row for v, row in enumerate(rows, start=1)}
+    merged, res = convergetree.aggregate(g, build.states, AggOp.HISTOGRAM_MERGE, values)
+    return merged, res.ledger.id_units_sent[1:len(rows)].tolist()
+
+
+def test_histogram_all_zero_row_costs_one_unit():
+    merged, units = path_sums([(0, 0, 0, 0)] * 4)
+    assert merged == (0, 0, 0, 0) and units == [1, 1, 1]
+
+
+def test_histogram_window_spans_negative_entries():
+    # node 1 sends (lo=1, 5, 0, -2); node 2's merge cancels the 5 and the -2
+    merged, units = path_sums([(0, 5, 0, -2, 0), (0, -5, 0, 2, 0), (0, 0, 7, 0, 0)])
+    assert merged == (0, 0, 7, 0, 0) and units == [5, 1]
+    merged, units = path_sums([(-1, 0, 0), (0, 0, 0)])
+    assert merged == (-1, 0, 0) and units == [3]
+
+
+@pytest.mark.parametrize("bins", [16, 23])
+def test_histogram_window_widths(bins):
+    first, last = [0] * bins, [0] * bins
+    first[0], last[-1] = 1, 1
+    # node 1: the last bin alone; node 2: first and last, the whole row
+    merged, units = path_sums([tuple(last), tuple(first), tuple(last)])
+    assert merged == (1,) + (0,) * (bins - 2) + (2,)
+    assert units == [3, 2 + bins]
 
 
 def test_aggregate_cost_two_units():

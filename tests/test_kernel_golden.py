@@ -7,6 +7,10 @@ The digests below were taken from the per-node `_AggNode`, `_FloodNode`,
 `test_tree_golden.py`.  Each call's entry covers its output, both ledger
 arrays, the trace text and the round and delivery counts; the stuck
 cases cover the nodes named when `max_rounds` runs out.
+
+The `agg_hist` ledger and trace digests were re-recorded when histogram
+messages became the window of nonzero bins (see CHANGES.md); their
+outputs, rounds, deliveries and stuck digest are the recorded ones.
 """
 
 import functools
@@ -78,7 +82,7 @@ GOLDEN = {
         "agg_max": ("5e784258e23111e5", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
         "agg_sum": ("9053d01727f35cfd", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
         "agg_count": ("821902cf7e596f65", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
-        "agg_hist": ("9d1e3e5e22ef6158", "15b43b62519aa6ca", "81c6287720381f33", 4, 1415),
+        "agg_hist": ("9d1e3e5e22ef6158", "de5c4c322697e803", "366b53ffe3583145", 4, 1415),
         "flood": ("e2efa9f9015b1426", "597d3097bc1c0f73", "22861c3df5b563aa", 5, 1430),
         "classify": ("8e09d95256b00074", "fe933624cccb6046", "785afb15a185c0ab", 2, 233),
         "distance": ("624aa8c39676c752", "0837f071f33f317e", "1a54597db9b9338e", 4, 1430),
@@ -88,7 +92,7 @@ GOLDEN = {
         "agg_max": ("946edd5365af3ac1", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
         "agg_sum": ("38a08d981cafea0c", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
         "agg_count": ("03720cf28730b647", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
-        "agg_hist": ("81ab2a7947614f1e", "72b4ab204a792167", "1092938c30e87956", 6, 7893),
+        "agg_hist": ("81ab2a7947614f1e", "dfedca3b8730d726", "dc4a2e7cf0827ad4", 6, 7893),
         "flood": ("36fa292d50e4f837", "d49e3f15715caeef", "28d5af4232a085dc", 7, 7930),
         "classify": ("1394ece9621bad72", "e3ad40ccec4ad38e", "85a7e1e6513e26fe", 2, 1310),
         "distance": ("5a948b7623c8d715", "7c6bdfd617656c45", "35f009f22fda511d", 4, 7930),
@@ -98,7 +102,7 @@ GOLDEN = {
         "agg_max": ("5e6cb71c9fb89b8b", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
         "agg_sum": ("0c18780f2c80aea8", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
         "agg_count": ("a0bcfd07063d5623", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
-        "agg_hist": ("23a0fd15613d75b2", "52808609d163b7ee", "85ccd234063cd18f", 12, 26856),
+        "agg_hist": ("23a0fd15613d75b2", "8d9184861d32525a", "87539f47457a2773", 12, 26856),
         "flood": ("e280506357d03fac", "6fea68b156ee0e3a", "1918f417a5304143", 13, 26888),
         "classify": ("21d920718ef86d00", "ed22032ef3527aa3", "9d27a1922376139c", 2, 4581),
         "distance": ("15518b1bff77e691", "0c4ca9cdb8711896", "aa27a5046703f5bc", 5, 26888),
@@ -108,7 +112,7 @@ GOLDEN = {
         "agg_max": ("bcd913dfeb5d41b0", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
         "agg_sum": ("9053d01727f35cfd", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
         "agg_count": ("821902cf7e596f65", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
-        "agg_hist": ("eb3f3aee6dcca56a", "df8903adf4a2e8da", "575d066500d43178", 4, 1440),
+        "agg_hist": ("eb3f3aee6dcca56a", "ed7f5b8776058337", "b7f7f2b748de6839", 4, 1440),
         "flood": ("8992a5a7b245dfb3", "e5b342d813e17792", "f46b263ec3ed5698", 5, 1476),
         "classify": ("42346441e8aa6f24", "258592ecc24f5ccb", "c3865eef7630649e", 2, 244),
         "distance": ("3e6c8d6d7a3a35cb", "3e3c96c89210a2bc", "ff1d5846e2535f99", 4, 1476),
@@ -118,7 +122,7 @@ GOLDEN = {
         "agg_max": ("565485e2f475d4f8", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
         "agg_sum": ("38a08d981cafea0c", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
         "agg_count": ("28d4231d86a52ab0", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
-        "agg_hist": ("ae6672d15b77d4d6", "01fcc48069ff73ef", "2039681e9a376b01", 7, 7642),
+        "agg_hist": ("ae6672d15b77d4d6", "7deee217cdd3fe82", "07079f37780613e5", 7, 7642),
         "flood": ("befc1d98c4102fa4", "ed7eb7b1c33e8c3c", "b90f3f48b72e685b", 8, 7690),
         "classify": ("bd659dcba622561c", "30865085d72ef892", "5380bef40d7309a3", 2, 1207),
         "distance": ("4c12f69145083a21", "3ccc519a4b852140", "c227d22d4a4cf884", 4, 7690),
@@ -128,7 +132,7 @@ GOLDEN = {
         "agg_max": ("6a412d8e85377701", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
         "agg_sum": ("0c18780f2c80aea8", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
         "agg_count": ("4bca943e95698c75", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
-        "agg_hist": ("552dc65b9a42e17f", "c2aad57280a554e7", "0827f085b236eb22", 9, 26820),
+        "agg_hist": ("552dc65b9a42e17f", "fb00a115119ae5b6", "cf91b013beb77b9f", 9, 26820),
         "flood": ("81143852fb888859", "ba911da904cd675a", "598c61307d41d6ef", 10, 26860),
         "classify": ("25141a9e65103a1e", "b8a258196673f6a9", "c6ca8e2c8e330f84", 2, 5317),
         "distance": ("a1cd26bd04caa33d", "718f165420dae231", "1a484429d2116174", 9, 53720),
@@ -138,7 +142,7 @@ GOLDEN = {
         "agg_max": ("f1910fba870528eb", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
         "agg_sum": ("e81d637d19fc5614", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
         "agg_count": ("93f717ca14a9089b", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
-        "agg_hist": ("b4ec7d72a7b8b4e3", "28a1fa61cd5b97d6", "05fd771404f71f5a", 4, 55990),
+        "agg_hist": ("b4ec7d72a7b8b4e3", "3186469f5c147f63", "c93313717a31675e", 4, 55990),
         "flood": ("e2e25047260af22c", "ae239fd46d71db7a", "3a6881f340f1eeff", 5, 56082),
         "classify": ("3e4371b70973f0d5", "cca0434c9e0752fd", "be1ef80b7552115d", 2, 9455),
         "distance": ("ffd1cc98538d2eb1", "37a13f90f15b6bc5", "09fc7fe035f745f1", 4, 56082),
@@ -148,7 +152,7 @@ GOLDEN = {
         "agg_max": ("0555debc8a653494", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
         "agg_sum": ("13a299db68f90cdd", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
         "agg_count": ("91d6039a01f57163", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
-        "agg_hist": ("4e25fc1acd254854", "56a79e74b2cc4b9b", "e8b9f10f8894eccd", 21, 76),
+        "agg_hist": ("4e25fc1acd254854", "7615dfff5ac4d45d", "65a030daafe25d3e", 21, 76),
         "flood": ("e8d407d15662d992", "86e689e7aaa68991", "0ba4caa6d65d01f3", 22, 78),
         "classify": ("aa30b652e011afde", "5b03895fae228b67", "22d4f3b23b4d38f5", 2, 78),
         "distance": ("83dd54a71d77b35c", "dc2be5fdc04c1c8c", "fc32664f0ca0b97f", 2, 78),
@@ -158,7 +162,7 @@ GOLDEN = {
         "agg_max": ("24a6ade6d35f1e5e", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
         "agg_sum": ("8c98d396d4e29891", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
         "agg_count": ("4079e4af87d7d813", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
-        "agg_hist": ("06bff0d22e26eb4e", "0be395a1dfcdc530", "9ba3137b0a841bab", 3, 13),
+        "agg_hist": ("06bff0d22e26eb4e", "7b5bd3ef9e8250ab", "f11f7fdcc25f943d", 3, 13),
         "flood": ("875048d42a3ad3ff", "69ee0d078453dfd9", "1dc0a5b02be7c619", 4, 14),
         "classify": ("2390a7a9fef5efa6", "b03c36712b98a1d3", "761ab270c7b5d93a", 2, 7),
         "distance": ("3ef56b5e02bd0a9e", "212f0840d848f68e", "61592aa538be911f", 3, 14),
@@ -168,7 +172,7 @@ GOLDEN = {
         "agg_max": ("3af5d6e7f9476d9d", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
         "agg_sum": ("24a6ade6d35f1e5e", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
         "agg_count": ("4079e4af87d7d813", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
-        "agg_hist": ("1eec05aa9ff005ba", "dd95eb91123f38ac", "6b12276c9e84da25", 3, 11),
+        "agg_hist": ("1eec05aa9ff005ba", "e4e6842ffc54409b", "0cd3aa76adb136ce", 3, 11),
         "flood": ("6e017443327534fe", "27a5b6db18f2798c", "7983ccc3e2288bea", 4, 12),
         "classify": ("010b9011082f39ea", "a5cea860f08c7532", "b8e328cfa4fafe0a", 2, 6),
         "distance": ("9aaee97725b4940f", "4133e1d83d7a6d50", "75313da5e7caf69d", 3, 12),
@@ -188,7 +192,7 @@ GOLDEN = {
         "agg_max": ("b2f924132fcedfe9", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
         "agg_sum": ("8d61a7b80173def4", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
         "agg_count": ("088fd747148d3fcf", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
-        "agg_hist": ("b812be3bee79c9cd", "0223814f5c966e09", "a4c0c07dbe0c217f", 29, 1521547),
+        "agg_hist": ("b812be3bee79c9cd", "eb9262d47708ac5c", "5c9dac3bb439349a", 29, 1521547),
         "flood": ("57c5198060aaf02a", "b62902075bc137be", "b8d769f0f8eb4317", 30, 1521628),
         "classify": ("a3dbd096ef66642a", "939f5299ad81a830", "8b3c3b95f4138896", 2, 318462),
         "distance": ("a41684cd5b5a79ad", "32d537e0821f6367", "efa5614db4917ce6", 39, 3043256),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.boundary import NoPlateau
 from swarmtopo.convergetree import AggOp
-from conftest import any_graphs, connected_graphs, flood_fields
+from conftest import any_graphs, connected_graphs, flood_fields, subtree_windows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -159,8 +159,24 @@ def test_aggregates_equal_census(g, bins):
     onehots[g.ids, netgraph.degree_bin(deg[g.ids], delta, bins)] = 1
     counts, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, onehots)
     assert list(counts) == netgraph.histogram(g, bins).counts.tolist()
-    assert res.ledger.total_id_units == (1 + bins) * (g.n - 1)
+    assert res.ledger.total_id_units == subtree_windows(g, tree, onehots).sum()
     assert_deliveries_are_sender_degrees(g, res)
+
+
+@SETTINGS
+@given(connected_graphs, st.data())
+def test_histogram_charge_is_subtree_window(g, data):
+    # rows of mostly zeros, negatives among them, so that sums can cancel
+    bins = data.draw(st.integers(1, 23))
+    rows = np.zeros((g.max_id + 1, bins), dtype=np.int64)
+    rows[g.ids] = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]),
+                                              min_size=bins, max_size=bins),
+                                     min_size=g.n, max_size=g.n))
+    tree = convergetree.build_tree(g).states
+    merged, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, rows)
+    assert list(merged) == rows.sum(axis=0).tolist()
+    assert np.array_equal(res.ledger.id_units_sent, subtree_windows(g, tree, rows))
+    assert res.ledger.total_broadcasts == g.n - 1
 
 
 @SETTINGS

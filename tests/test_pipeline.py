@@ -153,6 +153,23 @@ def test_cli_missing_region_file():
     assert cli.main(["run", "--region", "/nonexistent/region.json"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--bins", "0", "--bins takes a positive integer, not 0"),
+    ("--nodes", "0", "--nodes takes a positive integer, not 0"),
+    ("--seed", "-1", "--seed takes a non-negative integer, not -1"),
+    ("--alpha", "abc", "--alpha takes a finite number or 'sweep', not 'abc'"),
+    ("--alpha", "nan", "--alpha takes a finite number or 'sweep', not 'nan'"),
+    ("--alpha", "inf", "--alpha takes a finite number or 'sweep', not 'inf'"),
+], ids=["bins-0", "nodes-0", "seed-negative", "alpha-abc", "alpha-nan", "alpha-inf"])
+def test_cli_rejects_bad_values(monkeypatch, tmp_path, capsys, flag, value, message):
+    def unreachable(config, trace_stream=None):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", unreachable)
+    assert cli.main(["run", flag, value, "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_disconnected_graph(tmp_path, capsys):
     # 50 nodes on the standard region are far too sparse to stay connected
     rc = cli.main(["run", "--nodes", "50", "--out", str(tmp_path)])
