@@ -617,7 +617,7 @@ def detect_voronoi(field: DistanceField, tolerance_hops: int = 2) -> np.ndarray:
 
 class _TokenNode(NodeProto):
     __slots__ = ("comp", "is_root", "size", "min_steps", "excluded_at",
-                 "replied", "fwd_seen", "holding", "seq", "steps", "prev",
+                 "replied", "chosen", "holding", "seq", "steps", "prev",
                  "replies", "decide_at", "my_pass_seq", "closed")
 
     def __init__(self, vid, nbrs, comp, size):
@@ -628,7 +628,7 @@ class _TokenNode(NodeProto):
         self.min_steps = max(5, -(-size // 10)) if comp else 0
         self.excluded_at = None
         self.replied: set[tuple[int, int]] = set()  # (comp, seq) answered
-        self.fwd_seen: set[tuple] = set()
+        self.chosen: set[tuple[int, int]] = set()  # (comp, seq) whose choice was taken
         self.holding = False
         self.seq = 0
         self.steps = 0  # passes from the root to this holder
@@ -725,10 +725,7 @@ class _TokenNode(NodeProto):
             k = m[0]
             if k == K_TQ:
                 comp, seq = m[1], m[2]
-                key = (comp, seq, K_TQ)
-                if key not in self.fwd_seen:
-                    self.fwd_seen.add(key)
-                    out.append((K_TQF, comp, seq, s) + m[3:])
+                out.append((K_TQF, comp, seq, s) + m[3:])
                 out.extend(self._consider_reply(comp, seq, s, m[3:], 0))
             elif k == K_TQF:
                 comp, seq, holder = m[1], m[2], m[3]
@@ -746,14 +743,12 @@ class _TokenNode(NodeProto):
             elif k in (K_TC, K_TCF):
                 if k == K_TC:
                     holder, (comp, seq, succ, via, steps) = s, m[1:]
-                    key = (comp, seq, K_TC)
-                    if key not in self.fwd_seen:
-                        self.fwd_seen.add(key)
-                        out.append((K_TCF, holder) + m[1:])
+                    out.append((K_TCF, holder) + m[1:])
                 else:
                     holder, comp, seq, succ, via, steps = m[1:]
-                if comp == self.comp and (comp, seq, "tc") not in self.fwd_seen:
-                    self.fwd_seen.add((comp, seq, "tc"))
+                # a choice arrives directly and relayed: take it once
+                if comp == self.comp and (comp, seq) not in self.chosen:
+                    self.chosen.add((comp, seq))
                     if succ == self.vid:
                         self.seq = max(self.seq, seq)  # pass numbering is global
                         out.extend(self._become_holder(rnd, steps + 1, (holder, via)))
@@ -771,13 +766,9 @@ class _TokenNode(NodeProto):
             elif k in (K_TRB, K_TRBF):
                 comp, seq = m[1], m[2]
                 if k == K_TRB:
-                    key = (comp, seq, K_TRB)
-                    if key not in self.fwd_seen:
-                        self.fwd_seen.add(key)
-                        out.append((K_TRBF, comp, seq))
+                    out.append((K_TRBF, comp, seq))
                 if comp == self.comp and self.excluded_at == seq:
                     self.excluded_at = None
-                    self.replied.discard((comp, seq))
 
         if self.holding and rnd == self.decide_at:
             out.extend(self._choose(rnd))

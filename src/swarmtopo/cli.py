@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -81,13 +81,7 @@ class RunConfig:
     token_loops: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "region": self.region, "n": self.n, "seed": self.seed,
-            "alpha": self.alpha, "bin_count": self.bin_count,
-            "tolerance_hops": self.tolerance_hops,
-            "min_component_size": self.min_component_size,
-            "token_loops": self.token_loops,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -241,11 +235,11 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     convergetree.check_tree(g, tree)
 
     with phase("agg_delta"):
-        (delta_val,), res = convergetree.aggregate(g, tree.states, convergetree.AggOp.MAX,
+        (delta_val,), res = convergetree.aggregate(g, tree, convergetree.AggOp.MAX,
                                                    g.degrees(), trace=tr)
     cost("agg_delta", res)
     with phase("flood_delta"):
-        _, res = convergetree.broadcast_down(g, tree.states, (delta_val,), trace=tr)
+        _, res = convergetree.broadcast_down(g, tree, (delta_val,), trace=tr)
     cost("flood_delta", res)
 
     bins = config.bin_count
@@ -253,8 +247,7 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     onehots = np.zeros((g.max_id + 1, bins), dtype=np.int64)
     onehots[g.ids, netgraph.degree_bin(deg[g.ids], delta_val, bins)] = 1
     with phase("agg_histogram"):
-        hist_counts, res = convergetree.aggregate(g, tree.states,
-                                                  convergetree.AggOp.HISTOGRAM_MERGE,
+        hist_counts, res = convergetree.aggregate(g, tree, convergetree.AggOp.HISTOGRAM_MERGE,
                                                   onehots, trace=tr)
     cost("agg_histogram", res)
     hist = netgraph.histogram_from_counts(hist_counts, delta_val)
@@ -274,8 +267,7 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 
     thr = boundary.threshold_units(alpha_star, density.mu_est)
     with phase("flood_threshold"):
-        _, res = convergetree.broadcast_down(g, tree.states, (density.mu_est, thr),
-                                             trace=tr)
+        _, res = convergetree.broadcast_down(g, tree, (density.mu_est, thr), trace=tr)
     cost("flood_threshold", res)
 
     with phase("classify"):
@@ -539,8 +531,10 @@ def _config_from_args(args) -> RunConfig:
     for flag, value in (("--nodes", args.nodes), ("--bins", args.bins)):
         if value < 1:
             raise UsageError(f"{flag} takes a positive integer, not {value}")
-    if args.seed < 0:
-        raise UsageError(f"--seed takes a non-negative integer, not {args.seed}")
+    for flag, value in (("--seed", args.seed), ("--voronoi-tol", args.voronoi_tol),
+                        ("--min-comp", args.min_comp)):
+        if value < 0:
+            raise UsageError(f"{flag} takes a non-negative integer, not {value}")
     return RunConfig(region=args.region, n=args.nodes, seed=args.seed,
                      alpha=alpha, bin_count=args.bins,
                      tolerance_hops=args.voronoi_tol,
@@ -715,6 +709,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PROTOCOL
     except RoundLimitExceeded as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    except boundary.DegenerateHistogram as exc:
+        print(f"density error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
 
 

@@ -11,11 +11,18 @@ All three protocols run as array round kernels (`simkernel.RoundKernel`):
 each round is a few numpy gathers and segment reductions over the CSR
 rows of the nodes that broadcast, with the executor's delivery, cost and
 trace contract.
+
+The finished tree is `TreeBuild`: the kernel's ID-indexed arrays (parent,
+subtree size, learned n, completion round) and the root.  `aggregate`,
+`broadcast_down` and `check_tree` read these arrays.  `TreeBuild.states`,
+one `TreeState` per node with its children, is built only when read;
+perfbench's tree checks read it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -53,15 +60,33 @@ class TreeState:
 
 @dataclass
 class TreeBuild:
-    states: list  # TreeState per ID (index 0 None)
+    """The tree as the kernel leaves it, in ID-indexed arrays: `parent` (0
+    at the root and at unused IDs), `subtree` (v's subtree size at its
+    report), `n_total` (the n that v learned) and `completion` (the round
+    v completed in, -1 at unused IDs)."""
+    parent: np.ndarray
+    subtree: np.ndarray
+    n_total: np.ndarray
+    completion: np.ndarray
+    root_id: int
     result: RunResult
 
-    @property
-    def root_id(self) -> int:
-        for st in self.states:
-            if st is not None and st.parent is None:
-                return st.root_id
-        raise RuntimeError("tree has no root")
+    @functools.cached_property
+    def states(self) -> list:
+        """A TreeState per ID (None at index 0 and unused IDs), built on
+        first read; v's children, ascending, are the IDs naming v as
+        parent."""
+        kids = np.argsort(self.parent, kind="stable").tolist()
+        ptr = np.cumsum(np.bincount(self.parent, minlength=len(self.parent))).tolist()
+        parent, subtree = self.parent.tolist(), self.subtree.tolist()
+        n_total, completion = self.n_total.tolist(), self.completion.tolist()
+        states: list = [None] * len(parent)
+        for v in np.flatnonzero(self.completion >= 0).tolist():
+            states[v] = TreeState(root_id=self.root_id, parent=parent[v] or None,
+                                  children=tuple(kids[ptr[v - 1]:ptr[v]]),
+                                  subtree_size=subtree[v], n_total=n_total[v],
+                                  completion_round=completion[v])
+        return states
 
 
 _TREE_UNITS = 3  # every tree message is (kind, root, x): sender plus two fields
@@ -199,7 +224,6 @@ class _TreeRounds(RoundKernel):
             done[top] = True
             self.completion[top] = rnd
             self.n_total[top] = top_n
-            self.parent[top] = 0
             flood = self.n_children[top] > 0
             done_out.append((top[flood], top[flood], top_n[flood]))
             up = ~is_root
@@ -226,32 +250,17 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
     """
     kernel = _TreeRounds(g)
     result = kernel.run(max_rounds, trace)
-    states: list = [None] * (g.max_id + 1)
-    # v's children at its last report: the neighbours that named v under
-    # v's final root (a node announces each root once), row by row
-    owner = np.repeat(np.arange(kernel.size), np.diff(g.indptr))
-    kids = g.indices[(kernel.said_parent[g.indices] == owner)
-                     & (kernel.said_root[g.indices] == kernel.root[owner])].tolist()
-    kid_ptr = np.concatenate(([0], np.cumsum(kernel.n_children))).tolist()
-    root, parent = kernel.root.tolist(), kernel.parent.tolist()
-    done = kernel.done.tolist()
-    subtree, n_total = kernel.subtree.tolist(), kernel.n_total.tolist()
-    completion = kernel.completion.tolist()
-    for v in g.id_list:
-        if not done[v]:
-            raise RuntimeError(f"tree build ended without completion at node {v}")
-        if parent[v] == 0 and n_total[v] != g.n:
-            raise RuntimeError(
-                f"root {v} spans {n_total[v]} of {g.n} nodes: graph disconnected")
-        states[v] = TreeState(
-            root_id=root[v],
-            parent=None if parent[v] == 0 else parent[v],
-            children=tuple(kids[kid_ptr[v]:kid_ptr[v + 1]]),
-            subtree_size=subtree[v],
-            n_total=n_total[v],
-            completion_round=completion[v],
-        )
-    return TreeBuild(states=states, result=result)
+    ids = g.ids
+    undone = ids[~kernel.done[ids]]
+    if len(undone):
+        raise RuntimeError(f"tree build ended without completion at node {undone[0]}")
+    roots = ids[kernel.parent[ids] == 0]
+    short = roots[kernel.n_total[roots] != g.n]
+    if len(short):
+        raise RuntimeError(f"root {short[0]} spans {kernel.n_total[short[0]]} of {g.n} "
+                           f"nodes: graph disconnected")
+    return TreeBuild(parent=kernel.parent, subtree=kernel.subtree, n_total=kernel.n_total,
+                     completion=kernel.completion, root_id=int(roots[-1]), result=result)
 
 
 def _agg_inputs(g: UnitDiskGraph, op: AggOp, values) -> np.ndarray:
@@ -283,34 +292,24 @@ def _window_units(rows: np.ndarray) -> np.ndarray:
 
 class _AggRounds(RoundKernel):
     """Convergecast: a node with a parent sends its combined value once
-    every child it lists has sent, a leaf in round 0.  A child is heard
-    only over a graph edge; one that is not a neighbour leaves its parent
-    pending for good.  A histogram row travels as its nonzero window."""
+    every child has sent, a leaf in round 0.  A child is heard only over a
+    graph edge; one that is not a neighbour leaves its parent pending for
+    good.  A histogram row travels as its nonzero window."""
 
-    def __init__(self, g: UnitDiskGraph, tree: Sequence, op: AggOp, values):
+    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values):
         super().__init__(g)
         self.acc = _agg_inputs(g, op, values)
         self.combine = np.maximum if op is AggOp.MAX else np.add
         self.windowed = op is AggOp.HISTOGRAM_MERGE
         # float copy of every sum: a wrapped int64 sum is off by 2**64 from it
         self.exact = None if op is AggOp.MAX else self.acc.astype(float)
-        self.has_parent = np.zeros(self.size, dtype=bool)
-        self.pending = np.zeros(self.size, dtype=np.int64)
-        par: list[int] = []
-        kid: list[int] = []
-        for v in g.id_list:
-            st = tree[v]
-            self.has_parent[v] = st.parent is not None
-            kids = set(st.children)
-            self.pending[v] = len(kids)
-            par += [v] * len(kids)
-            kid += kids
-        par, kid = np.array(par, dtype=np.int64), np.array(kid, dtype=np.int64)
-        heard = has_edges(g, par, kid)
-        par, kid = par[heard], kid[heard]
-        order = np.argsort(kid, kind="stable")
-        self.listeners = par[order]  # by child: the parents that take its value
-        self.listen_ptr = np.searchsorted(kid[order], np.arange(self.size + 1))
+        parent = tree.parent
+        self.has_parent = parent != 0
+        self.pending = np.bincount(parent[self.ids], minlength=self.size)
+        kid = self.ids[self.has_parent[self.ids]]
+        kid = kid[has_edges(g, parent[kid], kid)]
+        self.listener = np.zeros(self.size, dtype=np.int64)  # the parent that hears v, or 0
+        self.listener[kid] = parent[kid]
         self.sent = np.empty(0, dtype=np.int64)
 
     def step(self, rnd: int) -> list:
@@ -318,8 +317,8 @@ class _AggRounds(RoundKernel):
             ids = self.ids
             ready = ids[(self.pending[ids] == 0) & self.has_parent[ids]]
         else:
-            pos, lens = csr_rows(self.listen_ptr, self.sent)
-            par, kid = self.listeners[pos], np.repeat(self.sent, lens)
+            par = self.listener[self.sent]
+            kid, par = self.sent[par != 0], par[par != 0]
             self.combine.at(self.acc, par, self.acc[kid])
             if self.exact is not None:
                 np.add.at(self.exact, par, self.exact[kid])
@@ -333,11 +332,10 @@ class _AggRounds(RoundKernel):
         return f"agg(pending={self.pending[v]})"
 
 
-def aggregate(g: UnitDiskGraph, tree: Sequence, op: AggOp,
+def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp,
               values: Mapping[int, object] | Sequence,
               max_rounds: int = 100_000, trace=None) -> tuple[tuple, RunResult]:
-    """Convergecast `values` up the tree; returns the root's combined value
-    (the root is the largest ID without a parent).
+    """Convergecast `values` up the tree; returns the root's combined value.
 
     MAX and SUM take integer scalars and their messages cost 2
     id-units; HISTOGRAM_MERGE takes equal-length integer rows, and a
@@ -350,23 +348,21 @@ def aggregate(g: UnitDiskGraph, tree: Sequence, op: AggOp,
     res = kernel.run(max_rounds, trace)
     if kernel.exact is not None and (np.abs(kernel.acc - kernel.exact) > 2.0**62).any():
         raise ValueError(f"{op.value}: a combined value does not fit in int64")
-    ids = g.ids
-    roots = ids[~kernel.has_parent[ids]]
-    if (kernel.pending[ids] > 0).any() or not len(roots):
+    if (kernel.pending[g.ids] > 0).any():
         raise RuntimeError("aggregation did not complete")
-    return tuple(kernel.acc[roots[-1]].tolist()), res
+    return tuple(kernel.acc[tree.root_id].tolist()), res
 
 
 class _FloodRounds(RoundKernel):
     """Value flood: the root broadcasts in round 0, every other node once,
     in the round after it first hears the value."""
 
-    def __init__(self, g: UnitDiskGraph, root: int | None, units: int):
+    def __init__(self, g: UnitDiskGraph, root: int, units: int):
         super().__init__(g)
         self.units = units
-        self.sent = np.array([] if root is None else [root], dtype=np.int64)
+        self.sent = np.array([root], dtype=np.int64)
         self.got = np.zeros(self.size, dtype=bool)
-        self.got[self.sent] = True
+        self.got[root] = True
 
     def step(self, rnd: int) -> list:
         if rnd:
@@ -379,49 +375,42 @@ class _FloodRounds(RoundKernel):
         return f"flood(got={bool(self.got[v])})"
 
 
-def broadcast_down(g: UnitDiskGraph, tree: Sequence, value: tuple,
+def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
                    max_rounds: int = 100_000, trace=None) -> tuple[list, RunResult]:
-    """Flood a value from the tree root (the largest ID without a parent);
-    every node it reaches broadcasts exactly once."""
+    """Flood a value from the tree root; every node it reaches broadcasts
+    exactly once."""
     value = tuple(int(x) for x in value)
-    roots = [v for v in g.id_list if tree[v].parent is None]
-    kernel = _FloodRounds(g, roots[-1] if roots else None, 1 + len(value))
+    kernel = _FloodRounds(g, tree.root_id, 1 + len(value))
     res = kernel.run(max_rounds, trace)
     return [value if got else None for got in kernel.got.tolist()], res
 
 
 def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
-    """Oracle-side sanity: spanning, acyclic, consistent links, and the
+    """Oracle-side sanity: one root, the largest ID; tree edges are graph
+    edges; every node reaches the root; the root learned n; and the
     in-protocol completion round equals the executor's quiescence round."""
-    states = build.states
-    roots = [v for v in g.id_list if states[v].parent is None]
+    ids, parent = g.ids, build.parent
+    roots = ids[parent[ids] == 0]
     if len(roots) != 1:
-        raise AssertionError(f"expected exactly one root, got {roots[:5]}")
-    root = roots[0]
-    if root != max(g.id_list):
+        raise AssertionError(f"expected exactly one root, got {roots[:5].tolist()}")
+    root = int(roots[0])
+    if root != g.max_id:
         raise AssertionError("root is not the global max ID")
-    stack = [root]
-    visited = set()
-    tails: list[int] = []
-    heads: list[int] = []
-    while stack:
-        v = stack.pop()
-        if v in visited:
-            raise AssertionError("cycle in tree")
-        visited.add(v)
-        for c in states[v].children:
-            if states[c].parent != v:
-                raise AssertionError("parent/child links inconsistent")
-            tails.append(v)
-            heads.append(c)
-            stack.append(c)
-    if not has_edges(g, np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)).all():
+    kids = ids[parent[ids] != 0]
+    if not has_edges(g, parent[kids], kids).all():
         raise AssertionError("tree edge is not a graph edge")
-    if len(visited) != g.n:
-        raise AssertionError(f"tree spans {len(visited)} of {g.n} nodes")
-    if states[root].subtree_size != g.n or states[root].n_total != g.n:
+    # pointer doubling: after k squarings each node points 2**k steps up,
+    # stopping at the root, so a node off the root's tree never reaches it
+    up = parent.copy()
+    up[root] = root
+    for _ in range(g.n.bit_length()):
+        up = up[up]
+    spanned = int((up[ids] == root).sum())
+    if spanned != g.n:
+        raise AssertionError(f"tree spans {spanned} of {g.n} nodes")
+    if build.subtree[root] != g.n or build.n_total[root] != g.n:
         raise AssertionError("root did not learn n")
-    last_completion = max(states[v].completion_round for v in g.id_list)
+    last_completion = int(build.completion[ids].max())
     if last_completion != build.result.rounds_used - 1:
         raise AssertionError(
             f"protocol completion round {last_completion} != executor "

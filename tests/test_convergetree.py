@@ -54,34 +54,27 @@ def test_tree_invariants_random(seed):
     convergetree.check_tree(g, build)  # spanning, acyclic, completion round
 
 
-def _edited_path_tree(edit):
-    """The tree of the path 1-2-3-4 (root 4, chain 4-3-2-1), with
-    edit(states) applied to its per-ID states."""
+def _edited_path_tree(field, v, value):
+    """The tree of the path 1-2-3-4 (root 4, chain 4-3-2-1), with entry v
+    of its array `field` set to value."""
     g = graph_from([(0, 0), (0.9, 0), (1.8, 0), (2.7, 0)])
     build = convergetree.build_tree(g)
     convergetree.check_tree(g, build)
-    states = list(build.states)
-    edit(states)
-    return g, dataclasses.replace(build, states=states)
+    arr = getattr(build, field).copy()
+    arr[v] = value
+    return g, dataclasses.replace(build, **{field: arr})
 
 
-def _set(states, v, **fields):
-    states[v] = dataclasses.replace(states[v], **fields)
-
-
-@pytest.mark.parametrize("edit, message", [
-    # 1 hangs off 3, 1.8 apart: consistent links, but not a graph edge
-    (lambda st: (_set(st, 3, children=(2, 1)), _set(st, 2, children=()),
-                 _set(st, 1, parent=3)), "tree edge is not a graph edge"),
-    (lambda st: _set(st, 1, parent=3), "parent/child links inconsistent"),
-    (lambda st: _set(st, 4, children=(3, 3)), "cycle in tree"),
-    (lambda st: _set(st, 2, children=()), "tree spans 3 of 4 nodes"),
-    (lambda st: _set(st, 1, completion_round=st[1].completion_round + 5),
-     "protocol completion round"),
-], ids=["non-graph-edge", "inconsistent-links", "repeated-child", "not-spanning",
-        "completion-round"])
-def test_check_tree_rejects_edited_tree(edit, message):
-    g, build = _edited_path_tree(edit)
+@pytest.mark.parametrize("field, v, value, message", [
+    # 1 hangs off 3, 1.8 apart
+    ("parent", 1, 3, "tree edge is not a graph edge"),
+    # 2 -> 1 -> 2: both are graph edges, but neither node reaches the root
+    ("parent", 2, 1, "tree spans 2 of 4 nodes"),
+    ("completion", 1, 99, "protocol completion round"),
+    ("n_total", 4, 3, "root did not learn n"),
+], ids=["non-graph-edge", "not-spanning", "completion-round", "root-n-total"])
+def test_check_tree_rejects_edited_tree(field, v, value, message):
+    g, build = _edited_path_tree(field, v, value)
     with pytest.raises(AssertionError, match=message):
         convergetree.check_tree(g, build)
 
@@ -89,7 +82,7 @@ def test_check_tree_rejects_edited_tree(edit, message):
 def test_aggregate_max_equals_oracle():
     g = random_graph(150, 8)
     build = convergetree.build_tree(g)
-    (val,), _ = convergetree.aggregate(g, build.states, AggOp.MAX, g.degrees())
+    (val,), _ = convergetree.aggregate(g, build, AggOp.MAX, g.degrees())
     assert val == g.degrees()[g.ids].max()
 
 
@@ -97,7 +90,7 @@ def test_aggregate_sum_of_ones_is_n():
     g = random_graph(120, 9)
     build = convergetree.build_tree(g)
     ones = np.ones(g.n + 1, dtype=int)
-    (val,), _ = convergetree.aggregate(g, build.states, AggOp.SUM, ones)
+    (val,), _ = convergetree.aggregate(g, build, AggOp.SUM, ones)
     assert val == g.n
 
 
@@ -111,7 +104,7 @@ def test_aggregate_histogram_equals_centralized():
                  for b in range(16))
         for v in range(1, g.n + 1)
     }
-    merged, res = convergetree.aggregate(g, build.states, AggOp.HISTOGRAM_MERGE, onehots)
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, onehots)
     assert list(merged) == hist.counts.tolist()
     # each sender sends the window of its subtree's merged row, at most all
     # 16 bins (18 units), one bin (3 units) for most of them
@@ -127,7 +120,7 @@ def path_sums(rows):
     g = graph_from([(0.9 * i, 0) for i in range(len(rows))])
     build = convergetree.build_tree(g)
     values = {v: row for v, row in enumerate(rows, start=1)}
-    merged, res = convergetree.aggregate(g, build.states, AggOp.HISTOGRAM_MERGE, values)
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, values)
     return merged, res.ledger.id_units_sent[1:len(rows)].tolist()
 
 
@@ -157,7 +150,7 @@ def test_histogram_window_widths(bins):
 def test_aggregate_cost_two_units():
     g = random_graph(80, 11)
     build = convergetree.build_tree(g)
-    _, res = convergetree.aggregate(g, build.states, AggOp.MAX, g.degrees())
+    _, res = convergetree.aggregate(g, build, AggOp.MAX, g.degrees())
     sent = res.ledger.broadcasts_sent[1:]
     assert sent.sum() == g.n - 1  # everyone but the root reports once
     assert res.ledger.total_id_units == 2 * (g.n - 1)
@@ -166,7 +159,7 @@ def test_aggregate_cost_two_units():
 def test_broadcast_down_reaches_everyone_once():
     g = random_graph(150, 12)
     build = convergetree.build_tree(g)
-    values, res = convergetree.broadcast_down(g, build.states, (42,))
+    values, res = convergetree.broadcast_down(g, build, (42,))
     assert all(values[v] == (42,) for v in range(1, g.n + 1))
     assert res.ledger.total_broadcasts == g.n  # exactly one broadcast per node
 
@@ -175,7 +168,7 @@ def test_broadcast_down_rounds_on_path():
     g = graph_from([(0.9 * i, 0) for i in range(6)], ids=[6, 1, 2, 3, 4, 5])
     build = convergetree.build_tree(g)
     assert build.root_id == 6  # sits at one end of the path
-    _, res = convergetree.broadcast_down(g, build.states, (7,))
+    _, res = convergetree.broadcast_down(g, build, (7,))
     assert res.rounds_used == 7  # 5 forwarding hops + initial + quiesce
 
 
@@ -184,7 +177,7 @@ def test_sum_op_counts_flags():
     build = convergetree.build_tree(g)
     flags = np.zeros(g.n + 1, dtype=int)
     flags[[2, 30, 77]] = 1
-    (val,), _ = convergetree.aggregate(g, build.states, AggOp.SUM, flags)
+    (val,), _ = convergetree.aggregate(g, build, AggOp.SUM, flags)
     assert val == 3
 
 

@@ -28,7 +28,7 @@ BINS = 16
 
 def calls(g) -> dict:
     """Every rewritten protocol call on `g`, as name -> call(trace=..., max_rounds=...)."""
-    tree = convergetree.build_tree(g).states
+    tree = convergetree.build_tree(g)
     deg = g.degrees()
     delta = int(deg[g.ids].max())
     onehots = {v: tuple(int(b == netgraph.degree_bin(int(deg[v]), delta, BINS))

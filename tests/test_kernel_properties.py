@@ -146,7 +146,7 @@ def test_distance_flood_arbitrary_labels_equals_twin(g, data):
 @SETTINGS
 @given(connected_graphs, st.sampled_from([16, 23]))
 def test_aggregates_equal_census(g, bins):
-    tree = convergetree.build_tree(g).states
+    tree = convergetree.build_tree(g)
     deg = g.degrees()
     delta = int(deg[g.ids].max())
     (top,), res = convergetree.aggregate(g, tree, AggOp.MAX, deg)
@@ -159,7 +159,7 @@ def test_aggregates_equal_census(g, bins):
     onehots[g.ids, netgraph.degree_bin(deg[g.ids], delta, bins)] = 1
     counts, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, onehots)
     assert list(counts) == netgraph.histogram(g, bins).counts.tolist()
-    assert res.ledger.total_id_units == subtree_windows(g, tree, onehots).sum()
+    assert res.ledger.total_id_units == subtree_windows(g, tree.states, onehots).sum()
     assert_deliveries_are_sender_degrees(g, res)
 
 
@@ -172,17 +172,17 @@ def test_histogram_charge_is_subtree_window(g, data):
     rows[g.ids] = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]),
                                               min_size=bins, max_size=bins),
                                      min_size=g.n, max_size=g.n))
-    tree = convergetree.build_tree(g).states
+    tree = convergetree.build_tree(g)
     merged, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, rows)
     assert list(merged) == rows.sum(axis=0).tolist()
-    assert np.array_equal(res.ledger.id_units_sent, subtree_windows(g, tree, rows))
+    assert np.array_equal(res.ledger.id_units_sent, subtree_windows(g, tree.states, rows))
     assert res.ledger.total_broadcasts == g.n - 1
 
 
 @SETTINGS
 @given(connected_graphs, st.lists(st.integers(-10**12, 10**12), max_size=4))
 def test_broadcast_down_reaches_every_node_once(g, value):
-    tree = convergetree.build_tree(g).states
+    tree = convergetree.build_tree(g)
     received, res = convergetree.broadcast_down(g, tree, tuple(value))
     assert [received[v] for v in g.id_list] == [tuple(value)] * g.n
     assert res.ledger.total_broadcasts == g.n

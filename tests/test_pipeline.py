@@ -160,7 +160,10 @@ def test_cli_missing_region_file():
     ("--alpha", "abc", "--alpha takes a finite number or 'sweep', not 'abc'"),
     ("--alpha", "nan", "--alpha takes a finite number or 'sweep', not 'nan'"),
     ("--alpha", "inf", "--alpha takes a finite number or 'sweep', not 'inf'"),
-], ids=["bins-0", "nodes-0", "seed-negative", "alpha-abc", "alpha-nan", "alpha-inf"])
+    ("--voronoi-tol", "-1", "--voronoi-tol takes a non-negative integer, not -1"),
+    ("--min-comp", "-1", "--min-comp takes a non-negative integer, not -1"),
+], ids=["bins-0", "nodes-0", "seed-negative", "alpha-abc", "alpha-nan", "alpha-inf",
+        "voronoi-tol-negative", "min-comp-negative"])
 def test_cli_rejects_bad_values(monkeypatch, tmp_path, capsys, flag, value, message):
     def unreachable(config, trace_stream=None):
         raise AssertionError("the pipeline ran")
@@ -168,6 +171,16 @@ def test_cli_rejects_bad_values(monkeypatch, tmp_path, capsys, flag, value, mess
     monkeypatch.setattr(cli, "run_pipeline", unreachable)
     assert cli.main(["run", flag, value, "--out", str(tmp_path)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_degenerate_histogram(tmp_path, capsys):
+    # a single node has degree 0: no histogram to estimate the density from
+    argv = ["run", "--region", "annulus", "--nodes", "1", "--alpha", "0.7", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    with pytest.raises(boundary.DegenerateHistogram) as e:
+        cli.run_pipeline(RunConfig(region="annulus", n=1, alpha=0.7))
+    assert err == f"density error: {e.value}\n"
 
 
 def test_cli_disconnected_graph(tmp_path, capsys):

@@ -18,9 +18,10 @@ from conftest import GOLDEN_GRAPHS, run_digests, sha, stuck_digest
 def tree_digests(g) -> dict:
     buf = io.StringIO()
     build = convergetree.build_tree(g, trace=buf)
+    states = build.states
     rows = []
     for v in g.id_list:
-        s = build.states[v]
+        s = states[v]
         rows.append(f"{v},{s.root_id},{s.parent},{' '.join(str(int(c)) for c in s.children)},"
                     f"{s.subtree_size},{s.n_total},{s.completion_round}\n")
     return {"states": sha("".join(rows)), **run_digests(build.result, buf.getvalue())}

@@ -17,7 +17,8 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 def test_build_tree_properties(g):
     build = convergetree.build_tree(g)
     convergetree.check_tree(g, build)
-    assert all(build.states[v].n_total == g.n for v in g.id_list)
+    states = build.states
+    assert all(states[v].n_total == g.n for v in g.id_list)
     led = build.result.ledger
     assert np.array_equal(led.id_units_sent, 3 * led.broadcasts_sent)
     assert build.result.deliveries == int((led.broadcasts_sent * g.degrees()).sum())
