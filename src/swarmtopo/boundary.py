@@ -30,7 +30,7 @@ K_NEAR = 15    # (dest,)                     near node registering at a member
 K_UP = 16      # (via, root, size, near)     component convergecast
 K_UPF = 17     # (child, root, size, near)   relayed convergecast entry
 K_ASG = 18     # (root, size, near)          component totals, echoed down the tree
-K_DIST = 19    # (root, d, anchor_q)         boundary distance wave
+K_DIST = 19    # (root, anchor_q)            boundary distance wave
 K_TQ = 20      # (comp, seq, *holder_nbrs)   token pass query
 K_TQF = 21     # (comp, seq, holder, *nbrs)  relayed query
 K_TR = 22      # (comp, seq, score, isroot, excl, via)    candidate reply
@@ -478,7 +478,7 @@ class _DistRounds(RoundKernel):
     def step(self, rnd: int) -> list:
         if rnd:
             self.out = self._settle(rnd, *self.out)
-        return [(K_DIST, self.out[0], 4)]
+        return [(K_DIST, self.out[0], 3)]
 
     def _settle(self, rnd, s, c, q) -> tuple:
         # the round's deliveries in pieces of about _CHUNK, each cut down to

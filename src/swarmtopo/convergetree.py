@@ -1,11 +1,13 @@
 """Distributed bootstrap: leader election, spanning tree, and tree-based
-aggregation/flooding.
+aggregation and broadcast.
 
 The tree is built by a max-ID extrema flood.  Termination is detected
 in-protocol (the paper's point of using a tree): a node sends its subtree
 report up once every neighbor has announced the same root and all of its
 children have reported; the root then floods DONE down, so every node
-learns both n and the completion round.
+learns both n and the completion round.  Global values then travel on the
+tree: `aggregate` convergecasts them up it, and `broadcast_down` sends the
+root's value back down it, re-sent only by nodes with children.
 
 All three protocols run as array round kernels (`simkernel.RoundKernel`):
 each round is a few numpy gathers and segment reductions over the CSR
@@ -39,7 +41,7 @@ K_DONE = 3    # (root, n)           root's completion flood down the tree
 K_AGG = 4     # (value,)            aggregation convergecast; a histogram row
               #                     goes as (lo, c_lo, ..., c_hi), the window from
               #                     its first to its last nonzero bin, () if all zero
-K_VAL = 5     # (*value)            network flood of a value
+K_VAL = 5     # (*value)            a value broadcast down the tree
 
 
 class AggOp(enum.Enum):
@@ -265,17 +267,34 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
 
 def _agg_inputs(g: UnitDiskGraph, op: AggOp, values) -> np.ndarray:
     """The inputs as an ID-indexed int64 array with one column per field:
-    integer scalars, or for HISTOGRAM_MERGE equal-length integer rows."""
-    raw = values[g.ids] if isinstance(values, np.ndarray) else [values[v] for v in g.id_list]
-    arr = np.asarray(raw)
+    integer scalars, or for HISTOGRAM_MERGE equal-length integer rows.  An
+    array input is already ID-indexed and is copied once, with whatever its
+    unused IDs hold: no kernel reads those rows."""
+    if isinstance(values, np.ndarray):
+        arr = values[:g.max_id + 1]
+    else:
+        raw = np.asarray([values[v] for v in g.id_list])
+        arr = np.zeros((g.max_id + 1,) + raw.shape[1:], dtype=raw.dtype)
+        arr[g.ids] = raw
     ndim = 2 if op is AggOp.HISTOGRAM_MERGE else 1
-    if (arr.ndim != ndim or arr.dtype.kind not in "biu"
-            or (arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max)):
+    if (arr.ndim != ndim or arr.dtype.kind not in "biu" or len(arr) <= g.max_id
+            or (arr.dtype.kind == "u" and arr.size
+                and arr[g.ids].max() > np.iinfo(np.int64).max)):
         shape = "equal-length rows" if ndim == 2 else "scalars"
-        raise ValueError(f"{op.value} takes integer {shape} that fit in int64")
-    out = np.zeros((g.max_id + 1, arr.shape[1] if ndim == 2 else 1), dtype=np.int64)
-    out[g.ids] = arr.reshape(g.n, -1)
-    return out
+        raise ValueError(f"{op.value} takes ID-indexed integer {shape} that fit in int64")
+    out = arr.astype(np.int64)
+    return out if ndim == 2 else out[:, None]
+
+
+def _tree_links(g: UnitDiskGraph, parent: np.ndarray) -> np.ndarray:
+    """ID-indexed: v's parent where the tree edge is a graph edge, so that
+    each hears the other's broadcasts; 0 at the root, at a node whose
+    parent is not a neighbour, and at unused IDs."""
+    kid = g.ids[parent[g.ids] != 0]
+    kid = kid[has_edges(g, parent[kid], kid)]
+    link = np.zeros(len(parent), dtype=np.int64)
+    link[kid] = parent[kid]
+    return link
 
 
 def _window_units(rows: np.ndarray) -> np.ndarray:
@@ -306,10 +325,7 @@ class _AggRounds(RoundKernel):
         parent = tree.parent
         self.has_parent = parent != 0
         self.pending = np.bincount(parent[self.ids], minlength=self.size)
-        kid = self.ids[self.has_parent[self.ids]]
-        kid = kid[has_edges(g, parent[kid], kid)]
-        self.listener = np.zeros(self.size, dtype=np.int64)  # the parent that hears v, or 0
-        self.listener[kid] = parent[kid]
+        self.listener = _tree_links(g, parent)  # the parent that hears v, or 0
         self.sent = np.empty(0, dtype=np.int64)
 
     def step(self, rnd: int) -> list:
@@ -346,29 +362,40 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp,
     """
     kernel = _AggRounds(g, tree, op, values)
     res = kernel.run(max_rounds, trace)
-    if kernel.exact is not None and (np.abs(kernel.acc - kernel.exact) > 2.0**62).any():
-        raise ValueError(f"{op.value}: a combined value does not fit in int64")
+    if kernel.exact is not None:
+        # only a row that some child's value was added into can have wrapped
+        summed = np.unique(kernel.listener[g.ids])
+        if (np.abs(kernel.acc[summed] - kernel.exact[summed]) > 2.0**62).any():
+            raise ValueError(f"{op.value}: a combined value does not fit in int64")
     if (kernel.pending[g.ids] > 0).any():
         raise RuntimeError("aggregation did not complete")
     return tuple(kernel.acc[tree.root_id].tolist()), res
 
 
-class _FloodRounds(RoundKernel):
-    """Value flood: the root broadcasts in round 0, every other node once,
-    in the round after it first hears the value."""
+class _DownRounds(RoundKernel):
+    """Broadcast down the tree: the root sends in round 0, and a node takes
+    the value from its parent's broadcast, heard only over a graph edge.
+    Only a node with at least one child re-broadcasts it, once, in the
+    round it takes it; a leaf, or a root without children, sends nothing."""
 
-    def __init__(self, g: UnitDiskGraph, root: int, units: int):
+    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, units: int):
         super().__init__(g)
         self.units = units
-        self.sent = np.array([root], dtype=np.int64)
+        link = _tree_links(g, tree.parent)
+        # the children that hear each parent, as a CSR pair by parent ID
+        self.kids = np.argsort(link, kind="stable")
+        self.kptr = np.r_[0, np.cumsum(np.bincount(link, minlength=self.size))]
+        self.has_kids = np.bincount(tree.parent, minlength=self.size) > 0
         self.got = np.zeros(self.size, dtype=bool)
-        self.got[root] = True
+        self.got[tree.root_id] = True
+        root = np.array([tree.root_id], dtype=np.int64)
+        self.sent = root[self.has_kids[root]]
 
     def step(self, rnd: int) -> list:
         if rnd:
-            v = self.receivers(self.sent)[0]
-            self.sent = np.unique(v[~self.got[v]])
-            self.got[self.sent] = True
+            v = self.kids[csr_rows(self.kptr, self.sent)[0]]
+            self.got[v] = True
+            self.sent = np.sort(v[self.has_kids[v]])
         return [(K_VAL, self.sent, self.units)]
 
     def state_name(self, v: int) -> str:
@@ -377,10 +404,12 @@ class _FloodRounds(RoundKernel):
 
 def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
                    max_rounds: int = 100_000, trace=None) -> tuple[list, RunResult]:
-    """Flood a value from the tree root; every node it reaches broadcasts
-    exactly once."""
+    """Broadcast a value down the tree from its root, `1 + len(value)`
+    id-units a message; each node with children re-broadcasts it once.
+    Returns the value per ID, None where it did not arrive: unused IDs, and
+    the subtree of a node whose parent is not its neighbour."""
     value = tuple(int(x) for x in value)
-    kernel = _FloodRounds(g, tree.root_id, 1 + len(value))
+    kernel = _DownRounds(g, tree, 1 + len(value))
     res = kernel.run(max_rounds, trace)
     return [value if got else None for got in kernel.got.tolist()], res
 

@@ -161,7 +161,10 @@ def test_broadcast_down_reaches_everyone_once():
     build = convergetree.build_tree(g)
     values, res = convergetree.broadcast_down(g, build, (42,))
     assert all(values[v] == (42,) for v in range(1, g.n + 1))
-    assert res.ledger.total_broadcasts == g.n  # exactly one broadcast per node
+    # exactly one broadcast per node with children, none from a leaf
+    relays = {v for v in g.id_list if build.states[v].children}
+    assert set(np.flatnonzero(res.ledger.broadcasts_sent).tolist()) == relays
+    assert res.ledger.total_broadcasts == len(relays) < g.n
 
 
 def test_broadcast_down_rounds_on_path():
@@ -169,7 +172,49 @@ def test_broadcast_down_rounds_on_path():
     build = convergetree.build_tree(g)
     assert build.root_id == 6  # sits at one end of the path
     _, res = convergetree.broadcast_down(g, build, (7,))
-    assert res.rounds_used == 7  # 5 forwarding hops + initial + quiesce
+    # the root and 4 relays send in rounds 0-4; the leaf takes it in round 5
+    assert res.rounds_used == 6
+    assert res.ledger.total_broadcasts == 5
+
+
+def test_broadcast_down_skips_subtree_of_unheard_parent():
+    # 2 hangs off 4, 1.8 apart: 2 never hears 4, so 2 and its child 1 get nothing
+    g, build = _edited_path_tree("parent", 2, 4)
+    values, res = convergetree.broadcast_down(g, build, (5,))
+    assert values == [None, None, None, (5,), (5,)]
+    # 4 sends to its children 3 and 2; 3 is now a leaf and 2 never takes it
+    assert res.ledger.broadcasts_sent.tolist() == [0, 0, 0, 0, 1]
+    assert res.rounds_used == 2
+
+
+@pytest.mark.parametrize("op", [AggOp.SUM, AggOp.HISTOGRAM_MERGE])
+def test_aggregate_rejects_wrap_inside_the_tree(op):
+    # path 1-2-3, root 3: node 2's sum 2**63 wraps; the root's, 2**62, fits
+    g = graph_from([(0, 0), (0.9, 0), (1.8, 0)])
+    values = np.array([0, 2**62, 2**62, -2**62], dtype=np.int64)
+    if op is AggOp.HISTOGRAM_MERGE:
+        values = np.stack([np.zeros(4, dtype=np.int64), values], axis=1)
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        convergetree.aggregate(g, convergetree.build_tree(g), op, values)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0, 1.5, 2.0]),                       # not integers
+    np.array([0, 2**63, 1], dtype=np.uint64),      # does not fit in int64
+    np.array([0, 1], dtype=np.int64),              # shorter than the largest ID
+], ids=["float", "uint-too-large", "too-short"])
+def test_aggregate_rejects_bad_inputs(values):
+    g = graph_from([(0, 0), (0.9, 0)])
+    with pytest.raises(ValueError, match="takes ID-indexed integer scalars"):
+        convergetree.aggregate(g, convergetree.build_tree(g), AggOp.SUM, values)
+
+
+def test_aggregate_ignores_unused_id_rows():
+    # IDs 2 and 5; the rows of unused IDs hold values no node sent
+    g = graph_from([(0, 0), (0.9, 0)], ids=[2, 5])
+    values = np.full(6, 2**63 - 1, dtype=np.int64)
+    values[[2, 5]] = 20, 50
+    assert convergetree.aggregate(g, convergetree.build_tree(g), AggOp.SUM, values)[0] == (70,)
 
 
 def test_sum_op_counts_flags():

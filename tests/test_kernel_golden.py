@@ -11,6 +11,14 @@ cases cover the nodes named when `max_rounds` runs out.
 The `agg_hist` ledger and trace digests were re-recorded when histogram
 messages became the window of nonzero bins (see CHANGES.md); their
 outputs, rounds, deliveries and stuck digest are the recorded ones.
+
+The `flood` ledger, trace, rounds and deliveries were re-recorded when the
+value flood became a broadcast down the tree, re-sent only by nodes with
+children; its outputs and its stuck digests are the recorded ones.  The
+`distance` and `distance_mixed` ledger and trace digests were re-recorded
+when a distance message stopped charging the distance field its receiver
+never reads (3 id-units, not 4); their outputs, rounds, deliveries and
+stuck digests are the recorded ones (see CHANGES.md for both).
 """
 
 import functools
@@ -83,89 +91,89 @@ GOLDEN = {
         "agg_sum": ("9053d01727f35cfd", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
         "agg_count": ("821902cf7e596f65", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
         "agg_hist": ("9d1e3e5e22ef6158", "de5c4c322697e803", "366b53ffe3583145", 4, 1415),
-        "flood": ("e2efa9f9015b1426", "597d3097bc1c0f73", "22861c3df5b563aa", 5, 1430),
+        "flood": ("e2efa9f9015b1426", "20b20248d01646eb", "11d2c284f1ec1e11", 4, 384),
         "classify": ("8e09d95256b00074", "fe933624cccb6046", "785afb15a185c0ab", 2, 233),
-        "distance": ("624aa8c39676c752", "0837f071f33f317e", "1a54597db9b9338e", 4, 1430),
-        "distance_mixed": ("2a1b0b84ab61863e", "3911494c0ba93b64", "bea810daba950ae8", 5, 2860),
+        "distance": ("624aa8c39676c752", "597d3097bc1c0f73", "79fbc697c7a0c917", 4, 1430),
+        "distance_mixed": ("2a1b0b84ab61863e", "e568d5d11d7c113b", "06d4a9b683797a03", 5, 2860),
     },
     "dense-250-2": {
         "agg_max": ("946edd5365af3ac1", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
         "agg_sum": ("38a08d981cafea0c", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
         "agg_count": ("03720cf28730b647", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
         "agg_hist": ("81ab2a7947614f1e", "dfedca3b8730d726", "dc4a2e7cf0827ad4", 6, 7893),
-        "flood": ("36fa292d50e4f837", "d49e3f15715caeef", "28d5af4232a085dc", 7, 7930),
+        "flood": ("36fa292d50e4f837", "dccaed024441af33", "9523a24493d09d76", 6, 1427),
         "classify": ("1394ece9621bad72", "e3ad40ccec4ad38e", "85a7e1e6513e26fe", 2, 1310),
-        "distance": ("5a948b7623c8d715", "7c6bdfd617656c45", "35f009f22fda511d", 4, 7930),
-        "distance_mixed": ("70bb20bd55a78c7f", "3024995c12d97a1a", "bc07e47efc051f1f", 5, 15860),
+        "distance": ("5a948b7623c8d715", "d49e3f15715caeef", "6d9a0246ff0efe44", 4, 7930),
+        "distance_mixed": ("70bb20bd55a78c7f", "7e9e7c52c170e02f", "cbd63636ca4a8131", 5, 15860),
     },
     "dense-800-3": {
         "agg_max": ("5e6cb71c9fb89b8b", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
         "agg_sum": ("0c18780f2c80aea8", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
         "agg_count": ("a0bcfd07063d5623", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
         "agg_hist": ("23a0fd15613d75b2", "8d9184861d32525a", "87539f47457a2773", 12, 26856),
-        "flood": ("e280506357d03fac", "6fea68b156ee0e3a", "1918f417a5304143", 13, 26888),
+        "flood": ("e280506357d03fac", "e8a36ffae15867d4", "4f377c292322ee56", 12, 6203),
         "classify": ("21d920718ef86d00", "ed22032ef3527aa3", "9d27a1922376139c", 2, 4581),
-        "distance": ("15518b1bff77e691", "0c4ca9cdb8711896", "aa27a5046703f5bc", 5, 26888),
-        "distance_mixed": ("e6ee270902416850", "c52816fb89f1ad37", "14434b8d5fcb4d67", 5, 53776),
+        "distance": ("15518b1bff77e691", "6fea68b156ee0e3a", "7b3a2d2400b47891", 5, 26888),
+        "distance_mixed": ("e6ee270902416850", "0351b18caacf28d2", "5142b8a3fc236792", 5, 53776),
     },
     "gapped-60-4": {
         "agg_max": ("bcd913dfeb5d41b0", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
         "agg_sum": ("9053d01727f35cfd", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
         "agg_count": ("821902cf7e596f65", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
         "agg_hist": ("eb3f3aee6dcca56a", "ed7f5b8776058337", "b7f7f2b748de6839", 4, 1440),
-        "flood": ("8992a5a7b245dfb3", "e5b342d813e17792", "f46b263ec3ed5698", 5, 1476),
+        "flood": ("8992a5a7b245dfb3", "aa8b54b9e64de509", "0845b56f4d573352", 4, 259),
         "classify": ("42346441e8aa6f24", "258592ecc24f5ccb", "c3865eef7630649e", 2, 244),
-        "distance": ("3e6c8d6d7a3a35cb", "3e3c96c89210a2bc", "ff1d5846e2535f99", 4, 1476),
-        "distance_mixed": ("cfa3f522af41d067", "eddbb65c653865d3", "328dc97752fc5c08", 4, 2952),
+        "distance": ("3e6c8d6d7a3a35cb", "e5b342d813e17792", "7a85b82df0267380", 4, 1476),
+        "distance_mixed": ("cfa3f522af41d067", "bcc9f9877b5926c3", "86c6d87be099f2a3", 4, 2952),
     },
     "gapped-250-5": {
         "agg_max": ("565485e2f475d4f8", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
         "agg_sum": ("38a08d981cafea0c", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
         "agg_count": ("28d4231d86a52ab0", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
         "agg_hist": ("ae6672d15b77d4d6", "7deee217cdd3fe82", "07079f37780613e5", 7, 7642),
-        "flood": ("befc1d98c4102fa4", "ed7eb7b1c33e8c3c", "b90f3f48b72e685b", 8, 7690),
+        "flood": ("befc1d98c4102fa4", "c536f8863650a6cd", "fc51597006164925", 7, 1560),
         "classify": ("bd659dcba622561c", "30865085d72ef892", "5380bef40d7309a3", 2, 1207),
-        "distance": ("4c12f69145083a21", "3ccc519a4b852140", "c227d22d4a4cf884", 4, 7690),
-        "distance_mixed": ("05c9d3adb9332efd", "56a79426973573d0", "ff0306113caafeb4", 5, 15380),
+        "distance": ("4c12f69145083a21", "ed7eb7b1c33e8c3c", "bdb4bd383bddb533", 4, 7690),
+        "distance_mixed": ("05c9d3adb9332efd", "bdd6395f57ddfae9", "5358a4a37bb631e1", 5, 15380),
     },
     "gapped-800-6": {
         "agg_max": ("6a412d8e85377701", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
         "agg_sum": ("0c18780f2c80aea8", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
         "agg_count": ("4bca943e95698c75", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
         "agg_hist": ("552dc65b9a42e17f", "fb00a115119ae5b6", "cf91b013beb77b9f", 9, 26820),
-        "flood": ("81143852fb888859", "ba911da904cd675a", "598c61307d41d6ef", 10, 26860),
+        "flood": ("81143852fb888859", "aff20b2f32579229", "5ed59fb03dd92438", 9, 5310),
         "classify": ("25141a9e65103a1e", "b8a258196673f6a9", "c6ca8e2c8e330f84", 2, 5317),
-        "distance": ("a1cd26bd04caa33d", "718f165420dae231", "1a484429d2116174", 9, 53720),
-        "distance_mixed": ("b737dc6d3e9f74a0", "718f165420dae231", "2f4722ac706ec522", 4, 53720),
+        "distance": ("a1cd26bd04caa33d", "6e09e8d17452651e", "f17d78396b986335", 9, 53720),
+        "distance_mixed": ("b737dc6d3e9f74a0", "6e09e8d17452651e", "6eedd30c69579601", 4, 53720),
     },
     "crowded-400-7": {
         "agg_max": ("f1910fba870528eb", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
         "agg_sum": ("e81d637d19fc5614", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
         "agg_count": ("93f717ca14a9089b", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
         "agg_hist": ("b4ec7d72a7b8b4e3", "3186469f5c147f63", "c93313717a31675e", 4, 55990),
-        "flood": ("e2e25047260af22c", "ae239fd46d71db7a", "3a6881f340f1eeff", 5, 56082),
+        "flood": ("e2e25047260af22c", "97a48e816648a61b", "bef485ba3a07ab5d", 4, 3297),
         "classify": ("3e4371b70973f0d5", "cca0434c9e0752fd", "be1ef80b7552115d", 2, 9455),
-        "distance": ("ffd1cc98538d2eb1", "37a13f90f15b6bc5", "09fc7fe035f745f1", 4, 56082),
-        "distance_mixed": ("4da2b4608364a20c", "4003cb1925053afb", "9f980173d625b290", 4, 112164),
+        "distance": ("ffd1cc98538d2eb1", "ae239fd46d71db7a", "d68875e32cc5718d", 4, 56082),
+        "distance_mixed": ("4da2b4608364a20c", "6a779b33e09022ab", "aa85a0b77312d9a6", 4, 112164),
     },
     "path-40": {
         "agg_max": ("0555debc8a653494", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
         "agg_sum": ("13a299db68f90cdd", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
         "agg_count": ("91d6039a01f57163", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
         "agg_hist": ("4e25fc1acd254854", "7615dfff5ac4d45d", "65a030daafe25d3e", 21, 76),
-        "flood": ("e8d407d15662d992", "86e689e7aaa68991", "0ba4caa6d65d01f3", 22, 78),
+        "flood": ("e8d407d15662d992", "bf557f6b7bbaa50c", "351528dffbd1740a", 21, 76),
         "classify": ("aa30b652e011afde", "5b03895fae228b67", "22d4f3b23b4d38f5", 2, 78),
-        "distance": ("83dd54a71d77b35c", "dc2be5fdc04c1c8c", "fc32664f0ca0b97f", 2, 78),
-        "distance_mixed": ("0b5ac36938708315", "45d7dbd32c2aa8cb", "90d24e7c0a9649e0", 26, 156),
+        "distance": ("83dd54a71d77b35c", "86e689e7aaa68991", "e5810a48ffe2b250", 2, 78),
+        "distance_mixed": ("0b5ac36938708315", "207c78806b6b57ac", "2e35f3bc18b97668", 26, 156),
     },
     "star": {
         "agg_max": ("24a6ade6d35f1e5e", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
         "agg_sum": ("8c98d396d4e29891", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
         "agg_count": ("4079e4af87d7d813", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
         "agg_hist": ("06bff0d22e26eb4e", "7b5bd3ef9e8250ab", "f11f7fdcc25f943d", 3, 13),
-        "flood": ("875048d42a3ad3ff", "69ee0d078453dfd9", "1dc0a5b02be7c619", 4, 14),
+        "flood": ("875048d42a3ad3ff", "133478b0662d6a76", "fa617a991642a738", 3, 8),
         "classify": ("2390a7a9fef5efa6", "b03c36712b98a1d3", "761ab270c7b5d93a", 2, 7),
-        "distance": ("3ef56b5e02bd0a9e", "212f0840d848f68e", "61592aa538be911f", 3, 14),
+        "distance": ("3ef56b5e02bd0a9e", "69ee0d078453dfd9", "023fa3ed0fb02695", 3, 14),
         "distance_mixed": ("28b153ab518476af", "b393978842a0fa3d", "e3b0c44298fc1c14", 1, 0),
     },
     "star-gapped": {
@@ -173,9 +181,9 @@ GOLDEN = {
         "agg_sum": ("24a6ade6d35f1e5e", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
         "agg_count": ("4079e4af87d7d813", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
         "agg_hist": ("1eec05aa9ff005ba", "e4e6842ffc54409b", "0cd3aa76adb136ce", 3, 11),
-        "flood": ("6e017443327534fe", "27a5b6db18f2798c", "7983ccc3e2288bea", 4, 12),
+        "flood": ("6e017443327534fe", "4d380fbe2ea06bc5", "3e6da87a38e1e407", 3, 7),
         "classify": ("010b9011082f39ea", "a5cea860f08c7532", "b8e328cfa4fafe0a", 2, 6),
-        "distance": ("9aaee97725b4940f", "4133e1d83d7a6d50", "75313da5e7caf69d", 3, 12),
+        "distance": ("9aaee97725b4940f", "27a5b6db18f2798c", "6946097550f81f14", 3, 12),
         "distance_mixed": ("e1e7b5d593807119", "e1e91f947f89bcac", "e3b0c44298fc1c14", 1, 0),
     },
     "single": {
@@ -183,9 +191,9 @@ GOLDEN = {
         "agg_sum": ("28cb03b06c288e88", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "agg_count": ("91d6039a01f57163", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "agg_hist": ("f8944f48d8c72d14", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
-        "flood": ("67178b43cb232b15", "9cc9a1ed36066271", "cb2ad05662823f05", 2, 0),
+        "flood": ("67178b43cb232b15", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "classify": ("d9c807b270afc4a7", "2413b3468072abaf", "05421ffbd465861e", 2, 0),
-        "distance": ("d9a6b748f2070aa4", "5f53396c8adcbf1a", "f4108d55dd68fd9a", 2, 0),
+        "distance": ("d9a6b748f2070aa4", "9cc9a1ed36066271", "29fc7178e13a66c6", 2, 0),
         "distance_mixed": ("7d668f1b3bb8ff07", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
     },
     "standard-20k": {
@@ -193,10 +201,10 @@ GOLDEN = {
         "agg_sum": ("8d61a7b80173def4", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
         "agg_count": ("088fd747148d3fcf", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
         "agg_hist": ("b812be3bee79c9cd", "eb9262d47708ac5c", "5c9dac3bb439349a", 29, 1521547),
-        "flood": ("57c5198060aaf02a", "b62902075bc137be", "b8d769f0f8eb4317", 30, 1521628),
+        "flood": ("57c5198060aaf02a", "cb9af7d1ef053b13", "14b82239b23f0578", 29, 208016),
         "classify": ("a3dbd096ef66642a", "939f5299ad81a830", "8b3c3b95f4138896", 2, 318462),
-        "distance": ("a41684cd5b5a79ad", "32d537e0821f6367", "efa5614db4917ce6", 39, 3043256),
-        "distance_mixed": ("b01f72eabce51efb", "32d537e0821f6367", "4575d10f93ad269e", 4, 3043256),
+        "distance": ("a41684cd5b5a79ad", "696de01abd88fa21", "e378e231d8ee4e09", 39, 3043256),
+        "distance_mixed": ("b01f72eabce51efb", "696de01abd88fa21", "7f7f93c39dbf2480", 4, 3043256),
     },
 }
 

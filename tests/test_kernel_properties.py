@@ -185,9 +185,19 @@ def test_broadcast_down_reaches_every_node_once(g, value):
     tree = convergetree.build_tree(g)
     received, res = convergetree.broadcast_down(g, tree, tuple(value))
     assert [received[v] for v in g.id_list] == [tuple(value)] * g.n
-    assert res.ledger.total_broadcasts == g.n
-    assert res.ledger.total_id_units == (1 + len(value)) * g.n
-    assert_deliveries_are_sender_degrees(g, res)
+    # one broadcast from each node with a child, none from the others
+    states = tree.states
+    relays = np.zeros(g.max_id + 1, dtype=np.int64)
+    relays[[v for v in g.id_list if states[v].children]] = 1
+    assert np.array_equal(res.ledger.broadcasts_sent, relays)
+    assert np.array_equal(res.ledger.id_units_sent, (1 + len(value)) * relays)
+    assert res.deliveries == int(g.degrees()[relays == 1].sum())
+    # depth d takes the value in round d; the deepest round sends nothing
+    height, level = 0, list(states[tree.root_id].children)
+    while level:
+        height += 1
+        level = [c for v in level for c in states[v].children]
+    assert res.rounds_used == height + 1
 
 
 @SETTINGS

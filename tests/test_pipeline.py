@@ -13,6 +13,7 @@ from numpy.random import Generator, Philox
 from swarmtopo import boundary, cli, geometry, netgraph
 from swarmtopo.cli import MismatchedRun, RunConfig
 from swarmtopo.simkernel import RoundLimitExceeded
+from conftest import sha
 
 
 def write_region(path, curves) -> str:
@@ -61,6 +62,39 @@ def test_pipeline_byte_identical_reruns(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+# The reports of one annulus run with the alpha sweep and token loops on,
+# recorded at commit 70023f7: sha256 of the output files, and cost.csv as
+# text.  A change that moves an output on purpose re-records it here and
+# lists the change, old -> new, in CHANGES.md.
+PINNED_CONFIG = RunConfig(region="annulus", n=4000, seed=3, alpha="sweep",
+                          token_loops=True)
+PINNED_DIGESTS = {
+    "classification.csv": "3718b6a30230dbe69c1650e6c4606bcbb1bb27fb6036a994eb7c1d9be51dded4",
+    "sweep.csv": "9eddf61a600f050b36e42316fe00be215fbb5024ad7bb9baa9436a1241cd6384",
+    "summary.json": "7acdb1034040bbcba3ab0fb10f3c10a59e3a01f710503f21896bce96c79156d9",
+}
+PINNED_COST = """\
+phase,broadcasts,id_units,rounds
+tree,31466,94398,62
+agg_delta,3999,7998,21
+flood_delta,659,1318,21
+agg_histogram,3999,23991,21
+flood_threshold,659,1977,21
+classify,455,455,2
+components,6474,17493,29
+components,2937,10154,56
+distance_flood,8000,24000,9
+token_loops,7611,132497,222
+"""
+
+
+def test_reports_pinned_across_commits(tmp_path):
+    cli.write_reports(cli.run_pipeline(PINNED_CONFIG), str(tmp_path))
+    for name, digest in PINNED_DIGESTS.items():
+        assert sha(tmp_path.joinpath(name).read_bytes()) == digest, name
+    assert tmp_path.joinpath("cost.csv").read_text(encoding="utf-8") == PINNED_COST
 
 
 def test_density_warning_low_n(tmp_path):
