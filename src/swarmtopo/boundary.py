@@ -201,21 +201,30 @@ class _CompFloodNode(NodeProto):
     Non-members relay: they re-broadcast the best candidate heard directly
     from a member whenever it improves, which realizes exactly the
     hop-distance-2 linkage without letting floods travel further.
+
+    A node starts from what classify's K_BND told it: `top`, its largest
+    member neighbour, and `count`, how many it has.  A member below its
+    `top` takes it as root and parent and announces it in round 0; a relay
+    starts from `top` and forwards it in round 0 only if it has two member
+    neighbours or more (the one member it would tell already knows).
     """
 
-    __slots__ = ("member", "root", "parent", "via", "best_fwd")
+    __slots__ = ("member", "root", "parent", "via", "best_fwd", "count")
 
-    def __init__(self, vid, nbrs, member):
+    def __init__(self, vid, nbrs, member, top, count):
         super().__init__(vid, nbrs)
         self.member = member
-        self.root = vid if member else 0
-        self.parent = 0
+        self.root = max(vid, top) if member else 0
+        self.parent = top if member and top > vid else 0
         self.via = 0
-        self.best_fwd = 0
+        self.best_fwd = 0 if member else top
+        self.count = count
 
     def on_round(self, rnd, inbox):
         if rnd == 0:
-            return ((K_MC, self.vid),) if self.member else ()
+            if self.member:
+                return ((K_MC, self.root),) if self.parent else ()
+            return ((K_MF, self.best_fwd, self.best_fwd),) if self.count > 1 else ()
         if self.member:
             best, origin, via = self.root, 0, 0
             for s, m in inbox:
@@ -241,6 +250,32 @@ class _CompFloodNode(NodeProto):
 
     def state_name(self):
         return f"compflood(member={self.member})"
+
+
+def _member_neighbours(g: UnitDiskGraph, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ID-indexed: each node's largest member neighbour (0 if none) and its
+    number of member neighbours."""
+    pos = np.flatnonzero(member[g.indices])  # CSR positions of member neighbours
+    before = np.searchsorted(pos, g.indptr)  # member entries before each row
+    count = np.diff(before)
+    top = np.zeros(g.max_id + 1, dtype=np.int64)
+    has = np.flatnonzero(count)
+    top[has] = g.indices[pos[before[has + 1] - 1]]  # rows ascend: the row's last is largest
+    return top, count
+
+
+def _flood_components(g: UnitDiskGraph, member: np.ndarray, max_rounds: int = 100_000,
+                      trace=None) -> tuple[np.ndarray, RunResult]:
+    """The component flood on the executor: per-ID root, parent and via as
+    the rows of one array, and the run."""
+    top, count = (a.tolist() for a in _member_neighbours(g, member))
+    nodes, res = run_protocol(
+        g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v]), top[v], count[v]),
+        max_rounds=max_rounds, trace=trace)
+    fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
+    fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
+                                 for v in g.id_list]).T
+    return fields, res
 
 
 class _CompOrgRounds(RoundKernel):
@@ -370,11 +405,7 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     name forward anything.
     """
     member = classes == int(NodeClass.BOUNDARY)
-    nodes, flood = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v])),
-                                max_rounds=max_rounds, trace=trace)
-    fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
-    fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
-                                 for v in g.id_list]).T
+    fields, flood = _flood_components(g, member, max_rounds, trace)
     org = _CompOrgRounds(g, member, *fields)
     res = org.run(max_rounds, trace)
 
@@ -453,14 +484,16 @@ _CHUNK = 1 << 16  # deliveries settled at once by the distance flood
 
 
 class _DistRounds(RoundKernel):
-    """Boundary distance waves: one BFS wave per component, all started in
-    round 0, where every member broadcasts its own component at distance 0.
-    A node re-broadcasts only the slots it has just filled, so every
-    message sent in round r carries distance r and a node first hears a
+    """Boundary distance waves: one BFS wave per component.  A member's
+    neighbours know its component (from its K_JOIN), so members send
+    nothing: in round 0 every node next to a source takes the components of
+    its source neighbours at distance 1, and the waves start from there.  A
+    node re-broadcasts only the slots it has just filled, so every message
+    sent in round r carries distance r + 1 and a node first hears a
     component at its final distance: nothing heard later is nearer.  In
     round r a node with a free slot takes every component it does not hold
-    yet from its smallest sender, at distance r and with that sender's
-    anchor (its own offset in round 1); its free slots fill smallest
+    yet from its smallest sender, at distance r + 1 and with that sender's
+    anchor (its own offset at distance 1); its free slots fill smallest
     component first, and it re-broadcasts exactly the slots it filled."""
 
     def __init__(self, g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int):
@@ -476,7 +509,7 @@ class _DistRounds(RoundKernel):
         self.out = (src, self.c[0, src], zero)  # (sender, comp, anchor)
 
     def step(self, rnd: int) -> list:
-        if rnd:
+        if len(self.out[0]):  # in round 0, the sources' neighbours settle
             self.out = self._settle(rnd, *self.out)
         return [(K_DIST, self.out[0], 3)]
 
@@ -499,9 +532,9 @@ class _DistRounds(RoundKernel):
         slot = np.arange(len(v)) - np.searchsorted(v, v) + (self.c[0, v] != 0)
         fill = slot < 2
         v, c, q, slot = v[fill], c[fill], q[fill], slot[fill]
-        if rnd == 1:
+        if rnd == 0:
             q = _own_frac_units(self.deg[v], self.mu_est)
-        self.d[slot, v], self.c[slot, v], self.q[slot, v] = rnd, c, q
+        self.d[slot, v], self.c[slot, v], self.q[slot, v] = rnd + 1, c, q
         return v, c, q
 
     def _candidates(self, s, c, q) -> tuple:
@@ -531,10 +564,11 @@ class DistanceField:
 def distance_flood(g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int,
                    max_rounds: int = 100_000,
                    trace=None) -> tuple[DistanceField, RunResult]:
-    """Every boundary node floods its component at distance 0, one BFS wave
-    per component.  A node keeps the first two components it hears (of
-    those heard in one round, the smallest), each at the distance and with
-    the anchor it first hears it, and relays each once."""
+    """One BFS wave per component from every boundary node (distance 0),
+    started by the boundary nodes' neighbours.  A node keeps the first two
+    components it hears (of those heard in one round, the smallest), each
+    at the distance and with the anchor it first hears it, and relays each
+    once."""
     kernel = _DistRounds(g, comp_of, mu_est)
     res = kernel.run(max_rounds, trace)
     d, c, q = kernel.d, kernel.c, kernel.q

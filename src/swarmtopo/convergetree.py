@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .netgraph import UnitDiskGraph, csr_rows, has_edges
+from .netgraph import UnitDiskGraph, csr_rows, has_edges, hop_bfs
 # no protocol here uses the executor any more; perfbench times it by
 # wrapping this name in every protocol module
 from .simkernel import RoundKernel, RunResult, run_protocol  # noqa: F401
@@ -102,7 +102,8 @@ class _TreeRounds(RoundKernel):
     and returns the round's own broadcasts.  Nodes read one another only
     through what was broadcast: the last STATE and REPORT of each sender.
 
-    The rules, per receiving node v, in inbox order (sender, kind):
+    The rules, per receiving node v, in inbox order (sender, kind), from
+    round 1 on (round 0 is `_first_round`):
     STATE (root, parent): adopt the largest announced root above v's own,
     with the smallest sender announcing it as parent, and announce it.
     DONE (root, n): taken once, from the smallest sender whose root equals
@@ -125,8 +126,9 @@ class _TreeRounds(RoundKernel):
         self.done = np.zeros(size, dtype=bool)
         self.n_total = np.zeros(size, dtype=np.int64)
         self.completion = np.full(size, -1, dtype=np.int64)
-        # the last STATE and REPORT each node broadcast
-        self.said_root = np.zeros(size, dtype=np.int64)
+        # the last STATE and REPORT each node broadcast; a node that has
+        # announced nothing is read as its own root
+        self.said_root = np.arange(size, dtype=np.int64)
         self.said_parent = np.zeros(size, dtype=np.int64)
         self.rep_root = np.zeros(size, dtype=np.int64)
         self.rep_size = np.zeros(size, dtype=np.int64)
@@ -138,8 +140,13 @@ class _TreeRounds(RoundKernel):
         return [(k, m[0], _TREE_UNITS) for k, m in self.msgs.items()]
 
     def _first_round(self) -> dict:
-        """Round 0: every node announces itself.  A node without neighbours
-        has heard them all and completes at once as its own root."""
+        """Round 0: a node knows its neighbours' IDs, so it adopts the
+        largest ID of its closed neighbourhood as its root, with that
+        neighbour as parent, and announces it.  A node that is that largest
+        ID stays silent; its neighbours read its root as its ID.  Every node
+        waits on a timer into round 1, where the report rule is first
+        checked.  A node without neighbours has heard them all and completes
+        at once as its own root."""
         ids = self.ids
         deg = self.deg[ids]
         lone = ids[deg == 0]
@@ -148,7 +155,11 @@ class _TreeRounds(RoundKernel):
         self.completion[lone] = 0
         self.n_total[lone] = 1
         talk = ids[deg > 0]
-        return self._publish({K_STATE: (talk, talk, np.zeros(len(talk), dtype=np.int64))})
+        top = self.indices[self.indptr[talk + 1] - 1]  # rows ascend: the largest neighbour
+        new, top = talk[top > talk], top[top > talk]
+        self.root[new] = self.parent[new] = top
+        self.wake = talk
+        return self._publish({K_STATE: (new, top, top)})
 
     def _publish(self, msgs: dict) -> dict:
         """Record the round's STATE and REPORT broadcasts, which the
@@ -169,8 +180,11 @@ class _TreeRounds(RoundKernel):
         out = {}
         done_out = []
         # the report rule can change only at a node that heard a STATE or
-        # whose child reported; DONE changes no node's rule
+        # whose child reported, or that waits on its round-0 timer; DONE
+        # changes no node's rule
         heard = np.zeros(size, dtype=bool)
+        heard[self.wake] = True
+        self.wake = self.wake[:0]
         if K_REPORT in msgs:
             heard[self.said_parent[msgs[K_REPORT][0]]] = True
 
@@ -265,6 +279,32 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
                      completion=kernel.completion, root_id=int(roots[-1]), result=result)
 
 
+def central_tree(g: UnitDiskGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centralized twin of build_tree on a connected graph: a BFS from the
+    largest ID, in which each node's parent is its smallest neighbour one
+    layer up (the largest root reaches a node first from that layer, and
+    the smallest sender wins).  Returns the ID-indexed parent (0 at the
+    root), subtree size and n arrays, 0 at unused IDs."""
+    size = g.max_id + 1
+    dist = hop_bfs(g, [g.max_id])
+    if not np.isfinite(dist[g.ids]).all():
+        raise ValueError("graph disconnected")
+    src = np.repeat(np.arange(size), g.degrees())
+    up = dist[g.indices] == dist[src] - 1
+    # rows ascend, so each node's first neighbour one layer up is the smallest
+    kid, first = np.unique(src[up], return_index=True)
+    parent = np.zeros(size, dtype=np.int64)
+    parent[kid] = g.indices[up][first]
+    subtree = np.zeros(size, dtype=np.int64)
+    subtree[g.ids] = 1
+    for d in range(int(dist[g.ids].max()), 0, -1):
+        layer = g.ids[dist[g.ids] == d]
+        np.add.at(subtree, parent[layer], subtree[layer])
+    n_total = np.zeros(size, dtype=np.int64)
+    n_total[g.ids] = g.n
+    return parent, subtree, n_total
+
+
 def _agg_inputs(g: UnitDiskGraph, op: AggOp, values) -> np.ndarray:
     """The inputs as an ID-indexed int64 array with one column per field:
     integer scalars, or for HISTOGRAM_MERGE equal-length integer rows.  An
@@ -320,13 +360,24 @@ class _AggRounds(RoundKernel):
         self.acc = _agg_inputs(g, op, values)
         self.combine = np.maximum if op is AggOp.MAX else np.add
         self.windowed = op is AggOp.HISTOGRAM_MERGE
-        # float copy of every sum: a wrapped int64 sum is off by 2**64 from it
-        self.exact = None if op is AggOp.MAX else self.acc.astype(float)
         parent = tree.parent
         self.has_parent = parent != 0
         self.pending = np.bincount(parent[self.ids], minlength=self.size)
         self.listener = _tree_links(g, parent)  # the parent that hears v, or 0
         self.sent = np.empty(0, dtype=np.int64)
+        self.exact = None
+        if op is not AggOp.MAX:
+            # a float copy of the rows children add into, the only rows whose
+            # int64 sum can wrap: a wrapped sum is off by 2**64 from its copy
+            summed = np.unique(self.listener[self.ids])
+            self.summed = summed[summed != 0]
+            self.exact = self.acc[self.summed].astype(float)
+            self.row = np.full(self.size, -1, dtype=np.int64)  # v's row of `exact`, or -1
+            self.row[self.summed] = np.arange(len(self.summed))
+
+    def waiting(self, senders: np.ndarray) -> np.ndarray:
+        par = self.listener[senders]
+        return par[par != 0]
 
     def step(self, rnd: int) -> list:
         if rnd == 0:
@@ -334,12 +385,21 @@ class _AggRounds(RoundKernel):
             ready = ids[(self.pending[ids] == 0) & self.has_parent[ids]]
         else:
             par = self.listener[self.sent]
-            kid, par = self.sent[par != 0], par[par != 0]
-            self.combine.at(self.acc, par, self.acc[kid])
+            heard = par != 0
+            kid, par = self.sent[heard], par[heard]
+            # the children grouped by parent, each group combined at once
+            order = np.argsort(par)
+            kid, par = kid[order], par[order]
+            start = np.flatnonzero(np.diff(par, prepend=0))  # IDs are positive
+            count = np.diff(start, append=len(par))
+            par = par[start]
+            self.acc[par] = self.combine(self.acc[par], self.combine.reduceat(self.acc[kid], start))
             if self.exact is not None:
-                np.add.at(self.exact, par, self.exact[kid])
-            np.subtract.at(self.pending, par, 1)
-            par = np.unique(par)
+                val = self.acc[kid].astype(float)
+                inner = self.row[kid] >= 0
+                val[inner] = self.exact[self.row[kid[inner]]]
+                self.exact[self.row[par]] += np.add.reduceat(val, start)
+            self.pending[par] -= count
             ready = par[(self.pending[par] == 0) & self.has_parent[par]]
         self.sent = ready
         return [(K_AGG, ready, _window_units(self.acc[ready]) if self.windowed else 2)]
@@ -363,9 +423,7 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp,
     kernel = _AggRounds(g, tree, op, values)
     res = kernel.run(max_rounds, trace)
     if kernel.exact is not None:
-        # only a row that some child's value was added into can have wrapped
-        summed = np.unique(kernel.listener[g.ids])
-        if (np.abs(kernel.acc[summed] - kernel.exact[summed]) > 2.0**62).any():
+        if (np.abs(kernel.acc[kernel.summed] - kernel.exact) > 2.0**62).any():
             raise ValueError(f"{op.value}: a combined value does not fit in int64")
     if (kernel.pending[g.ids] > 0).any():
         raise RuntimeError("aggregation did not complete")
@@ -390,6 +448,9 @@ class _DownRounds(RoundKernel):
         self.got[tree.root_id] = True
         root = np.array([tree.root_id], dtype=np.int64)
         self.sent = root[self.has_kids[root]]
+
+    def waiting(self, senders: np.ndarray) -> np.ndarray:
+        return self.kids[csr_rows(self.kptr, senders)[0]]
 
     def step(self, rnd: int) -> list:
         if rnd:

@@ -120,15 +120,16 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
     # keys are below n * n, which fits in int64 up to n = 3e9; the pairs are
     # distinct, so a plain sort orders the rows and each row's neighbours
     edges = np.concatenate(packed) if packed else np.empty(0, dtype=np.int64)
+    packed.clear()
     edges.sort()
-    row, col = np.divmod(edges, n)
     indptr = np.zeros(m + 2, dtype=np.int64)
-    indptr[ids + 1] = np.bincount(row, minlength=n)
+    indptr[ids + 1] = np.bincount(edges // n, minlength=n)
     np.cumsum(indptr, out=indptr)
+    np.remainder(edges, n, out=edges)  # each key's column rank, in place
 
     pos = np.zeros((m + 1, 2))
     pos[ids] = xy
-    return UnitDiskGraph(ids=ids, xy=pos, R=R, indptr=indptr, indices=ids[col])
+    return UnitDiskGraph(ids=ids, xy=pos, R=R, indptr=indptr, indices=ids[edges])
 
 
 def csr_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

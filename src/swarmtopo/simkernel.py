@@ -120,6 +120,8 @@ class RoundKernel:
     order, so a kernel that batches them in payload order traces them in
     canonical order.  A node waiting on a timer is listed in `wake` after
     the step: it is settled in the next round even if nothing reaches it.
+    `waiting` names the nodes that act on a round's broadcasts, for the
+    round-limit report.
     """
 
     def __init__(self, g: UnitDiskGraph):
@@ -135,6 +137,11 @@ class RoundKernel:
         pos, lens = csr_rows(self.indptr, senders)
         return self.indices[pos], lens
 
+    def waiting(self, senders: np.ndarray) -> np.ndarray:
+        """The nodes that would act on what `senders` broadcast: every graph
+        receiver, unless a kernel listens only along some of its edges."""
+        return self.receivers(senders)[0]
+
     def step(self, rnd: int) -> list:
         raise NotImplementedError
 
@@ -145,14 +152,14 @@ class RoundKernel:
         """Step to quiescence: the first round in which nothing is sent and
         no node waits on a timer (it still counts).  Raises
         RoundLimitExceeded naming up to 64 nodes, lowest IDs first, that
-        still have deliveries to settle or wait on a timer."""
+        still have deliveries to act on (`waiting`) or wait on a timer."""
         start = time.perf_counter()
         ledger = CostLedger(self.size - 1)
         rounds_used = deliveries = 0
         senders = np.empty(0, dtype=np.int64)
         while True:
             if rounds_used >= max_rounds:
-                waiting = np.union1d(self.receivers(senders)[0], self.wake)[:64].tolist()
+                waiting = np.union1d(self.waiting(senders), self.wake)[:64].tolist()
                 raise RoundLimitExceeded(rounds_used, {v: self.state_name(v) for v in waiting})
             rnd = rounds_used
             sent = [b for b in self.step(rnd) if len(b[1])]

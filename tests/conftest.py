@@ -10,7 +10,7 @@ from numpy.random import Generator, Philox
 
 from swarmtopo import boundary, cli, geometry, netgraph
 from swarmtopo.geometry import FeatureSizeViolation, Polygon
-from swarmtopo.simkernel import RoundLimitExceeded, run_protocol
+from swarmtopo.simkernel import RoundLimitExceeded
 
 
 def graph_from(points, ids=None):
@@ -250,11 +250,7 @@ def run_classes(alpha):
 
 def flood_fields(g, member) -> np.ndarray:
     """The component flood's per-ID root, parent and via, as rows."""
-    nodes, _ = run_protocol(g, lambda v, nb: boundary._CompFloodNode(v, nb, bool(member[v])))
-    fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
-    fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
-                                 for v in g.id_list]).T
-    return fields
+    return boundary._flood_components(g, member)[0]
 
 
 def _token_case(graph, classes_of=lowest_quarter):

@@ -3,14 +3,19 @@
 `form_components` runs the max-ID flood `_CompFloodNode` on
 `simkernel.run_protocol`, then the organisation kernel `_CompOrgRounds`
 (join, relay aggregate, near registration, convergecast, totals echo).
-GOLDEN pins the components, `comp_of` and the flood (ledger, trace,
-rounds, deliveries) to digests recorded before the organisation talked
-only along its convergecast tree; they are unchanged by that protocol
-change.  GOLDEN_ORG pins the organisation run (ledger, trace, rounds,
-deliveries) as it talks now, members and their `via` relays alone.  The
-stuck cases cover the nodes named when `max_rounds` runs out, in the
-organisation run alone and through `form_components` (see CHANGES.md for
-the ones re-recorded with the organisation).
+GOLDEN pins the components, `comp_of`, the flood's per-ID (root, parent,
+via) and the flood run (ledger, trace, rounds, deliveries).  The
+components and `comp_of` are the digests recorded before the organisation
+talked only along its convergecast tree.  The flood run was re-recorded
+when the flood began from what classify told each node (its largest
+member neighbour) instead of a round of members announcing themselves;
+the (root, parent, via) digests were computed before that change and
+after it, and are equal (see CHANGES.md).  GOLDEN_ORG pins the
+organisation run (ledger, trace, rounds, deliveries) as it talks now,
+members and their `via` relays alone.  The stuck cases cover the nodes
+named when `max_rounds` runs out, in the organisation run alone and
+through `form_components` (see CHANGES.md for the ones re-recorded with
+the organisation, and `form@path-40@low@1`, re-recorded with the flood).
 """
 
 import functools
@@ -38,13 +43,17 @@ def classes_of(g, level: str) -> np.ndarray:
 
 
 def component_digests(g) -> dict:
-    """Per threshold: the components, `comp_of` and flood digests (cut to 16
-    hex digits) with the flood's rounds and deliveries, and the same four
-    for the organisation run.  The trace splits by message kind."""
+    """Per threshold: the components, `comp_of`, the flood's per-ID (root,
+    parent, via) and flood ledger and trace digests (cut to 16 hex digits)
+    with the flood's rounds and deliveries, and the ledger, trace, rounds
+    and deliveries of the organisation run.  The trace splits by message
+    kind."""
     out = {}
     for level in thresholds(g):
         buf = io.StringIO()
-        res = boundary.form_components(g, classes_of(g, level), trace=buf)
+        classes = classes_of(g, level)
+        fields = flood_fields(g, classes == int(boundary.NodeClass.BOUNDARY))
+        res = boundary.form_components(g, classes, trace=buf)
         comps = repr([(c.component_id, c.members, c.size, c.near_set_size)
                       for c in res.components])
         lines = buf.getvalue().splitlines(keepends=True)
@@ -53,8 +62,8 @@ def component_digests(g) -> dict:
         runs = [run_digests(r, t) for r, t in zip(res.results, (flood, org))]
         flood_run, org_run = ((d["ledger"][:16], d["trace"][:16], d["rounds_used"],
                                d["deliveries"]) for d in runs)
-        out[level] = ((sha(comps)[:16], sha(res.comp_of.astype("<i8").tobytes())[:16])
-                      + flood_run, org_run)
+        out[level] = ((sha(comps)[:16], sha(res.comp_of.astype("<i8").tobytes())[:16],
+                       sha(fields[:, g.ids].astype("<i8").tobytes())[:16]) + flood_run, org_run)
     return out
 
 
@@ -64,119 +73,120 @@ def organisation(g, level: str):
     return boundary._CompOrgRounds(g, member, *flood_fields(g, member)).run
 
 
-# (components, comp_of, flood ledger, flood trace, flood rounds, flood deliveries)
+# (components, comp_of, flood fields, flood ledger, flood trace, flood rounds,
+# flood deliveries)
 GOLDEN = {
     "dense-60-1": {
-        "low": ("a679479364ead1b9", "a621746c7892c8ea", "0fd441d1099b22b2", "c693f5d936105696",
-                 7, 2929),
-        "mid": ("bf2ef7c164971bc2", "2a5934fcf0c70936", "fca1dd1a7bdaff6b", "05723f181a2ed309",
-                 6, 3188),
-        "all": ("ae62cf1c069de1d9", "cc34b7d210d7231f", "60f6e451dc78b44d", "dd4493f6e412c964",
-                 5, 3858),
+        "low": ("a679479364ead1b9", "a621746c7892c8ea", "d0817da9278a3c47",
+                 "695a3010fb217383", "f1be222b6a8185c1", 6, 2662),
+        "mid": ("bf2ef7c164971bc2", "2a5934fcf0c70936", "36a2c02ab5d498b8",
+                 "4aead93cc2aa62b2", "4ddfef52f88e4f6f", 5, 2689),
+        "all": ("ae62cf1c069de1d9", "cc34b7d210d7231f", "ffb924392d9fc83a",
+                 "40f1386b131bdc85", "b8d461394eb39f04", 4, 2428),
     },
     "dense-250-2": {
-        "low": ("0000d3c22ffb0f2a", "0e6d89a88571c1ba", "cbacd13853357eea", "82366fb1d97fa6eb",
-                 12, 20548),
-        "mid": ("6246c9f2a4d242f7", "129073d74ce0489f", "2069b6a0f036cbc2", "62ad61029381a7de",
-                 9, 20631),
-        "all": ("1099afa02e7bfa86", "a9ffe474eb675870", "d894932f5919e06d", "093222e2b7bf8c40",
-                 7, 24357),
+        "low": ("0000d3c22ffb0f2a", "0e6d89a88571c1ba", "6149e02455dd21cd",
+                 "8fd5496077c08f0b", "97edbbaba23e32f1", 11, 18912),
+        "mid": ("6246c9f2a4d242f7", "129073d74ce0489f", "0b3cc5801631a219",
+                 "98bf446f4776a7a7", "ce3fa5ffad59f6f3", 8, 17356),
+        "all": ("1099afa02e7bfa86", "a9ffe474eb675870", "c7c41a5e447e79fe",
+                 "1d3f1c09373f6830", "d22b8a673abdd282", 6, 16427),
     },
     "dense-800-3": {
-        "low": ("833294dc7bb95cbf", "5a44e031e0efb320", "5331c9679cbb032a", "a3d2c705d982ec81",
-                 19, 67941),
-        "mid": ("a1f616b7873c44e8", "eafdfad5bc82b06e", "0edc193418f13b73", "d560e70d7f822aa7",
-                 13, 105090),
-        "all": ("e6e0f1b6ea957ef9", "3d3b3fb1fb7b3f81", "ce72b70724e317ab", "1d4b9eb9ed3f50eb",
-                 13, 122863),
+        "low": ("833294dc7bb95cbf", "5a44e031e0efb320", "60ab2138ed2886fe",
+                 "fc4d9db6edab92b9", "3c3a5c90fe4f20b0", 18, 61170),
+        "mid": ("a1f616b7873c44e8", "eafdfad5bc82b06e", "d713a73a18a747ab",
+                 "e700aa6c066e2621", "ea8f06b2f53bd0e6", 12, 92395),
+        "all": ("e6e0f1b6ea957ef9", "3d3b3fb1fb7b3f81", "d51903f069ba14cd",
+                 "369d6d3804287721", "bc802e2cfe41468a", 12, 95975),
     },
     "gapped-60-4": {
-        "low": ("c94c4d82881ba4ad", "c58dbf8907b2ee17", "da2d839c5c9ef01e", "43bbc324f8cb9950",
-                 7, 1873),
-        "mid": ("22fc461f8b00cc9d", "62d8bbc6c4bd28b5", "041d515ca2e91cc0", "426df253086a1a19",
-                 5, 2914),
-        "all": ("a64e00428c52c71a", "485787a1fb8a1133", "912b2bbbad39d0b3", "37efc299ed2d4e38",
-                 5, 3317),
+        "low": ("c94c4d82881ba4ad", "c58dbf8907b2ee17", "1cf82312ccb46f95",
+                 "65b4faa7d95b01b1", "2d8382e6f4e41a73", 6, 1534),
+        "mid": ("22fc461f8b00cc9d", "62d8bbc6c4bd28b5", "928590c1a9f78c8d",
+                 "62d671df9fb3ea6a", "f2da4d0bbeeb3cf0", 4, 2366),
+        "all": ("a64e00428c52c71a", "485787a1fb8a1133", "3c7abb111af8c6e4",
+                 "2d468970749d0cb0", "e205a4e8d13124c2", 4, 1841),
     },
     "gapped-250-5": {
-        "low": ("8c79228daf64fc95", "b17bf4e90dc14a92", "665b468a6901f640", "e6ce8bcfc8ecf0f1",
-                 12, 17322),
-        "mid": ("9af818eb141db3ee", "3f2775e41336cd33", "9bc225bff1e2e92b", "3b91dd4ef074118b",
-                 8, 21432),
-        "all": ("0ea18cc1b08a59e8", "3d8dd915b30000f4", "c2ed5d523af170d9", "4aaac73a1afeedca",
-                 8, 23728),
+        "low": ("8c79228daf64fc95", "b17bf4e90dc14a92", "970b9e464ce17229",
+                 "b4079c0adbc909c3", "712231ea74c5b479", 11, 15496),
+        "mid": ("9af818eb141db3ee", "3f2775e41336cd33", "2263b577e9911785",
+                 "0104e70eeb11d7f2", "8831138451a92077", 7, 17948),
+        "all": ("0ea18cc1b08a59e8", "3d8dd915b30000f4", "81f0d3c18de00750",
+                 "016e0c20611c5981", "ea997348e5260643", 7, 16038),
     },
     "gapped-800-6": {
-        "low": ("aeef7ea53d49cbfa", "c54aa0a69f7e58c0", "6a7fb7cfdfc7fe51", "4f2acae45261b93d",
-                 18, 71350),
-        "mid": ("e9a0db7a9d1e6a74", "5ad3aee7fefb9f06", "10f53ee45b084a6e", "b0efe0fb1c194fa7",
-                 14, 116435),
-        "all": ("53028e6114f13ebb", "9d65e1faab928cfa", "4a3a0a2da2ec0204", "ef589ebdb20b5663",
-                 10, 106442),
+        "low": ("aeef7ea53d49cbfa", "c54aa0a69f7e58c0", "63364c285baa246c",
+                 "bee9e0671d2df06e", "32e356ea752eb0a3", 17, 64121),
+        "mid": ("e9a0db7a9d1e6a74", "5ad3aee7fefb9f06", "3350c5a793863125",
+                 "01cc5645c3d3116b", "cecf5d466607e9a5", 13, 103908),
+        "all": ("53028e6114f13ebb", "9d65e1faab928cfa", "752ec2168900c058",
+                 "43a073d0d7e8c274", "3288ebee01272cf3", 9, 79582),
     },
     "crowded-400-7": {
-        "low": ("15659093e6096b71", "0be971cca07c7460", "c9783bcda7058aa4", "248e5a8cee47db5f",
-                 6, 137983),
-        "mid": ("165a8d26074c7c08", "d1ea7f9e06b2e3bc", "6b6ca9ca6af85ecc", "7991d03fd9daf856",
-                 6, 130879),
-        "all": ("366e0bdd956ee7d7", "3aef4266e8fe12c0", "4ceebfbbebc3763e", "cfc3ba2eb7a39750",
-                 5, 162212),
+        "low": ("15659093e6096b71", "0be971cca07c7460", "9b8b71e9ea516507",
+                 "3dca08b1be47d5cb", "32dfd8e386e4f4af", 5, 127696),
+        "mid": ("165a8d26074c7c08", "d1ea7f9e06b2e3bc", "aea7b7de9ea1d19b",
+                 "ffbbb2b2141131b0", "fac63cb641a07f7d", 5, 109615),
+        "all": ("366e0bdd956ee7d7", "3aef4266e8fe12c0", "18a95b689cbe3255",
+                 "313d79a7676b6edc", "81b9236e378fccd5", 4, 106130),
     },
     "path-40": {
-        "low": ("95d148dab05f7178", "0bfef624fde7efd6", "aeda82b8696891f8", "6f570967ee9b8117",
-                 22, 286),
-        "mid": ("95d148dab05f7178", "0bfef624fde7efd6", "aeda82b8696891f8", "6f570967ee9b8117",
-                 22, 286),
-        "all": ("95d148dab05f7178", "0bfef624fde7efd6", "aeda82b8696891f8", "6f570967ee9b8117",
-                 22, 286),
+        "low": ("95d148dab05f7178", "0bfef624fde7efd6", "18915577c53a90e9",
+                 "e7492779eb3780a9", "749f3fe4187ca2e3", 21, 208),
+        "mid": ("95d148dab05f7178", "0bfef624fde7efd6", "18915577c53a90e9",
+                 "e7492779eb3780a9", "749f3fe4187ca2e3", 21, 208),
+        "all": ("95d148dab05f7178", "0bfef624fde7efd6", "18915577c53a90e9",
+                 "e7492779eb3780a9", "749f3fe4187ca2e3", 21, 208),
     },
     "star": {
-        "low": ("971de99be39d33e0", "e9ce0ec84e99834a", "8a2e6ff7f4384482", "0fcdc0618b3630a9",
-                 4, 20),
-        "mid": ("971de99be39d33e0", "e9ce0ec84e99834a", "8a2e6ff7f4384482", "0fcdc0618b3630a9",
-                 4, 20),
-        "all": ("7f34dd8311627e20", "c64eae82d65ea8a2", "5b956bbb66f06a64", "9888da5e10ba231e",
-                 4, 33),
+        "low": ("971de99be39d33e0", "e9ce0ec84e99834a", "fa71b8677a4259d7",
+                 "b4f1afe01a088140", "3bbf9c6b5a3b4698", 3, 13),
+        "mid": ("971de99be39d33e0", "e9ce0ec84e99834a", "fa71b8677a4259d7",
+                 "b4f1afe01a088140", "3bbf9c6b5a3b4698", 3, 13),
+        "all": ("7f34dd8311627e20", "c64eae82d65ea8a2", "14de118e58c76891",
+                 "d378284c2f607ba4", "fdb42e98ae84b8aa", 3, 19),
     },
     "star-gapped": {
-        "low": ("391986f1be4ac813", "3374c11ced1ce430", "ec23fbee47ef9b3c", "64b5ab5e4ad1720f",
-                 4, 17),
-        "mid": ("391986f1be4ac813", "3374c11ced1ce430", "ec23fbee47ef9b3c", "64b5ab5e4ad1720f",
-                 4, 17),
-        "all": ("038efc4a45985220", "f8af770e03486812", "0f569b522c1e56e2", "32175685c7334f26",
-                 4, 27),
+        "low": ("391986f1be4ac813", "3374c11ced1ce430", "400d7d112bd03722",
+                 "70254e2c5c687954", "3a619e8be2823612", 3, 11),
+        "mid": ("391986f1be4ac813", "3374c11ced1ce430", "400d7d112bd03722",
+                 "70254e2c5c687954", "3a619e8be2823612", 3, 11),
+        "all": ("038efc4a45985220", "f8af770e03486812", "a3dc6b724b9b72a4",
+                 "e99d4c1076d3a63e", "339a0d8cbb77a650", 3, 15),
     },
     "single": {
-        "low": ("9aa85434bd91b320", "e788377f5d888e06", "fed03e92497129b1", "52eea727f7d50874",
-                 2, 0),
-        "mid": ("9aa85434bd91b320", "e788377f5d888e06", "fed03e92497129b1", "52eea727f7d50874",
-                 2, 0),
-        "all": ("9aa85434bd91b320", "e788377f5d888e06", "fed03e92497129b1", "52eea727f7d50874",
-                 2, 0),
+        "low": ("9aa85434bd91b320", "e788377f5d888e06", "411a08912d84815d",
+                 "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
+        "mid": ("9aa85434bd91b320", "e788377f5d888e06", "411a08912d84815d",
+                 "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
+        "all": ("9aa85434bd91b320", "e788377f5d888e06", "411a08912d84815d",
+                 "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
     },
     "standard-20k": {
-        "low": ("70afba86faf34567", "dc3969e56f1f0c0f", "2d11f95043b38c6f", "13ff186e5e95302c",
-                 48, 7531189),
-        "mid": ("2b014fa293d7ebb3", "e55e356b3f0d7708", "ecb3f5b3c2195b00", "8e47c5b7d1286142",
-                 37, 8812447),
-        "all": ("78942fd4eaf67f68", "7446afdc00978618", "8d49e0c054ff7ce4", "2f63a45cda07615e",
-                 30, 9221213),
+        "low": ("70afba86faf34567", "dc3969e56f1f0c0f", "939d9a68d4faa423",
+                 "bb8e9134758a255e", "5dd7c4dce3e74886", 47, 7124518),
+        "mid": ("2b014fa293d7ebb3", "e55e356b3f0d7708", "b3116d1ce176216d",
+                 "4363f69b03551c34", "63353687b70a2e55", 36, 8095331),
+        "all": ("78942fd4eaf67f68", "7446afdc00978618", "c0d7e3201b3f5ff1",
+                 "d5d0e94f61eb10e8", "2723336385ec9a4c", 29, 7699585),
     },
     "ring-48": {
-        "low": ("8e7a9a049da83b23", "395a048334e7a147", "1fd60a4ae77d1154", "3f4adaa68777675b",
-                 26, 414),
-        "mid": ("8e7a9a049da83b23", "395a048334e7a147", "1fd60a4ae77d1154", "3f4adaa68777675b",
-                 26, 414),
-        "all": ("8e7a9a049da83b23", "395a048334e7a147", "1fd60a4ae77d1154", "3f4adaa68777675b",
-                 26, 414),
+        "low": ("8e7a9a049da83b23", "395a048334e7a147", "a72650d50c9fa587",
+                 "a6bbfbadbaa53869", "cfc44b5a29b13176", 25, 318),
+        "mid": ("8e7a9a049da83b23", "395a048334e7a147", "a72650d50c9fa587",
+                 "a6bbfbadbaa53869", "cfc44b5a29b13176", 25, 318),
+        "all": ("8e7a9a049da83b23", "395a048334e7a147", "a72650d50c9fa587",
+                 "a6bbfbadbaa53869", "cfc44b5a29b13176", 25, 318),
     },
     "scattered-70": {
-        "low": ("faf8f603854ee0db", "503b5ae13243555e", "b868ef43565de015", "a509c13175e273e3",
-                 4, 34),
-        "mid": ("d780db0387bd0e1d", "3e283c1ba397dbe2", "89f2d78778cfcadc", "acd65a4892c4d850",
-                 6, 205),
-        "all": ("93febdc2f99c911e", "e74c53ebe907ea3b", "9751d338d3315a11", "116ed62dddab2357",
-                 7, 507),
+        "low": ("faf8f603854ee0db", "503b5ae13243555e", "a54a96ea244348ec",
+                 "22d74477b41fd462", "531e344cdd35b468", 3, 7),
+        "mid": ("d780db0387bd0e1d", "3e283c1ba397dbe2", "cd6f0b7f7df9621b",
+                 "0f50bfcc1b8d5c1a", "e6d564d75a467c85", 5, 116),
+        "all": ("93febdc2f99c911e", "e74c53ebe907ea3b", "7e549ae3f414088e",
+                 "c1c0ac1da1da42ac", "c41ad83ccf965560", 6, 315),
     },
 }
 
@@ -294,7 +304,7 @@ GOLDEN_STUCK = {
     "org@gapped-250-5@mid@6":
         "af23173a7340ecd03dea87518f345aedfefff464f18eefeb574b07131a02525b",
     "form@path-40@low@1":
-        "d104bf7614d8fd3e1fb00602bd9b20356ae1866e85bb0fac81fde51f70162e78",
+        "ebfaaac9073947beea3a6822939000e51b2efa62264fdee6b6f4dc4f5b280d16",
     "form@dense-800-3@low@24":
         "9f3eb0ac72bb15d6bb343f1b7c6cdcbc2496a2148a0a1fb9855f8d1232ce2d07",
     "form@gapped-250-5@low@16":

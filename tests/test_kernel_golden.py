@@ -19,6 +19,15 @@ children; its outputs and its stuck digests are the recorded ones.  The
 when a distance message stopped charging the distance field its receiver
 never reads (3 id-units, not 4); their outputs, rounds, deliveries and
 stuck digests are the recorded ones (see CHANGES.md for both).
+
+When the distance flood stopped opening with the members' own broadcasts
+(their neighbours start the waves at distance 1), the `distance` and
+`distance_mixed` ledger, trace, round and delivery digests were
+re-recorded; their outputs are the recorded ones.  The stuck digests of
+the aggregation and value-flood cases were re-recorded when a round limit
+began to name only the tree neighbours that act on the last round's
+broadcasts, and those of the distance cases with the distance flood
+change (see CHANGES.md for both).
 """
 
 import functools
@@ -93,8 +102,8 @@ GOLDEN = {
         "agg_hist": ("9d1e3e5e22ef6158", "de5c4c322697e803", "366b53ffe3583145", 4, 1415),
         "flood": ("e2efa9f9015b1426", "20b20248d01646eb", "11d2c284f1ec1e11", 4, 384),
         "classify": ("8e09d95256b00074", "fe933624cccb6046", "785afb15a185c0ab", 2, 233),
-        "distance": ("624aa8c39676c752", "597d3097bc1c0f73", "79fbc697c7a0c917", 4, 1430),
-        "distance_mixed": ("2a1b0b84ab61863e", "e568d5d11d7c113b", "06d4a9b683797a03", 5, 2860),
+        "distance": ("624aa8c39676c752", "ee87a965473689c7", "27a7c8af8af4df05", 3, 1197),
+        "distance_mixed": ("2a1b0b84ab61863e", "cc822f82935edd5f", "19d0d96f7843831d", 4, 2746),
     },
     "dense-250-2": {
         "agg_max": ("946edd5365af3ac1", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
@@ -103,8 +112,8 @@ GOLDEN = {
         "agg_hist": ("81ab2a7947614f1e", "dfedca3b8730d726", "dc4a2e7cf0827ad4", 6, 7893),
         "flood": ("36fa292d50e4f837", "dccaed024441af33", "9523a24493d09d76", 6, 1427),
         "classify": ("1394ece9621bad72", "e3ad40ccec4ad38e", "85a7e1e6513e26fe", 2, 1310),
-        "distance": ("5a948b7623c8d715", "d49e3f15715caeef", "6d9a0246ff0efe44", 4, 7930),
-        "distance_mixed": ("70bb20bd55a78c7f", "7e9e7c52c170e02f", "cbd63636ca4a8131", 5, 15860),
+        "distance": ("5a948b7623c8d715", "716490b3f8e1f12f", "0a800e4708dda6e6", 3, 6620),
+        "distance_mixed": ("70bb20bd55a78c7f", "63b0728e44989639", "00f5ecbab2902465", 4, 15238),
     },
     "dense-800-3": {
         "agg_max": ("5e6cb71c9fb89b8b", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
@@ -113,8 +122,8 @@ GOLDEN = {
         "agg_hist": ("23a0fd15613d75b2", "8d9184861d32525a", "87539f47457a2773", 12, 26856),
         "flood": ("e280506357d03fac", "e8a36ffae15867d4", "4f377c292322ee56", 12, 6203),
         "classify": ("21d920718ef86d00", "ed22032ef3527aa3", "9d27a1922376139c", 2, 4581),
-        "distance": ("15518b1bff77e691", "6fea68b156ee0e3a", "7b3a2d2400b47891", 5, 26888),
-        "distance_mixed": ("e6ee270902416850", "0351b18caacf28d2", "5142b8a3fc236792", 5, 53776),
+        "distance": ("15518b1bff77e691", "e64448e491285532", "9a2acd5a5b5ca226", 4, 22307),
+        "distance_mixed": ("e6ee270902416850", "27e71afd46c48f9b", "14ba4369b0c8990f", 4, 51746),
     },
     "gapped-60-4": {
         "agg_max": ("bcd913dfeb5d41b0", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
@@ -123,8 +132,8 @@ GOLDEN = {
         "agg_hist": ("eb3f3aee6dcca56a", "ed7f5b8776058337", "b7f7f2b748de6839", 4, 1440),
         "flood": ("8992a5a7b245dfb3", "aa8b54b9e64de509", "0845b56f4d573352", 4, 259),
         "classify": ("42346441e8aa6f24", "258592ecc24f5ccb", "c3865eef7630649e", 2, 244),
-        "distance": ("3e6c8d6d7a3a35cb", "e5b342d813e17792", "7a85b82df0267380", 4, 1476),
-        "distance_mixed": ("cfa3f522af41d067", "bcc9f9877b5926c3", "86c6d87be099f2a3", 4, 2952),
+        "distance": ("3e6c8d6d7a3a35cb", "02c5b109bb8635e4", "8c92f7b0c90de935", 3, 1232),
+        "distance_mixed": ("cfa3f522af41d067", "bc774fe488890bd9", "01c105d8335cd9b6", 3, 2829),
     },
     "gapped-250-5": {
         "agg_max": ("565485e2f475d4f8", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
@@ -133,8 +142,8 @@ GOLDEN = {
         "agg_hist": ("ae6672d15b77d4d6", "7deee217cdd3fe82", "07079f37780613e5", 7, 7642),
         "flood": ("befc1d98c4102fa4", "c536f8863650a6cd", "fc51597006164925", 7, 1560),
         "classify": ("bd659dcba622561c", "30865085d72ef892", "5380bef40d7309a3", 2, 1207),
-        "distance": ("4c12f69145083a21", "ed7eb7b1c33e8c3c", "bdb4bd383bddb533", 4, 7690),
-        "distance_mixed": ("05c9d3adb9332efd", "bdd6395f57ddfae9", "5358a4a37bb631e1", 5, 15380),
+        "distance": ("4c12f69145083a21", "1205d4a49de869ab", "6f6541e9bd985445", 3, 6483),
+        "distance_mixed": ("05c9d3adb9332efd", "40c2ab247263c32b", "5a095222beff26c8", 4, 14923),
     },
     "gapped-800-6": {
         "agg_max": ("6a412d8e85377701", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
@@ -143,8 +152,8 @@ GOLDEN = {
         "agg_hist": ("552dc65b9a42e17f", "fb00a115119ae5b6", "cf91b013beb77b9f", 9, 26820),
         "flood": ("81143852fb888859", "aff20b2f32579229", "5ed59fb03dd92438", 9, 5310),
         "classify": ("25141a9e65103a1e", "b8a258196673f6a9", "c6ca8e2c8e330f84", 2, 5317),
-        "distance": ("a1cd26bd04caa33d", "6e09e8d17452651e", "f17d78396b986335", 9, 53720),
-        "distance_mixed": ("b737dc6d3e9f74a0", "6e09e8d17452651e", "6eedd30c69579601", 4, 53720),
+        "distance": ("a1cd26bd04caa33d", "e133a53ddd27a77c", "77e8d382071b56b6", 8, 48403),
+        "distance_mixed": ("b737dc6d3e9f74a0", "aa1a47f365e48156", "9b9b0069a5e3724e", 3, 51467),
     },
     "crowded-400-7": {
         "agg_max": ("f1910fba870528eb", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
@@ -153,8 +162,8 @@ GOLDEN = {
         "agg_hist": ("b4ec7d72a7b8b4e3", "3186469f5c147f63", "c93313717a31675e", 4, 55990),
         "flood": ("e2e25047260af22c", "97a48e816648a61b", "bef485ba3a07ab5d", 4, 3297),
         "classify": ("3e4371b70973f0d5", "cca0434c9e0752fd", "be1ef80b7552115d", 2, 9455),
-        "distance": ("ffd1cc98538d2eb1", "ae239fd46d71db7a", "d68875e32cc5718d", 4, 56082),
-        "distance_mixed": ("4da2b4608364a20c", "6a779b33e09022ab", "aa85a0b77312d9a6", 4, 112164),
+        "distance": ("ffd1cc98538d2eb1", "2c1700742ba250d4", "14ec1af25dd81907", 3, 46627),
+        "distance_mixed": ("4da2b4608364a20c", "e34ded481208c5f4", "6605c22e96796910", 3, 107765),
     },
     "path-40": {
         "agg_max": ("0555debc8a653494", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
@@ -163,8 +172,8 @@ GOLDEN = {
         "agg_hist": ("4e25fc1acd254854", "7615dfff5ac4d45d", "65a030daafe25d3e", 21, 76),
         "flood": ("e8d407d15662d992", "bf557f6b7bbaa50c", "351528dffbd1740a", 21, 76),
         "classify": ("aa30b652e011afde", "5b03895fae228b67", "22d4f3b23b4d38f5", 2, 78),
-        "distance": ("83dd54a71d77b35c", "86e689e7aaa68991", "e5810a48ffe2b250", 2, 78),
-        "distance_mixed": ("0b5ac36938708315", "207c78806b6b57ac", "2e35f3bc18b97668", 26, 156),
+        "distance": ("83dd54a71d77b35c", "155e437b946ac82a", "e3b0c44298fc1c14", 1, 0),
+        "distance_mixed": ("0b5ac36938708315", "63bce009396aece1", "e0e8c40834021207", 25, 150),
     },
     "star": {
         "agg_max": ("24a6ade6d35f1e5e", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
@@ -173,7 +182,7 @@ GOLDEN = {
         "agg_hist": ("06bff0d22e26eb4e", "7b5bd3ef9e8250ab", "f11f7fdcc25f943d", 3, 13),
         "flood": ("875048d42a3ad3ff", "133478b0662d6a76", "fa617a991642a738", 3, 8),
         "classify": ("2390a7a9fef5efa6", "b03c36712b98a1d3", "761ab270c7b5d93a", 2, 7),
-        "distance": ("3ef56b5e02bd0a9e", "69ee0d078453dfd9", "023fa3ed0fb02695", 3, 14),
+        "distance": ("3ef56b5e02bd0a9e", "1cc46714d0a9e999", "c8cced16f1bf4b57", 2, 7),
         "distance_mixed": ("28b153ab518476af", "b393978842a0fa3d", "e3b0c44298fc1c14", 1, 0),
     },
     "star-gapped": {
@@ -183,7 +192,7 @@ GOLDEN = {
         "agg_hist": ("1eec05aa9ff005ba", "e4e6842ffc54409b", "0cd3aa76adb136ce", 3, 11),
         "flood": ("6e017443327534fe", "4d380fbe2ea06bc5", "3e6da87a38e1e407", 3, 7),
         "classify": ("010b9011082f39ea", "a5cea860f08c7532", "b8e328cfa4fafe0a", 2, 6),
-        "distance": ("9aaee97725b4940f", "27a5b6db18f2798c", "6946097550f81f14", 3, 12),
+        "distance": ("9aaee97725b4940f", "b1360d1063a92c4c", "57d176fdf2d042e0", 2, 6),
         "distance_mixed": ("e1e7b5d593807119", "e1e91f947f89bcac", "e3b0c44298fc1c14", 1, 0),
     },
     "single": {
@@ -193,7 +202,7 @@ GOLDEN = {
         "agg_hist": ("f8944f48d8c72d14", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "flood": ("67178b43cb232b15", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "classify": ("d9c807b270afc4a7", "2413b3468072abaf", "05421ffbd465861e", 2, 0),
-        "distance": ("d9a6b748f2070aa4", "9cc9a1ed36066271", "29fc7178e13a66c6", 2, 0),
+        "distance": ("d9a6b748f2070aa4", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "distance_mixed": ("7d668f1b3bb8ff07", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
     },
     "standard-20k": {
@@ -203,8 +212,8 @@ GOLDEN = {
         "agg_hist": ("b812be3bee79c9cd", "eb9262d47708ac5c", "5c9dac3bb439349a", 29, 1521547),
         "flood": ("57c5198060aaf02a", "cb9af7d1ef053b13", "14b82239b23f0578", 29, 208016),
         "classify": ("a3dbd096ef66642a", "939f5299ad81a830", "8b3c3b95f4138896", 2, 318462),
-        "distance": ("a41684cd5b5a79ad", "696de01abd88fa21", "e378e231d8ee4e09", 39, 3043256),
-        "distance_mixed": ("b01f72eabce51efb", "696de01abd88fa21", "7f7f93c39dbf2480", 4, 3043256),
+        "distance": ("a41684cd5b5a79ad", "75bdf6253325be6b", "c1cf2a26cefdc6ad", 38, 2724794),
+        "distance_mixed": ("b01f72eabce51efb", "73be88e414f2729b", "631b58512e13b102", 3, 2926405),
     },
 }
 
@@ -221,21 +230,21 @@ STUCK_CASES = {
 
 GOLDEN_STUCK = {
     "agg_hist@dense-250-2@3":
-        "78914bc658ee31186cdebcd8c8a2f54332fe3e99dd62636951eda28fd1d8495b",
+        "8edc22e528caca4632f1de0b9de1e14d05b1c9cdec834549d5422ca9d8cda523",
     "agg_max@path-40@10":
-        "3d5b5118bd5722f272397fb505c311832e0dab1b5100d613b1483965e663bbac",
+        "9e25ad29b9fb16614956a89d2563818eb676af811fd5645f3f09af335bc958e8",
     "agg_sum@star@0":
         "b83d337b5cad74d3237dc6aa0585769da95242727ce2e66b4a6962871008a919",
     "flood@gapped-60-4@2":
-        "0cc2fa895ef7056c63e87fdfad7dcccbb8c149bee22f81313abe1a36ff1f829d",
+        "9bf69f0325347d7a16891079d30c3730163526b4e8644d8a962e1dafac9364e0",
     "flood@path-40@5":
-        "04fb68d606af360c29b6657e827819f7a1cf0686d0a056ceb40b1f7af1ea07d2",
+        "9e88ea7b4bfa075c1705a894a81728bc6257f3639f9eb4995adec417a34826d7",
     "distance@dense-250-2@2":
-        "e52bc9ce46a2183a38ff7c03514299c00768eb2e941d1badd7ff87108f2407e7",
+        "1a233d51ff10c8bd3468f788f3a052a84b9bbf16c8c58b9e92a555d3dea28298",
     "distance@gapped-800-6@3":
-        "00c910e9ceae252aff67695031b4cd793d8232cdb26927284a3dd47e6abca334",
+        "bd1ad6409798f023c234bac34e287e0ef1827d8509350021959143140a479784",
     "distance_mixed@path-40@6":
-        "997fc3f9e291eb98622b4e44a2b20348f8cc4d58eb016c4c80cc3c4676c41316",
+        "9bee25ef6f9b53bbade1c7338b6ca18ecaae189acc1e8d7a8fe4f388b5dc9781",
 }
 
 
