@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from . import geometry
-from .netgraph import DegreeHistogram, UnitDiskGraph
+from .netgraph import DegreeHistogram, UnitDiskGraph, cut_rows
 from .simkernel import NodeProto, RoundKernel, RunResult, run_protocol
 
 # message kinds (disjoint from the convergetree range)
@@ -207,6 +207,7 @@ class _CompFloodNode(NodeProto):
     `top` takes it as root and parent and announces it in round 0; a relay
     starts from `top` and forwards it in round 0 only if it has two member
     neighbours or more (the one member it would tell already knows).
+    A relay reads only what members send (K_MC).
     """
 
     __slots__ = ("member", "root", "parent", "via", "best_fwd", "count")
@@ -219,6 +220,10 @@ class _CompFloodNode(NodeProto):
         self.via = 0
         self.best_fwd = 0 if member else top
         self.count = count
+
+    @property
+    def hears(self):
+        return (K_MC, K_MF) if self.member else (K_MC,)
 
     def on_round(self, rnd, inbox):
         if rnd == 0:
@@ -253,12 +258,11 @@ class _CompFloodNode(NodeProto):
 
 
 def _member_neighbours(g: UnitDiskGraph, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ID-indexed: each node's largest member neighbour (0 if none) and its
-    number of member neighbours."""
-    pos = np.flatnonzero(member[g.indices])  # CSR positions of member neighbours
-    before = np.searchsorted(pos, g.indptr)  # member entries before each row
+    """By node, in `g.ids` order: each node's largest member neighbour (0
+    if none) and its number of member neighbours."""
+    pos, before = cut_rows(g, member)  # CSR positions of member neighbours
     count = np.diff(before)
-    top = np.zeros(g.max_id + 1, dtype=np.int64)
+    top = np.zeros(g.n, dtype=np.int64)
     has = np.flatnonzero(count)
     top[has] = g.indices[pos[before[has + 1] - 1]]  # rows ascend: the row's last is largest
     return top, count
@@ -268,10 +272,10 @@ def _flood_components(g: UnitDiskGraph, member: np.ndarray, max_rounds: int = 10
                       trace=None) -> tuple[np.ndarray, RunResult]:
     """The component flood on the executor: per-ID root, parent and via as
     the rows of one array, and the run."""
-    top, count = (a.tolist() for a in _member_neighbours(g, member))
-    nodes, res = run_protocol(
-        g, lambda v, nb: _CompFloodNode(v, nb, bool(member[v]), top[v], count[v]),
-        max_rounds=max_rounds, trace=trace)
+    top, count = _member_neighbours(g, member)
+    start = dict(zip(g.id_list, zip(member[g.ids].tolist(), top.tolist(), count.tolist())))
+    nodes, res = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, *start[v]),
+                              max_rounds=max_rounds, trace=trace)
     fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
     fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
                                  for v in g.id_list]).T
@@ -671,6 +675,12 @@ class _TokenNode(NodeProto):
         self.decide_at = -1
         self.my_pass_seq = -1
         self.closed = False  # root only: the loop is complete
+
+    @property
+    def hears(self):
+        # outside every component a node only relays what it hears first
+        # hand: every relayed copy is of another node's component
+        return None if self.comp else (K_TQ, K_TR, K_TC, K_TB, K_TRB)
 
     # -- helpers ------------------------------------------------------
 

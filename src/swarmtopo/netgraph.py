@@ -50,6 +50,11 @@ class UnitDiskGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
+    def row_starts(self) -> np.ndarray:
+        """CSR offsets by node, in `ids` order, then the end: the row of
+        node ids[i] is indices[s[i]:s[i + 1]] (an unused ID's row is empty)."""
+        return np.append(self.indptr[self.ids], len(self.indices))
+
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
@@ -140,6 +145,14 @@ def csr_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndar
     ends = np.cumsum(lens)
     total = int(ends[-1]) if len(ends) else 0
     return np.arange(total) + np.repeat(starts - (ends - lens), lens), lens
+
+
+def cut_rows(g: UnitDiskGraph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency rows cut down to the neighbours where the ID-indexed
+    mask `keep` holds: their CSR positions `pos`, and offsets by node as in
+    `row_starts`, so node ids[i]'s cut row is pos[ptr[i]:ptr[i + 1]]."""
+    pos = np.flatnonzero(keep[g.indices])
+    return pos, np.searchsorted(pos, g.row_starts())
 
 
 def has_edges(g: UnitDiskGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,17 +14,20 @@ keeps the ledger, the round and delivery counts, the trace, wake-up timers
 and the round limit.  A `RoundKernel` subclass settles the whole network's
 round as numpy array operations over the CSR adjacency; `run_protocol`
 runs per-node `NodeProto` state machines as one more kernel, which sorts
-each round's outbox and hands every delivery to its node in Python.
+each round's outbox and hands each message, in Python, only to the
+neighbours that read its kind (`NodeProto.hears`).  Every broadcast is
+still charged and counted at its sender's full degree.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import UnitDiskGraph, csr_rows
+from .netgraph import UnitDiskGraph, csr_rows, cut_rows
 
 Message = tuple  # (kind, *int_fields)
 
@@ -81,9 +84,16 @@ class NodeProto:
     order; it is empty in round 0, which every node gets to run.  Set
     self.wake = True to request the next round even without incoming
     messages (timers).  Protocol code sees only IDs and neighbor IDs.
+
+    `hears` declares the message kinds on_round reads: a collection of
+    kinds, or None (the default) for every kind.  The executor reads it
+    once, when the run starts.  A message of a kind the node does not hear
+    never reaches it: it is left out of the inbox, and alone it does not
+    run the node.  It is still charged and counted as a delivery.
     """
 
     __slots__ = ("vid", "nbrs", "wake")
+    hears = None
 
     def __init__(self, vid: int, nbrs: np.ndarray):
         self.vid = vid
@@ -139,7 +149,9 @@ class RoundKernel:
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         """The nodes that would act on what `senders` broadcast: every graph
-        receiver, unless a kernel listens only along some of its edges."""
+        receiver, unless a kernel listens only along some of its edges.
+        The executor keeps this default: its stuck report names every graph
+        receiver, also one that does not hear the kind it was sent."""
         return self.receivers(senders)[0]
 
     def step(self, rnd: int) -> list:
@@ -184,43 +196,66 @@ class RoundKernel:
 
 class _NodeRounds(RoundKernel):
     """`NodeProto` state machines as a round kernel.  Round 0 runs every
-    node; a later round fans the previous round's sorted outbox out over
-    the CSR rows, so every inbox fills in canonical order, and runs the
-    nodes that received something, then those that set `wake`."""
+    node; a later round fans the previous round's sorted outbox out, each
+    message over its sender's row cut down to the nodes that hear its
+    kind, so every inbox fills in canonical order, and runs the nodes that
+    received something, then those that set `wake`.  State is kept per
+    node, not per ID: IDs may be sparse."""
 
     def __init__(self, g: UnitDiskGraph, factory):
         super().__init__(g)
-        self.nodes: list = [None] * self.size
-        for v in g.id_list:
-            self.nodes[v] = factory(v, g.neighbors(v))
-        self.ptr = g.indptr.tolist()  # fan-out slices by Python int: faster per message
-        self.inboxes: list[list] = [[] for _ in range(self.size)]
+        self.nodes = {v: factory(v, g.neighbors(v)) for v in g.id_list}
+        self.at = {v: i for i, v in enumerate(g.id_list)}  # a node's row number
+        self.g = g
+        self.own_rows = (self.indices, g.row_starts().tolist())
+        by_hears: dict = {}
+        for v, node in self.nodes.items():
+            if node.hears is not None:
+                by_hears.setdefault(frozenset(node.hears), []).append(v)
+        # the nodes that declare `hears`, by the kinds they hear
+        self.hearing = {kinds: np.array(vs, dtype=np.int64) for kinds, vs in by_hears.items()}
+        self.rows: dict = {}  # kind -> (receiver IDs, row offsets by node)
         self.outbox: list[tuple[int, Message]] = []
 
+    def _rows(self, kind: int) -> tuple:
+        """The receivers of `kind`, sender by sender, built at its first
+        send: the graph's own rows if every node hears it."""
+        rows = self.rows.get(kind)
+        if rows is None:
+            deaf = [vs for kinds, vs in self.hearing.items() if kind not in kinds]
+            rows = self.own_rows
+            if deaf:
+                heard = np.ones(self.size, dtype=bool)
+                heard[np.concatenate(deaf)] = False
+                pos, ptr = cut_rows(self.g, heard)
+                rows = (self.indices[pos], ptr.tolist())
+            self.rows[kind] = rows
+        return rows
+
     def step(self, rnd: int) -> list:
-        nodes, inboxes, indices, ptr = self.nodes, self.inboxes, self.indices, self.ptr
-        active = self.ids.tolist() if rnd == 0 else []
-        last, targets = 0, []
+        nodes, at = self.nodes, self.at
+        inboxes: defaultdict[int, list] = defaultdict(list)
+        last = None
         for entry in self.outbox:
-            s = entry[0]
-            if s != last:
-                last, targets = s, indices[ptr[s]:ptr[s + 1]].tolist()
+            s, m = entry
+            if (s, m[0]) != last:
+                last = s, m[0]
+                receivers, ptr = self._rows(m[0])
+                i = at[s]
+                targets = receivers[ptr[i]:ptr[i + 1]].tolist()
             for u in targets:
-                box = inboxes[u]
-                if not box:
-                    active.append(u)
-                box.append(entry)
-        active += [v for v in self.wake.tolist() if not inboxes[v]]
+                inboxes[u].append(entry)
+        if rnd == 0:
+            active = self.g.id_list
+        else:
+            active = list(inboxes)
+            active += [v for v in self.wake.tolist() if v not in inboxes]
         out: list[tuple[int, Message]] = []
         woken: list[int] = []
         for v in active:
             node = nodes[v]
             node.wake = False
-            box = inboxes[v]
-            msgs = node.on_round(rnd, box)
-            if box:
-                inboxes[v] = []
-            for m in msgs:
+            for m in node.on_round(rnd, inboxes.get(v, [])):
                 out.append((v, m))
             if node.wake:
                 woken.append(v)
@@ -236,9 +271,9 @@ class _NodeRounds(RoundKernel):
 
 
 def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
-                 trace=None) -> tuple[list, RunResult]:
+                 trace=None) -> tuple[dict, RunResult]:
     """Run factory(vid, neighbor_ids) state machines to quiescence (no
     messages in flight, no node waiting on a timer).  Returns the final
-    node states by ID (None at index 0 and unused IDs) and the run."""
+    node states, a dict keyed by ID, and the run."""
     kernel = _NodeRounds(g, factory)
     return kernel.nodes, kernel.run(max_rounds, trace)

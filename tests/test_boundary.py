@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from swarmtopo.boundary import (DegenerateHistogram, NodeClass, NoPlateau,
                                 default_alpha, estimate_mu, find_plateau,
                                 threshold_units)
 from swarmtopo.netgraph import histogram_from_counts
+from conftest import lowest_quarter, random_graph
 
 
 def graph_from(points, ids=None):
@@ -190,6 +192,26 @@ def test_relay_echoes_only_its_own_components_totals():
             assert v not in asg
             asg[v] = rnd
     assert asg == {20: 4, 6: 5, 5: 6, 10: 6, 2: 7, 1: 8, 4: 9, 3: 10}
+
+
+def test_component_flood_memory_follows_nodes_not_ids():
+    # 200 nodes under IDs up to 10**7.  The ledger's two ID-indexed arrays
+    # and the flood's three ID-indexed rows are the floor; the executor
+    # keeps its state by node, so an ID-indexed Python list of inboxes or
+    # of row offsets would break the bound
+    g = random_graph(200, 11, id_span=10**7)
+    member = lowest_quarter(g) == int(NodeClass.BOUNDARY)
+    tracemalloc.start()
+    try:
+        fields, res = boundary._flood_components(g, member)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rounds_used > 2
+    for c in boundary.central_components(g, member):
+        assert (fields[0, list(c.members)] == c.component_id).all()
+    id_array = 8 * (g.max_id + 1)
+    assert peak < 5.5 * id_array, peak / id_array
 
 
 # -- distance flood ----------------------------------------------------------

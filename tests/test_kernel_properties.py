@@ -1,11 +1,14 @@
 """Property tests of the aggregation, value-flood, classification and
 distance-flood kernels, and of the alpha sweep's counts, against their
-centralized twins, and of who talks in component organisation, on small
+centralized twins, of who talks in component organisation, and of the
+executor protocols' declared `hears` against hearing every kind, on small
 graphs with arbitrary (gapped) IDs, isolated nodes and boundary-free
 thresholds."""
 
+import functools
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.boundary import NoPlateau
 from swarmtopo.convergetree import AggOp
-from conftest import any_graphs, connected_graphs, flood_fields, subtree_windows
+from swarmtopo.simkernel import RoundLimitExceeded
+from conftest import TOKEN_CASES, any_graphs, connected_graphs, flood_fields, subtree_windows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -220,3 +224,75 @@ def test_alpha_sweep_counts_equal_twin(g, data):
     else:
         sweep = boundary.alpha_sweep(g, mu_est, grid, min_size)
         assert sweep.component_counts == tuple(counts)
+
+
+class _CompFloodHearsAll(boundary._CompFloodNode):
+    __slots__ = ()
+    hears = None
+
+
+class _TokenHearsAll(boundary._TokenNode):
+    __slots__ = ()
+    hears = None
+
+
+def observe_executor(run, cutoff: int) -> tuple:
+    """What run(trace=...) leaves on the executor: every node's state, both
+    ledger arrays, the trace, rounds and deliveries; then the stuck report
+    of run(max_rounds=cutoff), if the run takes more rounds than that."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        nodes, res = real(*args, **kwargs)
+        runs.append(nodes)
+        return nodes, res
+
+    real, buf = boundary.run_protocol, io.StringIO()
+    with mock.patch.object(boundary, "run_protocol", spy):
+        res = run(trace=buf)[1]
+    (nodes,) = runs
+    states = {v: (type(node), {s: getattr(node, s) for c in type(node).__mro__
+                               for s in getattr(c, "__slots__", ()) if s != "nbrs"})
+              for v, node in nodes.items()}
+    seen = (states, res.ledger.broadcasts_sent.tolist(), res.ledger.id_units_sent.tolist(),
+            buf.getvalue(), res.rounds_used, res.deliveries)
+    if cutoff >= res.rounds_used:
+        return seen, None
+    with pytest.raises(RoundLimitExceeded) as e:
+        run(max_rounds=cutoff)
+    return seen, (e.value.rounds, e.value.stuck, str(e.value))
+
+
+def assert_hears_change_no_run(run, name: str, hears_all: type, cutoff: int) -> None:
+    """run() on the executor with each node hearing the kinds it declares
+    leaves what it leaves with every node of protocol class `name` hearing
+    every kind (as `hears_all`)."""
+    (states, *declared), stuck = observe_executor(run, cutoff)
+    with mock.patch.object(boundary, name, hears_all):
+        (states_all, *heard_all), stuck_all = observe_executor(run, cutoff)
+    assert {t for t, _ in states_all.values()} == {hears_all}
+    assert [s for _, s in states.values()] == [s for _, s in states_all.values()]
+    assert declared == heard_all
+    assert stuck == stuck_all
+
+
+@SETTINGS
+@given(any_graphs, st.data())
+def test_declared_hears_change_no_run(g, data):
+    # the component flood and the token loops
+    classes = draw_classes(g, data)
+    member = classes == int(boundary.NodeClass.BOUNDARY)
+    cutoff = data.draw(st.integers(1, 12))
+    assert_hears_change_no_run(functools.partial(boundary._flood_components, g, member),
+                               "_CompFloodNode", _CompFloodHearsAll, cutoff)
+    comps = boundary.form_components(g, classes)
+    assert_hears_change_no_run(functools.partial(boundary.run_token_loops, g, comps),
+                               "_TokenNode", _TokenHearsAll, cutoff)
+
+
+@pytest.mark.parametrize("name", ["open-chain", "gapped-250-5"])
+def test_declared_token_hears_change_no_walk(name):
+    # walks that backtrack and roll back through relays outside the component
+    g, comps = TOKEN_CASES[name]()
+    assert_hears_change_no_run(functools.partial(boundary.run_token_loops, g, comps),
+                               "_TokenNode", _TokenHearsAll, 30)

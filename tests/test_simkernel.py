@@ -247,3 +247,119 @@ def test_trace_lines(tmp_path):
     run_protocol(g, EchoNode, trace=buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines == [f"0,{v},{K_PING},1" for v in (1, 2, 3)]
+
+
+# -- `hears`: a node receives only the kinds it declares ---------------------
+
+class Picky(NodeProto):
+    """Every node sends kinds 3 (two sizes), 4 and 5 in round 0; even IDs
+    hear only kinds 3 and 5, node 4 hears nothing, odd IDs hear every kind.
+    `got` keeps each node's inbox by round, `ran` every (round, node) run."""
+
+    __slots__ = ("got", "ran")
+
+    def __init__(self, vid, nbrs):
+        super().__init__(vid, nbrs)
+        self.got, self.ran = {}, []
+
+    @property
+    def hears(self):
+        if self.vid == 4:
+            return ()
+        return (3, 5) if self.vid % 2 == 0 else None
+
+    def on_round(self, rnd, inbox):
+        self.ran.append(rnd)
+        if inbox:
+            self.got[rnd] = list(inbox)
+        if rnd == 0:
+            return ((5, self.vid), (4,), (3, 1, self.vid), (3, 0))
+        return ()
+
+
+def test_undeclared_kind_never_reaches_node():
+    g = path_graph(5)  # IDs 1..6 in path order
+    nodes, _ = run_protocol(g, Picky)
+    for v in (2, 6):
+        assert {m[0] for _, m in nodes[v].got[1]} == {3, 5}
+    assert nodes[4].got == {} and nodes[4].ran == [0]  # hears nothing: runs in round 0 only
+    for v in (1, 3, 5):
+        assert {m[0] for _, m in nodes[v].got[1]} == {3, 4, 5}
+
+
+def test_cut_inbox_keeps_canonical_order():
+    g = path_graph(5)
+    nodes, _ = run_protocol(g, Picky)
+    # each sender's kinds in order, a kind's messages in payload order
+    assert nodes[3].got[1] == [(2, (3, 0)), (2, (3, 1, 2)), (2, (4,)), (2, (5, 2)),
+                               (4, (3, 0)), (4, (3, 1, 4)), (4, (4,)), (4, (5, 4))]
+    assert nodes[2].got[1] == [(1, (3, 0)), (1, (3, 1, 1)), (1, (5, 1)),
+                               (3, (3, 0)), (3, (3, 1, 3)), (3, (5, 3))]
+
+
+def test_round_zero_runs_nodes_that_hear_nothing():
+    ran = []
+
+    class Deaf(NodeProto):
+        hears = ()
+
+        def on_round(self, rnd, inbox):
+            ran.append((rnd, self.vid, len(inbox)))
+            return ((K_PING,),) if rnd == 0 else ()
+
+    g = path_graph(3)
+    _, res = run_protocol(g, Deaf)
+    assert ran == [(0, v, 0) for v in (1, 2, 3, 4)]  # nothing runs them again
+    assert res.rounds_used == 2
+
+
+def test_wake_runs_node_that_hears_nothing():
+    fired = []
+
+    class DeafTimer(NodeProto):
+        hears = ()
+
+        def on_round(self, rnd, inbox):
+            assert inbox == []
+            if self.vid == 1:
+                self.wake = rnd < 3
+                fired.append(rnd)
+            return ((K_PING,),) if rnd < 2 else ()
+
+    g = path_graph(2)
+    _, res = run_protocol(g, DeafTimer)
+    assert fired == [0, 1, 2, 3]  # woken in rounds 1-3, with nothing in its inbox
+    assert res.rounds_used == 4
+    assert res.deliveries == int(g.degrees().sum()) + g.degree(1)  # node 1 sends twice
+
+
+def test_deliveries_counted_at_full_degree():
+    class Deaf(NodeProto):
+        hears = ()
+
+        def on_round(self, rnd, inbox):
+            return ((K_PING, self.vid),) if rnd == 0 else ()
+
+    g = path_graph(4)
+    _, heard = run_protocol(g, Picky)
+    _, deaf = run_protocol(g, Deaf)
+    deg = g.degrees()
+    assert deaf.deliveries == int(deg.sum())
+    assert heard.deliveries == 4 * int(deg.sum())
+    assert deaf.ledger.id_units_sent[1:].tolist() == [2] * g.n
+    assert heard.ledger.broadcasts_sent[1:].tolist() == [4] * g.n
+
+
+def test_round_limit_names_receivers_that_do_not_hear():
+    class Chatter(NodeProto):
+        """Node 2 sends on a timer every round; nobody hears it."""
+        hears = ()
+
+        def on_round(self, rnd, inbox):
+            self.wake = self.vid == 2
+            return ((K_PING,),) if self.wake else ()
+
+    g = path_graph(3)
+    with pytest.raises(RoundLimitExceeded) as e:
+        run_protocol(g, Chatter, max_rounds=3)
+    assert list(e.value.stuck) == [1, 2, 3]  # the timer and its receivers, deaf as they are
