@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .netgraph import DegreeHistogram, UnitDiskGraph, cut_rows
+from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows, cut_rows
 from .simkernel import NodeProto, RoundKernel, RunResult, run_protocol
 
 # message kinds (disjoint from the convergetree range)
@@ -47,10 +47,6 @@ FRAC_SCALE = 1 << 16  # fractional distances travel as 16-bit fixed point
 
 class DegenerateHistogram(ValueError):
     """Histogram unusable for density estimation."""
-
-
-class NoPlateau(RuntimeError):
-    """Alpha sweep found no constant run of length >= 2."""
 
 
 class NodeClass(enum.IntEnum):
@@ -88,8 +84,8 @@ class TokenLoop:
 class AlphaSweep:
     grid: tuple[float, ...]
     component_counts: tuple[int, ...]
-    plateau: tuple[float, float, int]  # (alpha_lo, alpha_hi, count)
-    alpha_star: float
+    plateau: tuple[float, float, int] | None  # (alpha_lo, alpha_hi, count)
+    alpha_star: float | None
 
 
 def default_alpha() -> float:
@@ -884,42 +880,40 @@ def alpha_sweep(g: UnitDiskGraph, mu_est: int, grid: tuple[float, ...] | None = 
     The plateau is the longest maximal run of a constant positive count
     that does not touch the end of the grid (the terminal run belongs to
     the everything-merges regime, not to a plateau between the two count
-    peaks); ties go to the smaller alpha.  alpha_star is its midpoint.
+    peaks); ties go to the smaller alpha.  alpha_star is its midpoint;
+    both are None when the counts have no plateau.
 
-    An edge links under 2-hop linkage exactly when one endpoint is
-    BOUNDARY, that is from the threshold min(deg u, deg v) on.  The grid's
-    boundary sets are nested, so the components at every threshold t are
-    those of the minimum spanning forest's edges of weight <= t (single
-    linkage); the counts equal those of form_components at each alpha.
+    An edge links under 2-hop linkage once either end is BOUNDARY, and the
+    grid's boundary sets are prefixes of the nodes sorted by degree, so each
+    grid point merges the labels along the rows of only its new BOUNDARY
+    nodes; the counts equal those of form_components at each alpha.
     """
     if grid is None:
         grid = default_grid()
     grid = tuple(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha grid must be strictly increasing")
+    thresholds = [threshold_units(a, mu_est) for a in grid]
+    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError(f"thresholds must not decrease along the grid: {thresholds}")
     deg = g.degrees()
+    order = g.ids[np.argsort(deg[g.ids], kind="stable")]
+    ends = np.searchsorted(deg[order], thresholds, side="right")
     size = g.max_id + 1
-    src = np.repeat(np.arange(size), deg)
-    upper = src < g.indices
-    u, v = src[upper], g.indices[upper]
-    weight = np.minimum(deg[u], deg[v])  # >= 1: scipy would drop a zero-weight edge
-    forest = minimum_spanning_tree(sp.csr_matrix((weight, (u, v)), shape=(size, size))).tocoo()
-    counts = []
-    for a in grid:
-        thr = threshold_units(a, mu_est)
-        keep = forest.data <= thr
-        linked = sp.csr_matrix((forest.data[keep], (forest.row[keep], forest.col[keep])),
-                               shape=(size, size))
-        labels = connected_components(linked, directed=False)[1]
-        members = np.bincount(labels[g.ids[deg[g.ids] <= thr]])
+    labels = np.arange(size)
+    counts, lo = [], 0
+    for hi in ends:
+        pos, lens = csr_rows(g.indptr, order[lo:hi])
+        pairs = (labels[np.repeat(order[lo:hi], lens)], labels[g.indices[pos]])
+        merged = sp.csr_matrix((np.ones(len(pos), bool), pairs), shape=(size, size))
+        labels = connected_components(merged, directed=False)[1][labels]
+        members = np.bincount(labels[order[:hi]])
         counts.append(int((members >= max(min_component_size, 1)).sum()))
+        lo = hi
 
     plateau = find_plateau(grid, counts)
-    if plateau is None:
-        raise NoPlateau(f"no interior constant run of length >= 2: {counts}")
-    a_lo, a_hi, count = plateau
-    return AlphaSweep(grid=grid, component_counts=tuple(counts),
-                      plateau=plateau, alpha_star=(a_lo + a_hi) / 2)
+    return AlphaSweep(grid=grid, component_counts=tuple(counts), plateau=plateau,
+                      alpha_star=None if plateau is None else (plateau[0] + plateau[1]) / 2)
 
 
 def find_plateau(grid: tuple[float, ...], counts: list[int]

@@ -255,11 +255,10 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 
     sweep = None
     if config.alpha == "sweep":
-        try:
-            sweep = boundary.alpha_sweep(g, density.mu_est,
-                                         min_component_size=config.min_component_size)
-            alpha_star = sweep.alpha_star
-        except boundary.NoPlateau:
+        sweep = boundary.alpha_sweep(g, density.mu_est,
+                                     min_component_size=config.min_component_size)
+        alpha_star = sweep.alpha_star
+        if alpha_star is None:
             warnings.append("alpha sweep found no plateau; using default alpha")
             alpha_star = boundary.default_alpha()
     else:
@@ -371,7 +370,7 @@ def summary_dict(r: PipelineResult) -> dict:
         "delta": r.density.delta,
         "alpha_star": r.alpha_star,
         "threshold": r.threshold,
-        "plateau": list(r.sweep.plateau) if r.sweep else None,
+        "plateau": list(r.sweep.plateau) if r.sweep and r.sweep.plateau else None,
         "components": [
             {"id": c.component_id, "size": c.size,
              "near_size": c.near_set_size, "ratio": c.ratio()}
@@ -520,6 +519,9 @@ def cmd_validate(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
+    for flag, value in (("--nodes", args.nodes), ("--bins", args.bins)):
+        if value < 1:
+            raise UsageError(f"{flag} takes a positive integer, not {value}")
     alpha = args.alpha
     if alpha != "sweep":
         try:
@@ -528,9 +530,9 @@ def _config_from_args(args) -> RunConfig:
             alpha = math.nan
         if not math.isfinite(alpha):
             raise UsageError(f"--alpha takes a finite number or 'sweep', not {args.alpha!r}")
-    for flag, value in (("--nodes", args.nodes), ("--bins", args.bins)):
-        if value < 1:
-            raise UsageError(f"{flag} takes a positive integer, not {value}")
+        if alpha <= 0 or not math.isfinite(alpha * args.nodes):  # mu_est <= n - 1
+            raise UsageError(f"--alpha takes a positive number whose product with --nodes "
+                             f"is finite, or 'sweep', not {args.alpha!r}")
     for flag, value in (("--seed", args.seed), ("--voronoi-tol", args.voronoi_tol),
                         ("--min-comp", args.min_comp)):
         if value < 0:

@@ -288,9 +288,8 @@ def test_criterion_8_thickness(sweep_records, standard_region):
     for seed in range(1, 11):
         g, pts = build_instance(annulus, 8000, seed)
         est = boundary.estimate_mu(netgraph.histogram(g, 64))
-        try:
-            alpha = boundary.alpha_sweep(g, est.mu_est).alpha_star
-        except boundary.NoPlateau:
+        alpha = boundary.alpha_sweep(g, est.mu_est).alpha_star
+        if alpha is None:
             alpha = boundary.default_alpha()
         classes = boundary.central_classify(
             g, boundary.threshold_units(alpha, est.mu_est))

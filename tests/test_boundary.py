@@ -1,17 +1,15 @@
 import io
 import math
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from swarmtopo import boundary, netgraph
-from swarmtopo.boundary import (DegenerateHistogram, NodeClass, NoPlateau,
-                                default_alpha, estimate_mu, find_plateau,
+from swarmtopo.boundary import (DegenerateHistogram, NodeClass, default_alpha, estimate_mu, find_plateau,
                                 threshold_units)
 from swarmtopo.netgraph import histogram_from_counts
-from conftest import lowest_quarter, random_graph
+from conftest import annulus_graph, lowest_quarter, random_graph
 
 
 def graph_from(points, ids=None):
@@ -344,16 +342,16 @@ def test_find_plateau_none():
     assert find_plateau(grid, [0, 0, 0, 0]) is None
 
 
-def test_alpha_sweep_no_plateau_raises():
+def test_alpha_sweep_no_plateau_keeps_counts():
     g = graph_from([(0, 0), (0.5, 0), (0.5, 0.5), (0, 0.5), (0.25, 0.25)])
-    with pytest.raises(NoPlateau):
-        boundary.alpha_sweep(g, mu_est=4, grid=(0.05, 0.1, 0.15, 0.2))
+    sweep = boundary.alpha_sweep(g, mu_est=4, grid=(0.05, 0.1, 0.15, 0.2))
+    assert sweep.component_counts == (0, 0, 0, 0)
+    assert sweep.plateau is None and sweep.alpha_star is None
 
 
 def test_alpha_sweep_distributed_matches_central():
     # the sweep's counts are those of the distributed protocols at each
-    # alpha, on a grid with no plateau (the error names the counts) and on
-    # a finer one with a plateau
+    # alpha, on a grid with no plateau and on a finer one with a plateau
     rng = np.random.Generator(np.random.Philox(15))
     g = graph_from(rng.random((220, 2)) * 4.0)
     mu_est = int(np.median(g.degrees()[g.ids]))
@@ -365,15 +363,10 @@ def test_alpha_sweep_distributed_matches_central():
             classes, _ = boundary.classify(g, threshold_units(a, mu_est))
             comps = boundary.form_components(g, classes).components
             counts.append(sum(1 for c in comps if c.size >= 2))
-        plateau = find_plateau(grid, counts)
-        plateaus.append(plateau)
-        if plateau is None:
-            with pytest.raises(NoPlateau, match=re.escape(f": {counts}") + "$"):
-                boundary.alpha_sweep(g, mu_est, grid=grid, min_component_size=2)
-        else:
-            sweep = boundary.alpha_sweep(g, mu_est, grid=grid, min_component_size=2)
-            assert sweep.component_counts == tuple(counts)
-            assert sweep.plateau == plateau
+        sweep = boundary.alpha_sweep(g, mu_est, grid=grid, min_component_size=2)
+        assert sweep.component_counts == tuple(counts)
+        assert sweep.plateau == find_plateau(grid, counts)
+        plateaus.append(sweep.plateau)
     assert plateaus[0] is None and plateaus[1] is not None
 
 
@@ -381,3 +374,21 @@ def test_alpha_sweep_rejects_bad_grid():
     g = graph_from([(0, 0), (0.5, 0)])
     with pytest.raises(ValueError):
         boundary.alpha_sweep(g, 10, grid=(0.5, 0.5))
+    # a negative mu_est turns an increasing grid into decreasing thresholds,
+    # which are no longer nested boundary sets
+    with pytest.raises(ValueError, match="must not decrease"):
+        boundary.alpha_sweep(g, -10, grid=(0.1, 0.2))
+
+
+def test_alpha_sweep_memory_below_two_edge_arrays():
+    # each grid point holds only the rows of the nodes that just became
+    # BOUNDARY, never an array over every edge of the graph
+    g = annulus_graph(4000, 3)
+    mu_est = estimate_mu(netgraph.histogram(g, 64)).mu_est
+    tracemalloc.start()
+    try:
+        boundary.alpha_sweep(g, mu_est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.indices.nbytes, peak / g.indices.nbytes

@@ -7,7 +7,6 @@ thresholds."""
 
 import functools
 import io
-import re
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmtopo import boundary, convergetree, netgraph
-from swarmtopo.boundary import NoPlateau
 from swarmtopo.convergetree import AggOp
 from swarmtopo.simkernel import RoundLimitExceeded
 from conftest import TOKEN_CASES, any_graphs, connected_graphs, flood_fields, subtree_windows
@@ -218,12 +216,9 @@ def test_alpha_sweep_counts_equal_twin(g, data):
         bnd = boundary.central_classify(g, boundary.threshold_units(a, mu_est))
         comps = boundary.central_components(g, bnd == int(boundary.NodeClass.BOUNDARY))
         counts.append(sum(1 for c in comps if c.size >= min_size))
-    if boundary.find_plateau(grid, counts) is None:
-        with pytest.raises(NoPlateau, match=re.escape(f": {counts}") + "$"):
-            boundary.alpha_sweep(g, mu_est, grid, min_size)
-    else:
-        sweep = boundary.alpha_sweep(g, mu_est, grid, min_size)
-        assert sweep.component_counts == tuple(counts)
+    sweep = boundary.alpha_sweep(g, mu_est, grid, min_size)
+    assert sweep.component_counts == tuple(counts)
+    assert sweep.plateau == boundary.find_plateau(grid, counts)
 
 
 class _CompFloodHearsAll(boundary._CompFloodNode):

@@ -179,6 +179,7 @@ def deployments(draw):
     return np.array(ids, dtype=np.int64), pts, R
 
 
+@pytest.mark.slow
 @given(deployments())
 @settings(max_examples=300, deadline=None)
 def test_build_udg_matches_brute_force_property(dep):

@@ -195,10 +195,16 @@ def test_cli_missing_region_file():
     ("--alpha", "abc", "--alpha takes a finite number or 'sweep', not 'abc'"),
     ("--alpha", "nan", "--alpha takes a finite number or 'sweep', not 'nan'"),
     ("--alpha", "inf", "--alpha takes a finite number or 'sweep', not 'inf'"),
+    ("--alpha", "-0.5", "--alpha takes a positive number whose product with --nodes "
+                        "is finite, or 'sweep', not '-0.5'"),
+    ("--alpha", "0", "--alpha takes a positive number whose product with --nodes "
+                     "is finite, or 'sweep', not '0'"),
+    ("--alpha", "1e308", "--alpha takes a positive number whose product with --nodes "
+                         "is finite, or 'sweep', not '1e308'"),
     ("--voronoi-tol", "-1", "--voronoi-tol takes a non-negative integer, not -1"),
     ("--min-comp", "-1", "--min-comp takes a non-negative integer, not -1"),
 ], ids=["bins-0", "nodes-0", "seed-negative", "alpha-abc", "alpha-nan", "alpha-inf",
-        "voronoi-tol-negative", "min-comp-negative"])
+        "alpha-negative", "alpha-zero", "alpha-overflow", "voronoi-tol-negative", "min-comp-negative"])
 def test_cli_rejects_bad_values(monkeypatch, tmp_path, capsys, flag, value, message):
     def unreachable(config, trace_stream=None):
         raise AssertionError("the pipeline ran")
