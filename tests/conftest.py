@@ -290,6 +290,13 @@ TOKEN_CASES = {
     # a loop that closes before it covers its component (see CHANGES.md)
     "annulus-early-close": _token_case(lambda: annulus_graph(1700, 1, (4.0, 1.5)),
                                        run_classes("sweep")),
+    # a member hears the choice of one pass, relayed, in the round the new
+    # holder's query reaches it: it acts on the copy from the smaller sender
+    # first, so it replies before its exclusion only if its relay of the
+    # last pass is the new holder
+    "order-25-85": _token_case(lambda: random_graph(25, 85)),
+    "order-gapped-30-90": _token_case(lambda: random_graph(30, 90, id_span=150)),
+    "order-gapped-24-164": _token_case(lambda: random_graph(24, 164, id_span=120)),
 }
 
 

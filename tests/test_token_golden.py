@@ -18,7 +18,10 @@ the delivery counts were re-recorded again when the successor's
 acknowledgment (`K_TA`/`K_TAF`) was deleted, a message no handler acted
 on: each run loses those broadcasts and their deliveries, and most lose
 the one round in which the root acknowledged the closing choice.  The
-walks and stuck digests stayed as recorded."""
+walks and stuck digests stayed as recorded.  The three `order-*` cases,
+recorded later from the same executor, pin the order in which a member
+acts on one pass's relayed choice and the next pass's query when both
+reach it in one round."""
 
 import functools
 import io
@@ -77,6 +80,12 @@ GOLDEN = {
                      222, 303216),
     "annulus-early-close": ("7aff5a5e88757044", "a18148148d38edf5", "683ddc605db06485",
                             91, 291768),
+    "order-25-85": ("469cbdf97d812514", "67ea7fb3b3523470", "e705d05fe73d626e",
+                    35, 2825),
+    "order-gapped-30-90": ("361605be0852f31b", "bfb028aabefed8bd", "f2a5be56657b883a",
+                           36, 5002),
+    "order-gapped-24-164": ("142111613607a33b", "049b5808e94c8a0d", "410993248fe8cfaf",
+                            36, 4026),
 }
 
 # case -> max_rounds
