@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -649,184 +649,190 @@ def detect_voronoi(field: DistanceField, tolerance_hops: int = 2) -> np.ndarray:
 # token loops
 # --------------------------------------------------------------------------
 
-class _TokenNode(NodeProto):
-    __slots__ = ("comp", "is_root", "size", "min_steps", "excluded_at",
-                 "replied", "chosen", "holding", "seq", "steps", "prev",
-                 "replies", "decide_at", "my_pass_seq", "closed")
+@dataclass(eq=False)
+class _Pass:
+    """One holder's pass: its query in round `q`, the replies, and the
+    decision, a choice of `succ` or a backtrack to `back`, each reached
+    through `via` (0: a neighbour)."""
+    comp: int
+    holder: int
+    seq: int
+    q: int
+    steps: int         # passes from the root to the holder
+    undo: int          # a resumed holder's last pass, rolled back; 0 if none
+    nbrs: np.ndarray
+    ring: tuple = ()   # N(N(holder)), |N(c) ∩ nbrs| and the smallest common neighbour
+    replies: list = field(default_factory=list)  # direct, then 2-hop: (cand, score, excl, via)
+    succ: int = 0
+    back: int = 0
+    via: int = 0
 
-    def __init__(self, vid, nbrs, comp, size):
-        super().__init__(vid, nbrs)
-        self.comp = comp
-        self.is_root = comp == vid
-        self.size = size
-        self.min_steps = max(5, -(-size // 10)) if comp else 0
-        self.excluded_at = None
-        self.replied: set[tuple[int, int]] = set()  # (comp, seq) answered
-        self.chosen: set[tuple[int, int]] = set()  # (comp, seq) whose choice was taken
-        self.holding = False
-        self.seq = 0
-        self.steps = 0  # passes from the root to this holder
-        self.prev: tuple[int, int] | None = None  # (holder, via) that passed this node the token
-        self.replies: dict[int, tuple[int, int, int, int]] = {}  # cand -> (score, isroot, excl, via)
-        self.decide_at = -1
-        self.my_pass_seq = -1
-        self.closed = False  # root only: the loop is complete
 
-    @property
-    def hears(self):
-        # outside every component a node only relays what it hears first
-        # hand: every relayed copy is of another node's component
-        return None if self.comp else (K_TQ, K_TR, K_TC, K_TB, K_TRB)
+class _TokenRounds(RoundKernel):
+    """The token walk of every component at once; each component has at
+    most one pass in flight.  Every root (the node whose ID is its
+    component's) holds the token in round 0.
 
-    # -- helpers ------------------------------------------------------
+    A holder h that queries in round q (K_TQ, with a K_TRB rolling back its
+    last pass when it resumes after a backtrack) hears, by round q + 4, a
+    reply from every member within two hops that has never held the token
+    (the root always replies): a neighbour replies in q + 1 (K_TR) as N(h)
+    relays the query (K_TQF, and K_TRBF); a member two hops away replies in
+    q + 2 through its smallest common neighbour with h, which relays the
+    reply in q + 3 (K_TRF).  A reply carries |N(c) ∩ N(h)| and whether the
+    member was passed over since its last roll-back.  In q + 4 h chooses
+    (K_TC): the root once h is max(5, ⌈size / 10⌉) passes from it, else the
+    fresh member of least (score, ID), else the passed-over one, else the
+    root.
+    With no reply h sends the token back along its own link (K_TB, relayed
+    as K_TBF), and that holder resumes with a new pass.  In q + 5 N(h)
+    relays the choice (K_TCF).  The successor takes the token at the first
+    copy it hears, and each other replier, when the choice reaches it, is
+    passed over in pass `seq`.  A reply sees its own pass's roll-back only
+    afterwards; a member two hops from h whose relay is the successor
+    hears the new query before the choice, and replies first.
 
-    def _query(self, rnd):
-        self.seq += 1
-        self.my_pass_seq = self.seq
-        self.replies = {}
-        self.decide_at = rnd + 4
-        self.wake = True
-        return (K_TQ, self.comp, self.seq) + tuple(self.nbrs.tolist())
+    Per node only the exclusion `mark` (0 none, -1 has held the token,
+    else the pass that passed it over) is an ID-indexed array; the links
+    (`prev`) and each holder's (last seq, steps) are kept by holder."""
 
-    def _score(self, holder_nbrs) -> int:
-        other = np.fromiter(holder_nbrs, dtype=np.int64)
-        return int(np.intersect1d(self.nbrs, other, assume_unique=True).size)
+    def __init__(self, g: UnitDiskGraph, comps: ComponentsResult):
+        super().__init__(g)
+        self.comp_of = comps.comp_of
+        self.sizes = {c.component_id: c.size for c in comps.components}
+        self.mark = np.zeros(self.size, dtype=np.int64)
+        self.prev: dict[int, tuple[int, int]] = {}  # holder -> (holder before it, via)
+        self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, steps)
+        self.closed: set[int] = set()
+        self.passes: list[_Pass] = []
+        self.out: dict = {}  # kind -> the round's (senders, units, payload key) batches
 
-    def _consider_reply(self, comp, seq, holder, holder_nbrs, via):
-        if self.comp != comp or holder == self.vid:
-            return ()
-        if (comp, seq) in self.replied:
-            return ()
-        if self.excluded_at == -1 and not self.is_root:
-            return ()  # ex-holders never take the token again
-        excl = int(self.excluded_at is not None and not self.is_root)
-        self.replied.add((comp, seq))
-        return ((K_TR, comp, seq, self._score(holder_nbrs), int(self.is_root),
-                 excl, via),)
+    def step(self, rnd: int) -> list:
+        self.out = {}
+        late = []
+        if rnd == 0:
+            for r in self.ids[self.comp_of[self.ids] == self.ids].tolist():
+                self._start(r, r, 1, 0, 0, rnd)
+        for p in sorted(self.passes, key=lambda p: (p.comp, p.q)):
+            d = rnd - p.q
+            if d == 1:
+                self._ask(p)
+            elif d == 2:
+                self._ask_far(p)
+            elif d == 3:
+                cand, _, _, via = p.replies[1]
+                self._send(K_TRF, via, 7, cand)
+            elif d == 4:
+                self._decide(p)
+            elif d == 5 and p.succ:
+                self._send(K_TCF, p.nbrs, 7, p.holder)
+                cand = p.replies[0][0]
+                self.mark[cand[(cand != p.succ) & (cand != p.comp)]] = p.seq
+            elif d == 5 and p.back and p.via:
+                self._send(K_TBF, p.via, 4, p.comp)
+            elif d == 6 and p.succ:
+                cand, _, _, via = p.replies[1]
+                out = (cand != p.succ) & (cand != p.comp)
+                self.mark[cand[out & (via != p.succ)]] = p.seq
+                late.append((cand[out & (via == p.succ)], p.seq))
+            if d == 5 + (p.via != 0) and (p.succ or p.back):  # the token arrives
+                (self._take if p.succ else self._resume)(p, rnd)
+        for v, seq in late:  # they heard the new holder's query first
+            self.mark[v] = seq
+        self.passes = [p for p in self.passes if rnd - p.q < 6]
+        # the holders between their query and their decision
+        self.wake = np.array(sorted(p.holder for p in self.passes if rnd - p.q < 4), dtype=np.int64)
+        batches = []
+        for kind, parts in self.out.items():
+            s, units, key = (np.concatenate(x) for x in zip(*parts))
+            order = np.lexsort((key, s))  # a sender's messages of one kind in payload order
+            batches.append((kind, s[order], units[order]))
+        return batches
 
-    def _choose(self, rnd):
-        # fresh candidates first; already-excluded ones only when the march
-        # has consumed everything ahead (keeps the walk from dead-ending at
-        # strip pinches); the root closes the loop per the priority rule
-        self.decide_at = -1
-        root_reply = None
-        fresh = None
-        stale = None
-        for cand, (score, isroot, excl, via) in self.replies.items():
-            if isroot:
-                root_reply = (cand, via)
-            elif not excl and (fresh is None or (score, cand) < (fresh[0], fresh[1])):
-                fresh = (score, cand, via)
-            elif excl and (stale is None or (score, cand) < (stale[0], stale[1])):
-                stale = (score, cand, via)
-        succ = None
-        if root_reply is not None and self.steps >= self.min_steps:
-            succ, via = root_reply
-        elif fresh is not None:
-            succ, via = fresh[1], fresh[2]
-        elif stale is not None:
-            succ, via = stale[1], stale[2]
-        elif root_reply is not None:
-            succ, via = root_reply  # last resort: close early rather than fail
-        if succ is None:
-            return self._backtrack()
-        self.holding = False
-        return ((K_TC, self.comp, self.my_pass_seq, succ, via, self.steps),)
+    def _send(self, kind: int, senders, units: int, key) -> None:
+        s = np.atleast_1d(senders)
+        self.out.setdefault(kind, []).append(
+            (s, np.full(len(s), units), np.broadcast_to(key, s.shape)))
 
-    def _backtrack(self):
-        self.holding = False
-        if self.prev is None:
-            self.closed = self.size <= 1  # a single-node loop, or a failed walk
-            return ()
-        self.excluded_at = -1  # the failed branch stays excluded
-        p, via = self.prev
-        return ((K_TB, self.comp, self.seq, p, via),)
+    def _start(self, comp, h, seq, steps, undo, rnd) -> None:
+        self.held[h] = (seq, steps)
+        nbrs = self.indices[self.indptr[h]:self.indptr[h + 1]]
+        self.passes.append(_Pass(comp, h, seq, rnd, steps, undo, nbrs))
+        self._send(K_TQ, h, 3 + len(nbrs), comp)
+        if undo:
+            self._send(K_TRB, h, 3, comp)
 
-    def _become_holder(self, rnd, steps, prev):
-        self.prev = prev
-        if self.is_root:
-            self.closed = True  # query nothing further
-            return ()
-        self.steps = steps
-        self.holding = True
-        self.excluded_at = -1  # the walk never revisits an ex-holder
-        return (self._query(rnd),)
+    def _eligible(self, v: np.ndarray, comp: int) -> np.ndarray:
+        return (self.comp_of[v] == comp) & ((self.mark[v] != -1) | (v == comp))
 
-    # -- round handler --------------------------------------------------
+    def _reply(self, p: _Pass, cand, score, via) -> None:
+        excl = ((self.mark[cand] != 0) & (cand != p.comp)).astype(np.int64)
+        p.replies.append((cand, score, excl, via))
+        self._send(K_TR, cand, 7, p.comp)
 
-    def on_round(self, rnd, inbox):
-        out = []
-        if rnd == 0 and self.is_root:
-            self.holding = True
-            out.append(self._query(rnd))
-            return out
+    def _undo(self, p: _Pass, v: np.ndarray) -> None:
+        self.mark[v[(self.mark[v] == p.undo) & (self.comp_of[v] == p.comp)]] = 0
 
-        for s, m in inbox:
-            k = m[0]
-            if k == K_TQ:
-                comp, seq = m[1], m[2]
-                out.append((K_TQF, comp, seq, s) + m[3:])
-                out.extend(self._consider_reply(comp, seq, s, m[3:], 0))
-            elif k == K_TQF:
-                comp, seq, holder = m[1], m[2], m[3]
-                out.extend(self._consider_reply(comp, seq, holder, m[4:], s))
-            elif k == K_TR:
-                comp, seq, score, isroot, excl, via = m[1], m[2], m[3], m[4], m[5], m[6]
-                if via == self.vid:
-                    out.append((K_TRF, s, comp, seq, score, isroot, excl))
-                elif via == 0 and self.holding and seq == self.my_pass_seq and comp == self.comp:
-                    self.replies.setdefault(s, (score, isroot, excl, 0))
-            elif k == K_TRF:
-                cand, comp, seq, score, isroot, excl = m[1], m[2], m[3], m[4], m[5], m[6]
-                if self.holding and seq == self.my_pass_seq and comp == self.comp:
-                    self.replies.setdefault(cand, (score, isroot, excl, s))
-            elif k in (K_TC, K_TCF):
-                if k == K_TC:
-                    holder, (comp, seq, succ, via, steps) = s, m[1:]
-                    out.append((K_TCF, holder) + m[1:])
-                else:
-                    holder, comp, seq, succ, via, steps = m[1:]
-                # a choice arrives directly and relayed: take it once
-                if comp == self.comp and (comp, seq) not in self.chosen:
-                    self.chosen.add((comp, seq))
-                    if succ == self.vid:
-                        self.seq = max(self.seq, seq)  # pass numbering is global
-                        out.extend(self._become_holder(rnd, steps + 1, (holder, via)))
-                    elif (comp, seq) in self.replied and not self.is_root:
-                        self.excluded_at = seq
-            elif k == K_TB:
-                comp, seq, dest, via = m[1], m[2], m[3], m[4]
-                if dest == self.vid and comp == self.comp:
-                    out.extend(self._resume(rnd, seq))
-                elif via == self.vid:
-                    out.append((K_TBF, comp, seq, dest))
-            elif k == K_TBF:
-                if m[3] == self.vid and m[1] == self.comp:
-                    out.extend(self._resume(rnd, m[2]))
-            elif k in (K_TRB, K_TRBF):
-                comp, seq = m[1], m[2]
-                if k == K_TRB:
-                    out.append((K_TRBF, comp, seq))
-                if comp == self.comp and self.excluded_at == seq:
-                    self.excluded_at = None
+    def _ask(self, p: _Pass) -> None:
+        nb = p.nbrs
+        self._send(K_TQF, nb, 4 + len(nb), p.comp)
+        # one count of the neighbours' rows gives every score: the first
+        # occurrence of c lies in the row of its smallest common neighbour
+        pos, lens = csr_rows(self.indptr, nb)
+        ring, first, count = np.unique(self.indices[pos], return_index=True,
+                                       return_counts=True)
+        p.ring = ring, count, np.repeat(nb, lens)[first]
+        u = nb[self._eligible(nb, p.comp)]
+        at = np.minimum(np.searchsorted(ring, u), len(ring) - 1)
+        self._reply(p, u, np.where(ring[at] == u, count[at], 0), np.zeros_like(u))
+        if p.undo:
+            self._send(K_TRBF, nb, 3, p.comp)
+            self._undo(p, nb)
 
-        if self.holding and rnd == self.decide_at:
-            out.extend(self._choose(rnd))
-        elif self.holding and self.decide_at > rnd:
-            self.wake = True
-        return out
+    def _ask_far(self, p: _Pass) -> None:
+        ring, count, relay = p.ring
+        far = (ring != p.holder) & ~np.isin(ring, p.nbrs) & self._eligible(ring, p.comp)
+        self._reply(p, ring[far], count[far], relay[far])
+        if p.undo:
+            self._undo(p, ring)
 
-    def _resume(self, rnd, new_seq):
-        # a failed successor bounced the token back: roll back my pass
-        # (the failed node marked itself permanently excluded) and re-query
-        self.holding = True
-        self.seq = max(self.seq, new_seq)
-        out = [(K_TRB, self.comp, self.my_pass_seq)]
-        out.append(self._query(rnd))
-        return out
+    def _decide(self, p: _Pass) -> None:
+        cand, score, excl, via = (np.concatenate(x) for x in zip(*p.replies))
+        size = self.sizes.get(p.comp, 0)
+        root = cand == p.comp
+        picks = [~root & (excl == 0), ~root & (excl != 0), root]
+        if root.any() and p.steps >= max(5, -(-size // 10)):
+            picks.insert(0, root)
+        for pick in picks:
+            if pick.any():
+                i = np.flatnonzero(pick)
+                j = i[np.lexsort((cand[i], score[i]))[0]]
+                p.succ, p.via = int(cand[j]), int(via[j])
+                self._send(K_TC, p.holder, 6, p.comp)
+                return
+        if p.holder not in self.prev:  # the root, out of candidates
+            if size <= 1:
+                self.closed.add(p.holder)
+            return
+        p.back, p.via = self.prev[p.holder]
+        self._send(K_TB, p.holder, 5, p.comp)
 
-    def state_name(self):
-        return f"token(holding={self.holding},comp={self.comp})"
+    def _take(self, p: _Pass, rnd: int) -> None:
+        s = p.succ
+        self.prev[s] = (p.holder, p.via)
+        if s == p.comp:
+            self.closed.add(s)  # the loop is complete
+            return
+        self.mark[s] = -1
+        seq = max(self.held.get(s, (0, 0))[0], p.seq) + 1
+        self._start(p.comp, s, seq, p.steps + 1, 0, rnd)
+
+    def _resume(self, p: _Pass, rnd: int) -> None:
+        last, steps = self.held[p.back]
+        self._start(p.comp, p.back, max(last, p.seq) + 1, steps, last, rnd)
+
+    def state_name(self, v: int) -> str:
+        return f"token(holding={v in self.wake.tolist()},comp={int(self.comp_of[v])})"
 
 
 def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
@@ -839,26 +845,19 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
     these links.  Components whose backtracking exhausts all candidates
     are omitted from the returned mapping (the pipeline warns about each).
     """
-    sizes = {c.component_id: c.size for c in comps.components}
-    nodes, res = run_protocol(
-        g,
-        lambda v, nb: _TokenNode(v, nb, int(comps.comp_of[v]),
-                                 sizes.get(int(comps.comp_of[v]), 0)),
-        max_rounds=max_rounds, trace=trace)
+    kernel = _TokenRounds(g, comps)
+    res = kernel.run(max_rounds, trace)
     loops: dict[int, TokenLoop] = {}
-    for c in comps.components:
-        root = c.component_id
-        if not nodes[root].closed:
-            continue
+    for root in (c.component_id for c in comps.components if c.component_id in kernel.closed):
         members, walk = [root], [root]  # read backwards, root last
-        link = nodes[root].prev
+        link = kernel.prev.get(root)
         while link is not None:
             holder, via = link
             if via:
                 walk.append(via)
             walk.append(holder)
             members.append(holder)
-            link = None if holder == root else nodes[holder].prev
+            link = None if holder == root else kernel.prev[holder]
         loops[root] = TokenLoop(component_id=root, members=tuple(members[::-1]),
                                 walk=tuple(walk[::-1]))
     return loops, res

@@ -41,6 +41,12 @@ class UsageError(ValueError):
     """A command-line value no run can take."""
 
 
+# --bins: the histogram needs 16 bins.  The census has at most delta + 1
+# nonempty ones (delta is 169-228 from 13k to 45k nodes), and the pipeline's
+# one-hot census holds (max ID + 1) x bins integers, so more only cost memory
+MIN_BINS, MAX_BINS = 16, 256
+
+
 class GraphDisconnected(RuntimeError):
     """The deployment's unit disk graph falls apart into several components,
     so no protocol can reach every node."""
@@ -519,9 +525,11 @@ def cmd_validate(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    for flag, value in (("--nodes", args.nodes), ("--bins", args.bins)):
-        if value < 1:
-            raise UsageError(f"{flag} takes a positive integer, not {value}")
+    if args.nodes < 1:
+        raise UsageError(f"--nodes takes a positive integer, not {args.nodes}")
+    if not MIN_BINS <= args.bins <= MAX_BINS:
+        raise UsageError(f"--bins takes an integer from {MIN_BINS} to {MAX_BINS}, "
+                         f"not {args.bins}")
     alpha = args.alpha
     if alpha != "sweep":
         try:
@@ -658,7 +666,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=20000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--alpha", default="sweep", help="numeric threshold factor or 'sweep'")
-    p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--bins", type=int, default=64,
+                   help=f"degree histogram bins, {MIN_BINS} to {MAX_BINS}")
     p.add_argument("--voronoi-tol", type=int, default=2)
     p.add_argument("--min-comp", type=int, default=8)
     p.add_argument("--out", default=None, help="output directory")

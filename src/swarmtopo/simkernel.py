@@ -12,11 +12,12 @@ is processed in ascending (sender, kind, payload) order.
 One driver, `RoundKernel.run`, runs every protocol under this contract: it
 keeps the ledger, the round and delivery counts, the trace, wake-up timers
 and the round limit.  A `RoundKernel` subclass settles the whole network's
-round as numpy array operations over the CSR adjacency; `run_protocol`
-runs per-node `NodeProto` state machines as one more kernel, which sorts
-each round's outbox and hands each message, in Python, only to the
-neighbours that read its kind (`NodeProto.hears`).  Every broadcast is
-still charged and counted at its sender's full degree.
+round as numpy array operations over the CSR adjacency.  `run_protocol`
+runs per-node `NodeProto` state machines (the component flood) as one more
+kernel, without timers: it sorts each round's outbox and hands each
+message, in Python, only to the neighbours that read its kind
+(`NodeProto.hears`).  Every broadcast is still charged and counted at its
+sender's full degree.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class NodeProto:
 
     Subclasses implement on_round(rnd, inbox) -> iterable of messages to
     broadcast.  inbox is a list of (sender_id, msg) pairs in canonical
-    order; it is empty in round 0, which every node gets to run.  Set
-    self.wake = True to request the next round even without incoming
-    messages (timers).  Protocol code sees only IDs and neighbor IDs.
+    order; it is empty in round 0, which every node gets to run.  After
+    round 0 a node runs only in a round in which something reaches it:
+    there are no timers.  Protocol code sees only IDs and neighbor IDs.
 
     `hears` declares the message kinds on_round reads: a collection of
     kinds, or None (the default) for every kind.  The executor reads it
@@ -92,13 +93,12 @@ class NodeProto:
     run the node.  It is still charged and counted as a delivery.
     """
 
-    __slots__ = ("vid", "nbrs", "wake")
+    __slots__ = ("vid", "nbrs")
     hears = None
 
     def __init__(self, vid: int, nbrs: np.ndarray):
         self.vid = vid
         self.nbrs = nbrs  # ascending neighbor IDs (read-only view)
-        self.wake = False
 
     def on_round(self, rnd: int, inbox: list) -> tuple:
         return ()
@@ -199,8 +199,8 @@ class _NodeRounds(RoundKernel):
     node; a later round fans the previous round's sorted outbox out, each
     message over its sender's row cut down to the nodes that hear its
     kind, so every inbox fills in canonical order, and runs the nodes that
-    received something, then those that set `wake`.  State is kept per
-    node, not per ID: IDs may be sparse."""
+    received something.  State is kept per node, not per ID: IDs may be
+    sparse."""
 
     def __init__(self, g: UnitDiskGraph, factory):
         super().__init__(g)
@@ -245,22 +245,12 @@ class _NodeRounds(RoundKernel):
                 targets = receivers[ptr[i]:ptr[i + 1]].tolist()
             for u in targets:
                 inboxes[u].append(entry)
-        if rnd == 0:
-            active = self.g.id_list
-        else:
-            active = list(inboxes)
-            active += [v for v in self.wake.tolist() if v not in inboxes]
         out: list[tuple[int, Message]] = []
-        woken: list[int] = []
-        for v in active:
-            node = nodes[v]
-            node.wake = False
-            for m in node.on_round(rnd, inboxes.get(v, [])):
+        for v in self.g.id_list if rnd == 0 else inboxes:
+            for m in nodes[v].on_round(rnd, inboxes.get(v, [])):
                 out.append((v, m))
-            if node.wake:
-                woken.append(v)
         out.sort()
-        self.outbox, self.wake = out, np.array(woken, dtype=np.int64)
+        self.outbox = out
         senders = np.array([s for s, _ in out], dtype=np.int64)
         kinds = np.array([m[0] for _, m in out], dtype=np.int64)
         units = np.array([len(m) for _, m in out], dtype=np.int64)
@@ -273,7 +263,7 @@ class _NodeRounds(RoundKernel):
 def run_protocol(g: UnitDiskGraph, factory, max_rounds: int = 100_000,
                  trace=None) -> tuple[dict, RunResult]:
     """Run factory(vid, neighbor_ids) state machines to quiescence (no
-    messages in flight, no node waiting on a timer).  Returns the final
-    node states, a dict keyed by ID, and the run."""
+    messages in flight).  Returns the final node states, a dict keyed by
+    ID, and the run."""
     kernel = _NodeRounds(g, factory)
     return kernel.nodes, kernel.run(max_rounds, trace)

@@ -1,9 +1,9 @@
 """Property tests of the aggregation, value-flood, classification and
 distance-flood kernels, and of the alpha sweep's counts, against their
-centralized twins, of who talks in component organisation, and of the
-executor protocols' declared `hears` against hearing every kind, on small
-graphs with arbitrary (gapped) IDs, isolated nodes and boundary-free
-thresholds."""
+centralized twins, of who talks in component organisation, of the token
+walk's loops, and of the component flood's declared `hears` against
+hearing every kind, on small graphs with arbitrary (gapped) IDs, isolated
+nodes and boundary-free thresholds."""
 
 import functools
 import io
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.convergetree import AggOp
 from swarmtopo.simkernel import RoundLimitExceeded
-from conftest import TOKEN_CASES, any_graphs, connected_graphs, flood_fields, subtree_windows
+from conftest import any_graphs, connected_graphs, flood_fields, random_graph, subtree_windows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -226,11 +226,6 @@ class _CompFloodHearsAll(boundary._CompFloodNode):
     hears = None
 
 
-class _TokenHearsAll(boundary._TokenNode):
-    __slots__ = ()
-    hears = None
-
-
 def observe_executor(run, cutoff: int) -> tuple:
     """What run(trace=...) leaves on the executor: every node's state, both
     ledger arrays, the trace, rounds and deliveries; then the stuck report
@@ -274,20 +269,37 @@ def assert_hears_change_no_run(run, name: str, hears_all: type, cutoff: int) -> 
 @SETTINGS
 @given(any_graphs, st.data())
 def test_declared_hears_change_no_run(g, data):
-    # the component flood and the token loops
-    classes = draw_classes(g, data)
-    member = classes == int(boundary.NodeClass.BOUNDARY)
+    member = draw_classes(g, data) == int(boundary.NodeClass.BOUNDARY)
     cutoff = data.draw(st.integers(1, 12))
     assert_hears_change_no_run(functools.partial(boundary._flood_components, g, member),
                                "_CompFloodNode", _CompFloodHearsAll, cutoff)
-    comps = boundary.form_components(g, classes)
-    assert_hears_change_no_run(functools.partial(boundary.run_token_loops, g, comps),
-                               "_TokenNode", _TokenHearsAll, cutoff)
 
 
-@pytest.mark.parametrize("name", ["open-chain", "gapped-250-5"])
-def test_declared_token_hears_change_no_walk(name):
-    # walks that backtrack and roll back through relays outside the component
-    g, comps = TOKEN_CASES[name]()
-    assert_hears_change_no_run(functools.partial(boundary.run_token_loops, g, comps),
-                               "_TokenNode", _TokenHearsAll, 30)
+# connected graphs with the dense IDs 1..n that `swarmtopo run` gives
+dense_graphs = st.builds(random_graph, st.integers(2, 40), st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(st.one_of(any_graphs, dense_graphs), st.data())
+def test_token_loops_close_at_root_along_edges(g, data):
+    comps = boundary.form_components(g, draw_classes(g, data))
+    loops, _ = boundary.run_token_loops(g, comps)
+    members = {c.component_id: set(c.members) for c in comps.components}
+    for root, lp in loops.items():
+        assert lp.component_id == root
+        assert lp.members[0] == lp.members[-1] == lp.walk[0] == lp.walk[-1] == root
+        held = lp.members[:-1] or lp.members  # the closing root apart
+        assert len(set(held)) == len(held) and set(held) <= members[root]
+        for a, b in zip(lp.walk, lp.walk[1:]):
+            assert b in g.neighbors(a), (a, b)
+        # the walk is the members with at most one relay spliced between two
+        i = 0
+        for a, b in zip(lp.members, lp.members[1:]):
+            assert lp.walk[i] == a
+            if lp.walk[i + 1] != b:
+                relay = lp.walk[i + 1]
+                assert relay in g.neighbors(a) and relay in g.neighbors(b)
+                i += 1
+            i += 1
+            assert lp.walk[i] == b
+        assert i == len(lp.walk) - 1

@@ -189,7 +189,9 @@ def test_cli_missing_region_file():
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--bins", "0", "--bins takes a positive integer, not 0"),
+    ("--bins", "0", "--bins takes an integer from 16 to 256, not 0"),
+    ("--bins", "15", "--bins takes an integer from 16 to 256, not 15"),
+    ("--bins", "100000", "--bins takes an integer from 16 to 256, not 100000"),
     ("--nodes", "0", "--nodes takes a positive integer, not 0"),
     ("--seed", "-1", "--seed takes a non-negative integer, not -1"),
     ("--alpha", "abc", "--alpha takes a finite number or 'sweep', not 'abc'"),
@@ -203,7 +205,7 @@ def test_cli_missing_region_file():
                          "is finite, or 'sweep', not '1e308'"),
     ("--voronoi-tol", "-1", "--voronoi-tol takes a non-negative integer, not -1"),
     ("--min-comp", "-1", "--min-comp takes a non-negative integer, not -1"),
-], ids=["bins-0", "nodes-0", "seed-negative", "alpha-abc", "alpha-nan", "alpha-inf",
+], ids=["bins-0", "bins-15", "bins-huge", "nodes-0", "seed-negative", "alpha-abc", "alpha-nan", "alpha-inf",
         "alpha-negative", "alpha-zero", "alpha-overflow", "voronoi-tol-negative", "min-comp-negative"])
 def test_cli_rejects_bad_values(monkeypatch, tmp_path, capsys, flag, value, message):
     def unreachable(config, trace_stream=None):

@@ -150,22 +150,20 @@ def test_inbox_sorted_by_sender_then_kind():
 
 def test_round_limit_exceeded():
     class Chatter(NodeProto):
-        """Nodes from 30 up broadcast every round; node 5 only waits on a timer."""
+        """Nodes from 30 up broadcast every round."""
 
         def on_round(self, rnd, inbox):
-            self.wake = self.vid == 5
             return ((K_PING,),) if self.vid >= 30 else ()
 
         def state_name(self):
-            return f"chatter({self.vid},wake={self.wake})"
+            return f"chatter({self.vid})"
 
     g = path_graph(99)  # IDs 1..100 in path order
     with pytest.raises(RoundLimitExceeded) as e:
         run_protocol(g, Chatter, max_rounds=10)
     assert e.value.rounds == 10
-    # the timer, then the lowest 63 of the nodes with deliveries to settle
-    named = [5] + list(range(29, 92))
-    assert e.value.stuck == {v: f"chatter({v},wake={v == 5})" for v in named}
+    # the lowest 64 of the nodes with deliveries to settle
+    assert e.value.stuck == {v: f"chatter({v})" for v in range(29, 93)}
 
 
 def _raise_round_limit():
@@ -194,23 +192,6 @@ def test_round_limit_exceeded_crosses_process_pool():
         with pytest.raises(RoundLimitExceeded) as e:
             pool.submit(_raise_round_limit).result()
     assert (e.value.rounds, e.value.stuck, e.value.phase) == (3, {1: "x"}, "classify")
-
-
-def test_wake_runs_without_messages():
-    fired = []
-
-    class Timer(NodeProto):
-        def on_round(self, rnd, inbox):
-            if self.vid == 1 and rnd < 3:
-                self.wake = True
-            if self.vid == 1 and rnd == 3:
-                fired.append(rnd)
-            return ()
-
-    g = path_graph(1)
-    _, res = run_protocol(g, Timer)
-    assert fired == [3]
-    assert res.rounds_used == 4
 
 
 class _TimerRounds(simkernel.RoundKernel):
@@ -313,26 +294,6 @@ def test_round_zero_runs_nodes_that_hear_nothing():
     assert res.rounds_used == 2
 
 
-def test_wake_runs_node_that_hears_nothing():
-    fired = []
-
-    class DeafTimer(NodeProto):
-        hears = ()
-
-        def on_round(self, rnd, inbox):
-            assert inbox == []
-            if self.vid == 1:
-                self.wake = rnd < 3
-                fired.append(rnd)
-            return ((K_PING,),) if rnd < 2 else ()
-
-    g = path_graph(2)
-    _, res = run_protocol(g, DeafTimer)
-    assert fired == [0, 1, 2, 3]  # woken in rounds 1-3, with nothing in its inbox
-    assert res.rounds_used == 4
-    assert res.deliveries == int(g.degrees().sum()) + g.degree(1)  # node 1 sends twice
-
-
 def test_deliveries_counted_at_full_degree():
     class Deaf(NodeProto):
         hears = ()
@@ -352,14 +313,16 @@ def test_deliveries_counted_at_full_degree():
 
 def test_round_limit_names_receivers_that_do_not_hear():
     class Chatter(NodeProto):
-        """Node 2 sends on a timer every round; nobody hears it."""
-        hears = ()
+        """Nodes 1 and 2 answer each other every round; 3 and 4 hear nothing."""
+
+        @property
+        def hears(self):
+            return (K_PING,) if self.vid <= 2 else ()
 
         def on_round(self, rnd, inbox):
-            self.wake = self.vid == 2
-            return ((K_PING,),) if self.wake else ()
+            return ((K_PING,),) if self.vid <= 2 else ()
 
-    g = path_graph(3)
+    g = path_graph(3)  # IDs 1..4 in path order
     with pytest.raises(RoundLimitExceeded) as e:
         run_protocol(g, Chatter, max_rounds=3)
-    assert list(e.value.stuck) == [1, 2, 3]  # the timer and its receivers, deaf as they are
+    assert list(e.value.stuck) == [1, 2, 3]  # node 2's receivers, deaf node 3 too
