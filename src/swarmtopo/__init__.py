@@ -1,7 +1,7 @@
 """Coordinate-free topology recognition in dense random sensor networks.
 
 Modules: geometry (region model and oracles), netgraph (unit disk graph),
-simkernel (round-based executor), convergetree (leader election and
+simkernel (round driver and cost ledger), convergetree (leader election and
 aggregation), boundary (recognition protocols), topo (higher-order
 parameters), cli (experiment harness).
 """

@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows, cut_rows
-from .simkernel import NodeProto, RoundKernel, RunResult, run_protocol
+from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows
+from .simkernel import RoundKernel, RunResult, run_protocol
 
 # message kinds (disjoint from the convergetree range)
 K_BND = 10     # ()                          boundary membership announcement
@@ -151,7 +151,7 @@ class _ClassifyRounds(RoundKernel):
     def __init__(self, g: UnitDiskGraph, threshold: int):
         super().__init__(g)
         self.cls = np.zeros(self.size, dtype=np.int8)
-        self.bnd = self.ids[self.deg[self.ids] <= threshold]
+        self.bnd = self.ids[self.degree(self.ids) <= threshold]
 
     def step(self, rnd: int) -> list:
         if rnd == 0:
@@ -167,7 +167,7 @@ def classify(g: UnitDiskGraph, threshold: int,
     """Distributed B(alpha) rule: BOUNDARY iff degree <= threshold, one
     announcement per boundary node, hearers become NEAR_BOUNDARY."""
     kernel = _ClassifyRounds(g, threshold)
-    res = kernel.run(trace=trace)
+    res = run_protocol(kernel, trace=trace)
     return kernel.cls, res
 
 
@@ -191,91 +191,91 @@ def central_classify(g: UnitDiskGraph, threshold: int) -> np.ndarray:
 # component formation (2-hop linkage, max-ID roots)
 # --------------------------------------------------------------------------
 
-class _CompFloodNode(NodeProto):
+class _CompFloodRounds(RoundKernel):
     """Members flood the max member ID of their 2-hop-linked component.
 
     Non-members relay: they re-broadcast the best candidate heard directly
     from a member whenever it improves, which realizes exactly the
     hop-distance-2 linkage without letting floods travel further.
 
-    A node starts from what classify's K_BND told it: `top`, its largest
-    member neighbour, and `count`, how many it has.  A member below its
-    `top` takes it as root and parent and announces it in round 0; a relay
-    starts from `top` and forwards it in round 0 only if it has two member
+    A node starts from what classify's K_BND told it: its largest member
+    neighbour and how many it has.  A member below that neighbour takes it
+    as root and parent and announces it in round 0 (K_MC); a relay starts
+    from it and forwards it in round 0 only if it has two member
     neighbours or more (the one member it would tell already knows).
-    A relay reads only what members send (K_MC).
+    Later a member takes the largest root it hears, through K_MC or K_MF,
+    if it beats its own, with the root's origin as parent and, through
+    K_MF, the relay as `via`; a relay reads only K_MC and forwards a better
+    root with its origin.  Ties go to the smallest sender.  A relay keeps
+    the best root it forwarded in its `root` slot; `_flood_components`
+    clears it after the run.  Every round is settled over its deliveries
+    alone, so the only ID-indexed state is `fields`.
     """
 
-    __slots__ = ("member", "root", "parent", "via", "best_fwd", "count")
-
-    def __init__(self, vid, nbrs, member, top, count):
-        super().__init__(vid, nbrs)
+    def __init__(self, g: UnitDiskGraph, member: np.ndarray):
+        super().__init__(g)
         self.member = member
-        self.root = max(vid, top) if member else 0
-        self.parent = top if member and top > vid else 0
-        self.via = 0
-        self.best_fwd = 0 if member else top
-        self.count = count
+        self.fields = np.zeros((3, self.size), dtype=np.int64)
+        self.root, self.parent, self.via = self.fields
+        m = self.ids[member[self.ids]]
+        self.root[m] = m
+        # every node's member neighbours, ascending: the last is the largest
+        v, lens = self.receivers(m)
+        order = np.argsort(v, kind="stable")
+        v, first, count = np.unique(v[order], return_index=True, return_counts=True)
+        top = np.repeat(m, lens)[order][first + count - 1]
+        mem = member[v]
+        self.root[v[~mem]] = top[~mem]
+        up = mem & (top > v)
+        self.root[v[up]] = self.parent[v[up]] = top[up]
+        send = up | (~mem & (count > 1))
+        # the round's (sender, root, origin); a member is its own origin
+        self.out = v[send], top[send], np.where(mem, v, top)[send]
 
-    @property
-    def hears(self):
-        return (K_MC, K_MF) if self.member else (K_MC,)
+    def step(self, rnd: int) -> list:
+        if rnd:
+            self.out = self._settle(*self.out)
+        s = self.out[0]
+        mc = self.member[s]
+        return [(K_MC, s[mc], 2), (K_MF, s[~mc], 3)]
 
-    def on_round(self, rnd, inbox):
-        if rnd == 0:
-            if self.member:
-                return ((K_MC, self.root),) if self.parent else ()
-            return ((K_MF, self.best_fwd, self.best_fwd),) if self.count > 1 else ()
-        if self.member:
-            best, origin, via = self.root, 0, 0
-            for s, m in inbox:
-                k = m[0]
-                if k == K_MC:
-                    if m[1] > best:
-                        best, origin, via = m[1], s, 0
-                elif k == K_MF and m[1] > best:
-                    best, origin, via = m[1], m[2], s
-            if best > self.root:
-                self.root, self.parent, self.via = best, origin, via
-                return ((K_MC, best),)
-            return ()
-        # relay: track the best candidate heard directly from members
-        best, origin = self.best_fwd, 0
-        for s, m in inbox:
-            if m[0] == K_MC and m[1] > best:
-                best, origin = m[1], s
-        if best > self.best_fwd:
-            self.best_fwd = best
-            return ((K_MF, best, origin),)
-        return ()
+    def _settle(self, s, r, o) -> tuple:
+        parts = [self._candidates(s[p], r[p], o[p]) for p in self.pieces(s)]
+        if not parts:
+            return s, r, o
+        v, r, o, s = (np.concatenate(x) for x in zip(*parts))
+        # per receiver the largest root, from the smallest sender
+        order = np.lexsort((s, -r, v))
+        first = np.ones(len(v), dtype=bool)
+        first[1:] = v[order][1:] != v[order][:-1]
+        v, r, o, s = (x[order][first] for x in (v, r, o, s))
+        mem = self.member[v]
+        self.root[v] = r
+        m, s = v[mem], s[mem]
+        self.parent[m], self.via[m] = o[mem], np.where(self.member[s], 0, s)
+        return v, r, np.where(mem, v, o)
 
-    def state_name(self):
-        return f"compflood(member={self.member})"
+    def _candidates(self, s, r, o) -> tuple:
+        """The deliveries of these messages that beat their receiver's root,
+        a relay's only from members: (receiver, root, origin, sender)."""
+        v, lens = self.receivers(s)
+        k = np.repeat(np.arange(len(s)), lens)
+        take = (r[k] > self.root[v]) & (self.member[s][k] | self.member[v])
+        k = k[take]
+        return v[take], r[k], o[k], s[k]
 
-
-def _member_neighbours(g: UnitDiskGraph, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """By node, in `g.ids` order: each node's largest member neighbour (0
-    if none) and its number of member neighbours."""
-    pos, before = cut_rows(g, member)  # CSR positions of member neighbours
-    count = np.diff(before)
-    top = np.zeros(g.n, dtype=np.int64)
-    has = np.flatnonzero(count)
-    top[has] = g.indices[pos[before[has + 1] - 1]]  # rows ascend: the row's last is largest
-    return top, count
+    def state_name(self, v: int) -> str:
+        return f"compflood(member={bool(self.member[v])})"
 
 
 def _flood_components(g: UnitDiskGraph, member: np.ndarray, max_rounds: int = 100_000,
                       trace=None) -> tuple[np.ndarray, RunResult]:
-    """The component flood on the executor: per-ID root, parent and via as
-    the rows of one array, and the run."""
-    top, count = _member_neighbours(g, member)
-    start = dict(zip(g.id_list, zip(member[g.ids].tolist(), top.tolist(), count.tolist())))
-    nodes, res = run_protocol(g, lambda v, nb: _CompFloodNode(v, nb, *start[v]),
-                              max_rounds=max_rounds, trace=trace)
-    fields = np.zeros((3, g.max_id + 1), dtype=np.int64)
-    fields[:, g.ids] = np.array([(nodes[v].root, nodes[v].parent, nodes[v].via)
-                                 for v in g.id_list]).T
-    return fields, res
+    """The component flood: per-ID root, parent and via as the rows of one
+    array, and the run."""
+    kernel = _CompFloodRounds(g, member)
+    res = run_protocol(kernel, max_rounds, trace)
+    kernel.root[g.ids[~member[g.ids]]] = 0  # a relay's forwarded root names no component
+    return kernel.fields, res
 
 
 class _CompOrgRounds(RoundKernel):
@@ -398,8 +398,8 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
                     max_rounds: int = 100_000, trace=None) -> ComponentsResult:
     """Group BOUNDARY nodes into components under hop-distance <= 2 linkage.
 
-    Per-component max-ID roots assign their own ID (the flood, on the
-    executor); sizes and inclusive near-set sizes are convergecast to the
+    Per-component max-ID roots assign their own ID (the flood
+    `_CompFloodRounds`); sizes and inclusive near-set sizes are convergecast to the
     root and echoed back down the same tree (the round kernel
     `_CompOrgRounds`), so after the flood only members and the relays they
     name forward anything.
@@ -407,7 +407,7 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     member = classes == int(NodeClass.BOUNDARY)
     fields, flood = _flood_components(g, member, max_rounds, trace)
     org = _CompOrgRounds(g, member, *fields)
-    res = org.run(max_rounds, trace)
+    res = run_protocol(org, max_rounds, trace)
 
     mem = org.members
     if not org.sent_asg[mem].all():
@@ -480,9 +480,6 @@ def _own_frac_units(deg, mu_est: int) -> np.ndarray:
     return np.rint(visibility_offset(deg, mu_est) * FRAC_SCALE).astype(np.int64)
 
 
-_CHUNK = 1 << 16  # deliveries settled at once by the distance flood
-
-
 class _DistRounds(RoundKernel):
     """Boundary distance waves: one BFS wave per component.  A member's
     neighbours know its component (from its K_JOIN), so members send
@@ -514,12 +511,9 @@ class _DistRounds(RoundKernel):
         return [(K_DIST, self.out[0], 3)]
 
     def _settle(self, rnd, s, c, q) -> tuple:
-        # the round's deliveries in pieces of about _CHUNK, each cut down to
-        # the candidates their receiver can take
-        load = np.cumsum(self.deg[s])
-        cuts = np.searchsorted(load, np.arange(_CHUNK, load[-1], _CHUNK))
-        parts = [self._candidates(s[a:b], c[a:b], q[a:b])
-                 for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(s)])]
+        # the round's deliveries in pieces, each cut down to the candidates
+        # their receiver can take
+        parts = [self._candidates(s[p], c[p], q[p]) for p in self.pieces(s)]
         v, c, q = (np.concatenate(x) for x in zip(*parts))
         # per (receiver, component) the first candidate; candidates run in
         # sender order, so the stable sort puts the smallest sender first
@@ -533,7 +527,7 @@ class _DistRounds(RoundKernel):
         fill = slot < 2
         v, c, q, slot = v[fill], c[fill], q[fill], slot[fill]
         if rnd == 0:
-            q = _own_frac_units(self.deg[v], self.mu_est)
+            q = _own_frac_units(self.degree(v), self.mu_est)
         self.d[slot, v], self.c[slot, v], self.q[slot, v] = rnd + 1, c, q
         return v, c, q
 
@@ -570,7 +564,7 @@ def distance_flood(g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int,
     at the distance and with the anchor it first hears it, and relays each
     once."""
     kernel = _DistRounds(g, comp_of, mu_est)
-    res = kernel.run(max_rounds, trace)
+    res = run_protocol(kernel, max_rounds, trace)
     d, c, q = kernel.d, kernel.c, kernel.q
     hop = np.where(c != 0, d, np.inf)
     return DistanceField(hop[0], c[0], hop[1], c[1], q[0]), res
@@ -846,7 +840,7 @@ def run_token_loops(g: UnitDiskGraph, comps: ComponentsResult,
     are omitted from the returned mapping (the pipeline warns about each).
     """
     kernel = _TokenRounds(g, comps)
-    res = kernel.run(max_rounds, trace)
+    res = run_protocol(kernel, max_rounds, trace)
     loops: dict[int, TokenLoop] = {}
     for root in (c.component_id for c in comps.components if c.component_id in kernel.closed):
         members, walk = [root], [root]  # read backwards, root last

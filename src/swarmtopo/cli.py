@@ -630,13 +630,19 @@ def cmd_paper_repro(args) -> int:
     SWARMTOPO_THREADS > 1 fans the seeds out over worker processes (memory
     scales with the worker count); the report order stays by seed.
     """
+    if args.seeds < 1:
+        raise UsageError(f"--seeds takes a positive integer, not {args.seeds}")
+    threads = os.environ.get("SWARMTOPO_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise UsageError(f"SWARMTOPO_THREADS takes an integer, not {threads!r}") from None
     n = 45_000
     region = standard_region()
     area = geometry.validate_region(region).area
     mu_an = mu_analytic_value(n, area)
     print(f"mu_analytic = {mu_an:.2f} (paper-scale instance, area {area:.1f}R^2)")
     seeds = list(range(1, args.seeds + 1))
-    workers = max(1, int(os.environ.get("SWARMTOPO_THREADS", "1")))
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_repro_one, seeds, [args.loops] * len(seeds)))

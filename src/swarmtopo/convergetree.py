@@ -11,8 +11,8 @@ root's value back down it, re-sent only by nodes with children.
 
 All three protocols run as array round kernels (`simkernel.RoundKernel`):
 each round is a few numpy gathers and segment reductions over the CSR
-rows of the nodes that broadcast, with the executor's delivery, cost and
-trace contract.
+rows of the nodes that broadcast, driven by `simkernel.run_protocol` under
+its delivery, cost and trace contract.
 
 The finished tree is `TreeBuild`: the kernel's ID-indexed arrays (parent,
 subtree size, learned n, completion round) and the root.  `aggregate`,
@@ -31,9 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .netgraph import UnitDiskGraph, csr_rows, has_edges, hop_bfs
-# no protocol here uses the executor any more; perfbench times it by
-# wrapping this name in every protocol module
-from .simkernel import RoundKernel, RunResult, run_protocol  # noqa: F401
+from .simkernel import RoundKernel, RunResult, run_protocol
 
 K_STATE = 1   # (root, parent)      flood announcement, doubles as join notice
 K_REPORT = 2  # (root, size)        convergecast: subtree size under `root`
@@ -148,7 +146,7 @@ class _TreeRounds(RoundKernel):
         checked.  A node without neighbours has heard them all and completes
         at once as its own root."""
         ids = self.ids
-        deg = self.deg[ids]
+        deg = self.degree(ids)
         lone = ids[deg == 0]
         self.reported[lone] = lone
         self.done[lone] = True
@@ -260,12 +258,11 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
                trace=None) -> TreeBuild:
     """Elect the max-ID node and build its spanning tree over the whole graph.
 
-    Runs the round kernel `_TreeRounds` under the executor's contract
-    (`simkernel.RoundKernel.run`).  Disconnected input surfaces as a
-    multi-root failure after quiescence.
+    Runs the round kernel `_TreeRounds` on `simkernel.run_protocol`.
+    Disconnected input surfaces as a multi-root failure after quiescence.
     """
     kernel = _TreeRounds(g)
-    result = kernel.run(max_rounds, trace)
+    result = run_protocol(kernel, max_rounds, trace)
     ids = g.ids
     undone = ids[~kernel.done[ids]]
     if len(undone):
@@ -421,7 +418,7 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp,
     int64, raise ValueError.
     """
     kernel = _AggRounds(g, tree, op, values)
-    res = kernel.run(max_rounds, trace)
+    res = run_protocol(kernel, max_rounds, trace)
     if kernel.exact is not None:
         if (np.abs(kernel.acc[kernel.summed] - kernel.exact) > 2.0**62).any():
             raise ValueError(f"{op.value}: a combined value does not fit in int64")
@@ -471,14 +468,14 @@ def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
     the subtree of a node whose parent is not its neighbour."""
     value = tuple(int(x) for x in value)
     kernel = _DownRounds(g, tree, 1 + len(value))
-    res = kernel.run(max_rounds, trace)
+    res = run_protocol(kernel, max_rounds, trace)
     return [value if got else None for got in kernel.got.tolist()], res
 
 
 def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
     """Oracle-side sanity: one root, the largest ID; tree edges are graph
     edges; every node reaches the root; the root learned n; and the
-    in-protocol completion round equals the executor's quiescence round."""
+    in-protocol completion round equals the driver's quiescence round."""
     ids, parent = g.ids, build.parent
     roots = ids[parent[ids] == 0]
     if len(roots) != 1:
@@ -503,6 +500,6 @@ def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
     last_completion = int(build.completion[ids].max())
     if last_completion != build.result.rounds_used - 1:
         raise AssertionError(
-            f"protocol completion round {last_completion} != executor "
+            f"protocol completion round {last_completion} != driver "
             f"quiescence round {build.result.rounds_used - 1}"
         )

@@ -194,9 +194,9 @@ def test_relay_echoes_only_its_own_components_totals():
 
 def test_component_flood_memory_follows_nodes_not_ids():
     # 200 nodes under IDs up to 10**7.  The ledger's two ID-indexed arrays
-    # and the flood's three ID-indexed rows are the floor; the executor
-    # keeps its state by node, so an ID-indexed Python list of inboxes or
-    # of row offsets would break the bound
+    # and the flood's three ID-indexed rows are the floor; the kernel
+    # settles each round over its deliveries, so one more ID-sized array
+    # (scratch, or a degree array in the driver) would break the bound
     g = random_graph(200, 11, id_span=10**7)
     member = lowest_quarter(g) == int(NodeClass.BOUNDARY)
     tracemalloc.start()

@@ -1,21 +1,24 @@
 """Component formation against recorded runs.
 
-`form_components` runs the max-ID flood `_CompFloodNode` on
-`simkernel.run_protocol`, then the organisation kernel `_CompOrgRounds`
-(join, relay aggregate, near registration, convergecast, totals echo).
-GOLDEN pins the components, `comp_of`, the flood's per-ID (root, parent,
-via) and the flood run (ledger, trace, rounds, deliveries).  The
-components and `comp_of` are the digests recorded before the organisation
-talked only along its convergecast tree.  The flood run was re-recorded
-when the flood began from what classify told each node (its largest
-member neighbour) instead of a round of members announcing themselves;
-the (root, parent, via) digests were computed before that change and
-after it, and are equal (see CHANGES.md).  GOLDEN_ORG pins the
-organisation run (ledger, trace, rounds, deliveries) as it talks now,
-members and their `via` relays alone.  The stuck cases cover the nodes
-named when `max_rounds` runs out, in the organisation run alone and
-through `form_components` (see CHANGES.md for the ones re-recorded with
-the organisation, and `form@path-40@low@1`, re-recorded with the flood).
+`form_components` runs the max-ID flood kernel `_CompFloodRounds`, then
+the organisation kernel `_CompOrgRounds` (join, relay aggregate, near
+registration, convergecast, totals echo), both on
+`simkernel.run_protocol`.  GOLDEN pins the components, `comp_of`, the
+flood's per-ID (root, parent, via) and the flood run (ledger, trace,
+rounds, deliveries).  The components and `comp_of` are the digests
+recorded before the organisation talked only along its convergecast tree.
+The flood run was re-recorded when the flood began from what classify
+told each node (its largest member neighbour) instead of a round of
+members announcing themselves; the (root, parent, via) digests were
+computed before that change and after it, and are equal (see
+CHANGES.md).  The flood's digests and stuck cases were recorded while it
+ran as per-node state machines on an executor that no longer exists; the
+round kernel reproduces them unchanged.  GOLDEN_ORG pins the organisation
+run (ledger, trace, rounds, deliveries) as it talks now, members and
+their `via` relays alone.  The stuck cases cover the nodes named when
+`max_rounds` runs out, in the organisation run alone and through
+`form_components` (see CHANGES.md for the ones re-recorded with the
+organisation, and `form@path-40@low@1`, re-recorded with the flood).
 """
 
 import functools
@@ -70,7 +73,8 @@ def component_digests(g) -> dict:
 def organisation(g, level: str):
     """The organisation run alone, after the flood: run(max_rounds=...)."""
     member = classes_of(g, level) == int(boundary.NodeClass.BOUNDARY)
-    return boundary._CompOrgRounds(g, member, *flood_fields(g, member)).run
+    return functools.partial(boundary.run_protocol,
+                             boundary._CompOrgRounds(g, member, *flood_fields(g, member)))
 
 
 # (components, comp_of, flood fields, flood ledger, flood trace, flood rounds,

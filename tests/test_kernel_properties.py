@@ -1,22 +1,17 @@
 """Property tests of the aggregation, value-flood, classification and
 distance-flood kernels, and of the alpha sweep's counts, against their
-centralized twins, of who talks in component organisation, of the token
-walk's loops, and of the component flood's declared `hears` against
-hearing every kind, on small graphs with arbitrary (gapped) IDs, isolated
-nodes and boundary-free thresholds."""
+centralized twins, of who talks in component organisation and of the token
+walk's loops, on small graphs with arbitrary (gapped) IDs, isolated nodes
+and boundary-free thresholds."""
 
-import functools
 import io
-from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.convergetree import AggOp
-from swarmtopo.simkernel import RoundLimitExceeded
 from conftest import any_graphs, connected_graphs, flood_fields, random_graph, subtree_windows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -95,7 +90,7 @@ def test_organisation_talks_only_along_its_tree(g, data):
             label[v] = label[g.neighbors(v)].max()
     org = boundary._CompOrgRounds(g, member, root, parent, via)
     buf = io.StringIO()
-    res = org.run(trace=buf)
+    res = boundary.run_protocol(org, trace=buf)
     assert_deliveries_are_sender_degrees(g, res)
     talkers = set(members.tolist()) | set(via[members].tolist()) - {0}
     sent = {boundary.K_JAGG: [], boundary.K_ASG: []}
@@ -219,60 +214,6 @@ def test_alpha_sweep_counts_equal_twin(g, data):
     sweep = boundary.alpha_sweep(g, mu_est, grid, min_size)
     assert sweep.component_counts == tuple(counts)
     assert sweep.plateau == boundary.find_plateau(grid, counts)
-
-
-class _CompFloodHearsAll(boundary._CompFloodNode):
-    __slots__ = ()
-    hears = None
-
-
-def observe_executor(run, cutoff: int) -> tuple:
-    """What run(trace=...) leaves on the executor: every node's state, both
-    ledger arrays, the trace, rounds and deliveries; then the stuck report
-    of run(max_rounds=cutoff), if the run takes more rounds than that."""
-    runs = []
-
-    def spy(*args, **kwargs):
-        nodes, res = real(*args, **kwargs)
-        runs.append(nodes)
-        return nodes, res
-
-    real, buf = boundary.run_protocol, io.StringIO()
-    with mock.patch.object(boundary, "run_protocol", spy):
-        res = run(trace=buf)[1]
-    (nodes,) = runs
-    states = {v: (type(node), {s: getattr(node, s) for c in type(node).__mro__
-                               for s in getattr(c, "__slots__", ()) if s != "nbrs"})
-              for v, node in nodes.items()}
-    seen = (states, res.ledger.broadcasts_sent.tolist(), res.ledger.id_units_sent.tolist(),
-            buf.getvalue(), res.rounds_used, res.deliveries)
-    if cutoff >= res.rounds_used:
-        return seen, None
-    with pytest.raises(RoundLimitExceeded) as e:
-        run(max_rounds=cutoff)
-    return seen, (e.value.rounds, e.value.stuck, str(e.value))
-
-
-def assert_hears_change_no_run(run, name: str, hears_all: type, cutoff: int) -> None:
-    """run() on the executor with each node hearing the kinds it declares
-    leaves what it leaves with every node of protocol class `name` hearing
-    every kind (as `hears_all`)."""
-    (states, *declared), stuck = observe_executor(run, cutoff)
-    with mock.patch.object(boundary, name, hears_all):
-        (states_all, *heard_all), stuck_all = observe_executor(run, cutoff)
-    assert {t for t, _ in states_all.values()} == {hears_all}
-    assert [s for _, s in states.values()] == [s for _, s in states_all.values()]
-    assert declared == heard_all
-    assert stuck == stuck_all
-
-
-@SETTINGS
-@given(any_graphs, st.data())
-def test_declared_hears_change_no_run(g, data):
-    member = draw_classes(g, data) == int(boundary.NodeClass.BOUNDARY)
-    cutoff = data.draw(st.integers(1, 12))
-    assert_hears_change_no_run(functools.partial(boundary._flood_components, g, member),
-                               "_CompFloodNode", _CompFloodHearsAll, cutoff)
 
 
 # connected graphs with the dense IDs 1..n that `swarmtopo run` gives

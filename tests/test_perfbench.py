@@ -2,9 +2,11 @@
 
 `perfbench/selftest.py` runs a small annulus, with the alpha sweep and
 token loops, through the benchmark's own wrappers and checks, traced and
-untraced.  Those wrappers reach into the program (the `run_protocol`
-child span of `form_components`, `TreeBuild.states`, the `NodeProto`
-handlers), so a source change that breaks them fails here.  The harness
+untraced.  Those wrappers reach into the program (`run_protocol` as each
+protocol module imports it, whose first child span of `form_components`
+is the component flood, `TreeBuild.states`, and the empty `NodeProto`
+class whose handler-defining subclasses it would time), so a source
+change that breaks them fails here.  The harness
 writes only under the git-ignored `perfbench/results/`."""
 
 import subprocess

@@ -216,6 +216,23 @@ def test_cli_rejects_bad_values(monkeypatch, tmp_path, capsys, flag, value, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("seeds, threads, message", [
+    ("0", "1", "--seeds takes a positive integer, not 0"),
+    ("-2", "1", "--seeds takes a positive integer, not -2"),
+    ("2", "abc", "SWARMTOPO_THREADS takes an integer, not 'abc'"),
+], ids=["seeds-0", "seeds-negative", "threads-abc"])
+def test_paper_repro_rejects_bad_values(monkeypatch, capsys, seeds, threads, message):
+    # rejected before any seed runs or any worker process starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run or a worker started")
+
+    monkeypatch.setattr(cli, "_repro_one", unreachable)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", unreachable)
+    monkeypatch.setenv("SWARMTOPO_THREADS", threads)
+    assert cli.main(["paper-repro", "--seeds", seeds]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_degenerate_histogram(tmp_path, capsys):
     # a single node has degree 0: no histogram to estimate the density from
     argv = ["run", "--region", "annulus", "--nodes", "1", "--alpha", "0.7", "--out", str(tmp_path)]

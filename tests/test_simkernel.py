@@ -1,3 +1,7 @@
+"""The round driver's contract (`simkernel.run_protocol`), on small
+`RoundKernel` subclasses: rounds, ledger and cost totals, delivery counts,
+trace order, timers, the round limit and its stuck report."""
+
 import io
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -6,53 +10,79 @@ import numpy as np
 import pytest
 
 from swarmtopo import netgraph, simkernel
-from swarmtopo.simkernel import CostLedger, NodeProto, RoundLimitExceeded, run_protocol
+from swarmtopo.simkernel import CostLedger, RoundLimitExceeded, run_protocol
 
 K_PING = 99
 K_FLOOD = 98
 
 
-def path_graph(length):
+def path_graph(length, ids=None):
     pts = [(0.9 * i, 0.0) for i in range(length + 1)]
-    ids = np.arange(1, length + 2)
+    ids = np.arange(1, length + 2) if ids is None else np.asarray(ids)
     return netgraph.build_udg((ids, np.array(pts)))
 
 
-class EchoNode(NodeProto):
-    def on_round(self, rnd, inbox):
-        if rnd == 0:
-            return ((K_PING,),)
-        return ()
+class Echo(simkernel.RoundKernel):
+    """Every node broadcasts one bare message in round 0."""
+
+    def step(self, rnd):
+        return [(K_PING, self.ids if rnd == 0 else self.ids[:0], 1)]
 
 
-class FloodNode(NodeProto):
-    """Rebroadcast on first reception; the source starts in round 0.
-    A node whose neighbors are all already-heard senders stays silent."""
+class Flood(simkernel.RoundKernel):
+    """Node 1 broadcasts a message of `units` id-units in round 0; every
+    other node rebroadcasts it in the round after it first hears it,
+    unless every neighbour has already broadcast it."""
 
-    __slots__ = ("source", "seen", "heard_from")
+    def __init__(self, g, units=1):
+        super().__init__(g)
+        self.units = units
+        self.seen = np.zeros(self.size, dtype=bool)
+        self.sent = np.zeros(self.size, dtype=bool)
+        self.out = np.array([1])
+        self.seen[1] = self.sent[1] = True
 
-    def __init__(self, vid, nbrs, source):
-        super().__init__(vid, nbrs)
-        self.source = source
-        self.seen = source
-        self.heard_from = set()
+    def step(self, rnd):
+        if rnd:
+            v = np.unique(self.receivers(self.out)[0])
+            new = v[~self.seen[v]]
+            self.seen[new] = True
+            w, lens = self.receivers(new)
+            unsent = np.bincount(np.repeat(np.arange(len(new)), lens),
+                                 weights=~self.sent[w], minlength=len(new))
+            self.out = new[unsent > 0]
+            self.sent[self.out] = True
+        return [(K_FLOOD, self.out, self.units)]
 
-    def on_round(self, rnd, inbox):
-        if rnd == 0 and self.source:
-            return ((K_FLOOD,),)
-        for s, m in inbox:
-            if m[0] == K_FLOOD:
-                self.heard_from.add(s)
-        if not self.seen and self.heard_from:
-            self.seen = True
-            if set(self.nbrs.tolist()) - self.heard_from:
-                return ((K_FLOOD,),)
-        return ()
+
+class Batches(simkernel.RoundKernel):
+    """Sends the given round-0 batches, then nothing."""
+
+    def __init__(self, g, batches):
+        super().__init__(g)
+        self.batches = [(k, np.array(s), u) for k, s, u in batches]
+
+    def step(self, rnd):
+        return self.batches if rnd == 0 else []
+
+
+class Chatter(simkernel.RoundKernel):
+    """The nodes `talk` selects broadcast every round."""
+
+    def __init__(self, g, talk):
+        super().__init__(g)
+        self.talk = self.ids[talk(self.ids)]
+
+    def step(self, rnd):
+        return [(K_PING, self.talk, 1)]
+
+    def state_name(self, v):
+        return f"chatter({v})"
 
 
 def test_echo_two_rounds_one_broadcast_each():
     g = path_graph(3)
-    _, res = run_protocol(g, EchoNode)
+    res = run_protocol(Echo(g))
     assert res.rounds_used == 2
     assert (res.ledger.broadcasts_sent[1:] == 1).all()
     assert (res.ledger.id_units_sent[1:] == 1).all()
@@ -61,9 +91,10 @@ def test_echo_two_rounds_one_broadcast_each():
 def test_flood_rounds_on_path():
     for L in (1, 2, 5, 9):
         g = path_graph(L)
-        nodes, res = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
-        assert res.rounds_used == L + 1
-        assert all(nodes[v].seen for v in range(1, L + 2))
+        kernel = Flood(g)
+        res = run_protocol(kernel)
+        assert res.rounds_used == L + 1  # the far end hears it last and stays silent
+        assert kernel.seen[1:].all()
 
 
 def test_charge_counts_id_fields():
@@ -82,92 +113,72 @@ def test_charge_counts_id_fields():
 
 
 def test_flood_cost_totals():
-    # a 2-unit message flooded once per node costs 2n units
-    class TwoUnit(NodeProto):
-        __slots__ = ("sent",)
-
-        def __init__(self, vid, nbrs):
-            super().__init__(vid, nbrs)
-            self.sent = vid == 1
-
-        def on_round(self, rnd, inbox):
-            if rnd == 0 and self.sent:
-                return ((K_FLOOD, 42),)
-            if not self.sent and inbox:
-                self.sent = True
-                return ((K_FLOOD, 42),)
-            return ()
-
+    # a 2-unit message flooded once per node, the silent far end apart
     g = path_graph(6)
-    _, res = run_protocol(g, TwoUnit)
-    assert res.ledger.total_id_units == 2 * g.n
-    assert res.ledger.total_broadcasts == g.n
+    res = run_protocol(Flood(g, units=2))
+    assert res.ledger.total_broadcasts == g.n - 1
+    assert res.ledger.total_id_units == 2 * (g.n - 1)
+    assert res.ledger.broadcasts_sent[g.n] == 0
 
 
 def test_determinism_identical_ledgers():
     rng = np.random.Generator(np.random.Philox(5))
     pts = rng.random((150, 2)) * 3.0
     g = netgraph.build_udg((np.arange(1, 151), pts))
-    _, r1 = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
-    _, r2 = run_protocol(g, lambda v, nb: FloodNode(v, nb, v == 1))
+    r1, r2 = run_protocol(Flood(g)), run_protocol(Flood(g))
     assert np.array_equal(r1.ledger.broadcasts_sent, r2.ledger.broadcasts_sent)
     assert np.array_equal(r1.ledger.id_units_sent, r2.ledger.id_units_sent)
-    assert r1.rounds_used == r2.rounds_used
+    assert r1.rounds_used == r2.rounds_used > 2
     assert r1.deliveries == r2.deliveries
 
 
 def test_delivery_conservation():
     # each broadcast reaches exactly deg(sender) nodes
     g = path_graph(4)
-    _, res = run_protocol(g, EchoNode)
-    deg = g.degrees()
-    assert res.deliveries == int(deg[1:].sum())
+    res = run_protocol(Echo(g))
+    assert res.deliveries == int(g.degrees()[1:].sum())
+
+
+def test_deliveries_counted_at_full_degree():
+    # every message is delivered to every neighbour of its sender, whether
+    # the kernel reads it or not, under gapped IDs as under dense ones
+    for ids in (None, [3, 10, 11, 40, 41]):
+        g = path_graph(4, ids)
+        kinds = [(k, g.ids, 2) for k in (3, 4, 5, 6)]
+        res = run_protocol(Batches(g, kinds))
+        deg = g.degrees()
+        assert res.deliveries == 4 * int(deg.sum())
+        assert res.ledger.broadcasts_sent[g.ids].tolist() == [4] * g.n
+        assert res.ledger.id_units_sent[g.ids].tolist() == [8] * g.n
 
 
 def test_inbox_sorted_by_sender_then_kind():
-    order = []
-
-    class Talk(NodeProto):
-        def on_round(self, rnd, inbox):
-            if rnd == 0:
-                if self.vid == 2:
-                    # two kinds from one sender, and one kind in two sizes
-                    return ((5, 1), (3, 9), (3, 1, 2))
-                if self.vid == 3:
-                    return ((4, 0),)
-            if self.vid == 1 and inbox:
-                order.extend(inbox)
-            return ()
-
+    # node 2 sends two kinds, one of them in two sizes (in payload order);
+    # the trace, the order in which receivers read the round, goes by
+    # sender, then kind, then batch order, whatever order the batches come in
     pts = [(0, 0), (0.5, 0.1), (0.5, -0.1)]
     g = netgraph.build_udg((np.arange(1, 4), np.array(pts, float)))
     buf = io.StringIO()
-    run_protocol(g, Talk, trace=buf)
-    assert order == [(2, (3, 1, 2)), (2, (3, 9)), (2, (5, 1)), (3, (4, 0))]
-    # trace lines follow the inbox order: payload order within (sender, kind)
+    run_protocol(Batches(g, [(5, [2], 2), (4, [3], 2), (3, [2, 2], np.array([3, 2]))]),
+                 trace=buf)
     assert buf.getvalue().splitlines() == ["0,2,3,3", "0,2,3,2", "0,2,5,2", "0,3,4,2"]
 
 
 def test_round_limit_exceeded():
-    class Chatter(NodeProto):
-        """Nodes from 30 up broadcast every round."""
-
-        def on_round(self, rnd, inbox):
-            return ((K_PING,),) if self.vid >= 30 else ()
-
-        def state_name(self):
-            return f"chatter({self.vid})"
-
     g = path_graph(99)  # IDs 1..100 in path order
     with pytest.raises(RoundLimitExceeded) as e:
-        run_protocol(g, Chatter, max_rounds=10)
+        run_protocol(Chatter(g, lambda v: v >= 30), max_rounds=10)
     assert e.value.rounds == 10
     # the lowest 64 of the nodes with deliveries to settle
     assert e.value.stuck == {v: f"chatter({v})" for v in range(29, 93)}
 
 
 def _raise_round_limit():
-    raise RoundLimitExceeded(3, {1: "x"}, "classify")
+    try:
+        run_protocol(Chatter(path_graph(3), lambda v: v <= 2), max_rounds=3)
+    except RoundLimitExceeded as e:
+        e.phase = "classify"  # as the pipeline attaches it
+        raise
 
 
 def test_round_limit_exceeded_pickles():
@@ -191,7 +202,8 @@ def test_round_limit_exceeded_crosses_process_pool():
     with ProcessPoolExecutor(max_workers=1) as pool:
         with pytest.raises(RoundLimitExceeded) as e:
             pool.submit(_raise_round_limit).result()
-    assert (e.value.rounds, e.value.stuck, e.value.phase) == (3, {1: "x"}, "classify")
+    stuck = {v: f"chatter({v})" for v in (1, 2, 3)}
+    assert (e.value.rounds, e.value.stuck, e.value.phase) == (3, stuck, "classify")
 
 
 class _TimerRounds(simkernel.RoundKernel):
@@ -209,120 +221,31 @@ class _TimerRounds(simkernel.RoundKernel):
 
 def test_kernel_wake_runs_without_messages():
     g = path_graph(2)
-    res = _TimerRounds(g).run()
+    res = run_protocol(_TimerRounds(g))
     assert res.rounds_used == 6  # rounds 1-3 send nothing but do not end the run
     assert res.ledger.broadcasts_sent.tolist() == [0, 2, 0, 0]
     assert res.deliveries == 2 * g.degree(1)
     # a node waiting on a timer is stuck like one with deliveries to settle
     with pytest.raises(RoundLimitExceeded) as e:
-        _TimerRounds(g).run(max_rounds=3)
+        run_protocol(_TimerRounds(g), max_rounds=3)
     assert e.value.stuck == {1: "timer(node=1)"}
     with pytest.raises(RoundLimitExceeded) as e:
-        _TimerRounds(g).run(max_rounds=1)  # waiting on a timer, and heard by node 2
+        run_protocol(_TimerRounds(g), max_rounds=1)  # waiting on a timer, and heard by node 2
     assert e.value.stuck == {1: "timer(node=1)", 2: "timer(node=2)"}
 
 
-def test_trace_lines(tmp_path):
+def test_trace_lines():
     buf = io.StringIO()
     g = path_graph(2)
-    run_protocol(g, EchoNode, trace=buf)
+    run_protocol(Echo(g), trace=buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines == [f"0,{v},{K_PING},1" for v in (1, 2, 3)]
 
 
-# -- `hears`: a node receives only the kinds it declares ---------------------
-
-class Picky(NodeProto):
-    """Every node sends kinds 3 (two sizes), 4 and 5 in round 0; even IDs
-    hear only kinds 3 and 5, node 4 hears nothing, odd IDs hear every kind.
-    `got` keeps each node's inbox by round, `ran` every (round, node) run."""
-
-    __slots__ = ("got", "ran")
-
-    def __init__(self, vid, nbrs):
-        super().__init__(vid, nbrs)
-        self.got, self.ran = {}, []
-
-    @property
-    def hears(self):
-        if self.vid == 4:
-            return ()
-        return (3, 5) if self.vid % 2 == 0 else None
-
-    def on_round(self, rnd, inbox):
-        self.ran.append(rnd)
-        if inbox:
-            self.got[rnd] = list(inbox)
-        if rnd == 0:
-            return ((5, self.vid), (4,), (3, 1, self.vid), (3, 0))
-        return ()
-
-
-def test_undeclared_kind_never_reaches_node():
-    g = path_graph(5)  # IDs 1..6 in path order
-    nodes, _ = run_protocol(g, Picky)
-    for v in (2, 6):
-        assert {m[0] for _, m in nodes[v].got[1]} == {3, 5}
-    assert nodes[4].got == {} and nodes[4].ran == [0]  # hears nothing: runs in round 0 only
-    for v in (1, 3, 5):
-        assert {m[0] for _, m in nodes[v].got[1]} == {3, 4, 5}
-
-
-def test_cut_inbox_keeps_canonical_order():
-    g = path_graph(5)
-    nodes, _ = run_protocol(g, Picky)
-    # each sender's kinds in order, a kind's messages in payload order
-    assert nodes[3].got[1] == [(2, (3, 0)), (2, (3, 1, 2)), (2, (4,)), (2, (5, 2)),
-                               (4, (3, 0)), (4, (3, 1, 4)), (4, (4,)), (4, (5, 4))]
-    assert nodes[2].got[1] == [(1, (3, 0)), (1, (3, 1, 1)), (1, (5, 1)),
-                               (3, (3, 0)), (3, (3, 1, 3)), (3, (5, 3))]
-
-
-def test_round_zero_runs_nodes_that_hear_nothing():
-    ran = []
-
-    class Deaf(NodeProto):
-        hears = ()
-
-        def on_round(self, rnd, inbox):
-            ran.append((rnd, self.vid, len(inbox)))
-            return ((K_PING,),) if rnd == 0 else ()
-
-    g = path_graph(3)
-    _, res = run_protocol(g, Deaf)
-    assert ran == [(0, v, 0) for v in (1, 2, 3, 4)]  # nothing runs them again
-    assert res.rounds_used == 2
-
-
-def test_deliveries_counted_at_full_degree():
-    class Deaf(NodeProto):
-        hears = ()
-
-        def on_round(self, rnd, inbox):
-            return ((K_PING, self.vid),) if rnd == 0 else ()
-
-    g = path_graph(4)
-    _, heard = run_protocol(g, Picky)
-    _, deaf = run_protocol(g, Deaf)
-    deg = g.degrees()
-    assert deaf.deliveries == int(deg.sum())
-    assert heard.deliveries == 4 * int(deg.sum())
-    assert deaf.ledger.id_units_sent[1:].tolist() == [2] * g.n
-    assert heard.ledger.broadcasts_sent[1:].tolist() == [4] * g.n
-
-
 def test_round_limit_names_receivers_that_do_not_hear():
-    class Chatter(NodeProto):
-        """Nodes 1 and 2 answer each other every round; 3 and 4 hear nothing."""
-
-        @property
-        def hears(self):
-            return (K_PING,) if self.vid <= 2 else ()
-
-        def on_round(self, rnd, inbox):
-            return ((K_PING,),) if self.vid <= 2 else ()
-
+    # nodes 1 and 2 talk every round and no node acts on it; the default
+    # `waiting` still names every graph receiver, node 3 too
     g = path_graph(3)  # IDs 1..4 in path order
     with pytest.raises(RoundLimitExceeded) as e:
-        run_protocol(g, Chatter, max_rounds=3)
-    assert list(e.value.stuck) == [1, 2, 3]  # node 2's receivers, deaf node 3 too
+        run_protocol(Chatter(g, lambda v: v <= 2), max_rounds=3)
+    assert list(e.value.stuck) == [1, 2, 3]
