@@ -225,6 +225,27 @@ def test_distance_flood_members_at_zero():
     assert (field.comp2[g.ids] == 0).all()  # single component: no runner-up
 
 
+def test_distance_flood_memory_follows_nodes_not_ids():
+    # 200 nodes under IDs up to 10**7.  The ledger's two ID-indexed arrays,
+    # the kernel's six slot rows and the field's two float hop rows are the
+    # floor; the kernel settles each round over its deliveries, so a round
+    # with two or more ID-sized scratch arrays would break the bound
+    g = random_graph(200, 11, id_span=10**7)
+    comps = boundary.form_components(g, lowest_quarter(g))
+    mu_est = int(g.degrees()[g.ids].mean())
+    tracemalloc.start()
+    try:
+        field, res = boundary.distance_flood(g, comps.comp_of, mu_est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rounds_used > 2
+    central = boundary.central_distance_field(g, comps.components, mu_est)
+    assert np.array_equal(field.comp, central.comp)
+    id_array = 8 * (g.max_id + 1)
+    assert peak < 10.5 * id_array, peak / id_array
+
+
 def test_distance_flood_equals_bfs_and_central():
     rng = np.random.Generator(np.random.Philox(9))
     g = graph_from(rng.random((250, 2)) * 4.0)

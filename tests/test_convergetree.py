@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,23 @@ def test_tree_invariants_random(seed):
     g = random_graph(200, seed)
     build = convergetree.build_tree(g)
     convergetree.check_tree(g, build)  # spanning, acyclic, completion round
+
+
+def test_tree_memory_follows_nodes_not_ids():
+    # 200 nodes under IDs up to 10**7.  The ledger's two ID-indexed arrays
+    # and the kernel's dozen ID-indexed state rows are the floor; a round
+    # settles over its deliveries and a few passes over the rows, so each
+    # further ID-sized array kept or made per round counts against the bound
+    g = random_graph(200, 11, id_span=10**7)
+    tracemalloc.start()
+    try:
+        build = convergetree.build_tree(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    convergetree.check_tree(g, build)
+    id_array = 8 * (g.max_id + 1)
+    assert peak < 18.5 * id_array, peak / id_array
 
 
 def _edited_path_tree(field, v, value):
