@@ -43,6 +43,7 @@ K_TRB = 30     # (comp, seq)                 rollback: un-exclude seq's candidat
 K_TRBF = 31    # (comp, seq)                 relayed rollback
 
 FRAC_SCALE = 1 << 16  # fractional distances travel as 16-bit fixed point
+_UNSET = np.iinfo(np.int64).max  # a scatter-min slot before its first value
 
 
 class DegenerateHistogram(ValueError):
@@ -209,7 +210,9 @@ class _CompFloodRounds(RoundKernel):
     root with its origin.  Ties go to the smallest sender.  A relay keeps
     the best root it forwarded in its `root` slot; `_flood_components`
     clears it after the run.  Every round is settled over its deliveries
-    alone, so the only ID-indexed state is `fields`.
+    alone, so the only ID-indexed state is `fields`: the round's largest
+    root is scattered straight into the `root` row, and the smallest
+    sender of it into the `parent` row, with no sort and no scratch row.
     """
 
     def __init__(self, g: UnitDiskGraph, member: np.ndarray):
@@ -217,20 +220,23 @@ class _CompFloodRounds(RoundKernel):
         self.member = member
         self.fields = np.zeros((3, self.size), dtype=np.int64)
         self.root, self.parent, self.via = self.fields
-        m = self.ids[member[self.ids]]
+        ids = self.ids
+        m = ids[member[ids]]
         self.root[m] = m
-        # every node's member neighbours, ascending: the last is the largest
+        # every node's largest member neighbour goes straight into its root
+        # row (a member keeps its own ID if larger); a relay counts its
+        # member neighbours in its `via` slot, which a relay never uses
         v, lens = self.receivers(m)
-        order = np.argsort(v, kind="stable")
-        v, first, count = np.unique(v[order], return_index=True, return_counts=True)
-        top = np.repeat(m, lens)[order][first + count - 1]
-        mem = member[v]
-        self.root[v[~mem]] = top[~mem]
-        up = mem & (top > v)
-        self.root[v[up]] = self.parent[v[up]] = top[up]
-        send = up | (~mem & (count > 1))
+        np.maximum.at(self.root, v, np.repeat(m, lens))
+        np.add.at(self.via, v[~member[v]], 1)
+        mem = member[ids]
+        up = mem & (self.root[ids] > ids)
+        send = ids[up | (~mem & (self.via[ids] > 1))]
+        self.via[ids[~mem]] = 0
+        self.parent[ids[up]] = self.root[ids[up]]
+        top = self.root[send]
         # the round's (sender, root, origin); a member is its own origin
-        self.out = v[send], top[send], np.where(mem, v, top)[send]
+        self.out = send, top, np.where(member[send], send, top)
 
     def step(self, rnd: int) -> list:
         if rnd:
@@ -244,15 +250,21 @@ class _CompFloodRounds(RoundKernel):
         if not parts:
             return s, r, o
         v, r, o, s = (np.concatenate(x) for x in zip(*parts))
-        # per receiver the largest root, from the smallest sender
-        order = np.lexsort((s, -r, v))
-        first = np.ones(len(v), dtype=bool)
-        first[1:] = v[order][1:] != v[order][:-1]
-        v, r, o, s = (x[order][first] for x in (v, r, o, s))
+        # every candidate beats its receiver's root: the largest lands in
+        # the root row, and the smallest sender of it in the parent row,
+        # which is rewritten at a member and unused at a relay
+        np.maximum.at(self.root, v, r)
+        i = np.flatnonzero(r == self.root[v])
+        v, r, o, s = v[i], r[i], o[i], s[i]
+        self.parent[v] = self.size
+        np.minimum.at(self.parent, v, s)
+        i = np.flatnonzero(s == self.parent[v])  # a sender delivers to v once
+        i = i[np.argsort(v[i])]
+        v, r, o, s = v[i], r[i], o[i], s[i]
         mem = self.member[v]
-        self.root[v] = r
+        self.parent[v] = np.where(mem, o, 0)
         m, s = v[mem], s[mem]
-        self.parent[m], self.via[m] = o[mem], np.where(self.member[s], 0, s)
+        self.via[m] = np.where(self.member[s], 0, s)
         return v, r, np.where(mem, v, o)
 
     def _candidates(self, s, r, o) -> tuple:
@@ -260,9 +272,9 @@ class _CompFloodRounds(RoundKernel):
         a relay's only from members: (receiver, root, origin, sender)."""
         v, lens = self.receivers(s)
         k = np.repeat(np.arange(len(s)), lens)
-        take = (r[k] > self.root[v]) & (self.member[s][k] | self.member[v])
-        k = k[take]
-        return v[take], r[k], o[k], s[k]
+        i = np.flatnonzero((r[k] > self.root[v]) & (self.member[s][k] | self.member[v]))
+        k = k[i]
+        return v[i], r[k], o[k], s[k]
 
     def state_name(self, v: int) -> str:
         return f"compflood(member={bool(self.member[v])})"
@@ -332,11 +344,13 @@ class _CompOrgRounds(RoundKernel):
             relays = np.flatnonzero(self.named)
             v, lens = self.receivers(m)
             s = np.repeat(m, lens)
-            v, s = v[~self.member[v]], s[~self.member[v]]
-            # deliveries run in sender order: the first per v is its
-            # smallest member neighbour, which counts the NEAR in round 2
-            v, first = np.unique(v, return_index=True)
-            np.add.at(self.near_reg, s[first], 1)
+            i = np.flatnonzero(~self.member[v])
+            # each non-member's smallest member neighbour counts its NEAR
+            # in round 2
+            low = np.full(self.size, self.size)
+            np.minimum.at(low, v[i], s[i])
+            v = np.flatnonzero(low < self.size)
+            np.add.at(self.near_reg, low[v], 1)
             return [(K_JAGG, relays, 1 + 3 * self.named[relays]), (K_NEAR, v, 2)]
         if rnd == 2:
             self.pending[m] = self.kids[m]
@@ -491,7 +505,13 @@ class _DistRounds(RoundKernel):
     round r a node with a free slot takes every component it does not hold
     yet from its smallest sender, at distance r + 1 and with that sender's
     anchor (its own offset at distance 1); its free slots fill smallest
-    component first, and it re-broadcasts exactly the slots it filled."""
+    component first, and it re-broadcasts exactly the slots it filled.
+
+    A round is settled by scatter-minima into the free slots themselves:
+    the smallest candidate component (and, where both slots are free, the
+    next smallest) into the `c` row, then the position of the first
+    candidate of each filled slot into its `q` row, so no sort runs over
+    the candidates and no ID-sized scratch is made."""
 
     def __init__(self, g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int):
         super().__init__(g)
@@ -512,33 +532,46 @@ class _DistRounds(RoundKernel):
 
     def _settle(self, rnd, s, c, q) -> tuple:
         # the round's deliveries in pieces, each cut down to the candidates
-        # their receiver can take
+        # their receiver can take; candidates run in sender order
         parts = [self._candidates(s[p], c[p], q[p]) for p in self.pieces(s)]
         v, c, q = (np.concatenate(x) for x in zip(*parts))
-        # per (receiver, component) the first candidate; candidates run in
-        # sender order, so the stable sort puts the smallest sender first
-        order = np.lexsort((c, v))
-        v, c, q = v[order], c[order], q[order]
-        first = np.ones(len(v), dtype=bool)
-        first[1:] = (v[1:] != v[:-1]) | (c[1:] != c[:-1])
-        v, c, q = v[first], c[first], q[first]
-        # the free slots, smallest component first
-        slot = np.arange(len(v)) - np.searchsorted(v, v) + (self.c[0, v] != 0)
-        fill = slot < 2
-        v, c, q, slot = v[fill], c[fill], q[fill], slot[fill]
+        size = self.size
+        cf, qf = self.c.reshape(-1), self.q.reshape(-1)  # slot j of v at j * size + v
+        # the first free slot takes the receiver's smallest candidate
+        # component and, where both are free, the second the next smallest
+        at = np.where(self.c[0, v] != 0, size + v, v)
+        cf[at] = _UNSET
+        np.minimum.at(cf, at, c)
+        two = np.flatnonzero((at == v) & (c != cf[at]))
+        cf[size + v[two]] = _UNSET
+        np.minimum.at(cf, size + v[two], c[two])
+        at[two] = size + v[two]
+        i = np.flatnonzero(c == cf[at])
+        at, q = at[i], q[i]
+        # per filled slot its first candidate, the smallest sender: the
+        # slot's anchor, still free, holds the smallest candidate position
+        pos = np.arange(len(at))
+        qf[at] = len(at)
+        np.minimum.at(qf, at, pos)
+        i = np.flatnonzero(qf[at] == pos)
+        at, q = at[i], q[i]
+        order = np.argsort(at % size * 2 + at // size)  # by receiver, then slot
+        at, q = at[order], q[order]
+        v = at % size
         if rnd == 0:
             q = _own_frac_units(self.degree(v), self.mu_est)
-        self.d[slot, v], self.c[slot, v], self.q[slot, v] = rnd + 1, c, q
-        return v, c, q
+        self.d.reshape(-1)[at] = rnd + 1
+        qf[at] = q
+        return v, cf[at], q
 
     def _candidates(self, s, c, q) -> tuple:
         """The deliveries of these messages to a receiver with a free slot
         that does not hold their component yet."""
         v, lens = self.receivers(s)
         k = np.repeat(np.arange(len(s)), lens)
-        c = c[k]
-        take = (self.c[1, v] == 0) & (self.c[0, v] != c)
-        return v[take], c[take], q[k[take]]
+        i = np.flatnonzero((self.c[1, v] == 0) & (self.c[0, v] != c[k]))
+        k = k[i]
+        return v[i], c[k], q[k]
 
     def state_name(self, v: int) -> str:
         slots = [(int(self.d[j, v]), int(self.c[j, v]), int(self.q[j, v]))
@@ -687,7 +720,8 @@ class _TokenRounds(RoundKernel):
     hears the new query before the choice, and replies first.
 
     Per node only the exclusion `mark` (0 none, -1 has held the token,
-    else the pass that passed it over) is an ID-indexed array; the links
+    else the pass that passed it over) and the two scratch rows that
+    `_ask` scatters N(h)'s rows into are ID-indexed arrays; the links
     (`prev`) and each holder's (last seq, steps) are kept by holder."""
 
     def __init__(self, g: UnitDiskGraph, comps: ComponentsResult):
@@ -695,6 +729,10 @@ class _TokenRounds(RoundKernel):
         self.comp_of = comps.comp_of
         self.sizes = {c.component_id: c.size for c in comps.components}
         self.mark = np.zeros(self.size, dtype=np.int64)
+        # `_ask`'s scratch: per node the rows of N(h) that hold it, and its
+        # first position among them (_UNSET: none)
+        self.hits = np.zeros(self.size, dtype=np.int64)
+        self.first = np.full(self.size, _UNSET, dtype=np.int64)
         self.prev: dict[int, tuple[int, int]] = {}  # holder -> (holder before it, via)
         self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, steps)
         self.closed: set[int] = set()
@@ -770,15 +808,22 @@ class _TokenRounds(RoundKernel):
     def _ask(self, p: _Pass) -> None:
         nb = p.nbrs
         self._send(K_TQF, nb, 4 + len(nb), p.comp)
-        # one count of the neighbours' rows gives every score: the first
-        # occurrence of c lies in the row of its smallest common neighbour
+        # one pass over the neighbours' rows gives every score: c's count of
+        # rows, and its first position, in the row of its smallest common
+        # neighbour, both scattered into scratch rows cleared after reading
         pos, lens = csr_rows(self.indptr, nb)
-        ring, first, count = np.unique(self.indices[pos], return_index=True,
-                                       return_counts=True)
-        p.ring = ring, count, np.repeat(nb, lens)[first]
+        u = self.indices[pos]
+        pos = np.arange(len(u))
+        np.add.at(self.hits, u, 1)
+        np.minimum.at(self.first, u, pos)
+        first = np.flatnonzero(self.first[u] == pos)
+        first = first[np.argsort(u[first])]
+        ring = u[first]
+        p.ring = ring, self.hits[ring], np.repeat(nb, lens)[first]
         u = nb[self._eligible(nb, p.comp)]
-        at = np.minimum(np.searchsorted(ring, u), len(ring) - 1)
-        self._reply(p, u, np.where(ring[at] == u, count[at], 0), np.zeros_like(u))
+        self._reply(p, u, self.hits[u], np.zeros_like(u))
+        self.hits[ring] = 0
+        self.first[ring] = _UNSET
         if p.undo:
             self._send(K_TRBF, nb, 3, p.comp)
             self._undo(p, nb)

@@ -232,11 +232,16 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
         warnings.append(
             f"density warning: mean degree {mean_deg:.1f} (paper assumes "
             f"every node reaches at least 100 others)")
-    if not netgraph.is_connected(g):
-        raise GraphDisconnected(g.n, netgraph.component_count(g))
 
     with phase("tree"):
-        tree = convergetree.build_tree(g, trace=tr)
+        try:
+            tree = convergetree.build_tree(g, trace=tr)
+        except RuntimeError:
+            # the tree is the connectivity check: on a disconnected graph
+            # it ends with one root per component and raises
+            if netgraph.is_connected(g):
+                raise
+            raise GraphDisconnected(g.n, netgraph.component_count(g)) from None
     cost("tree", tree.result)
     convergetree.check_tree(g, tree)
 

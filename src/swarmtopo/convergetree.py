@@ -10,9 +10,12 @@ tree: `aggregate` convergecasts them up it, and `broadcast_down` sends the
 root's value back down it, re-sent only by nodes with children.
 
 All three protocols run as array round kernels (`simkernel.RoundKernel`):
-each round is a few numpy gathers and segment reductions over the CSR
-rows of the nodes that broadcast, driven by `simkernel.run_protocol` under
-its delivery, cost and trace contract.
+each round is a few numpy gathers and scatter reductions (`ufunc.at`)
+over the CSR rows of the nodes that broadcast, driven by
+`simkernel.run_protocol` under its delivery, cost and trace contract.
+The tree settles its STATE deliveries a bounded number at a time, and
+tests "every neighbour announces my root" on a running sum of the roots
+each node's neighbours announced, never by rescanning adjacency rows.
 
 The finished tree is `TreeBuild`: the kernel's ID-indexed arrays (parent,
 subtree size, learned n, completion round) and the root.  `aggregate`,
@@ -98,18 +101,29 @@ class _TreeRounds(RoundKernel):
     A round takes the messages broadcast in the previous one, per kind as
     (senders ascending, field, field), runs every node that received one
     and returns the round's own broadcasts.  Nodes read one another only
-    through what was broadcast: the last STATE and REPORT of each sender.
+    through what was broadcast: the last STATE and REPORT heard from each
+    sender (`said_*` and `rep_*`, recorded as the round's deliveries are
+    settled) and `nbsum`, the sum of the roots v's neighbours last
+    announced, which moves by each STATE sender's new root minus its old.
 
     The rules, per receiving node v, in inbox order (sender, kind), from
     round 1 on (round 0 is `_first_round`):
     STATE (root, parent): adopt the largest announced root above v's own,
     with the smallest sender announcing it as parent, and announce it.
+    STATE deliveries are settled a bounded number at a time (`pieces`).
     DONE (root, n): taken once, from the smallest sender whose root equals
     v's root before this round; forwarded only by a node with children.
     REPORT (root, size): once every neighbour announces v's root and every
     neighbour naming v as parent has reported under it, v reports its
     subtree size under that root (again on every new root).  A root that
     reports is complete and starts the DONE flood down its tree.
+
+    No neighbour ever announces a root above v's own (round 0 takes the
+    largest ID of the closed neighbourhood, later rounds the largest root
+    heard), so every neighbour announces root[v] exactly when
+    nbsum[v] == deg(v) * root[v].  The rule's inputs change only at a node
+    that hears a STATE or a child's REPORT, so checking every node not yet
+    done each round finds the nodes that report.
     """
 
     def __init__(self, g: UnitDiskGraph):
@@ -124,12 +138,17 @@ class _TreeRounds(RoundKernel):
         self.done = np.zeros(size, dtype=bool)
         self.n_total = np.zeros(size, dtype=np.int64)
         self.completion = np.full(size, -1, dtype=np.int64)
-        # the last STATE and REPORT each node broadcast; a node that has
+        # the last STATE and REPORT heard from each node; a node that has
         # announced nothing is read as its own root
         self.said_root = np.arange(size, dtype=np.int64)
         self.said_parent = np.zeros(size, dtype=np.int64)
         self.rep_root = np.zeros(size, dtype=np.int64)
         self.rep_size = np.zeros(size, dtype=np.int64)
+        self.nbsum = np.zeros(size, dtype=np.int64)
+        rows = self.ids[self.degree(self.ids) > 0]
+        if len(rows):  # rows between two of these are empty
+            self.nbsum[rows] = np.add.reduceat(self.indices, self.indptr[rows])
+        self.deg = self.degree(self.ids)
         self.msgs: dict = {}
 
     def step(self, rnd: int) -> list:
@@ -157,43 +176,31 @@ class _TreeRounds(RoundKernel):
         new, top = talk[top > talk], top[top > talk]
         self.root[new] = self.parent[new] = top
         self.wake = talk
-        return self._publish({K_STATE: (new, top, top)})
+        return {K_STATE: (new, top, top)}
 
-    def _publish(self, msgs: dict) -> dict:
-        """Record the round's STATE and REPORT broadcasts, which the
-        neighbours read from the next round on."""
-        if K_STATE in msgs:
-            s, r, p = msgs[K_STATE]
-            self.said_root[s] = r
-            self.said_parent[s] = p
+    def _settle(self, rnd: int, msgs: dict) -> dict:
+        root, done, parent = self.root, self.done, self.parent
+        out = {}
+        done_out = []
+        self.wake = self.wake[:0]
         if K_REPORT in msgs:
             s, r, n = msgs[K_REPORT]
             self.rep_root[s] = r
             self.rep_size[s] = n
-        return msgs
-
-    def _settle(self, rnd: int, msgs: dict) -> dict:
-        indptr, indices, size = self.indptr, self.indices, self.size
-        root, done = self.root, self.done
-        out = {}
-        done_out = []
-        # the report rule can change only at a node that heard a STATE or
-        # whose child reported, or that waits on its round-0 timer; DONE
-        # changes no node's rule
-        heard = np.zeros(size, dtype=bool)
-        heard[self.wake] = True
-        self.wake = self.wake[:0]
-        if K_REPORT in msgs:
-            heard[self.said_parent[msgs[K_REPORT][0]]] = True
 
         if K_DONE in msgs:
             s, r, n = msgs[K_DONE]
             v, lens = self.receivers(s)
             k = np.repeat(np.arange(len(s)), lens)
-            take = ~done[v] & (r[k] == root[v])
-            # deliveries run in sender order, so the first is the smallest sender
-            v, first = np.unique(v[take], return_index=True)
-            k = k[take][first]
+            take = np.flatnonzero(~done[v] & (r[k] == root[v]))
+            v, k = v[take], k[take]
+            # deliveries run in sender order, so a receiver's smallest
+            # position is its smallest sender; the completion row of a node
+            # taking DONE is free until this round, so it holds that minimum
+            self.completion[v] = len(v)
+            np.minimum.at(self.completion, v, np.arange(len(v)))
+            first = np.flatnonzero(self.completion[v] == np.arange(len(v)))
+            v, k = v[first], k[first]
             done[v] = True
             self.completion[v] = rnd
             self.n_total[v] = n[k]
@@ -201,36 +208,42 @@ class _TreeRounds(RoundKernel):
             done_out.append((v[fwd], r[k][fwd], n[k][fwd]))
 
         if K_STATE in msgs:
-            s, r, _ = msgs[K_STATE]
-            v, lens = self.receivers(s)
-            heard[v] = True
-            best = np.zeros(size, dtype=np.int64)
-            # largest root first, then the smallest sender
-            np.maximum.at(best, v, np.repeat(r * size + (size - 1 - s), lens))
-            best_root = best // size
-            new = np.flatnonzero(best_root > root)
-            root[new] = best_root[new]
-            self.parent[new] = size - 1 - best[new] % size
-            out[K_STATE] = (new, root[new], self.parent[new])
+            s, r, p = msgs[K_STATE]
+            delta = r - self.said_root[s]
+            self.said_root[s] = r
+            self.said_parent[s] = p
+            cand = []
+            for piece in self.pieces(s):
+                v, lens = self.receivers(s[piece])
+                k = np.repeat(np.arange(piece.start, piece.stop), lens)
+                np.add.at(self.nbsum, v, delta[k])
+                # a root above v's own; pieces run in sender order, so one
+                # that an earlier piece's equal root beat is not the winner
+                up = np.flatnonzero(r[k] > root[v])
+                v, k = v[up], k[up]
+                np.maximum.at(root, v, r[k])
+                cand.append((v, k))
+            v, k = (np.concatenate(x) for x in zip(*cand))
+            win = np.flatnonzero(r[k] == root[v])
+            v, s_win = v[win], s[k[win]]
+            # the smallest sender announcing the new root is the parent; a
+            # sender delivers to v once, so exactly one delivery matches it
+            parent[v] = self.size
+            np.minimum.at(parent, v, s_win)
+            new = np.sort(v[s_win == parent[v]])
+            out[K_STATE] = (new, root[new], parent[new])
 
         # a node with a child that has not reported under the child's root
         # fails the rule whatever that root is
         ids, said, kid_of = self.ids, self.said_root, self.said_parent[self.ids]
-        waiting = np.bincount(kid_of, weights=self.rep_root[ids] != said[ids], minlength=size)
-        cand = np.flatnonzero(heard & ~done & (self.reported != root) & (waiting == 0))
-        # most candidates still have a neighbour on another root: rule them
-        # out on the first and last neighbour before scanning whole rows
-        cand = cand[(said[indices[indptr[cand]]] == root[cand])
-                    & (said[indices[indptr[cand + 1] - 1]] == root[cand])]
-        if len(cand):
-            # every child has reported, so only a neighbour on another root
-            # fails the rule; the children are then every node naming v
-            pos, lens = csr_rows(indptr, cand)
-            bad = said[indices[pos]] != np.repeat(root[cand], lens)
-            rep = cand[~np.logical_or.reduceat(bad, np.cumsum(lens) - lens)]
-            self.n_children[rep] = np.bincount(kid_of, minlength=size)[rep]
+        waiting = np.bincount(kid_of, weights=self.rep_root[ids] != said[ids], minlength=self.size)
+        rep = ids[~done[ids] & (self.reported[ids] != root[ids]) & (waiting[ids] == 0)
+                  & (self.nbsum[ids] == self.deg * root[ids])]
+        if len(rep):
+            # every child has reported; the children are every node naming v
+            self.n_children[rep] = np.bincount(kid_of, minlength=self.size)[rep]
             sizes = 1 + np.bincount(kid_of, weights=self.rep_size[ids],
-                                    minlength=size)[rep].astype(np.int64)
+                                    minlength=self.size)[rep].astype(np.int64)
             self.subtree[rep] = sizes
             self.reported[rep] = root[rep]
             is_root = root[rep] == rep
@@ -248,7 +261,7 @@ class _TreeRounds(RoundKernel):
             order = np.argsort(s, kind="stable")
             out[K_DONE] = tuple(np.concatenate([d[i] for d in done_out])[order]
                                 for i in range(3))
-        return self._publish(out)
+        return out
 
     def state_name(self, v: int) -> str:
         return f"tree(root={self.root[v]},reported={bool(self.reported[v] == self.root[v])})"
@@ -384,20 +397,16 @@ class _AggRounds(RoundKernel):
             par = self.listener[self.sent]
             heard = par != 0
             kid, par = self.sent[heard], par[heard]
-            # the children grouped by parent, each group combined at once
-            order = np.argsort(par)
-            kid, par = kid[order], par[order]
-            start = np.flatnonzero(np.diff(par, prepend=0))  # IDs are positive
-            count = np.diff(start, append=len(par))
-            par = par[start]
-            self.acc[par] = self.combine(self.acc[par], self.combine.reduceat(self.acc[kid], start))
+            # each child's row scattered into its parent's
+            self.combine.at(self.acc, par, self.acc[kid])
             if self.exact is not None:
                 val = self.acc[kid].astype(float)
                 inner = self.row[kid] >= 0
                 val[inner] = self.exact[self.row[kid[inner]]]
-                self.exact[self.row[par]] += np.add.reduceat(val, start)
-            self.pending[par] -= count
-            ready = par[(self.pending[par] == 0) & self.has_parent[par]]
+                np.add.at(self.exact, self.row[par], val)
+            np.subtract.at(self.pending, par, 1)
+            par = par[self.pending[par] == 0]
+            ready = np.unique(par[self.has_parent[par]])
         self.sent = ready
         return [(K_AGG, ready, _window_units(self.acc[ready]) if self.windowed else 2)]
 

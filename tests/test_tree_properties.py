@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmtopo import convergetree
-from conftest import connected_graphs, distinct_ids, graph_from
+from swarmtopo.simkernel import run_protocol
+from conftest import any_graphs, connected_graphs, distinct_ids, graph_from
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -41,3 +42,28 @@ def test_build_tree_two_disconnected_nodes_raise(ids, gap):
         convergetree.build_tree(g)
     with pytest.raises(ValueError, match="graph disconnected"):
         convergetree.central_tree(g)
+
+
+class _CheckedTree(convergetree._TreeRounds):
+    """The tree kernel, checking after every round the two facts its report
+    rule rests on: each node's running sum is the sum of the roots its
+    neighbours last announced, and none of those roots is above its own."""
+
+    rounds = 0
+
+    def step(self, rnd):
+        out = super().step(rnd)
+        for v in self.ids.tolist():
+            said = self.said_root[self.indices[self.indptr[v]:self.indptr[v + 1]]]
+            assert self.nbsum[v] == said.sum(), (rnd, v)
+            assert (self.root[v] >= said).all(), (rnd, v)
+        self.rounds += 1
+        return out
+
+
+@SETTINGS
+@given(any_graphs)
+def test_tree_neighbour_sum_tracks_announced_roots(g):
+    kernel = _CheckedTree(g)
+    res = run_protocol(kernel)
+    assert kernel.rounds == res.rounds_used
