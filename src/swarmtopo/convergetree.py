@@ -258,7 +258,7 @@ class _TreeRounds(RoundKernel):
 
         if done_out:
             s = np.concatenate([d[0] for d in done_out])
-            order = np.argsort(s, kind="stable")
+            order = np.argsort(s)  # a node sends DONE once
             out[K_DONE] = tuple(np.concatenate([d[i] for d in done_out])[order]
                                 for i in range(3))
         return out
@@ -332,7 +332,7 @@ def _agg_inputs(g: UnitDiskGraph, op: AggOp, values) -> np.ndarray:
                 and arr[g.ids].max() > np.iinfo(np.int64).max)):
         shape = "equal-length rows" if ndim == 2 else "scalars"
         raise ValueError(f"{op.value} takes ID-indexed integer {shape} that fit in int64")
-    out = arr.astype(np.int64)
+    out = arr.astype(np.int64, order="C")
     return out if ndim == 2 else out[:, None]
 
 
@@ -357,6 +357,15 @@ def _window_units(rows: np.ndarray) -> np.ndarray:
     lo = nz.argmax(axis=1)
     hi = rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
     return np.where(nz.any(axis=1), 3 + hi - lo, 1)
+
+
+def _scatter_rows(ufunc, dest: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """`ufunc.at` of each row of `values` into row `rows[i]` of the
+    C-contiguous `dest`, element by element through its flat view: a 1-D
+    `ufunc.at` is several times faster than one over whole rows."""
+    cols = dest.shape[1]
+    at = (rows[:, None] * cols + np.arange(cols)).reshape(-1)
+    ufunc.at(dest.reshape(-1), at, values.reshape(-1))
 
 
 class _AggRounds(RoundKernel):
@@ -398,12 +407,12 @@ class _AggRounds(RoundKernel):
             heard = par != 0
             kid, par = self.sent[heard], par[heard]
             # each child's row scattered into its parent's
-            self.combine.at(self.acc, par, self.acc[kid])
+            _scatter_rows(self.combine, self.acc, par, self.acc[kid])
             if self.exact is not None:
                 val = self.acc[kid].astype(float)
                 inner = self.row[kid] >= 0
                 val[inner] = self.exact[self.row[kid[inner]]]
-                np.add.at(self.exact, self.row[par], val)
+                _scatter_rows(np.add, self.exact, self.row[par], val)
             np.subtract.at(self.pending, par, 1)
             par = par[self.pending[par] == 0]
             ready = np.unique(par[self.has_parent[par]])
