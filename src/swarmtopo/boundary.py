@@ -256,7 +256,7 @@ class _CompFloodRounds(RoundKernel):
         np.maximum.at(self.root, v, r)
         i = np.flatnonzero(r == self.root[v])
         v, r, o, s = v[i], r[i], o[i], s[i]
-        self.parent[v] = self.size
+        self.parent[v] = _UNSET
         np.minimum.at(self.parent, v, s)
         i = np.flatnonzero(s == self.parent[v])  # a sender delivers to v once
         i = i[np.argsort(v[i])]
@@ -347,9 +347,9 @@ class _CompOrgRounds(RoundKernel):
             i = np.flatnonzero(~self.member[v])
             # each non-member's smallest member neighbour counts its NEAR
             # in round 2
-            low = np.full(self.size, self.size)
+            low = np.full(self.size, _UNSET)
             np.minimum.at(low, v[i], s[i])
-            v = np.flatnonzero(low < self.size)
+            v = np.flatnonzero(low != _UNSET)
             np.add.at(self.near_reg, low[v], 1)
             return [(K_JAGG, relays, 1 + 3 * self.named[relays]), (K_NEAR, v, 2)]
         if rnd == 2:

@@ -144,11 +144,11 @@ class _TreeRounds(RoundKernel):
         self.said_parent = np.zeros(size, dtype=np.int64)
         self.rep_root = np.zeros(size, dtype=np.int64)
         self.rep_size = np.zeros(size, dtype=np.int64)
+        self.deg = self.degree(self.ids)
         self.nbsum = np.zeros(size, dtype=np.int64)
-        rows = self.ids[self.degree(self.ids) > 0]
+        rows = self.ids[self.deg > 0]
         if len(rows):  # rows between two of these are empty
             self.nbsum[rows] = np.add.reduceat(self.indices, self.indptr[rows])
-        self.deg = self.degree(self.ids)
         self.msgs: dict = {}
 
     def step(self, rnd: int) -> list:
@@ -164,8 +164,7 @@ class _TreeRounds(RoundKernel):
         waits on a timer into round 1, where the report rule is first
         checked.  A node without neighbours has heard them all and completes
         at once as its own root."""
-        ids = self.ids
-        deg = self.degree(ids)
+        ids, deg = self.ids, self.deg
         lone = ids[deg == 0]
         self.reported[lone] = lone
         self.done[lone] = True
