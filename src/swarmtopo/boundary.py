@@ -813,10 +813,10 @@ class _TokenRounds(RoundKernel):
         # neighbour, both scattered into scratch rows cleared after reading
         pos, lens = csr_rows(self.indptr, nb)
         u = self.indices[pos]
-        pos = np.arange(len(u))
+        at = np.arange(len(u))
         np.add.at(self.hits, u, 1)
-        np.minimum.at(self.first, u, pos)
-        first = np.flatnonzero(self.first[u] == pos)
+        np.minimum.at(self.first, u, at)
+        first = np.flatnonzero(self.first[u] == at)
         first = first[np.argsort(u[first])]
         ring = u[first]
         p.ring = ring, self.hits[ring], np.repeat(nb, lens)[first]
