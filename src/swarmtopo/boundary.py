@@ -539,7 +539,7 @@ class _DistRounds(RoundKernel):
         cf, qf = self.c.reshape(-1), self.q.reshape(-1)  # slot j of v at j * size + v
         # the first free slot takes the receiver's smallest candidate
         # component and, where both are free, the second the next smallest
-        at = np.where(self.c[0, v] != 0, size + v, v)
+        at = np.where(self.c[0][v] != 0, size + v, v)
         cf[at] = _UNSET
         np.minimum.at(cf, at, c)
         two = np.flatnonzero((at == v) & (c != cf[at]))
@@ -569,7 +569,8 @@ class _DistRounds(RoundKernel):
         that does not hold their component yet."""
         v, lens = self.receivers(s)
         k = np.repeat(np.arange(len(s)), lens)
-        i = np.flatnonzero((self.c[1, v] == 0) & (self.c[0, v] != c[k]))
+        c0, c1 = self.c  # row views: a 1-D gather is faster than self.c[j, v]
+        i = np.flatnonzero((c1[v] == 0) & (c0[v] != c[k]))
         k = k[i]
         return v[i], c[k], q[k]
 

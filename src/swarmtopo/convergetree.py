@@ -214,14 +214,15 @@ class _TreeRounds(RoundKernel):
             cand = []
             for piece in self.pieces(s):
                 v, lens = self.receivers(s[piece])
-                k = np.repeat(np.arange(piece.start, piece.stop), lens)
-                np.add.at(self.nbsum, v, delta[k])
+                np.add.at(self.nbsum, v, np.repeat(delta[piece], lens))
                 # a root above v's own; pieces run in sender order, so one
                 # that an earlier piece's equal root beat is not the winner
-                up = np.flatnonzero(r[k] > root[v])
-                v, k = v[up], k[up]
-                np.maximum.at(root, v, r[k])
-                cand.append((v, k))
+                rk = np.repeat(r[piece], lens)
+                up = np.flatnonzero(rk > root[v])
+                v, rk = v[up], rk[up]
+                np.maximum.at(root, v, rk)
+                # the sender of each such delivery, by its position
+                cand.append((v, np.searchsorted(np.cumsum(lens), up, side="right") + piece.start))
             v, k = (np.concatenate(x) for x in zip(*cand))
             win = np.flatnonzero(r[k] == root[v])
             v, s_win = v[win], s[k[win]]
