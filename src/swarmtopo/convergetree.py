@@ -196,9 +196,10 @@ class _TreeRounds(RoundKernel):
             # deliveries run in sender order, so a receiver's smallest
             # position is its smallest sender; the completion row of a node
             # taking DONE is free until this round, so it holds that minimum
+            at = np.arange(len(v))
             self.completion[v] = len(v)
-            np.minimum.at(self.completion, v, np.arange(len(v)))
-            first = np.flatnonzero(self.completion[v] == np.arange(len(v)))
+            np.minimum.at(self.completion, v, at)
+            first = np.flatnonzero(self.completion[v] == at)
             v, k = v[first], k[first]
             done[v] = True
             self.completion[v] = rnd
