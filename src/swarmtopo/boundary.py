@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows
+from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows, hop_bfs
 from .simkernel import RoundKernel, RunResult, run_protocol
 
 # message kinds (disjoint from the convergetree range)
@@ -108,7 +108,6 @@ def _bin_representatives(delta: int, bins: int) -> np.ndarray:
     """Rounded midpoint of each bin's integer degree range.
 
     Bin b holds the integer degrees d with d*bins//delta == b, so its
-
     representative is the midpoint of [ceil(b*delta/bins), hi] where hi is
     the largest degree mapping to b; the exact-range midpoint makes a
     single-degree census estimate that degree exactly.
@@ -609,8 +608,6 @@ def central_distance_field(g: UnitDiskGraph, components: list[BoundaryComponent]
     """Centralized twin: per-component BFS, then per node the best two by
     (distance, component id), with anchors assembled over smallest-ID
     predecessors exactly as the synchronous flood does."""
-    from .netgraph import hop_bfs
-
     m = g.max_id
     k = len(components)
     hop = np.full(m + 1, np.inf)

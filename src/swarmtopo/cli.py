@@ -42,8 +42,8 @@ class UsageError(ValueError):
 
 
 # --bins: the histogram needs 16 bins.  The census has at most delta + 1
-# nonempty ones (delta is 169-228 from 13k to 45k nodes), and the pipeline's
-# one-hot census holds (max ID + 1) x bins integers, so more only cost memory
+# nonempty ones (delta is 169-228 from 13k to 45k nodes), and the histogram
+# convergecast accumulates (max ID + 1) x bins integers, so more only cost memory
 MIN_BINS, MAX_BINS = 16, 256
 
 
@@ -255,13 +255,12 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 
     bins = config.bin_count
     deg = g.degrees()
-    onehots = np.zeros((g.max_id + 1, bins), dtype=np.int64)
-    onehots[g.ids, netgraph.degree_bin(deg[g.ids], delta_val, bins)] = 1
+    bin_of = netgraph.degree_bin(deg, delta_val, bins)
     with phase("agg_histogram"):
         hist_counts, res = convergetree.aggregate(g, tree, convergetree.AggOp.HISTOGRAM_MERGE,
-                                                  onehots, trace=tr)
+                                                  bin_of, bins, trace=tr)
     cost("agg_histogram", res)
-    hist = netgraph.histogram_from_counts(hist_counts, delta_val)
+    hist = netgraph.DegreeHistogram(bins, np.array(hist_counts, dtype=np.int64), delta_val)
     density = boundary.estimate_mu(hist, mu_analytic=mu_an)
 
     sweep = None

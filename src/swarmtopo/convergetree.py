@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,13 +40,12 @@ K_REPORT = 2  # (root, size)        convergecast: subtree size under `root`
 K_DONE = 3    # (root, n)           root's completion flood down the tree
 K_AGG = 4     # (value,)            aggregation convergecast; a histogram row
               #                     goes as (lo, c_lo, ..., c_hi), the window from
-              #                     its first to its last nonzero bin, () if all zero
+              #                     its first to its last nonzero bin
 K_VAL = 5     # (*value)            a value broadcast down the tree
 
 
 class AggOp(enum.Enum):
     MAX = "max"
-    SUM = "sum"
     HISTOGRAM_MERGE = "histogram_merge"
 
 
@@ -316,25 +314,27 @@ def central_tree(g: UnitDiskGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return parent, subtree, n_total
 
 
-def _agg_inputs(g: UnitDiskGraph, op: AggOp, values) -> np.ndarray:
-    """The inputs as an ID-indexed int64 array with one column per field:
-    integer scalars, or for HISTOGRAM_MERGE equal-length integer rows.  An
-    array input is already ID-indexed and is copied once, with whatever its
-    unused IDs hold: no kernel reads those rows."""
-    if isinstance(values, np.ndarray):
-        arr = values[:g.max_id + 1]
-    else:
-        raw = np.asarray([values[v] for v in g.id_list])
-        arr = np.zeros((g.max_id + 1,) + raw.shape[1:], dtype=raw.dtype)
-        arr[g.ids] = raw
-    ndim = 2 if op is AggOp.HISTOGRAM_MERGE else 1
-    if (arr.ndim != ndim or arr.dtype.kind not in "biu" or len(arr) <= g.max_id
-            or (arr.dtype.kind == "u" and arr.size
-                and arr[g.ids].max() > np.iinfo(np.int64).max)):
-        shape = "equal-length rows" if ndim == 2 else "scalars"
-        raise ValueError(f"{op.value} takes ID-indexed integer {shape} that fit in int64")
-    out = arr.astype(np.int64, order="C")
-    return out if ndim == 2 else out[:, None]
+def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray, bins: int) -> np.ndarray:
+    """The kernel's accumulator, an ID-indexed int64 array with one column
+    per field, built once from the ID-indexed integer array `values`: for
+    MAX its scalars, for HISTOGRAM_MERGE a row of `bins` counts holding a 1
+    in each node's bin.  The rows of unused IDs hold what `values` holds
+    there, or zeros for HISTOGRAM_MERGE: no kernel reads them."""
+    hist = op is AggOp.HISTOGRAM_MERGE
+    ok = (isinstance(values, np.ndarray) and values.ndim == 1
+          and values.dtype.kind in "biu" and len(values) > g.max_id)
+    if ok:
+        own = values[g.ids]
+        ok = (0 <= own.min() and own.max() < bins if hist else
+              values.dtype.kind != "u" or own.max() <= np.iinfo(np.int64).max)
+    if not ok:
+        what = f"bin indices in [0, {bins})" if hist else "scalars within int64"
+        raise ValueError(f"{op.value} takes ID-indexed integer {what}")
+    if not hist:
+        return values[:g.max_id + 1].astype(np.int64)[:, None]
+    acc = np.zeros((g.max_id + 1, bins), dtype=np.int64)
+    acc[g.ids, own] = 1
+    return acc
 
 
 def _tree_links(g: UnitDiskGraph, parent: np.ndarray) -> np.ndarray:
@@ -351,13 +351,11 @@ def _tree_links(g: UnitDiskGraph, parent: np.ndarray) -> np.ndarray:
 def _window_units(rows: np.ndarray) -> np.ndarray:
     """Id-units of each row's histogram message (sender, lo, c_lo, ...,
     c_hi): 3 + hi - lo for the window from its first nonzero bin lo to its
-    last nonzero bin hi, 1 (the sender alone) for an all-zero row."""
-    if not rows.shape[1]:
-        return np.ones(len(rows), dtype=np.int64)
+    last nonzero bin hi.  A sender's row counts at least its own bin."""
     nz = rows != 0
     lo = nz.argmax(axis=1)
     hi = rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
-    return np.where(nz.any(axis=1), 3 + hi - lo, 1)
+    return 3 + hi - lo
 
 
 def _scatter_rows(ufunc, dest: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -375,9 +373,9 @@ class _AggRounds(RoundKernel):
     graph edge; one that is not a neighbour leaves its parent pending for
     good.  A histogram row travels as its nonzero window."""
 
-    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values):
+    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values, bins: int):
         super().__init__(g)
-        self.acc = _agg_inputs(g, op, values)
+        self.acc = _agg_inputs(g, op, values, bins)
         self.combine = np.maximum if op is AggOp.MAX else np.add
         self.windowed = op is AggOp.HISTOGRAM_MERGE
         parent = tree.parent
@@ -385,15 +383,6 @@ class _AggRounds(RoundKernel):
         self.pending = np.bincount(parent[self.ids], minlength=self.size)
         self.listener = _tree_links(g, parent)  # the parent that hears v, or 0
         self.sent = np.empty(0, dtype=np.int64)
-        self.exact = None
-        if op is not AggOp.MAX:
-            # a float copy of the rows children add into, the only rows whose
-            # int64 sum can wrap: a wrapped sum is off by 2**64 from its copy
-            summed = np.unique(self.listener[self.ids])
-            self.summed = summed[summed != 0]
-            self.exact = self.acc[self.summed].astype(float)
-            self.row = np.full(self.size, -1, dtype=np.int64)  # v's row of `exact`, or -1
-            self.row[self.summed] = np.arange(len(self.summed))
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         par = self.listener[senders]
@@ -409,11 +398,6 @@ class _AggRounds(RoundKernel):
             kid, par = self.sent[heard], par[heard]
             # each child's row scattered into its parent's
             _scatter_rows(self.combine, self.acc, par, self.acc[kid])
-            if self.exact is not None:
-                val = self.acc[kid].astype(float)
-                inner = self.row[kid] >= 0
-                val[inner] = self.exact[self.row[kid[inner]]]
-                _scatter_rows(np.add, self.exact, self.row[par], val)
             np.subtract.at(self.pending, par, 1)
             par = par[self.pending[par] == 0]
             ready = np.unique(par[self.has_parent[par]])
@@ -424,23 +408,20 @@ class _AggRounds(RoundKernel):
         return f"agg(pending={self.pending[v]})"
 
 
-def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp,
-              values: Mapping[int, object] | Sequence,
-              max_rounds: int = 100_000, trace=None) -> tuple[tuple, RunResult]:
-    """Convergecast `values` up the tree; returns the root's combined value.
+def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
+              bins: int = 0, max_rounds: int = 100_000,
+              trace=None) -> tuple[tuple, RunResult]:
+    """Convergecast `values`, an ID-indexed integer array, up the tree;
+    returns the root's combined value.
 
-    MAX and SUM take integer scalars and their messages cost 2
-    id-units; HISTOGRAM_MERGE takes equal-length integer rows, and a
-    sender sends only the window of its merged row from its first to its
-    last nonzero bin, (lo, c_lo, ..., c_hi): 3 + hi - lo id-units, or 1
-    for an all-zero row.  Other inputs, or a value that does not fit in
-    int64, raise ValueError.
+    MAX takes integer scalars within int64, and its messages cost 2
+    id-units.  HISTOGRAM_MERGE takes each node's bin index in [0, bins)
+    and returns the `bins` counts; a sender sends only the window of its
+    merged row from its first to its last nonzero bin, (lo, c_lo, ...,
+    c_hi): 3 + hi - lo id-units.  Other inputs raise ValueError.
     """
-    kernel = _AggRounds(g, tree, op, values)
+    kernel = _AggRounds(g, tree, op, values, bins)
     res = run_protocol(kernel, max_rounds, trace)
-    if kernel.exact is not None:
-        if (np.abs(kernel.acc[kernel.summed] - kernel.exact) > 2.0**62).any():
-            raise ValueError(f"{op.value}: a combined value does not fit in int64")
     if (kernel.pending[g.ids] > 0).any():
         raise RuntimeError("aggregation did not complete")
     return tuple(kernel.acc[tree.root_id].tolist()), res

@@ -181,11 +181,6 @@ def histogram(g: UnitDiskGraph, bin_count: int = 64) -> DegreeHistogram:
     return DegreeHistogram(bin_count, counts, delta)
 
 
-def histogram_from_counts(counts: Iterable[int], delta: int) -> DegreeHistogram:
-    c = np.asarray(list(counts), dtype=np.int64)
-    return DegreeHistogram(len(c), c, delta)
-
-
 def hop_bfs(g: UnitDiskGraph, sources: Iterable[int]) -> np.ndarray:
     """Multi-source BFS hop counts, indexed by ID; unreachable = inf."""
     src = [int(s) for s in sources]

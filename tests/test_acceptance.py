@@ -241,11 +241,9 @@ def test_criterion_7_protocol_vs_oracle(standard_region):
             hist_c = netgraph.histogram(g, 64)
             (delta,), _ = convergetree.aggregate(g, tree, convergetree.AggOp.MAX, g.degrees())
             assert delta == hist_c.delta
-            deg = g.degrees()
-            onehots = {v: tuple(1 if netgraph.degree_bin(int(deg[v]), delta, 64) == b
-                                else 0 for b in range(64)) for v in g.id_list}
             merged, _ = convergetree.aggregate(
-                g, tree, convergetree.AggOp.HISTOGRAM_MERGE, onehots)
+                g, tree, convergetree.AggOp.HISTOGRAM_MERGE,
+                netgraph.degree_bin(g.degrees(), delta, 64), 64)
             assert list(merged) == hist_c.counts.tolist()
 
             est = boundary.estimate_mu(hist_c)

@@ -8,7 +8,7 @@ import pytest
 from swarmtopo import boundary, netgraph
 from swarmtopo.boundary import (DegenerateHistogram, NodeClass, default_alpha, estimate_mu, find_plateau,
                                 threshold_units)
-from swarmtopo.netgraph import histogram_from_counts
+from swarmtopo.netgraph import DegreeHistogram
 from conftest import annulus_graph, lowest_quarter, random_graph
 
 
@@ -41,12 +41,12 @@ def test_estimate_mu_single_degree():
     for d in (5, 17, 64, 100, 127):
         counts = [0] * 64
         counts[netgraph.degree_bin(d, d, 64)] = 1000
-        est = estimate_mu(histogram_from_counts(counts, d))
+        est = estimate_mu(DegreeHistogram(64, counts, d))
         assert est.mu_est == d
     for d in (128, 177, 3000):
         counts = [0] * 64
         counts[netgraph.degree_bin(d, d, 64)] = 1000
-        est = estimate_mu(histogram_from_counts(counts, d))
+        est = estimate_mu(DegreeHistogram(64, counts, d))
         assert abs(est.mu_est - d) <= max(1, d // 64 // 2 + 1)
 
 
@@ -55,7 +55,7 @@ def test_estimate_mu_prefers_upper_half_mode():
     counts = [0] * 64
     counts[netgraph.degree_bin(60, 180, 64)] = 10_000
     counts[netgraph.degree_bin(150, 180, 64)] = 4_000
-    est = estimate_mu(histogram_from_counts(counts, 180))
+    est = estimate_mu(DegreeHistogram(64, counts, 180))
     assert abs(est.mu_est - 150) <= 2
 
 
@@ -63,7 +63,7 @@ def test_estimate_mu_tie_prefers_higher_bin():
     counts = [0] * 64
     counts[40] = 500
     counts[50] = 500
-    est = estimate_mu(histogram_from_counts(counts, 128))
+    est = estimate_mu(DegreeHistogram(64, counts, 128))
     lo = est.mu_est
     assert netgraph.degree_bin(lo, 128, 64) == 50
 
@@ -72,9 +72,9 @@ def test_estimate_mu_degenerate():
     counts = [0] * 64
     counts[0] = 100
     with pytest.raises(DegenerateHistogram):
-        estimate_mu(histogram_from_counts(counts, 100))
+        estimate_mu(DegreeHistogram(64, counts, 100))
     with pytest.raises(DegenerateHistogram):
-        estimate_mu(histogram_from_counts([1] * 64, 3))
+        estimate_mu(DegreeHistogram(64, [1] * 64, 3))
 
 
 def test_default_alpha():

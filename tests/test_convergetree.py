@@ -104,63 +104,37 @@ def test_aggregate_max_equals_oracle():
     assert val == g.degrees()[g.ids].max()
 
 
-def test_aggregate_sum_of_ones_is_n():
-    g = random_graph(120, 9)
-    build = convergetree.build_tree(g)
-    ones = np.ones(g.n + 1, dtype=int)
-    (val,), _ = convergetree.aggregate(g, build, AggOp.SUM, ones)
-    assert val == g.n
-
-
 def test_aggregate_histogram_equals_centralized():
     g = random_graph(300, 10)
     build = convergetree.build_tree(g)
     hist = netgraph.histogram(g, 16)
-    deg = g.degrees()
-    onehots = {
-        v: tuple(1 if netgraph.degree_bin(int(deg[v]), hist.delta, 16) == b else 0
-                 for b in range(16))
-        for v in range(1, g.n + 1)
-    }
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, onehots)
+    bin_of = netgraph.degree_bin(g.degrees(), hist.delta, 16)
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 16)
     assert list(merged) == hist.counts.tolist()
     # each sender sends the window of its subtree's merged row, at most all
     # 16 bins (18 units), one bin (3 units) for most of them
     per_node = res.ledger.id_units_sent
+    onehots = np.eye(16, dtype=np.int64)[bin_of]
     assert np.array_equal(per_node, subtree_windows(g, build.states, onehots))
     assert per_node.max() == 14 and np.median(per_node[g.ids]) == 3
     assert res.ledger.broadcasts_sent.sum() == g.n - 1
 
 
-def path_sums(rows):
-    """Histogram-merge the ID-ordered rows up the path 1-2-...-k (root k);
-    returns the root's row and each sender's charge in id-units."""
-    g = graph_from([(0.9 * i, 0) for i in range(len(rows))])
+def path_sums(bin_of, bins):
+    """Histogram-merge the bin indices of the path 1-2-...-k (root k), in ID
+    order, into `bins` bins; returns the root's row and each sender's
+    charge in id-units."""
+    g = graph_from([(0.9 * i, 0) for i in range(len(bin_of))])
     build = convergetree.build_tree(g)
-    values = {v: row for v, row in enumerate(rows, start=1)}
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, values)
-    return merged, res.ledger.id_units_sent[1:len(rows)].tolist()
-
-
-def test_histogram_all_zero_row_costs_one_unit():
-    merged, units = path_sums([(0, 0, 0, 0)] * 4)
-    assert merged == (0, 0, 0, 0) and units == [1, 1, 1]
-
-
-def test_histogram_window_spans_negative_entries():
-    # node 1 sends (lo=1, 5, 0, -2); node 2's merge cancels the 5 and the -2
-    merged, units = path_sums([(0, 5, 0, -2, 0), (0, -5, 0, 2, 0), (0, 0, 7, 0, 0)])
-    assert merged == (0, 0, 7, 0, 0) and units == [5, 1]
-    merged, units = path_sums([(-1, 0, 0), (0, 0, 0)])
-    assert merged == (-1, 0, 0) and units == [3]
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE,
+                                         np.array([0, *bin_of]), bins)
+    return merged, res.ledger.id_units_sent[1:len(bin_of)].tolist()
 
 
 @pytest.mark.parametrize("bins", [16, 23])
 def test_histogram_window_widths(bins):
-    first, last = [0] * bins, [0] * bins
-    first[0], last[-1] = 1, 1
     # node 1: the last bin alone; node 2: first and last, the whole row
-    merged, units = path_sums([tuple(last), tuple(first), tuple(last)])
+    merged, units = path_sums([bins - 1, 0, bins - 1], bins)
     assert merged == (1,) + (0,) * (bins - 2) + (2,)
     assert units == [3, 2 + bins]
 
@@ -205,26 +179,20 @@ def test_broadcast_down_skips_subtree_of_unheard_parent():
     assert res.rounds_used == 2
 
 
-@pytest.mark.parametrize("op", [AggOp.SUM, AggOp.HISTOGRAM_MERGE])
-def test_aggregate_rejects_wrap_inside_the_tree(op):
-    # path 1-2-3, root 3: node 2's sum 2**63 wraps; the root's, 2**62, fits
-    g = graph_from([(0, 0), (0.9, 0), (1.8, 0)])
-    values = np.array([0, 2**62, 2**62, -2**62], dtype=np.int64)
-    if op is AggOp.HISTOGRAM_MERGE:
-        values = np.stack([np.zeros(4, dtype=np.int64), values], axis=1)
-    with pytest.raises(ValueError, match="does not fit in int64"):
-        convergetree.aggregate(g, convergetree.build_tree(g), op, values)
-
-
-@pytest.mark.parametrize("values", [
-    np.array([0, 1.5, 2.0]),                       # not integers
-    np.array([0, 2**63, 1], dtype=np.uint64),      # does not fit in int64
-    np.array([0, 1], dtype=np.int64),              # shorter than the largest ID
-], ids=["float", "uint-too-large", "too-short"])
-def test_aggregate_rejects_bad_inputs(values):
+@pytest.mark.parametrize("op, values, bins, message", [
+    (AggOp.MAX, np.array([0, 1.5, 2.0]), 0, "scalars"),                    # not integers
+    (AggOp.MAX, np.array([0, 2**63, 1], dtype=np.uint64), 0, "scalars"),   # beyond int64
+    (AggOp.MAX, np.array([0, 1], dtype=np.int64), 0, "scalars"),           # shorter than max ID + 1
+    (AggOp.HISTOGRAM_MERGE, np.array([0, 3, 4]), 4, "bin indices"),        # a bin >= bins
+    (AggOp.HISTOGRAM_MERGE, np.array([0, 3, -1]), 4, "bin indices"),
+    (AggOp.HISTOGRAM_MERGE, np.zeros((3, 4), dtype=np.int64), 4, "bin indices"),
+    (AggOp.HISTOGRAM_MERGE, np.array([0, 0, 0]), 0, "bin indices"),        # no bins
+], ids=["float", "uint-too-large", "too-short",
+        "bin-too-large", "bin-negative", "2-d", "no-bins"])
+def test_aggregate_rejects_bad_inputs(op, values, bins, message):
     g = graph_from([(0, 0), (0.9, 0)])
-    with pytest.raises(ValueError, match="takes ID-indexed integer scalars"):
-        convergetree.aggregate(g, convergetree.build_tree(g), AggOp.SUM, values)
+    with pytest.raises(ValueError, match=f"takes ID-indexed integer {message}"):
+        convergetree.aggregate(g, convergetree.build_tree(g), op, values, bins)
 
 
 def test_aggregate_ignores_unused_id_rows():
@@ -232,16 +200,7 @@ def test_aggregate_ignores_unused_id_rows():
     g = graph_from([(0, 0), (0.9, 0)], ids=[2, 5])
     values = np.full(6, 2**63 - 1, dtype=np.int64)
     values[[2, 5]] = 20, 50
-    assert convergetree.aggregate(g, convergetree.build_tree(g), AggOp.SUM, values)[0] == (70,)
-
-
-def test_sum_op_counts_flags():
-    g = random_graph(100, 13)
-    build = convergetree.build_tree(g)
-    flags = np.zeros(g.n + 1, dtype=int)
-    flags[[2, 30, 77]] = 1
-    (val,), _ = convergetree.aggregate(g, build, AggOp.SUM, flags)
-    assert val == 3
+    assert convergetree.aggregate(g, convergetree.build_tree(g), AggOp.MAX, values)[0] == (50,)
 
 
 def test_tree_rebroadcast_budget_20k():

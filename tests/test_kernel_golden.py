@@ -28,6 +28,10 @@ the aggregation and value-flood cases were re-recorded when a round limit
 began to name only the tree neighbours that act on the last round's
 broadcasts, and those of the distance cases with the distance flood
 change (see CHANGES.md for both).
+
+The `agg_max@star@0` stuck case ran as `agg_sum@star@0` until SUM was
+deleted; MAX stops in the same round at the same nodes, so its digest is
+the recorded one.
 """
 
 import functools
@@ -48,10 +52,7 @@ def calls(g) -> dict:
     tree = convergetree.build_tree(g)
     deg = g.degrees()
     delta = int(deg[g.ids].max())
-    onehots = {v: tuple(int(b == netgraph.degree_bin(int(deg[v]), delta, BINS))
-                        for b in range(BINS)) for v in g.id_list}
-    ones = {v: 1 for v in g.id_list}
-    flags = {v: int(v % 3 == 0) for v in g.id_list}
+    bin_of = netgraph.degree_bin(deg, delta, BINS)
     thr = int(np.percentile(deg[g.ids], 25))
     mu_est = max(4, int(np.median(deg[g.ids])))
     classes = boundary.central_classify(g, thr)
@@ -62,9 +63,7 @@ def calls(g) -> dict:
     agg = functools.partial(convergetree.aggregate, g, tree)
     return {
         "agg_max": functools.partial(agg, AggOp.MAX, deg),
-        "agg_sum": functools.partial(agg, AggOp.SUM, ones),
-        "agg_count": functools.partial(agg, AggOp.SUM, flags),
-        "agg_hist": functools.partial(agg, AggOp.HISTOGRAM_MERGE, onehots),
+        "agg_hist": functools.partial(agg, AggOp.HISTOGRAM_MERGE, bin_of, BINS),
         "flood": functools.partial(convergetree.broadcast_down, g, tree, (delta, thr)),
         "classify": lambda trace=None: boundary.classify(g, thr, trace=trace),
         "distance": functools.partial(boundary.distance_flood, g, comp_of, mu_est),
@@ -97,8 +96,6 @@ def kernel_digests(g) -> dict:
 GOLDEN = {
     "dense-60-1": {
         "agg_max": ("5e784258e23111e5", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
-        "agg_sum": ("9053d01727f35cfd", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
-        "agg_count": ("821902cf7e596f65", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
         "agg_hist": ("9d1e3e5e22ef6158", "de5c4c322697e803", "366b53ffe3583145", 4, 1415),
         "flood": ("e2efa9f9015b1426", "20b20248d01646eb", "11d2c284f1ec1e11", 4, 384),
         "classify": ("8e09d95256b00074", "fe933624cccb6046", "785afb15a185c0ab", 2, 233),
@@ -107,8 +104,6 @@ GOLDEN = {
     },
     "dense-250-2": {
         "agg_max": ("946edd5365af3ac1", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
-        "agg_sum": ("38a08d981cafea0c", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
-        "agg_count": ("03720cf28730b647", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
         "agg_hist": ("81ab2a7947614f1e", "dfedca3b8730d726", "dc4a2e7cf0827ad4", 6, 7893),
         "flood": ("36fa292d50e4f837", "dccaed024441af33", "9523a24493d09d76", 6, 1427),
         "classify": ("1394ece9621bad72", "e3ad40ccec4ad38e", "85a7e1e6513e26fe", 2, 1310),
@@ -117,8 +112,6 @@ GOLDEN = {
     },
     "dense-800-3": {
         "agg_max": ("5e6cb71c9fb89b8b", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
-        "agg_sum": ("0c18780f2c80aea8", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
-        "agg_count": ("a0bcfd07063d5623", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
         "agg_hist": ("23a0fd15613d75b2", "8d9184861d32525a", "87539f47457a2773", 12, 26856),
         "flood": ("e280506357d03fac", "e8a36ffae15867d4", "4f377c292322ee56", 12, 6203),
         "classify": ("21d920718ef86d00", "ed22032ef3527aa3", "9d27a1922376139c", 2, 4581),
@@ -127,8 +120,6 @@ GOLDEN = {
     },
     "gapped-60-4": {
         "agg_max": ("bcd913dfeb5d41b0", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
-        "agg_sum": ("9053d01727f35cfd", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
-        "agg_count": ("821902cf7e596f65", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
         "agg_hist": ("eb3f3aee6dcca56a", "ed7f5b8776058337", "b7f7f2b748de6839", 4, 1440),
         "flood": ("8992a5a7b245dfb3", "aa8b54b9e64de509", "0845b56f4d573352", 4, 259),
         "classify": ("42346441e8aa6f24", "258592ecc24f5ccb", "c3865eef7630649e", 2, 244),
@@ -137,8 +128,6 @@ GOLDEN = {
     },
     "gapped-250-5": {
         "agg_max": ("565485e2f475d4f8", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
-        "agg_sum": ("38a08d981cafea0c", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
-        "agg_count": ("28d4231d86a52ab0", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
         "agg_hist": ("ae6672d15b77d4d6", "7deee217cdd3fe82", "07079f37780613e5", 7, 7642),
         "flood": ("befc1d98c4102fa4", "c536f8863650a6cd", "fc51597006164925", 7, 1560),
         "classify": ("bd659dcba622561c", "30865085d72ef892", "5380bef40d7309a3", 2, 1207),
@@ -147,8 +136,6 @@ GOLDEN = {
     },
     "gapped-800-6": {
         "agg_max": ("6a412d8e85377701", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
-        "agg_sum": ("0c18780f2c80aea8", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
-        "agg_count": ("4bca943e95698c75", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
         "agg_hist": ("552dc65b9a42e17f", "fb00a115119ae5b6", "cf91b013beb77b9f", 9, 26820),
         "flood": ("81143852fb888859", "aff20b2f32579229", "5ed59fb03dd92438", 9, 5310),
         "classify": ("25141a9e65103a1e", "b8a258196673f6a9", "c6ca8e2c8e330f84", 2, 5317),
@@ -157,8 +144,6 @@ GOLDEN = {
     },
     "crowded-400-7": {
         "agg_max": ("f1910fba870528eb", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
-        "agg_sum": ("e81d637d19fc5614", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
-        "agg_count": ("93f717ca14a9089b", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
         "agg_hist": ("b4ec7d72a7b8b4e3", "3186469f5c147f63", "c93313717a31675e", 4, 55990),
         "flood": ("e2e25047260af22c", "97a48e816648a61b", "bef485ba3a07ab5d", 4, 3297),
         "classify": ("3e4371b70973f0d5", "cca0434c9e0752fd", "be1ef80b7552115d", 2, 9455),
@@ -167,8 +152,6 @@ GOLDEN = {
     },
     "path-40": {
         "agg_max": ("0555debc8a653494", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
-        "agg_sum": ("13a299db68f90cdd", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
-        "agg_count": ("91d6039a01f57163", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
         "agg_hist": ("4e25fc1acd254854", "7615dfff5ac4d45d", "65a030daafe25d3e", 21, 76),
         "flood": ("e8d407d15662d992", "bf557f6b7bbaa50c", "351528dffbd1740a", 21, 76),
         "classify": ("aa30b652e011afde", "5b03895fae228b67", "22d4f3b23b4d38f5", 2, 78),
@@ -177,8 +160,6 @@ GOLDEN = {
     },
     "star": {
         "agg_max": ("24a6ade6d35f1e5e", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
-        "agg_sum": ("8c98d396d4e29891", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
-        "agg_count": ("4079e4af87d7d813", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
         "agg_hist": ("06bff0d22e26eb4e", "7b5bd3ef9e8250ab", "f11f7fdcc25f943d", 3, 13),
         "flood": ("875048d42a3ad3ff", "133478b0662d6a76", "fa617a991642a738", 3, 8),
         "classify": ("2390a7a9fef5efa6", "b03c36712b98a1d3", "761ab270c7b5d93a", 2, 7),
@@ -187,8 +168,6 @@ GOLDEN = {
     },
     "star-gapped": {
         "agg_max": ("3af5d6e7f9476d9d", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
-        "agg_sum": ("24a6ade6d35f1e5e", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
-        "agg_count": ("4079e4af87d7d813", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
         "agg_hist": ("1eec05aa9ff005ba", "e4e6842ffc54409b", "0cd3aa76adb136ce", 3, 11),
         "flood": ("6e017443327534fe", "4d380fbe2ea06bc5", "3e6da87a38e1e407", 3, 7),
         "classify": ("010b9011082f39ea", "a5cea860f08c7532", "b8e328cfa4fafe0a", 2, 6),
@@ -197,8 +176,6 @@ GOLDEN = {
     },
     "single": {
         "agg_max": ("91d6039a01f57163", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
-        "agg_sum": ("28cb03b06c288e88", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
-        "agg_count": ("91d6039a01f57163", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "agg_hist": ("f8944f48d8c72d14", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "flood": ("67178b43cb232b15", "2ea9ab9198d16380", "e3b0c44298fc1c14", 1, 0),
         "classify": ("d9c807b270afc4a7", "2413b3468072abaf", "05421ffbd465861e", 2, 0),
@@ -207,8 +184,6 @@ GOLDEN = {
     },
     "standard-20k": {
         "agg_max": ("b2f924132fcedfe9", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
-        "agg_sum": ("8d61a7b80173def4", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
-        "agg_count": ("088fd747148d3fcf", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
         "agg_hist": ("b812be3bee79c9cd", "eb9262d47708ac5c", "5c9dac3bb439349a", 29, 1521547),
         "flood": ("57c5198060aaf02a", "cb9af7d1ef053b13", "14b82239b23f0578", 29, 208016),
         "classify": ("a3dbd096ef66642a", "939f5299ad81a830", "8b3c3b95f4138896", 2, 318462),
@@ -220,7 +195,7 @@ GOLDEN = {
 STUCK_CASES = {
     "agg_hist@dense-250-2@3": ("dense-250-2", "agg_hist", 3),
     "agg_max@path-40@10": ("path-40", "agg_max", 10),
-    "agg_sum@star@0": ("star", "agg_sum", 0),
+    "agg_max@star@0": ("star", "agg_max", 0),
     "flood@gapped-60-4@2": ("gapped-60-4", "flood", 2),
     "flood@path-40@5": ("path-40", "flood", 5),
     "distance@dense-250-2@2": ("dense-250-2", "distance", 2),
@@ -233,7 +208,7 @@ GOLDEN_STUCK = {
         "8edc22e528caca4632f1de0b9de1e14d05b1c9cdec834549d5422ca9d8cda523",
     "agg_max@path-40@10":
         "9e25ad29b9fb16614956a89d2563818eb676af811fd5645f3f09af335bc958e8",
-    "agg_sum@star@0":
+    "agg_max@star@0":
         "b83d337b5cad74d3237dc6aa0585769da95242727ce2e66b4a6962871008a919",
     "flood@gapped-60-4@2":
         "9bf69f0325347d7a16891079d30c3730163526b4e8644d8a962e1dafac9364e0",

@@ -149,28 +149,24 @@ def test_aggregates_equal_census(g, bins):
     (top,), res = convergetree.aggregate(g, tree, AggOp.MAX, deg)
     assert top == delta
     assert_deliveries_are_sender_degrees(g, res)
-    (n,), res = convergetree.aggregate(g, tree, AggOp.SUM, {v: 1 for v in g.id_list})
-    assert n == g.n
-    assert_deliveries_are_sender_degrees(g, res)
-    onehots = np.zeros((g.max_id + 1, bins), dtype=np.int64)
-    onehots[g.ids, netgraph.degree_bin(deg[g.ids], delta, bins)] = 1
-    counts, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, onehots)
+    bin_of = netgraph.degree_bin(deg, delta, bins)
+    counts, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, bin_of, bins)
     assert list(counts) == netgraph.histogram(g, bins).counts.tolist()
-    assert res.ledger.total_id_units == subtree_windows(g, tree.states, onehots).sum()
+    windows = subtree_windows(g, tree.states, np.eye(bins, dtype=np.int64)[bin_of])
+    assert res.ledger.total_id_units == windows.sum()
     assert_deliveries_are_sender_degrees(g, res)
 
 
 @SETTINGS
 @given(connected_graphs, st.data())
 def test_histogram_charge_is_subtree_window(g, data):
-    # rows of mostly zeros, negatives among them, so that sums can cancel
     bins = data.draw(st.integers(1, 23))
+    bin_of = np.zeros(g.max_id + 1, dtype=np.int64)
+    bin_of[g.ids] = data.draw(st.lists(st.integers(0, bins - 1), min_size=g.n, max_size=g.n))
     rows = np.zeros((g.max_id + 1, bins), dtype=np.int64)
-    rows[g.ids] = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]),
-                                              min_size=bins, max_size=bins),
-                                     min_size=g.n, max_size=g.n))
+    rows[g.ids, bin_of[g.ids]] = 1
     tree = convergetree.build_tree(g)
-    merged, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, rows)
+    merged, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, bin_of, bins)
     assert list(merged) == rows.sum(axis=0).tolist()
     assert np.array_equal(res.ledger.id_units_sent, subtree_windows(g, tree.states, rows))
     assert res.ledger.total_broadcasts == g.n - 1
