@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -138,16 +139,33 @@ def resolve_region(name_or_path: str) -> geometry.Region:
 # pipeline
 # --------------------------------------------------------------------------
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far (`ru_maxrss`, which
+    Linux reports in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 @dataclass
 class PhaseCost:
-    """One protocol run of a phase: its cost.csv row, with the deliveries
-    and wall time that go to timing.json."""
+    """One protocol run of a phase: its cost.csv row, with the deliveries,
+    wall time and peak RSS after it that go to timing.json."""
     phase: str
     broadcasts: int
     id_units: int
     rounds: int
     deliveries: int
     seconds: float
+    rss_mb: float
+
+
+@dataclass
+class StepCost:
+    """A host step outside the protocols (sampling, the graph build, the
+    tree check, the alpha sweep, the report writers): its wall time and
+    the peak RSS after it, for timing.json only."""
+    step: str
+    seconds: float
+    rss_mb: float
 
 
 @dataclass
@@ -169,6 +187,7 @@ class PipelineResult:
     outer_id: int
     thick: topo.ThicknessReport
     costs: list[PhaseCost] = field(default_factory=list)
+    steps: list[StepCost] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -201,10 +220,17 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     tr = None if trace_stream is None else _PhaseTrace(trace_stream)
     warnings: list[str] = []
     costs: list[PhaseCost] = []
+    steps: list[StepCost] = []
 
     def cost(phase: str, res) -> None:
         costs.append(PhaseCost(phase, res.ledger.total_broadcasts, res.ledger.total_id_units,
-                               res.rounds_used, res.deliveries, res.seconds))
+                               res.rounds_used, res.deliveries, res.seconds, peak_rss_mb()))
+
+    @contextlib.contextmanager
+    def step(name: str):
+        t = time.perf_counter()
+        yield
+        steps.append(StepCost(name, time.perf_counter() - t, peak_rss_mb()))
 
     @contextlib.contextmanager
     def phase(name: str):
@@ -223,9 +249,11 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     area = feature.area
     mu_an = mu_analytic_value(config.n, area)
 
-    pts = geometry.sample_uniform(region, config.n, config.seed)
-    ids = Generator(Philox([config.seed, 1])).permutation(config.n) + 1
-    g = netgraph.build_udg((ids, pts), R=1.0)
+    with step("sample"):
+        pts = geometry.sample_uniform(region, config.n, config.seed)
+        ids = Generator(Philox([config.seed, 1])).permutation(config.n) + 1
+    with step("build_udg"):
+        g = netgraph.build_udg((ids, pts), R=1.0)
 
     mean_deg = float(g.degrees()[g.ids].mean())
     if config.n < 100 or mean_deg < 100:
@@ -243,7 +271,8 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
                 raise
             raise GraphDisconnected(g.n, netgraph.component_count(g)) from None
     cost("tree", tree.result)
-    convergetree.check_tree(g, tree)
+    with step("check_tree"):
+        convergetree.check_tree(g, tree)
 
     with phase("agg_delta"):
         (delta_val,), res = convergetree.aggregate(g, tree, convergetree.AggOp.MAX,
@@ -265,8 +294,9 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 
     sweep = None
     if config.alpha == "sweep":
-        sweep = boundary.alpha_sweep(g, density.mu_est,
-                                     min_component_size=config.min_component_size)
+        with step("alpha_sweep"):
+            sweep = boundary.alpha_sweep(g, density.mu_est,
+                                         min_component_size=config.min_component_size)
         alpha_star = sweep.alpha_star
         if alpha_star is None:
             warnings.append("alpha sweep found no plateau; using default alpha")
@@ -312,7 +342,7 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
         config=config, region=region, feature=feature, g=g, mu_analytic=mu_an,
         density=density, alpha_star=alpha_star, sweep=sweep, threshold=thr,
         classes=classes, comps=comps, dist=dist, voronoi=voronoi, loops=loops,
-        outer_id=outer_id, thick=thick, costs=costs,
+        outer_id=outer_id, thick=thick, costs=costs, steps=steps,
         warnings=warnings, wall_seconds=time.perf_counter() - t0,
     )
 
@@ -325,12 +355,17 @@ _CLASS_NAMES = {0: "INTERIOR", 1: "NEAR_BOUNDARY", 2: "BOUNDARY"}
 
 
 def write_classification_csv(r: PipelineResult, path: str) -> None:
+    """One line per node in ID order; each column is read with one
+    `tolist()` and the file written with one join."""
+    ids = r.g.ids
+    hop = r.dist.hop[ids]
+    rows = zip(r.g.id_list, map(_CLASS_NAMES.__getitem__, r.classes[ids].tolist()),
+               r.dist.comp[ids].tolist(),
+               np.where(np.isfinite(hop), hop, -1).astype(np.int64).tolist(),
+               (r.voronoi[ids] != 0).astype(np.int64).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id,class,boundary_id,hop_dist,voronoi\n")
-        for v in r.g.id_list:
-            hop = int(r.dist.hop[v]) if np.isfinite(r.dist.hop[v]) else -1
-            fh.write(f"{v},{_CLASS_NAMES[int(r.classes[v])]},{int(r.dist.comp[v])},"
-                     f"{hop},{int(bool(r.voronoi[v]))}\n")
+        fh.write("".join(f"{v},{c},{b},{h},{f}\n" for v, c, b, h, f in rows))
 
 
 def write_sweep_csv(r: PipelineResult, path: str) -> None:
@@ -351,15 +386,17 @@ def write_cost_csv(r: PipelineResult, path: str) -> None:
             fh.write(f"{c.phase},{c.broadcasts},{c.id_units},{c.rounds}\n")
 
 
-def write_timing_json(r: PipelineResult, path: str) -> None:
-    """Per protocol run (the rows of cost.csv, in order) its deliveries and
-    wall time, and the pipeline's wall time.  Timings vary from run to run,
-    so they stay out of the byte-identical reports."""
-    rows = [{"phase": c.phase, "rounds": c.rounds, "broadcasts": c.broadcasts,
-             "id_units": c.id_units, "deliveries": c.deliveries, "seconds": c.seconds}
-            for c in r.costs]
+def write_timing_json(r: PipelineResult, path: str, writers: StepCost) -> None:
+    """Per protocol run (the rows of cost.csv, in order) its deliveries,
+    wall time and peak RSS after it; per host step outside the protocols,
+    in run order and ending with the report `writers`, its wall time and
+    peak RSS after it; and the pipeline's wall time.  Timings vary from
+    run to run, so they stay out of the byte-identical reports."""
+    rows = {"phases": [asdict(c) for c in r.costs],
+            "steps": [asdict(s) for s in r.steps + [writers]],
+            "wall_seconds": r.wall_seconds}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"phases": rows, "wall_seconds": r.wall_seconds}, fh, indent=2)
+        json.dump(rows, fh, indent=2)
         fh.write("\n")
 
 
@@ -410,6 +447,7 @@ def write_reports(r: PipelineResult, out_dir: str) -> list[str]:
     """Write the byte-deterministic reports and return their paths, and
     timing.json next to them."""
     os.makedirs(out_dir, exist_ok=True)
+    t = time.perf_counter()
     files = []
     for name, writer in (("classification.csv", write_classification_csv),
                          ("sweep.csv", write_sweep_csv),
@@ -418,7 +456,8 @@ def write_reports(r: PipelineResult, out_dir: str) -> list[str]:
         path = os.path.join(out_dir, name)
         writer(r, path)
         files.append(path)
-    write_timing_json(r, os.path.join(out_dir, "timing.json"))
+    writers = StepCost("write_reports", time.perf_counter() - t, peak_rss_mb())
+    write_timing_json(r, os.path.join(out_dir, "timing.json"), writers)
     return files
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgraph import UnitDiskGraph, csr_rows, has_edges, hop_bfs
-from .simkernel import RoundKernel, RunResult, run_protocol
+from .simkernel import CHUNK, RoundKernel, RunResult, run_protocol
 
 K_STATE = 1   # (root, parent)      flood announcement, doubles as join notice
 K_REPORT = 2  # (root, size)        convergecast: subtree size under `root`
@@ -348,23 +348,37 @@ def _tree_links(g: UnitDiskGraph, parent: np.ndarray) -> np.ndarray:
     return link
 
 
-def _window_units(rows: np.ndarray) -> np.ndarray:
-    """Id-units of each row's histogram message (sender, lo, c_lo, ...,
-    c_hi): 3 + hi - lo for the window from its first nonzero bin lo to its
-    last nonzero bin hi.  A sender's row counts at least its own bin."""
-    nz = rows != 0
-    lo = nz.argmax(axis=1)
-    hi = rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
-    return 3 + hi - lo
+def _row_slices(count: int, cols: int) -> list[slice]:
+    """[0, count) cut into slices of about CHUNK elements of `cols`-wide
+    rows, so that a step copies a bounded number of rows at a time."""
+    step = max(1, CHUNK // cols)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _scatter_rows(ufunc, dest: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """`ufunc.at` of each row of `values` into row `rows[i]` of the
-    C-contiguous `dest`, element by element through its flat view: a 1-D
-    `ufunc.at` is several times faster than one over whole rows."""
+def _window_units(acc: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """Id-units of each sender's histogram message (sender, lo, c_lo, ...,
+    c_hi): 3 + hi - lo for the window of its row of `acc` from its first
+    nonzero bin lo to its last nonzero bin hi.  A sender's row counts at
+    least its own bin."""
+    units = np.empty(len(senders), dtype=np.int64)
+    for sl in _row_slices(len(senders), acc.shape[1]):
+        nz = acc[senders[sl]] != 0
+        lo = nz.argmax(axis=1)
+        hi = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+        units[sl] = 3 + hi - lo
+    return units
+
+
+def _scatter_rows(ufunc, dest: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
+    """`ufunc.at` of row `src[i]` of the C-contiguous `dest` into its row
+    `rows[i]`, element by element through its flat view: a 1-D `ufunc.at`
+    is several times faster than one over whole rows.  No row is both read
+    and written."""
     cols = dest.shape[1]
-    at = (rows[:, None] * cols + np.arange(cols)).reshape(-1)
-    ufunc.at(dest.reshape(-1), at, values.reshape(-1))
+    flat = dest.reshape(-1)
+    for sl in _row_slices(len(rows), cols):
+        at = (rows[sl, None] * cols + np.arange(cols)).reshape(-1)
+        ufunc.at(flat, at, dest[src[sl]].reshape(-1))
 
 
 class _AggRounds(RoundKernel):
@@ -396,13 +410,14 @@ class _AggRounds(RoundKernel):
             par = self.listener[self.sent]
             heard = par != 0
             kid, par = self.sent[heard], par[heard]
-            # each child's row scattered into its parent's
-            _scatter_rows(self.combine, self.acc, par, self.acc[kid])
+            # each child's row scattered into its parent's; a parent
+            # sends only after all its children, so never with one of them
+            _scatter_rows(self.combine, self.acc, par, kid)
             np.subtract.at(self.pending, par, 1)
             par = par[self.pending[par] == 0]
             ready = np.unique(par[self.has_parent[par]])
         self.sent = ready
-        return [(K_AGG, ready, _window_units(self.acc[ready]) if self.windowed else 2)]
+        return [(K_AGG, ready, _window_units(self.acc, ready) if self.windowed else 2)]
 
     def state_name(self, v: int) -> str:
         return f"agg(pending={self.pending[v]})"

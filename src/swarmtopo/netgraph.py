@@ -12,6 +12,9 @@ from typing import Iterable
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
+
+STRIP = 2048  # nodes per k-d tree in `build_udg`, in x order
 
 
 @dataclass
@@ -64,11 +67,22 @@ class UnitDiskGraph:
 def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitDiskGraph:
     """Build the unit disk graph: u ~ v iff ||p(u) - p(v)|| <= R (inclusive).
 
-    `positions` is a pair (ids, xy_array).  Grid bucketing with cells of
-    side about R finds the candidate pairs; each directed edge is packed as
-    rank(u) * n + rank(v), with ranks in ID order, and one sort of these
-    keys gives the CSR rows: O(E log E) for E edges.  The result is
-    independent of input order (rows are ascending).
+    `positions` is a pair (ids, xy_array).  The nodes, sorted by x, are cut
+    into strips of STRIP nodes.  Each strip gets a k-d tree (scipy's
+    `cKDTree`) over its own nodes and those at most R(1 + 1e-9) to the
+    right of its last one; the tree's `query_pairs(R)` lists the pairs with
+    dx*dx + dy*dy <= R*R, the rounded test of a brute-force comparison, and
+    the strip keeps those whose left end (the earlier in x order) it holds.
+    This is exact.  Every pair is kept once, by its left end's strip.  That
+    strip's tree holds the right end too: it lies at most R to the right,
+    or a hair more where the rounded distance is R, hence the 1e-9.  Small
+    trees keep the memory of a query small.
+
+    Each directed edge is packed as rank(u) * n + rank(v), with ranks in ID
+    order (uint32 when n * n fits, else int64), and one sort of these keys
+    gives the CSR rows: O(E log E) for E edges.  The keys are sorted in the
+    buffer of `indices`, so the build holds no second array of E int64s.
+    The result is independent of input order (rows are ascending).
     """
     ids, xy = positions
     ids = np.asarray(ids, dtype=np.int64)
@@ -79,57 +93,48 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
         raise ValueError("node IDs must be unique positive integers")
     m = int(ids[-1])
 
-    # cells a hair wider than R: a pair whose rounded distance is R may be
-    # a little more than R apart, and must still fall in adjacent cells
-    cell = np.floor(xy / (R * (1 + 1e-9))).astype(np.int64)
-    cell -= cell.min(axis=0)
-    stride = int(cell[:, 1].max()) + 2
-    key = cell[:, 0] * stride + cell[:, 1]
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-    bounds = np.r_[starts, len(skey)]
-    cell_of = {int(skey[s]): (int(s), int(e)) for s, e in zip(starts, bounds[1:])}
-
-    R2 = R * R
+    key = np.uint32 if n * n <= 2**32 else np.int64  # keys are below n * n
+    by_x = np.argsort(xy[:, 0], kind="stable")
+    sxy = xy[by_x]  # x order: strip s is rows s..s + STRIP of sxy
+    by_x = by_x.astype(key)
+    reach = R * (1 + 1e-9)
     packed: list[np.ndarray] = []
+    for s in range(0, n, STRIP):
+        end = np.searchsorted(sxy[:, 0], sxy[min(s + STRIP, n) - 1, 0] + reach, side="right")
+        pairs = cKDTree(sxy[s:end], balanced_tree=False).query_pairs(R, output_type="ndarray")
+        pairs = pairs.compress(pairs[:, 0] < STRIP, axis=0)  # (i, j), i < j: left end here
+        pairs += s
+        a, b = by_x[pairs.T]  # the two ends' ranks
+        packed += [a * key(n) + b, b * key(n) + a]
 
-    def link(rows_a: np.ndarray, rows_b: np.ndarray, same: bool) -> None:
-        pa, pb = xy[rows_a], xy[rows_b]
-        dx = pa[:, 0, None] - pb[None, :, 0]
-        dy = pa[:, 1, None] - pb[None, :, 1]
-        hit = dx * dx + dy * dy <= R2
-        if same:
-            hit &= np.tri(len(rows_a), k=-1, dtype=bool)
-        ai, bi = np.nonzero(hit)
-        if len(ai):
-            ra, rb = rows_a[ai], rows_b[bi]
-            packed.append(ra * n + rb)
-            packed.append(rb * n + ra)
-
-    # half-neighborhood offsets cover each cell pair exactly once
-    offsets = ((0, 1), (1, -1), (1, 0), (1, 1))
-    for k, (s, e) in cell_of.items():
-        rows = order[s:e]
-        link(rows, rows, same=True)
-        for ox, oy in offsets:
-            nb = cell_of.get(k + ox * stride + oy)
-            if nb is not None:
-                link(rows, order[nb[0]:nb[1]], same=False)
-
-    # keys are below n * n, which fits in int64 up to n = 3e9; the pairs are
-    # distinct, so a plain sort orders the rows and each row's neighbours
-    edges = np.concatenate(packed) if packed else np.empty(0, dtype=np.int64)
-    packed.clear()
-    edges.sort()
+    # the keys are sorted inside the buffer of the int64 IDs that replace
+    # them (its first half for uint32 keys), each piece freed once copied
+    E = sum(len(p) for p in packed)
+    indices = np.empty(E, dtype=np.int64)
+    keys = indices.view(key)[:E]
+    at = 0
+    while packed:
+        piece = packed.pop()
+        keys[at:at + len(piece)] = piece
+        at += len(piece)
+    # the pairs are distinct, so a plain sort orders the rows and each
+    # row's neighbours; row r starts at its first key >= r * n
+    keys.sort()
+    starts = np.searchsorted(keys, np.arange(n, dtype=key) * key(n))
     indptr = np.zeros(m + 2, dtype=np.int64)
-    indptr[ids + 1] = np.bincount(edges // n, minlength=n)
+    indptr[ids + 1] = np.diff(starts, append=E)
     np.cumsum(indptr, out=indptr)
-    np.remainder(edges, n, out=edges)  # each key's column rank, in place
+    np.remainder(keys, n, out=keys)  # each key's column rank
+    # last chunk first: ID i overwrites keys 2i and 2i + 1 (uint32) or key
+    # i (int64), none of which an earlier chunk still has to read
+    step = 1 << 16
+    for hi in range(E, 0, -step):
+        lo = max(hi - step, 0)
+        indices[lo:hi] = ids[keys[lo:hi]]
 
     pos = np.zeros((m + 1, 2))
     pos[ids] = xy
-    return UnitDiskGraph(ids=ids, xy=pos, R=R, indptr=indptr, indices=ids[edges])
+    return UnitDiskGraph(ids=ids, xy=pos, R=R, indptr=indptr, indices=indices)
 
 
 def csr_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
+from scipy.spatial import cKDTree
 
 from swarmtopo import cli, geometry, netgraph
 
@@ -160,11 +161,11 @@ def brute_force_rows(ids, pts, R):
 
 
 @st.composite
-def deployments(draw):
-    """Up to 60 points with distinct gapped IDs in shuffled order, either
-    anywhere in a box or on a lattice of step R/2, so that points share
-    cell borders and lie exactly R apart."""
-    n = draw(st.integers(min_value=1, max_value=60))
+def deployments(draw, min_size=1):
+    """`min_size` to 60 points with distinct gapped IDs in shuffled order,
+    either anywhere in a box or on a lattice of step R/2, so that points
+    share x coordinates and lie exactly R apart."""
+    n = draw(st.integers(min_value=min_size, max_value=60))
     ids = draw(st.lists(st.integers(min_value=1, max_value=10**7),
                         min_size=n, max_size=n, unique=True))
     R = draw(st.sampled_from([0.3, 0.5, 0.7, 1.0, 1.5, 2.0]))
@@ -191,6 +192,72 @@ def test_build_udg_matches_brute_force_property(dep):
     want = brute_force_rows(ids, pts, R)
     assert {v: g.neighbors(v).tolist() for v in want} == want  # rows ascending
     assert g.indptr[-1] == sum(len(row) for row in want.values())  # unused IDs empty
+
+
+def strip_graph(monkeypatch, strip, pts, R, ids=None):
+    """The graph built with `strip` nodes per k-d tree, checked against
+    brute force."""
+    pts = np.asarray(pts, float)
+    ids = np.arange(1, len(pts) + 1) if ids is None else ids
+    monkeypatch.setattr(netgraph, "STRIP", strip)
+    g = netgraph.build_udg((ids, pts), R=R)
+    want = brute_force_rows(ids, pts, R)
+    assert {v: g.neighbors(v).tolist() for v in want} == want
+    return g
+
+
+@pytest.mark.slow
+@given(deployments(min_size=8), st.integers(min_value=3, max_value=7))
+@settings(max_examples=200, deadline=None)
+def test_build_udg_across_strips_matches_brute_force_property(dep, strip):
+    # at least 8 nodes in strips of 3 to 7: every deployment spans strips
+    ids, pts, R = dep
+    with pytest.MonkeyPatch.context() as mp:
+        strip_graph(mp, strip, pts, R, ids)
+
+
+def test_edge_at_exactly_R_across_a_strip_border(monkeypatch):
+    # 1.5^2 + 2^2 = 2.5^2 exactly; one node per strip
+    g = strip_graph(monkeypatch, 1, [(0, 0), (1.5, 2.0), (4.0, 2.0), (1.5, -0.5)], R=2.5)
+    assert g.neighbors(1).tolist() == [2, 4] and g.neighbors(3).tolist() == [2]
+
+
+def test_equal_x_on_both_sides_of_a_strip_border(monkeypatch):
+    # x order (0, 1, 1 | 1, 1, 2): the border falls inside the x = 1 column
+    pts = [(1, 0.5), (0, 0), (1, 0), (2, 0), (1, -0.5), (1, 1.5)]
+    g = strip_graph(monkeypatch, 3, pts, R=1.0)
+    assert g.neighbors(3).tolist() == [1, 2, 4, 5]
+    assert g.neighbors(6).tolist() == [1]
+
+
+def test_duplicate_positions_across_strip_borders(monkeypatch):
+    g = strip_graph(monkeypatch, 2, [(0.3, 0.3)] * 5 + [(1.3, 0.3), (2.4, 0.3)], R=1.0)
+    assert g.degrees()[1:6].tolist() == [5] * 5 and g.neighbors(6).tolist() == [1, 2, 3, 4, 5]
+    assert g.degree(7) == 0
+
+
+def test_edge_at_R_a_hair_beyond_R_in_x(monkeypatch):
+    # b lies beyond a + R in floating point, but b - a rounds to exactly R:
+    # the rounded distance decides, so a strip must reach a hair past R
+    a, b = -0.6133884082193948, -0.11338840821939476
+    assert b > a + 0.5 and b - a == 0.5
+    g = strip_graph(monkeypatch, 1, [(a, 0.0), (b, 0.0)], R=0.5)
+    assert g.neighbors(1).tolist() == [2]
+
+
+def test_int64_keys_past_65536_nodes():
+    # n * n > 2**32: the edge keys are int64 and fill the whole buffer of
+    # `indices`; a sparse deployment, checked against one whole-graph tree
+    rng = Generator(Philox(13))
+    n = 65_537
+    pts = rng.random((n, 2)) * 300.0
+    ids = 3 * rng.permutation(n) + 2
+    g = netgraph.build_udg((ids, pts))
+    pairs = cKDTree(pts).query_pairs(1.0, output_type="ndarray")
+    want = np.sort(np.r_[ids[pairs[:, 0]] * 2**20 + ids[pairs[:, 1]],
+                         ids[pairs[:, 1]] * 2**20 + ids[pairs[:, 0]]])
+    rows = np.repeat(np.arange(len(g.indptr) - 1), np.diff(g.indptr))
+    assert len(want) > n and np.array_equal(rows * 2**20 + g.indices, want)
 
 
 # sha256 of indptr.tobytes() and indices.tobytes(), with their lengths,

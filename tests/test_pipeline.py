@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -50,6 +51,27 @@ def test_pipeline_end_to_end_small(tmp_path):
     lines = open(os.path.join(tmp_path, "out", "classification.csv")).read().splitlines()
     assert lines[0] == "id,class,boundary_id,hop_dist,voronoi"
     assert len(lines) == 1501
+
+
+def test_classification_csv_matches_per_node_formatting(tmp_path):
+    # a chain 0.6R apart, whose two ends (degree 1) are the components, and
+    # a far-off triangle that no flood reaches; IDs gapped and descending
+    pts = np.array([(0.6 * i, 0.0) for i in range(9)] + [(50, 50), (50.5, 50), (50, 50.5)])
+    g = netgraph.build_udg((3 * np.arange(len(pts))[::-1] + 5, pts))
+    classes, _ = boundary.classify(g, 1)
+    comps = boundary.form_components(g, classes)
+    dist, _ = boundary.distance_flood(g, comps.comp_of, 2)
+    r = types.SimpleNamespace(g=g, classes=classes, dist=dist,
+                              voronoi=boundary.detect_voronoi(dist, 2))
+    assert np.isinf(dist.hop[g.ids]).sum() == 3 and r.voronoi[g.ids].sum() == 3
+    path = tmp_path / "classification.csv"
+    cli.write_classification_csv(r, str(path))
+    want = "id,class,boundary_id,hop_dist,voronoi\n"
+    for v in g.id_list:
+        hop = int(dist.hop[v]) if np.isfinite(dist.hop[v]) else -1
+        want += (f"{v},{cli._CLASS_NAMES[int(classes[v])]},{int(dist.comp[v])},"
+                 f"{hop},{int(bool(r.voronoi[v]))}\n")
+    assert path.read_bytes() == want.encode()
 
 
 def test_pipeline_byte_identical_reruns(tmp_path):
@@ -377,6 +399,27 @@ def test_timing_rows_line_up_with_cost(tmp_path):
         senders = [int(f[2]) for f in lines if f[0] == name]
         assert len(senders) == sum(t["broadcasts"] for t in rows), name
         assert sum(t["deliveries"] for t in rows) == int(deg[senders].sum()), name
+
+
+@pytest.mark.parametrize("alpha, swept", [(0.6, []), ("sweep", ["alpha_sweep"])])
+def test_timing_steps_outside_the_protocols(tmp_path, alpha, swept):
+    path = small_region_file(tmp_path)
+    r = cli.run_pipeline(RunConfig(region=path, n=600, seed=9, alpha=alpha))
+    cli.write_reports(r, str(tmp_path))
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    phases, steps = timing["phases"], timing["steps"]
+    assert [t["step"] for t in steps] == ["sample", "build_udg", "check_tree", *swept,
+                                          "write_reports"]
+    assert len(phases) == len(r.costs)  # cost.csv gets no host rows
+    assert all(t["seconds"] >= 0 for t in steps)
+    assert sum(t["seconds"] for t in phases + steps[:-1]) <= timing["wall_seconds"]
+    # every row carries the peak RSS after it, which only grows: the graph
+    # is built before the tree phase, and the tree checked after it
+    rss = [t["rss_mb"] for t in phases]
+    assert 0 < steps[0]["rss_mb"] <= steps[1]["rss_mb"] <= rss[0] <= steps[2]["rss_mb"]
+    assert steps[2]["rss_mb"] <= rss[1] and rss == sorted(rss)
+    assert [t["rss_mb"] for t in steps] == sorted(t["rss_mb"] for t in steps)
+    assert steps[-1]["rss_mb"] >= rss[-1]
 
 
 @pytest.mark.slow
