@@ -126,7 +126,7 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
     np.cumsum(indptr, out=indptr)
     np.remainder(keys, n, out=keys)  # each key's column rank
     # last chunk first: ID i overwrites keys 2i and 2i + 1 (uint32) or key
-    # i (int64), none of which an earlier chunk still has to read
+    # i (int64), at or after i, which the chunks still to come never read
     step = 1 << 16
     for hi in range(E, 0, -step):
         lo = max(hi - step, 0)

@@ -388,6 +388,7 @@ def test_timing_rows_line_up_with_cost(tmp_path):
             for t in timing["phases"]] == cost
     assert len(cost) == 10  # both component runs, token loops included
     assert 0 < sum(t["seconds"] for t in timing["phases"]) <= timing["wall_seconds"]
+    assert_timing_steps(timing)
     # the trace runs phase by phase and names each line's phase: a phase's
     # lines are its broadcasts, and they reach their senders' degrees in nodes
     deg = r.g.degrees()
@@ -401,25 +402,29 @@ def test_timing_rows_line_up_with_cost(tmp_path):
         assert sum(t["deliveries"] for t in rows) == int(deg[senders].sum()), name
 
 
-@pytest.mark.parametrize("alpha, swept", [(0.6, []), ("sweep", ["alpha_sweep"])])
-def test_timing_steps_outside_the_protocols(tmp_path, alpha, swept):
-    path = small_region_file(tmp_path)
-    r = cli.run_pipeline(RunConfig(region=path, n=600, seed=9, alpha=alpha))
-    cli.write_reports(r, str(tmp_path))
-    timing = json.loads((tmp_path / "timing.json").read_text())
+def assert_timing_steps(timing, swept=()):
+    """timing.json's host-step rows, and the peak RSS on every row."""
     phases, steps = timing["phases"], timing["steps"]
     assert [t["step"] for t in steps] == ["sample", "build_udg", "check_tree", *swept,
                                           "write_reports"]
-    assert len(phases) == len(r.costs)  # cost.csv gets no host rows
     assert all(t["seconds"] >= 0 for t in steps)
     assert sum(t["seconds"] for t in phases + steps[:-1]) <= timing["wall_seconds"]
-    # every row carries the peak RSS after it, which only grows: the graph
-    # is built before the tree phase, and the tree checked after it
+    # the peak RSS after each row only grows: the graph is built before
+    # the tree phase, and the tree checked after it
     rss = [t["rss_mb"] for t in phases]
     assert 0 < steps[0]["rss_mb"] <= steps[1]["rss_mb"] <= rss[0] <= steps[2]["rss_mb"]
     assert steps[2]["rss_mb"] <= rss[1] and rss == sorted(rss)
     assert [t["rss_mb"] for t in steps] == sorted(t["rss_mb"] for t in steps)
     assert steps[-1]["rss_mb"] >= rss[-1]
+
+
+def test_timing_steps_name_the_alpha_sweep(tmp_path):
+    r = cli.run_pipeline(RunConfig(region=small_region_file(tmp_path), n=600, seed=9,
+                                   alpha="sweep"))
+    cli.write_reports(r, str(tmp_path))
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert len(timing["phases"]) == len(r.costs)  # cost.csv gets no host rows
+    assert_timing_steps(timing, ["alpha_sweep"])
 
 
 @pytest.mark.slow
