@@ -18,29 +18,29 @@ from scipy.sparse.csgraph import connected_components
 
 from . import geometry
 from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows, hop_bfs
-from .simkernel import RoundKernel, RunResult, run_protocol
+from .simkernel import Kind, RoundKernel, RunResult, run_protocol
 
 # message kinds (disjoint from the convergetree range)
-K_BND = 10     # ()                          boundary membership announcement
-K_MC = 11      # (root,)                     member candidate flood
-K_MF = 12      # (root, origin)              relay forward of the best candidate
-K_JOIN = 13    # (root, parent, via)         member join notice, naming its relay
-K_JAGG = 14    # (member, root, parent)*     a relay's aggregate of the joins naming it
-K_NEAR = 15    # (dest,)                     near node registering at a member
-K_UP = 16      # (via, root, size, near)     component convergecast
-K_UPF = 17     # (child, root, size, near)   relayed convergecast entry
-K_ASG = 18     # (root, size, near)          component totals, echoed down the tree
-K_DIST = 19    # (root, anchor_q)            boundary distance wave
-K_TQ = 20      # (comp, seq, *holder_nbrs)   token pass query
-K_TQF = 21     # (comp, seq, holder, *nbrs)  relayed query
-K_TR = 22      # (comp, seq, score, isroot, excl, via)    candidate reply
-K_TRF = 23     # (cand, comp, seq, score, isroot, excl)   relayed reply
-K_TC = 24      # (comp, seq, succ, via, steps)            pass choice, steps from the root
-K_TCF = 25     # (holder, comp, seq, succ, via, steps)    relayed choice
-K_TB = 28      # (comp, seq, dest, via)      backtrack request to previous holder
-K_TBF = 29     # (comp, seq, dest)           relayed backtrack request
-K_TRB = 30     # (comp, seq)                 rollback: un-exclude seq's candidates
-K_TRBF = 31    # (comp, seq)                 relayed rollback
+K_BND = Kind(10)                                 # boundary membership announcement
+K_MC = Kind(11, ("root",))                       # member candidate flood
+K_MF = Kind(12, ("root", "origin"))              # relay forward of the best candidate
+K_JOIN = Kind(13, ("root", "parent", "via"))     # member join notice, naming its relay
+K_JAGG = Kind(14, (), ("member", "root", "parent"))  # a relay's aggregate of the joins naming it
+K_NEAR = Kind(15, ("dest",))                     # near node registering at a member
+K_UP = Kind(16, ("via", "root", "size", "near"))     # component convergecast
+K_UPF = Kind(17, ("child", "root", "size", "near"))  # relayed convergecast entry
+K_ASG = Kind(18, ("root", "size", "near"))       # component totals, echoed down the tree
+K_DIST = Kind(19, ("root", "anchor_q"))          # boundary distance wave
+K_TQ = Kind(20, ("comp", "seq"), ("nbr",))       # token pass query with the holder's neighbours
+K_TQF = Kind(21, ("comp", "seq", "holder"), ("nbr",))                 # relayed query
+K_TR = Kind(22, ("comp", "seq", "score", "isroot", "excl", "via"))    # candidate reply
+K_TRF = Kind(23, ("cand", "comp", "seq", "score", "isroot", "excl"))  # relayed reply
+K_TC = Kind(24, ("comp", "seq", "succ", "via", "steps"))  # pass choice, steps from the root
+K_TCF = Kind(25, ("holder", "comp", "seq", "succ", "via", "steps"))   # relayed choice
+K_TB = Kind(28, ("comp", "seq", "dest", "via"))  # backtrack request to previous holder
+K_TBF = Kind(29, ("comp", "seq", "dest"))        # relayed backtrack request
+K_TRB = Kind(30, ("comp", "seq"))                # rollback: un-exclude seq's candidates
+K_TRBF = Kind(31, ("comp", "seq"))               # relayed rollback
 
 FRAC_SCALE = 1 << 16  # fractional distances travel as 16-bit fixed point
 _UNSET = np.iinfo(np.int64).max  # a scatter-min slot before its first value
@@ -156,7 +156,7 @@ class _ClassifyRounds(RoundKernel):
     def step(self, rnd: int) -> list:
         if rnd == 0:
             self.cls[self.bnd] = NodeClass.BOUNDARY
-            return [(K_BND, self.bnd, 1)]
+            return [(K_BND, self.bnd)]
         v = self.receivers(self.bnd)[0]
         self.cls[v[self.cls[v] != NodeClass.BOUNDARY]] = NodeClass.NEAR_BOUNDARY
         return []
@@ -242,7 +242,7 @@ class _CompFloodRounds(RoundKernel):
             self.out = self._settle(*self.out)
         s = self.out[0]
         mc = self.member[s]
-        return [(K_MC, s[mc], 2), (K_MF, s[~mc], 3)]
+        return [(K_MC, s[mc]), (K_MF, s[~mc])]
 
     def _settle(self, s, r, o) -> tuple:
         parts = [self._candidates(s[p], r[p], o[p]) for p in self.pieces(s)]
@@ -338,7 +338,7 @@ class _CompOrgRounds(RoundKernel):
         m = self.members
         if rnd == 0:
             self.wake = m
-            return [(K_JOIN, m, 4)]
+            return [(K_JOIN, m)]
         if rnd == 1:
             relays = np.flatnonzero(self.named)
             v, lens = self.receivers(m)
@@ -350,7 +350,7 @@ class _CompOrgRounds(RoundKernel):
             np.minimum.at(low, v[i], s[i])
             v = np.flatnonzero(low != _UNSET)
             np.add.at(self.near_reg, low[v], 1)
-            return [(K_JAGG, relays, 1 + 3 * self.named[relays]), (K_NEAR, v, 2)]
+            return [(K_JAGG, relays, self.named[relays]), (K_NEAR, v)]
         if rnd == 2:
             self.pending[m] = self.kids[m]
         self.upf = self._settle_up()
@@ -366,7 +366,7 @@ class _CompOrgRounds(RoundKernel):
         self.up = ready[self.root[ready] != ready]
         self.asg = np.concatenate([relays, top])
         self.wake = m[~self.sent_up[m]]
-        return [(K_UP, self.up, 5), (K_UPF, self.upf[0], 5), (K_ASG, self.asg, 4)]
+        return [(K_UP, self.up), (K_UPF, self.upf[0]), (K_ASG, self.asg)]
 
     def _settle_up(self) -> tuple:
         """Parents take reports, heard from the child or from its relay;
@@ -527,7 +527,7 @@ class _DistRounds(RoundKernel):
     def step(self, rnd: int) -> list:
         if len(self.out[0]):  # in round 0, the sources' neighbours settle
             self.out = self._settle(rnd, *self.out)
-        return [(K_DIST, self.out[0], 3)]
+        return [(K_DIST, self.out[0])]
 
     def _settle(self, rnd, s, c, q) -> tuple:
         # the round's deliveries in pieces, each cut down to the candidates
@@ -735,7 +735,7 @@ class _TokenRounds(RoundKernel):
         self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, steps)
         self.closed: set[int] = set()
         self.passes: list[_Pass] = []
-        self.out: dict = {}  # kind -> the round's (senders, units, payload key) batches
+        self.out: dict = {}  # kind -> the round's (senders, count, payload key) batches
 
     def step(self, rnd: int) -> list:
         self.out = {}
@@ -751,15 +751,15 @@ class _TokenRounds(RoundKernel):
                 self._ask_far(p)
             elif d == 3:
                 cand, _, _, via = p.replies[1]
-                self._send(K_TRF, via, 7, cand)
+                self._send(K_TRF, via, cand)
             elif d == 4:
                 self._decide(p)
             elif d == 5 and p.succ:
-                self._send(K_TCF, p.nbrs, 7, p.holder)
+                self._send(K_TCF, p.nbrs, p.holder)
                 cand = p.replies[0][0]
                 self.mark[cand[(cand != p.succ) & (cand != p.comp)]] = p.seq
             elif d == 5 and p.back and p.via:
-                self._send(K_TBF, p.via, 4, p.comp)
+                self._send(K_TBF, p.via, p.comp)
             elif d == 6 and p.succ:
                 cand, _, _, via = p.replies[1]
                 out = (cand != p.succ) & (cand != p.comp)
@@ -774,23 +774,23 @@ class _TokenRounds(RoundKernel):
         self.wake = np.array(sorted(p.holder for p in self.passes if rnd - p.q < 4), dtype=np.int64)
         batches = []
         for kind, parts in self.out.items():
-            s, units, key = (np.concatenate(x) for x in zip(*parts))
+            s, count, key = (np.concatenate(x) for x in zip(*parts))
             order = np.lexsort((key, s))  # a sender's messages of one kind in payload order
-            batches.append((kind, s[order], units[order]))
+            batches.append((kind, s[order], count[order]))
         return batches
 
-    def _send(self, kind: int, senders, units: int, key) -> None:
+    def _send(self, kind: Kind, senders, key, count: int = 0) -> None:
         s = np.atleast_1d(senders)
         self.out.setdefault(kind, []).append(
-            (s, np.full(len(s), units), np.broadcast_to(key, s.shape)))
+            (s, np.full(len(s), count), np.broadcast_to(key, s.shape)))
 
     def _start(self, comp, h, seq, steps, undo, rnd) -> None:
         self.held[h] = (seq, steps)
         nbrs = self.indices[self.indptr[h]:self.indptr[h + 1]]
         self.passes.append(_Pass(comp, h, seq, rnd, steps, undo, nbrs))
-        self._send(K_TQ, h, 3 + len(nbrs), comp)
+        self._send(K_TQ, h, comp, len(nbrs))
         if undo:
-            self._send(K_TRB, h, 3, comp)
+            self._send(K_TRB, h, comp)
 
     def _eligible(self, v: np.ndarray, comp: int) -> np.ndarray:
         return (self.comp_of[v] == comp) & ((self.mark[v] != -1) | (v == comp))
@@ -798,14 +798,14 @@ class _TokenRounds(RoundKernel):
     def _reply(self, p: _Pass, cand, score, via) -> None:
         excl = ((self.mark[cand] != 0) & (cand != p.comp)).astype(np.int64)
         p.replies.append((cand, score, excl, via))
-        self._send(K_TR, cand, 7, p.comp)
+        self._send(K_TR, cand, p.comp)
 
     def _undo(self, p: _Pass, v: np.ndarray) -> None:
         self.mark[v[(self.mark[v] == p.undo) & (self.comp_of[v] == p.comp)]] = 0
 
     def _ask(self, p: _Pass) -> None:
         nb = p.nbrs
-        self._send(K_TQF, nb, 4 + len(nb), p.comp)
+        self._send(K_TQF, nb, p.comp, len(nb))
         # one pass over the neighbours' rows gives every score: c's count of
         # rows, and its first position, in the row of its smallest common
         # neighbour, both scattered into scratch rows cleared after reading
@@ -823,7 +823,7 @@ class _TokenRounds(RoundKernel):
         self.hits[ring] = 0
         self.first[ring] = _UNSET
         if p.undo:
-            self._send(K_TRBF, nb, 3, p.comp)
+            self._send(K_TRBF, nb, p.comp)
             self._undo(p, nb)
 
     def _ask_far(self, p: _Pass) -> None:
@@ -845,14 +845,14 @@ class _TokenRounds(RoundKernel):
                 i = np.flatnonzero(pick)
                 j = i[np.lexsort((cand[i], score[i]))[0]]
                 p.succ, p.via = int(cand[j]), int(via[j])
-                self._send(K_TC, p.holder, 6, p.comp)
+                self._send(K_TC, p.holder, p.comp)
                 return
         if p.holder not in self.prev:  # the root, out of candidates
             if size <= 1:
                 self.closed.add(p.holder)
             return
         p.back, p.via = self.prev[p.holder]
-        self._send(K_TB, p.holder, 5, p.comp)
+        self._send(K_TB, p.holder, p.comp)
 
     def _take(self, p: _Pass, rnd: int) -> None:
         s = p.succ

@@ -47,6 +47,8 @@ class UsageError(ValueError):
 # convergecast accumulates (max ID + 1) x bins integers, so more only cost memory
 MIN_BINS, MAX_BINS = 16, 256
 
+REPRO_NODES = 45_000  # the paper-scale instance `paper-repro` deploys
+
 
 class GraphDisconnected(RuntimeError):
     """The deployment's unit disk graph falls apart into several components,
@@ -642,7 +644,7 @@ def cmd_oracle(args) -> int:
 
 
 def _repro_one(seed: int, loops: bool) -> dict:
-    n = 45_000
+    n = REPRO_NODES
     config = RunConfig(region="standard", n=n, seed=seed, alpha="sweep",
                        token_loops=loops)
     r = run_pipeline(config)
@@ -668,7 +670,7 @@ def _repro_one(seed: int, loops: bool) -> dict:
 
 
 def cmd_paper_repro(args) -> int:
-    """Full-scale reproduction: n=45,000 on the standard region, 3 seeds.
+    """Full-scale reproduction: REPRO_NODES nodes on the standard region.
 
     SWARMTOPO_THREADS > 1 fans the seeds out over worker processes (memory
     scales with the worker count); the report order stays by seed.
@@ -680,7 +682,7 @@ def cmd_paper_repro(args) -> int:
         workers = max(1, int(threads))
     except ValueError:
         raise UsageError(f"SWARMTOPO_THREADS takes an integer, not {threads!r}") from None
-    n = 45_000
+    n = REPRO_NODES
     region = standard_region()
     area = geometry.validate_region(region).area
     mu_an = mu_analytic_value(n, area)
@@ -710,15 +712,15 @@ def cmd_paper_repro(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--region", default="standard",
+    p.add_argument("--region", default=RunConfig.region,
                    help="builtin name (standard, annulus) or region JSON path")
-    p.add_argument("--nodes", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--alpha", default="sweep", help="numeric threshold factor or 'sweep'")
-    p.add_argument("--bins", type=int, default=64,
+    p.add_argument("--nodes", type=int, default=RunConfig.n)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--alpha", default=RunConfig.alpha, help="numeric threshold factor or 'sweep'")
+    p.add_argument("--bins", type=int, default=RunConfig.bin_count,
                    help=f"degree histogram bins, {MIN_BINS} to {MAX_BINS}")
-    p.add_argument("--voronoi-tol", type=int, default=2)
-    p.add_argument("--min-comp", type=int, default=8)
+    p.add_argument("--voronoi-tol", type=int, default=RunConfig.tolerance_hops)
+    p.add_argument("--min-comp", type=int, default=RunConfig.min_component_size)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--trace", action="store_true", help="write a broadcast trace CSV")
 
@@ -729,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a region file or builtin")
-    p.add_argument("--region", default="standard")
+    p.add_argument("--region", default=RunConfig.region)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="full pipeline run")
@@ -740,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("paper-repro", help="full-scale 45k reproduction")
+    p = sub.add_parser("paper-repro", help=f"full-scale {REPRO_NODES:,}-node reproduction")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--out", default=None)
     p.add_argument("--no-loops", dest="loops", action="store_false")
@@ -752,7 +754,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:  # a path that cannot be read or made, too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except geometry.GeometryError as exc:

@@ -33,15 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgraph import UnitDiskGraph, csr_rows, has_edges, hop_bfs
-from .simkernel import CHUNK, RoundKernel, RunResult, run_protocol
+from .simkernel import CHUNK, Kind, RoundKernel, RunResult, run_protocol
 
-K_STATE = 1   # (root, parent)      flood announcement, doubles as join notice
-K_REPORT = 2  # (root, size)        convergecast: subtree size under `root`
-K_DONE = 3    # (root, n)           root's completion flood down the tree
-K_AGG = 4     # (value,)            aggregation convergecast; a histogram row
-              #                     goes as (lo, c_lo, ..., c_hi), the window from
-              #                     its first to its last nonzero bin
-K_VAL = 5     # (*value)            a value broadcast down the tree
+K_STATE = Kind(1, ("root", "parent"))   # flood announcement, doubles as join notice
+K_REPORT = Kind(2, ("root", "size"))    # convergecast: subtree size under `root`
+K_DONE = Kind(3, ("root", "n"))         # root's completion flood down the tree
+K_AGG = Kind(4, ("value",))             # aggregation convergecast of a scalar
+K_AGG_HIST = Kind(4, ("lo",), ("count",))  # a histogram row's window lo..hi of bins
+K_VAL = Kind(5, (), ("value",))         # a value broadcast down the tree
 
 
 class AggOp(enum.Enum):
@@ -88,9 +87,6 @@ class TreeBuild:
                                   subtree_size=subtree[v], n_total=n_total[v],
                                   completion_round=completion[v])
         return states
-
-
-_TREE_UNITS = 3  # every tree message is (kind, root, x): sender plus two fields
 
 
 class _TreeRounds(RoundKernel):
@@ -152,7 +148,7 @@ class _TreeRounds(RoundKernel):
     def step(self, rnd: int) -> list:
         msgs = self._first_round() if rnd == 0 else self._settle(rnd, self.msgs)
         self.msgs = {k: m for k, m in msgs.items() if len(m[0])}
-        return [(k, m[0], _TREE_UNITS) for k, m in self.msgs.items()]
+        return [(k, m[0]) for k, m in self.msgs.items()]
 
     def _first_round(self) -> dict:
         """Round 0: a node knows its neighbours' IDs, so it adopts the
@@ -355,18 +351,17 @@ def _row_slices(count: int, cols: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _window_units(acc: np.ndarray, senders: np.ndarray) -> np.ndarray:
-    """Id-units of each sender's histogram message (sender, lo, c_lo, ...,
-    c_hi): 3 + hi - lo for the window of its row of `acc` from its first
-    nonzero bin lo to its last nonzero bin hi.  A sender's row counts at
-    least its own bin."""
-    units = np.empty(len(senders), dtype=np.int64)
+def _window_widths(acc: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """The bins hi - lo + 1 of each sender's histogram message, the window
+    of its row of `acc` from its first nonzero bin lo to its last nonzero
+    bin hi.  A sender's row counts at least its own bin."""
+    widths = np.empty(len(senders), dtype=np.int64)
     for sl in _row_slices(len(senders), acc.shape[1]):
         nz = acc[senders[sl]] != 0
         lo = nz.argmax(axis=1)
         hi = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
-        units[sl] = 3 + hi - lo
-    return units
+        widths[sl] = 1 + hi - lo
+    return widths
 
 
 def _scatter_rows(ufunc, dest: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
@@ -417,7 +412,9 @@ class _AggRounds(RoundKernel):
             par = par[self.pending[par] == 0]
             ready = np.unique(par[self.has_parent[par]])
         self.sent = ready
-        return [(K_AGG, ready, _window_units(self.acc, ready) if self.windowed else 2)]
+        if self.windowed:
+            return [(K_AGG_HIST, ready, _window_widths(self.acc, ready))]
+        return [(K_AGG, ready)]
 
     def state_name(self, v: int) -> str:
         return f"agg(pending={self.pending[v]})"
@@ -429,11 +426,11 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
     """Convergecast `values`, an ID-indexed integer array, up the tree;
     returns the root's combined value.
 
-    MAX takes integer scalars within int64, and its messages cost 2
-    id-units.  HISTOGRAM_MERGE takes each node's bin index in [0, bins)
-    and returns the `bins` counts; a sender sends only the window of its
-    merged row from its first to its last nonzero bin, (lo, c_lo, ...,
-    c_hi): 3 + hi - lo id-units.  Other inputs raise ValueError.
+    MAX takes integer scalars within int64, sent as `K_AGG`.
+    HISTOGRAM_MERGE takes each node's bin index in [0, bins) and returns
+    the `bins` counts; a sender sends only the window of its merged row
+    from its first to its last nonzero bin, as `K_AGG_HIST` (lo, c_lo,
+    ..., c_hi).  Other inputs raise ValueError.
     """
     kernel = _AggRounds(g, tree, op, values, bins)
     res = run_protocol(kernel, max_rounds, trace)
@@ -448,9 +445,9 @@ class _DownRounds(RoundKernel):
     Only a node with at least one child re-broadcasts it, once, in the
     round it takes it; a leaf, or a root without children, sends nothing."""
 
-    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, units: int):
+    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, width: int):
         super().__init__(g)
-        self.units = units
+        self.width = width
         link = _tree_links(g, tree.parent)
         # the children that hear each parent, as a CSR pair by parent ID
         self.kids = np.argsort(link, kind="stable")
@@ -469,7 +466,7 @@ class _DownRounds(RoundKernel):
             v = self.kids[csr_rows(self.kptr, self.sent)[0]]
             self.got[v] = True
             self.sent = np.sort(v[self.has_kids[v]])
-        return [(K_VAL, self.sent, self.units)]
+        return [(K_VAL, self.sent, self.width)]
 
     def state_name(self, v: int) -> str:
         return f"flood(got={bool(self.got[v])})"
@@ -477,12 +474,12 @@ class _DownRounds(RoundKernel):
 
 def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
                    max_rounds: int = 100_000, trace=None) -> tuple[list, RunResult]:
-    """Broadcast a value down the tree from its root, `1 + len(value)`
-    id-units a message; each node with children re-broadcasts it once.
+    """Broadcast a value down the tree from its root as `K_VAL`; each node
+    with children re-broadcasts it once.
     Returns the value per ID, None where it did not arrive: unused IDs, and
     the subtree of a node whose parent is not its neighbour."""
     value = tuple(int(x) for x in value)
-    kernel = _DownRounds(g, tree, 1 + len(value))
+    kernel = _DownRounds(g, tree, len(value))
     res = run_protocol(kernel, max_rounds, trace)
     return [value if got else None for got in kernel.got.tolist()], res
 

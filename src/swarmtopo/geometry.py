@@ -599,23 +599,38 @@ def invert_visibility(r: float) -> float:
 # region file format
 # --------------------------------------------------------------------------
 
-def region_from_dict(doc: dict) -> Region:
-    scale = float(doc.get("radius_unit", 1.0))
+def region_from_dict(doc: dict, source: str = "region document") -> Region:
+    """The region a parsed region document describes.  Content of another
+    layout raises GeometryError naming `source` and the key at fault."""
+    def read(obj, key, convert):
+        try:
+            return convert(obj[key])
+        except (KeyError, TypeError, ValueError):
+            raise GeometryError(f"{source}: no valid {key!r}") from None
+
+    if not isinstance(doc, dict) or not isinstance(doc.get("curves"), list):
+        raise GeometryError(f"{source}: no 'curves' list")
+    scale = read({"radius_unit": 1.0, **doc}, "radius_unit", float)
     if scale <= 0:
         raise TopologyViolation("radius_unit must be positive")
     curves: list[BoundaryCurve] = []
     for c in doc["curves"]:
-        if c["type"] == "polygon":
-            curves.append(Polygon(np.asarray(c["vertices"], dtype=float) / scale))
-        elif c["type"] == "circle":
-            cx, cy = c["center"]
-            curves.append(Circle((cx / scale, cy / scale), c["radius"] / scale))
+        kind = read(c, "type", str)
+        if kind == "polygon":
+            vertices = read(c, "vertices", lambda v: np.asarray(v, dtype=float))
+            curves.append(Polygon(vertices / scale))
+        elif kind == "circle":
+            cx, cy = read(c, "center", lambda v: np.asarray(v, dtype=float).reshape(2)).tolist()
+            curves.append(Circle((cx / scale, cy / scale), read(c, "radius", float) / scale))
         else:
-            raise TopologyViolation(f"unknown curve type {c['type']!r}")
+            raise TopologyViolation(f"unknown curve type {kind!r}")
     return Region(curves)
 
 
 def load_region(path: str) -> Region:
     with open(path, "r", encoding="utf-8") as fh:
-        return region_from_dict(json.load(fh))
-
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise GeometryError(f"{path}: not a JSON document ({exc})") from None
+    return region_from_dict(doc, path)

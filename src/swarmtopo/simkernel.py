@@ -1,8 +1,8 @@
 """Synchronous round-based message passing with cost accounting.
 
-A message is a small int kind tag and integer fields (ID-sized units).
-Its cost in id-units is one for the implicit sender ID plus one per
-payload field; the kind tag rides along free.
+A message is a kind tag and integer fields (ID-sized units).  Each kind
+is declared once as a `Kind`, and `Kind.units` gives a message's cost in
+id-units; the kind tag rides along free.
 
 Delivery contract: everything broadcast in round t is received by exactly
 the graph neighbors at the start of round t+1.  Within a round each inbox
@@ -26,6 +26,20 @@ import numpy as np
 from .netgraph import UnitDiskGraph, csr_rows
 
 CHUNK = 1 << 16  # deliveries a kernel settles at once (`RoundKernel.pieces`)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A message kind: the `code` the trace shows, its fixed `fields` and a
+    field group `repeat` that a message may carry any number of times."""
+    code: int
+    fields: tuple[str, ...] = ()
+    repeat: tuple[str, ...] = ()
+
+    def units(self, count=0):
+        """Id-units of a message carrying `count` repeats of the group
+        (scalar or array): one for the sender ID and one per field."""
+        return 1 + len(self.fields) + len(self.repeat) * count
 
 
 class RoundLimitExceeded(RuntimeError):
@@ -62,8 +76,8 @@ class CostLedger:
 
     def charge(self, senders, units) -> None:
         """Record one broadcast per entry of `senders` (repeats allowed),
-        each costing its entry of `units` (or `units` itself if scalar):
-        one id-unit per message field, the sender ID included."""
+        each costing its entry of `units` (or `units` itself if scalar), as
+        `Kind.units` counts them."""
         units = np.asarray(units, dtype=np.int64)
         if units.size and units.min() < 1:
             raise ValueError("a message always carries at least the sender ID")
@@ -90,8 +104,9 @@ class RoundKernel:
     Subclasses keep per-node state in ID-indexed arrays and implement
     step(rnd): settle every node that received something in round rnd - 1
     (in round 0, every node) and return the round's broadcasts as
-    (kind, senders, units) batches, `units` the id-units per message
-    (scalar or per sender).  A sender repeats once per message it sends.
+    (kind, senders) batches of `Kind`s, or (kind, senders, count) for a
+    kind whose messages repeat a field group `count` times (scalar or per
+    sender).  A sender repeats once per message it sends.
     A node may read only its own state and what its neighbours broadcast;
     `receivers` gives the deliveries of a round's senders, and `pieces`
     cuts a round's senders so that their deliveries are settled a bounded
@@ -163,12 +178,12 @@ def run_protocol(kernel: RoundKernel, max_rounds: int = 100_000, trace=None) -> 
                 break
             senders = np.empty(0, dtype=np.int64)  # a round of timers alone
             continue
-        senders = np.concatenate([s for _, s, _ in sent])
-        units = np.concatenate([np.broadcast_to(u, len(s)) for _, s, u in sent])
+        senders = np.concatenate([s for _, s, *_ in sent])
+        units = np.concatenate([np.broadcast_to(k.units(*c), len(s)) for k, s, *c in sent])
         ledger.charge(senders, units)
         deliveries += int(kernel.degree(senders).sum())
         if trace is not None:
-            kinds = np.concatenate([np.full(len(s), k) for k, s, _ in sent])
+            kinds = np.concatenate([np.full(len(s), k.code) for k, s, *_ in sent])
             order = np.lexsort((kinds, senders))
             trace.write("".join(f"{rnd},{s},{k},{u}\n" for s, k, u in zip(
                 senders[order].tolist(), kinds[order].tolist(), units[order].tolist())))

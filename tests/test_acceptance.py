@@ -6,6 +6,7 @@ end-to-end distributed run is criterion 9/10.
 """
 
 import math
+import pathlib
 import resource
 import time
 from dataclasses import dataclass
@@ -339,7 +340,7 @@ def test_criterion_10_determinism_and_loops(full_run, tmp_path):
     for sub in ("x", "y"):
         rr = cli.run_pipeline(config)
         files = cli.write_reports(rr, str(tmp_path / sub))
-        blobs.append(tuple(open(f, "rb").read() for f in files))
+        blobs.append(tuple(pathlib.Path(f).read_bytes() for f in files))
     identical = blobs[0] == blobs[1]
 
     r, _, _ = full_run

@@ -186,7 +186,7 @@ def test_relay_echoes_only_its_own_components_totals():
     asg = {}
     for line in buf.getvalue().splitlines():
         rnd, v, kind, _ = map(int, line.split(","))
-        if kind == boundary.K_ASG:
+        if kind == boundary.K_ASG.code:
             assert v not in asg
             asg[v] = rnd
     assert asg == {20: 4, 6: 5, 5: 6, 10: 6, 2: 7, 1: 8, 4: 9, 3: 10}

@@ -31,7 +31,7 @@ from swarmtopo import boundary
 from conftest import (COMPONENT_CASES, COMPONENT_GRAPHS, flood_fields, run_digests, sha,
                       stuck_digest)
 
-FLOOD_KINDS = {str(boundary.K_MC), str(boundary.K_MF)}
+FLOOD_KINDS = {str(boundary.K_MC.code), str(boundary.K_MF.code)}
 
 
 def thresholds(g) -> dict:

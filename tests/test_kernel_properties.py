@@ -93,14 +93,14 @@ def test_organisation_talks_only_along_its_tree(g, data):
     res = boundary.run_protocol(org, trace=buf)
     assert_deliveries_are_sender_degrees(g, res)
     talkers = set(members.tolist()) | set(via[members].tolist()) - {0}
-    sent = {boundary.K_JAGG: [], boundary.K_ASG: []}
+    sent = {boundary.K_JAGG.code: [], boundary.K_ASG.code: []}
     for line in buf.getvalue().splitlines():
         rnd, v, kind, _ = map(int, line.split(","))
         if kind in sent:
             sent[kind].append((rnd, v))
-    assert {v for _, v in sent[boundary.K_JAGG] + sent[boundary.K_ASG]} <= talkers
-    asg = dict((v, rnd) for rnd, v in sent[boundary.K_ASG])
-    assert len(asg) == len(sent[boundary.K_ASG])  # no node sends ASG twice
+    assert {v for _, v in sent[boundary.K_JAGG.code] + sent[boundary.K_ASG.code]} <= talkers
+    asg = dict((v, rnd) for rnd, v in sent[boundary.K_ASG.code])
+    assert len(asg) == len(sent[boundary.K_ASG.code])  # no node sends ASG twice
     assert set(members.tolist()) <= set(asg)      # every member takes its totals
     for v, rnd in asg.items():
         if v != root[v]:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import io
@@ -5,15 +6,16 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import types
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from swarmtopo import boundary, cli, geometry, netgraph
+from swarmtopo import boundary, cli, convergetree, geometry, netgraph
 from swarmtopo.cli import MismatchedRun, RunConfig
-from swarmtopo.simkernel import RoundLimitExceeded
+from swarmtopo.simkernel import Kind, RoundLimitExceeded
 from conftest import sha
 
 
@@ -48,7 +50,7 @@ def test_pipeline_end_to_end_small(tmp_path):
     assert r.outer_id in {c.component_id for c in r.comps.components}
     files = cli.write_reports(r, str(tmp_path / "out"))
     assert all(os.path.exists(f) for f in files)
-    lines = open(os.path.join(tmp_path, "out", "classification.csv")).read().splitlines()
+    lines = pathlib.Path(tmp_path, "out", "classification.csv").read_text().splitlines()
     assert lines[0] == "id,class,boundary_id,hop_dist,voronoi"
     assert len(lines) == 1501
 
@@ -113,11 +115,40 @@ token_loops,7611,132497,222
 """
 
 
+def declared_kinds() -> dict:
+    """Every message kind the protocols declare, by its trace code."""
+    by_code: dict = {}
+    for module in (convergetree, boundary):
+        for kind in vars(module).values():
+            if isinstance(kind, Kind):
+                by_code.setdefault(kind.code, []).append(kind)
+    return by_code
+
+
 def test_reports_pinned_across_commits(tmp_path):
-    cli.write_reports(cli.run_pipeline(PINNED_CONFIG), str(tmp_path))
+    trace = io.StringIO()
+    cli.write_reports(cli.run_pipeline(PINNED_CONFIG, trace), str(tmp_path))
     for name, digest in PINNED_DIGESTS.items():
         assert sha(tmp_path.joinpath(name).read_bytes()) == digest, name
     assert tmp_path.joinpath("cost.csv").read_text(encoding="utf-8") == PINNED_COST
+    # every traced message's size recounted from its kind's declaration;
+    # only the two aggregation forms share a code
+    by_code = declared_kinds()
+    assert {code: len(kinds) for code, kinds in by_code.items() if len(kinds) > 1} == {4: 2}
+
+    def fits(kind, units):
+        if not kind.repeat:
+            return units == kind.units()
+        extra = units - kind.units()
+        return extra >= 0 and extra % len(kind.repeat) == 0
+
+    sizes = collections.Counter(tuple(map(int, line.split(",")[3:]))
+                                for line in trace.getvalue().splitlines())
+    assert set(code for code, _ in sizes) <= set(by_code)
+    for code, units in sizes:
+        assert any(fits(kind, units) for kind in by_code[code]), (code, units)
+    total = sum(units * n for (_, units), n in sizes.items())
+    assert total == sum(int(row.split(",")[2]) for row in PINNED_COST.splitlines()[1:])
 
 
 def test_density_warning_low_n(tmp_path):
@@ -200,14 +231,21 @@ def test_cli_validate_and_run(tmp_path, capsys):
     rc = cli.main(["run", "--region", path, "--nodes", "900", "--seed", "4",
                    "--alpha", "0.77", "--out", out])
     assert rc == 0
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(pathlib.Path(out, "summary.json").read_text())
     assert summary["config"]["n"] == 900
     captured = capsys.readouterr()
     assert "mu_est" in captured.out
 
 
-def test_cli_missing_region_file():
-    assert cli.main(["run", "--region", "/nonexistent/region.json"]) == cli.EXIT_USAGE
+@pytest.mark.parametrize("argv", [
+    ["run", "--region", "/nonexistent/region.json"],
+    ["validate", "--region", "{tmp}"],  # a directory
+    ["run", "--region", "annulus", "--out", "{tmp}/file"],  # an output directory that is a file
+], ids=["missing", "directory", "out-is-file"])
+def test_cli_missing_region_file(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -325,11 +363,29 @@ def test_round_limit_names_its_phase(monkeypatch, tmp_path, capsys, name, phase)
     assert err.startswith(f"protocol error: no quiescence in phase {phase} after 3 rounds; ")
 
 
-def test_cli_invalid_region(tmp_path):
-    path = write_region(tmp_path / "bad.json", [
-        {"type": "polygon", "vertices": [[0, 0], [30, 0], [30, 30], [0, 30]]},
-        {"type": "polygon", "vertices": [[1.0, 10], [5, 10], [5, 14], [1.0, 14]]}])
-    assert cli.main(["validate", "--region", path]) == cli.EXIT_GEOMETRY
+HOLE_NEAR_EDGE = json.dumps({"curves": [
+    {"type": "polygon", "vertices": [[0, 0], [30, 0], [30, 30], [0, 30]]},
+    {"type": "polygon", "vertices": [[1.0, 10], [5, 10], [5, 14], [1.0, 14]]}]})
+
+
+@pytest.mark.parametrize("text, names", [
+    (HOLE_NEAR_EDGE, None),
+    ('{"curves": [', "not a JSON document"),
+    ("{}", "'curves'"),
+    ('{"curves": 3}', "'curves'"),
+    ("[1, 2]", "'curves'"),
+    ('{"curves": [{"type": "circle", "center": [0, 0]}]}', "'radius'"),
+    ('{"curves": [{"type": "circle", "center": [0, 0], "radius": "x"}]}', "'radius'"),
+], ids=["hole-near-edge", "bad-json", "empty", "curves-not-list", "not-object",
+        "circle-no-radius", "circle-radius-text"])
+def test_cli_invalid_region(tmp_path, capsys, text, names):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--region", str(path)]) == cli.EXIT_GEOMETRY
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error: ")
+    if names:  # content that is no region document: the file and the key
+        assert f"{path}: " in err and names in err
 
 
 def test_cli_oracle_roundtrip_and_mismatch(tmp_path):
@@ -339,7 +395,7 @@ def test_cli_oracle_roundtrip_and_mismatch(tmp_path):
             "--out", out]
     assert cli.main(["run"] + args) == 0
     assert cli.main(["oracle"] + args) == 0
-    score = json.loads(open(os.path.join(out, "oracle_score.json")).read())
+    score = json.loads(pathlib.Path(out, "oracle_score.json").read_text())
     assert 0 <= score["recall"] <= 1
     assert score["band_area_table"]
     # different seed than the recorded provenance
@@ -367,11 +423,11 @@ def test_trace_flag_writes_costs(tmp_path):
     rc = cli.main(["run", "--region", path, "--nodes", "600", "--seed", "9",
                    "--alpha", "0.6", "--out", out, "--trace"])
     assert rc == 0
-    cost = open(os.path.join(out, "cost.csv")).read().splitlines()
+    cost = pathlib.Path(out, "cost.csv").read_text().splitlines()
     assert cost[0] == "phase,broadcasts,id_units,rounds"
     phases = [line.split(",")[0] for line in cost[1:]]
     assert "tree" in phases and "distance_flood" in phases
-    trace = open(os.path.join(out, "trace.csv")).read().splitlines()
+    trace = pathlib.Path(out, "trace.csv").read_text().splitlines()
     assert trace[0] == "phase,round,node,kind,size_units"
     total = sum(int(line.split(",")[1]) for line in cost[1:])
     assert len(trace) - 1 == total  # one line per charged broadcast

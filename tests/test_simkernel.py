@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from swarmtopo import netgraph, simkernel
-from swarmtopo.simkernel import CostLedger, RoundLimitExceeded, run_protocol
+from swarmtopo.simkernel import CostLedger, Kind, RoundLimitExceeded, run_protocol
 
-K_PING = 99
-K_FLOOD = 98
+K_PING = Kind(99)
+K_FLOOD = Kind(98, (), ("value",))
 
 
 def path_graph(length, ids=None):
@@ -26,17 +26,17 @@ class Echo(simkernel.RoundKernel):
     """Every node broadcasts one bare message in round 0."""
 
     def step(self, rnd):
-        return [(K_PING, self.ids if rnd == 0 else self.ids[:0], 1)]
+        return [(K_PING, self.ids if rnd == 0 else self.ids[:0])]
 
 
 class Flood(simkernel.RoundKernel):
-    """Node 1 broadcasts a message of `units` id-units in round 0; every
+    """Node 1 broadcasts a message of `width` values in round 0; every
     other node rebroadcasts it in the round after it first hears it,
     unless every neighbour has already broadcast it."""
 
-    def __init__(self, g, units=1):
+    def __init__(self, g, width=0):
         super().__init__(g)
-        self.units = units
+        self.width = width
         self.seen = np.zeros(self.size, dtype=bool)
         self.sent = np.zeros(self.size, dtype=bool)
         self.out = np.array([1])
@@ -52,7 +52,7 @@ class Flood(simkernel.RoundKernel):
                                  weights=~self.sent[w], minlength=len(new))
             self.out = new[unsent > 0]
             self.sent[self.out] = True
-        return [(K_FLOOD, self.out, self.units)]
+        return [(K_FLOOD, self.out, self.width)]
 
 
 class Batches(simkernel.RoundKernel):
@@ -60,7 +60,7 @@ class Batches(simkernel.RoundKernel):
 
     def __init__(self, g, batches):
         super().__init__(g)
-        self.batches = [(k, np.array(s), u) for k, s, u in batches]
+        self.batches = [(k, np.array(s), *count) for k, s, *count in batches]
 
     def step(self, rnd):
         return self.batches if rnd == 0 else []
@@ -74,7 +74,7 @@ class Chatter(simkernel.RoundKernel):
         self.talk = self.ids[talk(self.ids)]
 
     def step(self, rnd):
-        return [(K_PING, self.talk, 1)]
+        return [(K_PING, self.talk)]
 
     def state_name(self, v):
         return f"chatter({v})"
@@ -115,7 +115,7 @@ def test_charge_counts_id_fields():
 def test_flood_cost_totals():
     # a 2-unit message flooded once per node, the silent far end apart
     g = path_graph(6)
-    res = run_protocol(Flood(g, units=2))
+    res = run_protocol(Flood(g, width=1))
     assert res.ledger.total_broadcasts == g.n - 1
     assert res.ledger.total_id_units == 2 * (g.n - 1)
     assert res.ledger.broadcasts_sent[g.n] == 0
@@ -144,7 +144,7 @@ def test_deliveries_counted_at_full_degree():
     # the kernel reads it or not, under gapped IDs as under dense ones
     for ids in (None, [3, 10, 11, 40, 41]):
         g = path_graph(4, ids)
-        kinds = [(k, g.ids, 2) for k in (3, 4, 5, 6)]
+        kinds = [(Kind(k, ("x",)), g.ids) for k in (3, 4, 5, 6)]
         res = run_protocol(Batches(g, kinds))
         deg = g.degrees()
         assert res.deliveries == 4 * int(deg.sum())
@@ -159,7 +159,9 @@ def test_inbox_sorted_by_sender_then_kind():
     pts = [(0, 0), (0.5, 0.1), (0.5, -0.1)]
     g = netgraph.build_udg((np.arange(1, 4), np.array(pts, float)))
     buf = io.StringIO()
-    run_protocol(Batches(g, [(5, [2], 2), (4, [3], 2), (3, [2, 2], np.array([3, 2]))]),
+    one, two = Kind(5, ("x",)), Kind(4, ("x",))
+    three = Kind(3, ("x",), ("y",))  # a group repeated once, then not at all
+    run_protocol(Batches(g, [(one, [2]), (two, [3]), (three, [2, 2], np.array([1, 0]))]),
                  trace=buf)
     assert buf.getvalue().splitlines() == ["0,2,3,3", "0,2,3,2", "0,2,5,2", "0,3,4,2"]
 
@@ -213,7 +215,7 @@ class _TimerRounds(simkernel.RoundKernel):
     def step(self, rnd):
         one = np.array([1])
         self.wake = one if rnd < 4 else one[:0]
-        return [(K_PING, one if rnd in (0, 4) else one[:0], 1)]
+        return [(K_PING, one if rnd in (0, 4) else one[:0])]
 
     def state_name(self, v):
         return f"timer(node={v})"
@@ -239,7 +241,7 @@ def test_trace_lines():
     g = path_graph(2)
     run_protocol(Echo(g), trace=buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines == [f"0,{v},{K_PING},1" for v in (1, 2, 3)]
+    assert lines == [f"0,{v},{K_PING.code},1" for v in (1, 2, 3)]
 
 
 def test_round_limit_names_receivers_that_do_not_hear():

@@ -132,6 +132,6 @@ def test_choice_messages_have_fixed_size():
     for line in buf.getvalue().splitlines():
         _, _, kind, units = map(int, line.split(","))
         sizes.setdefault(kind, set()).add(units)
-    assert sizes[boundary.K_TC] == {6}   # (sender, comp, seq, succ, via, steps)
-    assert sizes[boundary.K_TCF] == {7}  # the relay adds the holder
+    assert sizes[boundary.K_TC.code] == {6}   # (sender, comp, seq, succ, via, steps)
+    assert sizes[boundary.K_TCF.code] == {7}  # the relay adds the holder
     assert not {26, 27} & sizes.keys()   # the deleted acknowledgment kinds
