@@ -625,8 +625,14 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     config = _config_from_args(args)
     run_dir = args.out or "."
-    with open(os.path.join(run_dir, "summary.json"), "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    path = os.path.join(run_dir, "summary.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            summary = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise MismatchedRun(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(summary, dict) or not isinstance(summary.get("config"), dict):
+        raise MismatchedRun(f"{path}: no 'config' object")
     check_provenance(summary, config)
     r = run_pipeline(config)
     score = score_run(r)

@@ -19,15 +19,16 @@ each node's neighbours announced, never by rescanning adjacency rows.
 
 The finished tree is `TreeBuild`: the kernel's ID-indexed arrays (parent,
 subtree size, learned n, completion round) and the root.  `aggregate`,
-`broadcast_down` and `check_tree` read these arrays.  `TreeBuild.states`,
-one `TreeState` per node with its children, is built only when read;
-perfbench's tree checks read it.
+`broadcast_down` and `check_tree` read these arrays.  `TreeBuild.states`
+is a view over them that builds a node's `TreeState`, with its children,
+only when that node is read; perfbench's tree checks read it.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,21 +73,37 @@ class TreeBuild:
     result: RunResult
 
     @functools.cached_property
-    def states(self) -> list:
-        """A TreeState per ID (None at index 0 and unused IDs), built on
-        first read; v's children, ascending, are the IDs naming v as
-        parent."""
-        kids = np.argsort(self.parent, kind="stable").tolist()
-        ptr = np.cumsum(np.bincount(self.parent, minlength=len(self.parent))).tolist()
-        parent, subtree = self.parent.tolist(), self.subtree.tolist()
-        n_total, completion = self.n_total.tolist(), self.completion.tolist()
-        states: list = [None] * len(parent)
-        for v in np.flatnonzero(self.completion >= 0).tolist():
-            states[v] = TreeState(root_id=self.root_id, parent=parent[v] or None,
-                                  children=tuple(kids[ptr[v - 1]:ptr[v]]),
-                                  subtree_size=subtree[v], n_total=n_total[v],
-                                  completion_round=completion[v])
-        return states
+    def states(self) -> "TreeStates":
+        """A read-only view of the tree: one TreeState per ID."""
+        return TreeStates(self)
+
+
+class TreeStates(Sequence):
+    """`TreeBuild.states`: item v is node v's TreeState, built when read
+    (None at index 0 and unused IDs).  v's children, ascending, are the
+    IDs naming v as parent, from one argsort of `parent` made on the
+    first read."""
+
+    def __init__(self, build: TreeBuild):
+        self._tree = (build.parent, build.subtree, build.n_total, build.completion)
+        self._root_id = build.root_id
+        self._kids: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self._tree[0])
+
+    def __getitem__(self, v: int) -> TreeState | None:
+        parent, subtree, n_total, completion = self._tree
+        if completion[v] < 0:
+            return None
+        if self._kids is None:
+            self._kids = (np.argsort(parent, kind="stable"),
+                          np.cumsum(np.bincount(parent, minlength=len(parent))))
+        kids, ptr = self._kids
+        return TreeState(root_id=self._root_id, parent=int(parent[v]) or None,
+                         children=tuple(kids[ptr[v - 1]:ptr[v]].tolist()),
+                         subtree_size=int(subtree[v]), n_total=int(n_total[v]),
+                         completion_round=int(completion[v]))
 
 
 class _TreeRounds(RoundKernel):

@@ -193,26 +193,48 @@ def _segments(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _point_segment_distance(px, py, ax, ay, bx, by):
+    """Distance from points (px, py) to segments [(ax, ay), (bx, by)],
+    elementwise under numpy broadcasting."""
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
+    denom = np.where(denom == 0.0, 1.0, denom)
+    # t = clip(((p - a) . ab) / |ab|^2, 0, 1); distance |p - (a + t ab)|,
+    # evaluated in place in that order
+    t = px - ax
+    t *= abx
+    u = py - ay
+    u *= aby
+    t += u
+    t /= denom
+    np.clip(t, 0.0, 1.0, out=t)
+    np.multiply(t, abx, out=u)
+    u += ax
+    np.subtract(px, u, out=u)
+    t *= aby
+    t += ay
+    np.subtract(py, t, out=t)
+    return np.hypot(u, t, out=u)
+
+
 def _dist_points_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance matrix (n_pts, n_segs) from points to segments [a_i, b_i]."""
-    ab = b - a  # (s, 2)
-    ap = pts[:, None, :] - a[None, :, :]  # (n, s, 2)
-    denom = (ab * ab).sum(axis=1)  # (s,)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d = pts[:, None, :] - proj
-    return np.hypot(d[:, :, 0], d[:, :, 1])
+    return _point_segment_distance(pts[:, :1], pts[:, 1:], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
 
 
 def curve_distances(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:
-    """Unsigned distance from each point to the curve (as a set of points)."""
+    """Unsigned distance from each point to the curve (as a set of points):
+    for a polygon, a running minimum over its segments, one pass each."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(curve, Polygon):
-        a, b = _segments(curve)
-        return _dist_points_segments(pts, a, b).min(axis=1)
-    (cx, cy), r = curve.center, curve.radius
-    return np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - r)
+    if isinstance(curve, Circle):
+        (cx, cy), r = curve.center, curve.radius
+        return np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - r)
+    x, y = np.ascontiguousarray(pts.T)
+    best = np.full(len(pts), np.inf)
+    a, b = _segments(curve)
+    for (ax, ay), (bx, by) in zip(a.tolist(), b.tolist()):
+        np.minimum(best, _point_segment_distance(x, y, ax, ay, bx, by), out=best)
+    return best
 
 
 def _even_odd(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:
@@ -235,13 +257,18 @@ def _even_odd(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:
 
 
 def contains_many(region: Region, pts: np.ndarray) -> np.ndarray:
-    """Vectorized region membership; points on any curve count as inside."""
+    """Vectorized region membership; points on any curve count as inside.
+
+    The even-odd test settles each point; a curve's distance (on it means
+    within _ON_TOL) is measured only where it can flip the answer: outside
+    the outer curve, and inside a hole for points still accepted."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    on_outer = curve_distances(region.outer, pts) <= _ON_TOL
-    ok = _even_odd(region.outer, pts) | on_outer
+    ok = _even_odd(region.outer, pts)
+    out = np.flatnonzero(~ok)
+    ok[out] = curve_distances(region.outer, pts[out]) <= _ON_TOL
     for hole in region.holes:
-        in_hole = _even_odd(hole, pts) & (curve_distances(hole, pts) > _ON_TOL)
-        ok &= ~in_hole
+        inside = np.flatnonzero(ok & _even_odd(hole, pts))
+        ok[inside] = curve_distances(hole, pts[inside]) <= _ON_TOL
     return ok
 
 
@@ -257,55 +284,32 @@ def contains(region: Region, p: Point | tuple[float, float]) -> bool:
 DEFAULT_MIN_ANGLE = math.pi / 3
 
 
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def _seg_seg_distance(a0, a1, b0, b1) -> float:
-    """Distance between two segments (0 if they intersect)."""
-    d1 = _cross2(b1 - b0, a0 - b0)
-    d2 = _cross2(b1 - b0, a1 - b0)
-    d3 = _cross2(a1 - a0, b0 - a0)
-    d4 = _cross2(a1 - a0, b1 - a0)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return 0.0
-    pts = np.array([a0, a1])
-    qts = np.array([b0, b1])
-    d = _dist_points_segments(pts, np.array([b0]), np.array([b1])).min()
-    d = min(d, _dist_points_segments(qts, np.array([a0]), np.array([a1])).min())
-    return float(d)
-
-
-def _polygon_self_check(poly: Polygon, label: str) -> None:
+def _polygon_distances(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
+    """One polygon's (s, s) corner-to-segment and segment-to-segment
+    distances, inf where the two share a vertex.  Row i of the first is
+    corner i (segment i's start); crossing segments are 0 apart."""
     a, b = _segments(poly)
-    s = len(a)
-    for i in range(s):
-        for j in range(i + 1, s):
-            if j == i or j == (i + 1) % s or (j + 1) % s == i:
-                continue  # adjacent segments share a vertex
-            if _seg_seg_distance(a[i], b[i], a[j], b[j]) == 0.0:
-                raise TopologyViolation(
-                    f"{label}: segments {i} and {j} intersect (not a simple polygon)"
-                )
+    corner = _dist_points_segments(a, a, b)
+    near = np.minimum(corner, np.roll(corner, -1, axis=0))  # either end of i to j
+    seg = np.minimum(near, near.T)
+    # left[i, k]: corner k lies strictly left of segment i's line.  Segments
+    # cross where each one's ends lie on both sides of the other's line.
+    ab = b - a
+    left = (ab[:, None, 0] * (a[None, :, 1] - a[:, None, 1])
+            - ab[:, None, 1] * (a[None, :, 0] - a[:, None, 0])) > 0
+    straddle = left != np.roll(left, -1, axis=1)
+    seg[straddle & straddle.T] = 0.0
+    i = np.arange(len(a))
+    corner[i, i] = corner[i, i - 1] = np.inf  # the two segments at corner i
+    seg[i, i] = seg[i, i - 1] = seg[i - 1, i] = np.inf
+    return corner, seg
 
 
-def _polygon_feature_size(poly: Polygon) -> float:
+def _polygon_feature_size(corner: np.ndarray, seg: np.ndarray) -> float:
     """Stricter of the two feature readings: corner-to-element plus
-    segment-to-segment over all non-adjacent element pairs of one curve."""
-    a, b = _segments(poly)
-    s = len(a)
-    d_min = math.inf
-    for i in range(s):
-        for j in range(s):
-            if j in (i, (i - 1) % s):
-                continue  # segments incident to corner i
-            d = _dist_points_segments(poly.vertices[i : i + 1], a[j : j + 1], b[j : j + 1])[0, 0]
-            d_min = min(d_min, float(d))
-        for j in range(i + 1, s):
-            if j == (i + 1) % s or (j + 1) % s == i:
-                continue
-            d_min = min(d_min, _seg_seg_distance(a[i], b[i], a[j], b[j]))
-    return d_min
+    segment-to-segment over all non-adjacent element pairs of one curve,
+    from `_polygon_distances`."""
+    return float(min(corner.min(), seg.min()))
 
 
 def _curve_pair_distance(c1: BoundaryCurve, c2: BoundaryCurve, nested: bool) -> float:
@@ -337,9 +341,14 @@ def validate_region(region: Region, min_angle: float = DEFAULT_MIN_ANGLE) -> Fea
     Raises TopologyViolation, FeatureSizeViolation, or AngleViolation naming
     the offending curve; returns a FeatureReport on success.
     """
-    for idx, c in enumerate(region.curves):
-        if isinstance(c, Polygon):
-            _polygon_self_check(c, f"curve {idx}")
+    dists = {idx: _polygon_distances(c) for idx, c in enumerate(region.curves)
+             if isinstance(c, Polygon)}
+    for idx, (_, seg) in dists.items():
+        crossed = np.argwhere(np.triu(seg == 0.0))
+        if len(crossed):
+            i, j = crossed[0].tolist()
+            raise TopologyViolation(
+                f"curve {idx}: segments {i} and {j} intersect (not a simple polygon)")
 
     # nesting: every hole strictly inside the outer curve, holes pairwise disjoint
     for idx, hole in enumerate(region.holes, start=1):
@@ -361,7 +370,7 @@ def validate_region(region: Region, min_angle: float = DEFAULT_MIN_ANGLE) -> Fea
     worst = ""
     for idx, c in enumerate(region.curves):
         if isinstance(c, Polygon):
-            d = _polygon_feature_size(c)
+            d = _polygon_feature_size(*dists[idx])
         else:
             d = 2.0 * c.radius  # conservative stand-in: a circle's only length scale
         if d < d_min:
@@ -525,7 +534,7 @@ def band_areas_closed_form(curve: Polygon, radius: float = 1.0) -> BandAreas:
     Requires feature size >= 2R so that only adjacent strips interact.
     """
     poly = curve.oriented(ccw=True)
-    fs = _polygon_feature_size(poly)
+    fs = _polygon_feature_size(*_polygon_distances(poly))
     if fs < 2.0 * radius:
         raise FeatureSizeViolation(
             f"feature size {fs:.4f} < {2 * radius:.4f}; band formula invalid"

@@ -98,25 +98,26 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
     sxy = xy[by_x]  # x order: strip s is rows s..s + STRIP of sxy
     by_x = by_x.astype(key)
     reach = R * (1 + 1e-9)
-    packed: list[np.ndarray] = []
+    ends: list[np.ndarray] = []  # per strip, (2, pairs) ranks of the two ends
     for s in range(0, n, STRIP):
         end = np.searchsorted(sxy[:, 0], sxy[min(s + STRIP, n) - 1, 0] + reach, side="right")
         pairs = cKDTree(sxy[s:end], balanced_tree=False).query_pairs(R, output_type="ndarray")
         pairs = pairs.compress(pairs[:, 0] < STRIP, axis=0)  # (i, j), i < j: left end here
-        pairs += s
-        a, b = by_x[pairs.T]  # the two ends' ranks
-        packed += [a * key(n) + b, b * key(n) + a]
+        ends.append(by_x[s:end][pairs.T])
 
-    # the keys are sorted inside the buffer of the int64 IDs that replace
-    # them (its first half for uint32 keys), each piece freed once copied
-    E = sum(len(p) for p in packed)
+    # both directions' keys are written, and sorted, inside the buffer of
+    # the int64 IDs that replace them (its first half for uint32 keys),
+    # each strip's ranks freed once written
+    E = sum(e.size for e in ends)
     indices = np.empty(E, dtype=np.int64)
     keys = indices.view(key)[:E]
     at = 0
-    while packed:
-        piece = packed.pop()
-        keys[at:at + len(piece)] = piece
-        at += len(piece)
+    while ends:
+        ab = ends.pop()
+        out = keys[at:at + ab.size].reshape(ab.shape)  # a * n + b, then b * n + a
+        np.multiply(ab, key(n), out=out)
+        out += ab[::-1]
+        at += ab.size
     # the pairs are distinct, so a plain sort orders the rows and each
     # row's neighbours; row r starts at its first key >= r * n
     keys.sort()

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -6,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmtopo import geometry
+from swarmtopo import cli, geometry
 from swarmtopo.geometry import (AngleViolation, Circle, DomainError,
                                 FeatureSizeViolation, NonConvergence, Point,
                                 Polygon, Region, TopologyViolation)
+from conftest import valid_polygons
 
 
 def square(side, cx=0.0, cy=0.0):
@@ -213,3 +216,126 @@ def test_region_file_unknown_type(tmp_path):
     path.write_text(json.dumps({"radius_unit": 1, "curves": [{"type": "blob"}]}))
     with pytest.raises(TopologyViolation):
         geometry.load_region(str(path))
+
+
+# -- membership and distance, bit for bit against the broadcast form --------
+
+RING = geometry.region_from_dict({"curves": [  # perfbench's ring-8k document
+    {"type": "polygon", "vertices": [[0.0, 0.0], [16.0, 0.0], [16.0, 16.0], [0.0, 16.0]]},
+    {"type": "polygon", "vertices": [[5.0, 5.0], [5.0, 11.0], [11.0, 11.0], [11.0, 5.0]]}]})
+
+
+def reference_distances(curve, pts):
+    """`curve_distances` in its first form: every point against every
+    segment at once, through (n, s, 2) temporaries."""
+    if isinstance(curve, Circle):
+        (cx, cy), r = curve.center, curve.radius
+        return np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - r)
+    a = curve.vertices
+    ab = np.roll(a, -1, axis=0) - a
+    ap = pts[:, None, :] - a[None, :, :]
+    denom = (ab * ab).sum(axis=1)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
+    d = pts[:, None, :] - (a[None, :, :] + t[:, :, None] * ab[None, :, :])
+    return np.hypot(d[:, :, 0], d[:, :, 1]).min(axis=1)
+
+
+def reference_contains(region, pts):
+    """`contains_many` in its first form: every curve's distance for every
+    point."""
+    tol = geometry._ON_TOL
+    ok = geometry._even_odd(region.outer, pts) | (reference_distances(region.outer, pts) <= tol)
+    for hole in region.holes:
+        ok &= ~(geometry._even_odd(hole, pts) & (reference_distances(hole, pts) > tol))
+    return ok
+
+
+def _regions():
+    polys = valid_polygons(6)
+    return ([Region([p]) for p in polys]
+            + [Region([p, Circle(tuple(p.vertices.mean(axis=0)), 3.0)]) for p in polys]
+            + [RING, cli.standard_region(), cli.annulus_region(),
+               Region([Circle((1.0, -2.0), 7.5), square(4, 1, -2)]),
+               # a hole with edges on the axes, where a point _ON_TOL off
+               # an edge is exactly _ON_TOL from it
+               Region([square(30), square(4, 2, 2)])])
+
+
+REGIONS = _regions()
+
+
+def _curve_point(curve, at: float, offset: float):
+    """The point a fraction `at` of the way around the curve, moved
+    `offset` off it: radially for a circle, along the edge's right-hand
+    normal for a polygon."""
+    if isinstance(curve, Circle):
+        (cx, cy), r = curve.center, curve.radius
+        phi = 2 * math.pi * at
+        return cx + (r + offset) * math.cos(phi), cy + (r + offset) * math.sin(phi)
+    v = curve.vertices
+    i = min(int(at * len(v)), len(v) - 1)
+    a, b = v[i], v[(i + 1) % len(v)]
+    frac = at * len(v) - i
+    p = a + frac * (b - a)
+    n = np.array([b[1] - a[1], a[0] - b[0]]) / math.hypot(*(b - a))
+    return tuple(p + offset * n)
+
+
+TOL = geometry._ON_TOL
+OFFSETS = [0.0, TOL, -TOL, 2 * TOL, -2 * TOL, 0.5, -0.5, 1e3, -1e6]
+point_specs = st.lists(st.tuples(
+    st.integers(0, 3),  # curve (modulo the region's count)
+    st.floats(0.0, 1.0),  # where
+    st.sampled_from(OFFSETS)),  # how far off
+    max_size=40)
+
+
+@pytest.mark.parametrize("region", REGIONS, ids=range(len(REGIONS)))
+@given(point_specs)
+@settings(max_examples=20, deadline=None)
+def test_contains_and_distances_equal_broadcast_form(region, specs):
+    # every vertex, and each curve's eighths on it and _ON_TOL either side,
+    # then the drawn points
+    pts = [tuple(v) for c in region.curves if isinstance(c, Polygon) for v in c.vertices]
+    pts += [_curve_point(c, k / 8, off) for c in region.curves for k in range(8)
+            for off in (0.0, TOL, -TOL)]
+    pts += [_curve_point(region.curves[c % region.k], at, off) for c, at, off in specs]
+    pts = np.array(pts, dtype=float)
+    assert np.array_equal(geometry.contains_many(region, pts), reference_contains(region, pts))
+    for c in region.curves:
+        assert np.array_equal(geometry.curve_distances(c, pts), reference_distances(c, pts))
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sample_uniform's arrays, recorded before membership skipped curve distances
+SAMPLE_DIGESTS = {
+    ("standard", 45_000): ["bd377993addd249ec154afae79c291e386e10b895f2fb8f8e05b50651cfb03b8",
+                           "baf1d405d9216e704ee0b4076c8facddb4423cc916caeef5611e33e5fa4da61d",
+                           "6193cefe9cc500d07bbb2501ebef45c2423c5fa05acc52b9c33b38211ad50999"],
+    ("annulus", 13_000): ["5a99ac9327e1ebd52590121b4fc1479bd4fad20ceb0c9482be40f2d38dcd9358",
+                          "eecb65efeb8bb30415443099ef8c68696e727971d30282916b79cb23862bf74c",
+                          "5ddc599c8f42965d735b0e8930d70b63dcdeea51ff0de2627ad9133c593fa085"],
+    ("ring", 8_000): ["51d11d56c8cc7c50a8572d06875f7ec595037f973bb8c426ba4fa455ceb14582",
+                      "2e8dbd3f75544c2e0057a37e1b4e433b0b7f53938ac31c3d363d93d2d4a2350a",
+                      "7f8ea04602bcf2dbeb24298b05e17e24868e2c61edee0825fb2c068142d4bdf0"],
+}
+
+
+@pytest.mark.parametrize("name, n", list(SAMPLE_DIGESTS))
+def test_sample_uniform_digests_pinned(name, n):
+    region = RING if name == "ring" else cli.resolve_region(name)
+    got = [_sha(geometry.sample_uniform(region, n, seed)) for seed in (1, 2, 3)]
+    assert got == SAMPLE_DIGESTS[(name, n)]
+
+
+def test_validate_region_reports_pinned():
+    # recorded from the per-pair validation: the same d_min and angles, bit for bit
+    assert [dataclasses.astuple(geometry.validate_region(r))
+            for r in (cli.standard_region(), cli.annulus_region(), RING)] == [
+        (2.066490534771482, 1.5707963267948966, 3.9269908169872427, 786.9015325212005, 4),
+        (6.0, 3.141592653589793, 3.141592653589793, 226.1946710584651, 2),
+        (5.0, 1.5707963267948966, 4.71238898038469, 220.0, 2)]

@@ -407,6 +407,19 @@ def test_cli_oracle_roundtrip_and_mismatch(tmp_path):
     assert cli.main(["oracle", "--min-comp", "3"] + args) == cli.EXIT_MISMATCH
 
 
+@pytest.mark.parametrize("text, names", [
+    ("{", "not a JSON document"),
+    ("[1]", "'config'"),
+    ('{"config": 3}', "'config'"),
+], ids=["bad-json", "not-object", "config-not-object"])
+def test_cli_oracle_malformed_summary(tmp_path, capsys, text, names):
+    (tmp_path / "summary.json").write_text(text, encoding="utf-8")
+    argv = ["oracle", "--region", "annulus", "--nodes", "500", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith(f"mismatched run: {tmp_path / 'summary.json'}: ") and names in err
+
+
 def test_check_provenance():
     # every field that changes what score_run scores must match the run's
     summary = {"config": RunConfig(n=100, seed=1).to_dict()}
