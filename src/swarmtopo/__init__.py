@@ -6,4 +6,8 @@ aggregation), boundary (recognition protocols), topo (higher-order
 parameters), cli (experiment harness).
 """
 
+import time
+
+IMPORTED_AT = time.perf_counter()  # start-up, timed to `cli.main` for timing.json
+
 __version__ = "0.1.0"

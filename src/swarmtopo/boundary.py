@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import geometry
 from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows, hop_bfs
-from .simkernel import Kind, RoundKernel, RunResult, run_protocol
+from .simkernel import Kind, RoundKernel, RunResult, first_hits, run_protocol
 
 # message kinds (disjoint from the convergetree range)
 K_BND = Kind(10)                                 # boundary membership announcement
@@ -157,8 +157,8 @@ class _ClassifyRounds(RoundKernel):
         if rnd == 0:
             self.cls[self.bnd] = NodeClass.BOUNDARY
             return [(K_BND, self.bnd)]
-        v = self.receivers(self.bnd)[0]
-        self.cls[v[self.cls[v] != NodeClass.BOUNDARY]] = NodeClass.NEAR_BOUNDARY
+        v, = self.deliveries(self.bnd, keep=lambda v: self.cls[v] != NodeClass.BOUNDARY)
+        self.cls[v] = NodeClass.NEAR_BOUNDARY
         return []
 
 
@@ -206,12 +206,10 @@ class _CompFloodRounds(RoundKernel):
     Later a member takes the largest root it hears, through K_MC or K_MF,
     if it beats its own, with the root's origin as parent and, through
     K_MF, the relay as `via`; a relay reads only K_MC and forwards a better
-    root with its origin.  Ties go to the smallest sender.  A relay keeps
-    the best root it forwarded in its `root` slot; `_flood_components`
-    clears it after the run.  Every round is settled over its deliveries
-    alone, so the only ID-indexed state is `fields`: the round's largest
-    root is scattered straight into the `root` row, and the smallest
-    sender of it into the `parent` row, with no sort and no scratch row.
+    root with its origin.  Ties go to the smallest sender (`first_hits`).
+    A relay keeps the best root it forwarded in its `root` slot;
+    `_flood_components` clears it after the run.  Every round is settled
+    over its `deliveries` alone, so the only ID-indexed state is `fields`.
     """
 
     def __init__(self, g: UnitDiskGraph, member: np.ndarray):
@@ -222,12 +220,16 @@ class _CompFloodRounds(RoundKernel):
         ids = self.ids
         m = ids[member[ids]]
         self.root[m] = m
-        # every node's largest member neighbour goes straight into its root
-        # row (a member keeps its own ID if larger); a relay counts its
-        # member neighbours in its `via` slot, which a relay never uses
-        v, lens = self.receivers(m)
-        np.maximum.at(self.root, v, np.repeat(m, lens))
-        np.add.at(self.via, v[~member[v]], 1)
+
+        def hear(v, r):
+            # every node's largest member neighbour goes straight into its
+            # root row (a member keeps its own ID if larger); a relay counts
+            # its member neighbours in its `via` slot, which a relay never uses
+            np.maximum.at(self.root, v, r)
+            np.add.at(self.via, v[~member[v]], 1)
+            return np.zeros(len(v), dtype=bool)
+
+        self.deliveries(m, m, keep=hear)
         mem = member[ids]
         up = mem & (self.root[ids] > ids)
         send = ids[up | (~mem & (self.via[ids] > 1))]
@@ -245,35 +247,27 @@ class _CompFloodRounds(RoundKernel):
         return [(K_MC, s[mc]), (K_MF, s[~mc])]
 
     def _settle(self, s, r, o) -> tuple:
-        parts = [self._candidates(s[p], r[p], o[p]) for p in self.pieces(s)]
-        if not parts:
-            return s, r, o
-        v, r, o, s = (np.concatenate(x) for x in zip(*parts))
-        # every candidate beats its receiver's root: the largest lands in
-        # the root row, and the smallest sender of it in the parent row,
-        # which is rewritten at a member and unused at a relay
-        np.maximum.at(self.root, v, r)
-        i = np.flatnonzero(r == self.root[v])
-        v, r, o, s = v[i], r[i], o[i], s[i]
-        self.parent[v] = _UNSET
-        np.minimum.at(self.parent, v, s)
-        i = np.flatnonzero(s == self.parent[v])  # a sender delivers to v once
-        i = i[np.argsort(v[i])]
-        v, r, o, s = v[i], r[i], o[i], s[i]
-        mem = self.member[v]
-        self.parent[v] = np.where(mem, o, 0)
-        m, s = v[mem], s[mem]
-        self.via[m] = np.where(self.member[s], 0, s)
-        return v, r, np.where(mem, v, o)
+        member, root = self.member, self.root
 
-    def _candidates(self, s, r, o) -> tuple:
-        """The deliveries of these messages that beat their receiver's root,
-        a relay's only from members: (receiver, root, origin, sender)."""
-        v, lens = self.receivers(s)
-        k = np.repeat(np.arange(len(s)), lens)
-        i = np.flatnonzero((r[k] > self.root[v]) & (self.member[s][k] | self.member[v]))
-        k = k[i]
-        return v[i], r[k], o[k], s[k]
+        def beats(v, r, o, s, ms):
+            # a root above v's own, a relay's only from members, lands in
+            # the root row; pieces run in sender order, so one that an
+            # earlier piece's equal root beat is not kept
+            up = (r > root[v]) & (ms | member[v])
+            np.maximum.at(root, v[up], r[up])
+            return up
+
+        v, r, o, s, ms = self.deliveries(s, r, o, s, member[s], keep=beats)
+        # the first sender of the largest root wins; the parent row, lent
+        # to `first_hits`, is rewritten at a member and unused at a relay
+        i = np.flatnonzero(r == root[v])
+        i = i[first_hits(v[i], self.parent)]
+        i = i[np.argsort(v[i])]
+        v, r, o, s, ms = v[i], r[i], o[i], s[i], ms[i]
+        mem = member[v]
+        self.parent[v] = np.where(mem, o, 0)
+        self.via[v[mem]] = np.where(ms[mem], 0, s[mem])
+        return v, r, np.where(mem, v, o)
 
     def state_name(self, v: int) -> str:
         return f"compflood(member={bool(self.member[v])})"
@@ -341,16 +335,12 @@ class _CompOrgRounds(RoundKernel):
             return [(K_JOIN, m)]
         if rnd == 1:
             relays = np.flatnonzero(self.named)
-            v, lens = self.receivers(m)
-            s = np.repeat(m, lens)
-            i = np.flatnonzero(~self.member[v])
-            # each non-member's smallest member neighbour counts its NEAR
-            # in round 2
-            low = np.full(self.size, _UNSET)
-            np.minimum.at(low, v[i], s[i])
-            v = np.flatnonzero(low != _UNSET)
-            np.add.at(self.near_reg, low[v], 1)
-            return [(K_JAGG, relays, self.named[relays]), (K_NEAR, v)]
+            # each non-member's first (smallest) member neighbour counts its
+            # NEAR in round 2; a non-member's `sub_near` slot is free scratch
+            v, s = self.deliveries(m, m, keep=lambda v, s: ~self.member[v])
+            first = first_hits(v, self.sub_near)
+            np.add.at(self.near_reg, s[first], 1)
+            return [(K_JAGG, relays, self.named[relays]), (K_NEAR, np.sort(v[first]))]
         if rnd == 2:
             self.pending[m] = self.kids[m]
         self.upf = self._settle_up()
@@ -371,13 +361,12 @@ class _CompOrgRounds(RoundKernel):
     def _settle_up(self) -> tuple:
         """Parents take reports, heard from the child or from its relay;
         returns the (relay, child) pairs that forward."""
-        v, lens = self.receivers(self.up)
-        c = np.repeat(self.up, lens)
-        relay = v == self.via[c]
-        w, lens = self.receivers(self.upf[0])
-        c2 = np.repeat(self.upf[1], lens)
-        took = np.concatenate([c[v == self.parent[c]], c2[w == self.parent[c2]]])
-        par = self.parent[took]
+        via, parent = self.via, self.parent
+        v, c = self.deliveries(self.up, self.up, keep=lambda v, c: (v == parent[c]) | (v == via[c]))
+        relay = v == via[c]
+        _, c2 = self.deliveries(*self.upf, keep=lambda w, c: w == parent[c])
+        took = np.concatenate([c[~relay], c2])
+        par = parent[took]
         np.add.at(self.sub_size, par, self.sub_size[took])
         np.add.at(self.sub_near, par, self.sub_near[took])
         np.subtract.at(self.pending, par, 1)
@@ -386,9 +375,10 @@ class _CompOrgRounds(RoundKernel):
     def _settle_asg(self) -> np.ndarray:
         """Members and relays take the first totals of their own component
         they hear and relay them; returns those that relay."""
-        v, lens = self.receivers(self.asg)
-        own = self.owner[v] == np.repeat(self.owner[self.asg], lens)
-        v = np.unique(v[own & ~self.sent_asg[v]])
+        owner, sent = self.owner, self.sent_asg
+        v, _ = self.deliveries(self.asg, owner[self.asg],
+                               keep=lambda v, own: (owner[v] == own) & ~sent[v])
+        v = np.unique(v)
         self.sent_asg[v] = True
         mem = v[self.member[v]]
         top = self.root[mem]
@@ -506,11 +496,9 @@ class _DistRounds(RoundKernel):
     anchor (its own offset at distance 1); its free slots fill smallest
     component first, and it re-broadcasts exactly the slots it filled.
 
-    A round is settled by scatter-minima into the free slots themselves:
-    the smallest candidate component (and, where both slots are free, the
-    next smallest) into the `c` row, then the position of the first
-    candidate of each filled slot into its `q` row, so no sort runs over
-    the candidates and no ID-sized scratch is made."""
+    A round's `deliveries` are cut down to the candidates a receiver can
+    take and settled in the free slots themselves, with no sort over the
+    candidates and no ID-sized scratch."""
 
     def __init__(self, g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int):
         super().__init__(g)
@@ -530,10 +518,10 @@ class _DistRounds(RoundKernel):
         return [(K_DIST, self.out[0])]
 
     def _settle(self, rnd, s, c, q) -> tuple:
-        # the round's deliveries in pieces, each cut down to the candidates
-        # their receiver can take; candidates run in sender order
-        parts = [self._candidates(s[p], c[p], q[p]) for p in self.pieces(s)]
-        v, c, q = (np.concatenate(x) for x in zip(*parts))
+        # the deliveries to a receiver with a free slot that does not hold
+        # their component yet, in sender order
+        c0, c1 = self.c  # row views: a 1-D gather is faster than self.c[j, v]
+        v, c, q = self.deliveries(s, c, q, keep=lambda v, c, q: (c1[v] == 0) & (c0[v] != c))
         size = self.size
         cf, qf = self.c.reshape(-1), self.q.reshape(-1)  # slot j of v at j * size + v
         # the first free slot takes the receiver's smallest candidate
@@ -547,12 +535,9 @@ class _DistRounds(RoundKernel):
         at[two] = size + v[two]
         i = np.flatnonzero(c == cf[at])
         at, q = at[i], q[i]
-        # per filled slot its first candidate, the smallest sender: the
-        # slot's anchor, still free, holds the smallest candidate position
-        pos = np.arange(len(at))
-        qf[at] = len(at)
-        np.minimum.at(qf, at, pos)
-        i = np.flatnonzero(qf[at] == pos)
+        # per filled slot its first candidate, the smallest sender, found
+        # through the slot's anchor, which is still free
+        i = first_hits(at, qf)
         at, q = at[i], q[i]
         order = np.argsort(at % size * 2 + at // size)  # by receiver, then slot
         at, q = at[order], q[order]
@@ -562,16 +547,6 @@ class _DistRounds(RoundKernel):
         self.d.reshape(-1)[at] = rnd + 1
         qf[at] = q
         return v, cf[at], q
-
-    def _candidates(self, s, c, q) -> tuple:
-        """The deliveries of these messages to a receiver with a free slot
-        that does not hold their component yet."""
-        v, lens = self.receivers(s)
-        k = np.repeat(np.arange(len(s)), lens)
-        c0, c1 = self.c  # row views: a 1-D gather is faster than self.c[j, v]
-        i = np.flatnonzero((c1[v] == 0) & (c0[v] != c[k]))
-        k = k[i]
-        return v[i], c[k], q[k]
 
     def state_name(self, v: int) -> str:
         slots = [(int(self.d[j, v]), int(self.c[j, v]), int(self.q[j, v]))
@@ -719,18 +694,18 @@ class _TokenRounds(RoundKernel):
 
     Per node only the exclusion `mark` (0 none, -1 has held the token,
     else the pass that passed it over) and the two scratch rows that
-    `_ask` scatters N(h)'s rows into are ID-indexed arrays; the links
-    (`prev`) and each holder's (last seq, steps) are kept by holder."""
+    `_ask` scatters N(h)'s `deliveries` into are ID-indexed arrays; the
+    links (`prev`) and each holder's (last seq, steps) are kept by holder."""
 
     def __init__(self, g: UnitDiskGraph, comps: ComponentsResult):
         super().__init__(g)
         self.comp_of = comps.comp_of
         self.sizes = {c.component_id: c.size for c in comps.components}
         self.mark = np.zeros(self.size, dtype=np.int64)
-        # `_ask`'s scratch: per node the rows of N(h) that hold it, and its
-        # first position among them (_UNSET: none)
+        # `_ask`'s scratch: per node the rows of N(h) that hold it, and the
+        # row `first_hits` borrows
         self.hits = np.zeros(self.size, dtype=np.int64)
-        self.first = np.full(self.size, _UNSET, dtype=np.int64)
+        self.first = np.zeros(self.size, dtype=np.int64)
         self.prev: dict[int, tuple[int, int]] = {}  # holder -> (holder before it, via)
         self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, steps)
         self.closed: set[int] = set()
@@ -807,21 +782,17 @@ class _TokenRounds(RoundKernel):
         nb = p.nbrs
         self._send(K_TQF, nb, p.comp, len(nb))
         # one pass over the neighbours' rows gives every score: c's count of
-        # rows, and its first position, in the row of its smallest common
-        # neighbour, both scattered into scratch rows cleared after reading
-        pos, lens = csr_rows(self.indptr, nb)
-        u = self.indices[pos]
-        at = np.arange(len(u))
+        # rows, cleared after reading, and its first delivery, from its
+        # smallest common neighbour
+        u, relay = self.deliveries(nb, nb)
         np.add.at(self.hits, u, 1)
-        np.minimum.at(self.first, u, at)
-        first = np.flatnonzero(self.first[u] == at)
+        first = first_hits(u, self.first)
         first = first[np.argsort(u[first])]
         ring = u[first]
-        p.ring = ring, self.hits[ring], np.repeat(nb, lens)[first]
+        p.ring = ring, self.hits[ring], relay[first]
         u = nb[self._eligible(nb, p.comp)]
         self._reply(p, u, self.hits[u], np.zeros_like(u))
         self.hits[ring] = 0
-        self.first[ring] = _UNSET
         if p.undo:
             self._send(K_TRBF, nb, p.comp)
             self._undo(p, nb)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import boundary, convergetree, geometry, netgraph, topo
+from . import IMPORTED_AT, boundary, convergetree, geometry, netgraph, topo
 from .boundary import NodeClass
 from .simkernel import RoundLimitExceeded
 
@@ -162,9 +162,9 @@ class PhaseCost:
 
 @dataclass
 class StepCost:
-    """A host step outside the protocols (sampling, the graph build, the
-    tree check, the alpha sweep, the report writers): its wall time and
-    the peak RSS after it, for timing.json only."""
+    """A host step outside the protocols (start-up under `swarmtopo run`,
+    sampling, the graph build, the tree check, the alpha sweep, the report
+    writers): its wall time and the peak RSS after it, for timing.json only."""
     step: str
     seconds: float
     rss_mb: float
@@ -608,6 +608,7 @@ def cmd_run(args) -> int:
                      encoding="utf-8", newline="\n"))
             trace_stream.write("phase,round,node,kind,size_units\n")
         r = run_pipeline(config, trace_stream)
+    r.steps.insert(0, args.started)
     files = write_reports(r, out_dir)
     for w in r.warnings:
         print(w, file=sys.stderr)
@@ -757,7 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    started = StepCost("import", time.perf_counter() - IMPORTED_AT, peak_rss_mb())
+    args = build_parser().parse_args(argv, argparse.Namespace(started=started))
     try:
         return args.func(args)
     except (OSError, UsageError) as exc:  # a path that cannot be read or made, too

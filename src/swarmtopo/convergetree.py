@@ -13,9 +13,9 @@ All three protocols run as array round kernels (`simkernel.RoundKernel`):
 each round is a few numpy gathers and scatter reductions (`ufunc.at`)
 over the CSR rows of the nodes that broadcast, driven by
 `simkernel.run_protocol` under its delivery, cost and trace contract.
-The tree settles its STATE deliveries a bounded number at a time, and
-tests "every neighbour announces my root" on a running sum of the roots
-each node's neighbours announced, never by rescanning adjacency rows.
+The tree tests "every neighbour announces my root" on a running sum of
+the roots each node's neighbours announced, never by rescanning
+adjacency rows.
 
 The finished tree is `TreeBuild`: the kernel's ID-indexed arrays (parent,
 subtree size, learned n, completion round) and the root.  `aggregate`,
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import UnitDiskGraph, csr_rows, has_edges, hop_bfs
-from .simkernel import CHUNK, Kind, RoundKernel, RunResult, run_protocol
+from .netgraph import UnitDiskGraph, has_edges, hop_bfs
+from .simkernel import CHUNK, Kind, RoundKernel, RunResult, first_hits, run_protocol
 
 K_STATE = Kind(1, ("root", "parent"))   # flood announcement, doubles as join notice
 K_REPORT = Kind(2, ("root", "size"))    # convergecast: subtree size under `root`
@@ -120,8 +120,8 @@ class _TreeRounds(RoundKernel):
     The rules, per receiving node v, in inbox order (sender, kind), from
     round 1 on (round 0 is `_first_round`):
     STATE (root, parent): adopt the largest announced root above v's own,
-    with the smallest sender announcing it as parent, and announce it.
-    STATE deliveries are settled a bounded number at a time (`pieces`).
+    with the smallest sender announcing it as parent (`first_hits`), and
+    announce it.
     DONE (root, n): taken once, from the smallest sender whose root equals
     v's root before this round; forwarded only by a node with children.
     REPORT (root, size): once every neighbour announces v's root and every
@@ -199,50 +199,37 @@ class _TreeRounds(RoundKernel):
             self.rep_size[s] = n
 
         if K_DONE in msgs:
-            s, r, n = msgs[K_DONE]
-            v, lens = self.receivers(s)
-            k = np.repeat(np.arange(len(s)), lens)
-            take = np.flatnonzero(~done[v] & (r[k] == root[v]))
-            v, k = v[take], k[take]
-            # deliveries run in sender order, so a receiver's smallest
-            # position is its smallest sender; the completion row of a node
-            # taking DONE is free until this round, so it holds that minimum
-            at = np.arange(len(v))
-            self.completion[v] = len(v)
-            np.minimum.at(self.completion, v, at)
-            first = np.flatnonzero(self.completion[v] == at)
-            v, k = v[first], k[first]
+            v, r, n = self.deliveries(*msgs[K_DONE], keep=lambda v, r, n: ~done[v] & (r == root[v]))
+            # the completion row of a node taking DONE is free until this round
+            first = first_hits(v, self.completion)
+            v, r, n = v[first], r[first], n[first]
             done[v] = True
             self.completion[v] = rnd
-            self.n_total[v] = n[k]
+            self.n_total[v] = n
             fwd = self.n_children[v] > 0
-            done_out.append((v[fwd], r[k][fwd], n[k][fwd]))
+            done_out.append((v[fwd], r[fwd], n[fwd]))
 
         if K_STATE in msgs:
             s, r, p = msgs[K_STATE]
             delta = r - self.said_root[s]
             self.said_root[s] = r
             self.said_parent[s] = p
-            cand = []
-            for piece in self.pieces(s):
-                v, lens = self.receivers(s[piece])
-                np.add.at(self.nbsum, v, np.repeat(delta[piece], lens))
+
+            def above(v, r, delta, s):
                 # a root above v's own; pieces run in sender order, so one
                 # that an earlier piece's equal root beat is not the winner
-                rk = np.repeat(r[piece], lens)
-                up = np.flatnonzero(rk > root[v])
-                v, rk = v[up], rk[up]
-                np.maximum.at(root, v, rk)
-                # the sender of each such delivery, by its position
-                cand.append((v, np.searchsorted(np.cumsum(lens), up, side="right") + piece.start))
-            v, k = (np.concatenate(x) for x in zip(*cand))
-            win = np.flatnonzero(r[k] == root[v])
-            v, s_win = v[win], s[k[win]]
-            # the smallest sender announcing the new root is the parent; a
-            # sender delivers to v once, so exactly one delivery matches it
-            parent[v] = self.size
-            np.minimum.at(parent, v, s_win)
-            new = np.sort(v[s_win == parent[v]])
+                np.add.at(self.nbsum, v, delta)
+                up = r > root[v]
+                np.maximum.at(root, v[up], r[up])
+                return up
+
+            v, r, _, s = self.deliveries(s, r, delta, s, keep=above)
+            # the first sender announcing the new root is the parent; the
+            # parent row of a node taking a new root is rewritten here
+            win = np.flatnonzero(r == root[v])
+            win = win[first_hits(v[win], parent)]
+            parent[v[win]] = s[win]
+            new = np.sort(v[win])
             out[K_STATE] = (new, root[new], parent[new])
 
         # a node with a child that has not reported under the child's root
@@ -465,10 +452,7 @@ class _DownRounds(RoundKernel):
     def __init__(self, g: UnitDiskGraph, tree: TreeBuild, width: int):
         super().__init__(g)
         self.width = width
-        link = _tree_links(g, tree.parent)
-        # the children that hear each parent, as a CSR pair by parent ID
-        self.kids = np.argsort(link, kind="stable")
-        self.kptr = np.r_[0, np.cumsum(np.bincount(link, minlength=self.size))]
+        self.link = _tree_links(g, tree.parent)
         self.has_kids = np.bincount(tree.parent, minlength=self.size) > 0
         self.got = np.zeros(self.size, dtype=bool)
         self.got[tree.root_id] = True
@@ -476,11 +460,11 @@ class _DownRounds(RoundKernel):
         self.sent = root[self.has_kids[root]]
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
-        return self.kids[csr_rows(self.kptr, senders)[0]]
+        return self.deliveries(senders, senders, keep=lambda v, s: self.link[v] == s)[0]
 
     def step(self, rnd: int) -> list:
         if rnd:
-            v = self.kids[csr_rows(self.kptr, self.sent)[0]]
+            v = self.waiting(self.sent)
             self.got[v] = True
             self.sent = np.sort(v[self.has_kids[v]])
         return [(K_VAL, self.sent, self.width)]

@@ -14,6 +14,9 @@ to every graph neighbour of its sender), the trace, wake-up timers and the
 round limit.  Each protocol is a `RoundKernel` subclass that settles the
 whole network's round as numpy array operations over the CSR adjacency
 (the vertex-centric BSP of Pregel), so no Python code runs per delivery.
+Two rules serve every kernel: `RoundKernel.deliveries` expands a round's
+broadcasts into deliveries a bounded number at a time, and `first_hits`
+lets each receiver's first delivery, its smallest sender, win a tie.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .netgraph import UnitDiskGraph, csr_rows
 
-CHUNK = 1 << 16  # deliveries a kernel settles at once (`RoundKernel.pieces`)
+CHUNK = 1 << 16  # deliveries a kernel expands at once (`RoundKernel.deliveries`)
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,10 @@ class RoundKernel:
     (kind, senders) batches of `Kind`s, or (kind, senders, count) for a
     kind whose messages repeat a field group `count` times (scalar or per
     sender).  A sender repeats once per message it sends.
-    A node may read only its own state and what its neighbours broadcast;
-    `receivers` gives the deliveries of a round's senders, and `pieces`
-    cuts a round's senders so that their deliveries are settled a bounded
-    number at a time.  Within one (sender, kind) messages may differ in
+    A node may read only its own state and what its neighbours broadcast:
+    `deliveries` gives the receivers of a round's senders with the fields
+    they sent, about CHUNK at a time, and `first_hits` the first delivery
+    to each receiver.  Within one (sender, kind) messages may differ in
     size; they keep their batch order, so a kernel that batches them in
     payload order traces them in canonical order.  A node waiting on a
     timer is listed in `wake` after the step: it is settled in the next
@@ -128,33 +131,49 @@ class RoundKernel:
         """The degree of each node of `v`: the deliveries its broadcast makes."""
         return self.indptr[v + 1] - self.indptr[v]
 
-    def receivers(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The receiver of every delivery of `senders`' broadcasts, sender
-        by sender, and the number each sender makes."""
-        pos, lens = csr_rows(self.indptr, senders)
-        return self.indices[pos], lens
-
-    def pieces(self, senders: np.ndarray) -> list[slice]:
-        """`senders` cut, in order, into slices whose broadcasts make about
-        CHUNK deliveries each."""
+    def deliveries(self, senders: np.ndarray, *fields: np.ndarray, keep=None) -> tuple:
+        """The deliveries of `senders`' broadcasts in sender order: each
+        one's receiver, then each per-sender array of `fields` repeated
+        for it.  The senders' rows are expanded about CHUNK deliveries at a
+        time; `keep`, given one such piece as (receivers, *fields) in
+        sender order, returns a mask of the deliveries to return.  It may
+        settle the rest of the piece itself."""
         load = np.cumsum(self.degree(senders))
-        if not len(load):
-            return []
-        cuts = np.searchsorted(load, np.arange(CHUNK, load[-1], CHUNK)).tolist()
-        return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(senders)])]
+        cuts = np.searchsorted(load, np.arange(CHUNK, load[-1] if len(load) else 0, CHUNK))
+        parts = []
+        for a, b in zip([0, *cuts], [*cuts, len(senders)]):
+            pos, lens = csr_rows(self.indptr, senders[a:b])
+            part = (self.indices[pos], *(np.repeat(f[a:b], lens) for f in fields))
+            if keep is not None:
+                i = np.flatnonzero(keep(*part))
+                part = tuple(x[i] for x in part)
+            parts.append(part)
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         """The nodes that would act on what `senders` broadcast: every graph
         receiver, unless a kernel listens only along some of its edges.
         By default the stuck report names every graph receiver, also one
         that ignores the kind it was sent."""
-        return self.receivers(senders)[0]
+        return self.deliveries(senders)[0]
 
     def step(self, rnd: int) -> list:
         raise NotImplementedError
 
     def state_name(self, v: int) -> str:
         return type(self).__name__
+
+
+def first_hits(v: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The positions of the first entry of each receiver in `v`, ascending.
+    Deliveries run in sender order and a sender reaches a receiver once,
+    so each is the receiver's delivery from its smallest sender.  `row`,
+    an int64 array over IDs that the caller lends, takes the positions'
+    scatter-minimum; its entries at `v` are overwritten."""
+    at = np.arange(len(v))
+    row[v] = len(v)
+    np.minimum.at(row, v, at)
+    return np.flatnonzero(row[v] == at)
 
 
 def run_protocol(kernel: RoundKernel, max_rounds: int = 100_000, trace=None) -> RunResult:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swarmtopo import boundary, netgraph
+from swarmtopo import boundary, netgraph, simkernel
 from swarmtopo.boundary import (DegenerateHistogram, NodeClass, default_alpha, estimate_mu, find_plateau,
                                 threshold_units)
 from swarmtopo.netgraph import DegreeHistogram
@@ -210,6 +210,28 @@ def test_component_flood_memory_follows_nodes_not_ids():
         assert (fields[0, list(c.members)] == c.component_id).all()
     id_array = 8 * (g.max_id + 1)
     assert peak < 5.5 * id_array, peak / id_array
+
+
+def test_classify_and_components_hold_a_bounded_number_of_deliveries():
+    # 3,000 nodes of mean degree 263, all BOUNDARY: a round in which every
+    # node broadcasts makes over 12 x CHUNK deliveries, and nobody keeps
+    # most of them.  The kernels expand them about CHUNK at a time, each
+    # delivery with its fields, so at most a dozen CHUNK-sized arrays are
+    # alive at once, however many deliveries a round makes
+    g = random_graph(3000, 3, spread=5.5)
+    deg = g.degrees()[g.ids]
+    assert deg.sum() > 4 * simkernel.CHUNK
+    chunk_array = 8 * simkernel.CHUNK
+    for run in (lambda: boundary.classify(g, int(deg.max()))[0],
+                lambda: boundary.form_components(g, np.full(g.max_id + 1, 2, np.int8))):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * chunk_array, peak / chunk_array
+    assert [c.size for c in out.components] == [g.n]
 
 
 # -- distance flood ----------------------------------------------------------

@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from swarmtopo import boundary
-from conftest import (COMPONENT_CASES, COMPONENT_GRAPHS, flood_fields, run_digests, sha,
-                      stuck_digest)
+from conftest import (COMPONENT_CASES, COMPONENT_GRAPHS, below_20k, flood_fields, run_digests,
+                      sha, stuck_digest)
 
 FLOOD_KINDS = {str(boundary.K_MC.code), str(boundary.K_MF.code)}
 
@@ -321,6 +321,11 @@ def test_components_match_recorded_protocols(name):
     digests = component_digests(COMPONENT_GRAPHS[name]())
     assert {k: v[0] for k, v in digests.items()} == GOLDEN[name]
     assert {k: v[1] for k, v in digests.items()} == GOLDEN_ORG[name]
+
+
+@pytest.mark.parametrize("name", below_20k(COMPONENT_GRAPHS))
+def test_components_match_recorded_protocols_in_small_pieces(name, small_pieces):
+    test_components_match_recorded_protocols(name)
 
 
 @pytest.mark.parametrize("name", list(STUCK_CASES))

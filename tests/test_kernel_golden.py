@@ -42,7 +42,7 @@ import pytest
 
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.convergetree import AggOp
-from conftest import GOLDEN_CASES, GOLDEN_GRAPHS, run_digests, sha, stuck_digest
+from conftest import GOLDEN_CASES, GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest
 
 BINS = 16
 
@@ -226,6 +226,11 @@ GOLDEN_STUCK = {
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_kernels_match_recorded_protocols(name):
     assert kernel_digests(GOLDEN_GRAPHS[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", below_20k(GOLDEN_GRAPHS))
+def test_kernels_match_recorded_protocols_in_small_pieces(name, small_pieces):
+    test_kernels_match_recorded_protocols(name)
 
 
 @pytest.mark.parametrize("name", list(STUCK_CASES))

@@ -233,6 +233,7 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(pathlib.Path(out, "summary.json").read_text())
     assert summary["config"]["n"] == 900
+    assert_timing_steps(json.loads(pathlib.Path(out, "timing.json").read_text()), started=True)
     captured = capsys.readouterr()
     assert "mu_est" in captured.out
 
@@ -471,9 +472,15 @@ def test_timing_rows_line_up_with_cost(tmp_path):
         assert sum(t["deliveries"] for t in rows) == int(deg[senders].sum()), name
 
 
-def assert_timing_steps(timing, swept=()):
-    """timing.json's host-step rows, and the peak RSS on every row."""
+def assert_timing_steps(timing, swept=(), started=False):
+    """timing.json's host-step rows, and the peak RSS on every row.  A run
+    of `swarmtopo run` (`started`) opens with its start-up row, the time
+    from the package's import to `cli.main`, outside `wall_seconds`."""
     phases, steps = timing["phases"], timing["steps"]
+    if started:
+        assert steps[0]["step"] == "import" and steps[0]["seconds"] > 0
+        assert 0 < steps[0]["rss_mb"] <= steps[1]["rss_mb"]
+        steps = steps[1:]
     assert [t["step"] for t in steps] == ["sample", "build_udg", "check_tree", *swept,
                                           "write_reports"]
     assert all(t["seconds"] >= 0 for t in steps)

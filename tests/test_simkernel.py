@@ -8,9 +8,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmtopo import netgraph, simkernel
 from swarmtopo.simkernel import CostLedger, Kind, RoundLimitExceeded, run_protocol
+from conftest import any_graphs
 
 K_PING = Kind(99)
 K_FLOOD = Kind(98, (), ("value",))
@@ -44,12 +47,11 @@ class Flood(simkernel.RoundKernel):
 
     def step(self, rnd):
         if rnd:
-            v = np.unique(self.receivers(self.out)[0])
+            v = np.unique(self.deliveries(self.out)[0])
             new = v[~self.seen[v]]
             self.seen[new] = True
-            w, lens = self.receivers(new)
-            unsent = np.bincount(np.repeat(np.arange(len(new)), lens),
-                                 weights=~self.sent[w], minlength=len(new))
+            w, k = self.deliveries(new, np.arange(len(new)))
+            unsent = np.bincount(k, weights=~self.sent[w], minlength=len(new))
             self.out = new[unsent > 0]
             self.sent[self.out] = True
         return [(K_FLOOD, self.out, self.width)]
@@ -251,3 +253,52 @@ def test_round_limit_names_receivers_that_do_not_hear():
     with pytest.raises(RoundLimitExceeded) as e:
         run_protocol(Chatter(g, lambda v: v <= 2), max_rounds=3)
     assert list(e.value.stuck) == [1, 2, 3]
+
+
+def brute_deliveries(g, senders, fields):
+    """Every delivery of `senders`' broadcasts, sender by sender: its
+    receiver and its sender's entry of each of `fields`."""
+    rows = [(int(u), *(f[i] for f in fields))
+            for i, s in enumerate(senders.tolist()) for u in g.neighbors(s)]
+    return [np.array(col, dtype=np.int64) for col in zip(*rows)] or \
+        [np.empty(0, dtype=np.int64)] * (1 + len(fields))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(any_graphs, st.data())
+def test_deliveries_equal_brute_force_expansion(g, data):
+    # senders in ascending order, possibly none, under pieces of any size
+    senders = np.array(sorted(data.draw(st.sets(st.sampled_from(g.id_list)))), dtype=np.int64)
+    fields = [np.arange(len(senders)) * 7 + 3, senders.copy()][:data.draw(st.integers(0, 2))]
+    chunk = data.draw(st.sampled_from([1, 2, 5, simkernel.CHUNK]))
+    kernel = simkernel.RoundKernel(g)
+    seen = []
+
+    def keep(v, *f):
+        seen.append(len(v))
+        return (v + sum(f, 0)) % 3 != 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simkernel, "CHUNK", chunk)
+        got = kernel.deliveries(senders, *fields)
+        kept = kernel.deliveries(senders, *fields, keep=keep)
+    want = brute_deliveries(g, senders, fields)
+    assert len(got) == len(kept) == 1 + len(fields)
+    for a, b in zip(got, want):
+        assert a.tolist() == b.tolist()
+    mask = (want[0] + sum(want[1:], 0)) % 3 != 0
+    for a, b in zip(kept, want):
+        assert a.tolist() == b[mask].tolist()
+    # `keep` saw the deliveries in pieces of about `chunk` deliveries each
+    assert sum(seen) == len(want[0])
+    assert max(seen) <= chunk + int(g.degrees().max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.integers(0, 40), max_size=60))
+def test_first_hits_are_first_occurrences(v):
+    v = np.array(v, dtype=np.int64)
+    row = np.full(41, -5, dtype=np.int64)
+    first = simkernel.first_hits(v, row)
+    assert first.tolist() == sorted(np.unique(v, return_index=True)[1].tolist())
+    assert (np.delete(row, v) == -5).all()  # the lent row is written at `v` alone

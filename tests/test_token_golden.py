@@ -29,7 +29,7 @@ import io
 import pytest
 
 from swarmtopo import boundary
-from conftest import TOKEN_CASES, run_digests, sha, slow_20k, stuck_digest
+from conftest import TOKEN_CASES, below_20k, run_digests, sha, slow_20k, stuck_digest
 
 
 def token_digests(g, comps) -> tuple:
@@ -111,6 +111,11 @@ GOLDEN_STUCK = {
 @pytest.mark.parametrize("name", slow_20k(TOKEN_CASES))
 def test_token_loops_match_recorded_runs(name):
     assert token_digests(*TOKEN_CASES[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", below_20k(TOKEN_CASES))
+def test_token_loops_match_recorded_runs_in_small_pieces(name, small_pieces):
+    test_token_loops_match_recorded_runs(name)
 
 
 @pytest.mark.parametrize("name", list(STUCK_CASES))

@@ -19,7 +19,7 @@ import io
 import pytest
 
 from swarmtopo import convergetree
-from conftest import GOLDEN_GRAPHS, run_digests, sha, stuck_digest
+from conftest import GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest
 
 
 def tree_digests(g) -> dict:
@@ -157,6 +157,12 @@ GOLDEN_STUCK = {
 @pytest.mark.parametrize("name", GOLDEN_GRAPHS)
 def test_tree_matches_recorded_protocol(name):
     assert tree_digests(GOLDEN_GRAPHS[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", below_20k(GOLDEN_GRAPHS))
+def test_tree_matches_recorded_protocol_in_small_pieces(name, small_pieces):
+    # a root that an earlier piece's equal root beat is not a new root
+    test_tree_matches_recorded_protocol(name)
 
 
 @pytest.mark.parametrize("name", list(STUCK_CASES))
