@@ -227,7 +227,7 @@ class _CompFloodRounds(RoundKernel):
             # its member neighbours in its `via` slot, which a relay never uses
             np.maximum.at(self.root, v, r)
             np.add.at(self.via, v[~member[v]], 1)
-            return np.zeros(len(v), dtype=bool)
+            return v[:0]  # and keeps none
 
         self.deliveries(m, m, keep=hear)
         mem = member[ids]
@@ -249,24 +249,24 @@ class _CompFloodRounds(RoundKernel):
     def _settle(self, s, r, o) -> tuple:
         member, root = self.member, self.root
 
-        def beats(v, r, o, s, ms):
-            # a root above v's own, a relay's only from members, lands in
-            # the root row; pieces run in sender order, so one that an
-            # earlier piece's equal root beat is not kept
-            up = (r > root[v]) & (ms | member[v])
+        def beats(v, r, o, via):
+            # a root above v's own, a relay's only from members (via 0),
+            # lands in the root row; pieces run in sender order, so one
+            # that an earlier piece's equal root beat is not kept
+            up = np.flatnonzero((r > root[v]) & ((via == 0) | member[v]))
             np.maximum.at(root, v[up], r[up])
             return up
 
-        v, r, o, s, ms = self.deliveries(s, r, o, s, member[s], keep=beats)
+        v, r, o, via = self.deliveries(s, r, o, np.where(member[s], 0, s), keep=beats)
         # the first sender of the largest root wins; the parent row, lent
         # to `first_hits`, is rewritten at a member and unused at a relay
         i = np.flatnonzero(r == root[v])
         i = i[first_hits(v[i], self.parent)]
         i = i[np.argsort(v[i])]
-        v, r, o, s, ms = v[i], r[i], o[i], s[i], ms[i]
+        v, r, o, via = v[i], r[i], o[i], via[i]
         mem = member[v]
         self.parent[v] = np.where(mem, o, 0)
-        self.via[v[mem]] = np.where(ms[mem], 0, s[mem])
+        self.via[v[mem]] = via[mem]
         return v, r, np.where(mem, v, o)
 
     def state_name(self, v: int) -> str:
@@ -704,8 +704,7 @@ class _TokenRounds(RoundKernel):
         self.mark = np.zeros(self.size, dtype=np.int64)
         # `_ask`'s scratch: per node the rows of N(h) that hold it, and the
         # row `first_hits` borrows
-        self.hits = np.zeros(self.size, dtype=np.int64)
-        self.first = np.zeros(self.size, dtype=np.int64)
+        self.hits, self.first = np.zeros((2, self.size), dtype=np.int64)
         self.prev: dict[int, tuple[int, int]] = {}  # holder -> (holder before it, via)
         self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, steps)
         self.closed: set[int] = set()

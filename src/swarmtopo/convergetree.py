@@ -219,7 +219,7 @@ class _TreeRounds(RoundKernel):
                 # a root above v's own; pieces run in sender order, so one
                 # that an earlier piece's equal root beat is not the winner
                 np.add.at(self.nbsum, v, delta)
-                up = r > root[v]
+                up = np.flatnonzero(r > root[v])
                 np.maximum.at(root, v[up], r[up])
                 return up
 

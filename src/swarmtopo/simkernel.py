@@ -136,16 +136,17 @@ class RoundKernel:
         one's receiver, then each per-sender array of `fields` repeated
         for it.  The senders' rows are expanded about CHUNK deliveries at a
         time; `keep`, given one such piece as (receivers, *fields) in
-        sender order, returns a mask of the deliveries to return.  It may
-        settle the rest of the piece itself."""
+        sender order, returns a mask or the positions of the deliveries to
+        return.  It may settle the rest of the piece itself."""
         load = np.cumsum(self.degree(senders))
-        cuts = np.searchsorted(load, np.arange(CHUNK, load[-1] if len(load) else 0, CHUNK))
+        cuts = np.searchsorted(load, np.arange(CHUNK, load[-1] if len(load) else 0, CHUNK)).tolist()
         parts = []
         for a, b in zip([0, *cuts], [*cuts, len(senders)]):
             pos, lens = csr_rows(self.indptr, senders[a:b])
-            part = (self.indices[pos], *(np.repeat(f[a:b], lens) for f in fields))
+            part = (self.indices[pos], *(f[a:b].repeat(lens) for f in fields))
             if keep is not None:
-                i = np.flatnonzero(keep(*part))
+                i = keep(*part)
+                i = np.flatnonzero(i) if i.dtype == bool else i  # faster than a masked copy
                 part = tuple(x[i] for x in part)
             parts.append(part)
         return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
