@@ -1,6 +1,8 @@
 """The round driver's contract (`simkernel.run_protocol`), on small
 `RoundKernel` subclasses: rounds, ledger and cost totals, delivery counts,
-trace order, timers, the round limit and its stuck report."""
+trace order, timers, the round limit and its stuck report; and the two
+primitives every kernel settles its rounds with, `RoundKernel.deliveries`
+and `first_hits`."""
 
 import io
 import pickle
@@ -271,12 +273,14 @@ def test_deliveries_equal_brute_force_expansion(g, data):
     senders = np.array(sorted(data.draw(st.sets(st.sampled_from(g.id_list)))), dtype=np.int64)
     fields = [np.arange(len(senders)) * 7 + 3, senders.copy()][:data.draw(st.integers(0, 2))]
     chunk = data.draw(st.sampled_from([1, 2, 5, simkernel.CHUNK]))
+    as_positions = data.draw(st.booleans())  # `keep` may return a mask or positions
     kernel = simkernel.RoundKernel(g)
     seen = []
 
     def keep(v, *f):
         seen.append(len(v))
-        return (v + sum(f, 0)) % 3 != 0
+        mask = (v + sum(f, 0)) % 3 != 0
+        return np.flatnonzero(mask) if as_positions else mask
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simkernel, "CHUNK", chunk)
