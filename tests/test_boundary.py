@@ -222,8 +222,9 @@ def test_classify_and_components_hold_a_bounded_number_of_deliveries():
     deg = g.degrees()[g.ids]
     assert deg.sum() > 4 * simkernel.CHUNK
     chunk_array = 8 * simkernel.CHUNK
-    for run in (lambda: boundary.classify(g, int(deg.max()))[0],
-                lambda: boundary.form_components(g, np.full(g.max_id + 1, 2, np.int8))):
+    every = np.full(g.max_id + 1, int(NodeClass.BOUNDARY), dtype=np.int8)
+    for run in (lambda: boundary.classify(g, int(deg.max())),
+                lambda: boundary.form_components(g, every)):
         tracemalloc.start()
         try:
             out = run()
@@ -231,7 +232,7 @@ def test_classify_and_components_hold_a_bounded_number_of_deliveries():
         finally:
             tracemalloc.stop()
         assert peak < 12 * chunk_array, peak / chunk_array
-    assert [c.size for c in out.components] == [g.n]
+    assert [c.size for c in out.components] == [g.n]  # form_components ran last
 
 
 # -- distance flood ----------------------------------------------------------
