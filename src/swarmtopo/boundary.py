@@ -85,6 +85,7 @@ class TokenLoop:
 class AlphaSweep:
     grid: tuple[float, ...]
     component_counts: tuple[int, ...]
+    boundary_counts: tuple[int, ...]  # nodes of degree <= the threshold at each alpha
     plateau: tuple[float, float, int] | None  # (alpha_lo, alpha_hi, count)
     alpha_star: float | None
 
@@ -336,11 +337,20 @@ class _CompOrgRounds(RoundKernel):
         if rnd == 1:
             relays = np.flatnonzero(self.named)
             # each non-member's first (smallest) member neighbour counts its
-            # NEAR in round 2; a non-member's `sub_near` slot is free scratch
-            v, s = self.deliveries(m, m, keep=lambda v, s: ~self.member[v])
-            first = first_hits(v, self.sub_near)
-            np.add.at(self.near_reg, s[first], 1)
-            return [(K_JAGG, relays, self.named[relays]), (K_NEAR, np.sort(v[first]))]
+            # NEAR in round 2; pieces run in sender order, so a non-member
+            # an earlier piece settled is not kept again.  A non-member's
+            # `sub_near` slot is free scratch
+            heard = np.zeros(self.size, dtype=bool)
+
+            def first_member(v, s):
+                i = np.flatnonzero(~self.member[v] & ~heard[v])
+                i = i[first_hits(v[i], self.sub_near)]
+                heard[v[i]] = True
+                return i
+
+            v, s = self.deliveries(m, m, keep=first_member)
+            np.add.at(self.near_reg, s, 1)
+            return [(K_JAGG, relays, self.named[relays]), (K_NEAR, np.sort(v))]
         if rnd == 2:
             self.pending[m] = self.kids[m]
         self.upf = self._settle_up()
@@ -359,13 +369,15 @@ class _CompOrgRounds(RoundKernel):
         return [(K_UP, self.up), (K_UPF, self.upf[0]), (K_ASG, self.asg)]
 
     def _settle_up(self) -> tuple:
-        """Parents take reports, heard from the child or from its relay;
-        returns the (relay, child) pairs that forward."""
+        """Parents take reports, heard from the child (UP) or from its relay
+        (UPF); returns the (relay, child) pairs that forward.  A relay never
+        hears itself, so only an UP delivery reaches a child's `via`."""
         via, parent = self.via, self.parent
-        v, c = self.deliveries(self.up, self.up, keep=lambda v, c: (v == parent[c]) | (v == via[c]))
+        v, c = self.deliveries(np.concatenate([self.up, self.upf[0]]),
+                               np.concatenate([self.up, self.upf[1]]),
+                               keep=lambda v, c: (v == parent[c]) | (v == via[c]))
         relay = v == via[c]
-        _, c2 = self.deliveries(*self.upf, keep=lambda w, c: w == parent[c])
-        took = np.concatenate([c[~relay], c2])
+        took = c[~relay]
         par = parent[took]
         np.add.at(self.sub_size, par, self.sub_size[took])
         np.add.at(self.sub_near, par, self.sub_near[took])
@@ -918,7 +930,8 @@ def alpha_sweep(g: UnitDiskGraph, mu_est: int, grid: tuple[float, ...] | None = 
         lo = hi
 
     plateau = find_plateau(grid, counts)
-    return AlphaSweep(grid=grid, component_counts=tuple(counts), plateau=plateau,
+    return AlphaSweep(grid=grid, component_counts=tuple(counts),
+                      boundary_counts=tuple(ends.tolist()), plateau=plateau,
                       alpha_star=None if plateau is None else (plateau[0] + plateau[1]) / 2)
 
 

@@ -23,6 +23,7 @@ from numpy.random import Generator, Philox
 
 from . import IMPORTED_AT, boundary, convergetree, geometry, netgraph, topo
 from .boundary import NodeClass
+from .convergetree import GraphDisconnected
 from .simkernel import RoundLimitExceeded
 
 SCHEMA_VERSION = 1
@@ -48,20 +49,6 @@ class UsageError(ValueError):
 MIN_BINS, MAX_BINS = 16, 256
 
 REPRO_NODES = 45_000  # the paper-scale instance `paper-repro` deploys
-
-
-class GraphDisconnected(RuntimeError):
-    """The deployment's unit disk graph falls apart into several components,
-    so no protocol can reach every node."""
-
-    def __init__(self, n: int, components: int):
-        super().__init__(n, components)  # args rebuild it when pickled
-        self.n = n
-        self.components = components
-
-    def __str__(self) -> str:
-        return (f"the unit disk graph of {self.n} nodes has {self.components} "
-                f"connected components; the protocols need one")
 
 
 class NoBoundaryComponent(RuntimeError):
@@ -224,27 +211,27 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     costs: list[PhaseCost] = []
     steps: list[StepCost] = []
 
-    def cost(phase: str, res) -> None:
-        costs.append(PhaseCost(phase, res.ledger.total_broadcasts, res.ledger.total_id_units,
-                               res.rounds_used, res.deliveries, res.seconds, peak_rss_mb()))
-
     @contextlib.contextmanager
     def step(name: str):
         t = time.perf_counter()
         yield
         steps.append(StepCost(name, time.perf_counter() - t, peak_rss_mb()))
 
-    @contextlib.contextmanager
-    def phase(name: str):
-        """Name the phase in its trace lines and in a round limit raised
-        inside it."""
+    def protocol(name: str, fn, *args, runs=lambda out: [out[1]]):
+        """Run protocol `fn` as phase `name`: the phase starts its trace
+        lines and names a round limit raised inside it, and each of its
+        runs (`runs` of the output) books one cost row."""
         if tr is not None:
             tr.phase = name
         try:
-            yield
+            out = fn(*args, trace=tr)
         except RoundLimitExceeded as exc:
             exc.phase = name
             raise
+        costs.extend(PhaseCost(name, res.ledger.total_broadcasts, res.ledger.total_id_units,
+                               res.rounds_used, res.deliveries, res.seconds, peak_rss_mb())
+                     for res in runs(out))
+        return out
 
     region = resolve_region(config.region)
     feature = geometry.validate_region(region)
@@ -257,40 +244,26 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     with step("build_udg"):
         g = netgraph.build_udg((ids, pts), R=1.0)
 
-    mean_deg = float(g.degrees()[g.ids].mean())
+    deg = g.degrees()
+    mean_deg = float(deg[g.ids].mean())
     if config.n < 100 or mean_deg < 100:
         warnings.append(
             f"density warning: mean degree {mean_deg:.1f} (paper assumes "
             f"every node reaches at least 100 others)")
 
-    with phase("tree"):
-        try:
-            tree = convergetree.build_tree(g, trace=tr)
-        except RuntimeError:
-            # the tree is the connectivity check: on a disconnected graph
-            # it ends with one root per component and raises
-            if netgraph.is_connected(g):
-                raise
-            raise GraphDisconnected(g.n, netgraph.component_count(g)) from None
-    cost("tree", tree.result)
+    # the tree is the connectivity check: it raises GraphDisconnected
+    tree = protocol("tree", convergetree.build_tree, g, runs=lambda t: [t.result])
     with step("check_tree"):
         convergetree.check_tree(g, tree)
 
-    with phase("agg_delta"):
-        (delta_val,), res = convergetree.aggregate(g, tree, convergetree.AggOp.MAX,
-                                                   g.degrees(), trace=tr)
-    cost("agg_delta", res)
-    with phase("flood_delta"):
-        _, res = convergetree.broadcast_down(g, tree, (delta_val,), trace=tr)
-    cost("flood_delta", res)
+    (delta_val,), _ = protocol("agg_delta", convergetree.aggregate, g, tree,
+                               convergetree.AggOp.MAX, deg)
+    protocol("flood_delta", convergetree.broadcast_down, g, tree, (delta_val,))
 
     bins = config.bin_count
-    deg = g.degrees()
     bin_of = netgraph.degree_bin(deg, delta_val, bins)
-    with phase("agg_histogram"):
-        hist_counts, res = convergetree.aggregate(g, tree, convergetree.AggOp.HISTOGRAM_MERGE,
-                                                  bin_of, bins, trace=tr)
-    cost("agg_histogram", res)
+    hist_counts, _ = protocol("agg_histogram", convergetree.aggregate, g, tree,
+                              convergetree.AggOp.HISTOGRAM_MERGE, bin_of, bins)
     hist = netgraph.DegreeHistogram(bins, np.array(hist_counts, dtype=np.int64), delta_val)
     density = boundary.estimate_mu(hist, mu_analytic=mu_an)
 
@@ -307,31 +280,21 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
         alpha_star = float(config.alpha)
 
     thr = boundary.threshold_units(alpha_star, density.mu_est)
-    with phase("flood_threshold"):
-        _, res = convergetree.broadcast_down(g, tree, (density.mu_est, thr), trace=tr)
-    cost("flood_threshold", res)
+    protocol("flood_threshold", convergetree.broadcast_down, g, tree, (density.mu_est, thr))
 
-    with phase("classify"):
-        classes, res = boundary.classify(g, thr, trace=tr)
-    cost("classify", res)
+    classes, _ = protocol("classify", boundary.classify, g, thr)
     if not (classes == int(NodeClass.BOUNDARY)).any():
         raise NoBoundaryComponent(thr, int(deg[g.ids].min()))
 
-    with phase("components"):
-        comps = boundary.form_components(g, classes, trace=tr)
-    for r in comps.results:
-        cost("components", r)
-
-    with phase("distance_flood"):
-        dist, res = boundary.distance_flood(g, comps.comp_of, density.mu_est, trace=tr)
-    cost("distance_flood", res)
+    comps = protocol("components", boundary.form_components, g, classes,
+                     runs=lambda c: c.results)
+    dist, _ = protocol("distance_flood", boundary.distance_flood, g, comps.comp_of,
+                       density.mu_est)
     voronoi = boundary.detect_voronoi(dist, config.tolerance_hops)
 
     loops: dict[int, boundary.TokenLoop] = {}
     if config.token_loops:
-        with phase("token_loops"):
-            loops, res = boundary.run_token_loops(g, comps, trace=tr)
-        cost("token_loops", res)
+        loops, _ = protocol("token_loops", boundary.run_token_loops, g, comps)
         for c in comps.components:
             if c.component_id not in loops:
                 warnings.append(f"token loop failed for component {c.component_id}")
@@ -353,15 +316,13 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
 # report files
 # --------------------------------------------------------------------------
 
-_CLASS_NAMES = {0: "INTERIOR", 1: "NEAR_BOUNDARY", 2: "BOUNDARY"}
-
-
 def write_classification_csv(r: PipelineResult, path: str) -> None:
-    """One line per node in ID order; each column is read with one
-    `tolist()` and the file written with one join."""
+    """One line per node in ID order, its class by `NodeClass` name; each
+    column is read with one `tolist()` and the file written with one join."""
     ids = r.g.ids
     hop = r.dist.hop[ids]
-    rows = zip(r.g.id_list, map(_CLASS_NAMES.__getitem__, r.classes[ids].tolist()),
+    names = {int(c): c.name for c in NodeClass}
+    rows = zip(r.g.id_list, map(names.__getitem__, r.classes[ids].tolist()),
                r.dist.comp[ids].tolist(),
                np.where(np.isfinite(hop), hop, -1).astype(np.int64).tolist(),
                (r.voronoi[ids] != 0).astype(np.int64).tolist())
@@ -371,13 +332,11 @@ def write_classification_csv(r: PipelineResult, path: str) -> None:
 
 
 def write_sweep_csv(r: PipelineResult, path: str) -> None:
-    deg = r.g.degrees()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha,component_count,boundary_node_count\n")
         if r.sweep is None:
             return
-        for a, c in zip(r.sweep.grid, r.sweep.component_counts):
-            nb = int((deg[r.g.ids] <= boundary.threshold_units(a, r.density.mu_est)).sum())
+        for a, c, nb in zip(r.sweep.grid, r.sweep.component_counts, r.sweep.boundary_counts):
             fh.write(f"{a!r},{c},{nb}\n")
 
 

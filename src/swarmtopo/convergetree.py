@@ -44,6 +44,20 @@ K_AGG_HIST = Kind(4, ("lo",), ("count",))  # a histogram row's window lo..hi of 
 K_VAL = Kind(5, (), ("value",))         # a value broadcast down the tree
 
 
+class GraphDisconnected(RuntimeError):
+    """The deployment's unit disk graph falls apart into several components,
+    so no protocol can reach every node."""
+
+    def __init__(self, n: int, components: int):
+        super().__init__(n, components)  # args rebuild it when pickled
+        self.n = n
+        self.components = components
+
+    def __str__(self) -> str:
+        return (f"the unit disk graph of {self.n} nodes has {self.components} "
+                f"connected components; the protocols need one")
+
+
 class AggOp(enum.Enum):
     MAX = "max"
     HISTOGRAM_MERGE = "histogram_merge"
@@ -270,8 +284,10 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
                trace=None) -> TreeBuild:
     """Elect the max-ID node and build its spanning tree over the whole graph.
 
-    Runs the round kernel `_TreeRounds` on `simkernel.run_protocol`.
-    Disconnected input surfaces as a multi-root failure after quiescence.
+    Runs the round kernel `_TreeRounds` on `simkernel.run_protocol`.  On a
+    disconnected graph each component elects its own largest ID and
+    completes, isolated nodes as their own roots, so the roots count the
+    components, and `GraphDisconnected` reports them.
     """
     kernel = _TreeRounds(g)
     result = run_protocol(kernel, max_rounds, trace)
@@ -280,10 +296,8 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
     if len(undone):
         raise RuntimeError(f"tree build ended without completion at node {undone[0]}")
     roots = ids[kernel.parent[ids] == 0]
-    short = roots[kernel.n_total[roots] != g.n]
-    if len(short):
-        raise RuntimeError(f"root {short[0]} spans {kernel.n_total[short[0]]} of {g.n} "
-                           f"nodes: graph disconnected")
+    if len(roots) > 1:
+        raise GraphDisconnected(g.n, len(roots))
     return TreeBuild(parent=kernel.parent, subtree=kernel.subtree, n_total=kernel.n_total,
                      completion=kernel.completion, root_id=int(roots[-1]), result=result)
 

@@ -212,6 +212,17 @@ def test_component_flood_memory_follows_nodes_not_ids():
     assert peak < 5.5 * id_array, peak / id_array
 
 
+def _peak_chunks(run) -> tuple:
+    """run()'s output and its tracemalloc peak in CHUNK-sized int64 arrays."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / (8 * simkernel.CHUNK)
+
+
 def test_classify_and_components_hold_a_bounded_number_of_deliveries():
     # 3,000 nodes of mean degree 263, all BOUNDARY: a round in which every
     # node broadcasts makes over 12 x CHUNK deliveries, and nobody keeps
@@ -221,18 +232,23 @@ def test_classify_and_components_hold_a_bounded_number_of_deliveries():
     g = random_graph(3000, 3, spread=5.5)
     deg = g.degrees()[g.ids]
     assert deg.sum() > 4 * simkernel.CHUNK
-    chunk_array = 8 * simkernel.CHUNK
     every = np.full(g.max_id + 1, int(NodeClass.BOUNDARY), dtype=np.int8)
-    for run in (lambda: boundary.classify(g, int(deg.max())),
-                lambda: boundary.form_components(g, every)):
-        tracemalloc.start()
-        try:
-            out = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * chunk_array, peak / chunk_array
-    assert [c.size for c in out.components] == [g.n]  # form_components ran last
+    _, peak = _peak_chunks(lambda: boundary.classify(g, int(deg.max())))
+    assert peak < 12, peak
+    out, peak = _peak_chunks(lambda: boundary.form_components(g, every))
+    assert peak < 12, peak
+    assert [c.size for c in out.components] == [g.n]
+    # the lowest-degree quarter BOUNDARY at the same mean degree: the
+    # organisation's round 1 sends every member's JOIN to its non-member
+    # neighbours, and each settles its smallest member piece by piece, so
+    # the bound holds also where most of a round's deliveries matter
+    for n in (3000, 12000):
+        g = random_graph(n, 3, spread=5.5 * (n / 3000) ** 0.5)
+        classes = lowest_quarter(g)
+        out, peak = _peak_chunks(lambda: boundary.form_components(g, classes))
+        assert peak < 12, (n, peak)
+        member = classes == int(NodeClass.BOUNDARY)
+        assert sum(c.size for c in out.components) == member.sum()
 
 
 # -- distance flood ----------------------------------------------------------

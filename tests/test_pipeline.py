@@ -71,7 +71,7 @@ def test_classification_csv_matches_per_node_formatting(tmp_path):
     want = "id,class,boundary_id,hop_dist,voronoi\n"
     for v in g.id_list:
         hop = int(dist.hop[v]) if np.isfinite(dist.hop[v]) else -1
-        want += (f"{v},{cli._CLASS_NAMES[int(classes[v])]},{int(dist.comp[v])},"
+        want += (f"{v},{boundary.NodeClass(int(classes[v])).name},{int(dist.comp[v])},"
                  f"{hop},{int(bool(r.voronoi[v]))}\n")
     assert path.read_bytes() == want.encode()
 
@@ -350,18 +350,26 @@ def test_cli_failure_exit_codes(monkeypatch, tmp_path, capsys, exc, code, prefix
         assert err.startswith(f"{prefix}no quiescence in phase {exc.phase} after 7 rounds")
 
 
-@pytest.mark.parametrize("name, phase", [("build_tree", "tree"),
-                                         ("form_components", "components")])
-def test_round_limit_names_its_phase(monkeypatch, tmp_path, capsys, name, phase):
-    # the phase's own round limit, cut to 3: the pipeline names the phase
-    module = cli.convergetree if name == "build_tree" else cli.boundary
-    monkeypatch.setattr(module, name, functools.partial(getattr(module, name), max_rounds=3))
+@pytest.mark.parametrize("module, name, phase", [pytest.param(*c, id=f"{c[1]}-{c[2]}") for c in (
+    (convergetree, "build_tree", "tree"),
+    (convergetree, "aggregate", "agg_delta"),
+    (convergetree, "broadcast_down", "flood_delta"),
+    # classify takes no round limit and passes none to its driver, and it
+    # runs first of boundary's protocols: the driver gets the limit
+    (boundary, "run_protocol", "classify"),
+    (boundary, "form_components", "components"),
+    (boundary, "distance_flood", "distance_flood"),
+    (boundary, "run_token_loops", "token_loops"))])
+def test_round_limit_names_its_phase(monkeypatch, tmp_path, capsys, module, name, phase):
+    # every protocol the pipeline calls, cut to one round (each needs two
+    # or more): the pipeline names the first phase that runs it
+    monkeypatch.setattr(module, name, functools.partial(getattr(module, name), max_rounds=1))
     path = small_region_file(tmp_path)
     argv = ["run", "--region", path, "--nodes", "600", "--seed", "9", "--alpha", "0.6",
             "--out", str(tmp_path / "o")]
     assert cli.main(argv) == cli.EXIT_PROTOCOL
     err = capsys.readouterr().err
-    assert err.startswith(f"protocol error: no quiescence in phase {phase} after 3 rounds; ")
+    assert err.startswith(f"protocol error: no quiescence in phase {phase} after 1 rounds; ")
 
 
 HOLE_NEAR_EDGE = json.dumps({"curves": [

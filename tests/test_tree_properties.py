@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmtopo import convergetree
+from swarmtopo import convergetree, netgraph
 from swarmtopo.simkernel import run_protocol
-from conftest import any_graphs, connected_graphs, distinct_ids, graph_from
+from conftest import any_graphs, connected_graphs, distinct_ids, graph_from, scattered_70
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -38,10 +38,34 @@ def test_build_tree_equals_twin(g):
 @given(distinct_ids(2), st.floats(1.01, 50.0))
 def test_build_tree_two_disconnected_nodes_raise(ids, gap):
     g = graph_from([(0.0, 0.0), (gap, 0.0)], ids=ids)
-    with pytest.raises(RuntimeError, match="graph disconnected"):
+    with pytest.raises(convergetree.GraphDisconnected) as e:
         convergetree.build_tree(g)
+    assert (e.value.n, e.value.components) == (2, 2)
     with pytest.raises(ValueError, match="graph disconnected"):
         convergetree.central_tree(g)
+
+
+def test_build_tree_counts_components_with_isolated_nodes():
+    # pairs, small clusters and isolated nodes: each component, an isolated
+    # node too, elects its own root, and the roots count the components
+    g = scattered_70()
+    assert (g.degrees()[g.ids] == 0).sum() >= 2
+    want = netgraph.component_count(g)
+    assert want >= 3
+    with pytest.raises(convergetree.GraphDisconnected) as e:
+        convergetree.build_tree(g)
+    assert (e.value.n, e.value.components) == (70, want)
+
+
+@SETTINGS
+@given(any_graphs)
+def test_build_tree_raises_exactly_on_disconnected_graphs(g):
+    if netgraph.is_connected(g):
+        convergetree.build_tree(g)
+        return
+    with pytest.raises(convergetree.GraphDisconnected) as e:
+        convergetree.build_tree(g)
+    assert e.value.components == netgraph.component_count(g) > 1
 
 
 class _CheckedTree(convergetree._TreeRounds):
