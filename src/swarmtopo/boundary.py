@@ -29,13 +29,12 @@ K_JAGG = Kind(14, (), ("member", "root", "parent"))  # a relay's aggregate of th
 K_NEAR = Kind(15, ("dest",))                     # near node registering at a member
 K_UP = Kind(16, ("via", "root", "size", "near"))     # component convergecast
 K_UPF = Kind(17, ("child", "root", "size", "near"))  # relayed convergecast entry
-K_ASG = Kind(18, ("root", "size", "near"))       # component totals, echoed down the tree
 K_DIST = Kind(19, ("root", "anchor_q"))          # boundary distance wave
 K_TQ = Kind(20, ("comp", "seq"), ("nbr",))       # token pass query with the holder's neighbours
 K_TQF = Kind(21, ("comp", "seq", "holder"), ("nbr",))                 # relayed query
 K_TR = Kind(22, ("comp", "seq", "score", "isroot", "excl", "via"))    # candidate reply
 K_TRF = Kind(23, ("cand", "comp", "seq", "score", "isroot", "excl"))  # relayed reply
-K_TC = Kind(24, ("comp", "seq", "succ", "via", "steps"))  # pass choice, steps from the root
+K_TC = Kind(24, ("comp", "seq", "succ", "via", "steps"))  # pass choice, passes left to close
 K_TCF = Kind(25, ("holder", "comp", "seq", "succ", "via", "steps"))   # relayed choice
 K_TB = Kind(28, ("comp", "seq", "dest", "via"))  # backtrack request to previous holder
 K_TBF = Kind(29, ("comp", "seq", "dest"))        # relayed backtrack request
@@ -285,9 +284,9 @@ def _flood_components(g: UnitDiskGraph, member: np.ndarray, max_rounds: int = 10
 
 
 class _CompOrgRounds(RoundKernel):
-    """Join, size/near-count convergecast and totals echo for every
-    component at once, from the flood's per-ID `root`, `parent` and `via`.
-    Only members and the relays they name as `via` forward anything.
+    """Join and size/near-count convergecast for every component at once,
+    from the flood's per-ID `root`, `parent` and `via`.  Only members and
+    the relays they name as `via` forward anything.
 
     Rounds 0-1 have fixed timing.  Round 0: members announce (root, parent,
     via) (JOIN).  Round 1: every `via` relays the JOINs that name it, once
@@ -298,11 +297,11 @@ class _CompOrgRounds(RoundKernel):
     members of two components, so one NEAR per node counts each near set.
     From round 2 a member reports its subtree's size and near count to its
     parent (UP) once every child has; the child's `via` relays the report
-    (UPF), so the parent hears it once.  A root that reports sends its
-    totals back down the tree (ASG): every member and every `via` relays
-    the first ASG of its own component (the root its JOINs named) that it
-    hears, once.  Members wait on a timer through rounds 0-1 and then until
-    they report.
+    (UPF), so the parent hears it once.  A root sends no report: once its
+    children have reported it holds its component's size (`sub_size`) and
+    the count of non-members in its near set (`sub_near`), and the run
+    ends when the last root has them.  Members wait on a timer through
+    rounds 0-1 and then until they report.
     """
 
     def __init__(self, g: UnitDiskGraph, member: np.ndarray, root: np.ndarray,
@@ -314,20 +313,14 @@ class _CompOrgRounds(RoundKernel):
         self.kids = np.bincount(parent[m], minlength=self.size)  # a root's parent is 0
         relayed = m[via[m] != 0]  # members whose parent is no neighbour
         self.named = np.bincount(via[relayed], minlength=self.size)  # JOINs naming a relay
-        # the component of a member or relay, learned from the JOINs; 0 elsewhere
-        self.owner = np.where(member, root, 0)
-        self.owner[via[relayed]] = root[relayed]
         self.pending = np.zeros(self.size, dtype=np.int64)  # from round 2: kids unheard
         self.near_reg = np.zeros(self.size, dtype=np.int64)
         self.sub_size = np.ones(self.size, dtype=np.int64)   # own + reported subtrees
         self.sub_near = np.zeros(self.size, dtype=np.int64)
         self.sent_up = np.zeros(self.size, dtype=bool)
-        self.sent_asg = np.zeros(self.size, dtype=bool)
-        self.comp_size = np.zeros(self.size, dtype=np.int64)
-        self.comp_near = np.zeros(self.size, dtype=np.int64)
-        # the last round's UP senders, UPF (relay, child) pairs and ASG senders
+        # the last round's UP senders and UPF (relay, child) pairs
         empty = np.empty(0, dtype=np.int64)
-        self.up, self.upf, self.asg = empty, (empty, empty), empty
+        self.up, self.upf = empty, (empty, empty)
 
     def step(self, rnd: int) -> list:
         m = self.members
@@ -354,19 +347,12 @@ class _CompOrgRounds(RoundKernel):
         if rnd == 2:
             self.pending[m] = self.kids[m]
         self.upf = self._settle_up()
-        relays = self._settle_asg()
-
         ready = m[~self.sent_up[m] & (self.pending[m] == 0)]
         self.sent_up[ready] = True
         self.sub_near[ready] += self.near_reg[ready]
-        top = ready[self.root[ready] == ready]
-        self.sent_asg[top] = True
-        self.comp_size[top] = self.sub_size[top]
-        self.comp_near[top] = self.sub_size[top] + self.sub_near[top]  # inclusive near set
         self.up = ready[self.root[ready] != ready]
-        self.asg = np.concatenate([relays, top])
         self.wake = m[~self.sent_up[m]]
-        return [(K_UP, self.up), (K_UPF, self.upf[0]), (K_ASG, self.asg)]
+        return [(K_UP, self.up), (K_UPF, self.upf[0])]
 
     def _settle_up(self) -> tuple:
         """Parents take reports, heard from the child (UP) or from its relay
@@ -383,19 +369,6 @@ class _CompOrgRounds(RoundKernel):
         np.add.at(self.sub_near, par, self.sub_near[took])
         np.subtract.at(self.pending, par, 1)
         return v[relay], c[relay]
-
-    def _settle_asg(self) -> np.ndarray:
-        """Members and relays take the first totals of their own component
-        they hear and relay them; returns those that relay."""
-        owner, sent = self.owner, self.sent_asg
-        v, _ = self.deliveries(self.asg, owner[self.asg],
-                               keep=lambda v, own: (owner[v] == own) & ~sent[v])
-        v = np.unique(v)
-        self.sent_asg[v] = True
-        mem = v[self.member[v]]
-        top = self.root[mem]
-        self.comp_size[mem], self.comp_near[mem] = self.comp_size[top], self.comp_near[top]
-        return v
 
     def state_name(self, v: int) -> str:
         return (f"comporg(member={bool(self.member[v])},pending={self.pending[v]},"
@@ -414,10 +387,10 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     """Group BOUNDARY nodes into components under hop-distance <= 2 linkage.
 
     Per-component max-ID roots assign their own ID (the flood
-    `_CompFloodRounds`); sizes and inclusive near-set sizes are convergecast to the
-    root and echoed back down the same tree (the round kernel
-    `_CompOrgRounds`), so after the flood only members and the relays they
-    name forward anything.
+    `_CompFloodRounds`); sizes and near counts are convergecast to the root
+    (the round kernel `_CompOrgRounds`), so after the flood only members
+    and the relays they name forward anything, and only roots learn the
+    totals.
     """
     member = classes == int(NodeClass.BOUNDARY)
     fields, flood = _flood_components(g, member, max_rounds, trace)
@@ -425,12 +398,10 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     res = run_protocol(org, max_rounds, trace)
 
     mem = org.members
-    if not org.sent_asg[mem].all():
-        raise RuntimeError(f"component totals never reached member {mem[~org.sent_asg[mem]][0]}")
     comp_of = np.zeros(g.max_id + 1, dtype=np.int64)
     comp_of[mem] = org.root[mem]
     roots, count = np.unique(comp_of[mem], return_counts=True)
-    size = org.comp_size[roots]
+    size = org.sub_size[roots]
     if (size != count).any():
         bad = np.flatnonzero(size != count)[0]
         raise RuntimeError(f"component {roots[bad]}: convergecast size {size[bad]} "
@@ -441,7 +412,7 @@ def form_components(g: UnitDiskGraph, classes: np.ndarray,
     components = [BoundaryComponent(component_id=r, members=tuple(flat[e - k:e]), size=k,
                                     near_set_size=near)
                   for r, e, k, near in zip(roots.tolist(), ends, count.tolist(),
-                                           org.comp_near[roots].tolist())]
+                                           (size + org.sub_near[roots]).tolist())]
     return ComponentsResult(components=components, comp_of=comp_of, results=[flood, res])
 
 
@@ -665,12 +636,13 @@ def detect_voronoi(field: DistanceField, tolerance_hops: int = 2) -> np.ndarray:
 class _Pass:
     """One holder's pass: its query in round `q`, the replies, and the
     decision, a choice of `succ` or a backtrack to `back`, each reached
-    through `via` (0: a neighbour)."""
+    through `via` (0: a neighbour).  `steps` is the countdown the holder
+    took with the token; the holder needs no component size."""
     comp: int
     holder: int
     seq: int
     q: int
-    steps: int         # passes from the root to the holder
+    steps: int         # passes left before the root may close the loop
     undo: int          # a resumed holder's last pass, rolled back; 0 if none
     nbrs: np.ndarray
     ring: tuple = ()   # N(N(holder)), |N(c) ∩ nbrs| and the smallest common neighbour
@@ -683,7 +655,10 @@ class _Pass:
 class _TokenRounds(RoundKernel):
     """The token walk of every component at once; each component has at
     most one pass in flight.  Every root (the node whose ID is its
-    component's) holds the token in round 0.
+    component's) holds the token in round 0, with a countdown of
+    max(5, ⌈size / 10⌉) passes from its convergecast size; the choice
+    (K_TC) hands the successor the countdown less one, so the root is the
+    only node that reads a size.
 
     A holder h that queries in round q (K_TQ, with a K_TRB rolling back its
     last pass when it resumes after a backtrack) hears, by round q + 4, a
@@ -693,9 +668,8 @@ class _TokenRounds(RoundKernel):
     q + 2 through its smallest common neighbour with h, which relays the
     reply in q + 3 (K_TRF).  A reply carries |N(c) ∩ N(h)| and whether the
     member was passed over since its last roll-back.  In q + 4 h chooses
-    (K_TC): the root once h is max(5, ⌈size / 10⌉) passes from it, else the
-    fresh member of least (score, ID), else the passed-over one, else the
-    root.
+    (K_TC): the root once h's countdown has run out, else the fresh member
+    of least (score, ID), else the passed-over one, else the root.
     With no reply h sends the token back along its own link (K_TB, relayed
     as K_TBF), and that holder resumes with a new pass.  In q + 5 N(h)
     relays the choice (K_TCF).  The successor takes the token at the first
@@ -707,18 +681,19 @@ class _TokenRounds(RoundKernel):
     Per node only the exclusion `mark` (0 none, -1 has held the token,
     else the pass that passed it over) and the two scratch rows that
     `_ask` scatters N(h)'s `deliveries` into are ID-indexed arrays; the
-    links (`prev`) and each holder's (last seq, steps) are kept by holder."""
+    links (`prev`) and each holder's (last seq, countdown) are kept by
+    holder."""
 
     def __init__(self, g: UnitDiskGraph, comps: ComponentsResult):
         super().__init__(g)
         self.comp_of = comps.comp_of
-        self.sizes = {c.component_id: c.size for c in comps.components}
+        self.sizes = {c.component_id: c.size for c in comps.components}  # read by roots
         self.mark = np.zeros(self.size, dtype=np.int64)
         # `_ask`'s scratch: per node the rows of N(h) that hold it, and the
         # row `first_hits` borrows
         self.hits, self.first = np.zeros((2, self.size), dtype=np.int64)
         self.prev: dict[int, tuple[int, int]] = {}  # holder -> (holder before it, via)
-        self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, steps)
+        self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, countdown)
         self.closed: set[int] = set()
         self.passes: list[_Pass] = []
         self.out: dict = {}  # kind -> the round's (senders, count, payload key) batches
@@ -728,7 +703,7 @@ class _TokenRounds(RoundKernel):
         late = []
         if rnd == 0:
             for r in self.ids[self.comp_of[self.ids] == self.ids].tolist():
-                self._start(r, r, 1, 0, 0, rnd)
+                self._start(r, r, 1, max(5, -(-self.sizes[r] // 10)), 0, rnd)
         for p in sorted(self.passes, key=lambda p: (p.comp, p.q)):
             d = rnd - p.q
             if d == 1:
@@ -817,10 +792,9 @@ class _TokenRounds(RoundKernel):
 
     def _decide(self, p: _Pass) -> None:
         cand, score, excl, via = (np.concatenate(x) for x in zip(*p.replies))
-        size = self.sizes.get(p.comp, 0)
         root = cand == p.comp
         picks = [~root & (excl == 0), ~root & (excl != 0), root]
-        if root.any() and p.steps >= max(5, -(-size // 10)):
+        if root.any() and p.steps <= 0:
             picks.insert(0, root)
         for pick in picks:
             if pick.any():
@@ -830,7 +804,7 @@ class _TokenRounds(RoundKernel):
                 self._send(K_TC, p.holder, p.comp)
                 return
         if p.holder not in self.prev:  # the root, out of candidates
-            if size <= 1:
+            if self.sizes[p.holder] <= 1:
                 self.closed.add(p.holder)
             return
         p.back, p.via = self.prev[p.holder]
@@ -844,7 +818,7 @@ class _TokenRounds(RoundKernel):
             return
         self.mark[s] = -1
         seq = max(self.held.get(s, (0, 0))[0], p.seq) + 1
-        self._start(p.comp, s, seq, p.steps + 1, 0, rnd)
+        self._start(p.comp, s, seq, p.steps - 1, 0, rnd)
 
     def _resume(self, p: _Pass, rnd: int) -> None:
         last, steps = self.held[p.back]

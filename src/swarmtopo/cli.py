@@ -15,8 +15,7 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -594,8 +593,10 @@ def cmd_oracle(args) -> int:
     if not isinstance(summary, dict) or not isinstance(summary.get("config"), dict):
         raise MismatchedRun(f"{path}: no 'config' object")
     check_provenance(summary, config)
-    r = run_pipeline(config)
-    score = score_run(r)
+    # score_run reads no token loop, so the rerun skips that phase; the
+    # score still names the config it was given
+    r = run_pipeline(replace(config, token_loops=False))
+    score = score_run(replace(r, config=config))
     path = os.path.join(run_dir, "oracle_score.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(score, fh, indent=2, sort_keys=True)
@@ -636,29 +637,16 @@ def _repro_one(seed: int, loops: bool) -> dict:
 
 
 def cmd_paper_repro(args) -> int:
-    """Full-scale reproduction: REPRO_NODES nodes on the standard region.
-
-    SWARMTOPO_THREADS > 1 fans the seeds out over worker processes (memory
-    scales with the worker count); the report order stays by seed.
-    """
+    """Full-scale reproduction: REPRO_NODES nodes on the standard region,
+    one seed after another."""
     if args.seeds < 1:
         raise UsageError(f"--seeds takes a positive integer, not {args.seeds}")
-    threads = os.environ.get("SWARMTOPO_THREADS", "1")
-    try:
-        workers = max(1, int(threads))
-    except ValueError:
-        raise UsageError(f"SWARMTOPO_THREADS takes an integer, not {threads!r}") from None
     n = REPRO_NODES
     region = standard_region()
     area = geometry.validate_region(region).area
     mu_an = mu_analytic_value(n, area)
     print(f"mu_analytic = {mu_an:.2f} (paper-scale instance, area {area:.1f}R^2)")
-    seeds = list(range(1, args.seeds + 1))
-    if workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_repro_one, seeds, [args.loops] * len(seeds)))
-    else:
-        rows = [_repro_one(seed, args.loops) for seed in seeds]
+    rows = [_repro_one(seed, args.loops) for seed in range(1, args.seeds + 1)]
     for row in rows:
         bn = row["boundary_plus_near"]
         print(f"seed {row['seed']}: mu_est={row['mu_est']} "

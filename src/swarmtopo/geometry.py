@@ -284,6 +284,17 @@ def contains(region: Region, p: Point | tuple[float, float]) -> bool:
 DEFAULT_MIN_ANGLE = math.pi / 3
 
 
+def _straddles(a: np.ndarray, b: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """(s, t) mask: the ends of segment k of the polygon with `corners`
+    (corner k to corner k + 1) lie on both sides of the line of segment i
+    [a_i, b_i]; a point on the line counts as right of it.  Two segments
+    cross where each straddles the other's line."""
+    ab = b - a
+    left = (ab[:, None, 0] * (corners[None, :, 1] - a[:, None, 1])
+            - ab[:, None, 1] * (corners[None, :, 0] - a[:, None, 0])) > 0
+    return left != np.roll(left, -1, axis=1)
+
+
 def _polygon_distances(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
     """One polygon's (s, s) corner-to-segment and segment-to-segment
     distances, inf where the two share a vertex.  Row i of the first is
@@ -292,12 +303,7 @@ def _polygon_distances(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
     corner = _dist_points_segments(a, a, b)
     near = np.minimum(corner, np.roll(corner, -1, axis=0))  # either end of i to j
     seg = np.minimum(near, near.T)
-    # left[i, k]: corner k lies strictly left of segment i's line.  Segments
-    # cross where each one's ends lie on both sides of the other's line.
-    ab = b - a
-    left = (ab[:, None, 0] * (a[None, :, 1] - a[:, None, 1])
-            - ab[:, None, 1] * (a[None, :, 0] - a[:, None, 0])) > 0
-    straddle = left != np.roll(left, -1, axis=1)
+    straddle = _straddles(a, b, a)
     seg[straddle & straddle.T] = 0.0
     i = np.arange(len(a))
     corner[i, i] = corner[i, i - 1] = np.inf  # the two segments at corner i
@@ -313,13 +319,15 @@ def _polygon_feature_size(corner: np.ndarray, seg: np.ndarray) -> float:
 
 
 def _curve_pair_distance(c1: BoundaryCurve, c2: BoundaryCurve, nested: bool) -> float:
-    """Separation of two disjoint curves; `nested` means c2 lies inside c1."""
+    """Separation of two disjoint curves, 0 where they cross; `nested`
+    means c2 lies inside c1."""
     if isinstance(c1, Polygon) and isinstance(c2, Polygon):
         a1, b1 = _segments(c1)
-        d = _dist_points_segments(c2.vertices, a1, b1).min()
         a2, b2 = _segments(c2)
-        d = min(d, float(_dist_points_segments(c1.vertices, a2, b2).min()))
-        return float(d)
+        if (_straddles(a1, b1, a2) & _straddles(a2, b2, a1).T).any():
+            return 0.0  # segments cross though no corner need be near the other curve
+        d = _dist_points_segments(c2.vertices, a1, b1).min()
+        return float(min(d, _dist_points_segments(c1.vertices, a2, b2).min()))
     if isinstance(c1, Circle) and isinstance(c2, Circle):
         d = math.hypot(c1.center[0] - c2.center[0], c1.center[1] - c2.center[1])
         if nested:

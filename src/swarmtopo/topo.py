@@ -37,25 +37,16 @@ def classify_outer(components: Sequence[BoundaryComponent]) -> int:
     return best.component_id
 
 
-def fractional_distance(node_class: int, hop: float, deg: int, mu_est: int,
-                        anchor_q: int) -> float:
-    """Coordinate-free distance estimate in R units.
+def fractional_distances(classes: np.ndarray, field: DistanceField,
+                         degrees: np.ndarray, mu_est: int, ids) -> np.ndarray:
+    """Coordinate-free distance estimate in R units for every node of
+    `ids`, indexed by ID.
 
     Boundary and near-boundary nodes invert the straight-boundary
     visibility model on their own neighborhood size.  Deeper nodes step
     hop-by-hop (1R each) back to the near-boundary anchor recorded by the
-    distance flood and add its fractional offset.
+    distance flood and add its fractional offset; unreached ones are inf.
     """
-    if node_class in _NEAR_CLASSES:
-        return float(visibility_offset(deg, mu_est))
-    if not np.isfinite(hop):
-        return float("inf")
-    return (hop - 1.0) + anchor_q / FRAC_SCALE
-
-
-def fractional_distances(classes: np.ndarray, field: DistanceField,
-                         degrees: np.ndarray, mu_est: int, ids) -> np.ndarray:
-    """fractional_distance for every node of `ids`, indexed by ID."""
     ids = np.asarray(ids, dtype=np.int64)
     hop = field.hop[ids]
     out = np.zeros(len(classes))
@@ -85,5 +76,5 @@ def thickness(classes: np.ndarray, field: DistanceField, degrees: np.ndarray,
 
 __all__ = [
     "NoFiniteHop", "ThicknessReport", "classify_outer",
-    "fractional_distance", "fractional_distances", "thickness",
+    "fractional_distances", "thickness",
 ]

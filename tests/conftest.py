@@ -86,6 +86,22 @@ def valid_polygons(count: int) -> list[Polygon]:
     return out
 
 
+def _rect(x0, x1, y0, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+
+
+# Regions whose polygons cross although no corner of one lies inside the
+# other, as lists of vertex lists (outer curve first)
+CROSSING_REGIONS = {
+    # two bar holes crossing as a plus sign in a 40 x 40 square
+    "plus-of-holes": [_rect(-20, 20, -20, 20), _rect(-10, 10, -1.5, 1.5),
+                      _rect(-1.5, 1.5, -10, 10)],
+    # a U-shaped outer curve and a bar hole across its notch
+    "bar-across-notch": [[[0, 0], [30, 0], [30, 30], [20, 30], [20, 10], [10, 10], [10, 30],
+                          [0, 30]], _rect(3, 27, 20, 23)],
+}
+
+
 def strip_components(pairs):
     """Boundary components 1, 2, ... with the given (near_set_size, size)
     pairs, for the strip-area ratio."""

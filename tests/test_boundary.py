@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 
@@ -170,26 +169,6 @@ def test_components_partition_boundary_set():
            {c.component_id: set(c.members) for c in cents}
     assert {c.component_id: c.near_set_size for c in comps.components} == \
            {c.component_id: c.near_set_size for c in cents}
-
-
-def test_relay_echoes_only_its_own_components_totals():
-    # component A: 10 - 2 - 1 - 4 - 3 (relays 2 and 4); component B:
-    # 20 - 6 - 5 (relay 6); relays 2 and 6 are neighbours.  B's totals reach
-    # 2 a round before A's do, and 2 must wait for A's.
-    pts = [(0, 0), (0.9, 0), (1.8, 0), (2.7, 0), (3.6, 0), (0.9, 0.95), (0.2, 1.65),
-           (1.6, 1.65)]
-    g = graph_from(pts, ids=[10, 2, 1, 4, 3, 6, 5, 20])
-    buf = io.StringIO()
-    comps = boundary.form_components(g, classes_for(g, [10, 1, 3, 5, 20]), trace=buf)
-    assert [(c.component_id, c.members) for c in comps.components] == \
-        [(10, (1, 3, 10)), (20, (5, 20))]
-    asg = {}
-    for line in buf.getvalue().splitlines():
-        rnd, v, kind, _ = map(int, line.split(","))
-        if kind == boundary.K_ASG.code:
-            assert v not in asg
-            asg[v] = rnd
-    assert asg == {20: 4, 6: 5, 5: 6, 10: 6, 2: 7, 1: 8, 4: 9, 3: 10}
 
 
 def test_component_flood_memory_follows_nodes_not_ids():

@@ -2,7 +2,7 @@
 
 `form_components` runs the max-ID flood kernel `_CompFloodRounds`, then
 the organisation kernel `_CompOrgRounds` (join, relay aggregate, near
-registration, convergecast, totals echo), both on
+registration, convergecast to the roots), both on
 `simkernel.run_protocol`.  GOLDEN pins the components, `comp_of`, the
 flood's per-ID (root, parent, via) and the flood run (ledger, trace,
 rounds, deliveries).  The components and `comp_of` are the digests
@@ -15,10 +15,15 @@ CHANGES.md).  The flood's digests and stuck cases were recorded while it
 ran as per-node state machines on an executor that no longer exists; the
 round kernel reproduces them unchanged.  GOLDEN_ORG pins the organisation
 run (ledger, trace, rounds, deliveries) as it talks now, members and
-their `via` relays alone.  The stuck cases cover the nodes named when
-`max_rounds` runs out, in the organisation run alone and through
-`form_components` (see CHANGES.md for the ones re-recorded with the
-organisation, and `form@path-40@low@1`, re-recorded with the flood).
+their `via` relays alone, ending when the last root has its totals; it
+was re-recorded when the totals stopped being echoed back down the tree,
+and each new trace equals the old one without its echo lines.  The stuck
+cases cover the nodes named when `max_rounds` runs out, in the
+organisation run alone and through `form_components` (see CHANGES.md for
+the ones re-recorded with the organisation, and `form@path-40@low@1`,
+re-recorded with the flood).  On `dense-800-3` and `gapped-250-5` the
+organisation runs one round longer than the flood, so a cutoff reaches
+it through `form_components` only in that last round.
 """
 
 import functools
@@ -197,74 +202,74 @@ GOLDEN = {
 # (organisation ledger, trace, rounds, deliveries)
 GOLDEN_ORG = {
     "dense-60-1": {
-        "low": ("479c57de1fb0d3f9", "a74a0dee966dace7", 13, 2687),
-        "mid": ("a83674571c17f5ba", "f5754b4133766881", 11, 3635),
-        "all": ("2cb09c9f918d5c76", "e8bc1d65663d04ae", 10, 4275),
+        "low": ("724044cce95ba4c0", "b03b6a8043f9a188", 8, 2192),
+        "mid": ("c5c1816dbecfb97a", "bb1426eb00b66811", 7, 2825),
+        "all": ("f638ce216c945c28", "b223c1e795ba84df", 6, 2845),
     },
     "dense-250-2": {
-        "low": ("dadc0337562cf36b", "bf5eb678cb63db62", 22, 10451),
-        "mid": ("83d5f5d9c5fa7d91", "d6c112761e654449", 18, 15964),
-        "all": ("3cf9f41337cf2b7a", "7f731c84424c842d", 14, 23753),
+        "low": ("8011fe90ab9b5837", "f7ebe57f3d28d2ef", 12, 8809),
+        "mid": ("cdfbf9f68eb4e2c7", "7e6694b2afd75082", 10, 12370),
+        "all": ("bd12422beb65b72a", "b30366d863d9b0aa", 8, 15823),
     },
     "dense-800-3": {
-        "low": ("00462fc8ed1e9eae", "bc84620565e8066f", 35, 31530),
-        "mid": ("c28cf864404b43fb", "e127ec24d5401de3", 26, 57277),
-        "all": ("2a9f21023cefdd7d", "496baa75c007c58c", 26, 80632),
+        "low": ("a1a6ee3f3084652f", "e81aeaba7f146fd7", 19, 26032),
+        "mid": ("ddc8748810ea69d2", "090a44785b80dcb4", 14, 43992),
+        "all": ("ebe07f1514e4e20e", "c1ac963346fab048", 14, 53744),
     },
     "gapped-60-4": {
-        "low": ("8e17bc341f469a59", "f1d8efde6368d4d1", 12, 1637),
-        "mid": ("0b32ce83e0c07cb6", "ddc3b2870d834036", 10, 3151),
-        "all": ("b04eccd0c3b369c9", "7be8227486c81f48", 10, 4392),
+        "low": ("8934ee2c90e27a47", "1755f621096e6902", 7, 1368),
+        "mid": ("6902d64d0fa1ef98", "ede9028f3b984ec3", 6, 2461),
+        "all": ("4fef16068d6c5a0f", "b619cbd2990673ef", 6, 2916),
     },
     "gapped-250-5": {
-        "low": ("106b3190eedb8c77", "1733fa49f9ef978a", 22, 8967),
-        "mid": ("dc79857b18a2a17d", "9f0949748efcdfd8", 14, 15722),
-        "all": ("a6f0da2f6782ef98", "6fc362b9275afbdc", 16, 23022),
+        "low": ("bf64f138b9994a1a", "58be91d962e7f6f0", 12, 7435),
+        "mid": ("d7d79729fe7c08aa", "e0d8186c9de72b21", 8, 12150),
+        "all": ("ebf07d8c61d3865f", "7da01230dc1529ff", 9, 15332),
     },
     "gapped-800-6": {
-        "low": ("97ad2fba4a854edf", "bf08f67e0750351a", 35, 32953),
-        "mid": ("2dde18c93b0965f3", "2faf4983dcd4c436", 28, 57190),
-        "all": ("fab37b7190dbf9c9", "a05aa4a4b0ff552e", 20, 80540),
+        "low": ("459f784b6ecd8914", "46aa75e4717213af", 19, 26757),
+        "mid": ("e8a162879367b378", "2d89ce14191d6896", 15, 43700),
+        "all": ("621ee3c3adeb8980", "ac8b876a2ee3279f", 11, 53680),
     },
     "crowded-400-7": {
-        "low": ("479a0c77cfe916bd", "6a212b233c906ccc", 12, 85780),
-        "mid": ("d40729d3556e0d76", "a180d71028ed6965", 12, 121198),
-        "all": ("584a8288fa079976", "1b42d7190550ec68", 10, 168154),
+        "low": ("e2e5487c7b625b8d", "37bc18c28ce6b714", 7, 74614),
+        "mid": ("3a7274ed2d0d27a7", "cba7bdcfc6854ac3", 7, 97814),
+        "all": ("3425e05788cadf7b", "0987e1abda52853e", 6, 112072),
     },
     "path-40": {
-        "low": ("6c9eeed28df4bc31", "df2cdcb3d7cdc59f", 44, 232),
-        "mid": ("6c9eeed28df4bc31", "df2cdcb3d7cdc59f", 44, 232),
-        "all": ("6c9eeed28df4bc31", "df2cdcb3d7cdc59f", 44, 232),
+        "low": ("61654eb035562a0e", "3231ffc255866b7c", 23, 154),
+        "mid": ("61654eb035562a0e", "3231ffc255866b7c", 23, 154),
+        "all": ("61654eb035562a0e", "3231ffc255866b7c", 23, 154),
     },
     "star": {
-        "low": ("a4b8a74575be25ba", "e105ae316acc62ec", 8, 83),
-        "mid": ("a4b8a74575be25ba", "e105ae316acc62ec", 8, 83),
-        "all": ("0e1db1d23f9bd15d", "8ad6a43aac250b8e", 8, 41),
+        "low": ("bd5e44d88790343b", "ec55685f68313ddc", 5, 69),
+        "mid": ("bd5e44d88790343b", "ec55685f68313ddc", 5, 69),
+        "all": ("552fcedf4c318ab4", "b2a6264ccba6e3e7", 5, 27),
     },
     "star-gapped": {
-        "low": ("9d7f9c4f3d57b1d7", "c1ddd1b48f322911", 8, 65),
-        "mid": ("9d7f9c4f3d57b1d7", "c1ddd1b48f322911", 8, 65),
-        "all": ("30a48964ade1dc2c", "ebbafcc06d4bd253", 8, 35),
+        "low": ("b68250a4dc8650b9", "135772bb15497f9c", 5, 53),
+        "mid": ("b68250a4dc8650b9", "135772bb15497f9c", 5, 53),
+        "all": ("74140d9d0655fd9d", "ec8d053742c7f592", 5, 23),
     },
     "single": {
-        "low": ("70b516067f47085a", "4b44b0ea068b44b5", 4, 0),
-        "mid": ("70b516067f47085a", "4b44b0ea068b44b5", 4, 0),
-        "all": ("70b516067f47085a", "4b44b0ea068b44b5", 4, 0),
+        "low": ("5f53396c8adcbf1a", "d9c2d2c40634aa12", 3, 0),
+        "mid": ("5f53396c8adcbf1a", "d9c2d2c40634aa12", 3, 0),
+        "all": ("5f53396c8adcbf1a", "d9c2d2c40634aa12", 3, 0),
     },
     "standard-20k": {
-        "low": ("dec0371847e17f96", "f3fbf2f1b315a2e3", 95, 2004898),
-        "mid": ("04741edce8603560", "5b08f0b6bb70152e", 74, 3232926),
-        "all": ("c44d8dfdf141eade", "53c52ebcdabbd545", 60, 4564803),
+        "low": ("85db151f523ec3c9", "16c150358fefaa4d", 49, 1653270),
+        "mid": ("bb8340db7e485d3c", "3ce3cb1bd0c44867", 38, 2479037),
+        "all": ("290f7c0095397b32", "4bf94a7b04223c4a", 31, 3043175),
     },
     "ring-48": {
-        "low": ("0221da9c7e93cf6c", "5febf517ebadd7bb", 52, 286),
-        "mid": ("0221da9c7e93cf6c", "5febf517ebadd7bb", 52, 286),
-        "all": ("0221da9c7e93cf6c", "5febf517ebadd7bb", 52, 286),
+        "low": ("86e4984a51d5a477", "610455cb977d9667", 27, 190),
+        "mid": ("86e4984a51d5a477", "610455cb977d9667", 27, 190),
+        "all": ("86e4984a51d5a477", "610455cb977d9667", 27, 190),
     },
     "scattered-70": {
-        "low": ("708361b7ffec15c5", "047abf0261728db1", 8, 54),
-        "mid": ("33341cd51228bd9a", "b071dd227ad12b01", 12, 284),
-        "all": ("a508a33bd4b39205", "4bb815306a643ddb", 14, 561),
+        "low": ("6c9a9c652e60a089", "ca4ac2b66dbd762c", 5, 38),
+        "mid": ("7ce73c728eea4d7a", "ac6afb38717961d7", 7, 208),
+        "all": ("060022c0ef803b35", "5e7d560b52c36a02", 8, 369),
     },
 }
 
@@ -277,13 +282,13 @@ STUCK_CASES = {
     "org@dense-800-3@mid@9": ("dense-800-3", "mid", "org", 9),
     "org@ring-48@all@3": ("ring-48", "all", "org", 3),
     "org@ring-48@all@14": ("ring-48", "all", "org", 14),
-    "org@ring-48@all@40": ("ring-48", "all", "org", 40),
+    "org@ring-48@all@26": ("ring-48", "all", "org", 26),
     "org@scattered-70@low@2": ("scattered-70", "low", "org", 2),
     "org@scattered-70@low@3": ("scattered-70", "low", "org", 3),
     "org@gapped-250-5@mid@6": ("gapped-250-5", "mid", "org", 6),
     "form@path-40@low@1": ("path-40", "low", "form", 1),
-    "form@dense-800-3@low@24": ("dense-800-3", "low", "form", 24),
-    "form@gapped-250-5@low@16": ("gapped-250-5", "low", "form", 16),
+    "form@dense-800-3@low@18": ("dense-800-3", "low", "form", 18),
+    "form@gapped-250-5@low@11": ("gapped-250-5", "low", "form", 11),
 }
 
 GOLDEN_STUCK = {
@@ -299,20 +304,20 @@ GOLDEN_STUCK = {
         "a90212fdda24d207a867044bff3c4124a0c93184a26ecf4aedbfdbae36ada4d4",
     "org@ring-48@all@14":
         "3c1f076519c9c9b67216505ab98e2a77dc5a062d52a735e05972a4fe8400b215",
-    "org@ring-48@all@40":
-        "65caf65c65ec0ee52447f4662d8326976ae7fc67e7450b66a14d8b15f084c028",
+    "org@ring-48@all@26":
+        "182bf89fa925d510466540bffa8cb92c71ad276929162b447ce31f7c218fdd29",
     "org@scattered-70@low@2":
         "a1f80abd9bd83514bae115325a93b92a222c74f490ccd41337f4c3028feb365b",
     "org@scattered-70@low@3":
-        "133c980990f5cf69929d9cdafb9792344ae5e0042cc65ebb8960c3950a227155",
+        "650d9c6be3c864c73fea688c3721695ee25a7d3fe8c3ddbcbafaec90fa8733be",
     "org@gapped-250-5@mid@6":
         "af23173a7340ecd03dea87518f345aedfefff464f18eefeb574b07131a02525b",
     "form@path-40@low@1":
         "ebfaaac9073947beea3a6822939000e51b2efa62264fdee6b6f4dc4f5b280d16",
-    "form@dense-800-3@low@24":
-        "9f3eb0ac72bb15d6bb343f1b7c6cdcbc2496a2148a0a1fb9855f8d1232ce2d07",
-    "form@gapped-250-5@low@16":
-        "076818fab2ff048612265de698302914e0b0e0458117f61798f4d403f4d920e4",
+    "form@dense-800-3@low@18":
+        "7ce57b78f8aa8ef031c34595beb1d18f141ba20cbc6fc252fe78f28222c3f169",
+    "form@gapped-250-5@low@11":
+        "925aad0b59d245b7b14bb82f77cd05f7912c822acc248db575c8ba4f539cb15c",
 }
 
 

@@ -12,7 +12,7 @@ from swarmtopo import cli, geometry
 from swarmtopo.geometry import (AngleViolation, Circle, DomainError,
                                 FeatureSizeViolation, NonConvergence, Point,
                                 Polygon, Region, TopologyViolation)
-from conftest import valid_polygons
+from conftest import CROSSING_REGIONS, valid_polygons
 
 
 def square(side, cx=0.0, cy=0.0):
@@ -46,6 +46,14 @@ def test_validate_overlapping_holes():
     outer = square(30, 15, 15)
     with pytest.raises(TopologyViolation):
         geometry.validate_region(Region([outer, square(6, 12, 15), square(6, 14, 15)]))
+
+
+@pytest.mark.parametrize("name", list(CROSSING_REGIONS))
+def test_validate_crossing_polygons(name):
+    # segments of two curves cross with no corner of either inside the other
+    region = Region([Polygon(np.array(v, dtype=float)) for v in CROSSING_REGIONS[name]])
+    with pytest.raises(TopologyViolation, match="touch or cross"):
+        geometry.validate_region(region)
 
 
 def test_validate_hole_outside_outer():

@@ -76,39 +76,22 @@ def test_no_neighbourhood_holds_two_components(g, data):
 @SETTINGS
 @given(any_graphs, st.data())
 def test_organisation_talks_only_along_its_tree(g, data):
-    # members and the relays they name (`via`) send every JAGG and ASG; each
-    # of them sends ASG once, a round after hearing its own component's
+    # members and the relays they name (`via`) send everything but the
+    # NEAR registrations, and each root ends with its component's totals
     member = draw_classes(g, data) == int(boundary.NodeClass.BOUNDARY)
     root, parent, via = flood_fields(g, member)
     members = g.ids[member[g.ids]]
-    comps = boundary.central_components(g, member)
-    label = np.zeros(g.max_id + 1, dtype=np.int64)
-    for c in comps:
-        label[list(c.members)] = c.component_id
-    for v in g.id_list:  # a non-member's component: its member neighbours'
-        if not member[v] and label[g.neighbors(v)].any():
-            label[v] = label[g.neighbors(v)].max()
     org = boundary._CompOrgRounds(g, member, root, parent, via)
     buf = io.StringIO()
     res = boundary.run_protocol(org, trace=buf)
     assert_deliveries_are_sender_degrees(g, res)
     talkers = set(members.tolist()) | set(via[members].tolist()) - {0}
-    sent = {boundary.K_JAGG.code: [], boundary.K_ASG.code: []}
     for line in buf.getvalue().splitlines():
-        rnd, v, kind, _ = map(int, line.split(","))
-        if kind in sent:
-            sent[kind].append((rnd, v))
-    assert {v for _, v in sent[boundary.K_JAGG.code] + sent[boundary.K_ASG.code]} <= talkers
-    asg = dict((v, rnd) for rnd, v in sent[boundary.K_ASG.code])
-    assert len(asg) == len(sent[boundary.K_ASG.code])  # no node sends ASG twice
-    assert set(members.tolist()) <= set(asg)      # every member takes its totals
-    for v, rnd in asg.items():
-        if v != root[v]:
-            assert any(asg.get(u) == rnd - 1 and label[u] == label[v]
-                       for u in g.neighbors(v).tolist()), v
-    for c in comps:
-        assert (org.comp_size[list(c.members)] == c.size).all()
-        assert (org.comp_near[list(c.members)] == c.near_set_size).all()
+        _, v, kind, _ = map(int, line.split(","))
+        assert v in talkers or kind == boundary.K_NEAR.code, (v, kind)
+    for c in boundary.central_components(g, member):
+        r = c.component_id
+        assert (org.sub_size[r], org.sub_size[r] + org.sub_near[r]) == (c.size, c.near_set_size)
 
 
 @SETTINGS

@@ -16,7 +16,7 @@ from numpy.random import Generator, Philox
 from swarmtopo import boundary, cli, convergetree, geometry, netgraph
 from swarmtopo.cli import MismatchedRun, RunConfig
 from swarmtopo.simkernel import Kind, RoundLimitExceeded
-from conftest import sha
+from conftest import CROSSING_REGIONS, sha
 
 
 def write_region(path, curves) -> str:
@@ -91,8 +91,10 @@ def test_pipeline_byte_identical_reruns(tmp_path):
 # The reports of one annulus run with the alpha sweep and token loops on,
 # recorded at commit 70023f7: sha256 of the output files, and cost.csv as
 # text (its tree, first components and distance_flood rows re-recorded
-# when those phases stopped opening with a round of self-announcements).  A change that moves an output on purpose re-records it here and
-# lists the change, old -> new, in CHANGES.md.
+# when those phases stopped opening with a round of self-announcements,
+# and its second components row when the organisation stopped echoing
+# the totals down its tree).  A change that moves an output on purpose
+# re-records it here and lists the change, old -> new, in CHANGES.md.
 PINNED_CONFIG = RunConfig(region="annulus", n=4000, seed=3, alpha="sweep",
                           token_loops=True)
 PINNED_DIGESTS = {
@@ -109,7 +111,7 @@ agg_histogram,3999,23991,21
 flood_threshold,659,1977,21
 classify,455,455,2
 components,5805,15941,28
-components,2937,10154,56
+components,2410,8046,29
 distance_flood,7545,22635,8
 token_loops,7611,132497,222
 """
@@ -277,19 +279,16 @@ def test_cli_rejects_bad_values(monkeypatch, tmp_path, capsys, flag, value, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("seeds, threads, message", [
-    ("0", "1", "--seeds takes a positive integer, not 0"),
-    ("-2", "1", "--seeds takes a positive integer, not -2"),
-    ("2", "abc", "SWARMTOPO_THREADS takes an integer, not 'abc'"),
-], ids=["seeds-0", "seeds-negative", "threads-abc"])
-def test_paper_repro_rejects_bad_values(monkeypatch, capsys, seeds, threads, message):
-    # rejected before any seed runs or any worker process starts
+@pytest.mark.parametrize("seeds, message", [
+    ("0", "--seeds takes a positive integer, not 0"),
+    ("-2", "--seeds takes a positive integer, not -2"),
+], ids=["seeds-0", "seeds-negative"])
+def test_paper_repro_rejects_bad_values(monkeypatch, capsys, seeds, message):
+    # rejected before any seed runs
     def unreachable(*args, **kwargs):
-        raise AssertionError("a run or a worker started")
+        raise AssertionError("a run started")
 
     monkeypatch.setattr(cli, "_repro_one", unreachable)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", unreachable)
-    monkeypatch.setenv("SWARMTOPO_THREADS", threads)
     assert cli.main(["paper-repro", "--seeds", seeds]) == cli.EXIT_USAGE
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -372,21 +371,26 @@ def test_round_limit_names_its_phase(monkeypatch, tmp_path, capsys, module, name
     assert err.startswith(f"protocol error: no quiescence in phase {phase} after 1 rounds; ")
 
 
-HOLE_NEAR_EDGE = json.dumps({"curves": [
-    {"type": "polygon", "vertices": [[0, 0], [30, 0], [30, 30], [0, 30]]},
-    {"type": "polygon", "vertices": [[1.0, 10], [5, 10], [5, 14], [1.0, 14]]}]})
+def region_json(polygons) -> str:
+    return json.dumps({"curves": [{"type": "polygon", "vertices": v} for v in polygons]})
+
+
+HOLE_NEAR_EDGE = region_json([[[0, 0], [30, 0], [30, 30], [0, 30]],
+                              [[1.0, 10], [5, 10], [5, 14], [1.0, 14]]])
 
 
 @pytest.mark.parametrize("text, names", [
     (HOLE_NEAR_EDGE, None),
+    (region_json(CROSSING_REGIONS["plus-of-holes"]), None),
+    (region_json(CROSSING_REGIONS["bar-across-notch"]), None),
     ('{"curves": [', "not a JSON document"),
     ("{}", "'curves'"),
     ('{"curves": 3}', "'curves'"),
     ("[1, 2]", "'curves'"),
     ('{"curves": [{"type": "circle", "center": [0, 0]}]}', "'radius'"),
     ('{"curves": [{"type": "circle", "center": [0, 0], "radius": "x"}]}', "'radius'"),
-], ids=["hole-near-edge", "bad-json", "empty", "curves-not-list", "not-object",
-        "circle-no-radius", "circle-radius-text"])
+], ids=["hole-near-edge", "plus-of-holes", "bar-across-notch", "bad-json", "empty",
+        "curves-not-list", "not-object", "circle-no-radius", "circle-radius-text"])
 def test_cli_invalid_region(tmp_path, capsys, text, names):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
@@ -414,6 +418,23 @@ def test_cli_oracle_roundtrip_and_mismatch(tmp_path):
     # a Voronoi tolerance or component floor the run was not made with
     assert cli.main(["oracle", "--voronoi-tol", "9"] + args) == cli.EXIT_MISMATCH
     assert cli.main(["oracle", "--min-comp", "3"] + args) == cli.EXIT_MISMATCH
+
+
+def test_oracle_skips_the_token_phase_and_scores_the_same(tmp_path, monkeypatch):
+    # the score reads no loop, so the oracle's rerun leaves the token phase
+    # out and writes the bytes the whole pipeline's score gives
+    path = small_region_file(tmp_path)
+    out = tmp_path / "o"
+    args = ["--region", path, "--nodes", "800", "--seed", "6", "--alpha", "0.77",
+            "--out", str(out)]
+    assert cli.main(["run"] + args) == 0
+    run, configs = cli.run_pipeline, []
+    monkeypatch.setattr(cli, "run_pipeline", lambda config: configs.append(config) or run(config))
+    assert cli.main(["oracle"] + args) == 0
+    assert [c.token_loops for c in configs] == [False]
+    whole = cli.score_run(run(dataclasses.replace(configs[0], token_loops=True)))
+    assert (out / "oracle_score.json").read_text(encoding="utf-8") == \
+        json.dumps(whole, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("text, names", [

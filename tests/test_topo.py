@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from swarmtopo import topo
-from swarmtopo.boundary import FRAC_SCALE, BoundaryComponent, DistanceField, NodeClass
+from swarmtopo.boundary import (FRAC_SCALE, BoundaryComponent, DistanceField, NodeClass,
+                                visibility_offset)
 from conftest import strip_components
 
 
@@ -47,36 +50,53 @@ def test_component_ratio_includes_members():
     assert comp.ratio() >= 1.0
 
 
+def one_node(node_class, hop, deg, mu_est, anchor_q) -> float:
+    """fractional_distances on a one-node input, node 1."""
+    field = DistanceField(np.array([np.inf, hop]), np.array([0, 1]), np.full(2, np.inf),
+                          np.zeros(2, dtype=np.int64), np.array([0, anchor_q]))
+    classes = np.array([0, node_class], dtype=np.int8)
+    return float(topo.fractional_distances(classes, field, np.array([0, deg]), mu_est, [1])[1])
+
+
 def test_fractional_distance_visibility_cases():
     mu = 100
     # half the unconstrained neighborhood: sitting on the boundary line
-    assert topo.fractional_distance(int(NodeClass.BOUNDARY), 0, 50, mu, 0) == pytest.approx(0.0, abs=1e-6)
+    assert one_node(int(NodeClass.BOUNDARY), 0, 50, mu, 0) == pytest.approx(0.0, abs=1e-6)
     # full neighborhood at hop 0 or 1: one radius in
     for hop in (0, 1):
         cls = NodeClass.BOUNDARY if hop == 0 else NodeClass.NEAR_BOUNDARY
-        assert topo.fractional_distance(int(cls), hop, 120, mu, 0) == pytest.approx(1.0, abs=1e-6)
+        assert one_node(int(cls), hop, 120, mu, 0) == pytest.approx(1.0, abs=1e-6)
     # clamped below half
-    assert topo.fractional_distance(int(NodeClass.BOUNDARY), 0, 10, mu, 0) == pytest.approx(0.0, abs=1e-6)
+    assert one_node(int(NodeClass.BOUNDARY), 0, 10, mu, 0) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_fractional_distance_monotone_in_degree():
     mu = 100
-    vals = [topo.fractional_distance(int(NodeClass.BOUNDARY), 0, d, mu, 0)
-            for d in range(40, 121, 5)]
+    vals = [one_node(int(NodeClass.BOUNDARY), 0, d, mu, 0) for d in range(40, 121, 5)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_fractional_distance_interior_steps_back_to_anchor():
     q = int(round(0.4 * FRAC_SCALE))
-    d = topo.fractional_distance(int(NodeClass.INTERIOR), 5, 170, 160, q)
+    d = one_node(int(NodeClass.INTERIOR), 5, 170, 160, q)
     assert d == pytest.approx(4.4, abs=1e-4)
+
+
+def per_node_rule(node_class, hop, deg, mu_est, anchor_q) -> float:
+    """The paper's rule for one node: boundary and near nodes invert the
+    visibility model, deeper ones step back hop by hop to their anchor."""
+    if node_class in (int(NodeClass.BOUNDARY), int(NodeClass.NEAR_BOUNDARY)):
+        return float(visibility_offset(deg, mu_est))
+    if not np.isfinite(hop):
+        return math.inf
+    return (hop - 1.0) + anchor_q / FRAC_SCALE
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_array_rule_matches_per_node_rule(seed):
-    # fractional_distances and thickness against fractional_distance node by
-    # node and a max over the IDs in ascending order, on gapped IDs with
-    # unreached nodes, every class, shared degrees and ties in hop and frac
+    # fractional_distances and thickness against the rule node by node and
+    # a max over the IDs in ascending order, on gapped IDs with unreached
+    # nodes, every class, shared degrees and ties in hop and frac
     rng = np.random.Generator(np.random.Philox(seed))
     size = 200
     ids = np.sort(rng.choice(np.arange(1, size), 120, replace=False))
@@ -88,8 +108,8 @@ def test_array_rule_matches_per_node_rule(seed):
                           np.zeros(size, dtype=np.int64), anchor)
     degrees = rng.integers(20, 140, size)
     frac = topo.fractional_distances(classes, field, degrees, 100, ids)
-    loop = [topo.fractional_distance(int(classes[v]), hop[v], int(degrees[v]), 100,
-                                     int(anchor[v])) for v in ids]
+    loop = [per_node_rule(int(classes[v]), hop[v], int(degrees[v]), 100, int(anchor[v]))
+            for v in ids]
     assert frac[ids].tolist() == loop
     best = max((v for v in ids.tolist() if np.isfinite(hop[v])),
                key=lambda v: (hop[v], frac[v]))
