@@ -123,21 +123,24 @@ class TreeStates(Sequence):
 class _TreeRounds(RoundKernel):
     """The tree protocol as a synchronous round kernel over the CSR arrays.
 
-    A round takes the messages broadcast in the previous one, per kind as
-    (senders ascending, field, field), runs every node that received one
-    and returns the round's own broadcasts.  Nodes read one another only
-    through what was broadcast: the last STATE and REPORT heard from each
-    sender (`said_*` and `rep_*`, recorded as the round's deliveries are
-    settled) and `nbsum`, the sum of the roots v's neighbours last
-    announced, which moves by each STATE sender's new root minus its old.
+    A round takes the senders of each kind broadcast in the previous one,
+    runs every node that received a message and returns the round's own
+    senders.  A message's fields are read from its sender's rows, which no
+    round rewrites before the next one reads them.  Nodes read one another
+    only through what was broadcast: the last STATE heard from each sender
+    (`said_*`, recorded as the round's deliveries are settled), a child's
+    last REPORT (its `reported` and `subtree` rows) and `nbsum`, the sum
+    of the roots v's neighbours last announced, which moves by each STATE
+    sender's new root minus its old.
 
     The rules, per receiving node v, in inbox order (sender, kind), from
     round 1 on (round 0 is `_first_round`):
     STATE (root, parent): adopt the largest announced root above v's own,
     with the smallest sender announcing it as parent (`first_hits`), and
     announce it.
-    DONE (root, n): taken once, from the smallest sender whose root equals
-    v's root before this round; forwarded only by a node with children.
+    DONE (root, n): taken from v's parent; forwarded only by a node with
+    children.  The tree is a BFS tree from its root, so no neighbour's DONE
+    reaches v before its parent's.
     REPORT (root, size): once every neighbour announces v's root and every
     neighbour naming v as parent has reported under it, v reports its
     subtree size under that root (again on every new root).  A root that
@@ -147,8 +150,9 @@ class _TreeRounds(RoundKernel):
     largest ID of the closed neighbourhood, later rounds the largest root
     heard), so every neighbour announces root[v] exactly when
     nbsum[v] == deg(v) * root[v].  The rule's inputs change only at a node
-    that hears a STATE or a child's REPORT, so checking every node not yet
-    done each round finds the nodes that report.
+    that hears a STATE or a child's REPORT, so checking every node that
+    has not reported under its root each round finds the nodes that
+    report; a node that is done has reported under its final root.
     """
 
     def __init__(self, g: UnitDiskGraph):
@@ -163,12 +167,10 @@ class _TreeRounds(RoundKernel):
         self.done = np.zeros(size, dtype=bool)
         self.n_total = np.zeros(size, dtype=np.int64)
         self.completion = np.full(size, -1, dtype=np.int64)
-        # the last STATE and REPORT heard from each node; a node that has
-        # announced nothing is read as its own root
+        # the last STATE heard from each node; a node that has announced
+        # nothing is read as its own root
         self.said_root = np.arange(size, dtype=np.int64)
         self.said_parent = np.zeros(size, dtype=np.int64)
-        self.rep_root = np.zeros(size, dtype=np.int64)
-        self.rep_size = np.zeros(size, dtype=np.int64)
         self.deg = self.degree(self.ids)
         self.nbsum = np.zeros(size, dtype=np.int64)
         rows = self.ids[self.deg > 0]
@@ -178,8 +180,8 @@ class _TreeRounds(RoundKernel):
 
     def step(self, rnd: int) -> list:
         msgs = self._first_round() if rnd == 0 else self._settle(rnd, self.msgs)
-        self.msgs = {k: m for k, m in msgs.items() if len(m[0])}
-        return [(k, m[0]) for k, m in self.msgs.items()]
+        self.msgs = {k: s for k, s in msgs.items() if len(s)}
+        return list(self.msgs.items())
 
     def _first_round(self) -> dict:
         """Round 0: a node knows its neighbours' IDs, so it adopts the
@@ -200,34 +202,19 @@ class _TreeRounds(RoundKernel):
         new, top = talk[top > talk], top[top > talk]
         self.root[new] = self.parent[new] = top
         self.wake = talk
-        return {K_STATE: (new, top, top)}
+        return {K_STATE: new}
 
     def _settle(self, rnd: int, msgs: dict) -> dict:
         root, done, parent = self.root, self.done, self.parent
         out = {}
         done_out = []
         self.wake = self.wake[:0]
-        if K_REPORT in msgs:
-            s, r, n = msgs[K_REPORT]
-            self.rep_root[s] = r
-            self.rep_size[s] = n
-
-        if K_DONE in msgs:
-            v, r, n = self.deliveries(*msgs[K_DONE], keep=lambda v, r, n: ~done[v] & (r == root[v]))
-            # the completion row of a node taking DONE is free until this round
-            first = first_hits(v, self.completion)
-            v, r, n = v[first], r[first], n[first]
-            done[v] = True
-            self.completion[v] = rnd
-            self.n_total[v] = n
-            fwd = self.n_children[v] > 0
-            done_out.append((v[fwd], r[fwd], n[fwd]))
-
         if K_STATE in msgs:
-            s, r, p = msgs[K_STATE]
+            s = msgs[K_STATE]
+            r = root[s]  # read before this round rewrites the senders' rows
             delta = r - self.said_root[s]
             self.said_root[s] = r
-            self.said_parent[s] = p
+            self.said_parent[s] = parent[s]
 
             def above(v, r, delta, s):
                 # a root above v's own; pieces run in sender order, so one
@@ -243,37 +230,39 @@ class _TreeRounds(RoundKernel):
             win = np.flatnonzero(r == root[v])
             win = win[first_hits(v[win], parent)]
             parent[v[win]] = s[win]
-            new = np.sort(v[win])
-            out[K_STATE] = (new, root[new], parent[new])
+            out[K_STATE] = np.sort(v[win])
+
+        if K_DONE in msgs:
+            s = msgs[K_DONE]
+            v = self.deliveries(s, s, keep=lambda v, s: parent[v] == s)[0]
+            done[v] = True
+            self.completion[v] = rnd
+            self.n_total[v] = self.n_total[parent[v]]
+            done_out.append(v[self.n_children[v] > 0])
 
         # a node with a child that has not reported under the child's root
         # fails the rule whatever that root is
         ids, said, kid_of = self.ids, self.said_root, self.said_parent[self.ids]
-        waiting = np.bincount(kid_of, weights=self.rep_root[ids] != said[ids], minlength=self.size)
-        rep = ids[~done[ids] & (self.reported[ids] != root[ids]) & (waiting[ids] == 0)
+        waiting = np.bincount(kid_of, weights=self.reported[ids] != said[ids], minlength=self.size)
+        rep = ids[(self.reported[ids] != root[ids]) & (waiting[ids] == 0)
                   & (self.nbsum[ids] == self.deg * root[ids])]
         if len(rep):
             # every child has reported; the children are every node naming v
             self.n_children[rep] = np.bincount(kid_of, minlength=self.size)[rep]
-            sizes = 1 + np.bincount(kid_of, weights=self.rep_size[ids],
+            sizes = 1 + np.bincount(kid_of, weights=self.subtree[ids],
                                     minlength=self.size)[rep].astype(np.int64)
             self.subtree[rep] = sizes
             self.reported[rep] = root[rep]
             is_root = root[rep] == rep
-            top, top_n = rep[is_root], sizes[is_root]
+            top = rep[is_root]
             done[top] = True
             self.completion[top] = rnd
-            self.n_total[top] = top_n
-            flood = self.n_children[top] > 0
-            done_out.append((top[flood], top[flood], top_n[flood]))
-            up = ~is_root
-            out[K_REPORT] = (rep[up], root[rep[up]], sizes[up])
+            self.n_total[top] = self.subtree[top]
+            done_out.append(top[self.n_children[top] > 0])
+            out[K_REPORT] = rep[~is_root]
 
         if done_out:
-            s = np.concatenate([d[0] for d in done_out])
-            order = np.argsort(s)  # a node sends DONE once
-            out[K_DONE] = tuple(np.concatenate([d[i] for d in done_out])[order]
-                                for i in range(3))
+            out[K_DONE] = np.sort(np.concatenate(done_out))  # a node sends DONE once
         return out
 
     def state_name(self, v: int) -> str:

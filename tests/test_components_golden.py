@@ -76,10 +76,14 @@ def component_digests(g) -> dict:
 
 
 def organisation(g, level: str):
-    """The organisation run alone, after the flood: run(max_rounds=...)."""
+    """The organisation run alone, after the flood: run(max_rounds=...),
+    on a new kernel at each call."""
     member = classes_of(g, level) == int(boundary.NodeClass.BOUNDARY)
-    return functools.partial(boundary.run_protocol,
-                             boundary._CompOrgRounds(g, member, *flood_fields(g, member)))
+
+    def run(max_rounds):
+        kernel = boundary._CompOrgRounds(g, member, *flood_fields(g, member))
+        return boundary.run_protocol(kernel, max_rounds)
+    return run
 
 
 # (components, comp_of, flood fields, flood ledger, flood trace, flood rounds,
@@ -339,6 +343,8 @@ def test_round_limit_names_recorded_stuck_nodes(name):
     g = COMPONENT_GRAPHS[graph]()
     if run == "org":
         call = organisation(g, level)
+        # a second call runs a new kernel, not the one the first spent
+        assert stuck_digest(call, max_rounds) == stuck_digest(call, max_rounds)
     else:
         call = functools.partial(boundary.form_components, g, classes_of(g, level))
     assert stuck_digest(call, max_rounds) == GOLDEN_STUCK[name]

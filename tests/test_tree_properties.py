@@ -18,8 +18,10 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 def test_build_tree_properties(g):
     build = convergetree.build_tree(g)
     convergetree.check_tree(g, build)
-    states = build.states
-    assert all(states[v].n_total == g.n for v in g.id_list)
+    # DONE travels down the tree one hop a round and tells every node n
+    kids = g.ids[build.parent[g.ids] != 0]
+    assert (build.completion[kids] == build.completion[build.parent[kids]] + 1).all()
+    assert (build.n_total[g.ids] == g.n).all()
     led = build.result.ledger
     assert np.array_equal(led.id_units_sent, 3 * led.broadcasts_sent)
     assert build.result.deliveries == int((led.broadcasts_sent * g.degrees()).sum())
