@@ -25,11 +25,11 @@ K_BND = Kind(10)                                 # boundary membership announcem
 K_MC = Kind(11, ("root",))                       # member candidate flood
 K_MF = Kind(12, ("root", "origin"))              # relay forward of the best candidate
 K_JOIN = Kind(13, ("root", "parent", "via"))     # member join notice, naming its relay
-K_JAGG = Kind(14, (), ("member", "root", "parent"))  # a relay's aggregate of the joins naming it
+K_JAGG = Kind(14, (), ("member", "parent"))      # a relay's aggregate of the joins naming it
 K_NEAR = Kind(15, ("dest",))                     # near node registering at a member
-K_UP = Kind(16, ("via", "root", "size", "near"))     # component convergecast
-K_UPF = Kind(17, ("child", "root", "size", "near"))  # relayed convergecast entry
-K_DIST = Kind(19, ("root", "anchor_q"))          # boundary distance wave
+K_UP = Kind(16, ("size", "near"))                # component convergecast
+K_UPF = Kind(17, ("child", "size", "near"))      # relayed convergecast entry
+K_DIST = Kind(19, ("root",), ("anchor_q",))      # distance wave; an anchor for the nearest only
 K_TQ = Kind(20, ("comp", "seq"), ("nbr",))       # token pass query with the holder's neighbours
 K_TQF = Kind(21, ("comp", "seq", "holder"), ("nbr",))                 # relayed query
 K_TR = Kind(22, ("comp", "seq", "score", "isroot", "excl", "via"))    # candidate reply
@@ -289,19 +289,25 @@ class _CompOrgRounds(RoundKernel):
     the relays they name as `via` forward anything.
 
     Rounds 0-1 have fixed timing.  Round 0: members announce (root, parent,
-    via) (JOIN).  Round 1: every `via` relays the JOINs that name it, once
-    (JAGG), so a member hears of every child: the child's parent is its
-    neighbour or, exactly when it is not, its `via`'s.  In the same round
-    every non-member that heard a JOIN registers (NEAR) at its smallest
-    member neighbour: under 2-hop linkage no closed neighbourhood holds
-    members of two components, so one NEAR per node counts each near set.
+    via) (JOIN).  Round 1: every `via` relays the (member, parent) of the
+    JOINs that name it, once (JAGG), so a member hears of every child: the
+    child's parent is its neighbour or, exactly when it is not, its `via`'s.
+    In the same round every non-member that heard a JOIN registers (NEAR)
+    at its smallest member neighbour: under 2-hop linkage no closed
+    neighbourhood holds members of two components, so one NEAR per node
+    counts each near set, and every member that hears a relay's JAGG
+    already holds the root of the members it names.
     From round 2 a member reports its subtree's size and near count to its
     parent (UP) once every child has; the child's `via` relays the report
-    (UPF), so the parent hears it once.  A root sends no report: once its
-    children have reported it holds its component's size (`sub_size`) and
-    the count of non-members in its near set (`sub_near`), and the run
-    ends when the last root has them.  Members wait on a timer through
-    rounds 0-1 and then until they report.
+    (UPF), so the parent hears it once.  Neither names a root or a relay:
+    the parent and the relay know from the child's JOIN (or its JAGG entry)
+    that the child names them, and the parent's root is the child's.  The
+    kernel keeps an UP by the child's `parent` and `via` rows, which that
+    JOIN announced.  A root sends no report: once its children have
+    reported it holds its component's size (`sub_size`) and the count of
+    non-members in its near set (`sub_near`), and the run ends when the
+    last root has them.  Members wait on a timer through rounds 0-1 and
+    then until they report.
     """
 
     def __init__(self, g: UnitDiskGraph, member: np.ndarray, root: np.ndarray,
@@ -475,9 +481,19 @@ class _DistRounds(RoundKernel):
     sent in round r carries distance r + 1 and a node first hears a
     component at its final distance: nothing heard later is nearer.  In
     round r a node with a free slot takes every component it does not hold
-    yet from its smallest sender, at distance r + 1 and with that sender's
-    anchor (its own offset at distance 1); its free slots fill smallest
-    component first, and it re-broadcasts exactly the slots it filled.
+    yet from its smallest sender, at distance r + 1; its free slots fill
+    smallest component first, and it re-broadcasts exactly the slots it
+    filled.
+
+    Only the nearest component (slot 0) has an anchor: the node's own
+    offset at distance 1, else its smallest sender's anchor.  A node fills
+    slot 0 only from a sender's slot-0 message.  Had the sender filled its
+    slot 0 a round earlier, the receiver would have heard it then and hold
+    a slot 0 already; had it filled both slots in the same round, its slot
+    0 holds the smaller component, which the receiver prefers.  So a
+    runner-up message carries no anchor (K_DIST repeats `anchor_q` once
+    for the nearest component, never for the runner-up), and a node that
+    fills slot 0 reads the anchor its sender sent from the sender's `q` row.
 
     A round's `deliveries` are cut down to the candidates a receiver can
     take and settled in the free slots themselves, with no sort over the
@@ -489,27 +505,28 @@ class _DistRounds(RoundKernel):
         # row j holds every node's slot j; component 0 marks an empty slot
         self.d = np.zeros((2, self.size), dtype=np.int64)
         self.c = np.zeros((2, self.size), dtype=np.int64)
-        self.q = np.zeros((2, self.size), dtype=np.int64)
+        self.q = np.zeros(self.size, dtype=np.int64)  # slot 0's anchor
         src = self.ids[np.asarray(comp_of)[self.ids] != 0]
         self.c[0, src] = np.asarray(comp_of)[src]
-        zero = np.zeros(len(src), dtype=np.int64)
-        self.out = (src, self.c[0, src], zero)  # (sender, comp, anchor)
+        # (sender, comp, 1 for its nearest component and 0 for its runner-up)
+        self.out = (src, self.c[0, src], np.ones(len(src), dtype=np.int64))
 
     def step(self, rnd: int) -> list:
         if len(self.out[0]):  # in round 0, the sources' neighbours settle
-            self.out = self._settle(rnd, *self.out)
-        return [(K_DIST, self.out[0])]
+            self.out = self._settle(rnd, self.out[0], self.out[1])
+        s, _, nearest = self.out
+        return [(K_DIST, s, nearest)]
 
-    def _settle(self, rnd, s, c, q) -> tuple:
+    def _settle(self, rnd, s, c) -> tuple:
         # the deliveries to a receiver with a free slot that does not hold
         # their component yet, in sender order
         c0, c1 = self.c  # row views: a 1-D gather is faster than self.c[j, v]
-        v, c, q = self.deliveries(s, c, q, keep=lambda v, c, q: (c1[v] == 0) & (c0[v] != c))
+        v, c, s = self.deliveries(s, c, s, keep=lambda v, c, s: (c1[v] == 0) & (c0[v] != c))
         size = self.size
-        cf, qf = self.c.reshape(-1), self.q.reshape(-1)  # slot j of v at j * size + v
+        cf, df = self.c.reshape(-1), self.d.reshape(-1)  # slot j of v at j * size + v
         # the first free slot takes the receiver's smallest candidate
         # component and, where both are free, the second the next smallest
-        at = np.where(self.c[0][v] != 0, size + v, v)
+        at = np.where(c0[v] != 0, size + v, v)
         cf[at] = _UNSET
         np.minimum.at(cf, at, c)
         two = np.flatnonzero((at == v) & (c != cf[at]))
@@ -517,24 +534,24 @@ class _DistRounds(RoundKernel):
         np.minimum.at(cf, size + v[two], c[two])
         at[two] = size + v[two]
         i = np.flatnonzero(c == cf[at])
-        at, q = at[i], q[i]
+        at, s = at[i], s[i]
         # per filled slot its first candidate, the smallest sender, found
-        # through the slot's anchor, which is still free
-        i = first_hits(at, qf)
-        at, q = at[i], q[i]
+        # through the slot's distance, which is still free
+        i = first_hits(at, df)
+        at, s = at[i], s[i]
         order = np.argsort(at % size * 2 + at // size)  # by receiver, then slot
-        at, q = at[order], q[order]
+        at, s = at[order], s[order]
         v = at % size
-        if rnd == 0:
-            q = _own_frac_units(self.degree(v), self.mu_est)
-        self.d.reshape(-1)[at] = rnd + 1
-        qf[at] = q
-        return v, cf[at], q
+        df[at] = rnd + 1
+        near = at < size
+        self.q[v[near]] = (_own_frac_units(self.degree(v[near]), self.mu_est) if rnd == 0
+                           else self.q[s[near]])
+        return v, cf[at], near.astype(np.int64)
 
     def state_name(self, v: int) -> str:
-        slots = [(int(self.d[j, v]), int(self.c[j, v]), int(self.q[j, v]))
-                 for j in (0, 1) if self.c[j, v]]
-        return f"dist(slots={slots})"
+        slots = [(int(self.d[0, v]), int(self.c[0, v]), int(self.q[v])),
+                 (int(self.d[1, v]), int(self.c[1, v]))]
+        return f"dist(slots={[slot for slot in slots if slot[1]]})"
 
 
 @dataclass
@@ -552,20 +569,23 @@ def distance_flood(g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int,
     """One BFS wave per component from every boundary node (distance 0),
     started by the boundary nodes' neighbours.  A node keeps the first two
     components it hears (of those heard in one round, the smallest), each
-    at the distance and with the anchor it first hears it, and relays each
-    once."""
+    at the distance it first hears it, the nearest with the anchor it
+    first hears with it, and relays each once."""
     kernel = _DistRounds(g, comp_of, mu_est)
     res = run_protocol(kernel, max_rounds, trace)
-    d, c, q = kernel.d, kernel.c, kernel.q
+    d, c = kernel.d, kernel.c
     hop = np.where(c != 0, d, np.inf)
-    return DistanceField(hop[0], c[0], hop[1], c[1], q[0]), res
+    return DistanceField(hop[0], c[0], hop[1], c[1], kernel.q), res
 
 
 def central_distance_field(g: UnitDiskGraph, components: list[BoundaryComponent],
                            mu_est: int) -> DistanceField:
     """Centralized twin: per-component BFS, then per node the best two by
-    (distance, component id), with anchors assembled over smallest-ID
-    predecessors exactly as the synchronous flood does."""
+    (distance, component id), with the nearest component's anchor taken,
+    level by level, from the smallest-ID neighbour one level nearer that
+    has the same nearest component, exactly as the synchronous flood does
+    (every BFS predecessor of a node in its nearest component has that
+    component nearest too)."""
     m = g.max_id
     k = len(components)
     hop = np.full(m + 1, np.inf)
@@ -587,36 +607,19 @@ def central_distance_field(g: UnitDiskGraph, components: list[BoundaryComponent]
         hop2[1:] = dists[second[1:], np.arange(1, m + 1)]
         comp2[1:] = np.where(np.isfinite(hop2[1:]), cids[second[1:]], 0)
 
-    # anchor propagation along each component's wave, top-2 holders only
-    own_q = _own_frac_units(g.degrees(), mu_est)
-    rank_ok = np.zeros((k, m + 1), dtype=bool)
-    rank_ok[first, np.arange(m + 1)] = True
-    if k > 1:
-        rank_ok[order[1], np.arange(m + 1)] = True
-    anchors_c = np.zeros((k, m + 1), dtype=np.int64)
-    for ci in range(k):
-        d_c = dists[ci]
-        holders = np.flatnonzero(rank_ok[ci] & np.isfinite(d_c))
-        holders = holders[holders >= 1]
-        by_level: dict[int, list[int]] = {}
-        for v in holders:
-            by_level.setdefault(int(d_c[v]), []).append(int(v))
-        for level in sorted(by_level):
-            if level == 0:
-                continue
-            for v in by_level[level]:
-                if level == 1:
-                    anchors_c[ci, v] = own_q[v]
-                    continue
-                best = 0
-                for u in g.neighbors(v):
-                    if d_c[u] == level - 1 and rank_ok[ci, u]:
-                        best = int(u)
-                        break  # neighbors ascend, first hit is the smallest
-                anchors_c[ci, v] = anchors_c[ci, best]
-    for v in g.id_list:
-        if np.isfinite(hop[v]):
-            anchor[v] = anchors_c[first[v], v]
+    # anchor propagation along each node's nearest wave
+    ids = g.ids
+    level = np.where(np.isfinite(hop[ids]), hop[ids], 0).astype(np.int64)
+    one = ids[level == 1]
+    anchor[one] = _own_frac_units(g.degrees()[one], mu_est)
+    for d in range(2, int(level.max()) + 1):
+        v = ids[level == d]
+        pos, lens = csr_rows(g.indptr, v)
+        u, v = g.indices[pos], np.repeat(v, lens)
+        up = (hop[u] == d - 1) & (comp[u] == comp[v])
+        u, v = u[up], v[up]
+        first_up = np.unique(v, return_index=True)[1]  # rows ascend: the smallest
+        anchor[v[first_up]] = anchor[u[first_up]]
     return DistanceField(hop, comp, hop2, comp2, anchor)
 
 

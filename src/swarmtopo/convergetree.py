@@ -37,8 +37,8 @@ from .netgraph import UnitDiskGraph, has_edges, hop_bfs
 from .simkernel import CHUNK, Kind, RoundKernel, RunResult, first_hits, run_protocol
 
 K_STATE = Kind(1, ("root", "parent"))   # flood announcement, doubles as join notice
-K_REPORT = Kind(2, ("root", "size"))    # convergecast: subtree size under `root`
-K_DONE = Kind(3, ("root", "n"))         # root's completion flood down the tree
+K_REPORT = Kind(2, ("size",))           # convergecast: subtree size under the root last announced
+K_DONE = Kind(3, ("n",))                # root's completion flood down the tree
 K_AGG = Kind(4, ("value",))             # aggregation convergecast of a scalar
 K_AGG_HIST = Kind(4, ("lo",), ("count",))  # a histogram row's window lo..hi of bins
 K_VAL = Kind(5, (), ("value",))         # a value broadcast down the tree
@@ -138,13 +138,15 @@ class _TreeRounds(RoundKernel):
     STATE (root, parent): adopt the largest announced root above v's own,
     with the smallest sender announcing it as parent (`first_hits`), and
     announce it.
-    DONE (root, n): taken from v's parent; forwarded only by a node with
+    DONE (n): taken from v's parent; forwarded only by a node with
     children.  The tree is a BFS tree from its root, so no neighbour's DONE
-    reaches v before its parent's.
-    REPORT (root, size): once every neighbour announces v's root and every
+    reaches v before its parent's, and v already holds the root it names.
+    REPORT (size): once every neighbour announces v's root and every
     neighbour naming v as parent has reported under it, v reports its
-    subtree size under that root (again on every new root).  A root that
-    reports is complete and starts the DONE flood down its tree.
+    subtree size under that root (again on every new root).  The report is
+    under the root v last announced: a STATE sent with it comes first in
+    inbox order, so every neighbour holds that root as v's `said_root`.  A
+    root that reports is complete and starts the DONE flood down its tree.
 
     No neighbour ever announces a root above v's own (round 0 takes the
     largest ID of the closed neighbourhood, later rounds the largest root
@@ -317,12 +319,13 @@ def central_tree(g: UnitDiskGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return parent, subtree, n_total
 
 
-def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray, bins: int) -> np.ndarray:
-    """The kernel's accumulator, an ID-indexed int64 array with one column
-    per field, built once from the ID-indexed integer array `values`: for
-    MAX its scalars, for HISTOGRAM_MERGE a row of `bins` counts holding a 1
-    in each node's bin.  The rows of unused IDs hold what `values` holds
-    there, or zeros for HISTOGRAM_MERGE: no kernel reads them."""
+def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray,
+                bins: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each node's own entry in an accumulator row, read once from the
+    ID-indexed integer array `values`: its column and its value, aligned
+    with `g.ids`, and the row width.  MAX puts a node's scalar in the one
+    column; HISTOGRAM_MERGE counts a 1 in the node's bin of `bins`
+    columns."""
     hist = op is AggOp.HISTOGRAM_MERGE
     ok = (isinstance(values, np.ndarray) and values.ndim == 1
           and values.dtype.kind in "biu" and len(values) > g.max_id)
@@ -333,11 +336,10 @@ def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray, bins: int) -> n
     if not ok:
         what = f"bin indices in [0, {bins})" if hist else "scalars within int64"
         raise ValueError(f"{op.value} takes ID-indexed integer {what}")
-    if not hist:
-        return values[:g.max_id + 1].astype(np.int64)[:, None]
-    acc = np.zeros((g.max_id + 1, bins), dtype=np.int64)
-    acc[g.ids, own] = 1
-    return acc
+    own = own.astype(np.int64)
+    if hist:
+        return own, np.ones_like(own), bins
+    return np.zeros_like(own), own, 1
 
 
 def _tree_links(g: UnitDiskGraph, parent: np.ndarray) -> np.ndarray:
@@ -387,18 +389,34 @@ class _AggRounds(RoundKernel):
     """Convergecast: a node with a parent sends its combined value once
     every child has sent, a leaf in round 0.  A child is heard only over a
     graph edge; one that is not a neighbour leaves its parent pending for
-    good.  A histogram row travels as its nonzero window."""
+    good.  A histogram row travels as its nonzero window.
+
+    Only the nodes that combine, those with children and the root, keep an
+    accumulator row (`acc`, by rank in the ascending `rows`), so its size
+    follows the tree, not the IDs or the leaves.  A leaf sends only its own
+    entry, in round 0 (a histogram leaf its bin, a one-bin window), which
+    its parent combines into its row in round 1; a node with a row sends
+    that row."""
 
     def __init__(self, g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values, bins: int):
         super().__init__(g)
-        self.acc = _agg_inputs(g, op, values, bins)
+        col, val, cols = _agg_inputs(g, op, values, bins)
         self.combine = np.maximum if op is AggOp.MAX else np.add
         self.windowed = op is AggOp.HISTOGRAM_MERGE
-        parent = tree.parent
+        parent, ids = tree.parent, self.ids
         self.has_parent = parent != 0
-        self.pending = np.bincount(parent[self.ids], minlength=self.size)
+        self.pending = np.bincount(parent[ids], minlength=self.size)
         self.listener = _tree_links(g, parent)  # the parent that hears v, or 0
+        inner = (self.pending[ids] > 0) | ~self.has_parent[ids]
+        self.rows = ids[inner]
+        self.acc = np.zeros((len(self.rows), cols), dtype=np.int64)
+        self.acc[np.arange(len(self.rows)), col[inner]] = val[inner]
+        self.leaves, self.leaf_col, self.leaf_val = ids[~inner], col[~inner], val[~inner]
         self.sent = np.empty(0, dtype=np.int64)
+
+    def row(self, v: np.ndarray) -> np.ndarray:
+        """The accumulator rows of nodes with children, or of the root."""
+        return np.searchsorted(self.rows, v)
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         par = self.listener[senders]
@@ -406,22 +424,27 @@ class _AggRounds(RoundKernel):
 
     def step(self, rnd: int) -> list:
         if rnd == 0:
-            ids = self.ids
-            ready = ids[(self.pending[ids] == 0) & self.has_parent[ids]]
+            ready = self.leaves
         else:
             par = self.listener[self.sent]
             heard = par != 0
             kid, par = self.sent[heard], par[heard]
-            # each child's row scattered into its parent's; a parent
-            # sends only after all its children, so never with one of them
-            _scatter_rows(self.combine, self.acc, par, kid)
+            if rnd == 1:  # leaves send in round 0 alone, and only their own entries
+                i = np.searchsorted(self.leaves, kid)
+                at = self.row(par) * self.acc.shape[1] + self.leaf_col[i]
+                self.combine.at(self.acc.reshape(-1), at, self.leaf_val[i])
+            else:
+                # each child's row scattered into its parent's; a parent
+                # sends only after all its children, so never with one of them
+                _scatter_rows(self.combine, self.acc, self.row(par), self.row(kid))
             np.subtract.at(self.pending, par, 1)
             par = par[self.pending[par] == 0]
             ready = np.unique(par[self.has_parent[par]])
         self.sent = ready
-        if self.windowed:
-            return [(K_AGG_HIST, ready, _window_widths(self.acc, ready))]
-        return [(K_AGG, ready)]
+        if not self.windowed:
+            return [(K_AGG, ready)]
+        widths = _window_widths(self.acc, self.row(ready)) if rnd else np.ones_like(ready)
+        return [(K_AGG_HIST, ready, widths)]
 
     def state_name(self, v: int) -> str:
         return f"agg(pending={self.pending[v]})"
@@ -443,7 +466,7 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
     res = run_protocol(kernel, max_rounds, trace)
     if (kernel.pending[g.ids] > 0).any():
         raise RuntimeError("aggregation did not complete")
-    return tuple(kernel.acc[tree.root_id].tolist()), res
+    return tuple(kernel.acc[kernel.row(tree.root_id)].tolist()), res
 
 
 class _DownRounds(RoundKernel):

@@ -139,17 +139,21 @@ class RoundKernel:
         sender order, returns a mask or the positions of the deliveries to
         return.  It may settle the rest of the piece itself."""
         load = np.cumsum(self.degree(senders))
-        cuts = np.searchsorted(load, np.arange(CHUNK, load[-1] if len(load) else 0, CHUNK)).tolist()
-        parts = []
-        for a, b in zip([0, *cuts], [*cuts, len(senders)]):
-            pos, lens = csr_rows(self.indptr, senders[a:b])
-            part = (self.indices[pos], *(f[a:b].repeat(lens) for f in fields))
-            if keep is not None:
-                i = keep(*part)
-                i = np.flatnonzero(i) if i.dtype == bool else i  # faster than a masked copy
-                part = tuple(x[i] for x in part)
-            parts.append(part)
-        return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+        if not len(load) or load[-1] <= CHUNK:  # one piece: no cut to find
+            return self._piece(senders, fields, keep)
+        cuts = np.searchsorted(load, np.arange(CHUNK, load[-1], CHUNK)).tolist()
+        parts = [self._piece(senders[a:b], [f[a:b] for f in fields], keep)
+                 for a, b in zip([0, *cuts], [*cuts, len(senders)])]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+
+    def _piece(self, senders: np.ndarray, fields, keep) -> tuple:
+        pos, lens = csr_rows(self.indptr, senders)
+        part = (self.indices[pos], *(f.repeat(lens) for f in fields))
+        if keep is None:
+            return part
+        i = keep(*part)
+        i = np.flatnonzero(i) if i.dtype == bool else i  # faster than a masked copy
+        return tuple(x[i] for x in part)
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         """The nodes that would act on what `senders` broadcast: every graph

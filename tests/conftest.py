@@ -347,6 +347,23 @@ def run_digests(res, trace: str) -> dict:
     }
 
 
+def traced_senders(trace: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sender and kind code of each broadcast of a protocol run's trace
+    text (`round,node,kind,units` lines), in trace order."""
+    rows = np.array([line.split(",") for line in trace.splitlines()], dtype=np.int64)
+    rows = rows.reshape(-1, 4)
+    return rows[:, 1], rows[:, 2]
+
+
+def assert_ledger_counts(ledger, senders: np.ndarray, units: np.ndarray) -> None:
+    """The ledger holds, per node, exactly one broadcast per traced message
+    of that sender and the sum of the id-units given for them."""
+    size = len(ledger.broadcasts_sent)
+    assert np.array_equal(ledger.broadcasts_sent, np.bincount(senders, minlength=size))
+    assert np.array_equal(ledger.id_units_sent,
+                          np.bincount(senders, weights=units, minlength=size).astype(np.int64))
+
+
 def stuck_digest(run, max_rounds: int) -> str:
     """Digest of the stuck nodes `run(max_rounds=...)` names when it runs out."""
     with pytest.raises(RoundLimitExceeded) as e:

@@ -17,7 +17,11 @@ round kernel reproduces them unchanged.  GOLDEN_ORG pins the organisation
 run (ledger, trace, rounds, deliveries) as it talks now, members and
 their `via` relays alone, ending when the last root has its totals; it
 was re-recorded when the totals stopped being echoed back down the tree,
-and each new trace equals the old one without its echo lines.  The stuck
+and each new trace equals the old one without its echo lines.  Its
+ledger and trace digests were re-recorded again when UP, UPF and JAGG
+stopped carrying the root and relay their receivers already hold; the
+broadcasts per node and every trace line's (round, node, kind) are
+unchanged.  The stuck
 cases cover the nodes named when `max_rounds` runs out, in the
 organisation run alone and through `form_components` (see CHANGES.md for
 the ones re-recorded with the organisation, and `form@path-40@low@1`,
@@ -33,8 +37,8 @@ import numpy as np
 import pytest
 
 from swarmtopo import boundary
-from conftest import (COMPONENT_CASES, COMPONENT_GRAPHS, below_20k, flood_fields, run_digests,
-                      sha, stuck_digest)
+from conftest import (COMPONENT_CASES, COMPONENT_GRAPHS, assert_ledger_counts, below_20k,
+                      flood_fields, run_digests, sha, stuck_digest, traced_senders)
 
 FLOOD_KINDS = {str(boundary.K_MC.code), str(boundary.K_MF.code)}
 
@@ -206,54 +210,54 @@ GOLDEN = {
 # (organisation ledger, trace, rounds, deliveries)
 GOLDEN_ORG = {
     "dense-60-1": {
-        "low": ("724044cce95ba4c0", "b03b6a8043f9a188", 8, 2192),
-        "mid": ("c5c1816dbecfb97a", "bb1426eb00b66811", 7, 2825),
-        "all": ("f638ce216c945c28", "b223c1e795ba84df", 6, 2845),
+        "low": ("d5a2f3e94b53c8fe", "fcdf7e89bed07e69", 8, 2192),
+        "mid": ("b018413f1a049336", "201632054539432b", 7, 2825),
+        "all": ("b98782789c57b07f", "5962afa7d5a0c361", 6, 2845),
     },
     "dense-250-2": {
-        "low": ("8011fe90ab9b5837", "f7ebe57f3d28d2ef", 12, 8809),
-        "mid": ("cdfbf9f68eb4e2c7", "7e6694b2afd75082", 10, 12370),
-        "all": ("bd12422beb65b72a", "b30366d863d9b0aa", 8, 15823),
+        "low": ("7c53bbc4bf81a455", "f146f7e2e04fdd48", 12, 8809),
+        "mid": ("9825a2db747094f1", "277027e3d649c947", 10, 12370),
+        "all": ("a0330da3b423da20", "fd061764a4e435e8", 8, 15823),
     },
     "dense-800-3": {
-        "low": ("a1a6ee3f3084652f", "e81aeaba7f146fd7", 19, 26032),
-        "mid": ("ddc8748810ea69d2", "090a44785b80dcb4", 14, 43992),
-        "all": ("ebe07f1514e4e20e", "c1ac963346fab048", 14, 53744),
+        "low": ("08422536e9edb9d7", "cb2c76256ff79771", 19, 26032),
+        "mid": ("288bd1ed8677e7c4", "d0594330283110f5", 14, 43992),
+        "all": ("17b0ebf58b6856f4", "a72b8fa25003fade", 14, 53744),
     },
     "gapped-60-4": {
-        "low": ("8934ee2c90e27a47", "1755f621096e6902", 7, 1368),
-        "mid": ("6902d64d0fa1ef98", "ede9028f3b984ec3", 6, 2461),
-        "all": ("4fef16068d6c5a0f", "b619cbd2990673ef", 6, 2916),
+        "low": ("1e10e1ac40d90e42", "8e509ac56eaeb279", 7, 1368),
+        "mid": ("eb23b35c73a3f279", "4ca22c6d4063c566", 6, 2461),
+        "all": ("7ab6a789a6436b1e", "4c66af60d016e954", 6, 2916),
     },
     "gapped-250-5": {
-        "low": ("bf64f138b9994a1a", "58be91d962e7f6f0", 12, 7435),
-        "mid": ("d7d79729fe7c08aa", "e0d8186c9de72b21", 8, 12150),
-        "all": ("ebf07d8c61d3865f", "7da01230dc1529ff", 9, 15332),
+        "low": ("eee30399b3c9f333", "bd524f4fa4a12c88", 12, 7435),
+        "mid": ("124d31e614f98d64", "53d2b216d2c6c6e2", 8, 12150),
+        "all": ("6e079658da9a88cb", "d15026cfe91e2d54", 9, 15332),
     },
     "gapped-800-6": {
-        "low": ("459f784b6ecd8914", "46aa75e4717213af", 19, 26757),
-        "mid": ("e8a162879367b378", "2d89ce14191d6896", 15, 43700),
-        "all": ("621ee3c3adeb8980", "ac8b876a2ee3279f", 11, 53680),
+        "low": ("2e759df139097b88", "5937e2e2959fb611", 19, 26757),
+        "mid": ("e46048e0d5f9e9b8", "7dc58160f88f0ac1", 15, 43700),
+        "all": ("99342d3e1ae6146e", "4c3e6701a94191ea", 11, 53680),
     },
     "crowded-400-7": {
-        "low": ("e2e5487c7b625b8d", "37bc18c28ce6b714", 7, 74614),
-        "mid": ("3a7274ed2d0d27a7", "cba7bdcfc6854ac3", 7, 97814),
-        "all": ("3425e05788cadf7b", "0987e1abda52853e", 6, 112072),
+        "low": ("315e191548099c39", "6ea4a9cb40e8d9a9", 7, 74614),
+        "mid": ("835788d7e755eeb9", "ec2d776ea8b3eb09", 7, 97814),
+        "all": ("36bbd9ed9d87737b", "f4dce98dab514f8f", 6, 112072),
     },
     "path-40": {
-        "low": ("61654eb035562a0e", "3231ffc255866b7c", 23, 154),
-        "mid": ("61654eb035562a0e", "3231ffc255866b7c", 23, 154),
-        "all": ("61654eb035562a0e", "3231ffc255866b7c", 23, 154),
+        "low": ("83aae7c45cf70edc", "67b8a58428477ea7", 23, 154),
+        "mid": ("83aae7c45cf70edc", "67b8a58428477ea7", 23, 154),
+        "all": ("83aae7c45cf70edc", "67b8a58428477ea7", 23, 154),
     },
     "star": {
-        "low": ("bd5e44d88790343b", "ec55685f68313ddc", 5, 69),
-        "mid": ("bd5e44d88790343b", "ec55685f68313ddc", 5, 69),
-        "all": ("552fcedf4c318ab4", "b2a6264ccba6e3e7", 5, 27),
+        "low": ("09529942f372e8c1", "0f16bbf313d410bf", 5, 69),
+        "mid": ("09529942f372e8c1", "0f16bbf313d410bf", 5, 69),
+        "all": ("bca9d61e39f9858e", "3955b5b5b117e68e", 5, 27),
     },
     "star-gapped": {
-        "low": ("b68250a4dc8650b9", "135772bb15497f9c", 5, 53),
-        "mid": ("b68250a4dc8650b9", "135772bb15497f9c", 5, 53),
-        "all": ("74140d9d0655fd9d", "ec8d053742c7f592", 5, 23),
+        "low": ("96bbceb72e23eed2", "0a8fb8144bdfd330", 5, 53),
+        "mid": ("96bbceb72e23eed2", "0a8fb8144bdfd330", 5, 53),
+        "all": ("c948be9e857a7329", "2919213d2a2b301a", 5, 23),
     },
     "single": {
         "low": ("5f53396c8adcbf1a", "d9c2d2c40634aa12", 3, 0),
@@ -261,19 +265,19 @@ GOLDEN_ORG = {
         "all": ("5f53396c8adcbf1a", "d9c2d2c40634aa12", 3, 0),
     },
     "standard-20k": {
-        "low": ("85db151f523ec3c9", "16c150358fefaa4d", 49, 1653270),
-        "mid": ("bb8340db7e485d3c", "3ce3cb1bd0c44867", 38, 2479037),
-        "all": ("290f7c0095397b32", "4bf94a7b04223c4a", 31, 3043175),
+        "low": ("09099d1d3d198f82", "9bbdbc9574289980", 49, 1653270),
+        "mid": ("286eed24c31de5e3", "fe5236b0e039e3a9", 38, 2479037),
+        "all": ("4a61a7b41cdab622", "5b56fb3b8951a0c7", 31, 3043175),
     },
     "ring-48": {
-        "low": ("86e4984a51d5a477", "610455cb977d9667", 27, 190),
-        "mid": ("86e4984a51d5a477", "610455cb977d9667", 27, 190),
-        "all": ("86e4984a51d5a477", "610455cb977d9667", 27, 190),
+        "low": ("04c4c45d20101ec7", "da33c6ccbad8513a", 27, 190),
+        "mid": ("04c4c45d20101ec7", "da33c6ccbad8513a", 27, 190),
+        "all": ("04c4c45d20101ec7", "da33c6ccbad8513a", 27, 190),
     },
     "scattered-70": {
-        "low": ("6c9a9c652e60a089", "ca4ac2b66dbd762c", 5, 38),
-        "mid": ("7ce73c728eea4d7a", "ac6afb38717961d7", 7, 208),
-        "all": ("060022c0ef803b35", "5e7d560b52c36a02", 8, 369),
+        "low": ("267f9e4d90ec55df", "94adfc17814c1c8d", 5, 38),
+        "mid": ("c0a8162be15946ce", "0341ce589b0a91e7", 7, 208),
+        "all": ("a0a054a131db02be", "81e90e7103fafa1f", 8, 369),
     },
 }
 
@@ -348,3 +352,28 @@ def test_round_limit_names_recorded_stuck_nodes(name):
     else:
         call = functools.partial(boundary.form_components, g, classes_of(g, level))
     assert stuck_digest(call, max_rounds) == GOLDEN_STUCK[name]
+
+
+ORG_KINDS = {k.code: k for k in (boundary.K_JOIN, boundary.K_JAGG, boundary.K_NEAR, boundary.K_UP,
+                                 boundary.K_UPF)}
+
+
+@pytest.mark.parametrize("name", COMPONENT_CASES)
+def test_organisation_charges_declared_units(name):
+    # each node is charged exactly its traced organisation messages, each
+    # its kind's units; a relay's JAGG repeats (member, parent) once per
+    # member naming it as `via`
+    g = COMPONENT_GRAPHS[name]()
+    for level in thresholds(g):
+        classes = classes_of(g, level)
+        member = classes == int(boundary.NodeClass.BOUNDARY)
+        via = flood_fields(g, member)[2]
+        named = np.bincount(via[g.ids[member[g.ids]]], minlength=g.max_id + 1)
+        buf = io.StringIO()
+        org = boundary.form_components(g, classes, trace=buf).results[1]
+        lines = "".join(line for line in buf.getvalue().splitlines(keepends=True)
+                        if line.split(",")[2] not in FLOOD_KINDS)
+        senders, kinds = traced_senders(lines)
+        units = [ORG_KINDS[k].units(named[v] if k == boundary.K_JAGG.code else 0)
+                 for v, k in zip(senders.tolist(), kinds.tolist())]
+        assert_ledger_counts(org.ledger, senders, np.array(units, dtype=np.int64))

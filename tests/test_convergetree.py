@@ -140,6 +140,25 @@ def test_histogram_window_widths(bins):
     assert units == [3, 2 + bins]
 
 
+def test_histogram_memory_follows_the_tree_not_ids_times_bins():
+    # 200 nodes under IDs up to 10**5, 64 bins.  Only the nodes with
+    # children and the root keep a 64-bin row; the ledger's two ID-indexed
+    # arrays, the pending counts and the parent links are the floor, where
+    # rows for every ID would take 64 ID-sized arrays
+    g = random_graph(200, 11, id_span=10**5)
+    build = convergetree.build_tree(g)
+    bin_of = netgraph.degree_bin(g.degrees(), int(g.degrees().max()), 64)
+    tracemalloc.start()
+    try:
+        merged, _ = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(merged) == np.bincount(bin_of[g.ids], minlength=64).tolist()
+    id_array = 8 * (g.max_id + 1)
+    assert peak <= 10 * id_array, peak / id_array
+
+
 def test_aggregate_cost_two_units():
     g = random_graph(80, 11)
     build = convergetree.build_tree(g)

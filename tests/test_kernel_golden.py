@@ -32,6 +32,13 @@ change (see CHANGES.md for both).
 The `agg_max@star@0` stuck case ran as `agg_sum@star@0` until SUM was
 deleted; MAX stops in the same round at the same nodes, so its digest is
 the recorded one.
+
+When a runner-up distance message stopped carrying an anchor, the
+`distance` and `distance_mixed` ledger and trace digests of the runs that
+send one were re-recorded, and so were the stuck digests that name a
+runner-up slot, whose state no longer shows an anchor; the outputs,
+rounds, deliveries, broadcasts per node and every trace line's (round,
+node, kind) are unchanged (see CHANGES.md).
 """
 
 import functools
@@ -42,7 +49,8 @@ import pytest
 
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.convergetree import AggOp
-from conftest import GOLDEN_CASES, GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest
+from conftest import (GOLDEN_CASES, GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest,
+                      traced_senders)
 
 BINS = 16
 
@@ -100,7 +108,7 @@ GOLDEN = {
         "flood": ("e2efa9f9015b1426", "20b20248d01646eb", "11d2c284f1ec1e11", 4, 384),
         "classify": ("8e09d95256b00074", "fe933624cccb6046", "785afb15a185c0ab", 2, 233),
         "distance": ("624aa8c39676c752", "ee87a965473689c7", "27a7c8af8af4df05", 3, 1197),
-        "distance_mixed": ("2a1b0b84ab61863e", "cc822f82935edd5f", "19d0d96f7843831d", 4, 2746),
+        "distance_mixed": ("2a1b0b84ab61863e", "92b7419f960f250f", "8bf539ae54f7c76a", 4, 2746),
     },
     "dense-250-2": {
         "agg_max": ("946edd5365af3ac1", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
@@ -108,7 +116,7 @@ GOLDEN = {
         "flood": ("36fa292d50e4f837", "dccaed024441af33", "9523a24493d09d76", 6, 1427),
         "classify": ("1394ece9621bad72", "e3ad40ccec4ad38e", "85a7e1e6513e26fe", 2, 1310),
         "distance": ("5a948b7623c8d715", "716490b3f8e1f12f", "0a800e4708dda6e6", 3, 6620),
-        "distance_mixed": ("70bb20bd55a78c7f", "63b0728e44989639", "00f5ecbab2902465", 4, 15238),
+        "distance_mixed": ("70bb20bd55a78c7f", "434b7526be10e9cd", "81e8485253e7ae48", 4, 15238),
     },
     "dense-800-3": {
         "agg_max": ("5e6cb71c9fb89b8b", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
@@ -116,7 +124,7 @@ GOLDEN = {
         "flood": ("e280506357d03fac", "e8a36ffae15867d4", "4f377c292322ee56", 12, 6203),
         "classify": ("21d920718ef86d00", "ed22032ef3527aa3", "9d27a1922376139c", 2, 4581),
         "distance": ("15518b1bff77e691", "e64448e491285532", "9a2acd5a5b5ca226", 4, 22307),
-        "distance_mixed": ("e6ee270902416850", "27e71afd46c48f9b", "14ba4369b0c8990f", 4, 51746),
+        "distance_mixed": ("e6ee270902416850", "addfac5bf545dfc6", "a67b0d80daccc82e", 4, 51746),
     },
     "gapped-60-4": {
         "agg_max": ("bcd913dfeb5d41b0", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
@@ -124,7 +132,7 @@ GOLDEN = {
         "flood": ("8992a5a7b245dfb3", "aa8b54b9e64de509", "0845b56f4d573352", 4, 259),
         "classify": ("42346441e8aa6f24", "258592ecc24f5ccb", "c3865eef7630649e", 2, 244),
         "distance": ("3e6c8d6d7a3a35cb", "02c5b109bb8635e4", "8c92f7b0c90de935", 3, 1232),
-        "distance_mixed": ("cfa3f522af41d067", "bc774fe488890bd9", "01c105d8335cd9b6", 3, 2829),
+        "distance_mixed": ("cfa3f522af41d067", "9dd59b03fa550c05", "4f8b4ae03f033159", 3, 2829),
     },
     "gapped-250-5": {
         "agg_max": ("565485e2f475d4f8", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
@@ -132,15 +140,15 @@ GOLDEN = {
         "flood": ("befc1d98c4102fa4", "c536f8863650a6cd", "fc51597006164925", 7, 1560),
         "classify": ("bd659dcba622561c", "30865085d72ef892", "5380bef40d7309a3", 2, 1207),
         "distance": ("4c12f69145083a21", "1205d4a49de869ab", "6f6541e9bd985445", 3, 6483),
-        "distance_mixed": ("05c9d3adb9332efd", "40c2ab247263c32b", "5a095222beff26c8", 4, 14923),
+        "distance_mixed": ("05c9d3adb9332efd", "a77565dbb4ffa3fc", "92ed26bd04ce6b9d", 4, 14923),
     },
     "gapped-800-6": {
         "agg_max": ("6a412d8e85377701", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
         "agg_hist": ("552dc65b9a42e17f", "fb00a115119ae5b6", "cf91b013beb77b9f", 9, 26820),
         "flood": ("81143852fb888859", "aff20b2f32579229", "5ed59fb03dd92438", 9, 5310),
         "classify": ("25141a9e65103a1e", "b8a258196673f6a9", "c6ca8e2c8e330f84", 2, 5317),
-        "distance": ("a1cd26bd04caa33d", "e133a53ddd27a77c", "77e8d382071b56b6", 8, 48403),
-        "distance_mixed": ("b737dc6d3e9f74a0", "aa1a47f365e48156", "9b9b0069a5e3724e", 3, 51467),
+        "distance": ("a1cd26bd04caa33d", "51b0b6212e70ee15", "ec23d752dfde1b78", 8, 48403),
+        "distance_mixed": ("b737dc6d3e9f74a0", "8580cd98437d95ed", "13b5844c5edf3550", 3, 51467),
     },
     "crowded-400-7": {
         "agg_max": ("f1910fba870528eb", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
@@ -148,7 +156,7 @@ GOLDEN = {
         "flood": ("e2e25047260af22c", "97a48e816648a61b", "bef485ba3a07ab5d", 4, 3297),
         "classify": ("3e4371b70973f0d5", "cca0434c9e0752fd", "be1ef80b7552115d", 2, 9455),
         "distance": ("ffd1cc98538d2eb1", "2c1700742ba250d4", "14ec1af25dd81907", 3, 46627),
-        "distance_mixed": ("4da2b4608364a20c", "e34ded481208c5f4", "6605c22e96796910", 3, 107765),
+        "distance_mixed": ("4da2b4608364a20c", "bbd12486a9af0553", "1b67bcd2e3758921", 3, 107765),
     },
     "path-40": {
         "agg_max": ("0555debc8a653494", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
@@ -156,7 +164,7 @@ GOLDEN = {
         "flood": ("e8d407d15662d992", "bf557f6b7bbaa50c", "351528dffbd1740a", 21, 76),
         "classify": ("aa30b652e011afde", "5b03895fae228b67", "22d4f3b23b4d38f5", 2, 78),
         "distance": ("83dd54a71d77b35c", "155e437b946ac82a", "e3b0c44298fc1c14", 1, 0),
-        "distance_mixed": ("0b5ac36938708315", "63bce009396aece1", "e0e8c40834021207", 25, 150),
+        "distance_mixed": ("0b5ac36938708315", "b71ef0d173f3e2ff", "a0a0ca106fa1226a", 25, 150),
     },
     "star": {
         "agg_max": ("24a6ade6d35f1e5e", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
@@ -187,8 +195,8 @@ GOLDEN = {
         "agg_hist": ("b812be3bee79c9cd", "eb9262d47708ac5c", "5c9dac3bb439349a", 29, 1521547),
         "flood": ("57c5198060aaf02a", "cb9af7d1ef053b13", "14b82239b23f0578", 29, 208016),
         "classify": ("a3dbd096ef66642a", "939f5299ad81a830", "8b3c3b95f4138896", 2, 318462),
-        "distance": ("a41684cd5b5a79ad", "75bdf6253325be6b", "c1cf2a26cefdc6ad", 38, 2724794),
-        "distance_mixed": ("b01f72eabce51efb", "73be88e414f2729b", "631b58512e13b102", 3, 2926405),
+        "distance": ("a41684cd5b5a79ad", "ca1a371a0bf33782", "705863faad7e6e8f", 38, 2724794),
+        "distance_mixed": ("b01f72eabce51efb", "e168b1e75b3a1c49", "9bb2c46df16900d3", 3, 2926405),
     },
 }
 
@@ -217,9 +225,9 @@ GOLDEN_STUCK = {
     "distance@dense-250-2@2":
         "1a233d51ff10c8bd3468f788f3a052a84b9bbf16c8c58b9e92a555d3dea28298",
     "distance@gapped-800-6@3":
-        "bd1ad6409798f023c234bac34e287e0ef1827d8509350021959143140a479784",
+        "38c313473c99722b3a98691089bb7f11a81017db59c45367df333437848bf4b1",
     "distance_mixed@path-40@6":
-        "9bee25ef6f9b53bbade1c7338b6ca18ecaae189acc1e8d7a8fe4f388b5dc9781",
+        "50dab24fa05a6c9a4b963216105be6e9fe625505ddb910a09702e77b4fd3717d",
 }
 
 
@@ -237,3 +245,22 @@ def test_kernels_match_recorded_protocols_in_small_pieces(name, small_pieces):
 def test_round_limit_names_recorded_stuck_nodes(name):
     graph, call, max_rounds = STUCK_CASES[name]
     assert stuck_digest(calls(GOLDEN_GRAPHS[graph]())[call], max_rounds) == GOLDEN_STUCK[name]
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_distance_flood_charges_declared_units(name):
+    # a node sends its nearest component once, with the anchor, unless it
+    # is a source, and its runner-up once, without it, if it has one; it is
+    # charged exactly those traced messages at K_DIST's units
+    g = GOLDEN_GRAPHS[name]()
+    for call in ("distance", "distance_mixed"):
+        buf = io.StringIO()
+        field, res = calls(g)[call](trace=buf)
+        senders, kinds = traced_senders(buf.getvalue())
+        assert set(kinds.tolist()) <= {boundary.K_DIST.code}
+        nearest = ((field.comp != 0) & (field.hop >= 1)).astype(np.int64)
+        runner_up = (field.comp2 != 0).astype(np.int64)
+        assert np.array_equal(np.bincount(senders, minlength=g.max_id + 1), nearest + runner_up)
+        assert np.array_equal(res.ledger.broadcasts_sent, nearest + runner_up)
+        assert np.array_equal(res.ledger.id_units_sent, boundary.K_DIST.units(1) * nearest
+                              + boundary.K_DIST.units(0) * runner_up)

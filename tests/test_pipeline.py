@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import types
 
 import numpy as np
@@ -92,8 +93,10 @@ def test_pipeline_byte_identical_reruns(tmp_path):
 # recorded at commit 70023f7: sha256 of the output files, and cost.csv as
 # text (its tree, first components and distance_flood rows re-recorded
 # when those phases stopped opening with a round of self-announcements,
-# and its second components row when the organisation stopped echoing
-# the totals down its tree).  A change that moves an output on purpose
+# its second components row when the organisation stopped echoing the
+# totals down its tree, and the id-units of the tree, second components
+# and distance_flood rows when their messages stopped carrying fields
+# their receivers already hold).  A change that moves an output on purpose
 # re-records it here and lists the change, old -> new, in CHANGES.md.
 PINNED_CONFIG = RunConfig(region="annulus", n=4000, seed=3, alpha="sweep",
                           token_loops=True)
@@ -104,26 +107,30 @@ PINNED_DIGESTS = {
 }
 PINNED_COST = """\
 phase,broadcasts,id_units,rounds
-tree,27466,82398,61
+tree,27466,72738,61
 agg_delta,3999,7998,21
 flood_delta,659,1318,21
 agg_histogram,3999,23991,21
 flood_threshold,659,1977,21
 classify,455,455,2
 components,5805,15941,28
-components,2410,8046,29
-distance_flood,7545,22635,8
+components,2410,6800,29
+distance_flood,7545,18635,8
 token_loops,7611,132497,222
 """
+
+
+def kinds_by_name() -> dict:
+    """Every message kind the protocols declare, by its name."""
+    return {name: kind for module in (convergetree, boundary)
+            for name, kind in vars(module).items() if isinstance(kind, Kind)}
 
 
 def declared_kinds() -> dict:
     """Every message kind the protocols declare, by its trace code."""
     by_code: dict = {}
-    for module in (convergetree, boundary):
-        for kind in vars(module).values():
-            if isinstance(kind, Kind):
-                by_code.setdefault(kind.code, []).append(kind)
+    for kind in kinds_by_name().values():
+        by_code.setdefault(kind.code, []).append(kind)
     return by_code
 
 
@@ -151,6 +158,33 @@ def test_reports_pinned_across_commits(tmp_path):
         assert any(fits(kind, units) for kind in by_code[code]), (code, units)
     total = sum(units * n for (_, units), n in sizes.items())
     assert total == sum(int(row.split(",")[2]) for row in PINNED_COST.splitlines()[1:])
+
+
+def readme_kind_rows() -> list[list[str]]:
+    """The cells of each row of README's table of message kinds."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text[text.index("| code | kind | fields | id-units | k |"):].splitlines()[2:]
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in itertools.takewhile(lambda line: line.strip().startswith("|"), lines)]
+
+
+def test_readme_kind_table_matches_declarations():
+    # each row's code, name, fields and id-units as `Kind` declares them,
+    # and a row for every declared kind
+    declared = kinds_by_name()
+    rows = readme_kind_rows()
+    assert sorted(row[1].strip("`") for row in rows) == sorted(declared)
+    for code, name, fields, units, k in rows:
+        kind = declared[name.strip("`")]
+        group = re.search(r"\(([^)]*)\)×k", fields)
+        fixed = re.sub(r",? ?\([^)]*\)×k", "", fields)
+        assert int(code) == kind.code, name
+        assert tuple(f for f in fixed.split(", ") if f not in ("", "—")) == kind.fields, name
+        assert (tuple(group.group(1).split(", ")) if group else ()) == kind.repeat, name
+        r = len(kind.repeat)
+        assert units == (str(kind.units()) if not r else f"{kind.units()} + k" if r == 1
+                         else f"{kind.units()} + {r}·k"), name
+        assert bool(k) == bool(r), name
 
 
 def test_density_warning_low_n(tmp_path):

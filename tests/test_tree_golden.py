@@ -10,16 +10,22 @@ When round 0 stopped carrying self-announcements (a node adopts the largest
 ID of its closed neighbourhood at once; see CHANGES.md), the completion,
 ledger, trace, round, delivery and stuck digests were re-recorded.  The
 `tree` digests were computed on the code before that change and after it,
-and are equal.
+and are equal.  When REPORT and DONE stopped carrying the root their
+receivers already hold, the ledger and trace digests were re-recorded;
+the broadcasts per node and every trace line's (round, node, kind) are
+unchanged (see CHANGES.md).
 """
 
 import functools
 import io
 
+import numpy as np
 import pytest
 
 from swarmtopo import convergetree
-from conftest import GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest
+from swarmtopo.simkernel import run_protocol
+from conftest import (GOLDEN_CASES, GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest,
+                      traced_senders)
 
 
 def tree_digests(g) -> dict:
@@ -40,80 +46,80 @@ GOLDEN = {
     "dense-60-1": {
         "tree": "b8171c94fde90165d8d7677cc892208431a243c82b0a817030430ab375879833",
         "completion": "56386d3806f93eb35352eada000503536da74b3a52700f8bb1fe93f1aa9da6e5",
-        "ledger": "e56e76aaf8c30e756de0f291b30c78a11beeaf56884d22d02eda0089aa26311d",
-        "trace": "3d2cb3782089bbc09e63d59369962c05800c8feed7149445dac10c8e4473df16",
+        "ledger": "c408d3543e78f47e85bfad39355cfe23f16e10db3eeb9a2a1c43a239819d092c",
+        "trace": "776113f16add7c8479902f4307507cb7e411397b0c0f63af4f42b0846994669d",
         "rounds_used": 10,
         "deliveries": 4247,
     },
     "dense-250-2": {
         "tree": "a49cafc13dc7e0ebbf9d293e33237aa559a0b6fdae5bfad1ea99c69622a8543c",
         "completion": "2f383356b750aa91df38091d871d1bdd23de48ed90ae72db2a3dc13608508992",
-        "ledger": "f5edbd7ae9839f66a845a5a67c88c091643e61f1d026c8cb6b9e08446cb56dc2",
-        "trace": "160baca0dfe3a48d95e7f0138866b9406975e85701eb1a4031ddf96e0a7b6983",
+        "ledger": "561e754e97afec6d3fe5d2f6061866e8265bd1acd201a81ef51312dc8aba4c7c",
+        "trace": "b03d393856cd43c2b77d118522959a8132fa1d19cf62fd965b00873b8efd82b3",
         "rounds_used": 16,
         "deliveries": 26898,
     },
     "dense-800-3": {
         "tree": "363ed03ae5e1c000476eabfaa44d0a6a44be75413a9c48ff2dc9f3eaa395e509",
         "completion": "5e4603b45894f09583e430ff69abde2a753cc04bc2cbf90492dc62349daed1a6",
-        "ledger": "a36c8e38b6d799ca6268521d91c6793e85a801b99a239662eedae1eae158e39a",
-        "trace": "595fc18080827d23288b434395d68fcf6a8b15b01a61e45dac681634de7a8247",
+        "ledger": "7fa67a0930fe94033142f3761bbc6afcf3030d0354faff249a6a33172a353b5c",
+        "trace": "af490ff6d3f48bfc8a6e11960df208746274b6523087c191c9a47455de98d820",
         "rounds_used": 34,
         "deliveries": 140254,
     },
     "gapped-60-4": {
         "tree": "77fc81012146734744cb9e5d89d8148e5c574053e9099f04e80feb19c31ff018",
         "completion": "8b2ec5ceff328a4efc0ef8b56b04e8d9514eaa2d68e30a6f69c0033352540efd",
-        "ledger": "5f41d5c9138457fc800ebe106cb02d63c11abdebdd02aea942ecc77eaaed957a",
-        "trace": "57f53e42fdc2d03e5c5de98df9133bdc59d5b90c6b5b31057fa4468da2b24ae6",
+        "ledger": "74cf321279271e6897c8d8db6c9220c1d13bec29ac688d8a1d898f2578e1b6f8",
+        "trace": "70378fdc90dc8807ebc7a544e5de35e65e02e36ad172464a0e1ceab20289c180",
         "rounds_used": 9,
         "deliveries": 3540,
     },
     "gapped-250-5": {
         "tree": "5a9af23f3c71f8a0e87b9459b12a5172a7b42c18d142ab154cf9117ec2519474",
         "completion": "e0e06f95ea775f3fed4379c9d4189a6d3212b037eb460bb7cbc10de4d45454b5",
-        "ledger": "95d1be8c05afc8f4cdc0f86a807eab6e0eac2c04eb4806f9f6249aeab79093ae",
-        "trace": "6c7e75231a3e004955b1880474667ed488cace9a266b86532282117a11861671",
+        "ledger": "1a60b44554bed13f8c932dc4d0784eacccd93424d1f6aa5b8b618f44fc34100a",
+        "trace": "42f8d633983b5f49677bbed0c4afb20ae4f07c9d26ca4f260eb6b6dbfa5c27e1",
         "rounds_used": 19,
         "deliveries": 25931,
     },
     "gapped-800-6": {
         "tree": "58d904668d11ba10543a8963d24add4012e163beceac403e8d2968e1be9afc5e",
         "completion": "d3a2946c50c82c93b5111f6d07544dd5ffd02d6a2350b9e610a0d89600c6cb85",
-        "ledger": "2d52f1ded01b2595385dd4d6d65445cc5fde9f7da818fa0a23941a79d1a172ad",
-        "trace": "c2ca963ae1571892e7d44089c0ae828df3e085cfd6cb2a210c3e79454cc95ae6",
+        "ledger": "f7f511a13c049b17bc7cf6df1523f19410e4a64d55b6cf3805fc89d2ec4528ed",
+        "trace": "5ad474fa3499b58d40d8bac29f25b60ae8abda3a9b1c89d8b2deb981c2ee54fb",
         "rounds_used": 25,
         "deliveries": 117192,
     },
     "crowded-400-7": {
         "tree": "1dbe90224c81021cdde65d578a37fb180b936ef119c610a3e75ce33c920256f2",
         "completion": "a470999ff5973964d82aed6191980146fed671a44ec35d1c6b6f88161c85817a",
-        "ledger": "24ef72f7ec3179a392b72a4eaa0470ff4cc7b7870d4afdbe66f7c650fba40e22",
-        "trace": "5f1c593b478ac4391159d83f04d509119e53af26b175e76347ed709259263bba",
+        "ledger": "aa067f03d9ad4f7f9970be1fd13c2b49869907c0870aa61a4f920e0bf3040c86",
+        "trace": "d00bfbff30839d3575727bf4c60a96cad35a2da54f5640eac89a3a0864eba3a3",
         "rounds_used": 10,
         "deliveries": 166228,
     },
     "path-40": {
         "tree": "aaf7b78e4c4b2c099887ec681b9a721fa7a4e3c47159e18fa617705f3fac298b",
         "completion": "2d2d0cf7c1dbb0d218daec34c805eb975e6fa68e750fb2373d1159b82968ab16",
-        "ledger": "41519750f69d2bfa82f305f65efd39377ccc56258f405e9facd83544cb5406c1",
-        "trace": "af17e3fb578e4b1b375f47f87353fa452adc2927caefd49b53e5c0c43d1b50f4",
+        "ledger": "63cd806dd44f5ffb897afdcfd9fdc5954f409ec976c0aa129db8987333b40cd9",
+        "trace": "3da99f1d6640e1baf0706d1ed6cd1933775c9364471e197e649eaa4acd465a4e",
         "rounds_used": 60,
         "deliveries": 378,
     },
     "star": {
         "tree": "c8250743301c74900d32ba63b159d851e2ce03baf22b3fdd55d80116db35b89d",
         "completion": "afe6f8e131c0e28e9d45772db3596f1183ccc430c12ef74f0c6dff74115bd9fa",
-        "ledger": "704f4b36d9fa358a735d59beca0983f12fba81beb948c00a8f9b4548e717477f",
-        "trace": "3a4f69c9be3e6f984c17b005555c99d23709b2a0d0f2ae3f97c2096abf080971",
+        "ledger": "6ae5153d30f1459b619da227ff4b0f62dbec4f09a1fbc0f1a11bb21cb8af6f22",
+        "trace": "e4d6f443ffcf3cd109613357c57677261e89e52518e121584a3a9ccf291a8407",
         "rounds_used": 6,
         "deliveries": 40,
     },
     "star-gapped": {
         "tree": "a030746e935a786efee9a44a503b1e77ca0955b1a6a4bb1e6b4ed2fa79f44a19",
         "completion": "75a904bd6004c066e2f884776166f67318988577bca7e16846953ea614fbf57c",
-        "ledger": "a87774ca9192cfe175e7f426aa869497826115dc79e6bf458adb262ce534023b",
-        "trace": "ae6d8a237eb25cc82fbfaabe5dc2f7cd2bc9ae7ab67c8cd74dc0990a5e15c5f1",
+        "ledger": "39e4bb309a31b9138a25057674aba249a1a5eadf4f64c06409332ee71e17c88a",
+        "trace": "c02e8269946bca43aac4757b5f826ac2abaacf3adecca03b7f14b529b0430579",
         "rounds_used": 6,
         "deliveries": 33,
     },
@@ -128,8 +134,8 @@ GOLDEN = {
     "standard-20k": {
         "tree": "9a1e249352553b7632dbd9db93fe897bc8bd67fdb1b62e98afd2a4b8a60e8fb3",
         "completion": "fa516fb3db9e11f9df809f67f3504131b85987535cbb4b65ea8bee62c851007a",
-        "ledger": "297ff2fddef0659cc33452cda2236d9b5db2ef4989a77cbe52de5aaecd2be687",
-        "trace": "859c3dbdb7470eaf9f1643fab1b9f62e20f6e2a6a897ee6dcdc75ac62a9d7083",
+        "ledger": "7d23132f233702dbead63ca378972079e4420c5b8a4e3f1ba50eafbed6c639c2",
+        "trace": "3e35276c657016cc2a22550d642333b2819eb030bddf98346b6a9682f68cef8c",
         "rounds_used": 85,
         "deliveries": 11625919,
     },
@@ -170,3 +176,29 @@ def test_round_limit_names_recorded_stuck_nodes(name):
     graph, max_rounds = STUCK_CASES[name]
     run = functools.partial(convergetree.build_tree, GOLDEN_GRAPHS[graph]())
     assert stuck_digest(run, max_rounds) == GOLDEN_STUCK[name]
+
+
+class _CheckedReports(convergetree._TreeRounds):
+    """The tree kernel, checking in every round that the root each REPORT
+    sender reported under is the root its neighbours hold for it
+    (`said_root`) once the round's STATEs are settled, so that REPORT need
+    not carry it."""
+
+    reports = 0
+
+    def _settle(self, rnd, msgs):
+        s = msgs.get(convergetree.K_REPORT, self.ids[:0])
+        reported = self.reported[s]
+        out = super()._settle(rnd, msgs)
+        assert np.array_equal(self.said_root[s], reported), rnd
+        self.reports += len(s)
+        return out
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_report_root_is_the_announced_root(name):
+    kernel = _CheckedReports(GOLDEN_GRAPHS[name]())
+    buf = io.StringIO()
+    run_protocol(kernel, trace=buf)
+    _, kinds = traced_senders(buf.getvalue())
+    assert kernel.reports == (kinds == convergetree.K_REPORT.code).sum()

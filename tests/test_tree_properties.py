@@ -1,6 +1,8 @@
 """Property tests of the spanning-tree bootstrap, and of its equality with
 the centralized twin, on small graphs with arbitrary (gapped) IDs."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,22 +10,29 @@ from hypothesis import strategies as st
 
 from swarmtopo import convergetree, netgraph
 from swarmtopo.simkernel import run_protocol
-from conftest import any_graphs, connected_graphs, distinct_ids, graph_from, scattered_70
+from conftest import (any_graphs, assert_ledger_counts, connected_graphs, distinct_ids,
+                      graph_from, scattered_70, traced_senders)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+KINDS = {k.code: k for k in (convergetree.K_STATE, convergetree.K_REPORT, convergetree.K_DONE)}
 
 
 @SETTINGS
 @given(connected_graphs)
 def test_build_tree_properties(g):
-    build = convergetree.build_tree(g)
+    buf = io.StringIO()
+    build = convergetree.build_tree(g, trace=buf)
     convergetree.check_tree(g, build)
     # DONE travels down the tree one hop a round and tells every node n
     kids = g.ids[build.parent[g.ids] != 0]
     assert (build.completion[kids] == build.completion[build.parent[kids]] + 1).all()
     assert (build.n_total[g.ids] == g.n).all()
+    # each node is charged exactly its traced messages, each its kind's units
     led = build.result.ledger
-    assert np.array_equal(led.id_units_sent, 3 * led.broadcasts_sent)
+    senders, kinds = traced_senders(buf.getvalue())
+    assert_ledger_counts(led, senders, np.array([KINDS[k].units() for k in kinds.tolist()]))
     assert build.result.deliveries == int((led.broadcasts_sent * g.degrees()).sum())
 
 
