@@ -7,7 +7,9 @@ report up once every neighbor has announced the same root and all of its
 children have reported; the root then floods DONE down, so every node
 learns both n and the completion round.  Global values then travel on the
 tree: `aggregate` convergecasts them up it, and `broadcast_down` sends the
-root's value back down it, re-sent only by nodes with children.
+root's value back down it, re-sent only by nodes with children.  Both
+take only a tree that spans the graph over graph edges, as TAG's
+convergecast assumes, and raise `NotSpanningTree` on any other.
 
 All three protocols run as array round kernels (`simkernel.RoundKernel`):
 each round is a few numpy gathers and scatter reductions (`ufunc.at`)
@@ -42,6 +44,10 @@ K_DONE = Kind(3, ("n",))                # root's completion flood down the tree
 K_AGG = Kind(4, ("value",))             # aggregation convergecast of a scalar
 K_AGG_HIST = Kind(4, ("lo",), ("count",))  # a histogram row's window lo..hi of bins
 K_VAL = Kind(5, (), ("value",))         # a value broadcast down the tree
+
+
+class NotSpanningTree(ValueError):
+    """A tree wave's tree has a non-graph edge or leaves nodes out (a cycle, a second root)."""
 
 
 class GraphDisconnected(RuntimeError):
@@ -342,15 +348,20 @@ def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray,
     return np.zeros_like(own), own, 1
 
 
-def _tree_links(g: UnitDiskGraph, parent: np.ndarray) -> np.ndarray:
-    """ID-indexed: v's parent where the tree edge is a graph edge, so that
-    each hears the other's broadcasts; 0 at the root, at a node whose
-    parent is not a neighbour, and at unused IDs."""
-    kid = g.ids[parent[g.ids] != 0]
-    kid = kid[has_edges(g, parent[kid], kid)]
-    link = np.zeros(len(parent), dtype=np.int64)
-    link[kid] = parent[kid]
-    return link
+def _edges_in_graph(g: UnitDiskGraph, parent: np.ndarray) -> bool:
+    """Whether each tree edge is a graph edge, so both its ends hear each other."""
+    kids = g.ids[parent[g.ids] != 0]
+    return bool(has_edges(g, parent[kids], kids).all())
+
+
+def _run_wave(g: UnitDiskGraph, kernel, max_rounds: int, trace, spanned) -> RunResult:
+    """Run tree wave `kernel` along its `parent` tree; `spanned(res)` counts nodes covered."""
+    if not _edges_in_graph(g, kernel.parent):
+        raise NotSpanningTree("tree edge is not a graph edge")
+    res = run_protocol(kernel, max_rounds, trace)
+    if (k := spanned(res)) != g.n:
+        raise NotSpanningTree(f"tree spans {k} of {g.n} nodes")
+    return res
 
 
 def _row_slices(count: int, cols: int) -> list[slice]:
@@ -386,10 +397,9 @@ def _scatter_rows(ufunc, dest: np.ndarray, rows: np.ndarray, src: np.ndarray) ->
 
 
 class _AggRounds(RoundKernel):
-    """Convergecast: a node with a parent sends its combined value once
-    every child has sent, a leaf in round 0.  A child is heard only over a
-    graph edge; one that is not a neighbour leaves its parent pending for
-    good.  A histogram row travels as its nonzero window.
+    """Convergecast: a node with a parent sends its combined value, over a
+    graph edge, once every child has sent, a leaf in round 0.  A histogram
+    row travels as its nonzero window.
 
     Only the nodes that combine, those with children and the root, keep an
     accumulator row (`acc`, by rank in the ascending `rows`), so its size
@@ -403,11 +413,9 @@ class _AggRounds(RoundKernel):
         col, val, cols = _agg_inputs(g, op, values, bins)
         self.combine = np.maximum if op is AggOp.MAX else np.add
         self.windowed = op is AggOp.HISTOGRAM_MERGE
-        parent, ids = tree.parent, self.ids
-        self.has_parent = parent != 0
-        self.pending = np.bincount(parent[ids], minlength=self.size)
-        self.listener = _tree_links(g, parent)  # the parent that hears v, or 0
-        inner = (self.pending[ids] > 0) | ~self.has_parent[ids]
+        self.parent, ids = tree.parent, self.ids
+        self.pending = np.bincount(self.parent[ids], minlength=self.size)
+        inner = (self.pending[ids] > 0) | (self.parent[ids] == 0)
         self.rows = ids[inner]
         self.acc = np.zeros((len(self.rows), cols), dtype=np.int64)
         self.acc[np.arange(len(self.rows)), col[inner]] = val[inner]
@@ -419,16 +427,13 @@ class _AggRounds(RoundKernel):
         return np.searchsorted(self.rows, v)
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
-        par = self.listener[senders]
-        return par[par != 0]
+        return self.parent[senders]
 
     def step(self, rnd: int) -> list:
         if rnd == 0:
             ready = self.leaves
         else:
-            par = self.listener[self.sent]
-            heard = par != 0
-            kid, par = self.sent[heard], par[heard]
+            kid, par = self.sent, self.parent[self.sent]
             if rnd == 1:  # leaves send in round 0 alone, and only their own entries
                 i = np.searchsorted(self.leaves, kid)
                 at = self.row(par) * self.acc.shape[1] + self.leaf_col[i]
@@ -439,7 +444,7 @@ class _AggRounds(RoundKernel):
                 _scatter_rows(self.combine, self.acc, self.row(par), self.row(kid))
             np.subtract.at(self.pending, par, 1)
             par = par[self.pending[par] == 0]
-            ready = np.unique(par[self.has_parent[par]])
+            ready = np.unique(par[self.parent[par] != 0])
         self.sent = ready
         if not self.windowed:
             return [(K_AGG, ready)]
@@ -460,33 +465,31 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
     HISTOGRAM_MERGE takes each node's bin index in [0, bins) and returns
     the `bins` counts; a sender sends only the window of its merged row
     from its first to its last nonzero bin, as `K_AGG_HIST` (lo, c_lo,
-    ..., c_hi).  Other inputs raise ValueError.
+    ..., c_hi).  Other inputs raise ValueError; a tree that does not span
+    the graph over graph edges raises `NotSpanningTree`.
     """
     kernel = _AggRounds(g, tree, op, values, bins)
-    res = run_protocol(kernel, max_rounds, trace)
-    if (kernel.pending[g.ids] > 0).any():
-        raise RuntimeError("aggregation did not complete")
+    res = _run_wave(g, kernel, max_rounds, trace, lambda r: r.ledger.total_broadcasts + 1)
     return tuple(kernel.acc[kernel.row(tree.root_id)].tolist()), res
 
 
 class _DownRounds(RoundKernel):
     """Broadcast down the tree: the root sends in round 0, and a node takes
-    the value from its parent's broadcast, heard only over a graph edge.
-    Only a node with at least one child re-broadcasts it, once, in the
-    round it takes it; a leaf, or a root without children, sends nothing."""
+    the value from its parent's broadcast.  Only a node with at least one
+    child re-broadcasts it, once, in the round it takes it; a leaf, or a
+    root without children, sends nothing."""
 
     def __init__(self, g: UnitDiskGraph, tree: TreeBuild, width: int):
         super().__init__(g)
         self.width = width
-        self.link = _tree_links(g, tree.parent)
+        self.parent = tree.parent
         self.has_kids = np.bincount(tree.parent, minlength=self.size) > 0
         self.got = np.zeros(self.size, dtype=bool)
         self.got[tree.root_id] = True
-        root = np.array([tree.root_id], dtype=np.int64)
-        self.sent = root[self.has_kids[root]]
+        self.sent = np.array([tree.root_id] if self.has_kids[tree.root_id] else [], dtype=np.int64)
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
-        return self.deliveries(senders, senders, keep=lambda v, s: self.link[v] == s)[0]
+        return self.deliveries(senders, senders, keep=lambda v, s: self.parent[v] == s)[0]
 
     def step(self, rnd: int) -> list:
         if rnd:
@@ -500,15 +503,15 @@ class _DownRounds(RoundKernel):
 
 
 def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
-                   max_rounds: int = 100_000, trace=None) -> tuple[list, RunResult]:
+                   max_rounds: int = 100_000, trace=None) -> tuple[tuple, RunResult]:
     """Broadcast a value down the tree from its root as `K_VAL`; each node
-    with children re-broadcasts it once.
-    Returns the value per ID, None where it did not arrive: unused IDs, and
-    the subtree of a node whose parent is not its neighbour."""
+    with children re-broadcasts it once.  Returns the value, as a tuple of
+    ints, which every node then holds; a tree that does not span the graph
+    over graph edges raises `NotSpanningTree`."""
     value = tuple(int(x) for x in value)
     kernel = _DownRounds(g, tree, len(value))
-    res = run_protocol(kernel, max_rounds, trace)
-    return [value if got else None for got in kernel.got.tolist()], res
+    res = _run_wave(g, kernel, max_rounds, trace, lambda r: int(kernel.got[g.ids].sum()))
+    return value, res
 
 
 def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
@@ -522,8 +525,7 @@ def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
     root = int(roots[0])
     if root != g.max_id:
         raise AssertionError("root is not the global max ID")
-    kids = ids[parent[ids] != 0]
-    if not has_edges(g, parent[kids], kids).all():
+    if not _edges_in_graph(g, parent):
         raise AssertionError("tree edge is not a graph edge")
     # pointer doubling: after k squarings each node points 2**k steps up,
     # stopping at the root, so a node off the root's tree never reaches it

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import UnitDiskGraph, csr_rows
+from .netgraph import UnitDiskGraph
 
 CHUNK = 1 << 16  # deliveries a kernel expands at once (`RoundKernel.deliveries`)
 
@@ -62,30 +62,21 @@ class RoundLimitExceeded(RuntimeError):
                 f"still active (e.g. {sample})")
 
 
+@dataclass
 class CostLedger:
-    """Per-node broadcast and id-unit counters; totals are derived sums."""
-
-    def __init__(self, max_id: int):
-        self.broadcasts_sent = np.zeros(max_id + 1, dtype=np.int64)
-        self.id_units_sent = np.zeros(max_id + 1, dtype=np.int64)
-
-    @property
-    def total_broadcasts(self) -> int:
-        return int(self.broadcasts_sent.sum())
-
-    @property
-    def total_id_units(self) -> int:
-        return int(self.id_units_sent.sum())
+    """A protocol run's broadcasts and id-units, in total."""
+    total_broadcasts: int = 0
+    total_id_units: int = 0
 
     def charge(self, senders, units) -> None:
         """Record one broadcast per entry of `senders` (repeats allowed),
         each costing its entry of `units` (or `units` itself if scalar), as
         `Kind.units` counts them."""
-        units = np.asarray(units, dtype=np.int64)
+        units = np.broadcast_to(np.asarray(units, dtype=np.int64), len(senders))
         if units.size and units.min() < 1:
             raise ValueError("a message always carries at least the sender ID")
-        np.add.at(self.broadcasts_sent, senders, 1)
-        np.add.at(self.id_units_sent, senders, units)
+        self.total_broadcasts += len(senders)
+        self.total_id_units += int(units.sum())
 
 
 class NodeProto:
@@ -95,6 +86,7 @@ class NodeProto:
 
 @dataclass
 class RunResult:
+    """A protocol run's ledger totals, rounds (the quiet last one too) and deliveries."""
     ledger: CostLedger
     rounds_used: int
     deliveries: int
@@ -138,17 +130,22 @@ class RoundKernel:
         time; `keep`, given one such piece as (receivers, *fields) in
         sender order, returns a mask or the positions of the deliveries to
         return.  It may settle the rest of the piece itself."""
-        load = np.cumsum(self.degree(senders))
-        if not len(load) or load[-1] <= CHUNK:  # one piece: no cut to find
-            return self._piece(senders, fields, keep)
-        cuts = np.searchsorted(load, np.arange(CHUNK, load[-1], CHUNK)).tolist()
-        parts = [self._piece(senders[a:b], [f[a:b] for f in fields], keep)
-                 for a, b in zip([0, *cuts], [*cuts, len(senders)])]
+        lo = self.indptr[senders]
+        lens = self.indptr[senders + 1] - lo
+        ends = np.cumsum(lens)
+        shift = lo - (ends - lens)  # a delivery's CSR position less its place in the round
+        total = int(ends[-1]) if len(ends) else 0
+        if total <= CHUNK:  # one piece: no cut to find
+            return self._piece(0, total, shift, lens, fields, keep)
+        at = [0, *np.searchsorted(ends, np.arange(CHUNK, total, CHUNK)).tolist(), len(senders)]
+        first = np.concatenate(([0], ends))[at].tolist()  # each piece's first delivery
+        parts = [self._piece(i, j, shift[a:b], lens[a:b], [f[a:b] for f in fields], keep)
+                 for a, b, i, j in zip(at, at[1:], first, first[1:])]
         return tuple(np.concatenate(x) for x in zip(*parts))
 
-    def _piece(self, senders: np.ndarray, fields, keep) -> tuple:
-        pos, lens = csr_rows(self.indptr, senders)
-        part = (self.indices[pos], *(f.repeat(lens) for f in fields))
+    def _piece(self, start: int, stop: int, shift, lens, fields, keep) -> tuple:
+        part = (self.indices[np.arange(start, stop) + np.repeat(shift, lens)],
+                *(f.repeat(lens) for f in fields))
         if keep is None:
             return part
         i = keep(*part)
@@ -187,7 +184,7 @@ def run_protocol(kernel: RoundKernel, max_rounds: int = 100_000, trace=None) -> 
     RoundLimitExceeded naming up to 64 nodes, lowest IDs first, that still
     have deliveries to act on (`waiting`) or wait on a timer."""
     start = time.perf_counter()
-    ledger = CostLedger(kernel.size - 1)
+    ledger = CostLedger()
     rounds_used = deliveries = 0
     senders = np.empty(0, dtype=np.int64)
     while True:

@@ -335,33 +335,51 @@ def sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(res, trace: str) -> dict:
-    """Digests of a protocol run's ledger and trace, with its counts."""
-    led = res.ledger
+def trace_rows(trace: str) -> np.ndarray:
+    """A protocol run's trace text (`round,node,kind,units` lines) as one
+    int64 row per broadcast, in trace order."""
+    rows = np.array([line.split(",") for line in trace.splitlines()], dtype=np.int64)
+    return rows.reshape(-1, 4)
+
+
+def traced_senders(trace: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sender and kind code of each broadcast of a protocol run's
+    trace text, in trace order."""
+    rows = trace_rows(trace)
+    return rows[:, 1], rows[:, 2]
+
+
+def component_traces(trace: str) -> tuple[str, str]:
+    """`form_components`' trace text split by message kind into its two
+    runs' lines: the component flood's, then the organisation's."""
+    flood_kinds = {str(boundary.K_MC.code), str(boundary.K_MF.code)}
+    lines = trace.splitlines(keepends=True)
+    return ("".join(line for line in lines if line.split(",")[2] in flood_kinds),
+            "".join(line for line in lines if line.split(",")[2] not in flood_kinds))
+
+
+def traced_costs(res, trace: str, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The broadcasts and id-units that run `res`'s trace charges each ID
+    below `size`.  They add up to the ledger's totals."""
+    rows = trace_rows(trace)
+    sent = np.bincount(rows[:, 1], minlength=size)
+    units = np.bincount(rows[:, 1], weights=rows[:, 3], minlength=size).astype(np.int64)
+    assert len(sent) == size
+    assert int(sent.sum()) == res.ledger.total_broadcasts
+    assert int(units.sum()) == res.ledger.total_id_units
+    return sent, units
+
+
+def run_digests(res, trace: str, size: int) -> dict:
+    """Digests of a protocol run's per-ID ledger, rebuilt from its trace
+    over the IDs below `size`, and of the trace, with its counts."""
+    sent, units = traced_costs(res, trace, size)
     return {
-        "ledger": sha(led.broadcasts_sent.astype("<i8").tobytes()
-                      + led.id_units_sent.astype("<i8").tobytes()),
+        "ledger": sha(sent.astype("<i8").tobytes() + units.astype("<i8").tobytes()),
         "trace": sha(trace),
         "rounds_used": res.rounds_used,
         "deliveries": res.deliveries,
     }
-
-
-def traced_senders(trace: str) -> tuple[np.ndarray, np.ndarray]:
-    """The sender and kind code of each broadcast of a protocol run's trace
-    text (`round,node,kind,units` lines), in trace order."""
-    rows = np.array([line.split(",") for line in trace.splitlines()], dtype=np.int64)
-    rows = rows.reshape(-1, 4)
-    return rows[:, 1], rows[:, 2]
-
-
-def assert_ledger_counts(ledger, senders: np.ndarray, units: np.ndarray) -> None:
-    """The ledger holds, per node, exactly one broadcast per traced message
-    of that sender and the sum of the id-units given for them."""
-    size = len(ledger.broadcasts_sent)
-    assert np.array_equal(ledger.broadcasts_sent, np.bincount(senders, minlength=size))
-    assert np.array_equal(ledger.id_units_sent,
-                          np.bincount(senders, weights=units, minlength=size).astype(np.int64))
 
 
 def stuck_digest(run, max_rounds: int) -> str:

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from swarmtopo import boundary, netgraph, simkernel
 from swarmtopo.boundary import (DegenerateHistogram, NodeClass, default_alpha, estimate_mu, find_plateau,
                                 threshold_units)
 from swarmtopo.netgraph import DegreeHistogram
-from conftest import annulus_graph, lowest_quarter, random_graph
+from conftest import annulus_graph, lowest_quarter, random_graph, traced_costs
 
 
 def graph_from(points, ids=None):
@@ -172,10 +173,10 @@ def test_components_partition_boundary_set():
 
 
 def test_component_flood_memory_follows_nodes_not_ids():
-    # 200 nodes under IDs up to 10**7.  The ledger's two ID-indexed arrays
-    # and the flood's three ID-indexed rows are the floor; the kernel
-    # settles each round over its deliveries, so one more ID-sized array
-    # (scratch, or a degree array in the driver) would break the bound
+    # 200 nodes under IDs up to 10**7.  The flood's three ID-indexed rows
+    # are the floor; the kernel settles each round over its deliveries, so
+    # one more ID-sized array (scratch, or a degree array in the driver)
+    # would break the bound
     g = random_graph(200, 11, id_span=10**7)
     member = lowest_quarter(g) == int(NodeClass.BOUNDARY)
     tracemalloc.start()
@@ -188,7 +189,7 @@ def test_component_flood_memory_follows_nodes_not_ids():
     for c in boundary.central_components(g, member):
         assert (fields[0, list(c.members)] == c.component_id).all()
     id_array = 8 * (g.max_id + 1)
-    assert peak < 5.5 * id_array, peak / id_array
+    assert peak < 3.5 * id_array, peak / id_array
 
 
 def _peak_chunks(run) -> tuple:
@@ -244,10 +245,10 @@ def test_distance_flood_members_at_zero():
 
 
 def test_distance_flood_memory_follows_nodes_not_ids():
-    # 200 nodes under IDs up to 10**7.  The ledger's two ID-indexed arrays,
-    # the kernel's six slot rows and the field's two float hop rows are the
-    # floor; the kernel settles each round over its deliveries, so a round
-    # with two or more ID-sized scratch arrays would break the bound
+    # 200 nodes under IDs up to 10**7.  The kernel's six slot rows and the
+    # field's two float hop rows are the floor; the kernel settles each
+    # round over its deliveries, so a round with two or more ID-sized
+    # scratch arrays would break the bound
     g = random_graph(200, 11, id_span=10**7)
     comps = boundary.form_components(g, lowest_quarter(g))
     mu_est = int(g.degrees()[g.ids].mean())
@@ -261,7 +262,7 @@ def test_distance_flood_memory_follows_nodes_not_ids():
     central = boundary.central_distance_field(g, comps.components, mu_est)
     assert np.array_equal(field.comp, central.comp)
     id_array = 8 * (g.max_id + 1)
-    assert peak < 10.5 * id_array, peak / id_array
+    assert peak < 8.5 * id_array, peak / id_array
 
 
 def test_distance_flood_equals_bfs_and_central():
@@ -271,7 +272,8 @@ def test_distance_flood_equals_bfs_and_central():
     classes = boundary.central_classify(g, thr)
     comps = boundary.form_components(g, classes)
     mu_est = max(4, int(g.degrees()[g.ids].mean()))
-    field, res = boundary.distance_flood(g, comps.comp_of, mu_est)
+    buf = io.StringIO()
+    field, res = boundary.distance_flood(g, comps.comp_of, mu_est, trace=buf)
     central = boundary.central_distance_field(g, comps.components, mu_est)
     assert np.array_equal(field.comp, central.comp)
     assert np.array_equal(field.comp2, central.comp2)
@@ -287,7 +289,8 @@ def test_distance_flood_equals_bfs_and_central():
         assert same[g.ids].all()
     # monotone improvement bound: <= 2 broadcasts per slot per node
     k = len(comps.components)
-    assert (res.ledger.broadcasts_sent[g.ids] <= 2 * k + 1).all()
+    sent = traced_costs(res, buf.getvalue(), g.max_id + 1)[0]
+    assert (sent[g.ids] <= 2 * k + 1).all()
 
 
 def test_detect_voronoi_rules():

@@ -37,11 +37,8 @@ import numpy as np
 import pytest
 
 from swarmtopo import boundary
-from conftest import (COMPONENT_CASES, COMPONENT_GRAPHS, assert_ledger_counts, below_20k,
-                      flood_fields, run_digests, sha, stuck_digest, traced_senders)
-
-FLOOD_KINDS = {str(boundary.K_MC.code), str(boundary.K_MF.code)}
-
+from conftest import (COMPONENT_CASES, COMPONENT_GRAPHS, below_20k, component_traces,
+                      flood_fields, run_digests, sha, stuck_digest, traced_costs, traced_senders)
 
 def thresholds(g) -> dict:
     """A quarter of the nodes BOUNDARY or more, half of them, and all."""
@@ -68,10 +65,8 @@ def component_digests(g) -> dict:
         res = boundary.form_components(g, classes, trace=buf)
         comps = repr([(c.component_id, c.members, c.size, c.near_set_size)
                       for c in res.components])
-        lines = buf.getvalue().splitlines(keepends=True)
-        flood = "".join(line for line in lines if line.split(",")[2] in FLOOD_KINDS)
-        org = "".join(line for line in lines if line.split(",")[2] not in FLOOD_KINDS)
-        runs = [run_digests(r, t) for r, t in zip(res.results, (flood, org))]
+        runs = [run_digests(r, t, g.max_id + 1)
+                for r, t in zip(res.results, component_traces(buf.getvalue()))]
         flood_run, org_run = ((d["ledger"][:16], d["trace"][:16], d["rounds_used"],
                                d["deliveries"]) for d in runs)
         out[level] = ((sha(comps)[:16], sha(res.comp_of.astype("<i8").tobytes())[:16],
@@ -360,9 +355,9 @@ ORG_KINDS = {k.code: k for k in (boundary.K_JOIN, boundary.K_JAGG, boundary.K_NE
 
 @pytest.mark.parametrize("name", COMPONENT_CASES)
 def test_organisation_charges_declared_units(name):
-    # each node is charged exactly its traced organisation messages, each
-    # its kind's units; a relay's JAGG repeats (member, parent) once per
-    # member naming it as `via`
+    # each node's traced organisation messages charge it their kinds'
+    # units, and the ledger holds their totals; a relay's JAGG repeats
+    # (member, parent) once per member naming it as `via`
     g = COMPONENT_GRAPHS[name]()
     for level in thresholds(g):
         classes = classes_of(g, level)
@@ -371,9 +366,10 @@ def test_organisation_charges_declared_units(name):
         named = np.bincount(via[g.ids[member[g.ids]]], minlength=g.max_id + 1)
         buf = io.StringIO()
         org = boundary.form_components(g, classes, trace=buf).results[1]
-        lines = "".join(line for line in buf.getvalue().splitlines(keepends=True)
-                        if line.split(",")[2] not in FLOOD_KINDS)
+        lines = component_traces(buf.getvalue())[1]
         senders, kinds = traced_senders(lines)
-        units = [ORG_KINDS[k].units(named[v] if k == boundary.K_JAGG.code else 0)
-                 for v, k in zip(senders.tolist(), kinds.tolist())]
-        assert_ledger_counts(org.ledger, senders, np.array(units, dtype=np.int64))
+        declared = [ORG_KINDS[k].units(named[v] if k == boundary.K_JAGG.code else 0)
+                    for v, k in zip(senders.tolist(), kinds.tolist())]
+        units = traced_costs(org, lines, g.max_id + 1)[1]
+        assert np.array_equal(units, np.bincount(senders, weights=declared,
+                                                 minlength=g.max_id + 1).astype(np.int64))

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from swarmtopo import convergetree, netgraph
 from swarmtopo.convergetree import AggOp
 from swarmtopo.simkernel import RoundLimitExceeded
-from conftest import graph_from, random_graph, standard_20k, star_graph, subtree_windows
+from conftest import (graph_from, random_graph, standard_20k, star_graph, subtree_windows,
+                      traced_costs)
 
 
 def test_tree_on_path():
@@ -56,11 +58,10 @@ def test_tree_invariants_random(seed):
 
 
 def test_tree_memory_follows_nodes_not_ids():
-    # 200 nodes under IDs up to 10**7.  The ledger's two ID-indexed arrays
-    # and the kernel's ten ID-indexed int64 state rows (and one bool row)
-    # are the floor; a round settles over its deliveries and a few passes
-    # over the rows, so each further ID-sized array kept or made per round
-    # counts against the bound
+    # 200 nodes under IDs up to 10**7.  The kernel's ten ID-indexed int64
+    # state rows (and one bool row) are the floor; a round settles over its
+    # deliveries and a few passes over the rows, so each further ID-sized
+    # array kept or made per round counts against the bound
     g = random_graph(200, 11, id_span=10**7)
     tracemalloc.start()
     try:
@@ -70,7 +71,7 @@ def test_tree_memory_follows_nodes_not_ids():
         tracemalloc.stop()
     convergetree.check_tree(g, build)
     id_array = 8 * (g.max_id + 1)
-    assert peak < 15 * id_array, peak / id_array
+    assert peak < 13 * id_array, peak / id_array
 
 
 def _edited_path_tree(field, v, value):
@@ -110,15 +111,17 @@ def test_aggregate_histogram_equals_centralized():
     build = convergetree.build_tree(g)
     hist = netgraph.histogram(g, 16)
     bin_of = netgraph.degree_bin(g.degrees(), hist.delta, 16)
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 16)
+    buf = io.StringIO()
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 16, trace=buf)
+    trace = buf.getvalue()
     assert list(merged) == hist.counts.tolist()
     # each sender sends the window of its subtree's merged row, at most all
     # 16 bins (18 units), one bin (3 units) for most of them
-    per_node = res.ledger.id_units_sent
+    sent, per_node = traced_costs(res, trace, g.max_id + 1)
     onehots = np.eye(16, dtype=np.int64)[bin_of]
     assert np.array_equal(per_node, subtree_windows(g, build.states, onehots))
     assert per_node.max() == 14 and np.median(per_node[g.ids]) == 3
-    assert res.ledger.broadcasts_sent.sum() == g.n - 1
+    assert sent.sum() == g.n - 1
 
 
 def path_sums(bin_of, bins):
@@ -127,9 +130,10 @@ def path_sums(bin_of, bins):
     charge in id-units."""
     g = graph_from([(0.9 * i, 0) for i in range(len(bin_of))])
     build = convergetree.build_tree(g)
+    buf = io.StringIO()
     merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE,
-                                         np.array([0, *bin_of]), bins)
-    return merged, res.ledger.id_units_sent[1:len(bin_of)].tolist()
+                                         np.array([0, *bin_of]), bins, trace=buf)
+    return merged, traced_costs(res, buf.getvalue(), g.max_id + 1)[1][1:len(bin_of)].tolist()
 
 
 @pytest.mark.parametrize("bins", [16, 23])
@@ -142,40 +146,51 @@ def test_histogram_window_widths(bins):
 
 def test_histogram_memory_follows_the_tree_not_ids_times_bins():
     # 200 nodes under IDs up to 10**5, 64 bins.  Only the nodes with
-    # children and the root keep a 64-bin row; the ledger's two ID-indexed
-    # arrays, the pending counts and the parent links are the floor, where
-    # rows for every ID would take 64 ID-sized arrays
+    # children and the root keep a 64-bin row, where rows for every ID
+    # would take 64 ID-sized arrays.  The convergecast's pending counts
+    # (one ID-sized array) and the broadcast's has-children and got masks
+    # are the floor of the histogram, MAX and broadcast waves; one more
+    # ID-sized array kept or made would break the bound
     g = random_graph(200, 11, id_span=10**5)
     build = convergetree.build_tree(g)
-    bin_of = netgraph.degree_bin(g.degrees(), int(g.degrees().max()), 64)
-    tracemalloc.start()
-    try:
-        merged, _ = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert list(merged) == np.bincount(bin_of[g.ids], minlength=64).tolist()
+    deg = g.degrees()
+    bin_of = netgraph.degree_bin(deg, int(deg.max()), 64)
     id_array = 8 * (g.max_id + 1)
-    assert peak <= 10 * id_array, peak / id_array
+    for run, want in (
+            (lambda: convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 64),
+             tuple(np.bincount(bin_of[g.ids], minlength=64).tolist())),
+            (lambda: convergetree.aggregate(g, build, AggOp.MAX, deg), (int(deg.max()),)),
+            (lambda: convergetree.broadcast_down(g, build, (7, 8)), (7, 8))):
+        tracemalloc.start()
+        try:
+            out, _ = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == want
+        assert peak <= 3 * id_array, (want, peak / id_array)
 
 
 def test_aggregate_cost_two_units():
     g = random_graph(80, 11)
     build = convergetree.build_tree(g)
-    _, res = convergetree.aggregate(g, build, AggOp.MAX, g.degrees())
-    sent = res.ledger.broadcasts_sent[1:]
-    assert sent.sum() == g.n - 1  # everyone but the root reports once
+    buf = io.StringIO()
+    _, res = convergetree.aggregate(g, build, AggOp.MAX, g.degrees(), trace=buf)
+    sent = traced_costs(res, buf.getvalue(), g.max_id + 1)[0]
+    assert (sent[g.ids] == (g.ids != build.root_id)).all()  # everyone but the root reports once
     assert res.ledger.total_id_units == 2 * (g.n - 1)
 
 
 def test_broadcast_down_reaches_everyone_once():
     g = random_graph(150, 12)
     build = convergetree.build_tree(g)
-    values, res = convergetree.broadcast_down(g, build, (42,))
-    assert all(values[v] == (42,) for v in range(1, g.n + 1))
+    buf = io.StringIO()
+    value, res = convergetree.broadcast_down(g, build, (42,), trace=buf)
+    assert value == (42,)  # every node holds it, or the call raises
     # exactly one broadcast per node with children, none from a leaf
     relays = {v for v in g.id_list if build.states[v].children}
-    assert set(np.flatnonzero(res.ledger.broadcasts_sent).tolist()) == relays
+    sent = traced_costs(res, buf.getvalue(), g.max_id + 1)[0]
+    assert set(np.flatnonzero(sent).tolist()) == relays
     assert res.ledger.total_broadcasts == len(relays) < g.n
 
 
@@ -189,14 +204,16 @@ def test_broadcast_down_rounds_on_path():
     assert res.ledger.total_broadcasts == 5
 
 
-def test_broadcast_down_skips_subtree_of_unheard_parent():
-    # 2 hangs off 4, 1.8 apart: 2 never hears 4, so 2 and its child 1 get nothing
-    g, build = _edited_path_tree("parent", 2, 4)
-    values, res = convergetree.broadcast_down(g, build, (5,))
-    assert values == [None, None, None, (5,), (5,)]
-    # 4 sends to its children 3 and 2; 3 is now a leaf and 2 never takes it
-    assert res.ledger.broadcasts_sent.tolist() == [0, 0, 0, 0, 1]
-    assert res.rounds_used == 2
+def test_tree_waves_reject_a_tree_that_does_not_span_over_graph_edges():
+    # check_tree's two structural edits of the path tree: both waves raise
+    for v, value, message in (
+            (1, 3, "tree edge is not a graph edge"),  # 1 hangs off 3, 1.8 apart
+            (2, 1, "tree spans 2 of 4 nodes")):       # 2 -> 1 -> 2, off the root's tree
+        g, build = _edited_path_tree("parent", v, value)
+        with pytest.raises(convergetree.NotSpanningTree, match=message):
+            convergetree.aggregate(g, build, AggOp.MAX, g.degrees())
+        with pytest.raises(convergetree.NotSpanningTree, match=message):
+            convergetree.broadcast_down(g, build, (5,))
 
 
 @pytest.mark.parametrize("op, values, bins, message", [

@@ -4,9 +4,12 @@ kernels against recorded runs of the object protocols they replaced.
 The digests below were taken from the per-node `_AggNode`, `_FloodNode`,
 `_ClassifyNode` and `_DistNode` state machines run through
 `simkernel.run_protocol` (see CHANGES.md), on the graphs of
-`test_tree_golden.py`.  Each call's entry covers its output, both ledger
-arrays, the trace text and the round and delivery counts; the stuck
-cases cover the nodes named when `max_rounds` runs out.
+`test_tree_golden.py`.  Each call's entry covers its output, the per-ID
+ledger (rebuilt from the trace, as in `test_tree_golden.py`), the trace
+text and the round and delivery counts; the stuck cases cover the nodes
+named when `max_rounds` runs out.  `broadcast_down` now returns the one
+value every node holds; the `flood` output digest hashes it as the per-ID
+list it used to return, None at unused IDs.
 
 The `agg_hist` ledger and trace digests were re-recorded when histogram
 messages became the window of nonzero bins (see CHANGES.md); their
@@ -50,7 +53,7 @@ import pytest
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.convergetree import AggOp
 from conftest import (GOLDEN_CASES, GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest,
-                      traced_senders)
+                      traced_costs, traced_senders)
 
 BINS = 16
 
@@ -79,13 +82,18 @@ def calls(g) -> dict:
     }
 
 
-def output_bytes(name: str, out) -> bytes:
+def output_bytes(g, name: str, out) -> bytes:
+    if name == "flood":
+        held = [None] * (g.max_id + 1)
+        for v in g.id_list:
+            held[v] = out
+        return repr(held).encode()
     if name == "classify":
         return out.tobytes()
     if name.startswith("distance"):
         return b"".join(a.tobytes() for a in (out.hop, out.comp, out.hop2, out.comp2,
                                                 out.anchor_q))
-    return repr(out).encode()  # aggregate: the root's tuple; flood: the per-ID list
+    return repr(out).encode()  # aggregate: the root's tuple
 
 
 def kernel_digests(g) -> dict:
@@ -95,8 +103,8 @@ def kernel_digests(g) -> dict:
     for name, call in calls(g).items():
         buf = io.StringIO()
         value, res = call(trace=buf)
-        d = run_digests(res, buf.getvalue())
-        out[name] = (sha(output_bytes(name, value))[:16], d["ledger"][:16], d["trace"][:16],
+        d = run_digests(res, buf.getvalue(), g.max_id + 1)
+        out[name] = (sha(output_bytes(g, name, value))[:16], d["ledger"][:16], d["trace"][:16],
                      d["rounds_used"], d["deliveries"])
     return out
 
@@ -251,16 +259,17 @@ def test_round_limit_names_recorded_stuck_nodes(name):
 def test_distance_flood_charges_declared_units(name):
     # a node sends its nearest component once, with the anchor, unless it
     # is a source, and its runner-up once, without it, if it has one; it is
-    # charged exactly those traced messages at K_DIST's units
+    # charged exactly those traced messages at K_DIST's units, and the
+    # ledger holds their totals
     g = GOLDEN_GRAPHS[name]()
     for call in ("distance", "distance_mixed"):
         buf = io.StringIO()
         field, res = calls(g)[call](trace=buf)
-        senders, kinds = traced_senders(buf.getvalue())
+        _, kinds = traced_senders(buf.getvalue())
         assert set(kinds.tolist()) <= {boundary.K_DIST.code}
         nearest = ((field.comp != 0) & (field.hop >= 1)).astype(np.int64)
         runner_up = (field.comp2 != 0).astype(np.int64)
-        assert np.array_equal(np.bincount(senders, minlength=g.max_id + 1), nearest + runner_up)
-        assert np.array_equal(res.ledger.broadcasts_sent, nearest + runner_up)
-        assert np.array_equal(res.ledger.id_units_sent, boundary.K_DIST.units(1) * nearest
+        sent, units = traced_costs(res, buf.getvalue(), g.max_id + 1)
+        assert np.array_equal(sent, nearest + runner_up)
+        assert np.array_equal(units, boundary.K_DIST.units(1) * nearest
                               + boundary.K_DIST.units(0) * runner_up)

@@ -12,13 +12,21 @@ from hypothesis import strategies as st
 
 from swarmtopo import boundary, convergetree, netgraph
 from swarmtopo.convergetree import AggOp
-from conftest import any_graphs, connected_graphs, flood_fields, random_graph, subtree_windows
+from conftest import (any_graphs, component_traces, connected_graphs, flood_fields, random_graph,
+                      subtree_windows, traced_costs)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
 
-def assert_deliveries_are_sender_degrees(g, res):
-    assert res.deliveries == int((res.ledger.broadcasts_sent * g.degrees()).sum())
+def traced(call, *args):
+    """call(*args)'s output, run with a trace, and the trace text."""
+    buf = io.StringIO()
+    return call(*args, trace=buf), buf.getvalue()
+
+
+def assert_deliveries_are_sender_degrees(g, res, trace):
+    sent, _ = traced_costs(res, trace, g.max_id + 1)
+    assert res.deliveries == int((sent * g.degrees()).sum())
 
 
 @SETTINGS
@@ -27,10 +35,10 @@ def test_classify_equals_twin(g, data):
     # from below the smallest degree (no boundary node) to above the largest
     deg = g.degrees()[g.ids]
     threshold = data.draw(st.integers(int(deg.min()) - 2, int(deg.max()) + 1))
-    classes, res = boundary.classify(g, threshold)
+    (classes, res), trace = traced(boundary.classify, g, threshold)
     assert np.array_equal(classes, boundary.central_classify(g, threshold))
     assert res.ledger.total_broadcasts == int((deg <= threshold).sum())
-    assert_deliveries_are_sender_degrees(g, res)
+    assert_deliveries_are_sender_degrees(g, res, trace)
 
 
 @SETTINGS
@@ -40,12 +48,12 @@ def test_distance_flood_equals_twin(g, data):
     threshold = data.draw(st.integers(int(deg.min()) - 1, int(deg.max())))
     mu_est = data.draw(st.integers(1, 50))
     classes = boundary.central_classify(g, threshold)
-    comps = boundary.form_components(g, classes)
+    comps, trace = traced(boundary.form_components, g, classes)
     assert comps.components == boundary.central_components(
         g, classes == int(boundary.NodeClass.BOUNDARY))
-    for run in comps.results:
-        assert_deliveries_are_sender_degrees(g, run)
-    field, res = boundary.distance_flood(g, comps.comp_of, mu_est)
+    for run, lines in zip(comps.results, component_traces(trace)):
+        assert_deliveries_are_sender_degrees(g, run, lines)
+    (field, res), trace = traced(boundary.distance_flood, g, comps.comp_of, mu_est)
     twin = boundary.central_distance_field(g, comps.components, mu_est)
     for name in ("hop", "comp", "hop2", "comp2", "anchor_q"):
         assert np.array_equal(getattr(field, name), getattr(twin, name)), name
@@ -54,7 +62,7 @@ def test_distance_flood_equals_twin(g, data):
         assert np.array_equal(field.hop[g.ids], netgraph.hop_bfs(g, members)[g.ids])
     else:
         assert np.isinf(field.hop).all() and res.ledger.total_broadcasts == 0
-    assert_deliveries_are_sender_degrees(g, res)
+    assert_deliveries_are_sender_degrees(g, res, trace)
 
 
 def draw_classes(g, data) -> np.ndarray:
@@ -84,7 +92,7 @@ def test_organisation_talks_only_along_its_tree(g, data):
     org = boundary._CompOrgRounds(g, member, root, parent, via)
     buf = io.StringIO()
     res = boundary.run_protocol(org, trace=buf)
-    assert_deliveries_are_sender_degrees(g, res)
+    assert_deliveries_are_sender_degrees(g, res, buf.getvalue())
     talkers = set(members.tolist()) | set(via[members].tolist()) - {0}
     for line in buf.getvalue().splitlines():
         _, v, kind, _ = map(int, line.split(","))
@@ -113,14 +121,14 @@ def test_distance_flood_arbitrary_labels_equals_twin(g, data):
         members = tuple(v for v in g.id_list if comp_of[v] == label)
         near = set(members).union(*(g.neighbors(v).tolist() for v in members))
         comps.append(boundary.BoundaryComponent(label, members, len(members), len(near)))
-    field, res = boundary.distance_flood(g, comp_of, mu_est)
+    (field, res), trace = traced(boundary.distance_flood, g, comp_of, mu_est)
     twin = boundary.central_distance_field(g, comps, mu_est)
     for name in ("hop", "comp", "hop2", "comp2", "anchor_q"):
         assert np.array_equal(getattr(field, name), getattr(twin, name)), name
     if comps:
         sources = [v for c in comps for v in c.members]
         assert np.array_equal(field.hop[g.ids], netgraph.hop_bfs(g, sources)[g.ids])
-    assert_deliveries_are_sender_degrees(g, res)
+    assert_deliveries_are_sender_degrees(g, res, trace)
 
 
 @SETTINGS
@@ -129,15 +137,16 @@ def test_aggregates_equal_census(g, bins):
     tree = convergetree.build_tree(g)
     deg = g.degrees()
     delta = int(deg[g.ids].max())
-    (top,), res = convergetree.aggregate(g, tree, AggOp.MAX, deg)
+    ((top,), res), trace = traced(convergetree.aggregate, g, tree, AggOp.MAX, deg)
     assert top == delta
-    assert_deliveries_are_sender_degrees(g, res)
+    assert_deliveries_are_sender_degrees(g, res, trace)
     bin_of = netgraph.degree_bin(deg, delta, bins)
-    counts, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, bin_of, bins)
+    (counts, res), trace = traced(convergetree.aggregate, g, tree, AggOp.HISTOGRAM_MERGE,
+                                  bin_of, bins)
     assert list(counts) == netgraph.histogram(g, bins).counts.tolist()
     windows = subtree_windows(g, tree.states, np.eye(bins, dtype=np.int64)[bin_of])
     assert res.ledger.total_id_units == windows.sum()
-    assert_deliveries_are_sender_degrees(g, res)
+    assert_deliveries_are_sender_degrees(g, res, trace)
 
 
 @SETTINGS
@@ -149,9 +158,11 @@ def test_histogram_charge_is_subtree_window(g, data):
     rows = np.zeros((g.max_id + 1, bins), dtype=np.int64)
     rows[g.ids, bin_of[g.ids]] = 1
     tree = convergetree.build_tree(g)
-    merged, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, bin_of, bins)
+    (merged, res), trace = traced(convergetree.aggregate, g, tree, AggOp.HISTOGRAM_MERGE,
+                                  bin_of, bins)
     assert list(merged) == rows.sum(axis=0).tolist()
-    assert np.array_equal(res.ledger.id_units_sent, subtree_windows(g, tree.states, rows))
+    units = traced_costs(res, trace, g.max_id + 1)[1]
+    assert np.array_equal(units, subtree_windows(g, tree.states, rows))
     assert res.ledger.total_broadcasts == g.n - 1
 
 
@@ -159,14 +170,15 @@ def test_histogram_charge_is_subtree_window(g, data):
 @given(connected_graphs, st.lists(st.integers(-10**12, 10**12), max_size=4))
 def test_broadcast_down_reaches_every_node_once(g, value):
     tree = convergetree.build_tree(g)
-    received, res = convergetree.broadcast_down(g, tree, tuple(value))
-    assert [received[v] for v in g.id_list] == [tuple(value)] * g.n
+    (received, res), trace = traced(convergetree.broadcast_down, g, tree, tuple(value))
+    assert received == tuple(value)
     # one broadcast from each node with a child, none from the others
     states = tree.states
     relays = np.zeros(g.max_id + 1, dtype=np.int64)
     relays[[v for v in g.id_list if states[v].children]] = 1
-    assert np.array_equal(res.ledger.broadcasts_sent, relays)
-    assert np.array_equal(res.ledger.id_units_sent, (1 + len(value)) * relays)
+    sent, units = traced_costs(res, trace, g.max_id + 1)
+    assert np.array_equal(sent, relays)
+    assert np.array_equal(units, (1 + len(value)) * relays)
     assert res.deliveries == int(g.degrees()[relays == 1].sum())
     # depth d takes the value in round d; the deepest round sends nothing
     height, level = 0, list(states[tree.root_id].children)

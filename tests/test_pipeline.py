@@ -523,7 +523,8 @@ def test_timing_rows_line_up_with_cost(tmp_path):
     assert 0 < sum(t["seconds"] for t in timing["phases"]) <= timing["wall_seconds"]
     assert_timing_steps(timing)
     # the trace runs phase by phase and names each line's phase: a phase's
-    # lines are its broadcasts, and they reach their senders' degrees in nodes
+    # lines are its broadcasts, their units add up to its id-units, and they
+    # reach their senders' degrees in nodes
     deg = r.g.degrees()
     lines = [line.split(",") for line in buf.getvalue().splitlines()]
     phases = list(dict.fromkeys(t["phase"] for t in timing["phases"]))
@@ -532,6 +533,8 @@ def test_timing_rows_line_up_with_cost(tmp_path):
         rows = [t for t in timing["phases"] if t["phase"] == name]
         senders = [int(f[2]) for f in lines if f[0] == name]
         assert len(senders) == sum(t["broadcasts"] for t in rows), name
+        assert sum(int(f[4]) for f in lines if f[0] == name) == \
+            sum(t["id_units"] for t in rows), name
         assert sum(t["deliveries"] for t in rows) == int(deg[senders].sum()), name
 
 

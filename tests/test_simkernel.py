@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from swarmtopo import netgraph, simkernel
 from swarmtopo.simkernel import CostLedger, Kind, RoundLimitExceeded, run_protocol
-from conftest import any_graphs
+from conftest import any_graphs, traced_costs
 
 K_PING = Kind(99)
 K_FLOOD = Kind(98, (), ("value",))
@@ -84,12 +84,20 @@ class Chatter(simkernel.RoundKernel):
         return f"chatter({v})"
 
 
+def traced_run(kernel, **kw):
+    """run_protocol(kernel), with the broadcasts and id-units its trace
+    charges each ID."""
+    buf = io.StringIO()
+    res = run_protocol(kernel, trace=buf, **kw)
+    return (res, *traced_costs(res, buf.getvalue(), kernel.size))
+
+
 def test_echo_two_rounds_one_broadcast_each():
     g = path_graph(3)
-    res = run_protocol(Echo(g))
+    res, sent, units = traced_run(Echo(g))
     assert res.rounds_used == 2
-    assert (res.ledger.broadcasts_sent[1:] == 1).all()
-    assert (res.ledger.id_units_sent[1:] == 1).all()
+    assert (sent[1:] == 1).all()
+    assert (units[1:] == 1).all()
 
 
 def test_flood_rounds_on_path():
@@ -102,36 +110,42 @@ def test_flood_rounds_on_path():
 
 
 def test_charge_counts_id_fields():
-    ledger = CostLedger(4)
+    ledger = CostLedger()
     msgs = [(2, (K_PING, 7, 8)), (2, (K_PING,)), (4, (K_PING, 1))]
     ledger.charge([s for s, _ in msgs], [len(m) for _, m in msgs])
     # sender + 2 payload fields, and a bare announcement still costs one
-    assert ledger.id_units_sent.tolist() == [0, 0, 4, 0, 2]
-    assert ledger.broadcasts_sent.tolist() == [0, 0, 2, 0, 1]
     assert ledger.total_id_units == 6
     assert ledger.total_broadcasts == 3
     ledger.charge(np.array([1, 1]), 3)  # one size for every broadcast
-    assert ledger.id_units_sent[1] == 6 and ledger.broadcasts_sent[1] == 2
+    assert ledger.total_id_units == 12 and ledger.total_broadcasts == 5
     with pytest.raises(ValueError):
         ledger.charge([3], [0])
+    # the same messages sent by a kernel: the trace charges each sender
+    _, sent, units = traced_run(Batches(path_graph(3), [(K_FLOOD, [2, 2, 4], np.array([2, 0, 1]))]))
+    assert units.tolist() == [0, 0, 4, 0, 2]
+    assert sent.tolist() == [0, 0, 2, 0, 1]
 
 
 def test_flood_cost_totals():
     # a 2-unit message flooded once per node, the silent far end apart
     g = path_graph(6)
-    res = run_protocol(Flood(g, width=1))
+    res, sent, _ = traced_run(Flood(g, width=1))
     assert res.ledger.total_broadcasts == g.n - 1
     assert res.ledger.total_id_units == 2 * (g.n - 1)
-    assert res.ledger.broadcasts_sent[g.n] == 0
+    assert sent[g.n] == 0
 
 
 def test_determinism_identical_ledgers():
     rng = np.random.Generator(np.random.Philox(5))
     pts = rng.random((150, 2)) * 3.0
     g = netgraph.build_udg((np.arange(1, 151), pts))
-    r1, r2 = run_protocol(Flood(g)), run_protocol(Flood(g))
-    assert np.array_equal(r1.ledger.broadcasts_sent, r2.ledger.broadcasts_sent)
-    assert np.array_equal(r1.ledger.id_units_sent, r2.ledger.id_units_sent)
+    runs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        runs.append((run_protocol(Flood(g), trace=buf), buf.getvalue()))
+    (r1, t1), (r2, t2) = runs
+    assert t1 == t2 and t1.count("\n") == r1.ledger.total_broadcasts
+    assert r1.ledger == r2.ledger
     assert r1.rounds_used == r2.rounds_used > 2
     assert r1.deliveries == r2.deliveries
 
@@ -149,11 +163,11 @@ def test_deliveries_counted_at_full_degree():
     for ids in (None, [3, 10, 11, 40, 41]):
         g = path_graph(4, ids)
         kinds = [(Kind(k, ("x",)), g.ids) for k in (3, 4, 5, 6)]
-        res = run_protocol(Batches(g, kinds))
+        res, sent, units = traced_run(Batches(g, kinds))
         deg = g.degrees()
         assert res.deliveries == 4 * int(deg.sum())
-        assert res.ledger.broadcasts_sent[g.ids].tolist() == [4] * g.n
-        assert res.ledger.id_units_sent[g.ids].tolist() == [8] * g.n
+        assert sent[g.ids].tolist() == [4] * g.n
+        assert units[g.ids].tolist() == [8] * g.n
 
 
 def test_inbox_sorted_by_sender_then_kind():
@@ -227,9 +241,9 @@ class _TimerRounds(simkernel.RoundKernel):
 
 def test_kernel_wake_runs_without_messages():
     g = path_graph(2)
-    res = run_protocol(_TimerRounds(g))
+    res, sent, _ = traced_run(_TimerRounds(g))
     assert res.rounds_used == 6  # rounds 1-3 send nothing but do not end the run
-    assert res.ledger.broadcasts_sent.tolist() == [0, 2, 0, 0]
+    assert sent.tolist() == [0, 2, 0, 0]
     assert res.deliveries == 2 * g.degree(1)
     # a node waiting on a timer is stuck like one with deliveries to settle
     with pytest.raises(RoundLimitExceeded) as e:

@@ -5,9 +5,10 @@ counts and the stuck digests were taken from `run_token_loops` as it ran
 before the per-node executor moved onto `RoundKernel.run` (see
 CHANGES.md).  They pin today's closure rule, including the early close of
 the `annulus-early-close` case, so a change to that rule re-records them on
-purpose.  Each case covers the loops (members and walk), both ledger
-arrays, the trace text and the round and delivery counts; the stuck cases
-cover the nodes named when `max_rounds` runs out.
+purpose.  Each case covers the loops (members and walk), the per-ID
+ledger (rebuilt from the trace, as in `test_tree_golden.py`), the trace
+text and the round and delivery counts; the stuck cases cover the nodes
+named when `max_rounds` runs out.
 
 The ledger and trace digests were re-recorded when the choice (`K_TC`,
 relayed as `K_TCF`) stopped carrying the path walked so far and carried the
@@ -37,7 +38,7 @@ def token_digests(g, comps) -> tuple:
     deliveries."""
     buf = io.StringIO()
     loops, res = boundary.run_token_loops(g, comps, trace=buf)
-    d = run_digests(res, buf.getvalue())
+    d = run_digests(res, buf.getvalue(), g.max_id + 1)
     walks = repr([(root, lp.members, lp.walk) for root, lp in sorted(loops.items())])
     return (sha(walks)[:16], d["ledger"][:16], d["trace"][:16], d["rounds_used"],
             d["deliveries"])

@@ -3,8 +3,11 @@
 The digests below were taken from the per-node `_TreeNode` state machine
 run through `simkernel.run_protocol` (see CHANGES.md).  They cover the
 final tree (root, parent, children, subtree size and n per node), the
-completion rounds, both ledger arrays, the trace text, the round and
-delivery counts, and the stuck nodes named when `max_rounds` runs out.
+completion rounds, the per-ID ledger (each node's broadcasts and
+id-units), the trace text, the round and delivery counts, and the stuck
+nodes named when `max_rounds` runs out.  The ledger keeps totals only, so
+`run_digests` rebuilds the per-ID arrays from the trace, the same bytes
+the recorded per-node ledger hashed.
 
 When round 0 stopped carrying self-announcements (a node adopts the largest
 ID of its closed neighbourhood at once; see CHANGES.md), the completion,
@@ -39,7 +42,7 @@ def tree_digests(g) -> dict:
                     f"{s.subtree_size},{s.n_total}\n")
         done.append(f"{v},{s.completion_round}\n")
     return {"tree": sha("".join(rows)), "completion": sha("".join(done)),
-            **run_digests(build.result, buf.getvalue())}
+            **run_digests(build.result, buf.getvalue(), g.max_id + 1)}
 
 
 GOLDEN = {

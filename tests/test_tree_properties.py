@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from swarmtopo import convergetree, netgraph
 from swarmtopo.simkernel import run_protocol
-from conftest import (any_graphs, assert_ledger_counts, connected_graphs, distinct_ids,
-                      graph_from, scattered_70, traced_senders)
+from conftest import (any_graphs, connected_graphs, distinct_ids, graph_from, scattered_70,
+                      traced_costs, traced_senders)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -29,11 +29,14 @@ def test_build_tree_properties(g):
     kids = g.ids[build.parent[g.ids] != 0]
     assert (build.completion[kids] == build.completion[build.parent[kids]] + 1).all()
     assert (build.n_total[g.ids] == g.n).all()
-    # each node is charged exactly its traced messages, each its kind's units
-    led = build.result.ledger
+    # each node's traced messages charge it their kinds' units, and the
+    # ledger holds their totals
     senders, kinds = traced_senders(buf.getvalue())
-    assert_ledger_counts(led, senders, np.array([KINDS[k].units() for k in kinds.tolist()]))
-    assert build.result.deliveries == int((led.broadcasts_sent * g.degrees()).sum())
+    sent, units = traced_costs(build.result, buf.getvalue(), g.max_id + 1)
+    declared = [KINDS[k].units() for k in kinds.tolist()]
+    assert np.array_equal(units, np.bincount(senders, weights=declared,
+                                             minlength=g.max_id + 1).astype(np.int64))
+    assert build.result.deliveries == int((sent * g.degrees()).sum())
 
 
 @SETTINGS
