@@ -21,27 +21,28 @@ from .netgraph import DegreeHistogram, UnitDiskGraph, csr_rows, hop_bfs
 from .simkernel import Kind, RoundKernel, RunResult, first_hits, run_protocol
 
 # message kinds (disjoint from the convergetree range)
-K_BND = Kind(10)                                 # boundary membership announcement
-K_MC = Kind(11, ("root",))                       # member candidate flood
-K_MF = Kind(12, ("root", "origin"))              # relay forward of the best candidate
-K_JOIN = Kind(13, ("root", "parent", "via"))     # member join notice, naming its relay
-K_JAGG = Kind(14, (), ("member", "parent"))      # a relay's aggregate of the joins naming it
-K_NEAR = Kind(15, ("dest",))                     # near node registering at a member
-K_UP = Kind(16, ("size", "near"))                # component convergecast
-K_UPF = Kind(17, ("child", "size", "near"))      # relayed convergecast entry
-K_DIST = Kind(19, ("root",), ("anchor_q",))      # distance wave; an anchor for the nearest only
-K_TQ = Kind(20, ("comp", "seq"), ("nbr",))       # token pass query with the holder's neighbours
-K_TQF = Kind(21, ("comp", "seq", "holder"), ("nbr",))                 # relayed query
-K_TR = Kind(22, ("comp", "seq", "score", "isroot", "excl", "via"))    # candidate reply
-K_TRF = Kind(23, ("cand", "comp", "seq", "score", "isroot", "excl"))  # relayed reply
-K_TC = Kind(24, ("comp", "seq", "succ", "via", "steps"))  # pass choice, passes left to close
-K_TCF = Kind(25, ("holder", "comp", "seq", "succ", "via", "steps"))   # relayed choice
-K_TB = Kind(28, ("comp", "seq", "dest", "via"))  # backtrack request to previous holder
-K_TBF = Kind(29, ("comp", "seq", "dest"))        # relayed backtrack request
-K_TRB = Kind(30, ("comp", "seq"))                # rollback: un-exclude seq's candidates
-K_TRBF = Kind(31, ("comp", "seq"))               # relayed rollback
+K_BND = Kind("bnd", 10)                                 # boundary membership announcement
+K_MC = Kind("mc", 11, ("root",))                        # member candidate flood
+K_MF = Kind("mf", 12, ("root", "origin"))               # relay forward of the best candidate
+K_JOIN = Kind("join", 13, ("root", "parent", "via"))    # member join notice, naming its relay
+K_JAGG = Kind("jagg", 14, (), ("member", "parent"))     # a relay's aggregate of the joins naming it
+K_NEAR = Kind("near", 15, ("dest",))                    # near node registering at a member
+K_UP = Kind("up", 16, ("size", "near"))                 # component convergecast
+K_UPF = Kind("upf", 17, ("child", "size", "near"))      # relayed convergecast entry
+K_DIST = Kind("dist", 19, ("root",), ("anchor_q",))     # distance wave; the nearest's anchor only
+K_TQ = Kind("tq", 20, ("comp", "seq"), ("nbr",))        # token pass query, the holder's neighbours
+K_TQF = Kind("tqf", 21, ("comp", "seq", "holder"), ("nbr",))                 # relayed query
+K_TR = Kind("tr", 22, ("comp", "seq", "score", "isroot", "excl", "via"))     # candidate reply
+K_TRF = Kind("trf", 23, ("cand", "comp", "seq", "score", "isroot", "excl"))  # relayed reply
+K_TC = Kind("tc", 24, ("comp", "seq", "succ", "via", "steps"))  # pass choice, passes left to close
+K_TCF = Kind("tcf", 25, ("holder", "comp", "seq", "succ", "via", "steps"))   # relayed choice
+K_TB = Kind("tb", 28, ("comp", "seq", "dest", "via"))   # backtrack request to previous holder
+K_TBF = Kind("tbf", 29, ("comp", "seq", "dest"))        # relayed backtrack request
+K_TRB = Kind("trb", 30, ("comp", "seq"))                # rollback: un-exclude seq's candidates
+K_TRBF = Kind("trbf", 31, ("comp", "seq"))              # relayed rollback
 
 FRAC_SCALE = 1 << 16  # fractional distances travel as 16-bit fixed point
+SWEEP_PIECE = 1 << 20  # edges the alpha sweep merges per `connected_components` call
 _UNSET = np.iinfo(np.int64).max  # a scatter-min slot before its first value
 
 
@@ -881,7 +882,9 @@ def alpha_sweep(g: UnitDiskGraph, mu_est: int, grid: tuple[float, ...] | None = 
     An edge links under 2-hop linkage once either end is BOUNDARY, and the
     grid's boundary sets are prefixes of the nodes sorted by degree, so each
     grid point merges the labels along the rows of only its new BOUNDARY
-    nodes; the counts equal those of form_components at each alpha.
+    nodes, about SWEEP_PIECE edges at a time, so memory stays bounded
+    however many nodes one step adds; the counts equal those of
+    form_components at each alpha.
     """
     if grid is None:
         grid = default_grid()
@@ -894,17 +897,21 @@ def alpha_sweep(g: UnitDiskGraph, mu_est: int, grid: tuple[float, ...] | None = 
     deg = g.degrees()
     order = g.ids[np.argsort(deg[g.ids], kind="stable")]
     ends = np.searchsorted(deg[order], thresholds, side="right")
+    reach = np.concatenate(([0], np.cumsum(deg[order])))  # the edges of the rows of order[:i]
     size = g.max_id + 1
     labels = np.arange(size)
     counts, lo = [], 0
-    for hi in ends:
-        pos, lens = csr_rows(g.indptr, order[lo:hi])
-        pairs = (labels[np.repeat(order[lo:hi], lens)], labels[g.indices[pos]])
-        merged = sp.csr_matrix((np.ones(len(pos), bool), pairs), shape=(size, size))
-        labels = connected_components(merged, directed=False)[1][labels]
+    for hi in ends.tolist():
+        while lo < hi:  # the new rows, about SWEEP_PIECE edges at a time
+            mid = int(np.searchsorted(reach, reach[lo] + SWEEP_PIECE, side="right")) - 1
+            mid = min(hi, max(lo + 1, mid))
+            pos, lens = csr_rows(g.indptr, order[lo:mid])
+            pairs = (labels[np.repeat(order[lo:mid], lens)], labels[g.indices[pos]])
+            merged = sp.csr_matrix((np.ones(len(pos), bool), pairs), shape=(size, size))
+            labels = connected_components(merged, directed=False)[1][labels]
+            lo = mid
         members = np.bincount(labels[order[:hi]])
         counts.append(int((members >= max(min_component_size, 1)).sum()))
-        lo = hi
 
     plateau = find_plateau(grid, counts)
     return AlphaSweep(grid=grid, component_counts=tuple(counts),

@@ -23,7 +23,7 @@ from numpy.random import Generator, Philox
 from . import IMPORTED_AT, boundary, convergetree, geometry, netgraph, topo
 from .boundary import NodeClass
 from .convergetree import GraphDisconnected
-from .simkernel import RoundLimitExceeded
+from .simkernel import RoundLimitExceeded, Traffic
 
 SCHEMA_VERSION = 1
 
@@ -136,7 +136,8 @@ def peak_rss_mb() -> float:
 @dataclass
 class PhaseCost:
     """One protocol run of a phase: its cost.csv row, with the deliveries,
-    wall time and peak RSS after it that go to timing.json."""
+    wall time, peak RSS after it and traffic by message kind that go to
+    timing.json."""
     phase: str
     broadcasts: int
     id_units: int
@@ -144,6 +145,7 @@ class PhaseCost:
     deliveries: int
     seconds: float
     rss_mb: float
+    kinds: dict[str, Traffic] = field(default_factory=dict)
 
 
 @dataclass
@@ -228,7 +230,8 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
             exc.phase = name
             raise
         costs.extend(PhaseCost(name, res.ledger.total_broadcasts, res.ledger.total_id_units,
-                               res.rounds_used, res.deliveries, res.seconds, peak_rss_mb())
+                               res.rounds_used, res.deliveries, res.seconds, peak_rss_mb(),
+                               res.ledger.kinds)
                      for res in runs(out))
         return out
 
@@ -260,9 +263,8 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     protocol("flood_delta", convergetree.broadcast_down, g, tree, (delta_val,))
 
     bins = config.bin_count
-    bin_of = netgraph.degree_bin(deg, delta_val, bins)
     hist_counts, _ = protocol("agg_histogram", convergetree.aggregate, g, tree,
-                              convergetree.AggOp.HISTOGRAM_MERGE, bin_of, bins)
+                              convergetree.AggOp.HISTOGRAM_MERGE, deg, bins)
     hist = netgraph.DegreeHistogram(bins, np.array(hist_counts, dtype=np.int64), delta_val)
     density = boundary.estimate_mu(hist, mu_analytic=mu_an)
 
@@ -348,10 +350,11 @@ def write_cost_csv(r: PipelineResult, path: str) -> None:
 
 def write_timing_json(r: PipelineResult, path: str, writers: StepCost) -> None:
     """Per protocol run (the rows of cost.csv, in order) its deliveries,
-    wall time and peak RSS after it; per host step outside the protocols,
-    in run order and ending with the report `writers`, its wall time and
-    peak RSS after it; and the pipeline's wall time.  Timings vary from
-    run to run, so they stay out of the byte-identical reports."""
+    wall time, peak RSS after it and traffic by message kind; per host
+    step outside the protocols, in run order and ending with the report
+    `writers`, its wall time and peak RSS after it; and the pipeline's wall
+    time.  Timings vary from run to run, so they stay out of the
+    byte-identical reports."""
     rows = {"phases": [asdict(c) for c in r.costs],
             "steps": [asdict(s) for s in r.steps + [writers]],
             "wall_seconds": r.wall_seconds}

@@ -35,15 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import UnitDiskGraph, has_edges, hop_bfs
+from .netgraph import UnitDiskGraph, degree_bin, has_edges, hop_bfs
 from .simkernel import CHUNK, Kind, RoundKernel, RunResult, first_hits, run_protocol
 
-K_STATE = Kind(1, ("root", "parent"))   # flood announcement, doubles as join notice
-K_REPORT = Kind(2, ("size",))           # convergecast: subtree size under the root last announced
-K_DONE = Kind(3, ("n",))                # root's completion flood down the tree
-K_AGG = Kind(4, ("value",))             # aggregation convergecast of a scalar
-K_AGG_HIST = Kind(4, ("lo",), ("count",))  # a histogram row's window lo..hi of bins
-K_VAL = Kind(5, (), ("value",))         # a value broadcast down the tree
+K_STATE = Kind("state", 1, ("root",), ("parent",))  # flood announcement, join notice; parent from round 1
+K_REPORT = Kind("report", 2, (), ("size",))          # convergecast: subtree size, unless 1 (a leaf)
+K_DONE = Kind("done", 3, ("n",))                     # root's completion flood down the tree
+K_AGG = Kind("agg", 4, ("value",))                   # aggregation convergecast of a scalar
+K_AGG_HIST = Kind("agg_hist", 4, ("lo",), ("count",))  # a histogram row's window lo..hi of bins
+K_VAL = Kind("val", 5, (), ("value",))               # a value broadcast down the tree
 
 
 class NotSpanningTree(ValueError):
@@ -143,13 +143,14 @@ class _TreeRounds(RoundKernel):
     round 1 on (round 0 is `_first_round`):
     STATE (root, parent): adopt the largest announced root above v's own,
     with the smallest sender announcing it as parent (`first_hits`), and
-    announce it.
+    announce it.  A round-0 STATE names no parent: there it is the root.
     DONE (n): taken from v's parent; forwarded only by a node with
     children.  The tree is a BFS tree from its root, so no neighbour's DONE
     reaches v before its parent's, and v already holds the root it names.
     REPORT (size): once every neighbour announces v's root and every
     neighbour naming v as parent has reported under it, v reports its
-    subtree size under that root (again on every new root).  The report is
+    subtree size under that root (again on every new root); a report
+    without a size is a leaf's and counts 1.  The report is
     under the root v last announced: a STATE sent with it comes first in
     inbox order, so every neighbour holds that root as v's `said_root`.  A
     root that reports is complete and starts the DONE flood down its tree.
@@ -189,16 +190,27 @@ class _TreeRounds(RoundKernel):
     def step(self, rnd: int) -> list:
         msgs = self._first_round() if rnd == 0 else self._settle(rnd, self.msgs)
         self.msgs = {k: s for k, s in msgs.items() if len(s)}
-        return list(self.msgs.items())
+        return [(k, s, self._repeats(k, s, rnd)) for k, s in self.msgs.items()]
+
+    def _repeats(self, kind: Kind, s: np.ndarray, rnd: int):
+        """How often each message of `kind` from senders `s` repeats the
+        kind's group: a STATE names its parent from round 1 on, and a
+        REPORT its size unless that is 1."""
+        if kind is K_STATE:
+            return int(rnd > 0)
+        if kind is K_REPORT:
+            return (self.subtree[s] > 1).astype(np.int64)
+        return 0
 
     def _first_round(self) -> dict:
         """Round 0: a node knows its neighbours' IDs, so it adopts the
         largest ID of its closed neighbourhood as its root, with that
-        neighbour as parent, and announces it.  A node that is that largest
-        ID stays silent; its neighbours read its root as its ID.  Every node
-        waits on a timer into round 1, where the report rule is first
-        checked.  A node without neighbours has heard them all and completes
-        at once as its own root."""
+        neighbour as parent, and announces the root alone, which names the
+        parent too.  A node that is that largest ID stays silent; its
+        neighbours read its root as its ID.  Every node waits on a timer
+        into round 1, where the report rule is first checked.  A node
+        without neighbours has heard them all and completes at once as its
+        own root."""
         ids, deg = self.ids, self.deg
         lone = ids[deg == 0]
         self.reported[lone] = lone
@@ -331,20 +343,20 @@ def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray,
     ID-indexed integer array `values`: its column and its value, aligned
     with `g.ids`, and the row width.  MAX puts a node's scalar in the one
     column; HISTOGRAM_MERGE counts a 1 in the node's bin of `bins`
-    columns."""
+    columns, `degree_bin(value, delta, bins)` with delta the largest value."""
     hist = op is AggOp.HISTOGRAM_MERGE
     ok = (isinstance(values, np.ndarray) and values.ndim == 1
-          and values.dtype.kind in "biu" and len(values) > g.max_id)
+          and values.dtype.kind in "biu" and len(values) > g.max_id and (bins > 0 or not hist))
     if ok:
         own = values[g.ids]
-        ok = (0 <= own.min() and own.max() < bins if hist else
-              values.dtype.kind != "u" or own.max() <= np.iinfo(np.int64).max)
+        top = np.iinfo(np.int64).max // (bins if hist else 1)  # value * bins fits int64
+        ok = own.max() <= top and (not hist or own.min() >= 0)
     if not ok:
-        what = f"bin indices in [0, {bins})" if hist else "scalars within int64"
+        what = "values in [0, 2**63 / bins)" if hist else "scalars within int64"
         raise ValueError(f"{op.value} takes ID-indexed integer {what}")
     own = own.astype(np.int64)
     if hist:
-        return own, np.ones_like(own), bins
+        return degree_bin(own, int(own.max()), bins), np.ones_like(own), bins
     return np.zeros_like(own), own, 1
 
 
@@ -354,12 +366,13 @@ def _edges_in_graph(g: UnitDiskGraph, parent: np.ndarray) -> bool:
     return bool(has_edges(g, parent[kids], kids).all())
 
 
-def _run_wave(g: UnitDiskGraph, kernel, max_rounds: int, trace, spanned) -> RunResult:
-    """Run tree wave `kernel` along its `parent` tree; `spanned(res)` counts nodes covered."""
+def _run_wave(g: UnitDiskGraph, kernel, max_rounds: int, trace) -> RunResult:
+    """Run tree wave `kernel` along its `parent` tree; `kernel.spanned(res)`
+    counts the nodes it covered."""
     if not _edges_in_graph(g, kernel.parent):
         raise NotSpanningTree("tree edge is not a graph edge")
     res = run_protocol(kernel, max_rounds, trace)
-    if (k := spanned(res)) != g.n:
+    if (k := kernel.spanned(res)) != g.n:
         raise NotSpanningTree(f"tree spans {k} of {g.n} nodes")
     return res
 
@@ -398,29 +411,30 @@ def _scatter_rows(ufunc, dest: np.ndarray, rows: np.ndarray, src: np.ndarray) ->
 
 class _AggRounds(RoundKernel):
     """Convergecast: a node with a parent sends its combined value, over a
-    graph edge, once every child has sent, a leaf in round 0.  A histogram
-    row travels as its nonzero window.
+    graph edge, once every child has sent.  A histogram row travels as its
+    nonzero window.
 
     Only the nodes that combine, those with children and the root, keep an
     accumulator row (`acc`, by rank in the ascending `rows`), so its size
-    follows the tree, not the IDs or the leaves.  A leaf sends only its own
-    entry, in round 0 (a histogram leaf its bin, a one-bin window), which
-    its parent combines into its row in round 1; a node with a row sends
-    that row."""
+    follows the tree, not the IDs or the leaves.  Under MAX a leaf sends its
+    own entry in round 0, which its parent combines into its row in round
+    1.  Under HISTOGRAM_MERGE a leaf stays silent: its parent bins it (see
+    `aggregate`) and folds that bin into its row in round 0, so a node
+    whose children are all leaves sends in round 0.  A node with a row
+    sends that row."""
 
     def __init__(self, g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values, bins: int):
         super().__init__(g)
         col, val, cols = _agg_inputs(g, op, values, bins)
         self.combine = np.maximum if op is AggOp.MAX else np.add
         self.windowed = op is AggOp.HISTOGRAM_MERGE
-        self.parent, ids = tree.parent, self.ids
+        self.parent, self.root, ids = tree.parent, tree.root_id, self.ids
         self.pending = np.bincount(self.parent[ids], minlength=self.size)
         inner = (self.pending[ids] > 0) | (self.parent[ids] == 0)
         self.rows = ids[inner]
         self.acc = np.zeros((len(self.rows), cols), dtype=np.int64)
         self.acc[np.arange(len(self.rows)), col[inner]] = val[inner]
         self.leaves, self.leaf_col, self.leaf_val = ids[~inner], col[~inner], val[~inner]
-        self.sent = np.empty(0, dtype=np.int64)
 
     def row(self, v: np.ndarray) -> np.ndarray:
         """The accumulator rows of nodes with children, or of the root."""
@@ -429,27 +443,43 @@ class _AggRounds(RoundKernel):
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         return self.parent[senders]
 
+    def spanned(self, res: RunResult) -> int:
+        """The nodes the wave covered: the root, every sender and every
+        silent leaf whose parent sent or is the root.  A node with a parent
+        sent once it held every child's value."""
+        covered = res.ledger.total_broadcasts + 1
+        if self.windowed:
+            par = self.parent[self.leaves]
+            sent = (self.pending[par] == 0) & (self.parent[par] != 0)
+            covered += int(((par == self.root) | sent).sum())
+        return covered
+
+    def _take(self, kid: np.ndarray, leaves: bool) -> np.ndarray:
+        """The parents of `kid` combine what they sent, a leaf its own entry
+        and any other node its row; returns the parents, ascending, that now
+        hold every child's value and send it on."""
+        par = self.parent[kid]
+        if leaves:
+            i = np.searchsorted(self.leaves, kid)
+            at = self.row(par) * self.acc.shape[1] + self.leaf_col[i]
+            self.combine.at(self.acc.reshape(-1), at, self.leaf_val[i])
+        else:
+            # each child's row scattered into its parent's; a parent sends
+            # only after all its children, so never with one of them
+            _scatter_rows(self.combine, self.acc, self.row(par), self.row(kid))
+        np.subtract.at(self.pending, par, 1)
+        par = par[self.pending[par] == 0]
+        return np.unique(par[self.parent[par] != 0])
+
     def step(self, rnd: int) -> list:
         if rnd == 0:
-            ready = self.leaves
-        else:
-            kid, par = self.sent, self.parent[self.sent]
-            if rnd == 1:  # leaves send in round 0 alone, and only their own entries
-                i = np.searchsorted(self.leaves, kid)
-                at = self.row(par) * self.acc.shape[1] + self.leaf_col[i]
-                self.combine.at(self.acc.reshape(-1), at, self.leaf_val[i])
-            else:
-                # each child's row scattered into its parent's; a parent
-                # sends only after all its children, so never with one of them
-                _scatter_rows(self.combine, self.acc, self.row(par), self.row(kid))
-            np.subtract.at(self.pending, par, 1)
-            par = par[self.pending[par] == 0]
-            ready = np.unique(par[self.parent[par] != 0])
+            ready = self._take(self.leaves, True) if self.windowed else self.leaves
+        else:  # under MAX the leaves send in round 0 alone
+            ready = self._take(self.sent, rnd == 1 and not self.windowed)
         self.sent = ready
         if not self.windowed:
             return [(K_AGG, ready)]
-        widths = _window_widths(self.acc, self.row(ready)) if rnd else np.ones_like(ready)
-        return [(K_AGG_HIST, ready, widths)]
+        return [(K_AGG_HIST, ready, _window_widths(self.acc, self.row(ready)))]
 
     def state_name(self, v: int) -> str:
         return f"agg(pending={self.pending[v]})"
@@ -462,14 +492,19 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
     returns the root's combined value.
 
     MAX takes integer scalars within int64, sent as `K_AGG`.
-    HISTOGRAM_MERGE takes each node's bin index in [0, bins) and returns
-    the `bins` counts; a sender sends only the window of its merged row
-    from its first to its last nonzero bin, as `K_AGG_HIST` (lo, c_lo,
-    ..., c_hi).  Other inputs raise ValueError; a tree that does not span
-    the graph over graph edges raises `NotSpanningTree`.
+    HISTOGRAM_MERGE takes the values of a MAX convergecast over the same
+    tree (each node's degree, in the pipeline) and returns the `bins`
+    counts of their bins `netgraph.degree_bin(value, δ, bins)`, δ their
+    maximum, which `broadcast_down` gave every node.  A sender sends only
+    the window of its merged row from its first to its last nonzero bin,
+    as `K_AGG_HIST` (lo, c_lo, ..., c_hi).  A parent heard each leaf
+    child's value in the MAX convergecast and holds δ, so it bins its
+    leaves itself, and leaves send nothing.  Other inputs raise
+    ValueError; a tree that does not span the graph over graph edges
+    raises `NotSpanningTree`.
     """
     kernel = _AggRounds(g, tree, op, values, bins)
-    res = _run_wave(g, kernel, max_rounds, trace, lambda r: r.ledger.total_broadcasts + 1)
+    res = _run_wave(g, kernel, max_rounds, trace)
     return tuple(kernel.acc[kernel.row(tree.root_id)].tolist()), res
 
 
@@ -491,6 +526,10 @@ class _DownRounds(RoundKernel):
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         return self.deliveries(senders, senders, keep=lambda v, s: self.parent[v] == s)[0]
 
+    def spanned(self, res: RunResult) -> int:
+        """The nodes that hold the value."""
+        return int(self.got[self.ids].sum())
+
     def step(self, rnd: int) -> list:
         if rnd:
             v = self.waiting(self.sent)
@@ -510,7 +549,7 @@ def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
     over graph edges raises `NotSpanningTree`."""
     value = tuple(int(x) for x in value)
     kernel = _DownRounds(g, tree, len(value))
-    res = _run_wave(g, kernel, max_rounds, trace, lambda r: int(kernel.got[g.ids].sum()))
+    res = _run_wave(g, kernel, max_rounds, trace)
     return value, res
 
 

@@ -9,11 +9,12 @@ the graph neighbors at the start of round t+1.  Within a round each inbox
 is processed in ascending (sender, kind, payload) order.
 
 One driver, `run_protocol`, runs every protocol under this contract: it
-keeps the ledger, the round and delivery counts (a broadcast is delivered
-to every graph neighbour of its sender), the trace, wake-up timers and the
-round limit.  Each protocol is a `RoundKernel` subclass that settles the
-whole network's round as numpy array operations over the CSR adjacency
-(the vertex-centric BSP of Pregel), so no Python code runs per delivery.
+keeps the ledger (each kind's broadcasts, id-units and deliveries; a
+broadcast is delivered to every graph neighbour of its sender), the round
+count, the trace, wake-up timers and the round limit.  Each protocol is a
+`RoundKernel` subclass that settles the whole network's round as numpy
+array operations over the CSR adjacency (the vertex-centric BSP of
+Pregel), so no Python code runs per delivery.
 Two rules serve every kernel: `RoundKernel.deliveries` expands a round's
 broadcasts into deliveries a bounded number at a time, and `first_hits`
 lets each receiver's first delivery, its smallest sender, win a tie.
@@ -21,8 +22,9 @@ lets each receiver's first delivery, its smallest sender, win a tie.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +35,10 @@ CHUNK = 1 << 16  # deliveries a kernel expands at once (`RoundKernel.deliveries`
 
 @dataclass(frozen=True)
 class Kind:
-    """A message kind: the `code` the trace shows, its fixed `fields` and a
-    field group `repeat` that a message may carry any number of times."""
+    """A message kind: its `name`, the `code` the trace shows, its fixed
+    `fields` and a field group `repeat` that a message may carry any number
+    of times."""
+    name: str
     code: int
     fields: tuple[str, ...] = ()
     repeat: tuple[str, ...] = ()
@@ -63,20 +67,37 @@ class RoundLimitExceeded(RuntimeError):
 
 
 @dataclass
-class CostLedger:
-    """A protocol run's broadcasts and id-units, in total."""
-    total_broadcasts: int = 0
-    total_id_units: int = 0
+class Traffic:
+    """The broadcasts of one message kind in a run, their id-units and deliveries."""
+    broadcasts: int = 0
+    id_units: int = 0
+    deliveries: int = 0
 
-    def charge(self, senders, units) -> None:
-        """Record one broadcast per entry of `senders` (repeats allowed),
-        each costing its entry of `units` (or `units` itself if scalar), as
-        `Kind.units` counts them."""
-        units = np.broadcast_to(np.asarray(units, dtype=np.int64), len(senders))
-        if units.size and units.min() < 1:
-            raise ValueError("a message always carries at least the sender ID")
-        self.total_broadcasts += len(senders)
-        self.total_id_units += int(units.sum())
+
+@dataclass
+class CostLedger:
+    """A protocol run's traffic by message kind, keyed by `Kind.name`; its
+    totals are the sums over the kinds."""
+    kinds: dict[str, Traffic] = field(default_factory=dict)
+
+    def charge(self, kind: Kind, broadcasts: int, id_units: int, deliveries: int) -> None:
+        """Record `broadcasts` messages of `kind`, their id-units and deliveries."""
+        t = self.kinds.setdefault(kind.name, Traffic())
+        t.broadcasts += broadcasts
+        t.id_units += id_units
+        t.deliveries += deliveries
+
+    @property
+    def total_broadcasts(self) -> int:
+        return sum(t.broadcasts for t in self.kinds.values())
+
+    @property
+    def total_id_units(self) -> int:
+        return sum(t.id_units for t in self.kinds.values())
+
+    @property
+    def deliveries(self) -> int:
+        return sum(t.deliveries for t in self.kinds.values())
 
 
 class NodeProto:
@@ -86,11 +107,14 @@ class NodeProto:
 
 @dataclass
 class RunResult:
-    """A protocol run's ledger totals, rounds (the quiet last one too) and deliveries."""
+    """A protocol run's ledger and rounds (the quiet last one too)."""
     ledger: CostLedger
     rounds_used: int
-    deliveries: int
     seconds: float  # wall time of the run
+
+    @property
+    def deliveries(self) -> int:
+        return self.ledger.deliveries
 
 
 class RoundKernel:
@@ -185,7 +209,7 @@ def run_protocol(kernel: RoundKernel, max_rounds: int = 100_000, trace=None) -> 
     have deliveries to act on (`waiting`) or wait on a timer."""
     start = time.perf_counter()
     ledger = CostLedger()
-    rounds_used = deliveries = 0
+    rounds_used = 0
     senders = np.empty(0, dtype=np.int64)
     while True:
         if rounds_used >= max_rounds:
@@ -201,12 +225,16 @@ def run_protocol(kernel: RoundKernel, max_rounds: int = 100_000, trace=None) -> 
             continue
         senders = np.concatenate([s for _, s, *_ in sent])
         units = np.concatenate([np.broadcast_to(k.units(*c), len(s)) for k, s, *c in sent])
-        ledger.charge(senders, units)
-        deliveries += int(kernel.degree(senders).sum())
+        if units.min() < 1:
+            raise ValueError("a message always carries at least the sender ID")
+        lens = [len(s) for _, s, *_ in sent]
+        starts = [0, *itertools.accumulate(lens[:-1])]  # a list: cheaper than a numpy cumsum
+        for (k, *_), n, u, d in zip(sent, lens, np.add.reduceat(units, starts).tolist(),
+                                    np.add.reduceat(kernel.degree(senders), starts).tolist()):
+            ledger.charge(k, n, u, d)
         if trace is not None:
             kinds = np.concatenate([np.full(len(s), k.code) for k, s, *_ in sent])
             order = np.lexsort((kinds, senders))
             trace.write("".join(f"{rnd},{s},{k},{u}\n" for s, k, u in zip(
                 senders[order].tolist(), kinds[order].tolist(), units[order].tolist())))
-    return RunResult(ledger=ledger, rounds_used=rounds_used,
-                     deliveries=deliveries, seconds=time.perf_counter() - start)
+    return RunResult(ledger=ledger, rounds_used=rounds_used, seconds=time.perf_counter() - start)

@@ -158,8 +158,8 @@ any_graphs = st.one_of(connected_graphs, scattered_udgs())
 def subtree_windows(g, states, rows) -> np.ndarray:
     """Each sender's histogram convergecast charge, computed centrally from
     the tree: the window of its subtree's summed row, 3 + hi - lo from the
-    first nonzero bin lo to the last hi.  ID-indexed; 0 for the root and
-    unused IDs."""
+    first nonzero bin lo to the last hi.  ID-indexed; 0 for the root, the
+    leaves (their parents hold their bins) and unused IDs."""
     order, stack = [], [v for v in g.id_list if states[v].parent is None]
     while stack:  # every parent before its children
         v = stack.pop()
@@ -171,8 +171,9 @@ def subtree_windows(g, states, rows) -> np.ndarray:
         p = states[v].parent
         if p is not None:
             total[p] = [a + b for a, b in zip(total[p], total[v])]
-            nonzero = [i for i, c in enumerate(total[v]) if c]
-            units[v] = 3 + nonzero[-1] - nonzero[0]
+            if states[v].children:
+                nonzero = [i for i, c in enumerate(total[v]) if c]
+                units[v] = 3 + nonzero[-1] - nonzero[0]
     return units
 
 

@@ -243,8 +243,7 @@ def test_criterion_7_protocol_vs_oracle(standard_region):
             (delta,), _ = convergetree.aggregate(g, tree, convergetree.AggOp.MAX, g.degrees())
             assert delta == hist_c.delta
             merged, _ = convergetree.aggregate(
-                g, tree, convergetree.AggOp.HISTOGRAM_MERGE,
-                netgraph.degree_bin(g.degrees(), delta, 64), 64)
+                g, tree, convergetree.AggOp.HISTOGRAM_MERGE, g.degrees(), 64)
             assert list(merged) == hist_c.counts.tolist()
 
             est = boundary.estimate_mu(hist_c)

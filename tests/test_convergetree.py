@@ -112,36 +112,40 @@ def test_aggregate_histogram_equals_centralized():
     hist = netgraph.histogram(g, 16)
     bin_of = netgraph.degree_bin(g.degrees(), hist.delta, 16)
     buf = io.StringIO()
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 16, trace=buf)
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, g.degrees(), 16,
+                                         trace=buf)
     trace = buf.getvalue()
     assert list(merged) == hist.counts.tolist()
-    # each sender sends the window of its subtree's merged row, at most all
-    # 16 bins (18 units), one bin (3 units) for most of them
+    # each node with children but the root sends the window of its
+    # subtree's merged row, at most all 16 bins (18 units); a leaf sends
+    # nothing, since its parent holds its bin
     sent, per_node = traced_costs(res, trace, g.max_id + 1)
     onehots = np.eye(16, dtype=np.int64)[bin_of]
     assert np.array_equal(per_node, subtree_windows(g, build.states, onehots))
-    assert per_node.max() == 14 and np.median(per_node[g.ids]) == 3
-    assert sent.sum() == g.n - 1
+    inner = g.ids[np.bincount(build.parent, minlength=g.max_id + 1)[g.ids] > 0]
+    assert per_node.max() == 14 and np.median(per_node[inner]) == 8
+    assert sent.sum() == len(inner) - 1 < g.n / 4
 
 
-def path_sums(bin_of, bins):
-    """Histogram-merge the bin indices of the path 1-2-...-k (root k), in ID
-    order, into `bins` bins; returns the root's row and each sender's
-    charge in id-units."""
-    g = graph_from([(0.9 * i, 0) for i in range(len(bin_of))])
+def path_sums(values, bins):
+    """Histogram-merge the values of the path 1-2-...-k (root k), in ID
+    order, into `bins` bins over [0, their maximum]; returns the root's row
+    and each sender's charge in id-units."""
+    g = graph_from([(0.9 * i, 0) for i in range(len(values))])
     build = convergetree.build_tree(g)
     buf = io.StringIO()
     merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE,
-                                         np.array([0, *bin_of]), bins, trace=buf)
-    return merged, traced_costs(res, buf.getvalue(), g.max_id + 1)[1][1:len(bin_of)].tolist()
+                                         np.array([0, *values]), bins, trace=buf)
+    return merged, traced_costs(res, buf.getvalue(), g.max_id + 1)[1][1:len(values)].tolist()
 
 
 @pytest.mark.parametrize("bins", [16, 23])
 def test_histogram_window_widths(bins):
-    # node 1: the last bin alone; node 2: first and last, the whole row
-    merged, units = path_sums([bins - 1, 0, bins - 1], bins)
-    assert merged == (1,) + (0,) * (bins - 2) + (2,)
-    assert units == [3, 2 + bins]
+    # node 1, a leaf: nothing; node 2: the last bin alone; node 3: first
+    # and last, the whole row
+    merged, units = path_sums([bins - 1, bins - 1, 0, bins - 1], bins)
+    assert merged == (1,) + (0,) * (bins - 2) + (3,)
+    assert units == [0, 3, 2 + bins]
 
 
 def test_histogram_memory_follows_the_tree_not_ids_times_bins():
@@ -157,7 +161,7 @@ def test_histogram_memory_follows_the_tree_not_ids_times_bins():
     bin_of = netgraph.degree_bin(deg, int(deg.max()), 64)
     id_array = 8 * (g.max_id + 1)
     for run, want in (
-            (lambda: convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, bin_of, 64),
+            (lambda: convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, deg, 64),
              tuple(np.bincount(bin_of[g.ids], minlength=64).tolist())),
             (lambda: convergetree.aggregate(g, build, AggOp.MAX, deg), (int(deg.max()),)),
             (lambda: convergetree.broadcast_down(g, build, (7, 8)), (7, 8))):
@@ -205,25 +209,70 @@ def test_broadcast_down_rounds_on_path():
 
 
 def test_tree_waves_reject_a_tree_that_does_not_span_over_graph_edges():
-    # check_tree's two structural edits of the path tree: both waves raise
+    # check_tree's two structural edits of the path tree: every wave raises.
+    # In the cycle, 3 is a leaf of the root: a silent histogram leaf there
+    # is covered, and the cycle is not
     for v, value, message in (
             (1, 3, "tree edge is not a graph edge"),  # 1 hangs off 3, 1.8 apart
             (2, 1, "tree spans 2 of 4 nodes")):       # 2 -> 1 -> 2, off the root's tree
         g, build = _edited_path_tree("parent", v, value)
-        with pytest.raises(convergetree.NotSpanningTree, match=message):
-            convergetree.aggregate(g, build, AggOp.MAX, g.degrees())
+        for op in AggOp:
+            with pytest.raises(convergetree.NotSpanningTree, match=message):
+                convergetree.aggregate(g, build, op, g.degrees() % 2, 2)
         with pytest.raises(convergetree.NotSpanningTree, match=message):
             convergetree.broadcast_down(g, build, (5,))
+
+
+@pytest.mark.parametrize("v, value, spans", [(3, 2, 2), (2, 0, 3)],
+                         ids=["cycle", "second-root"])
+def test_histogram_covers_a_silent_leaf_only_under_a_parent_that_sent(v, value, spans):
+    # the path 1-2-3-4-5 (root 5) with 3 -> 2 -> 3, or with 2 a second
+    # root: leaf 1 hangs off 2, which never sends, so it is not covered;
+    # the root and the nodes on its side are
+    g = graph_from([(0.9 * i, 0) for i in range(5)])
+    build = convergetree.build_tree(g)
+    parent = build.parent.copy()
+    parent[v] = value
+    build = dataclasses.replace(build, parent=parent)
+    with pytest.raises(convergetree.NotSpanningTree, match=f"tree spans {spans} of 5 nodes"):
+        convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, np.zeros(6, dtype=np.int64), 1)
+
+
+def test_histogram_of_a_star_at_its_root_sends_nothing():
+    # every node but the root is its leaf, and the root holds their bins
+    g = star_graph(20, [3, 5, 8, 13])
+    build = convergetree.build_tree(g)
+    assert build.root_id == 20
+    values = np.zeros(g.max_id + 1, dtype=np.int64)  # the maximum 1: each value its bin
+    values[[3, 5, 8, 13, 20]] = 1, 0, 1, 1, 0
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, values, 2)
+    assert merged == (2, 3)
+    assert (res.ledger.total_broadcasts, res.rounds_used, res.deliveries) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_histogram_on_a_path_leaves_its_far_end_silent(n):
+    # the path 1-...-n, rooted at its end n: nodes 2..n-1 send, one a round
+    # from round 0, and the root hears the last in round n - 2
+    g = graph_from([(0.9 * i, 0) for i in range(n)])
+    build = convergetree.build_tree(g)
+    buf = io.StringIO()
+    values = np.arange(n + 1) % 3  # the maximum 2: each value its bin
+    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, values, 3, trace=buf)
+    assert merged == tuple(np.bincount(values[1:], minlength=3).tolist())
+    assert [line.split(",")[:2] for line in buf.getvalue().splitlines()] == [
+        [str(v - 2), str(v)] for v in range(2, n)]
+    assert res.rounds_used == n - 1
 
 
 @pytest.mark.parametrize("op, values, bins, message", [
     (AggOp.MAX, np.array([0, 1.5, 2.0]), 0, "scalars"),                    # not integers
     (AggOp.MAX, np.array([0, 2**63, 1], dtype=np.uint64), 0, "scalars"),   # beyond int64
     (AggOp.MAX, np.array([0, 1], dtype=np.int64), 0, "scalars"),           # shorter than max ID + 1
-    (AggOp.HISTOGRAM_MERGE, np.array([0, 3, 4]), 4, "bin indices"),        # a bin >= bins
-    (AggOp.HISTOGRAM_MERGE, np.array([0, 3, -1]), 4, "bin indices"),
-    (AggOp.HISTOGRAM_MERGE, np.zeros((3, 4), dtype=np.int64), 4, "bin indices"),
-    (AggOp.HISTOGRAM_MERGE, np.array([0, 0, 0]), 0, "bin indices"),        # no bins
+    (AggOp.HISTOGRAM_MERGE, np.array([0, 3, 2**62]), 4, "values in"),      # value * bins wraps
+    (AggOp.HISTOGRAM_MERGE, np.array([0, 3, -1]), 4, "values in"),
+    (AggOp.HISTOGRAM_MERGE, np.zeros((3, 4), dtype=np.int64), 4, "values in"),
+    (AggOp.HISTOGRAM_MERGE, np.array([0, 0, 0]), 0, "values in"),          # no bins
 ], ids=["float", "uint-too-large", "too-short",
         "bin-too-large", "bin-negative", "2-d", "no-bins"])
 def test_aggregate_rejects_bad_inputs(op, values, bins, message):

@@ -13,7 +13,12 @@ list it used to return, None at unused IDs.
 
 The `agg_hist` ledger and trace digests were re-recorded when histogram
 messages became the window of nonzero bins (see CHANGES.md); their
-outputs, rounds, deliveries and stuck digest are the recorded ones.
+outputs, rounds, deliveries and stuck digest were the recorded ones
+until histogram leaves fell silent (a parent holds each leaf child's
+bin).  Then the ledger, trace, rounds, deliveries and stuck digest were
+re-recorded: the new trace is the old one without its round-0 lines
+(the leaves'), every later round lowered by one, and the outputs are
+the recorded ones (see CHANGES.md).
 
 The `flood` ledger, trace, rounds and deliveries were re-recorded when the
 value flood became a broadcast down the tree, re-sent only by nodes with
@@ -50,7 +55,7 @@ import io
 import numpy as np
 import pytest
 
-from swarmtopo import boundary, convergetree, netgraph
+from swarmtopo import boundary, convergetree
 from swarmtopo.convergetree import AggOp
 from conftest import (GOLDEN_CASES, GOLDEN_GRAPHS, below_20k, run_digests, sha, stuck_digest,
                       traced_costs, traced_senders)
@@ -63,7 +68,6 @@ def calls(g) -> dict:
     tree = convergetree.build_tree(g)
     deg = g.degrees()
     delta = int(deg[g.ids].max())
-    bin_of = netgraph.degree_bin(deg, delta, BINS)
     thr = int(np.percentile(deg[g.ids], 25))
     mu_est = max(4, int(np.median(deg[g.ids])))
     classes = boundary.central_classify(g, thr)
@@ -74,7 +78,7 @@ def calls(g) -> dict:
     agg = functools.partial(convergetree.aggregate, g, tree)
     return {
         "agg_max": functools.partial(agg, AggOp.MAX, deg),
-        "agg_hist": functools.partial(agg, AggOp.HISTOGRAM_MERGE, bin_of, BINS),
+        "agg_hist": functools.partial(agg, AggOp.HISTOGRAM_MERGE, deg, BINS),
         "flood": functools.partial(convergetree.broadcast_down, g, tree, (delta, thr)),
         "classify": lambda trace=None: boundary.classify(g, thr, trace=trace),
         "distance": functools.partial(boundary.distance_flood, g, comp_of, mu_est),
@@ -112,7 +116,7 @@ def kernel_digests(g) -> dict:
 GOLDEN = {
     "dense-60-1": {
         "agg_max": ("5e784258e23111e5", "bf7f60bcb3956567", "86f7c9105e951825", 4, 1415),
-        "agg_hist": ("9d1e3e5e22ef6158", "de5c4c322697e803", "366b53ffe3583145", 4, 1415),
+        "agg_hist": ("9d1e3e5e22ef6158", "3677f8f5522ad2c2", "9edd0e8345cd3985", 3, 369),
         "flood": ("e2efa9f9015b1426", "20b20248d01646eb", "11d2c284f1ec1e11", 4, 384),
         "classify": ("8e09d95256b00074", "fe933624cccb6046", "785afb15a185c0ab", 2, 233),
         "distance": ("624aa8c39676c752", "ee87a965473689c7", "27a7c8af8af4df05", 3, 1197),
@@ -120,7 +124,7 @@ GOLDEN = {
     },
     "dense-250-2": {
         "agg_max": ("946edd5365af3ac1", "9ce9bea81240b24a", "1f178af2f86fdca9", 6, 7893),
-        "agg_hist": ("81ab2a7947614f1e", "dfedca3b8730d726", "dc4a2e7cf0827ad4", 6, 7893),
+        "agg_hist": ("81ab2a7947614f1e", "514944f0f27b30ef", "044a2dfdef2e4e7e", 5, 1390),
         "flood": ("36fa292d50e4f837", "dccaed024441af33", "9523a24493d09d76", 6, 1427),
         "classify": ("1394ece9621bad72", "e3ad40ccec4ad38e", "85a7e1e6513e26fe", 2, 1310),
         "distance": ("5a948b7623c8d715", "716490b3f8e1f12f", "0a800e4708dda6e6", 3, 6620),
@@ -128,7 +132,7 @@ GOLDEN = {
     },
     "dense-800-3": {
         "agg_max": ("5e6cb71c9fb89b8b", "115c3b66835822a4", "69a29ba8766709bf", 12, 26856),
-        "agg_hist": ("23a0fd15613d75b2", "8d9184861d32525a", "87539f47457a2773", 12, 26856),
+        "agg_hist": ("23a0fd15613d75b2", "549c09efefa98327", "ce942e7d23b58f22", 11, 6171),
         "flood": ("e280506357d03fac", "e8a36ffae15867d4", "4f377c292322ee56", 12, 6203),
         "classify": ("21d920718ef86d00", "ed22032ef3527aa3", "9d27a1922376139c", 2, 4581),
         "distance": ("15518b1bff77e691", "e64448e491285532", "9a2acd5a5b5ca226", 4, 22307),
@@ -136,7 +140,7 @@ GOLDEN = {
     },
     "gapped-60-4": {
         "agg_max": ("bcd913dfeb5d41b0", "fc84a2193df9daf9", "7d4296b7cce403bb", 4, 1440),
-        "agg_hist": ("eb3f3aee6dcca56a", "ed7f5b8776058337", "b7f7f2b748de6839", 4, 1440),
+        "agg_hist": ("eb3f3aee6dcca56a", "1f10b8946b46148e", "1eeb6bbe9bd2e637", 3, 223),
         "flood": ("8992a5a7b245dfb3", "aa8b54b9e64de509", "0845b56f4d573352", 4, 259),
         "classify": ("42346441e8aa6f24", "258592ecc24f5ccb", "c3865eef7630649e", 2, 244),
         "distance": ("3e6c8d6d7a3a35cb", "02c5b109bb8635e4", "8c92f7b0c90de935", 3, 1232),
@@ -144,7 +148,7 @@ GOLDEN = {
     },
     "gapped-250-5": {
         "agg_max": ("565485e2f475d4f8", "961e03297ba655d9", "43ebd625d8fe1d60", 7, 7642),
-        "agg_hist": ("ae6672d15b77d4d6", "7deee217cdd3fe82", "07079f37780613e5", 7, 7642),
+        "agg_hist": ("ae6672d15b77d4d6", "e24a932ee97aa9ba", "d2894e13197bc372", 6, 1512),
         "flood": ("befc1d98c4102fa4", "c536f8863650a6cd", "fc51597006164925", 7, 1560),
         "classify": ("bd659dcba622561c", "30865085d72ef892", "5380bef40d7309a3", 2, 1207),
         "distance": ("4c12f69145083a21", "1205d4a49de869ab", "6f6541e9bd985445", 3, 6483),
@@ -152,7 +156,7 @@ GOLDEN = {
     },
     "gapped-800-6": {
         "agg_max": ("6a412d8e85377701", "9e4bd0febf6314ca", "74f0c0acfa619587", 9, 26820),
-        "agg_hist": ("552dc65b9a42e17f", "fb00a115119ae5b6", "cf91b013beb77b9f", 9, 26820),
+        "agg_hist": ("552dc65b9a42e17f", "54c32c70ebc35b5c", "bfe80812e3c02b75", 8, 5270),
         "flood": ("81143852fb888859", "aff20b2f32579229", "5ed59fb03dd92438", 9, 5310),
         "classify": ("25141a9e65103a1e", "b8a258196673f6a9", "c6ca8e2c8e330f84", 2, 5317),
         "distance": ("a1cd26bd04caa33d", "51b0b6212e70ee15", "ec23d752dfde1b78", 8, 48403),
@@ -160,7 +164,7 @@ GOLDEN = {
     },
     "crowded-400-7": {
         "agg_max": ("f1910fba870528eb", "fd5dbbd56ec467c7", "91c4dca58d610d44", 4, 55990),
-        "agg_hist": ("b4ec7d72a7b8b4e3", "3186469f5c147f63", "c93313717a31675e", 4, 55990),
+        "agg_hist": ("b4ec7d72a7b8b4e3", "45a783967b234a55", "44a7b33412e9b10f", 3, 3205),
         "flood": ("e2e25047260af22c", "97a48e816648a61b", "bef485ba3a07ab5d", 4, 3297),
         "classify": ("3e4371b70973f0d5", "cca0434c9e0752fd", "be1ef80b7552115d", 2, 9455),
         "distance": ("ffd1cc98538d2eb1", "2c1700742ba250d4", "14ec1af25dd81907", 3, 46627),
@@ -168,7 +172,7 @@ GOLDEN = {
     },
     "path-40": {
         "agg_max": ("0555debc8a653494", "13cb6d551bd8490c", "2ce95b8a68178b4c", 21, 76),
-        "agg_hist": ("4e25fc1acd254854", "7615dfff5ac4d45d", "65a030daafe25d3e", 21, 76),
+        "agg_hist": ("4e25fc1acd254854", "7e548f6d6725d114", "6e12b90a77b25c42", 20, 74),
         "flood": ("e8d407d15662d992", "bf557f6b7bbaa50c", "351528dffbd1740a", 21, 76),
         "classify": ("aa30b652e011afde", "5b03895fae228b67", "22d4f3b23b4d38f5", 2, 78),
         "distance": ("83dd54a71d77b35c", "155e437b946ac82a", "e3b0c44298fc1c14", 1, 0),
@@ -176,7 +180,7 @@ GOLDEN = {
     },
     "star": {
         "agg_max": ("24a6ade6d35f1e5e", "c20b258c4772573b", "3dfb4628b2b07461", 3, 13),
-        "agg_hist": ("06bff0d22e26eb4e", "7b5bd3ef9e8250ab", "f11f7fdcc25f943d", 3, 13),
+        "agg_hist": ("06bff0d22e26eb4e", "7c70fdd27722df4c", "6ea066754ece9de3", 2, 7),
         "flood": ("875048d42a3ad3ff", "133478b0662d6a76", "fa617a991642a738", 3, 8),
         "classify": ("2390a7a9fef5efa6", "b03c36712b98a1d3", "761ab270c7b5d93a", 2, 7),
         "distance": ("3ef56b5e02bd0a9e", "1cc46714d0a9e999", "c8cced16f1bf4b57", 2, 7),
@@ -184,7 +188,7 @@ GOLDEN = {
     },
     "star-gapped": {
         "agg_max": ("3af5d6e7f9476d9d", "99ca389abdefae8c", "7a62d646f9bb1c31", 3, 11),
-        "agg_hist": ("1eec05aa9ff005ba", "e4e6842ffc54409b", "0cd3aa76adb136ce", 3, 11),
+        "agg_hist": ("1eec05aa9ff005ba", "52a080120eb99ee2", "d6da13f1fe6385ec", 2, 6),
         "flood": ("6e017443327534fe", "4d380fbe2ea06bc5", "3e6da87a38e1e407", 3, 7),
         "classify": ("010b9011082f39ea", "a5cea860f08c7532", "b8e328cfa4fafe0a", 2, 6),
         "distance": ("9aaee97725b4940f", "b1360d1063a92c4c", "57d176fdf2d042e0", 2, 6),
@@ -200,7 +204,7 @@ GOLDEN = {
     },
     "standard-20k": {
         "agg_max": ("b2f924132fcedfe9", "45ac825e2cfd2059", "c7505b491265d989", 29, 1521547),
-        "agg_hist": ("b812be3bee79c9cd", "eb9262d47708ac5c", "5c9dac3bb439349a", 29, 1521547),
+        "agg_hist": ("b812be3bee79c9cd", "27f3d89b90fa9372", "42c617e22890d8c3", 28, 207935),
         "flood": ("57c5198060aaf02a", "cb9af7d1ef053b13", "14b82239b23f0578", 29, 208016),
         "classify": ("a3dbd096ef66642a", "939f5299ad81a830", "8b3c3b95f4138896", 2, 318462),
         "distance": ("a41684cd5b5a79ad", "ca1a371a0bf33782", "705863faad7e6e8f", 38, 2724794),
@@ -221,7 +225,7 @@ STUCK_CASES = {
 
 GOLDEN_STUCK = {
     "agg_hist@dense-250-2@3":
-        "8edc22e528caca4632f1de0b9de1e14d05b1c9cdec834549d5422ca9d8cda523",
+        "90f317d5122b23fd0545323fea1c77a20ebd310fcf0eee369f1bbd42aac39ff1",
     "agg_max@path-40@10":
         "9e25ad29b9fb16614956a89d2563818eb676af811fd5645f3f09af335bc958e8",
     "agg_max@star@0":

@@ -94,9 +94,11 @@ def test_pipeline_byte_identical_reruns(tmp_path):
 # text (its tree, first components and distance_flood rows re-recorded
 # when those phases stopped opening with a round of self-announcements,
 # its second components row when the organisation stopped echoing the
-# totals down its tree, and the id-units of the tree, second components
-# and distance_flood rows when their messages stopped carrying fields
-# their receivers already hold).  A change that moves an output on purpose
+# totals down its tree, the id-units of the tree, second components and
+# distance_flood rows when their messages stopped carrying fields their
+# receivers already hold, and the tree's id-units and the agg_histogram
+# row when round-0 STATEs dropped the parent, leaf REPORTs the size and
+# histogram leaves their message).  A change that moves an output on purpose
 # re-records it here and lists the change, old -> new, in CHANGES.md.
 PINNED_CONFIG = RunConfig(region="annulus", n=4000, seed=3, alpha="sweep",
                           token_loops=True)
@@ -107,10 +109,10 @@ PINNED_DIGESTS = {
 }
 PINNED_COST = """\
 phase,broadcasts,id_units,rounds
-tree,27466,72738,61
+tree,27466,60815,61
 agg_delta,3999,7998,21
 flood_delta,659,1318,21
-agg_histogram,3999,23991,21
+agg_histogram,658,13968,20
 flood_threshold,659,1977,21
 classify,455,455,2
 components,5805,15941,28
@@ -136,7 +138,8 @@ def declared_kinds() -> dict:
 
 def test_reports_pinned_across_commits(tmp_path):
     trace = io.StringIO()
-    cli.write_reports(cli.run_pipeline(PINNED_CONFIG, trace), str(tmp_path))
+    r = cli.run_pipeline(PINNED_CONFIG, trace)
+    cli.write_reports(r, str(tmp_path))
     for name, digest in PINNED_DIGESTS.items():
         assert sha(tmp_path.joinpath(name).read_bytes()) == digest, name
     assert tmp_path.joinpath("cost.csv").read_text(encoding="utf-8") == PINNED_COST
@@ -158,6 +161,21 @@ def test_reports_pinned_across_commits(tmp_path):
         assert any(fits(kind, units) for kind in by_code[code]), (code, units)
     total = sum(units * n for (_, units), n in sizes.items())
     assert total == sum(int(row.split(",")[2]) for row in PINNED_COST.splitlines()[1:])
+    # timing.json splits each phase by kind: the traced broadcasts, units
+    # and deliveries (the sender's degree) of each phase and kind
+    deg = r.g.degrees()
+    traced = collections.defaultdict(lambda: np.zeros(3, dtype=np.int64))
+    for line in trace.getvalue().splitlines():
+        phase, _, v, code, units = line.split(",")
+        traced[phase, int(code)] += (1, int(units), deg[int(v)])
+    code_of = {kind.name: kind.code for kind in kinds_by_name().values()}
+    split = collections.defaultdict(lambda: np.zeros(3, dtype=np.int64))
+    phases = json.loads(tmp_path.joinpath("timing.json").read_text(encoding="utf-8"))["phases"]
+    for row in phases:
+        for name, t in row["kinds"].items():
+            split[row["phase"], code_of[name]] += (t["broadcasts"], t["id_units"],
+                                                   t["deliveries"])
+    assert {k: v.tolist() for k, v in split.items()} == {k: v.tolist() for k, v in traced.items()}
 
 
 def readme_kind_rows() -> list[list[str]]:
@@ -176,6 +194,7 @@ def test_readme_kind_table_matches_declarations():
     assert sorted(row[1].strip("`") for row in rows) == sorted(declared)
     for code, name, fields, units, k in rows:
         kind = declared[name.strip("`")]
+        assert kind.name == name.strip("`").removeprefix("K_").lower(), name
         group = re.search(r"\(([^)]*)\)×k", fields)
         fixed = re.sub(r",? ?\([^)]*\)×k", "", fields)
         assert int(code) == kind.code, name

@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmtopo import netgraph, simkernel
-from swarmtopo.simkernel import CostLedger, Kind, RoundLimitExceeded, run_protocol
+from swarmtopo.simkernel import CostLedger, Kind, RoundLimitExceeded, Traffic, run_protocol
 from conftest import any_graphs, traced_costs
 
-K_PING = Kind(99)
-K_FLOOD = Kind(98, (), ("value",))
+K_PING = Kind("ping", 99)
+K_FLOOD = Kind("flood", 98, (), ("value",))
 
 
 def path_graph(length, ids=None):
@@ -111,19 +111,18 @@ def test_flood_rounds_on_path():
 
 def test_charge_counts_id_fields():
     ledger = CostLedger()
-    msgs = [(2, (K_PING, 7, 8)), (2, (K_PING,)), (4, (K_PING, 1))]
-    ledger.charge([s for s, _ in msgs], [len(m) for _, m in msgs])
-    # sender + 2 payload fields, and a bare announcement still costs one
-    assert ledger.total_id_units == 6
-    assert ledger.total_broadcasts == 3
-    ledger.charge(np.array([1, 1]), 3)  # one size for every broadcast
-    assert ledger.total_id_units == 12 and ledger.total_broadcasts == 5
-    with pytest.raises(ValueError):
-        ledger.charge([3], [0])
-    # the same messages sent by a kernel: the trace charges each sender
+    ledger.charge(K_PING, 2, 2, 5)
+    ledger.charge(K_FLOOD, 1, 4, 3)
+    ledger.charge(K_PING, 1, 1, 2)
+    assert ledger.kinds == {"ping": Traffic(3, 3, 7), "flood": Traffic(1, 4, 3)}
+    assert (ledger.total_broadcasts, ledger.total_id_units, ledger.deliveries) == (4, 7, 10)
+    # messages sent by a kernel: sender + 2 repeats, and a bare message
+    # still costs one; the trace charges each sender
     _, sent, units = traced_run(Batches(path_graph(3), [(K_FLOOD, [2, 2, 4], np.array([2, 0, 1]))]))
     assert units.tolist() == [0, 0, 4, 0, 2]
     assert sent.tolist() == [0, 0, 2, 0, 1]
+    with pytest.raises(ValueError, match="at least the sender ID"):
+        run_protocol(Batches(path_graph(3), [(K_FLOOD, [3], np.array([-1]))]))
 
 
 def test_flood_cost_totals():
@@ -162,10 +161,12 @@ def test_deliveries_counted_at_full_degree():
     # the kernel reads it or not, under gapped IDs as under dense ones
     for ids in (None, [3, 10, 11, 40, 41]):
         g = path_graph(4, ids)
-        kinds = [(Kind(k, ("x",)), g.ids) for k in (3, 4, 5, 6)]
+        kinds = [(Kind(f"k{k}", k, ("x",)), g.ids) for k in (3, 4, 5, 6)]
         res, sent, units = traced_run(Batches(g, kinds))
         deg = g.degrees()
         assert res.deliveries == 4 * int(deg.sum())
+        assert res.ledger.kinds == {f"k{k}": Traffic(g.n, 2 * g.n, int(deg.sum()))
+                                    for k in (3, 4, 5, 6)}
         assert sent[g.ids].tolist() == [4] * g.n
         assert units[g.ids].tolist() == [8] * g.n
 
@@ -177,8 +178,8 @@ def test_inbox_sorted_by_sender_then_kind():
     pts = [(0, 0), (0.5, 0.1), (0.5, -0.1)]
     g = netgraph.build_udg((np.arange(1, 4), np.array(pts, float)))
     buf = io.StringIO()
-    one, two = Kind(5, ("x",)), Kind(4, ("x",))
-    three = Kind(3, ("x",), ("y",))  # a group repeated once, then not at all
+    one, two = Kind("one", 5, ("x",)), Kind("two", 4, ("x",))
+    three = Kind("three", 3, ("x",), ("y",))  # a group repeated once, then not at all
     run_protocol(Batches(g, [(one, [2]), (two, [3]), (three, [2, 2], np.array([1, 0]))]),
                  trace=buf)
     assert buf.getvalue().splitlines() == ["0,2,3,3", "0,2,3,2", "0,2,5,2", "0,3,4,2"]

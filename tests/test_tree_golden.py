@@ -16,7 +16,9 @@ ledger, trace, round, delivery and stuck digests were re-recorded.  The
 and are equal.  When REPORT and DONE stopped carrying the root their
 receivers already hold, the ledger and trace digests were re-recorded;
 the broadcasts per node and every trace line's (round, node, kind) are
-unchanged (see CHANGES.md).
+unchanged (see CHANGES.md).  The same holds, with the same digests
+re-recorded, since a round-0 STATE stopped naming the parent (there the
+root) and a leaf's REPORT its size of 1.
 """
 
 import functools
@@ -49,80 +51,80 @@ GOLDEN = {
     "dense-60-1": {
         "tree": "b8171c94fde90165d8d7677cc892208431a243c82b0a817030430ab375879833",
         "completion": "56386d3806f93eb35352eada000503536da74b3a52700f8bb1fe93f1aa9da6e5",
-        "ledger": "c408d3543e78f47e85bfad39355cfe23f16e10db3eeb9a2a1c43a239819d092c",
-        "trace": "776113f16add7c8479902f4307507cb7e411397b0c0f63af4f42b0846994669d",
+        "ledger": "4bc4b3f46a0dc3cefb310902b0deb7fb83f0fd2303edf4dbac93ef777f5166f0",
+        "trace": "c4d24af0d7241e39643e64d2126c6d90f50f2693eaeb4d1d48d3e55f98f35aec",
         "rounds_used": 10,
         "deliveries": 4247,
     },
     "dense-250-2": {
         "tree": "a49cafc13dc7e0ebbf9d293e33237aa559a0b6fdae5bfad1ea99c69622a8543c",
         "completion": "2f383356b750aa91df38091d871d1bdd23de48ed90ae72db2a3dc13608508992",
-        "ledger": "561e754e97afec6d3fe5d2f6061866e8265bd1acd201a81ef51312dc8aba4c7c",
-        "trace": "b03d393856cd43c2b77d118522959a8132fa1d19cf62fd965b00873b8efd82b3",
+        "ledger": "4a1f632eff4fe064c4f78fcf406ff2907958a03bb9904ac085c047ebb7efb175",
+        "trace": "103d5c9b96712831e6c2da72859c56558e920ffcfcff26171eeee460b25be61a",
         "rounds_used": 16,
         "deliveries": 26898,
     },
     "dense-800-3": {
         "tree": "363ed03ae5e1c000476eabfaa44d0a6a44be75413a9c48ff2dc9f3eaa395e509",
         "completion": "5e4603b45894f09583e430ff69abde2a753cc04bc2cbf90492dc62349daed1a6",
-        "ledger": "7fa67a0930fe94033142f3761bbc6afcf3030d0354faff249a6a33172a353b5c",
-        "trace": "af490ff6d3f48bfc8a6e11960df208746274b6523087c191c9a47455de98d820",
+        "ledger": "ede4c185c8fcb674148b029d1d0ebe478d245b9cb056158b65a6c7f0e77d5040",
+        "trace": "04cca43eb7b47a18fe6449b7b0794a0f669c3fef040ccc36b82e2316522bbb16",
         "rounds_used": 34,
         "deliveries": 140254,
     },
     "gapped-60-4": {
         "tree": "77fc81012146734744cb9e5d89d8148e5c574053e9099f04e80feb19c31ff018",
         "completion": "8b2ec5ceff328a4efc0ef8b56b04e8d9514eaa2d68e30a6f69c0033352540efd",
-        "ledger": "74cf321279271e6897c8d8db6c9220c1d13bec29ac688d8a1d898f2578e1b6f8",
-        "trace": "70378fdc90dc8807ebc7a544e5de35e65e02e36ad172464a0e1ceab20289c180",
+        "ledger": "88bf7a7aa79da5215a001564b13bff1aef2cb115d018909e78e2665c864ac69e",
+        "trace": "e426ec02adb7731ede0a62895eb1bb61504f1b26008ed4f77c678f34e32a0525",
         "rounds_used": 9,
         "deliveries": 3540,
     },
     "gapped-250-5": {
         "tree": "5a9af23f3c71f8a0e87b9459b12a5172a7b42c18d142ab154cf9117ec2519474",
         "completion": "e0e06f95ea775f3fed4379c9d4189a6d3212b037eb460bb7cbc10de4d45454b5",
-        "ledger": "1a60b44554bed13f8c932dc4d0784eacccd93424d1f6aa5b8b618f44fc34100a",
-        "trace": "42f8d633983b5f49677bbed0c4afb20ae4f07c9d26ca4f260eb6b6dbfa5c27e1",
+        "ledger": "b9513b8acc315185c5cb9f3caa24a3c30ae2333b484d5d746915d22aa903f6f7",
+        "trace": "a3206189617a2a9ef60a574cbd6635ae9a896840a26aa95496ae4abf9ce92a8b",
         "rounds_used": 19,
         "deliveries": 25931,
     },
     "gapped-800-6": {
         "tree": "58d904668d11ba10543a8963d24add4012e163beceac403e8d2968e1be9afc5e",
         "completion": "d3a2946c50c82c93b5111f6d07544dd5ffd02d6a2350b9e610a0d89600c6cb85",
-        "ledger": "f7f511a13c049b17bc7cf6df1523f19410e4a64d55b6cf3805fc89d2ec4528ed",
-        "trace": "5ad474fa3499b58d40d8bac29f25b60ae8abda3a9b1c89d8b2deb981c2ee54fb",
+        "ledger": "bdf26e1070c983ca7680d06da9145e4fadd9a5b2b0ad92ce0b8861a5c6487074",
+        "trace": "171edc32525890751d9cf6b04b23ddde5c96edafd29b2c6a05f855aa3b733d0d",
         "rounds_used": 25,
         "deliveries": 117192,
     },
     "crowded-400-7": {
         "tree": "1dbe90224c81021cdde65d578a37fb180b936ef119c610a3e75ce33c920256f2",
         "completion": "a470999ff5973964d82aed6191980146fed671a44ec35d1c6b6f88161c85817a",
-        "ledger": "aa067f03d9ad4f7f9970be1fd13c2b49869907c0870aa61a4f920e0bf3040c86",
-        "trace": "d00bfbff30839d3575727bf4c60a96cad35a2da54f5640eac89a3a0864eba3a3",
+        "ledger": "8ca9797b81b3a56ad9b38b97e9d508e821f19ebe48fb20222b316d015fd6cd6f",
+        "trace": "34c07501f8e5ddcb73ec51afac6ea5143196c0f4b2f4e12fee561c6de7cd7746",
         "rounds_used": 10,
         "deliveries": 166228,
     },
     "path-40": {
         "tree": "aaf7b78e4c4b2c099887ec681b9a721fa7a4e3c47159e18fa617705f3fac298b",
         "completion": "2d2d0cf7c1dbb0d218daec34c805eb975e6fa68e750fb2373d1159b82968ab16",
-        "ledger": "63cd806dd44f5ffb897afdcfd9fdc5954f409ec976c0aa129db8987333b40cd9",
-        "trace": "3da99f1d6640e1baf0706d1ed6cd1933775c9364471e197e649eaa4acd465a4e",
+        "ledger": "ad931e6645782c68c6fa67e0cab63f6d6ba443df246d0bb09ad9f7e3de0dda9d",
+        "trace": "7d6baca4c6376969ed04503560d8aae6fbdf8cc13ac9806aa41a72661612ed94",
         "rounds_used": 60,
         "deliveries": 378,
     },
     "star": {
         "tree": "c8250743301c74900d32ba63b159d851e2ce03baf22b3fdd55d80116db35b89d",
         "completion": "afe6f8e131c0e28e9d45772db3596f1183ccc430c12ef74f0c6dff74115bd9fa",
-        "ledger": "6ae5153d30f1459b619da227ff4b0f62dbec4f09a1fbc0f1a11bb21cb8af6f22",
-        "trace": "e4d6f443ffcf3cd109613357c57677261e89e52518e121584a3a9ccf291a8407",
+        "ledger": "33a7295d52dc6722431115edf7efd05e7aaa201d4fe5f6164dbb10ef600a1c75",
+        "trace": "434189fc3c2ef6f97354e6d0a7d656d01fe5d28350930b158803f6a15fa9950d",
         "rounds_used": 6,
         "deliveries": 40,
     },
     "star-gapped": {
         "tree": "a030746e935a786efee9a44a503b1e77ca0955b1a6a4bb1e6b4ed2fa79f44a19",
         "completion": "75a904bd6004c066e2f884776166f67318988577bca7e16846953ea614fbf57c",
-        "ledger": "39e4bb309a31b9138a25057674aba249a1a5eadf4f64c06409332ee71e17c88a",
-        "trace": "c02e8269946bca43aac4757b5f826ac2abaacf3adecca03b7f14b529b0430579",
+        "ledger": "a88d6580f7a1aaaabbe46676ac5f02b7aac9107f5df1482d5e72fd589efabe01",
+        "trace": "e869cc5eab0fdc86777ce46537f8f3a8d21cfbe13c4122b6a238e010f1abba16",
         "rounds_used": 6,
         "deliveries": 33,
     },
@@ -137,8 +139,8 @@ GOLDEN = {
     "standard-20k": {
         "tree": "9a1e249352553b7632dbd9db93fe897bc8bd67fdb1b62e98afd2a4b8a60e8fb3",
         "completion": "fa516fb3db9e11f9df809f67f3504131b85987535cbb4b65ea8bee62c851007a",
-        "ledger": "7d23132f233702dbead63ca378972079e4420c5b8a4e3f1ba50eafbed6c639c2",
-        "trace": "3e35276c657016cc2a22550d642333b2819eb030bddf98346b6a9682f68cef8c",
+        "ledger": "f04fc10ec58419c12ef6f81460572b2bea4260479887a34f0b11defc46a04fe6",
+        "trace": "583ee97d5bf629f35dd50218566e98488054581d336874f4d16d638f82cf6d59",
         "rounds_used": 85,
         "deliveries": 11625919,
     },

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmtopo import convergetree, netgraph
+from swarmtopo.convergetree import AggOp
 from swarmtopo.simkernel import run_protocol
 from conftest import (any_graphs, connected_graphs, distinct_ids, graph_from, scattered_70,
-                      traced_costs, traced_senders)
+                      traced_costs, trace_rows)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -29,14 +30,40 @@ def test_build_tree_properties(g):
     kids = g.ids[build.parent[g.ids] != 0]
     assert (build.completion[kids] == build.completion[build.parent[kids]] + 1).all()
     assert (build.n_total[g.ids] == g.n).all()
-    # each node's traced messages charge it their kinds' units, and the
-    # ledger holds their totals
-    senders, kinds = traced_senders(buf.getvalue())
-    sent, units = traced_costs(build.result, buf.getvalue(), g.max_id + 1)
-    declared = [KINDS[k].units() for k in kinds.tolist()]
-    assert np.array_equal(units, np.bincount(senders, weights=declared,
-                                             minlength=g.max_id + 1).astype(np.int64))
+    # each traced message costs its kind's units with the repeated group
+    # carried at most once, and the ledger holds their totals
+    _, _, kinds, units = trace_rows(buf.getvalue()).T
+    for k, u in zip(kinds.tolist(), units.tolist()):
+        assert u in (KINDS[k].units(0), KINDS[k].units(1)), (k, u)
+    sent, _ = traced_costs(build.result, buf.getvalue(), g.max_id + 1)
     assert build.result.deliveries == int((sent * g.degrees()).sum())
+
+
+@SETTINGS
+@given(connected_graphs, st.sampled_from([16, 23]))
+def test_no_message_carries_what_its_receivers_can_derive(g, bins):
+    buf = io.StringIO()
+    tree = convergetree.build_tree(g, trace=buf)
+    rnd, v, kind, units = trace_rows(buf.getvalue()).T
+    # a round-0 STATE names its root alone, which is also its parent
+    state = kind == convergetree.K_STATE.code
+    assert np.array_equal(units[state], np.where(rnd[state] == 0, 2, 3))
+    # a REPORT carries a size unless it is 1; each node's last REPORT is
+    # under the final tree, so it is bare exactly at the tree's leaves
+    report = np.flatnonzero(kind == convergetree.K_REPORT.code)
+    assert set(units[report].tolist()) <= {1, 2}
+    last = dict(zip(v[report].tolist(), units[report].tolist()))
+    kids = g.ids[tree.parent[g.ids] != 0]
+    assert last == {c: 1 + int(tree.subtree[c] > 1) for c in kids.tolist()}
+    # the histogram's leaves stay silent: the senders are exactly the nodes
+    # with children but the root, and the root still gets the census
+    deg = g.degrees()
+    buf = io.StringIO()
+    counts, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, deg, bins, trace=buf)
+    inner = np.bincount(tree.parent[g.ids], minlength=g.max_id + 1) > 0
+    senders = trace_rows(buf.getvalue())[:, 1]
+    assert sorted(senders.tolist()) == [u for u in g.id_list if inner[u] and u != tree.root_id]
+    assert list(counts) == netgraph.histogram(g, bins).counts.tolist()
 
 
 @SETTINGS
