@@ -147,7 +147,8 @@ def estimate_mu(hist: DegreeHistogram, mu_analytic: float | None = None) -> Dens
 
 class _ClassifyRounds(RoundKernel):
     """Nodes of degree <= threshold announce themselves in round 0 (an
-    isolated one too, to nobody); non-boundary hearers become NEAR."""
+    isolated one too, to nobody); non-boundary hearers become NEAR, piece
+    by piece as the announcements are delivered."""
 
     def __init__(self, g: UnitDiskGraph, threshold: int):
         super().__init__(g)
@@ -158,17 +159,22 @@ class _ClassifyRounds(RoundKernel):
         if rnd == 0:
             self.cls[self.bnd] = NodeClass.BOUNDARY
             return [(K_BND, self.bnd)]
-        v, = self.deliveries(self.bnd, keep=lambda v: self.cls[v] != NodeClass.BOUNDARY)
-        self.cls[v] = NodeClass.NEAR_BOUNDARY
+
+        def hear(v):
+            # NEAR_BOUNDARY lies between INTERIOR and BOUNDARY
+            self.cls[v] = np.maximum(self.cls[v], NodeClass.NEAR_BOUNDARY)
+            return v[:0]
+
+        self.deliveries(self.bnd, keep=hear)
         return []
 
 
-def classify(g: UnitDiskGraph, threshold: int,
+def classify(g: UnitDiskGraph, threshold: int, max_rounds: int = 100_000,
              trace=None) -> tuple[np.ndarray, RunResult]:
     """Distributed B(alpha) rule: BOUNDARY iff degree <= threshold, one
     announcement per boundary node, hearers become NEAR_BOUNDARY."""
     kernel = _ClassifyRounds(g, threshold)
-    res = run_protocol(kernel, trace=trace)
+    res = run_protocol(kernel, max_rounds, trace)
     return kernel.cls, res
 
 
@@ -496,9 +502,12 @@ class _DistRounds(RoundKernel):
     for the nearest component, never for the runner-up), and a node that
     fills slot 0 reads the anchor its sender sent from the sender's `q` row.
 
-    A round's `deliveries` are cut down to the candidates a receiver can
-    take and settled in the free slots themselves, with no sort over the
-    candidates and no ID-sized scratch."""
+    A round's `deliveries` are settled in the slots themselves, piece by
+    piece in sender order, so a round holds no more than one piece of
+    candidates: a piece lowers each free slot's running minimum, and an
+    anchor is set where a piece lowers slot 0.  Until the round ends a
+    slot filled in it holds its minimum negated, so a slot reads 0 or less
+    exactly when it was free before the round."""
 
     def __init__(self, g: UnitDiskGraph, comp_of: np.ndarray, mu_est: int):
         super().__init__(g)
@@ -519,35 +528,52 @@ class _DistRounds(RoundKernel):
         return [(K_DIST, s, nearest)]
 
     def _settle(self, rnd, s, c) -> tuple:
-        # the deliveries to a receiver with a free slot that does not hold
-        # their component yet, in sender order
         c0, c1 = self.c  # row views: a 1-D gather is faster than self.c[j, v]
-        v, c, s = self.deliveries(s, c, s, keep=lambda v, c, s: (c1[v] == 0) & (c0[v] != c))
-        size = self.size
-        cf, df = self.c.reshape(-1), self.d.reshape(-1)  # slot j of v at j * size + v
-        # the first free slot takes the receiver's smallest candidate
-        # component and, where both are free, the second the next smallest
-        at = np.where(c0[v] != 0, size + v, v)
-        cf[at] = _UNSET
-        np.minimum.at(cf, at, c)
-        two = np.flatnonzero((at == v) & (c != cf[at]))
-        cf[size + v[two]] = _UNSET
-        np.minimum.at(cf, size + v[two], c[two])
-        at[two] = size + v[two]
-        i = np.flatnonzero(c == cf[at])
-        at, s = at[i], s[i]
-        # per filled slot its first candidate, the smallest sender, found
-        # through the slot's distance, which is still free
-        i = first_hits(at, df)
-        at, s = at[i], s[i]
-        order = np.argsort(at % size * 2 + at // size)  # by receiver, then slot
-        at, s = at[order], s[order]
-        v = at % size
-        df[at] = rnd + 1
-        near = at < size
-        self.q[v[near]] = (_own_frac_units(self.degree(v[near]), self.mu_est) if rnd == 0
-                           else self.q[s[near]])
-        return v, cf[at], near.astype(np.int64)
+        filled: list[list[np.ndarray]] = [[], []]  # per slot, the nodes that fill it
+
+        def lower(row, j, v, c) -> np.ndarray:
+            # slot j of each v takes the smallest of its value and c, held
+            # negated (a free slot starts from -_UNSET).  Returns each
+            # delivery's slot value before the piece, _UNSET where free
+            fresh = v[row[v] == 0]
+            filled[j].append(np.unique(fresh))
+            row[fresh] = -_UNSET
+            was = -row[v]
+            np.maximum.at(row, v, -c)
+            return was
+
+        def take(v, c, s):
+            # the deliveries to a node with slot 1 free before the round of
+            # a component it did not hold before the round
+            i = np.flatnonzero((c1[v] <= 0) & (c0[v] != c))
+            v, c, s = v[i], c[i], s[i]
+            # slot 0, where free before the round, takes the smallest
+            # component; its anchor comes from the first sender of a
+            # component that lowered it
+            a = np.flatnonzero(c0[v] <= 0)
+            was = lower(c0, 0, v[a], c[a])
+            now = -c0[v[a]]
+            if rnd:
+                w = a[(c[a] == now) & (now < was)]
+                w = w[first_hits(v[w], self.q)]  # q of a node lowering slot 0 is rewritten
+                self.q[v[w]] = self.q[s[w]]  # a sender's slot 0 is not free
+            # slot 1 takes the smallest other component, and a slot 0
+            # value that this piece displaced
+            up = c != -c0[v]
+            gone = (was != _UNSET) & (now < was)
+            lower(c1, 1, np.concatenate([v[up], v[a[gone]]]), np.concatenate([c[up], was[gone]]))
+            return i[:0]
+
+        self.deliveries(s, c, s, keep=take)
+        f0, f1 = (np.concatenate(f) for f in filled)
+        for row, dist, f in ((c0, self.d[0], f0), (c1, self.d[1], f1)):
+            row[f] = -row[f]
+            dist[f] = rnd + 1
+        at = np.sort(np.concatenate([2 * f0, 2 * f1 + 1]))  # by node, then slot
+        v, near = at // 2, at % 2 == 0
+        if rnd == 0:
+            self.q[f0] = _own_frac_units(self.degree(f0), self.mu_est)
+        return v, np.where(near, c0[v], c1[v]), near.astype(np.int64)
 
     def state_name(self, v: int) -> str:
         slots = [(int(self.d[0, v]), int(self.c[0, v]), int(self.q[v])),
@@ -751,7 +777,7 @@ class _TokenRounds(RoundKernel):
 
     def _start(self, comp, h, seq, steps, undo, rnd) -> None:
         self.held[h] = (seq, steps)
-        nbrs = self.indices[self.indptr[h]:self.indptr[h + 1]]
+        nbrs = self.indices[self.indptr[h]:self.indptr[h + 1]].astype(np.int64)
         self.passes.append(_Pass(comp, h, seq, rnd, steps, undo, nbrs))
         self._send(K_TQ, h, comp, len(nbrs))
         if undo:

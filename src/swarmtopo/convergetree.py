@@ -182,9 +182,17 @@ class _TreeRounds(RoundKernel):
         self.said_parent = np.zeros(size, dtype=np.int64)
         self.deg = self.degree(self.ids)
         self.nbsum = np.zeros(size, dtype=np.int64)
+        # each row's sum in int64, about CHUNK entries at a time, so no
+        # int64 copy of the whole of `indices` is made; rows between two
+        # nonempty ones are empty
         rows = self.ids[self.deg > 0]
-        if len(rows):  # rows between two of these are empty
-            self.nbsum[rows] = np.add.reduceat(self.indices, self.indptr[rows])
+        lo = self.indptr[rows]
+        cuts = [0, *np.searchsorted(lo, np.arange(CHUNK, len(self.indices), CHUNK)).tolist(),
+                len(rows)]
+        for a, b in zip(cuts, cuts[1:]):
+            if a < b:
+                piece = self.indices[lo[a]:self.indptr[rows[b - 1] + 1]].astype(np.int64)
+                self.nbsum[rows[a:b]] = np.add.reduceat(piece, lo[a:b] - lo[a])
         self.msgs: dict = {}
 
     def step(self, rnd: int) -> list:

@@ -1,7 +1,9 @@
 """Unit disk graph construction and centralized graph queries.
 
 The graph is the only thing the distributed layer may read (adjacency and
-IDs); node positions are kept purely for oracle-side verification.
+IDs); node positions are kept purely for oracle-side verification.  The
+adjacency is CSR: an int64 `indptr` over IDs and an int32 `indices` of
+neighbour IDs, so node IDs lie below 2**31.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 STRIP = 2048  # nodes per k-d tree in `build_udg`, in x order
+ID_LIMIT = 1 << 31  # node IDs lie below this: `indices` holds them as int32
+
+
+def _check_ids(ids: np.ndarray) -> None:
+    """Raise ValueError unless the sorted `ids` are unique, positive and
+    below ID_LIMIT; checked before any array over IDs is made."""
+    if len(ids) < 1 or ids[0] < 1 or ids[-1] >= ID_LIMIT or (ids[1:] == ids[:-1]).any():
+        raise ValueError(f"node IDs must be unique integers in [1, {ID_LIMIT})")
 
 
 @dataclass
@@ -27,21 +37,23 @@ class DegreeHistogram:
 class UnitDiskGraph:
     """Immutable unit disk graph over unique positive node IDs.
 
-    IDs are usually a seeded permutation of 1..n but gaps are allowed;
-    ID-indexed arrays are sized max_id + 1.  Adjacency is stored CSR-style
-    indexed by ID; rows are ascending.  `positions` exists for oracles only
-    -- protocol code must not read it.
+    IDs are usually a seeded permutation of 1..n but gaps are allowed, up
+    to ID_LIMIT (2**31, excluded); ID-indexed arrays are sized max_id + 1.
+    Adjacency is stored CSR-style indexed by ID, with int32 `indices`
+    however the graph was built; rows are ascending.  `positions` exists
+    for oracles only -- protocol code must not read it.
     """
 
     def __init__(self, ids: np.ndarray, xy: np.ndarray, R: float,
                  indptr: np.ndarray, indices: np.ndarray):
+        _check_ids(ids)
         self.n = len(ids)
         self.R = R
         self.ids = ids  # sorted
         self.max_id = int(ids[-1])
         self.positions = xy  # row v = position of node id v
         self.indptr = indptr
-        self.indices = indices
+        self.indices = np.asarray(indices, dtype=np.int32)
         self._id_list: list[int] | None = None
 
     @property
@@ -81,16 +93,18 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
     Each directed edge is packed as rank(u) * n + rank(v), with ranks in ID
     order (uint32 when n * n fits, else int64), and one sort of these keys
     gives the CSR rows: O(E log E) for E edges.  The keys are sorted in the
-    buffer of `indices`, so the build holds no second array of E int64s.
-    The result is independent of input order (rows are ascending).
+    buffer of the int32 `indices`, which for int64 keys is made twice as
+    long and cut back in place, so the build holds no second array of E
+    keys.  The result is independent of input order (rows are ascending).
+    IDs that are not unique, positive and below ID_LIMIT raise ValueError
+    before any array over IDs is made.
     """
     ids, xy = positions
     ids = np.asarray(ids, dtype=np.int64)
     by_id = np.argsort(ids)
     ids, xy = ids[by_id], np.asarray(xy, dtype=float)[by_id]  # row index = rank
+    _check_ids(ids)
     n = len(ids)
-    if n < 1 or ids[0] < 1 or (ids[1:] == ids[:-1]).any():
-        raise ValueError("node IDs must be unique positive integers")
     m = int(ids[-1])
 
     key = np.uint32 if n * n <= 2**32 else np.int64  # keys are below n * n
@@ -106,11 +120,10 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
         ends.append(by_x[s:end][pairs.T])
 
     # both directions' keys are written, and sorted, inside the buffer of
-    # the int64 IDs that replace them (its first half for uint32 keys),
-    # each strip's ranks freed once written
+    # the int32 IDs that replace them, each strip's ranks freed once written
     E = sum(e.size for e in ends)
-    indices = np.empty(E, dtype=np.int64)
-    keys = indices.view(key)[:E]
+    indices = np.empty(E * (np.dtype(key).itemsize // 4), dtype=np.int32)
+    keys = indices.view(key)
     at = 0
     while ends:
         ab = ends.pop()
@@ -125,13 +138,18 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
     indptr = np.zeros(m + 2, dtype=np.int64)
     indptr[ids + 1] = np.diff(starts, append=E)
     np.cumsum(indptr, out=indptr)
-    np.remainder(keys, n, out=keys)  # each key's column rank
-    # last chunk first: ID i overwrites keys 2i and 2i + 1 (uint32) or key
-    # i (int64), at or after i, which the chunks still to come never read
+    # each key's column rank, a chunk at a time into an intp buffer, then
+    # its ID; first chunk first: ID i overwrites the bytes of key i (uint32)
+    # or of key i // 2 (int64), which no later chunk reads
+    ids32 = ids.astype(np.int32)
     step = 1 << 16
-    for hi in range(E, 0, -step):
-        lo = max(hi - step, 0)
-        indices[lo:hi] = ids[keys[lo:hi]]
+    col = np.empty(min(E, step), dtype=np.intp)
+    for lo in range(0, E, step):
+        c = col[:min(step, E - lo)]
+        np.remainder(keys[lo:lo + len(c)], key(n), out=c)
+        np.take(ids32, c, out=indices[lo:lo + len(c)], mode="clip")
+    del keys
+    indices.resize(E, refcheck=False)  # int64 keys: the second half goes back in place
 
     pos = np.zeros((m + 1, 2))
     pos[ids] = xy

@@ -149,11 +149,13 @@ class RoundKernel:
 
     def deliveries(self, senders: np.ndarray, *fields: np.ndarray, keep=None) -> tuple:
         """The deliveries of `senders`' broadcasts in sender order: each
-        one's receiver, then each per-sender array of `fields` repeated
-        for it.  The senders' rows are expanded about CHUNK deliveries at a
-        time; `keep`, given one such piece as (receivers, *fields) in
-        sender order, returns a mask or the positions of the deliveries to
-        return.  It may settle the rest of the piece itself."""
+        one's receiver, as int64 (the graph's int32 `indices` widened once
+        per piece, so no kernel indexes with int32), then each per-sender
+        array of `fields` repeated for it.  The senders' rows are expanded
+        about CHUNK deliveries at a time; `keep`, given one such piece as
+        (receivers, *fields) in sender order, returns a mask or the
+        positions of the deliveries to return.  It may settle the rest of
+        the piece itself."""
         lo = self.indptr[senders]
         lens = self.indptr[senders + 1] - lo
         ends = np.cumsum(lens)
@@ -168,8 +170,8 @@ class RoundKernel:
         return tuple(np.concatenate(x) for x in zip(*parts))
 
     def _piece(self, start: int, stop: int, shift, lens, fields, keep) -> tuple:
-        part = (self.indices[np.arange(start, stop) + np.repeat(shift, lens)],
-                *(f.repeat(lens) for f in fields))
+        v = self.indices[np.arange(start, stop) + np.repeat(shift, lens)].astype(np.int64)
+        part = (v, *(f.repeat(lens) for f in fields))
         if keep is None:
             return part
         i = keep(*part)

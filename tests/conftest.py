@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,17 @@ def run_digests(res, trace: str, size: int) -> dict:
         "rounds_used": res.rounds_used,
         "deliveries": res.deliveries,
     }
+
+
+def peak_chunks(run) -> tuple:
+    """run()'s output and its tracemalloc peak in CHUNK-sized int64 arrays."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / (8 * simkernel.CHUNK)
 
 
 def stuck_digest(run, max_rounds: int) -> str:

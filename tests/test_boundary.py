@@ -9,7 +9,7 @@ from swarmtopo import boundary, netgraph, simkernel
 from swarmtopo.boundary import (DegenerateHistogram, NodeClass, default_alpha, estimate_mu, find_plateau,
                                 threshold_units)
 from swarmtopo.netgraph import DegreeHistogram
-from conftest import annulus_graph, lowest_quarter, random_graph, traced_costs
+from conftest import annulus_graph, lowest_quarter, peak_chunks, random_graph, traced_costs
 
 
 def graph_from(points, ids=None):
@@ -192,17 +192,6 @@ def test_component_flood_memory_follows_nodes_not_ids():
     assert peak < 3.5 * id_array, peak / id_array
 
 
-def _peak_chunks(run) -> tuple:
-    """run()'s output and its tracemalloc peak in CHUNK-sized int64 arrays."""
-    tracemalloc.start()
-    try:
-        out = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak / (8 * simkernel.CHUNK)
-
-
 def test_classify_and_components_hold_a_bounded_number_of_deliveries():
     # 3,000 nodes of mean degree 263, all BOUNDARY: a round in which every
     # node broadcasts makes over 12 x CHUNK deliveries, and nobody keeps
@@ -212,23 +201,14 @@ def test_classify_and_components_hold_a_bounded_number_of_deliveries():
     g = random_graph(3000, 3, spread=5.5)
     deg = g.degrees()[g.ids]
     assert deg.sum() > 4 * simkernel.CHUNK
+    # (the lowest-degree quarter BOUNDARY, where most of a round's
+    # deliveries matter, is `test_kernel_holds_a_bounded_number_of_deliveries`)
     every = np.full(g.max_id + 1, int(NodeClass.BOUNDARY), dtype=np.int8)
-    _, peak = _peak_chunks(lambda: boundary.classify(g, int(deg.max())))
+    _, peak = peak_chunks(lambda: boundary.classify(g, int(deg.max())))
     assert peak < 12, peak
-    out, peak = _peak_chunks(lambda: boundary.form_components(g, every))
+    out, peak = peak_chunks(lambda: boundary.form_components(g, every))
     assert peak < 12, peak
     assert [c.size for c in out.components] == [g.n]
-    # the lowest-degree quarter BOUNDARY at the same mean degree: the
-    # organisation's round 1 sends every member's JOIN to its non-member
-    # neighbours, and each settles its smallest member piece by piece, so
-    # the bound holds also where most of a round's deliveries matter
-    for n in (3000, 12000):
-        g = random_graph(n, 3, spread=5.5 * (n / 3000) ** 0.5)
-        classes = lowest_quarter(g)
-        out, peak = _peak_chunks(lambda: boundary.form_components(g, classes))
-        assert peak < 12, (n, peak)
-        member = classes == int(NodeClass.BOUNDARY)
-        assert sum(c.size for c in out.components) == member.sum()
 
 
 # -- distance flood ----------------------------------------------------------

@@ -2,18 +2,22 @@
 distance-flood kernels, and of the alpha sweep's counts, against their
 centralized twins, of who talks in component organisation and of the token
 walk's loops, on small graphs with arbitrary (gapped) IDs, isolated nodes
-and boundary-free thresholds."""
+and boundary-free thresholds; and of the deliveries every protocol kernel
+holds at once on dense graphs."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmtopo import boundary, convergetree, netgraph
+from swarmtopo import boundary, convergetree, netgraph, simkernel
+from swarmtopo.boundary import NodeClass
 from swarmtopo.convergetree import AggOp
-from conftest import (any_graphs, component_traces, connected_graphs, flood_fields, random_graph,
-                      subtree_windows, traced_costs)
+from conftest import (any_graphs, component_traces, connected_graphs, flood_fields, lowest_quarter,
+                      peak_chunks, random_graph, subtree_windows, traced_costs)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -238,3 +242,53 @@ def test_token_loops_close_at_root_along_edges(g, data):
             i += 1
             assert lp.walk[i] == b
         assert i == len(lp.walk) - 1
+
+
+# -- held deliveries -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def dense_case(request):
+    """random_graph(n, 3) at mean degree 263-287, the lowest-degree quarter
+    BOUNDARY, and every kernel's inputs."""
+    n = request.param
+    g = random_graph(n, 3, spread=5.5 * (n / 3000) ** 0.5)
+    deg = g.degrees()
+    assert deg.sum() > 12 * simkernel.CHUNK
+    classes = lowest_quarter(g)
+    member = classes == int(NodeClass.BOUNDARY)
+    return SimpleNamespace(g=g, deg=deg, member=member, threshold=int(deg[member].max()),
+                           mu_est=int(deg[g.ids].mean()), tree=convergetree.build_tree(g),
+                           fields=flood_fields(g, member),
+                           comps=boundary.form_components(g, classes))
+
+
+# each protocol kernel, with the ID-sized rows (or n-sized arrays: here IDs
+# are 1..n) that its state and one round's scratch hold at once
+KERNELS = {
+    "tree": (26, lambda c: convergetree.build_tree(c.g)),
+    "agg_max": (13, lambda c: convergetree.aggregate(c.g, c.tree, AggOp.MAX, c.deg)),
+    "agg_histogram": (17, lambda c: convergetree.aggregate(c.g, c.tree, AggOp.HISTOGRAM_MERGE,
+                                                           c.deg, 64)),
+    "broadcast_down": (8, lambda c: convergetree.broadcast_down(c.g, c.tree, (7, 8))),
+    "classify": (3, lambda c: boundary.classify(c.g, c.threshold)),
+    "component_flood": (15, lambda c: boundary._flood_components(c.g, c.member)),
+    "organisation": (6, lambda c: simkernel.run_protocol(
+        boundary._CompOrgRounds(c.g, c.member, *c.fields))),
+    "distance_flood": (8, lambda c: boundary.distance_flood(c.g, c.comps.comp_of, c.mu_est)),
+    "token_loops": (18, lambda c: boundary.run_token_loops(c.g, c.comps)),
+}
+
+
+@pytest.mark.parametrize("dense_case", [3000, 12000], indirect=True)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_holds_a_bounded_number_of_deliveries(dense_case, kernel):
+    # a round expands its deliveries about CHUNK at a time and settles each
+    # piece before the next, so a kernel holds a dozen CHUNK-sized arrays
+    # beyond its rows however many deliveries a round makes.  At n = 12,000
+    # a round in which every node broadcasts makes 3.4 M deliveries, 52
+    # such arrays in int64, and a copy of the graph's `indices` is 26 even
+    # in int32
+    rows, run = KERNELS[kernel]
+    _, peak = peak_chunks(lambda: run(dense_case))
+    row = (dense_case.g.max_id + 1) / simkernel.CHUNK
+    assert peak < 12 + rows * row, (kernel, peak, rows * row)

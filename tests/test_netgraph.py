@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def deployments(draw, min_size=1):
 def test_build_udg_matches_brute_force_property(dep):
     ids, pts, R = dep
     g = netgraph.build_udg((ids, pts), R=R)
-    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
     assert len(g.indptr) == int(ids.max()) + 2
     assert g.ids.tolist() == sorted(ids.tolist())
     want = brute_force_rows(ids, pts, R)
@@ -246,13 +247,15 @@ def test_edge_at_R_a_hair_beyond_R_in_x(monkeypatch):
 
 
 def test_int64_keys_past_65536_nodes():
-    # n * n > 2**32: the edge keys are int64 and fill the whole buffer of
-    # `indices`; a sparse deployment, checked against one whole-graph tree
+    # n * n > 2**32: the edge keys are int64, sorted in a buffer twice the
+    # length of the int32 `indices` that is cut back in place; a sparse
+    # deployment, checked against one whole-graph tree
     rng = Generator(Philox(13))
     n = 65_537
     pts = rng.random((n, 2)) * 300.0
     ids = 3 * rng.permutation(n) + 2
     g = netgraph.build_udg((ids, pts))
+    assert g.indices.dtype == np.int32 and g.indices.base is None
     pairs = cKDTree(pts).query_pairs(1.0, output_type="ndarray")
     want = np.sort(np.r_[ids[pairs[:, 0]] * 2**20 + ids[pairs[:, 1]],
                          ids[pairs[:, 1]] * 2**20 + ids[pairs[:, 0]]])
@@ -260,8 +263,9 @@ def test_int64_keys_past_65536_nodes():
     assert len(want) > n and np.array_equal(rows * 2**20 + g.indices, want)
 
 
-# sha256 of indptr.tobytes() and indices.tobytes(), with their lengths,
-# recorded from the two-key lexsort build the rank-packed sort replaced
+# sha256 of indptr.tobytes() and of indices as int64 bytes, with their
+# lengths, recorded from the two-key lexsort build the rank-packed sort
+# replaced, when `indices` was int64
 GRAPH_DIGESTS = {
     "annulus-13k": ("52fe372d24a1339eaeaadbd13361543ee12e5c15fff488a67e5d71a42a8cf609", 13002,
                     "db69e753b12b59d2600c6a6622dcba1208fa23ace3bdfda292ea30e7b5b20a8a", 2183618),
@@ -297,7 +301,31 @@ def pinned_deployment(name):
 def test_graph_digests_pinned(name):
     ids, pts, R = pinned_deployment(name)
     g = netgraph.build_udg((ids, pts), R=R)
-    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
     got = (hashlib.sha256(g.indptr.tobytes()).hexdigest(), len(g.indptr),
-           hashlib.sha256(g.indices.tobytes()).hexdigest(), len(g.indices))
+           hashlib.sha256(g.indices.astype(np.int64).tobytes()).hexdigest(), len(g.indices))
     assert got == GRAPH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("ids", [[1, 2**31], [2**31 + 5, 3], [0, 1], [4, 4]])
+def test_ids_out_of_range_raise_before_any_id_sized_array(ids):
+    # `indices` holds IDs as int32: an ID of 2**31 or more is refused
+    # before `indptr` or `positions`, 2**31 entries each, is made
+    pts = np.array([[0.0, 0.0], [0.5, 0.0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="unique integers"):
+            netgraph.build_udg((np.array(ids), pts))
+        with pytest.raises(ValueError, match="unique integers"):
+            netgraph.UnitDiskGraph(ids=np.sort(ids), xy=pts, R=1.0, indptr=np.zeros(3, np.int64),
+                                   indices=np.zeros(0, np.int32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_graph_built_by_hand_holds_int32_indices():
+    g = netgraph.UnitDiskGraph(ids=np.array([1, 2]), xy=np.zeros((3, 2)), R=1.0,
+                               indptr=np.array([0, 0, 1, 2]), indices=np.array([2, 1]))
+    assert g.indices.dtype == np.int32 and g.neighbors(1).tolist() == [2]
