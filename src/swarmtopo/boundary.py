@@ -169,12 +169,12 @@ class _ClassifyRounds(RoundKernel):
         return []
 
 
-def classify(g: UnitDiskGraph, threshold: int, max_rounds: int = 100_000,
+def classify(g: UnitDiskGraph, threshold: int,
              trace=None) -> tuple[np.ndarray, RunResult]:
     """Distributed B(alpha) rule: BOUNDARY iff degree <= threshold, one
     announcement per boundary node, hearers become NEAR_BOUNDARY."""
     kernel = _ClassifyRounds(g, threshold)
-    res = run_protocol(kernel, max_rounds, trace)
+    res = run_protocol(kernel, trace=trace)
     return kernel.cls, res
 
 

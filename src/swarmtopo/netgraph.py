@@ -131,6 +131,7 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
         np.multiply(ab, key(n), out=out)
         out += ab[::-1]
         at += ab.size
+        del out  # no view of the buffer may outlive `keys` (see the resize)
     # the pairs are distinct, so a plain sort orders the rows and each
     # row's neighbours; row r starts at its first key >= r * n
     keys.sort()
@@ -148,7 +149,7 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
         c = col[:min(step, E - lo)]
         np.remainder(keys[lo:lo + len(c)], key(n), out=c)
         np.take(ids32, c, out=indices[lo:lo + len(c)], mode="clip")
-    del keys
+    del keys  # the last view: resize's realloc may move the buffer
     indices.resize(E, refcheck=False)  # int64 keys: the second half goes back in place
 
     pos = np.zeros((m + 1, 2))

@@ -256,10 +256,12 @@ def dense_case(request):
     assert deg.sum() > 12 * simkernel.CHUNK
     classes = lowest_quarter(g)
     member = classes == int(NodeClass.BOUNDARY)
-    return SimpleNamespace(g=g, deg=deg, member=member, threshold=int(deg[member].max()),
-                           mu_est=int(deg[g.ids].mean()), tree=convergetree.build_tree(g),
-                           fields=flood_fields(g, member),
-                           comps=boundary.form_components(g, classes))
+    comps = boundary.form_components(g, classes)
+    assert sum(c.size for c in comps.components) == member.sum()
+    return SimpleNamespace(g=g, deg=deg, classes=classes, member=member,
+                           threshold=int(deg[member].max()), mu_est=int(deg[g.ids].mean()),
+                           tree=convergetree.build_tree(g), fields=flood_fields(g, member),
+                           comps=comps)
 
 
 # each protocol kernel, with the ID-sized rows (or n-sized arrays: here IDs
@@ -274,6 +276,11 @@ KERNELS = {
     "component_flood": (15, lambda c: boundary._flood_components(c.g, c.member)),
     "organisation": (6, lambda c: simkernel.run_protocol(
         boundary._CompOrgRounds(c.g, c.member, *c.fields))),
+    # the flood and the organisation together, as the pipeline calls them:
+    # the organisation's round 1 sends every member's JOIN to its
+    # non-member neighbours, most of a round's deliveries, and the whole
+    # call still holds no more than the bound itself
+    "form_components": (0, lambda c: boundary.form_components(c.g, c.classes)),
     "distance_flood": (8, lambda c: boundary.distance_flood(c.g, c.comps.comp_of, c.mu_est)),
     "token_loops": (18, lambda c: boundary.run_token_loops(c.g, c.comps)),
 }

@@ -406,7 +406,9 @@ def test_cli_failure_exit_codes(monkeypatch, tmp_path, capsys, exc, code, prefix
     (convergetree, "build_tree", "tree"),
     (convergetree, "aggregate", "agg_delta"),
     (convergetree, "broadcast_down", "flood_delta"),
-    (boundary, "classify", "classify"),
+    # classify takes no round limit and passes none to its driver, and it
+    # runs first of boundary's protocols: the driver gets the limit
+    (boundary, "run_protocol", "classify"),
     (boundary, "form_components", "components"),
     (boundary, "distance_flood", "distance_flood"),
     (boundary, "run_token_loops", "token_loops"))])
