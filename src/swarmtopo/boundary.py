@@ -60,7 +60,6 @@ class NodeClass(enum.IntEnum):
 class DensityEstimate:
     mu_est: int
     delta: int
-    mu_analytic: float | None = None
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def _bin_representatives(delta: int, bins: int) -> np.ndarray:
     return np.floor((lo + hi) / 2 + 0.5)
 
 
-def estimate_mu(hist: DegreeHistogram, mu_analytic: float | None = None) -> DensityEstimate:
+def estimate_mu(hist: DegreeHistogram) -> DensityEstimate:
     """Modal neighborhood size, restricted to bins above delta/2.
 
     The degree census overlays an interior peak near the unconstrained mean
@@ -137,8 +136,7 @@ def estimate_mu(hist: DegreeHistogram, mu_analytic: float | None = None) -> Dens
         raise DegenerateHistogram("all histogram mass at or below delta/2")
     cand = np.where(eligible, hist.counts, -1)
     best = len(cand) - 1 - int(np.argmax(cand[::-1]))
-    return DensityEstimate(mu_est=int(reps[best]), delta=hist.delta,
-                           mu_analytic=mu_analytic)
+    return DensityEstimate(mu_est=int(reps[best]), delta=hist.delta)
 
 
 # --------------------------------------------------------------------------
@@ -726,7 +724,7 @@ class _TokenRounds(RoundKernel):
         self.held: dict[int, tuple[int, int]] = {}  # holder -> (last seq, countdown)
         self.closed: set[int] = set()
         self.passes: list[_Pass] = []
-        self.out: dict = {}  # kind -> the round's (senders, count, payload key) batches
+        self.out: dict = {}  # kind -> the round's (senders, count) batches
 
     def step(self, rnd: int) -> list:
         self.out = {}
@@ -741,16 +739,15 @@ class _TokenRounds(RoundKernel):
             elif d == 2:
                 self._ask_far(p)
             elif d == 3:
-                cand, _, _, via = p.replies[1]
-                self._send(K_TRF, via, cand)
+                self._send(K_TRF, p.replies[1][3])  # the relays, in ascending cand
             elif d == 4:
                 self._decide(p)
             elif d == 5 and p.succ:
-                self._send(K_TCF, p.nbrs, p.holder)
+                self._send(K_TCF, p.nbrs)
                 cand = p.replies[0][0]
                 self.mark[cand[(cand != p.succ) & (cand != p.comp)]] = p.seq
             elif d == 5 and p.back and p.via:
-                self._send(K_TBF, p.via, p.comp)
+                self._send(K_TBF, p.via)
             elif d == 6 and p.succ:
                 cand, _, _, via = p.replies[1]
                 out = (cand != p.succ) & (cand != p.comp)
@@ -763,25 +760,23 @@ class _TokenRounds(RoundKernel):
         self.passes = [p for p in self.passes if rnd - p.q < 6]
         # the holders between their query and their decision
         self.wake = np.array(sorted(p.holder for p in self.passes if rnd - p.q < 4), dtype=np.int64)
-        batches = []
-        for kind, parts in self.out.items():
-            s, count, key = (np.concatenate(x) for x in zip(*parts))
-            order = np.lexsort((key, s))  # a sender's messages of one kind in payload order
-            batches.append((kind, s[order], count[order]))
-        return batches
+        # the batches keep the passes' order, by component, and a relay's
+        # K_TRF its replies' ascending cand, so a sender's messages of one
+        # kind come in payload order wherever their sizes differ
+        return [(kind, *(np.concatenate(x) for x in zip(*parts)))
+                for kind, parts in self.out.items()]
 
-    def _send(self, kind: Kind, senders, key, count: int = 0) -> None:
+    def _send(self, kind: Kind, senders, count: int = 0) -> None:
         s = np.atleast_1d(senders)
-        self.out.setdefault(kind, []).append(
-            (s, np.full(len(s), count), np.broadcast_to(key, s.shape)))
+        self.out.setdefault(kind, []).append((s, np.full(len(s), count)))
 
     def _start(self, comp, h, seq, steps, undo, rnd) -> None:
         self.held[h] = (seq, steps)
         nbrs = self.indices[self.indptr[h]:self.indptr[h + 1]].astype(np.int64)
         self.passes.append(_Pass(comp, h, seq, rnd, steps, undo, nbrs))
-        self._send(K_TQ, h, comp, len(nbrs))
+        self._send(K_TQ, h, len(nbrs))
         if undo:
-            self._send(K_TRB, h, comp)
+            self._send(K_TRB, h)
 
     def _eligible(self, v: np.ndarray, comp: int) -> np.ndarray:
         return (self.comp_of[v] == comp) & ((self.mark[v] != -1) | (v == comp))
@@ -789,14 +784,14 @@ class _TokenRounds(RoundKernel):
     def _reply(self, p: _Pass, cand, score, via) -> None:
         excl = ((self.mark[cand] != 0) & (cand != p.comp)).astype(np.int64)
         p.replies.append((cand, score, excl, via))
-        self._send(K_TR, cand, p.comp)
+        self._send(K_TR, cand)
 
     def _undo(self, p: _Pass, v: np.ndarray) -> None:
         self.mark[v[(self.mark[v] == p.undo) & (self.comp_of[v] == p.comp)]] = 0
 
     def _ask(self, p: _Pass) -> None:
         nb = p.nbrs
-        self._send(K_TQF, nb, p.comp, len(nb))
+        self._send(K_TQF, nb, len(nb))
         # one pass over the neighbours' rows gives every score: c's count of
         # rows, cleared after reading, and its first delivery, from its
         # smallest common neighbour
@@ -810,7 +805,7 @@ class _TokenRounds(RoundKernel):
         self._reply(p, u, self.hits[u], np.zeros_like(u))
         self.hits[ring] = 0
         if p.undo:
-            self._send(K_TRBF, nb, p.comp)
+            self._send(K_TRBF, nb)
             self._undo(p, nb)
 
     def _ask_far(self, p: _Pass) -> None:
@@ -831,14 +826,14 @@ class _TokenRounds(RoundKernel):
                 i = np.flatnonzero(pick)
                 j = i[np.lexsort((cand[i], score[i]))[0]]
                 p.succ, p.via = int(cand[j]), int(via[j])
-                self._send(K_TC, p.holder, p.comp)
+                self._send(K_TC, p.holder)
                 return
         if p.holder not in self.prev:  # the root, out of candidates
             if self.sizes[p.holder] <= 1:
                 self.closed.add(p.holder)
             return
         p.back, p.via = self.prev[p.holder]
-        self._send(K_TB, p.holder, p.comp)
+        self._send(K_TB, p.holder)
 
     def _take(self, p: _Pass, rnd: int) -> None:
         s = p.succ

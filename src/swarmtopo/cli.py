@@ -266,7 +266,7 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     hist_counts, _ = protocol("agg_histogram", convergetree.aggregate, g, tree,
                               convergetree.AggOp.HISTOGRAM_MERGE, deg, bins)
     hist = netgraph.DegreeHistogram(bins, np.array(hist_counts, dtype=np.int64), delta_val)
-    density = boundary.estimate_mu(hist, mu_analytic=mu_an)
+    density = boundary.estimate_mu(hist)
 
     sweep = None
     if config.alpha == "sweep":

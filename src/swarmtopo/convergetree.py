@@ -8,8 +8,9 @@ children have reported; the root then floods DONE down, so every node
 learns both n and the completion round.  Global values then travel on the
 tree: `aggregate` convergecasts them up it, and `broadcast_down` sends the
 root's value back down it, re-sent only by nodes with children.  Both
-take only a tree that spans the graph over graph edges, as TAG's
-convergecast assumes, and raise `NotSpanningTree` on any other.
+assume a tree that spans the graph over graph edges, as TAG's convergecast
+does, and `TreeBuild` is only ever such a tree: it is checked once, where
+it is made, and raises `NotSpanningTree` otherwise.
 
 All three protocols run as array round kernels (`simkernel.RoundKernel`):
 each round is a few numpy gathers and scatter reductions (`ufunc.at`)
@@ -19,11 +20,12 @@ The tree tests "every neighbour announces my root" on a running sum of
 the roots each node's neighbours announced, never by rescanning
 adjacency rows.
 
-The finished tree is `TreeBuild`: the kernel's ID-indexed arrays (parent,
-subtree size, learned n, completion round) and the root.  `aggregate`,
-`broadcast_down` and `check_tree` read these arrays.  `TreeBuild.states`
-is a view over them that builds a node's `TreeState`, with its children,
-only when that node is read; perfbench's tree checks read it.
+The finished tree is `TreeBuild`: its graph, the kernel's ID-indexed
+arrays (parent, subtree size, learned n, completion round), read-only once
+checked, and the root.  `aggregate`, `broadcast_down` and `check_tree`
+read these arrays.  `TreeBuild.states` is a view over them that builds a
+node's `TreeState`, with its children, only when that node is read;
+perfbench's tree checks read it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ K_VAL = Kind("val", 5, (), ("value",))               # a value broadcast down th
 
 
 class NotSpanningTree(ValueError):
-    """A tree wave's tree has a non-graph edge or leaves nodes out (a cycle, a second root)."""
+    """A tree has a non-graph edge or leaves nodes out (a cycle, a second
+    root), or a tree wave was given another graph's tree."""
 
 
 class GraphDisconnected(RuntimeError):
@@ -79,18 +82,41 @@ class TreeState:
     completion_round: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeBuild:
-    """The tree as the kernel leaves it, in ID-indexed arrays: `parent` (0
-    at the root and at unused IDs), `subtree` (v's subtree size at its
-    report), `n_total` (the n that v learned) and `completion` (the round
-    v completed in, -1 at unused IDs)."""
+    """A spanning tree of `g` as the kernel leaves it, in ID-indexed
+    arrays: `parent` (0 at the root and at unused IDs), `subtree` (v's
+    subtree size at its report), `n_total` (the n that v learned) and
+    `completion` (the round v completed in, -1 at unused IDs).
+
+    It is made only if every tree edge is a graph edge and every node
+    reaches `root_id`, else it raises `NotSpanningTree`; the four arrays
+    are then read-only, so `build_tree` and `dataclasses.replace` give
+    only checked trees."""
+    g: UnitDiskGraph
     parent: np.ndarray
     subtree: np.ndarray
     n_total: np.ndarray
     completion: np.ndarray
     root_id: int
     result: RunResult
+
+    def __post_init__(self):
+        g, parent, root = self.g, self.parent, self.root_id
+        kids = g.ids[parent[g.ids] != 0]
+        if not has_edges(g, parent[kids], kids).all():
+            raise NotSpanningTree("tree edge is not a graph edge")
+        # pointer doubling: after k squarings each node points 2**k steps
+        # up, stopping at the root, so a node off the root's tree never
+        # reaches it; a `root_id` with a parent is no root, and nothing reaches it
+        up = parent.copy()
+        up[root] = root if parent[root] == 0 else 0
+        for _ in range(g.n.bit_length()):
+            up = up[up]
+        if (spans := int((up[g.ids] == root).sum())) != g.n:
+            raise NotSpanningTree(f"tree spans {spans} of {g.n} nodes")
+        for a in (parent, self.subtree, self.n_total, self.completion):
+            a.flags.writeable = False
 
     @functools.cached_property
     def states(self) -> "TreeStates":
@@ -161,7 +187,8 @@ class _TreeRounds(RoundKernel):
     nbsum[v] == deg(v) * root[v].  The rule's inputs change only at a node
     that hears a STATE or a child's REPORT, so checking every node that
     has not reported under its root each round finds the nodes that
-    report; a node that is done has reported under its final root.
+    report; a node that is done (`completion` >= 0) has reported under its
+    final root, and has children if its subtree counts more than itself.
     """
 
     def __init__(self, g: UnitDiskGraph):
@@ -171,9 +198,7 @@ class _TreeRounds(RoundKernel):
         self.root = np.arange(size, dtype=np.int64)
         self.parent = np.zeros(size, dtype=np.int64)
         self.reported = np.zeros(size, dtype=np.int64)  # root of the last report
-        self.subtree = np.ones(size, dtype=np.int64)
-        self.n_children = np.zeros(size, dtype=np.int64)  # at v's last report
-        self.done = np.zeros(size, dtype=bool)
+        self.subtree = np.ones(size, dtype=np.int64)  # at v's last report
         self.n_total = np.zeros(size, dtype=np.int64)
         self.completion = np.full(size, -1, dtype=np.int64)
         # the last STATE heard from each node; a node that has announced
@@ -222,7 +247,6 @@ class _TreeRounds(RoundKernel):
         ids, deg = self.ids, self.deg
         lone = ids[deg == 0]
         self.reported[lone] = lone
-        self.done[lone] = True
         self.completion[lone] = 0
         self.n_total[lone] = 1
         talk = ids[deg > 0]
@@ -233,7 +257,7 @@ class _TreeRounds(RoundKernel):
         return {K_STATE: new}
 
     def _settle(self, rnd: int, msgs: dict) -> dict:
-        root, done, parent = self.root, self.done, self.parent
+        root, parent = self.root, self.parent
         out = {}
         done_out = []
         self.wake = self.wake[:0]
@@ -263,10 +287,9 @@ class _TreeRounds(RoundKernel):
         if K_DONE in msgs:
             s = msgs[K_DONE]
             v = self.deliveries(s, s, keep=lambda v, s: parent[v] == s)[0]
-            done[v] = True
             self.completion[v] = rnd
             self.n_total[v] = self.n_total[parent[v]]
-            done_out.append(v[self.n_children[v] > 0])
+            done_out.append(v[self.subtree[v] > 1])
 
         # a node with a child that has not reported under the child's root
         # fails the rule whatever that root is
@@ -276,17 +299,15 @@ class _TreeRounds(RoundKernel):
                   & (self.nbsum[ids] == self.deg * root[ids])]
         if len(rep):
             # every child has reported; the children are every node naming v
-            self.n_children[rep] = np.bincount(kid_of, minlength=self.size)[rep]
             sizes = 1 + np.bincount(kid_of, weights=self.subtree[ids],
                                     minlength=self.size)[rep].astype(np.int64)
             self.subtree[rep] = sizes
             self.reported[rep] = root[rep]
             is_root = root[rep] == rep
             top = rep[is_root]
-            done[top] = True
             self.completion[top] = rnd
             self.n_total[top] = self.subtree[top]
-            done_out.append(top[self.n_children[top] > 0])
+            done_out.append(top[self.subtree[top] > 1])
             out[K_REPORT] = rep[~is_root]
 
         if done_out:
@@ -309,13 +330,13 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
     kernel = _TreeRounds(g)
     result = run_protocol(kernel, max_rounds, trace)
     ids = g.ids
-    undone = ids[~kernel.done[ids]]
+    undone = ids[kernel.completion[ids] < 0]
     if len(undone):
         raise RuntimeError(f"tree build ended without completion at node {undone[0]}")
     roots = ids[kernel.parent[ids] == 0]
     if len(roots) > 1:
         raise GraphDisconnected(g.n, len(roots))
-    return TreeBuild(parent=kernel.parent, subtree=kernel.subtree, n_total=kernel.n_total,
+    return TreeBuild(g=g, parent=kernel.parent, subtree=kernel.subtree, n_total=kernel.n_total,
                      completion=kernel.completion, root_id=int(roots[-1]), result=result)
 
 
@@ -368,21 +389,10 @@ def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray,
     return np.zeros_like(own), own, 1
 
 
-def _edges_in_graph(g: UnitDiskGraph, parent: np.ndarray) -> bool:
-    """Whether each tree edge is a graph edge, so both its ends hear each other."""
-    kids = g.ids[parent[g.ids] != 0]
-    return bool(has_edges(g, parent[kids], kids).all())
-
-
-def _run_wave(g: UnitDiskGraph, kernel, max_rounds: int, trace) -> RunResult:
-    """Run tree wave `kernel` along its `parent` tree; `kernel.spanned(res)`
-    counts the nodes it covered."""
-    if not _edges_in_graph(g, kernel.parent):
-        raise NotSpanningTree("tree edge is not a graph edge")
-    res = run_protocol(kernel, max_rounds, trace)
-    if (k := kernel.spanned(res)) != g.n:
-        raise NotSpanningTree(f"tree spans {k} of {g.n} nodes")
-    return res
+def _check_graph(g: UnitDiskGraph, tree: TreeBuild) -> None:
+    """A tree wave over `g` runs on a tree of `g`: `tree` spans its own graph."""
+    if tree.g is not g:
+        raise NotSpanningTree("tree is over another graph")
 
 
 def _row_slices(count: int, cols: int) -> list[slice]:
@@ -431,12 +441,12 @@ class _AggRounds(RoundKernel):
     whose children are all leaves sends in round 0.  A node with a row
     sends that row."""
 
-    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values, bins: int):
-        super().__init__(g)
-        col, val, cols = _agg_inputs(g, op, values, bins)
+    def __init__(self, tree: TreeBuild, op: AggOp, values, bins: int):
+        super().__init__(tree.g)
+        col, val, cols = _agg_inputs(tree.g, op, values, bins)
         self.combine = np.maximum if op is AggOp.MAX else np.add
         self.windowed = op is AggOp.HISTOGRAM_MERGE
-        self.parent, self.root, ids = tree.parent, tree.root_id, self.ids
+        self.parent, ids = tree.parent, self.ids
         self.pending = np.bincount(self.parent[ids], minlength=self.size)
         inner = (self.pending[ids] > 0) | (self.parent[ids] == 0)
         self.rows = ids[inner]
@@ -450,17 +460,6 @@ class _AggRounds(RoundKernel):
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         return self.parent[senders]
-
-    def spanned(self, res: RunResult) -> int:
-        """The nodes the wave covered: the root, every sender and every
-        silent leaf whose parent sent or is the root.  A node with a parent
-        sent once it held every child's value."""
-        covered = res.ledger.total_broadcasts + 1
-        if self.windowed:
-            par = self.parent[self.leaves]
-            sent = (self.pending[par] == 0) & (self.parent[par] != 0)
-            covered += int(((par == self.root) | sent).sum())
-        return covered
 
     def _take(self, kid: np.ndarray, leaves: bool) -> np.ndarray:
         """The parents of `kid` combine what they sent, a leaf its own entry
@@ -508,11 +507,11 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
     as `K_AGG_HIST` (lo, c_lo, ..., c_hi).  A parent heard each leaf
     child's value in the MAX convergecast and holds δ, so it bins its
     leaves itself, and leaves send nothing.  Other inputs raise
-    ValueError; a tree that does not span the graph over graph edges
-    raises `NotSpanningTree`.
+    ValueError; another graph's tree raises `NotSpanningTree`.
     """
-    kernel = _AggRounds(g, tree, op, values, bins)
-    res = _run_wave(g, kernel, max_rounds, trace)
+    _check_graph(g, tree)
+    kernel = _AggRounds(tree, op, values, bins)
+    res = run_protocol(kernel, max_rounds, trace)
     return tuple(kernel.acc[kernel.row(tree.root_id)].tolist()), res
 
 
@@ -522,8 +521,8 @@ class _DownRounds(RoundKernel):
     child re-broadcasts it, once, in the round it takes it; a leaf, or a
     root without children, sends nothing."""
 
-    def __init__(self, g: UnitDiskGraph, tree: TreeBuild, width: int):
-        super().__init__(g)
+    def __init__(self, tree: TreeBuild, width: int):
+        super().__init__(tree.g)
         self.width = width
         self.parent = tree.parent
         self.has_kids = np.bincount(tree.parent, minlength=self.size) > 0
@@ -533,10 +532,6 @@ class _DownRounds(RoundKernel):
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         return self.deliveries(senders, senders, keep=lambda v, s: self.parent[v] == s)[0]
-
-    def spanned(self, res: RunResult) -> int:
-        """The nodes that hold the value."""
-        return int(self.got[self.ids].sum())
 
     def step(self, rnd: int) -> list:
         if rnd:
@@ -553,39 +548,25 @@ def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
                    max_rounds: int = 100_000, trace=None) -> tuple[tuple, RunResult]:
     """Broadcast a value down the tree from its root as `K_VAL`; each node
     with children re-broadcasts it once.  Returns the value, as a tuple of
-    ints, which every node then holds; a tree that does not span the graph
-    over graph edges raises `NotSpanningTree`."""
+    ints, which every node then holds; another graph's tree raises
+    `NotSpanningTree`."""
     value = tuple(int(x) for x in value)
-    kernel = _DownRounds(g, tree, len(value))
-    res = _run_wave(g, kernel, max_rounds, trace)
+    _check_graph(g, tree)
+    kernel = _DownRounds(tree, len(value))
+    res = run_protocol(kernel, max_rounds, trace)
     return value, res
 
 
 def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
-    """Oracle-side sanity: one root, the largest ID; tree edges are graph
-    edges; every node reaches the root; the root learned n; and the
+    """Oracle-side sanity of a tree, which spans `g` over graph edges (see
+    `TreeBuild`): the root is the largest ID, the root learned n, and the
     in-protocol completion round equals the driver's quiescence round."""
-    ids, parent = g.ids, build.parent
-    roots = ids[parent[ids] == 0]
-    if len(roots) != 1:
-        raise AssertionError(f"expected exactly one root, got {roots[:5].tolist()}")
-    root = int(roots[0])
+    root = build.root_id
     if root != g.max_id:
         raise AssertionError("root is not the global max ID")
-    if not _edges_in_graph(g, parent):
-        raise AssertionError("tree edge is not a graph edge")
-    # pointer doubling: after k squarings each node points 2**k steps up,
-    # stopping at the root, so a node off the root's tree never reaches it
-    up = parent.copy()
-    up[root] = root
-    for _ in range(g.n.bit_length()):
-        up = up[up]
-    spanned = int((up[ids] == root).sum())
-    if spanned != g.n:
-        raise AssertionError(f"tree spans {spanned} of {g.n} nodes")
     if build.subtree[root] != g.n or build.n_total[root] != g.n:
         raise AssertionError("root did not learn n")
-    last_completion = int(build.completion[ids].max())
+    last_completion = int(build.completion[g.ids].max())
     if last_completion != build.result.rounds_used - 1:
         raise AssertionError(
             f"protocol completion round {last_completion} != driver "

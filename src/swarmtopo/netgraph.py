@@ -44,11 +44,10 @@ class UnitDiskGraph:
     for oracles only -- protocol code must not read it.
     """
 
-    def __init__(self, ids: np.ndarray, xy: np.ndarray, R: float,
-                 indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, ids: np.ndarray, xy: np.ndarray, indptr: np.ndarray,
+                 indices: np.ndarray):
         _check_ids(ids)
         self.n = len(ids)
-        self.R = R
         self.ids = ids  # sorted
         self.max_id = int(ids[-1])
         self.positions = xy  # row v = position of node id v
@@ -91,8 +90,9 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
     trees keep the memory of a query small.
 
     Each directed edge is packed as rank(u) * n + rank(v), with ranks in ID
-    order (uint32 when n * n fits, else int64), and one sort of these keys
-    gives the CSR rows: O(E log E) for E edges.  The keys are sorted in the
+    order: the strips keep their pairs' ranks as uint32, and the keys are
+    uint32 when n * n fits, else int64.  One sort of these keys gives the
+    CSR rows: O(E log E) for E edges.  The keys are sorted in the
     buffer of the int32 `indices`, which for int64 keys is made twice as
     long and cut back in place, so the build holds no second array of E
     keys.  The result is independent of input order (rows are ascending).
@@ -110,7 +110,7 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
     key = np.uint32 if n * n <= 2**32 else np.int64  # keys are below n * n
     by_x = np.argsort(xy[:, 0], kind="stable")
     sxy = xy[by_x]  # x order: strip s is rows s..s + STRIP of sxy
-    by_x = by_x.astype(key)
+    by_x = by_x.astype(np.uint32)  # ranks, below n < 2**31 whatever the key
     reach = R * (1 + 1e-9)
     ends: list[np.ndarray] = []  # per strip, (2, pairs) ranks of the two ends
     for s in range(0, n, STRIP):
@@ -154,7 +154,7 @@ def build_udg(positions: tuple[np.ndarray, np.ndarray], R: float = 1.0) -> UnitD
 
     pos = np.zeros((m + 1, 2))
     pos[ids] = xy
-    return UnitDiskGraph(ids=ids, xy=pos, R=R, indptr=indptr, indices=indices)
+    return UnitDiskGraph(ids=ids, xy=pos, indptr=indptr, indices=indices)
 
 
 def csr_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

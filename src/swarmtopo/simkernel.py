@@ -31,6 +31,7 @@ import numpy as np
 from .netgraph import UnitDiskGraph
 
 CHUNK = 1 << 16  # deliveries a kernel expands at once (`RoundKernel.deliveries`)
+STUCK_NAMES = 64  # nodes the round-limit report names, lowest IDs first
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,11 @@ class RoundKernel:
     def waiting(self, senders: np.ndarray) -> np.ndarray:
         """The nodes that would act on what `senders` broadcast: every graph
         receiver, unless a kernel listens only along some of its edges.
-        By default the stuck report names every graph receiver, also one
-        that ignores the kind it was sent."""
-        return self.deliveries(senders)[0]
+        By default every graph receiver counts, also one that ignores the
+        kind it was sent; only each piece's STUCK_NAMES lowest are kept,
+        as the report names no more."""
+        return self.deliveries(
+            senders, keep=lambda v: np.unique(v, return_index=True)[1][:STUCK_NAMES])[0]
 
     def step(self, rnd: int) -> list:
         raise NotImplementedError
@@ -207,15 +210,15 @@ def first_hits(v: np.ndarray, row: np.ndarray) -> np.ndarray:
 def run_protocol(kernel: RoundKernel, max_rounds: int = 100_000, trace=None) -> RunResult:
     """Step `kernel` to quiescence: the first round in which nothing is
     sent and no node waits on a timer (it still counts).  Raises
-    RoundLimitExceeded naming up to 64 nodes, lowest IDs first, that still
-    have deliveries to act on (`waiting`) or wait on a timer."""
+    RoundLimitExceeded naming up to STUCK_NAMES nodes, lowest IDs first,
+    that still have deliveries to act on (`waiting`) or wait on a timer."""
     start = time.perf_counter()
     ledger = CostLedger()
     rounds_used = 0
     senders = np.empty(0, dtype=np.int64)
     while True:
         if rounds_used >= max_rounds:
-            waiting = np.union1d(kernel.waiting(senders), kernel.wake)[:64].tolist()
+            waiting = np.union1d(kernel.waiting(senders), kernel.wake)[:STUCK_NAMES].tolist()
             raise RoundLimitExceeded(rounds_used, {v: kernel.state_name(v) for v in waiting})
         rnd = rounds_used
         sent = [b for b in kernel.step(rnd) if len(b[1])]

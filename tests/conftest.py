@@ -52,7 +52,7 @@ def star_graph(center, leaves):
         for u in sorted(rows.get(v, [])):
             indices.append(u)
         indptr.append(len(indices))
-    return netgraph.UnitDiskGraph(ids=ids, xy=np.zeros((m + 1, 2)), R=1.0,
+    return netgraph.UnitDiskGraph(ids=ids, xy=np.zeros((m + 1, 2)),
                                   indptr=np.array(indptr),
                                   indices=np.array(indices, dtype=np.int64))
 

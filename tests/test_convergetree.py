@@ -58,10 +58,11 @@ def test_tree_invariants_random(seed):
 
 
 def test_tree_memory_follows_nodes_not_ids():
-    # 200 nodes under IDs up to 10**7.  The kernel's ten ID-indexed int64
-    # state rows (and one bool row) are the floor; a round settles over its
-    # deliveries and a few passes over the rows, so each further ID-sized
-    # array kept or made per round counts against the bound
+    # 200 nodes under IDs up to 10**7.  The kernel's nine ID-indexed int64
+    # state rows are the floor; a round settles over its deliveries and a
+    # few passes over the rows, and the tree's check makes two copies of
+    # `parent`, so each further ID-sized array kept or made counts against
+    # the bound
     g = random_graph(200, 11, id_span=10**7)
     tracemalloc.start()
     try:
@@ -71,32 +72,62 @@ def test_tree_memory_follows_nodes_not_ids():
         tracemalloc.stop()
     convergetree.check_tree(g, build)
     id_array = 8 * (g.max_id + 1)
-    assert peak < 13 * id_array, peak / id_array
+    assert peak < 12 * id_array, peak / id_array
 
 
-def _edited_path_tree(field, v, value):
-    """The tree of the path 1-2-3-4 (root 4, chain 4-3-2-1), with entry v
-    of its array `field` set to value."""
-    g = graph_from([(0, 0), (0.9, 0), (1.8, 0), (2.7, 0)])
+def _path_tree(k):
+    """The path 1-2-...-k and its tree (root k, chain k-...-2-1)."""
+    g = graph_from([(0.9 * i, 0) for i in range(k)])
     build = convergetree.build_tree(g)
     convergetree.check_tree(g, build)
+    return g, build
+
+
+def _edited(build, field, v, value):
+    """`build` with entry v of its array `field` set to value."""
     arr = getattr(build, field).copy()
     arr[v] = value
-    return g, dataclasses.replace(build, **{field: arr})
+    return dataclasses.replace(build, **{field: arr})
 
 
-@pytest.mark.parametrize("field, v, value, message", [
+@pytest.mark.parametrize("field, v, value, error, message", [
     # 1 hangs off 3, 1.8 apart
-    ("parent", 1, 3, "tree edge is not a graph edge"),
+    ("parent", 1, 3, convergetree.NotSpanningTree, "tree edge is not a graph edge"),
     # 2 -> 1 -> 2: both are graph edges, but neither node reaches the root
-    ("parent", 2, 1, "tree spans 2 of 4 nodes"),
-    ("completion", 1, 99, "protocol completion round"),
-    ("n_total", 4, 3, "root did not learn n"),
+    ("parent", 2, 1, convergetree.NotSpanningTree, "tree spans 2 of 4 nodes"),
+    ("completion", 1, 99, AssertionError, "protocol completion round"),
+    ("n_total", 4, 3, AssertionError, "root did not learn n"),
 ], ids=["non-graph-edge", "not-spanning", "completion-round", "root-n-total"])
-def test_check_tree_rejects_edited_tree(field, v, value, message):
-    g, build = _edited_path_tree(field, v, value)
-    with pytest.raises(AssertionError, match=message):
-        convergetree.check_tree(g, build)
+def test_check_tree_rejects_edited_tree(field, v, value, error, message):
+    # an edit that leaves no spanning tree over graph edges cannot make a
+    # TreeBuild at all, so neither check_tree nor a tree wave ever sees it;
+    # check_tree refuses the others
+    g, build = _path_tree(4)
+    with pytest.raises(error, match=message):
+        convergetree.check_tree(g, _edited(build, field, v, value))
+
+
+@pytest.mark.parametrize("v, value, spans", [(3, 2, 2), (2, 0, 3), (5, 4, 0)],
+                         ids=["cycle", "second-root", "root-with-parent"])
+def test_tree_build_refuses_a_cycle_or_a_second_root(v, value, spans):
+    # the path 1-2-3-4-5 (root 5) with 3 -> 2 -> 3, with 2 a second root,
+    # or with the root hanging off 4: only the root and the nodes on its
+    # side of the edit reach it
+    _, build = _path_tree(5)
+    with pytest.raises(convergetree.NotSpanningTree, match=f"tree spans {spans} of 5 nodes"):
+        _edited(build, "parent", v, value)
+
+
+def test_tree_arrays_are_read_only():
+    # a checked tree stays checked: its arrays cannot be edited in place,
+    # nor its fields rebound
+    _, build = _path_tree(4)
+    for field in ("parent", "subtree", "n_total", "completion"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(build, field)[1] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        build.parent = np.zeros(5, dtype=np.int64)
+    assert build.parent.tolist() == [0, 2, 3, 4, 0]
 
 
 def test_aggregate_max_equals_oracle():
@@ -208,34 +239,17 @@ def test_broadcast_down_rounds_on_path():
     assert res.ledger.total_broadcasts == 5
 
 
-def test_tree_waves_reject_a_tree_that_does_not_span_over_graph_edges():
-    # check_tree's two structural edits of the path tree: every wave raises.
-    # In the cycle, 3 is a leaf of the root: a silent histogram leaf there
-    # is covered, and the cycle is not
-    for v, value, message in (
-            (1, 3, "tree edge is not a graph edge"),  # 1 hangs off 3, 1.8 apart
-            (2, 1, "tree spans 2 of 4 nodes")):       # 2 -> 1 -> 2, off the root's tree
-        g, build = _edited_path_tree("parent", v, value)
-        for op in AggOp:
-            with pytest.raises(convergetree.NotSpanningTree, match=message):
-                convergetree.aggregate(g, build, op, g.degrees() % 2, 2)
-        with pytest.raises(convergetree.NotSpanningTree, match=message):
-            convergetree.broadcast_down(g, build, (5,))
-
-
-@pytest.mark.parametrize("v, value, spans", [(3, 2, 2), (2, 0, 3)],
-                         ids=["cycle", "second-root"])
-def test_histogram_covers_a_silent_leaf_only_under_a_parent_that_sent(v, value, spans):
-    # the path 1-2-3-4-5 (root 5) with 3 -> 2 -> 3, or with 2 a second
-    # root: leaf 1 hangs off 2, which never sends, so it is not covered;
-    # the root and the nodes on its side are
-    g = graph_from([(0.9 * i, 0) for i in range(5)])
-    build = convergetree.build_tree(g)
-    parent = build.parent.copy()
-    parent[v] = value
-    build = dataclasses.replace(build, parent=parent)
-    with pytest.raises(convergetree.NotSpanningTree, match=f"tree spans {spans} of 5 nodes"):
-        convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, np.zeros(6, dtype=np.int64), 1)
+def test_tree_waves_refuse_another_graphs_tree():
+    # the same points built again make an equal graph, but not the one the
+    # tree was checked over: every wave refuses the tree before it runs
+    g, build = _path_tree(4)
+    twin = graph_from([(0.9 * i, 0) for i in range(4)])
+    for op in AggOp:
+        with pytest.raises(convergetree.NotSpanningTree, match="tree is over another graph"):
+            convergetree.aggregate(twin, build, op, g.degrees() % 2, 2)
+    with pytest.raises(convergetree.NotSpanningTree, match="tree is over another graph"):
+        convergetree.broadcast_down(twin, build, (5,))
+    assert convergetree.broadcast_down(g, build, (5,))[0] == (5,)
 
 
 def test_histogram_of_a_star_at_its_root_sends_nothing():

@@ -299,3 +299,25 @@ def test_kernel_holds_a_bounded_number_of_deliveries(dense_case, kernel):
     _, peak = peak_chunks(lambda: run(dense_case))
     row = (dense_case.g.max_id + 1) / simkernel.CHUNK
     assert peak < 12 + rows * row, (kernel, peak, rows * row)
+
+
+@pytest.mark.parametrize("dense_case", [12000], indirect=True)
+@pytest.mark.parametrize("kernel, max_rounds", [("tree", 3), ("distance_flood", 2)])
+def test_round_limit_report_holds_a_bounded_number_of_deliveries(dense_case, kernel, max_rounds):
+    # a kernel stopped by its round limit names the lowest receivers of
+    # its last round's broadcasts; it keeps only each piece's
+    # STUCK_NAMES lowest, so the report stays under its full run's bound
+    c = dense_case
+    run = {"tree": lambda: convergetree.build_tree(c.g, max_rounds=max_rounds),
+           "distance_flood": lambda: boundary.distance_flood(c.g, c.comps.comp_of, c.mu_est,
+                                                             max_rounds=max_rounds)}[kernel]
+
+    def stuck():
+        with pytest.raises(simkernel.RoundLimitExceeded) as e:
+            run()
+        return e.value
+
+    err, peak = peak_chunks(stuck)
+    assert err.rounds == max_rounds and len(err.stuck) == simkernel.STUCK_NAMES
+    rows = KERNELS[kernel][0] * (c.g.max_id + 1) / simkernel.CHUNK
+    assert peak < 12 + rows, (kernel, peak, rows)

@@ -263,6 +263,25 @@ def test_int64_keys_past_65536_nodes():
     assert len(want) > n and np.array_equal(rows * 2**20 + g.indices, want)
 
 
+def test_int64_key_build_memory_follows_edges():
+    # past 65,536 nodes the keys are int64: 8 bytes a directed edge in the
+    # buffer of `indices`.  The strips' pairs hold their ends' ranks as
+    # uint32, 4 bytes more; with int64 ranks they would be 8, and the peak
+    # over 16 bytes a directed edge.  Mean degree about 60
+    rng = Generator(Philox(13))
+    n = 70_000
+    pts = rng.random((n, 2)) * 60.0
+    tracemalloc.start()
+    try:
+        g = netgraph.build_udg((rng.permutation(n) + 1, pts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    E = len(g.indices)
+    assert E > 50 * n
+    assert peak < 14 * E, peak / E
+
+
 # sha256 of indptr.tobytes() and of indices as int64 bytes, with their
 # lengths, recorded from the two-key lexsort build the rank-packed sort
 # replaced, when `indices` was int64
@@ -317,7 +336,7 @@ def test_ids_out_of_range_raise_before_any_id_sized_array(ids):
         with pytest.raises(ValueError, match="unique integers"):
             netgraph.build_udg((np.array(ids), pts))
         with pytest.raises(ValueError, match="unique integers"):
-            netgraph.UnitDiskGraph(ids=np.sort(ids), xy=pts, R=1.0, indptr=np.zeros(3, np.int64),
+            netgraph.UnitDiskGraph(ids=np.sort(ids), xy=pts, indptr=np.zeros(3, np.int64),
                                    indices=np.zeros(0, np.int32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -326,6 +345,6 @@ def test_ids_out_of_range_raise_before_any_id_sized_array(ids):
 
 
 def test_graph_built_by_hand_holds_int32_indices():
-    g = netgraph.UnitDiskGraph(ids=np.array([1, 2]), xy=np.zeros((3, 2)), R=1.0,
+    g = netgraph.UnitDiskGraph(ids=np.array([1, 2]), xy=np.zeros((3, 2)),
                                indptr=np.array([0, 0, 1, 2]), indices=np.array([2, 1]))
     assert g.indices.dtype == np.int32 and g.neighbors(1).tolist() == [2]

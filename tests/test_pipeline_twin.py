@@ -42,7 +42,7 @@ def twin_pipeline(config: cli.RunConfig, loops: dict) -> cli.PipelineResult:
     if config.n < 100 or deg[g.ids].mean() < 100:
         warnings.append(f"density warning: mean degree {deg[g.ids].mean():.1f} (paper "
                         f"assumes every node reaches at least 100 others)")
-    density = boundary.estimate_mu(netgraph.histogram(g, config.bin_count), mu_an)
+    density = boundary.estimate_mu(netgraph.histogram(g, config.bin_count))
     sweep = None
     alpha_star = config.alpha
     if config.alpha == "sweep":
