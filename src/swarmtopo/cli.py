@@ -256,14 +256,14 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
     # the tree is the connectivity check: it raises GraphDisconnected
     tree = protocol("tree", convergetree.build_tree, g, runs=lambda t: [t.result])
     with step("check_tree"):
-        convergetree.check_tree(g, tree)
+        convergetree.check_tree(tree)
 
-    (delta_val,), _ = protocol("agg_delta", convergetree.aggregate, g, tree,
+    (delta_val,), _ = protocol("agg_delta", convergetree.aggregate, tree,
                                convergetree.AggOp.MAX, deg)
-    protocol("flood_delta", convergetree.broadcast_down, g, tree, (delta_val,))
+    protocol("flood_delta", convergetree.broadcast_down, tree, (delta_val,))
 
     bins = config.bin_count
-    hist_counts, _ = protocol("agg_histogram", convergetree.aggregate, g, tree,
+    hist_counts, _ = protocol("agg_histogram", convergetree.aggregate, tree,
                               convergetree.AggOp.HISTOGRAM_MERGE, deg, bins)
     hist = netgraph.DegreeHistogram(bins, np.array(hist_counts, dtype=np.int64), delta_val)
     density = boundary.estimate_mu(hist)
@@ -281,7 +281,7 @@ def run_pipeline(config: RunConfig, trace_stream=None) -> PipelineResult:
         alpha_star = float(config.alpha)
 
     thr = boundary.threshold_units(alpha_star, density.mu_est)
-    protocol("flood_threshold", convergetree.broadcast_down, g, tree, (density.mu_est, thr))
+    protocol("flood_threshold", convergetree.broadcast_down, tree, (density.mu_est, thr))
 
     classes, _ = protocol("classify", boundary.classify, g, thr)
     if not (classes == int(NodeClass.BOUNDARY)).any():

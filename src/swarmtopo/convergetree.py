@@ -23,15 +23,17 @@ adjacency rows.
 The finished tree is `TreeBuild`: its graph, the kernel's ID-indexed
 arrays (parent, subtree size, learned n, completion round), read-only once
 checked, and the root.  `aggregate`, `broadcast_down` and `check_tree`
-read these arrays.  `TreeBuild.states` is a view over them that builds a
-node's `TreeState`, with its children, only when that node is read;
-perfbench's tree checks read it.
+take the tree alone and read its graph and these arrays, so a wave runs
+over the graph its tree spans.  `TreeBuild.states` is a view over them
+that builds a node's `TreeState`, with its children, only when that node
+is read; perfbench's tree checks read it.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,7 +52,7 @@ K_VAL = Kind("val", 5, (), ("value",))               # a value broadcast down th
 
 class NotSpanningTree(ValueError):
     """A tree has a non-graph edge or leaves nodes out (a cycle, a second
-    root), or a tree wave was given another graph's tree."""
+    root)."""
 
 
 class GraphDisconnected(RuntimeError):
@@ -92,7 +94,8 @@ class TreeBuild:
     It is made only if every tree edge is a graph edge and every node
     reaches `root_id`, else it raises `NotSpanningTree`; the four arrays
     are then read-only, so `build_tree` and `dataclasses.replace` give
-    only checked trees."""
+    only checked trees.  `result` is the kernel's run; from `build_tree`
+    its seconds count the kernel's setup and this check too."""
     g: UnitDiskGraph
     parent: np.ndarray
     subtree: np.ndarray
@@ -327,6 +330,7 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
     completes, isolated nodes as their own roots, so the roots count the
     components, and `GraphDisconnected` reports them.
     """
+    start = time.perf_counter()
     kernel = _TreeRounds(g)
     result = run_protocol(kernel, max_rounds, trace)
     ids = g.ids
@@ -336,8 +340,10 @@ def build_tree(g: UnitDiskGraph, max_rounds: int = 100_000,
     roots = ids[kernel.parent[ids] == 0]
     if len(roots) > 1:
         raise GraphDisconnected(g.n, len(roots))
-    return TreeBuild(g=g, parent=kernel.parent, subtree=kernel.subtree, n_total=kernel.n_total,
+    tree = TreeBuild(g=g, parent=kernel.parent, subtree=kernel.subtree, n_total=kernel.n_total,
                      completion=kernel.completion, root_id=int(roots[-1]), result=result)
+    result.seconds = time.perf_counter() - start  # the tree phase books its setup and check
+    return tree
 
 
 def central_tree(g: UnitDiskGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,12 +393,6 @@ def _agg_inputs(g: UnitDiskGraph, op: AggOp, values: np.ndarray,
     if hist:
         return degree_bin(own, int(own.max()), bins), np.ones_like(own), bins
     return np.zeros_like(own), own, 1
-
-
-def _check_graph(g: UnitDiskGraph, tree: TreeBuild) -> None:
-    """A tree wave over `g` runs on a tree of `g`: `tree` spans its own graph."""
-    if tree.g is not g:
-        raise NotSpanningTree("tree is over another graph")
 
 
 def _row_slices(count: int, cols: int) -> list[slice]:
@@ -492,9 +492,8 @@ class _AggRounds(RoundKernel):
         return f"agg(pending={self.pending[v]})"
 
 
-def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
-              bins: int = 0, max_rounds: int = 100_000,
-              trace=None) -> tuple[tuple, RunResult]:
+def aggregate(tree: TreeBuild, op: AggOp, values: np.ndarray, bins: int = 0,
+              max_rounds: int = 100_000, trace=None) -> tuple[tuple, RunResult]:
     """Convergecast `values`, an ID-indexed integer array, up the tree;
     returns the root's combined value.
 
@@ -506,10 +505,8 @@ def aggregate(g: UnitDiskGraph, tree: TreeBuild, op: AggOp, values: np.ndarray,
     the window of its merged row from its first to its last nonzero bin,
     as `K_AGG_HIST` (lo, c_lo, ..., c_hi).  A parent heard each leaf
     child's value in the MAX convergecast and holds δ, so it bins its
-    leaves itself, and leaves send nothing.  Other inputs raise
-    ValueError; another graph's tree raises `NotSpanningTree`.
+    leaves itself, and leaves send nothing.  Other inputs raise ValueError.
     """
-    _check_graph(g, tree)
     kernel = _AggRounds(tree, op, values, bins)
     res = run_protocol(kernel, max_rounds, trace)
     return tuple(kernel.acc[kernel.row(tree.root_id)].tolist()), res
@@ -526,8 +523,6 @@ class _DownRounds(RoundKernel):
         self.width = width
         self.parent = tree.parent
         self.has_kids = np.bincount(tree.parent, minlength=self.size) > 0
-        self.got = np.zeros(self.size, dtype=bool)
-        self.got[tree.root_id] = True
         self.sent = np.array([tree.root_id] if self.has_kids[tree.root_id] else [], dtype=np.int64)
 
     def waiting(self, senders: np.ndarray) -> np.ndarray:
@@ -536,32 +531,26 @@ class _DownRounds(RoundKernel):
     def step(self, rnd: int) -> list:
         if rnd:
             v = self.waiting(self.sent)
-            self.got[v] = True
             self.sent = np.sort(v[self.has_kids[v]])
         return [(K_VAL, self.sent, self.width)]
 
-    def state_name(self, v: int) -> str:
-        return f"flood(got={bool(self.got[v])})"
 
-
-def broadcast_down(g: UnitDiskGraph, tree: TreeBuild, value: tuple,
-                   max_rounds: int = 100_000, trace=None) -> tuple[tuple, RunResult]:
+def broadcast_down(tree: TreeBuild, value: tuple, max_rounds: int = 100_000,
+                   trace=None) -> tuple[tuple, RunResult]:
     """Broadcast a value down the tree from its root as `K_VAL`; each node
     with children re-broadcasts it once.  Returns the value, as a tuple of
-    ints, which every node then holds; another graph's tree raises
-    `NotSpanningTree`."""
+    ints, which every node then holds."""
     value = tuple(int(x) for x in value)
-    _check_graph(g, tree)
     kernel = _DownRounds(tree, len(value))
     res = run_protocol(kernel, max_rounds, trace)
     return value, res
 
 
-def check_tree(g: UnitDiskGraph, build: TreeBuild) -> None:
-    """Oracle-side sanity of a tree, which spans `g` over graph edges (see
-    `TreeBuild`): the root is the largest ID, the root learned n, and the
-    in-protocol completion round equals the driver's quiescence round."""
-    root = build.root_id
+def check_tree(build: TreeBuild) -> None:
+    """Oracle-side sanity of a tree, which spans its graph over graph edges
+    (see `TreeBuild`): the root is the largest ID, the root learned n, and
+    the in-protocol completion round equals the driver's quiescence round."""
+    g, root = build.g, build.root_id
     if root != g.max_id:
         raise AssertionError("root is not the global max ID")
     if build.subtree[root] != g.n or build.n_total[root] != g.n:

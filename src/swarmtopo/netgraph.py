@@ -64,9 +64,6 @@ class UnitDiskGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         """Degree of node v at index v (0 at unused IDs)."""
         return np.diff(self.indptr)

@@ -23,7 +23,6 @@ class NoFiniteHop(ValueError):
 class ThicknessReport:
     best_node: int
     hop_dist: int
-    frac_dist: float
     thickness_estimate: float  # R units
 
 
@@ -70,7 +69,6 @@ def thickness(classes: np.ndarray, field: DistanceField, degrees: np.ndarray,
         raise NoFiniteHop("no node of ids has a finite hop distance to a boundary")
     best = int(reached[np.lexsort((-reached, frac[reached], field.hop[reached]))[-1]])
     return ThicknessReport(best_node=best, hop_dist=int(field.hop[best]),
-                           frac_dist=float(frac[best]),
                            thickness_estimate=float(frac[best]))
 
 

@@ -238,12 +238,12 @@ def test_criterion_7_protocol_vs_oracle(standard_region):
         for seed in seeds:
             g, _ = build_instance(region, n, seed)
             tree = convergetree.build_tree(g)
-            convergetree.check_tree(g, tree)
+            convergetree.check_tree(tree)
             hist_c = netgraph.histogram(g, 64)
-            (delta,), _ = convergetree.aggregate(g, tree, convergetree.AggOp.MAX, g.degrees())
+            (delta,), _ = convergetree.aggregate(tree, convergetree.AggOp.MAX, g.degrees())
             assert delta == hist_c.delta
             merged, _ = convergetree.aggregate(
-                g, tree, convergetree.AggOp.HISTOGRAM_MERGE, g.degrees(), 64)
+                tree, convergetree.AggOp.HISTOGRAM_MERGE, g.degrees(), 64)
             assert list(merged) == hist_c.counts.tolist()
 
             est = boundary.estimate_mu(hist_c)

@@ -15,7 +15,7 @@ from conftest import (graph_from, random_graph, standard_20k, star_graph, subtre
 def test_tree_on_path():
     g = graph_from([(0, 0), (0.9, 0), (1.8, 0)])  # path 1-2-3
     build = convergetree.build_tree(g)
-    convergetree.check_tree(g, build)
+    convergetree.check_tree(build)
     st = build.states
     assert build.root_id == 3
     assert st[3].parent is None
@@ -29,7 +29,7 @@ def test_tree_on_star():
     # center 7 with leaves 1..6 and 9: root must be leaf 9, center joins it
     g = star_graph(7, [1, 2, 3, 4, 5, 6, 9])
     build = convergetree.build_tree(g)
-    convergetree.check_tree(g, build)
+    convergetree.check_tree(build)
     assert build.root_id == 9
     assert build.states[7].parent == 9
     for leaf in (1, 2, 3, 4, 5, 6):
@@ -39,7 +39,7 @@ def test_tree_on_star():
 def test_tree_single_node():
     g = graph_from([(0, 0)])
     build = convergetree.build_tree(g)
-    convergetree.check_tree(g, build)
+    convergetree.check_tree(build)
     assert build.root_id == 1
     assert build.states[1].n_total == 1
 
@@ -54,7 +54,7 @@ def test_tree_disconnected_raises():
 def test_tree_invariants_random(seed):
     g = random_graph(200, seed)
     build = convergetree.build_tree(g)
-    convergetree.check_tree(g, build)  # spanning, acyclic, completion round
+    convergetree.check_tree(build)  # spanning, acyclic, completion round
 
 
 def test_tree_memory_follows_nodes_not_ids():
@@ -70,7 +70,7 @@ def test_tree_memory_follows_nodes_not_ids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    convergetree.check_tree(g, build)
+    convergetree.check_tree(build)
     id_array = 8 * (g.max_id + 1)
     assert peak < 12 * id_array, peak / id_array
 
@@ -79,7 +79,7 @@ def _path_tree(k):
     """The path 1-2-...-k and its tree (root k, chain k-...-2-1)."""
     g = graph_from([(0.9 * i, 0) for i in range(k)])
     build = convergetree.build_tree(g)
-    convergetree.check_tree(g, build)
+    convergetree.check_tree(build)
     return g, build
 
 
@@ -104,7 +104,7 @@ def test_check_tree_rejects_edited_tree(field, v, value, error, message):
     # check_tree refuses the others
     g, build = _path_tree(4)
     with pytest.raises(error, match=message):
-        convergetree.check_tree(g, _edited(build, field, v, value))
+        convergetree.check_tree(_edited(build, field, v, value))
 
 
 @pytest.mark.parametrize("v, value, spans", [(3, 2, 2), (2, 0, 3), (5, 4, 0)],
@@ -133,7 +133,7 @@ def test_tree_arrays_are_read_only():
 def test_aggregate_max_equals_oracle():
     g = random_graph(150, 8)
     build = convergetree.build_tree(g)
-    (val,), _ = convergetree.aggregate(g, build, AggOp.MAX, g.degrees())
+    (val,), _ = convergetree.aggregate(build, AggOp.MAX, g.degrees())
     assert val == g.degrees()[g.ids].max()
 
 
@@ -143,7 +143,7 @@ def test_aggregate_histogram_equals_centralized():
     hist = netgraph.histogram(g, 16)
     bin_of = netgraph.degree_bin(g.degrees(), hist.delta, 16)
     buf = io.StringIO()
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, g.degrees(), 16,
+    merged, res = convergetree.aggregate(build, AggOp.HISTOGRAM_MERGE, g.degrees(), 16,
                                          trace=buf)
     trace = buf.getvalue()
     assert list(merged) == hist.counts.tolist()
@@ -165,7 +165,7 @@ def path_sums(values, bins):
     g = graph_from([(0.9 * i, 0) for i in range(len(values))])
     build = convergetree.build_tree(g)
     buf = io.StringIO()
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE,
+    merged, res = convergetree.aggregate(build, AggOp.HISTOGRAM_MERGE,
                                          np.array([0, *values]), bins, trace=buf)
     return merged, traced_costs(res, buf.getvalue(), g.max_id + 1)[1][1:len(values)].tolist()
 
@@ -183,19 +183,19 @@ def test_histogram_memory_follows_the_tree_not_ids_times_bins():
     # 200 nodes under IDs up to 10**5, 64 bins.  Only the nodes with
     # children and the root keep a 64-bin row, where rows for every ID
     # would take 64 ID-sized arrays.  The convergecast's pending counts
-    # (one ID-sized array) and the broadcast's has-children and got masks
-    # are the floor of the histogram, MAX and broadcast waves; one more
-    # ID-sized array kept or made would break the bound
+    # (one ID-sized array) and the broadcast's has-children mask are the
+    # floor of the histogram, MAX and broadcast waves; one more ID-sized
+    # array kept or made would break the bound
     g = random_graph(200, 11, id_span=10**5)
     build = convergetree.build_tree(g)
     deg = g.degrees()
     bin_of = netgraph.degree_bin(deg, int(deg.max()), 64)
     id_array = 8 * (g.max_id + 1)
     for run, want in (
-            (lambda: convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, deg, 64),
+            (lambda: convergetree.aggregate(build, AggOp.HISTOGRAM_MERGE, deg, 64),
              tuple(np.bincount(bin_of[g.ids], minlength=64).tolist())),
-            (lambda: convergetree.aggregate(g, build, AggOp.MAX, deg), (int(deg.max()),)),
-            (lambda: convergetree.broadcast_down(g, build, (7, 8)), (7, 8))):
+            (lambda: convergetree.aggregate(build, AggOp.MAX, deg), (int(deg.max()),)),
+            (lambda: convergetree.broadcast_down(build, (7, 8)), (7, 8))):
         tracemalloc.start()
         try:
             out, _ = run()
@@ -210,7 +210,7 @@ def test_aggregate_cost_two_units():
     g = random_graph(80, 11)
     build = convergetree.build_tree(g)
     buf = io.StringIO()
-    _, res = convergetree.aggregate(g, build, AggOp.MAX, g.degrees(), trace=buf)
+    _, res = convergetree.aggregate(build, AggOp.MAX, g.degrees(), trace=buf)
     sent = traced_costs(res, buf.getvalue(), g.max_id + 1)[0]
     assert (sent[g.ids] == (g.ids != build.root_id)).all()  # everyone but the root reports once
     assert res.ledger.total_id_units == 2 * (g.n - 1)
@@ -220,7 +220,7 @@ def test_broadcast_down_reaches_everyone_once():
     g = random_graph(150, 12)
     build = convergetree.build_tree(g)
     buf = io.StringIO()
-    value, res = convergetree.broadcast_down(g, build, (42,), trace=buf)
+    value, res = convergetree.broadcast_down(build, (42,), trace=buf)
     assert value == (42,)  # every node holds it, or the call raises
     # exactly one broadcast per node with children, none from a leaf
     relays = {v for v in g.id_list if build.states[v].children}
@@ -233,23 +233,10 @@ def test_broadcast_down_rounds_on_path():
     g = graph_from([(0.9 * i, 0) for i in range(6)], ids=[6, 1, 2, 3, 4, 5])
     build = convergetree.build_tree(g)
     assert build.root_id == 6  # sits at one end of the path
-    _, res = convergetree.broadcast_down(g, build, (7,))
+    _, res = convergetree.broadcast_down(build, (7,))
     # the root and 4 relays send in rounds 0-4; the leaf takes it in round 5
     assert res.rounds_used == 6
     assert res.ledger.total_broadcasts == 5
-
-
-def test_tree_waves_refuse_another_graphs_tree():
-    # the same points built again make an equal graph, but not the one the
-    # tree was checked over: every wave refuses the tree before it runs
-    g, build = _path_tree(4)
-    twin = graph_from([(0.9 * i, 0) for i in range(4)])
-    for op in AggOp:
-        with pytest.raises(convergetree.NotSpanningTree, match="tree is over another graph"):
-            convergetree.aggregate(twin, build, op, g.degrees() % 2, 2)
-    with pytest.raises(convergetree.NotSpanningTree, match="tree is over another graph"):
-        convergetree.broadcast_down(twin, build, (5,))
-    assert convergetree.broadcast_down(g, build, (5,))[0] == (5,)
 
 
 def test_histogram_of_a_star_at_its_root_sends_nothing():
@@ -259,7 +246,7 @@ def test_histogram_of_a_star_at_its_root_sends_nothing():
     assert build.root_id == 20
     values = np.zeros(g.max_id + 1, dtype=np.int64)  # the maximum 1: each value its bin
     values[[3, 5, 8, 13, 20]] = 1, 0, 1, 1, 0
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, values, 2)
+    merged, res = convergetree.aggregate(build, AggOp.HISTOGRAM_MERGE, values, 2)
     assert merged == (2, 3)
     assert (res.ledger.total_broadcasts, res.rounds_used, res.deliveries) == (0, 1, 0)
 
@@ -272,7 +259,7 @@ def test_histogram_on_a_path_leaves_its_far_end_silent(n):
     build = convergetree.build_tree(g)
     buf = io.StringIO()
     values = np.arange(n + 1) % 3  # the maximum 2: each value its bin
-    merged, res = convergetree.aggregate(g, build, AggOp.HISTOGRAM_MERGE, values, 3, trace=buf)
+    merged, res = convergetree.aggregate(build, AggOp.HISTOGRAM_MERGE, values, 3, trace=buf)
     assert merged == tuple(np.bincount(values[1:], minlength=3).tolist())
     assert [line.split(",")[:2] for line in buf.getvalue().splitlines()] == [
         [str(v - 2), str(v)] for v in range(2, n)]
@@ -292,7 +279,7 @@ def test_histogram_on_a_path_leaves_its_far_end_silent(n):
 def test_aggregate_rejects_bad_inputs(op, values, bins, message):
     g = graph_from([(0, 0), (0.9, 0)])
     with pytest.raises(ValueError, match=f"takes ID-indexed integer {message}"):
-        convergetree.aggregate(g, convergetree.build_tree(g), op, values, bins)
+        convergetree.aggregate(convergetree.build_tree(g), op, values, bins)
 
 
 def test_aggregate_ignores_unused_id_rows():
@@ -300,14 +287,14 @@ def test_aggregate_ignores_unused_id_rows():
     g = graph_from([(0, 0), (0.9, 0)], ids=[2, 5])
     values = np.full(6, 2**63 - 1, dtype=np.int64)
     values[[2, 5]] = 20, 50
-    assert convergetree.aggregate(g, convergetree.build_tree(g), AggOp.MAX, values)[0] == (50,)
+    assert convergetree.aggregate(convergetree.build_tree(g), AggOp.MAX, values)[0] == (50,)
 
 
 def test_tree_rebroadcast_budget_20k():
     # measured bound: flood re-announcements average well under 10/node
     g = standard_20k()
     build = convergetree.build_tree(g)
-    convergetree.check_tree(g, build)
+    convergetree.check_tree(build)
     total = build.result.ledger.total_broadcasts
     # subtract the one-time report and completion messages and the initial
     # announcement; what is left is the re-broadcast count

@@ -22,7 +22,9 @@ the recorded ones (see CHANGES.md).
 
 The `flood` ledger, trace, rounds and deliveries were re-recorded when the
 value flood became a broadcast down the tree, re-sent only by nodes with
-children; its outputs and its stuck digests are the recorded ones.  The
+children; its outputs are the recorded ones.  Its stuck digests name the
+recorded nodes and were re-recorded when the broadcast's state name, a
+flag that always read False there, gave way to the kernel's name.  The
 `distance` and `distance_mixed` ledger and trace digests were re-recorded
 when a distance message stopped charging the distance field its receiver
 never reads (3 id-units, not 4); their outputs, rounds, deliveries and
@@ -75,11 +77,11 @@ def calls(g) -> dict:
     # scattered sources under five labels: competing waves, ties, dropped slots
     mixed = np.zeros(g.max_id + 1, dtype=np.int64)
     mixed[g.ids] = np.where(g.ids % 13 == 0, 1 + g.ids % 5, 0)
-    agg = functools.partial(convergetree.aggregate, g, tree)
+    agg = functools.partial(convergetree.aggregate, tree)
     return {
         "agg_max": functools.partial(agg, AggOp.MAX, deg),
         "agg_hist": functools.partial(agg, AggOp.HISTOGRAM_MERGE, deg, BINS),
-        "flood": functools.partial(convergetree.broadcast_down, g, tree, (delta, thr)),
+        "flood": functools.partial(convergetree.broadcast_down, tree, (delta, thr)),
         "classify": lambda trace=None: boundary.classify(g, thr, trace=trace),
         "distance": functools.partial(boundary.distance_flood, g, comp_of, mu_est),
         "distance_mixed": functools.partial(boundary.distance_flood, g, mixed, mu_est),
@@ -231,9 +233,9 @@ GOLDEN_STUCK = {
     "agg_max@star@0":
         "b83d337b5cad74d3237dc6aa0585769da95242727ce2e66b4a6962871008a919",
     "flood@gapped-60-4@2":
-        "9bf69f0325347d7a16891079d30c3730163526b4e8644d8a962e1dafac9364e0",
+        "87b839dfa45ba8bde4d672acc64f4e8f24a011defe76bbec40bed1b829c82587",
     "flood@path-40@5":
-        "9e88ea7b4bfa075c1705a894a81728bc6257f3639f9eb4995adec417a34826d7",
+        "c3195f028948b2da22564459e2836a0b24c83a878f6029e11ed10c60f818cfd7",
     "distance@dense-250-2@2":
         "1a233d51ff10c8bd3468f788f3a052a84b9bbf16c8c58b9e92a555d3dea28298",
     "distance@gapped-800-6@3":

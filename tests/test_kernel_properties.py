@@ -141,11 +141,11 @@ def test_aggregates_equal_census(g, bins):
     tree = convergetree.build_tree(g)
     deg = g.degrees()
     delta = int(deg[g.ids].max())
-    ((top,), res), trace = traced(convergetree.aggregate, g, tree, AggOp.MAX, deg)
+    ((top,), res), trace = traced(convergetree.aggregate, tree, AggOp.MAX, deg)
     assert top == delta
     assert_deliveries_are_sender_degrees(g, res, trace)
     bin_of = netgraph.degree_bin(deg, delta, bins)
-    (counts, res), trace = traced(convergetree.aggregate, g, tree, AggOp.HISTOGRAM_MERGE,
+    (counts, res), trace = traced(convergetree.aggregate, tree, AggOp.HISTOGRAM_MERGE,
                                   deg, bins)
     assert list(counts) == netgraph.histogram(g, bins).counts.tolist()
     windows = subtree_windows(g, tree.states, np.eye(bins, dtype=np.int64)[bin_of])
@@ -163,7 +163,7 @@ def test_histogram_charge_is_subtree_window(g, data):
     rows = np.zeros((g.max_id + 1, bins), dtype=np.int64)
     rows[g.ids, bin_of[g.ids]] = 1
     tree = convergetree.build_tree(g)
-    (merged, res), trace = traced(convergetree.aggregate, g, tree, AggOp.HISTOGRAM_MERGE,
+    (merged, res), trace = traced(convergetree.aggregate, tree, AggOp.HISTOGRAM_MERGE,
                                   values, bins)
     assert list(merged) == rows.sum(axis=0).tolist()
     units = traced_costs(res, trace, g.max_id + 1)[1]
@@ -177,7 +177,7 @@ def test_histogram_charge_is_subtree_window(g, data):
 @given(connected_graphs, st.lists(st.integers(-10**12, 10**12), max_size=4))
 def test_broadcast_down_reaches_every_node_once(g, value):
     tree = convergetree.build_tree(g)
-    (received, res), trace = traced(convergetree.broadcast_down, g, tree, tuple(value))
+    (received, res), trace = traced(convergetree.broadcast_down, tree, tuple(value))
     assert received == tuple(value)
     # one broadcast from each node with a child, none from the others
     states = tree.states
@@ -268,10 +268,10 @@ def dense_case(request):
 # are 1..n) that its state and one round's scratch hold at once
 KERNELS = {
     "tree": (26, lambda c: convergetree.build_tree(c.g)),
-    "agg_max": (13, lambda c: convergetree.aggregate(c.g, c.tree, AggOp.MAX, c.deg)),
-    "agg_histogram": (17, lambda c: convergetree.aggregate(c.g, c.tree, AggOp.HISTOGRAM_MERGE,
+    "agg_max": (13, lambda c: convergetree.aggregate(c.tree, AggOp.MAX, c.deg)),
+    "agg_histogram": (17, lambda c: convergetree.aggregate(c.tree, AggOp.HISTOGRAM_MERGE,
                                                            c.deg, 64)),
-    "broadcast_down": (8, lambda c: convergetree.broadcast_down(c.g, c.tree, (7, 8))),
+    "broadcast_down": (8, lambda c: convergetree.broadcast_down(c.tree, (7, 8))),
     "classify": (3, lambda c: boundary.classify(c.g, c.threshold)),
     "component_flood": (15, lambda c: boundary._flood_components(c.g, c.member)),
     "organisation": (6, lambda c: simkernel.run_protocol(

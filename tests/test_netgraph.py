@@ -33,15 +33,15 @@ def test_edge_at_R_across_two_cell_borders():
 
 def test_no_edge_just_beyond_R():
     g = graph_from([(0, 0), (1 + 1e-9, 0)])
-    assert g.degree(1) == 0 and g.degree(2) == 0
+    assert g.degrees()[1] == 0 and g.degrees()[2] == 0
 
 
 def test_degrees_and_max():
     pts = [(0, 0)] * 5 + [(10, 10)]
     g = graph_from(pts)
     assert g.degrees()[g.ids].max() == 4
-    assert g.degree(6) == 0
-    assert g.degree(1) == 4
+    assert g.degrees()[6] == 0
+    assert g.degrees()[1] == 4
 
 
 def test_matches_brute_force():
@@ -234,7 +234,7 @@ def test_equal_x_on_both_sides_of_a_strip_border(monkeypatch):
 def test_duplicate_positions_across_strip_borders(monkeypatch):
     g = strip_graph(monkeypatch, 2, [(0.3, 0.3)] * 5 + [(1.3, 0.3), (2.4, 0.3)], R=1.0)
     assert g.degrees()[1:6].tolist() == [5] * 5 and g.neighbors(6).tolist() == [1, 2, 3, 4, 5]
-    assert g.degree(7) == 0
+    assert g.degrees()[7] == 0
 
 
 def test_edge_at_R_a_hair_beyond_R_in_x(monkeypatch):

@@ -6,7 +6,10 @@ untraced.  Those wrappers reach into the program (`run_protocol` as each
 protocol module imports it, whose first child span of `form_components`
 is the component flood, `TreeBuild.states`, and the empty `NodeProto`
 class whose handler-defining subclasses it would time), so a source
-change that breaks them fails here.  The harness
+change that breaks them fails here.  The protocol functions are wrapped
+by name with their arguments passed through, so their parameters can
+change while this test still guards their names and return shapes.  The
+harness
 writes only under the git-ignored `perfbench/results/`."""
 
 import subprocess

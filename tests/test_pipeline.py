@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import re
+import time
 import types
 
 import numpy as np
@@ -586,6 +587,21 @@ def test_timing_steps_name_the_alpha_sweep(tmp_path):
     timing = json.loads((tmp_path / "timing.json").read_text())
     assert len(timing["phases"]) == len(r.costs)  # cost.csv gets no host rows
     assert_timing_steps(timing, ["alpha_sweep"])
+
+
+def test_tree_row_books_the_tree_check(tmp_path, monkeypatch):
+    # the check that makes a TreeBuild is part of the tree phase, so the
+    # tree row's seconds count it with the kernel's run
+    has_edges = convergetree.has_edges
+
+    def slow_has_edges(*args):
+        time.sleep(0.05)
+        return has_edges(*args)
+
+    monkeypatch.setattr(convergetree, "has_edges", slow_has_edges)
+    r = cli.run_pipeline(RunConfig(region=small_region_file(tmp_path), n=600, seed=9, alpha=0.6))
+    [tree] = [c for c in r.costs if c.phase == "tree"]
+    assert tree.seconds >= 0.05
 
 
 @pytest.mark.slow

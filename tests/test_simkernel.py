@@ -245,7 +245,7 @@ def test_kernel_wake_runs_without_messages():
     res, sent, _ = traced_run(_TimerRounds(g))
     assert res.rounds_used == 6  # rounds 1-3 send nothing but do not end the run
     assert sent.tolist() == [0, 2, 0, 0]
-    assert res.deliveries == 2 * g.degree(1)
+    assert res.deliveries == 2 * g.degrees()[1]
     # a node waiting on a timer is stuck like one with deliveries to settle
     with pytest.raises(RoundLimitExceeded) as e:
         run_protocol(_TimerRounds(g), max_rounds=3)

@@ -25,7 +25,7 @@ KINDS = {k.code: k for k in (convergetree.K_STATE, convergetree.K_REPORT, conver
 def test_build_tree_properties(g):
     buf = io.StringIO()
     build = convergetree.build_tree(g, trace=buf)
-    convergetree.check_tree(g, build)
+    convergetree.check_tree(build)
     # DONE travels down the tree one hop a round and tells every node n
     kids = g.ids[build.parent[g.ids] != 0]
     assert (build.completion[kids] == build.completion[build.parent[kids]] + 1).all()
@@ -59,7 +59,7 @@ def test_no_message_carries_what_its_receivers_can_derive(g, bins):
     # with children but the root, and the root still gets the census
     deg = g.degrees()
     buf = io.StringIO()
-    counts, res = convergetree.aggregate(g, tree, AggOp.HISTOGRAM_MERGE, deg, bins, trace=buf)
+    counts, res = convergetree.aggregate(tree, AggOp.HISTOGRAM_MERGE, deg, bins, trace=buf)
     inner = np.bincount(tree.parent[g.ids], minlength=g.max_id + 1) > 0
     senders = trace_rows(buf.getvalue())[:, 1]
     assert sorted(senders.tolist()) == [u for u in g.id_list if inner[u] and u != tree.root_id]
